@@ -553,6 +553,9 @@ let profile_cmd =
     handle_errors (fun () ->
         let prog =
           match (bench, file) with
+          | _ when top < 1 ->
+              Fmt.epr "error: --top must be at least 1 (got %d)@." top;
+              None
           | Some name, _ -> (
               match Benchmarks.Suite.find name with
               | Some b -> Some (Benchmarks.Suite.program b)
@@ -605,7 +608,7 @@ let profile_cmd =
     Arg.(value & opt fmt `Text & info [ "format" ] ~docv:"FORMAT" ~doc)
   in
   let top_arg =
-    let doc = "Rows per table in text output." in
+    let doc = "Rows per table in text output (at least 1)." in
     Arg.(value & opt int 20 & info [ "top" ] ~docv:"N" ~doc)
   in
   let step_limit =

@@ -50,7 +50,7 @@ type env = {
 }
 
 let frame_of_shape (sh : fshape) this =
-  mk_frame ~ints:sh.nint ~flts:sh.nflt sh.nbox this
+  mk_frame ~ints:sh.nint sh.nbox this
 
 let fresh_obj_id env =
   let id = env.obj_counter in
@@ -89,7 +89,6 @@ let rec eval env frame (e : rexpr) : value =
   | RConst v -> v
   | RLocal i -> frame.locals.cells.(i)
   | RLocalI i -> vint frame.ilocals.(i)
-  | RLocalF i -> VFloat frame.flocals.(i)
   | RLocalRef i -> (
       (* reference locals and parameters transparently read their
          referent *)
@@ -140,9 +139,6 @@ let rec eval env frame (e : rexpr) : value =
   | RFieldI (oe, slots, m) ->
       let o = as_obj (eval env frame oe) in
       vint o.ifields.(field_slot o slots m)
-  | RFieldF (oe, slots, m) ->
-      let o = as_obj (eval env frame oe) in
-      VFloat o.ffields.(field_slot o slots m)
   | RCall c -> eval_call env frame c
   | RAddrOf lv -> (
       let loc = eval_lval env frame lv in
@@ -240,7 +236,6 @@ and eval_lval env frame (lv : rlval) : location =
   match lv with
   | LvLocal i -> LSlot (frame.locals, i)
   | LvLocalI i -> LInt (frame.ilocals, i)
-  | LvLocalF i -> LFloat (frame.flocals, i)
   | LvLocalRef i -> (
       (* a reference local aliases its referent *)
       match frame.locals.cells.(i) with
@@ -255,9 +250,6 @@ and eval_lval env frame (lv : rlval) : location =
   | LvFieldI (oe, slots, m) ->
       let o = as_obj (eval env frame oe) in
       LInt (o.ifields, field_slot o slots m)
-  | LvFieldF (oe, slots, m) ->
-      let o = as_obj (eval env frame oe) in
-      LFloat (o.ffields, field_slot o slots m)
   | LvDeref a -> (
       match eval env frame a with
       | VPtr (PCell r) -> LRef r
@@ -444,8 +436,6 @@ and bind_params frame (rf : rfunc) argv =
       match p.rp_bank with
       | BBox -> frame.locals.cells.(p.rp_slot) <- coerce p.rp_coerce argv.(i)
       | BInt -> frame.ilocals.(p.rp_slot) <- as_int (coerce p.rp_coerce argv.(i))
-      | BFlt ->
-          frame.flocals.(p.rp_slot) <- as_float (coerce p.rp_coerce argv.(i))
   done
 
 (* -- construction / destruction -------------------------------------------------- *)
@@ -514,10 +504,7 @@ and run_ctor env (o : obj) (rf : rfunc) (plan : ctor_plan) argv ~most_derived =
                 coerce fs_coerce (eval env frame fs_init)
           | BInt ->
               o.ifields.(field_slot o fs_slots fs_member) <-
-                as_int (coerce fs_coerce (eval env frame fs_init))
-          | BFlt ->
-              o.ffields.(field_slot o fs_slots fs_member) <-
-                as_float (coerce fs_coerce (eval env frame fs_init)))
+                as_int (coerce fs_coerce (eval env frame fs_init)))
       | FPBadInit -> runtime_error "bad scalar member initializer")
     plan.cp_fields;
   (* 4. the constructor body *)
@@ -635,7 +622,6 @@ and exec_decl env frame (d : rdecl) =
   | DScalar { d_slot; d_ty } ->
       frame.locals.cells.(d_slot) <- default_value d_ty
   | DScalarI d_slot -> frame.ilocals.(d_slot) <- 0
-  | DScalarF d_slot -> frame.flocals.(d_slot) <- 0.0
   | DStackArrObj { d_slot; d_cid; d_cls; d_ctor; d_len } ->
       (* a stack array of class objects: default-construct every
          element; journalled as one allocation *)
@@ -651,9 +637,6 @@ and exec_decl env frame (d : rdecl) =
       frame.locals.cells.(d_slot) <- coerce d_coerce (eval env frame d_init)
   | DExprI { d_slot; d_coerce; d_init } ->
       frame.ilocals.(d_slot) <- as_int (coerce d_coerce (eval env frame d_init))
-  | DExprF { d_slot; d_coerce; d_init } ->
-      frame.flocals.(d_slot) <-
-        as_float (coerce d_coerce (eval env frame d_init))
   | DRefExpr { d_slot; d_init; d_lv } ->
       (* bind the reference to the initializer's location; the
          initializer is evaluated for its value first, as before *)
@@ -841,7 +824,7 @@ let run_tree ~dead ~step_limit ~call_depth_limit ~heap_object_limit ?cache_key
   (* totals and guard proximity are recorded even when a limit aborts
      the run — that is exactly when guard proximity matters *)
   Fun.protect ~finally:record_telemetry @@ fun () ->
-  let init_frame = mk_frame ~ints:0 ~flts:0 0 None in
+  let init_frame = mk_frame ~ints:0 0 None in
   let ret =
     (* native resource exhaustion (a Stack_overflow the depth guard did
        not preempt, or the allocator running dry) becomes a structured

@@ -33,16 +33,16 @@ type slots_by_class = int array
 
 (* Which representation bank a local slot or data member lives in.
    Integral slots (int/long/char/bool) whose address is never taken go
-   in an unboxed [int array]; floating slots likewise in a [float
-   array]; everything else — objects, arrays, pointers, references,
-   address-taken scalars, member-pointer-reachable members — stays in
-   the boxed [value array]. *)
-type bank = BBox | BInt | BFlt
+   in an unboxed [int array]; everything else — floats, objects, arrays,
+   pointers, references, address-taken scalars,
+   member-pointer-reachable members — stays in the boxed [value
+   array]. *)
+type bank = BBox | BInt
 
 (* -- resolved IR -------------------------------------------------------------
 
    Slot references come in per-bank constructor variants ([RLocal] /
-   [RLocalI] / [RLocalF], [RField] / [RFieldI] / [RFieldF], …), assigned
+   [RLocalI], [RField] / [RFieldI], …), assigned
    by the retyping pass at the end of [program]; the integer payload is
    the slot's index *within its bank*. *)
 
@@ -50,7 +50,6 @@ type rexpr =
   | RConst of value
   | RLocal of int
   | RLocalI of int  (* unboxed integral local *)
-  | RLocalF of int  (* unboxed floating local *)
   | RLocalRef of int  (* reference-typed local: reads its referent *)
   | RGlobal of int
   | RStatic of int
@@ -65,7 +64,6 @@ type rexpr =
   | RCastFloat of rexpr
   | RField of rexpr * slots_by_class * Member.t
   | RFieldI of rexpr * slots_by_class * Member.t  (* unboxed integral member *)
-  | RFieldF of rexpr * slots_by_class * Member.t  (* unboxed floating member *)
   | RCall of rcall
   | RAddrOf of rlval
   | RDeref of rexpr
@@ -85,13 +83,11 @@ type rexpr =
 and rlval =
   | LvLocal of int
   | LvLocalI of int  (* unboxed integral local *)
-  | LvLocalF of int  (* unboxed floating local *)
   | LvLocalRef of int  (* reference-typed local: location of its referent *)
   | LvGlobal of int
   | LvStatic of int
   | LvField of rexpr * slots_by_class * Member.t
   | LvFieldI of rexpr * slots_by_class * Member.t  (* unboxed integral member *)
-  | LvFieldF of rexpr * slots_by_class * Member.t  (* unboxed floating member *)
   | LvDeref of rexpr
   | LvIndex of rexpr * rexpr
   | LvMemPtrDeref of rexpr * rexpr
@@ -125,7 +121,6 @@ and rcall =
 type rdecl =
   | DScalar of { d_slot : int; d_ty : Ast.type_expr }
   | DScalarI of int  (* unboxed integral local: zero-initialised *)
-  | DScalarF of int  (* unboxed floating local: zero-initialised *)
   | DStackArrObj of {
       d_slot : int;
       d_cid : int;
@@ -135,7 +130,6 @@ type rdecl =
     }
   | DExpr of { d_slot : int; d_coerce : Ast.type_expr; d_init : rexpr }
   | DExprI of { d_slot : int; d_coerce : Ast.type_expr; d_init : rexpr }
-  | DExprF of { d_slot : int; d_coerce : Ast.type_expr; d_init : rexpr }
   (* reference decl: the old interpreter evaluated the initializer for
      its value first, then again as an lvalue — both are kept *)
   | DRefExpr of { d_slot : int; d_init : rexpr; d_lv : rlval }
@@ -178,9 +172,9 @@ type rparam = {
 }
 
 (* Per-bank frame sizes of one body. *)
-type fshape = { nbox : int; nint : int; nflt : int }
+type fshape = { nbox : int; nint : int }
 
-let zero_shape = { nbox = 0; nint = 0; nflt = 0 }
+let zero_shape = { nbox = 0; nint = 0 }
 
 (* Constructor execution plan: everything [run_ctor] needs, precomputed.
    Member slots still go through [slots_by_class] because the same
@@ -259,10 +253,9 @@ type class_info = {
   (* default member values of the boxed bank, copied per object. Slots
      whose default is mutable (arrays) hold VUnit in the template and are
      rebuilt fresh per object from [ci_fresh]. The unboxed banks need no
-     template: integral/floating members always default to 0 / 0.0. *)
+     template: integral members always default to 0. *)
   ci_template : value array;
   ci_nints : int;  (* unboxed integral bank size *)
-  ci_nflts : int;  (* unboxed floating bank size *)
   ci_fresh : (int * Ast.type_expr) array;
   ci_vbases : int array;      (* virtual base cids, construction order *)
   ci_vbases_rev : int array;  (* and reversed, for destruction *)
@@ -795,7 +788,7 @@ let resolve_func ctx (fn : tfunc) : rfunc =
   Telemetry.Counter.incr funcs_counter;
   {
     rf_id = fn.tf_id;
-    rf_frame = { nbox = f.nslots; nint = 0; nflt = 0 };  (* split by retyping *)
+    rf_frame = { nbox = f.nslots; nint = 0 };  (* split by retyping *)
     rf_params = params;
     rf_code = code;
   }
@@ -845,7 +838,6 @@ let build_class table class_id (name : string) (id : int) : class_info =
     ci_slot = slot_tbl;
     ci_template = Array.of_list (List.rev !defaults);
     ci_nints = 0;  (* banks split by the retyping pass *)
-    ci_nflts = 0;
     ci_fresh = Array.of_list (List.rev !fresh);
     ci_vbases = Array.of_list vbases;
     ci_vbases_rev = Array.of_list (List.rev vbases);
@@ -859,7 +851,7 @@ let destroy_plan ctx (c : Class_table.cls) : destroy_plan =
         let f = new_fctx () in
         push_scope f;
         let rbody = rstmt ctx f body in
-        Some ({ nbox = f.nslots; nint = 0; nflt = 0 }, rbody)
+        Some ({ nbox = f.nslots; nint = 0 }, rbody)
     | Some _ | None -> None
   in
   let dp_fields =
@@ -907,33 +899,17 @@ let destroy_plan ctx (c : Class_table.cls) : destroy_plan =
    points, construction/destruction order and error messages are
    untouched. *)
 
-(* DEADMEM_BOXED=1 pins every slot to the boxed bank, turning the
-   bytecode engine into its pure generic (tagged) form. Diagnostic
-   knob: the differential suite uses it to pit typed emission against
-   the generic opcodes it replaces, and it isolates representation
-   effects when profiling. Read per call so tests can flip it between
-   compiles; it only runs at resolve time. *)
-let force_boxed () =
-  match Sys.getenv_opt "DEADMEM_BOXED" with
-  | Some ("1" | "true") -> true
-  | _ -> false
-
 let bank_of_type (ty : Ast.type_expr) : bank =
-  if force_boxed () then BBox
-  else
-    match ty with
-    | Ast.TRef _ -> BBox
-    | _ when Ctype.is_integral ty -> BInt
-    | _ when Ctype.is_floating ty -> BFlt
-    | _ -> BBox
+  match ty with
+  | Ast.TRef _ -> BBox
+  | _ when Ctype.is_integral ty -> BInt
+  | _ -> BBox
 
 let unboxed_int_counter = Telemetry.Counter.make "runtime.slots.unboxed_int"
-let unboxed_float_counter = Telemetry.Counter.make "runtime.slots.unboxed_float"
 let boxed_fallback_counter = Telemetry.Counter.make "runtime.slots.boxed_fallback"
 
 let count_bank = function
   | BInt -> Telemetry.Counter.incr unboxed_int_counter
-  | BFlt -> Telemetry.Counter.incr unboxed_float_counter
   | BBox -> Telemetry.Counter.incr boxed_fallback_counter
 
 (* A full structural walk of one code unit, firing [on_decl] at
@@ -958,7 +934,7 @@ let make_scanner ~(demote_member : Member.t -> unit) ~(on_decl : rdecl -> unit)
   in
   let rec expr = function
     | RConst (VMemPtr m) -> demote_member m
-    | RConst _ | RLocal _ | RLocalI _ | RLocalF _ | RLocalRef _ | RGlobal _
+    | RConst _ | RLocal _ | RLocalI _ | RLocalRef _ | RGlobal _
     | RStatic _ | RThis | RInvalid _ | RNewScalar _ ->
         ()
     | RUnary (_, e)
@@ -966,8 +942,7 @@ let make_scanner ~(demote_member : Member.t -> unit) ~(on_decl : rdecl -> unit)
     | RCastFloat e
     | RDeref e
     | RField (e, _, _)
-    | RFieldI (e, _, _)
-    | RFieldF (e, _, _) ->
+    | RFieldI (e, _, _) ->
         expr e
     | RBinary (_, a, b) | RIndex (a, b) | RMemPtrDeref (a, b) ->
         expr a;
@@ -988,10 +963,10 @@ let make_scanner ~(demote_member : Member.t -> unit) ~(on_decl : rdecl -> unit)
     | RNewArrObj { na_len; _ } -> expr na_len
     | RNewArrScalar { nas_len; _ } -> expr nas_len
   and lval = function
-    | LvLocal _ | LvLocalI _ | LvLocalF _ | LvLocalRef _ | LvGlobal _
+    | LvLocal _ | LvLocalI _ | LvLocalRef _ | LvGlobal _
     | LvStatic _ | LvInvalid _ ->
         ()
-    | LvField (e, _, _) | LvFieldI (e, _, _) | LvFieldF (e, _, _) | LvDeref e ->
+    | LvField (e, _, _) | LvFieldI (e, _, _) | LvDeref e ->
         expr e
     | LvIndex (a, b) | LvMemPtrDeref (a, b) ->
         expr a;
@@ -1018,9 +993,8 @@ let make_scanner ~(demote_member : Member.t -> unit) ~(on_decl : rdecl -> unit)
   and decl d =
     on_decl d;
     match d with
-    | DScalar _ | DScalarI _ | DScalarF _ | DStackArrObj _ | DFail _ -> ()
-    | DExpr { d_init; _ } | DExprI { d_init; _ } | DExprF { d_init; _ } ->
-        expr d_init
+    | DScalar _ | DScalarI _ | DStackArrObj _ | DFail _ -> ()
+    | DExpr { d_init; _ } | DExprI { d_init; _ } -> expr d_init
     | DRefExpr { d_init; d_lv; _ } ->
         demote_lv d_lv;
         expr d_init;
@@ -1066,8 +1040,7 @@ let make_rewriter ~(lb : bank array) ~(lx : int array) ~(owns : bool array)
     | RLocal i -> (
         match lb.(i) with
         | BBox -> RLocal lx.(i)
-        | BInt -> RLocalI lx.(i)
-        | BFlt -> RLocalF lx.(i))
+        | BInt -> RLocalI lx.(i))
     | RLocalRef i -> RLocalRef lx.(i)
     | (RGlobal _ | RStatic _ | RThis | RInvalid _ | RNewScalar _) as e -> e
     | RUnary (op, e) -> RUnary (op, expr e)
@@ -1082,8 +1055,7 @@ let make_rewriter ~(lb : bank array) ~(lx : int array) ~(owns : bool array)
         let e = expr e in
         match mb m with
         | BBox -> RField (e, slots, m)
-        | BInt -> RFieldI (e, slots, m)
-        | BFlt -> RFieldF (e, slots, m))
+        | BInt -> RFieldI (e, slots, m))
     | RCall c -> RCall (call c)
     | RAddrOf lv -> RAddrOf (lval lv)
     | RDeref e -> RDeref (expr e)
@@ -1092,26 +1064,23 @@ let make_rewriter ~(lb : bank array) ~(lx : int array) ~(owns : bool array)
     | RNewObj r -> RNewObj { r with no_args = args r.no_args }
     | RNewArrObj r -> RNewArrObj { r with na_len = expr r.na_len }
     | RNewArrScalar r -> RNewArrScalar { r with nas_len = expr r.nas_len }
-    | RLocalI _ | RLocalF _ | RFieldI _ | RFieldF _ ->
-        assert false (* introduced only by this pass *)
+    | RLocalI _ | RFieldI _ -> assert false (* introduced only by this pass *)
   and lval = function
     | LvLocal i -> (
         match lb.(i) with
         | BBox -> LvLocal lx.(i)
-        | BInt -> LvLocalI lx.(i)
-        | BFlt -> LvLocalF lx.(i))
+        | BInt -> LvLocalI lx.(i))
     | LvLocalRef i -> LvLocalRef lx.(i)
     | (LvGlobal _ | LvStatic _ | LvInvalid _) as lv -> lv
     | LvField (e, slots, m) -> (
         let e = expr e in
         match mb m with
         | BBox -> LvField (e, slots, m)
-        | BInt -> LvFieldI (e, slots, m)
-        | BFlt -> LvFieldF (e, slots, m))
+        | BInt -> LvFieldI (e, slots, m))
     | LvDeref e -> LvDeref (expr e)
     | LvIndex (a, b) -> LvIndex (expr a, expr b)
     | LvMemPtrDeref (a, b) -> LvMemPtrDeref (expr a, expr b)
-    | LvLocalI _ | LvLocalF _ | LvFieldI _ | LvFieldF _ -> assert false
+    | LvLocalI _ | LvFieldI _ -> assert false
   and args a = Array.map arg a
   and arg = function
     | AVal e -> AVal (expr e)
@@ -1130,21 +1099,19 @@ let make_rewriter ~(lb : bank array) ~(lx : int array) ~(owns : bool array)
     | DScalar { d_slot; d_ty } -> (
         match lb.(d_slot) with
         | BBox -> DScalar { d_slot = lx.(d_slot); d_ty }
-        | BInt -> DScalarI lx.(d_slot)
-        | BFlt -> DScalarF lx.(d_slot))
+        | BInt -> DScalarI lx.(d_slot))
     | DExpr { d_slot; d_coerce; d_init } -> (
         let d_init = expr d_init in
         match lb.(d_slot) with
         | BBox -> DExpr { d_slot = lx.(d_slot); d_coerce; d_init }
-        | BInt -> DExprI { d_slot = lx.(d_slot); d_coerce; d_init }
-        | BFlt -> DExprF { d_slot = lx.(d_slot); d_coerce; d_init })
+        | BInt -> DExprI { d_slot = lx.(d_slot); d_coerce; d_init })
     | DStackArrObj r -> DStackArrObj { r with d_slot = lx.(r.d_slot) }
     | DRefExpr r ->
         DRefExpr
           { d_slot = lx.(r.d_slot); d_init = expr r.d_init; d_lv = lval r.d_lv }
     | DCtor r -> DCtor { r with d_slot = lx.(r.d_slot); d_args = args r.d_args }
     | DFail _ as d -> d
-    | DScalarI _ | DScalarF _ | DExprI _ | DExprF _ -> assert false
+    | DScalarI _ | DExprI _ -> assert false
   and destroy a =
     (* owning boxed survivors only, remapped; reverse-declaration order
        kept. A slot that can never hold a [VObj] or a journalled [VArr]
@@ -1202,7 +1169,7 @@ let retype_program ~(table : Class_table.t) ~(classes : class_info array)
     | DRefExpr { d_slot; _ } -> banks.(d_slot) <- BBox
     | DCtor { d_slot; _ } -> banks.(d_slot) <- BBox
     | DFail _ -> ()
-    | DScalarI _ | DScalarF _ | DExprI _ | DExprF _ -> assert false
+    | DScalarI _ | DExprI _ -> assert false
   in
   (* Slots a scope exit can actually destroy: only a by-value object or
      a constructed stack array ever puts a [VObj] / journalled [VArr]
@@ -1286,7 +1253,7 @@ let retype_program ~(table : Class_table.t) ~(classes : class_info array)
       let chain = ci.ci_name :: Class_table.all_base_names table ci.ci_name in
       let defaults = ref [] (* reversed *) in
       let fresh = ref [] in
-      let nb = ref 0 and ni = ref 0 and nf = ref 0 in
+      let nb = ref 0 and ni = ref 0 in
       List.iter
         (fun c ->
           match Class_table.find table c with
@@ -1300,9 +1267,6 @@ let retype_program ~(table : Class_table.t) ~(classes : class_info array)
                     | BInt ->
                         Hashtbl.replace newslot.(cidx) m (BInt, !ni);
                         incr ni
-                    | BFlt ->
-                        Hashtbl.replace newslot.(cidx) m (BFlt, !nf);
-                        incr nf
                     | BBox -> (
                         let slot = !nb in
                         incr nb;
@@ -1325,7 +1289,6 @@ let retype_program ~(table : Class_table.t) ~(classes : class_info array)
           ci_slot = slot_tbl;
           ci_template = Array.of_list (List.rev !defaults);
           ci_nints = !ni;
-          ci_nflts = !nf;
           ci_fresh = Array.of_list (List.rev !fresh);
         })
     classes;
@@ -1348,7 +1311,7 @@ let retype_program ~(table : Class_table.t) ~(classes : class_info array)
       Array.init n (fun s -> if dem.(s) then BBox else banks.(s))
     in
     let lx = Array.make n (-1) in
-    let nbo = ref 0 and ni = ref 0 and nf = ref 0 in
+    let nbo = ref 0 and ni = ref 0 in
     for s = 0 to n - 1 do
       (match lb.(s) with
       | BBox ->
@@ -1356,13 +1319,10 @@ let retype_program ~(table : Class_table.t) ~(classes : class_info array)
           incr nbo
       | BInt ->
           lx.(s) <- !ni;
-          incr ni
-      | BFlt ->
-          lx.(s) <- !nf;
-          incr nf);
+          incr ni);
       count_bank lb.(s)
     done;
-    (lb, lx, owns, { nbox = !nbo; nint = !ni; nflt = !nf })
+    (lb, lx, owns, { nbox = !nbo; nint = !ni })
   in
   let rewrite_ctor_plan rw (p : ctor_plan) =
     let base (bp : base_plan) = { bp with bp_args = rw.rw_args bp.bp_args } in
@@ -1558,7 +1518,6 @@ let new_obj_of (classes : class_info array) cid cls id : obj =
       obj_cid = cid;
       fields = { arr_id = -1; cells = [||] };
       ifields = no_ints;
-      ffields = no_floats;
     }
   else begin
     let ci = classes.(cid) in
@@ -1572,7 +1531,6 @@ let new_obj_of (classes : class_info array) cid cls id : obj =
       obj_cid = cid;
       fields = { arr_id = -1; cells };
       ifields = (if ci.ci_nints = 0 then no_ints else Array.make ci.ci_nints 0);
-      ffields = (if ci.ci_nflts = 0 then no_floats else Array.make ci.ci_nflts 0.0);
     }
   end
 

@@ -33,7 +33,6 @@ and obj = {
   obj_cid : int;       (* interned id of the dynamic class (resolve pass) *)
   fields : harray;     (* boxed member bank, one cell per boxed member *)
   ifields : int array;   (* unboxed integral member bank (resolve pass) *)
-  ffields : float array; (* unboxed floating member bank (resolve pass) *)
 }
 
 and harray = {
@@ -194,25 +193,21 @@ type location =
   | LRef of value ref
   | LSlot of harray * int
   | LInt of int array * int    (* unboxed integral slot (frame or object bank) *)
-  | LFloat of float array * int  (* unboxed floating slot *)
 
 let read_loc = function
   | LRef r -> !r
   | LSlot (h, i) -> h.cells.(i)
   | LInt (a, i) -> vint a.(i)
-  | LFloat (a, i) -> VFloat a.(i)
 
-(* Unboxed slots store the scalar image of the (already coerced) value.
-   Stores into them come from assignments whose static type is integral /
-   floating, so in a type-checked program the value is always VInt /
-   VFloat; [as_int]/[as_float] keep the historical error strings for
-   anything else. *)
+(* Unboxed slots store the integer image of the (already coerced) value.
+   Stores into them come from assignments whose static type is integral,
+   so in a type-checked program the value is always a VInt; [as_int]
+   keeps the historical error strings for anything else. *)
 let write_loc loc v =
   match loc with
   | LRef r -> r := v
   | LSlot (h, i) -> h.cells.(i) <- v
   | LInt (a, i) -> a.(i) <- as_int v
-  | LFloat (a, i) -> a.(i) <- as_float v
 
 (* Pointers made from locations always carry [arr_id = -1], exactly as
    the scope-chain interpreter's [ptr_of_loc] did: a pointer *into* a
@@ -222,30 +217,27 @@ let ptr_of_loc = function
   | LRef r -> VPtr (PCell r)
   | LSlot (h, i) ->
       VPtr (PArr ((if h.arr_id = -1 then h else { arr_id = -1; cells = h.cells }), i))
-  | LInt _ | LFloat _ ->
+  | LInt _ ->
       (* the resolve pass keeps every address-taken slot in the boxed
          bank, so a pointer to an unboxed slot cannot be formed *)
       runtime_error "cannot take the address of an unboxed slot"
 
-(* Shared empty banks, so frames and objects without unboxed slots cost
+(* Shared empty bank, so frames and objects without unboxed slots cost
    nothing extra. *)
 let no_ints : int array = [||]
-let no_floats : float array = [||]
 
 (* A call frame: flat slot-addressed locals (one bank per representation)
    plus the receiver. *)
 type frame = {
   locals : harray;
   ilocals : int array;
-  flocals : float array;
   this : obj option;
 }
 
-let mk_frame ~ints ~flts nslots this =
+let mk_frame ~ints nslots this =
   {
     locals = { arr_id = -1; cells = Array.make nslots VUnit };
     ilocals = (if ints = 0 then no_ints else Array.make ints 0);
-    flocals = (if flts = 0 then no_floats else Array.make flts 0.0);
     this;
   }
 

@@ -117,6 +117,10 @@ let t_exit_codes () =
       ("strip " ^ q valid, 0);
       ("strip " ^ q broken, 1);
       ("strip no/such/file.mcc", 2);
+      (* profile: a non-positive --top is a usage error *)
+      ("profile " ^ q ret7, 0);
+      ("profile --top=0 " ^ q ret7, 2);
+      ("profile --top=-3 --bench richards", 2);
       (* bench: unknown benchmark is a diagnosed failure *)
       ("bench richards", 0);
       ("bench frobnicate", 1);

@@ -1,29 +1,25 @@
-(* Differential tests for the typed (unboxed) slot representation (PR 8).
+(* Differential tests for the typed (unboxed) slot representation.
 
-   The resolve pass classifies every local and field slot into an
-   int/float/boxed bank and the bytecode compiler emits typed opcodes on
-   an untagged operand stack for the unboxed banks. None of that may be
-   observable: output, return value, step count, allocation count and
-   the full profile snapshot must stay byte-identical to both the
-   generic (all-boxed) bytecode engine and the tree-walking oracle.
-
-   DEADMEM_BOXED=1 pins every slot to the boxed bank at resolve time,
-   which is exactly the pre-PR generic engine — so one source program
-   parsed three times gives the three-way differential. Each
-   configuration parses its own copy because the resolve+compile cache
-   is keyed on typed-program identity; sharing one parse would let the
-   first compile's representation leak into the others.
+   The resolve pass puts every int-typed local and field slot whose
+   address never escapes in an unboxed int bank, and the bytecode
+   compiler emits typed opcodes on an untagged operand stack for it;
+   everything else (floats, pointers, objects, escape-demoted ints) stays
+   boxed and runs the generic opcodes. None of that may be observable:
+   output, return value, step count, allocation count and the full
+   profile snapshot must stay byte-identical to the tree-walking oracle.
 
    The qcheck property generates programs that mix the things the
    classifier has to keep apart: int and float locals, object pointers,
-   int<->float casts, field traffic through both banks, and virtual
-   calls (the receiver's dynamic class decides which override runs, and
-   overrides disagree about how they touch the banks). The pinned cases
-   cover the representation edges where an unboxing bug would hide:
-   int wraparound at the word boundary (unboxed ints are native ints in
-   every engine, so overflow must wrap identically) and float NaN/inf
-   comparison semantics, which must follow the tree walker bit-for-bit
-   even where it differs from IEEE conventions. *)
+   int<->float casts, field traffic through both banks, address-taken
+   ints (escape-demoted to the boxed bank, so their arithmetic runs on
+   the generic opcodes), and virtual calls (the receiver's dynamic class
+   decides which override runs, and overrides disagree about how they
+   touch the banks). The pinned cases cover the representation edges
+   where an unboxing bug would hide: int wraparound at the word boundary
+   (unboxed ints are native ints in every engine, so overflow must wrap
+   identically) and float NaN/inf comparison semantics, which must
+   follow the tree walker bit-for-bit even where it differs from IEEE
+   conventions. *)
 
 open QCheck
 
@@ -39,19 +35,6 @@ let run_counted ~engine prog =
       let outcome = Runtime.Interp.run ~engine prog in
       (outcome, Telemetry.Counter.value allocs_counter - before))
 
-(* Run [src] under one engine configuration. [boxed] drives the
-   DEADMEM_BOXED resolve knob; the previous value is restored so
-   configurations cannot leak into each other (putenv cannot unset, but
-   the knob only recognizes "1"/"true" as on). *)
-let run_config ~engine ~boxed src =
-  let prev = Option.value (Sys.getenv_opt "DEADMEM_BOXED") ~default:"0" in
-  Unix.putenv "DEADMEM_BOXED" (if boxed then "1" else "0");
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "DEADMEM_BOXED" prev)
-    (fun () ->
-      let prog = Util.check_source src in
-      run_counted ~engine prog)
-
 type observed = {
   o_ret : int;
   o_out : string;
@@ -62,8 +45,10 @@ type observed = {
   o_hwm : int;
 }
 
-let observe ~engine ~boxed src =
-  let (o : Runtime.Interp.outcome), allocs = run_config ~engine ~boxed src in
+let observe ~engine src =
+  let (o : Runtime.Interp.outcome), allocs =
+    run_counted ~engine (Util.check_source src)
+  in
   {
     o_ret = o.return_value;
     o_out = o.output;
@@ -74,29 +59,24 @@ let observe ~engine ~boxed src =
     o_hwm = o.snapshot.high_water_mark;
   }
 
-let three_way src =
-  let tree = observe ~engine:Runtime.Interp.Tree ~boxed:false src in
-  let generic = observe ~engine:Runtime.Interp.Bytecode ~boxed:true src in
-  let typed = observe ~engine:Runtime.Interp.Bytecode ~boxed:false src in
-  (tree, generic, typed)
+let two_way src =
+  let tree = observe ~engine:Runtime.Interp.Tree src in
+  let bytecode = observe ~engine:Runtime.Interp.Bytecode src in
+  (tree, bytecode)
 
-let check_three name src =
-  let tree, generic, typed = three_way src in
-  let pair tag b =
-    let chk what base now = Util.check_int (name ^ ": " ^ tag ^ " " ^ what) base now in
-    chk "return" tree.o_ret b.o_ret;
-    Util.check_string
-      (name ^ ": " ^ tag ^ " output md5")
-      (Digest.to_hex (Digest.string tree.o_out))
-      (Digest.to_hex (Digest.string b.o_out));
-    chk "steps" tree.o_steps b.o_steps;
-    chk "allocations" tree.o_allocs b.o_allocs;
-    chk "object_space" tree.o_objspace b.o_objspace;
-    chk "num_objects" tree.o_numobj b.o_numobj;
-    chk "high_water_mark" tree.o_hwm b.o_hwm
-  in
-  pair "generic" generic;
-  pair "typed" typed
+let check_two name src =
+  let tree, b = two_way src in
+  let chk what base now = Util.check_int (name ^ ": bytecode " ^ what) base now in
+  chk "return" tree.o_ret b.o_ret;
+  Util.check_string
+    (name ^ ": bytecode output md5")
+    (Digest.to_hex (Digest.string tree.o_out))
+    (Digest.to_hex (Digest.string b.o_out));
+  chk "steps" tree.o_steps b.o_steps;
+  chk "allocations" tree.o_allocs b.o_allocs;
+  chk "object_space" tree.o_objspace b.o_objspace;
+  chk "num_objects" tree.o_numobj b.o_numobj;
+  chk "high_water_mark" tree.o_hwm b.o_hwm
 
 (* -- generator: mixed-bank programs with casts and virtual calls ---------------- *)
 
@@ -119,6 +99,7 @@ type op =
   | OPrintI of int
   | OPrintF of int
   | OLoop of int * int  (* bounded: for n rounds, i[a] = i[a] * 7 + round *)
+  | OAddrInt of int * int  (* int *q = &i[a]; *q = *q + k: demotes i[a] *)
 
 let ni = 3
 
@@ -140,6 +121,7 @@ let gen_ops =
         (2, map (fun x -> OPrintI x) ii);
         (2, map (fun x -> OPrintF x) fi);
         (1, map2 (fun a n -> OLoop (a, n + 1)) ii (int_range 0 3));
+        (1, map2 (fun a k -> OAddrInt (a, k)) ii (int_range 0 9));
       ]
   in
   list_size (int_range 5 25) op
@@ -194,7 +176,12 @@ int main() {
           incr fresh;
           pr "  for (int t%d = 0; t%d < %d; t%d = t%d + 1) {\n" v v n v v;
           pr "    i%d = i%d * 7 + t%d;\n" a a v;
-          pr "  }\n")
+          pr "  }\n"
+      | OAddrInt (a, k) ->
+          let v = !fresh in
+          incr fresh;
+          pr "  int *q%d = &i%d;\n" v a;
+          pr "  *q%d = *q%d + %d;\n" v v k)
     ops;
   for i = 0 to ni - 1 do
     pr "  print_int(i%d);\n" i
@@ -207,22 +194,22 @@ int main() {
   pr "  return (i0 + i1 + i2) %% 200;\n}\n";
   Buffer.contents buf
 
-let three_way_agree src =
-  let tree, generic, typed = three_way src in
-  tree = generic && tree = typed
+let two_way_agree src =
+  let tree, bytecode = two_way src in
+  tree = bytecode
 
 let prop_mixed_banks =
   Test.make
-    ~name:"typed slots: mixed int/float/object programs match tree + generic"
+    ~name:"typed slots: mixed int/float/object programs match tree"
     ~count:100
     (make ~print:render_ops gen_ops)
-    (fun ops -> three_way_agree (render_ops ops))
+    (fun ops -> two_way_agree (render_ops ops))
 
 (* -- pinned representation edges ------------------------------------------------ *)
 
 (* Int wraparound at the native word boundary. Unboxed int slots hold
    native ints exactly like the tree walker's tagged values, so
-   max_int + 1 wraps to min_int in all three configurations. *)
+   max_int + 1 wraps to min_int in both engines. *)
 let t_int_overflow_pin () =
   let src =
     {|int main() {
@@ -235,8 +222,8 @@ let t_int_overflow_pin () =
         return (wrapped < x);
       }|}
   in
-  check_three "int overflow" src;
-  let tree = observe ~engine:Runtime.Interp.Tree ~boxed:false src in
+  check_two "int overflow" src;
+  let tree = observe ~engine:Runtime.Interp.Tree src in
   (* the tree walker is the semantics oracle: native wraparound *)
   Util.check_string "wraps to min_int"
     (Printf.sprintf "%d%d%d" min_int 1 (-2))
@@ -245,9 +232,10 @@ let t_int_overflow_pin () =
 
 (* Float NaN/inf compares. Division by zero is a runtime error in this
    language, but inf (overflow) and NaN (inf - inf) are reachable; the
-   typed float stack must reproduce the tree walker's comparison
-   results bit-for-bit — including where its ordering of NaN differs
-   from IEEE — plus IEEE-faithful (non-)equality of NaN with itself. *)
+   bytecode engine's boxed float path must reproduce the tree walker's
+   comparison results bit-for-bit — including where its ordering of NaN
+   differs from IEEE — plus IEEE-faithful (non-)equality of NaN with
+   itself. *)
 let t_float_nan_pin () =
   let src =
     {|int main() {
@@ -264,62 +252,18 @@ let t_float_nan_pin () =
         return 0;
       }|}
   in
-  check_three "float nan" src;
-  let tree = observe ~engine:Runtime.Interp.Tree ~boxed:false src in
+  check_two "float nan" src;
+  let tree = observe ~engine:Runtime.Interp.Tree src in
   (* pinned against the tree walker's observed semantics: NaN sorts
      below finite values in <, <= (structural ordering), while == / !=
      on NaN follow IEEE (never equal, always unequal) *)
   Util.check_string "nan compare trace" "1010011-naninf222" tree.o_out
 
-(* The generic configuration really is all-boxed: with DEADMEM_BOXED=1
-   the unboxed slot counters stay at zero and every classified slot
-   lands in the boxed fallback bank. *)
-let t_boxed_knob_forces_fallback () =
-  let src =
-    {|int main() {
-        int i = 2;
-        double d = 1.5;
-        i = i * 3;
-        d = d * 2.0;
-        print_int(i); print_float(d);
-        return i;
-      }|}
-  in
-  let count name f =
-    let was = Telemetry.enabled () in
-    Telemetry.set_enabled true;
-    let c = Telemetry.Counter.make name in
-    let before = Telemetry.Counter.value c in
-    Fun.protect
-      ~finally:(fun () -> Telemetry.set_enabled was)
-      (fun () ->
-        f ();
-        Telemetry.Counter.value c - before)
-  in
-  let unboxed_when_typed =
-    count "runtime.slots.unboxed_int" (fun () ->
-        ignore (run_config ~engine:Runtime.Interp.Bytecode ~boxed:false src))
-  in
-  Util.check_bool "typed config unboxes int slots" true (unboxed_when_typed > 0);
-  let unboxed_when_boxed =
-    count "runtime.slots.unboxed_int" (fun () ->
-        ignore (run_config ~engine:Runtime.Interp.Bytecode ~boxed:true src))
-  in
-  Util.check_int "boxed config unboxes nothing" 0 unboxed_when_boxed;
-  let fallback_when_boxed =
-    count "runtime.slots.boxed_fallback" (fun () ->
-        ignore (run_config ~engine:Runtime.Interp.Bytecode ~boxed:true src))
-  in
-  Util.check_bool "boxed config routes slots to the fallback bank" true
-    (fallback_when_boxed > 0)
-
 let suite =
   [
-    Util.test "int overflow wraps identically in all three configs"
+    Util.test "int overflow wraps identically in all engines"
       t_int_overflow_pin;
     Util.test "float NaN/inf compares pinned against the tree walker"
       t_float_nan_pin;
-    Util.test "DEADMEM_BOXED forces the generic all-boxed engine"
-      t_boxed_knob_forces_fallback;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_mixed_banks ]

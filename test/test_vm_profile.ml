@@ -141,6 +141,42 @@ let t_text_rendering () =
       check_bool ("text mentions " ^ sub) true (Util.contains_sub ~sub text))
     [ "hot opcodes"; "hot functions"; "hot loops"; "helper" ]
 
+(* Dispatch counts of the 11 paper ports, pinned. Steps are the
+   language's tick semantics; dispatches and the typed share are what the
+   fusion rules buy. Deleting an opcode or rule that a port's hot path
+   depends on changes these numbers even though every output and step
+   count stays the same, so this is the test that notices a lost
+   superinstruction. Update a row only together with the change to the
+   compiler that explains it. *)
+let pinned_dispatches =
+  [
+    ("deltablue", 22047, 47179, 17578);
+    ("hotwire", 2423, 9045, 3924);
+    ("idl", 26115, 61415, 25340);
+    ("ixx", 49278, 100782, 44238);
+    ("jikes", 459845, 567505, 286740);
+    ("lcom", 61204, 145528, 68595);
+    ("npic", 967396, 1331240, 1106154);
+    ("richards", 61628, 153829, 44190);
+    ("sched", 2161560, 1674210, 935904);
+    ("simulate", 174307, 423748, 188972);
+    ("taldict", 18454, 35330, 20456);
+  ]
+
+let t_port_dispatches_pinned () =
+  check_int "every port pinned" (List.length Benchmarks.Suite.all)
+    (List.length pinned_dispatches);
+  List.iter
+    (fun (name, steps, dispatches, typed) ->
+      match Benchmarks.Suite.find name with
+      | None -> Alcotest.failf "unknown benchmark %s" name
+      | Some b ->
+          let _, r = I.run_profiled (Benchmarks.Suite.program b) in
+          check_int (name ^ " steps") steps r.VP.r_steps;
+          check_int (name ^ " dispatches") dispatches r.VP.r_dispatches;
+          check_int (name ^ " typed dispatches") typed r.VP.r_typed)
+    pinned_dispatches
+
 let suite =
   [
     Util.test "profiler: opcode and function counts sum to dispatches"
@@ -152,4 +188,6 @@ let suite =
     Util.test "profiler: resource limits still enforced" t_limits_respected;
     Util.test "profiler: json report parses and agrees" t_json_rendering;
     Util.test "profiler: text report sections" t_text_rendering;
+    Util.test "profiler: dispatch counts of the 11 ports pinned"
+      t_port_dispatches_pinned;
   ]
