@@ -286,10 +286,40 @@ let t_step_limit_same_tick () =
         (Util.contains_sub ~sub:"step limit exceeded" mt)
   | _ -> Alcotest.fail "expected Limit_exceeded from both engines"
 
+(* A then-block ending in [p = p->next] on a pointer local compiles its
+   last statement to a fused load-field-store, which the then-block's exit
+   jump fuses into; the if/else must still patch that jump's target. *)
+let t_pointer_chase_in_then_block () =
+  let src =
+    {|class Node { public: int v; Node *next; };
+      int main() {
+        Node a; Node b; Node c;
+        a.v = 1; b.v = 2; c.v = 3;
+        a.next = &b; b.next = &c; c.next = &a;
+        Node *h = &a;
+        Node *p = h;
+        int acc = 0;
+        int k = 0;
+        while (k < 7) {
+          if (k % 3 != 0) { p = p->next; } else { p = h; }
+          acc = acc * 3 + p->v;
+          k = k + 1;
+        }
+        print_int(acc);
+        return acc % 100;
+      }|}
+  in
+  Util.check_bool "engines agree" true (engines_agree src);
+  let _, r = Runtime.Interp.run_profiled (Util.check_source src) in
+  Util.check_bool "the then-block exit is the fused jump" true
+    (List.mem_assoc "ITickLoadFieldStoreJump" r.Runtime.Vm_profile.r_opcodes)
+
 let suite =
   [
     Util.test "benchmarks identical under both engines"
       t_benchmark_engine_differential;
+    Util.test "pointer chase in an if/else then-block"
+      t_pointer_chase_in_then_block;
     Util.test "missing member: identical structured error"
       t_missing_member_error_parity;
     Util.test "step limit trips at the same tick" t_step_limit_same_tick;
