@@ -47,16 +47,20 @@ type t = {
   roots : FuncSet.t;
   instantiated : StringSet.t;  (* classes whose ctor is reachable *)
   address_taken : FuncSet.t;
-  edge_sites : (string * Source.span) list EdgeMap.t;
+  edge_sites : (string * Source.span) list list EdgeMap.t;
       (* dispatch edges resolved from points-to sets -> the allocation
-         sites of the receiver objects that produced them *)
+         sites of the receiver objects that produced them, one list per
+         distinct receiver answer; merged by [dispatch_sites] *)
   pta_stats : Pta.stats option;  (* solver stats of the deciding solution *)
 }
 
 let reachable t id = FuncSet.mem id t.nodes
 
 let dispatch_sites t ~src dst =
-  Option.value ~default:[] (EdgeMap.find_opt (src, dst) t.edge_sites)
+  match EdgeMap.find_opt (src, dst) t.edge_sites with
+  | None -> []
+  | Some [ ss ] -> ss
+  | Some per_site -> List.sort_uniq Stdlib.compare (List.concat per_site)
 let callees t id = Option.value ~default:FuncSet.empty (FuncMap.find_opt id t.edges)
 let num_nodes t = FuncSet.cardinal t.nodes
 
@@ -341,6 +345,13 @@ let build ?(algorithm = Rta) ?(jobs = 1) ?(library_classes = StringSet.empty)
     | Pta1 -> Some (Pta.analyze ~mode:Pta.OneCfa ~jobs ~roots p)
     | Cha | Rta | Pta -> None
   in
+  (* Taken before the queries below, whose set unions would otherwise
+     count towards the solver's memo hits. *)
+  let pta_stats =
+    match (pta_refined, pta) with
+    | Some sol, _ | None, Some sol -> Some (Pta.stats sol)
+    | None, None -> None
+  in
   (* Per-site receiver classes / function targets, both tiers combined. *)
   let combined query e =
     match pta with
@@ -355,15 +366,30 @@ let build ?(algorithm = Rta) ?(jobs = 1) ?(library_classes = StringSet.empty)
             | Some a, None -> Some a
             | None, b -> b))
   in
-  let recv_classes e = combined Pta.receiver_classes e in
-  let funptr_of e = combined Pta.funptr_targets e in
+  (* The solutions are final, but the fixpoint below replays every
+     dispatch event once per iteration: answer each receiver expression
+     once. The tables are local to this build, which may run on a serve
+     worker domain. *)
+  let per_site f =
+    let tbl = Pta.ExprTbl.create 64 in
+    fun e ->
+      match Pta.ExprTbl.find_opt tbl e with
+      | Some v -> v
+      | None ->
+          let v = f e in
+          Pta.ExprTbl.add tbl e v;
+          v
+  in
+  let recv_classes = per_site (combined Pta.receiver_classes) in
+  let funptr_of = per_site (combined Pta.funptr_targets) in
   (* Allocation-site provenance for a resolved receiver: the refined
      solution's answer when it has one (fewer, sharper sites). *)
-  let alloc_sites e =
-    let q sol = Pta.receiver_alloc_sites sol e in
-    match (Option.map q pta_refined, Option.map q pta) with
-    | Some (Some s), _ | (None | Some None), Some (Some s) -> s
-    | _ -> []
+  let alloc_sites =
+    per_site (fun e ->
+        let q sol = Pta.receiver_alloc_sites sol e in
+        match (Option.map q pta_refined, Option.map q pta) with
+        | Some (Some s), _ | (None | Some None), Some (Some s) -> s
+        | _ -> [])
   in
   (* Iterate reachability to a fixpoint over (instantiated, address_taken):
      both sets only grow, and each enlargement can only add reachable
@@ -437,12 +463,21 @@ let build ?(algorithm = Rta) ?(jobs = 1) ?(library_classes = StringSet.empty)
     let inst0 = !instantiated and addr0 = !address_taken in
     let nodes = ref FuncSet.empty in
     let edges = ref FuncMap.empty in
+    (* every call site that produces an edge contributes its receiver's
+       sites; the per-site answers are shared, so [memq] drops repeats *)
     let sites = ref EdgeMap.empty in
     let record_sites src dst e =
       if pta <> None then
         match alloc_sites e with
         | [] -> ()
-        | ss -> sites := EdgeMap.add (src, dst) ss !sites
+        | ss ->
+            sites :=
+              EdgeMap.update (src, dst)
+                (function
+                  | Some prior when List.memq ss prior -> Some prior
+                  | Some prior -> Some (ss :: prior)
+                  | None -> Some [ ss ])
+                !sites
     in
     let add_edge src dst =
       edges :=
@@ -543,10 +578,7 @@ let build ?(algorithm = Rta) ?(jobs = 1) ?(library_classes = StringSet.empty)
       instantiated = !instantiated;
       address_taken = !address_taken;
       edge_sites = !final_sites;
-      pta_stats =
-        (match (pta_refined, pta) with
-        | Some sol, _ | None, Some sol -> Some (Pta.stats sol)
-        | None, None -> None);
+      pta_stats;
     }
   in
   Telemetry.Gauge.set nodes_gauge (num_nodes t);

@@ -44,10 +44,11 @@ type t = {
   roots : FuncSet.t;  (** [main] + extra roots *)
   instantiated : StringSet.t;  (** classes whose ctor is reachable *)
   address_taken : FuncSet.t;
-  edge_sites : (string * Frontend.Source.span) list EdgeMap.t;
+  edge_sites : (string * Frontend.Source.span) list list EdgeMap.t;
       (** for dispatch edges resolved from points-to sets: the
           allocation sites of the receiver objects that produced the
-          edge, as [(class, span)] pairs *)
+          edge, as [(class, span)] pairs, one list per distinct receiver
+          answer (see {!dispatch_sites} for the merged set) *)
   pta_stats : Pta.stats option;
       (** solver statistics of the points-to solution that decided
           dispatch ([Pta]: the plain solution; [Pta1]: the 1-CFA
@@ -67,8 +68,9 @@ val build :
   t
 
 (** [dispatch_sites t ~src dst] is the allocation-site provenance of the
-    call edge [src -> dst], or [[]] when the edge was not resolved from
-    a points-to set. *)
+    call edge [src -> dst] — the sites of every call site's receiver
+    that produces the edge, sorted, without duplicates — or [[]] when
+    the edge was not resolved from a points-to set. *)
 val dispatch_sites :
   t -> src:Func_id.t -> Func_id.t -> (string * Frontend.Source.span) list
 

@@ -194,6 +194,12 @@ let lex_number st start_pos =
     end
   end
 
+(* [Token.keyword_table] hashed once: every identifier is looked up. *)
+let keywords =
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun (text, kw) -> Hashtbl.replace tbl text kw) Token.keyword_table;
+  tbl
+
 let next_token st : Token.spanned =
   skip_trivia st;
   let start_pos = current_pos st in
@@ -206,7 +212,7 @@ let next_token st : Token.spanned =
         advance st
       done;
       let text = String.sub st.src start (st.pos - start) in
-      (match List.assoc_opt text Token.keyword_table with
+      (match Hashtbl.find_opt keywords text with
       | Some kw -> mk kw
       | None -> mk (Token.IDENT text))
   | Some c when is_digit c -> mk (lex_number st start_pos)

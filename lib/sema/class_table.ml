@@ -51,6 +51,8 @@ type t = {
   (* memoized hierarchy lookups (see Member_lookup): key is
      "<kind>:<start>:<member>", value the set of defining classes *)
   lookup_cache : (string, string list) Hashtbl.t;
+  subclass_index : string list StringMap.t;
+      (* class -> its strict subclasses, in declaration order *)
 }
 
 let lookup_cache t = t.lookup_cache
@@ -111,11 +113,23 @@ let is_base_of t ~base ~derived =
 let is_strict_base_of t ~base ~derived =
   base <> derived && List.mem base (all_base_names t derived)
 
-(* Direct and transitive subclasses. *)
+(* Direct and transitive subclasses, in declaration order. *)
 let subclasses t name =
-  List.filter (fun c -> is_strict_base_of t ~base:name ~derived:c.c_name)
-    (all_classes t)
-  |> List.map (fun c -> c.c_name)
+  Option.value ~default:[] (StringMap.find_opt name t.subclass_index)
+
+(* Every class's strict subclasses at once: walking the classes in
+   reverse declaration order and prepending leaves each list in
+   declaration order. *)
+let subclass_index t =
+  List.fold_left
+    (fun idx c ->
+      List.fold_left
+        (fun idx b ->
+          StringMap.update b
+            (fun l -> Some (c :: Option.value ~default:[] l))
+            idx)
+        idx (all_base_names t c))
+    StringMap.empty (List.rev t.order)
 
 let own_field c name = List.find_opt (fun f -> f.f_name = name) c.c_fields
 
@@ -298,6 +312,7 @@ let of_program (prog : Ast.program) : t =
       classes = !classes;
       order = List.rev !order;
       lookup_cache = Hashtbl.create 64;
+      subclass_index = StringMap.empty;
     }
   in
   StringMap.iter
@@ -353,9 +368,8 @@ let of_program (prog : Ast.program) : t =
     end
   in
   List.iter promote table.order;
-  let t =
-    { classes = !classes; order = table.order; lookup_cache = Hashtbl.create 64 }
-  in
+  let t = { table with classes = !classes; lookup_cache = Hashtbl.create 64 } in
+  let t = { t with subclass_index = subclass_index t } in
   Telemetry.Counter.add classes_counter (List.length t.order);
   Telemetry.Counter.add members_counter
     (StringMap.fold

@@ -84,7 +84,9 @@ val is_base_of : t -> base:string -> derived:string -> bool
 
 val is_strict_base_of : t -> base:string -> derived:string -> bool
 
-(** Transitive subclasses (not including the class itself). *)
+(** Transitive subclasses (not including the class itself), in
+    declaration order; [[]] for an unknown name. Computed once per
+    table. *)
 val subclasses : t -> string -> string list
 
 (** Does the class (or any base) declare a virtual method? Determines

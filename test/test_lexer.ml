@@ -15,8 +15,17 @@ let t_keywords () =
     [ "class"; "struct"; "union"; "virtual"; "static"; "new"; "delete"; "<eof>" ]
 
 let t_idents () =
-  check_toks "identifiers" "foo _bar x1 classy"
-    [ "foo"; "_bar"; "x1"; "classy"; "<eof>" ]
+  (* the last four extend a keyword: the whole word is looked up *)
+  check_toks "identifiers" "foo _bar x1 classy new_ int2 _while"
+    [ "foo"; "_bar"; "x1"; "classy"; "new_"; "int2"; "_while"; "<eof>" ]
+
+(* every keyword comes from [Token.keyword_table], through the hashed
+   lookup, as its own token *)
+let t_keyword_table () =
+  List.iter
+    (fun (text, kw) ->
+      Util.check_bool text true (toks text = [ kw; Token.EOF ]))
+    Token.keyword_table
 
 let t_int_literals () =
   match toks "0 42 0x1F 100L 7u" with
@@ -112,6 +121,7 @@ let suite =
   [
     Util.test "keywords" t_keywords;
     Util.test "identifiers" t_idents;
+    Util.test "every keyword_table entry" t_keyword_table;
     Util.test "integer literals" t_int_literals;
     Util.test "float literals" t_float_literals;
     Util.test "char literals" t_char_literals;

@@ -249,6 +249,149 @@ let t_base_ctor_this_escape () =
   let pta = build escape_src in
   Util.check_bool "Worker::go reachable" true (reachable pta "Worker" "go")
 
+(* -- per-port results, pinned ----------------------------------------------- *)
+
+(* For each port under PTA and PTA1: (nodes, edges, dead members) of the
+   call graph the verdict used, and the deciding solution's
+   (constraints, delta props, solver rounds). The subset chain above
+   lets a change shift a verdict within the chain; these rows do not. *)
+let pinned =
+  [
+    ( "jikes", Callgraph.Pta, (30, 41,
+        [ "AstField::javadoc_ref"; "AstMethod::line_table_ref";
+          "JLexer::deprecated_count"; "JParser::n_errors";
+          "SymbolTable::n_probes" ]),
+        (187, 218, 6) );
+    ( "jikes", Callgraph.Pta1, (30, 41,
+        [ "AstField::javadoc_ref"; "AstMethod::line_table_ref";
+          "JLexer::deprecated_count"; "JParser::n_errors";
+          "SymbolTable::n_probes" ]),
+        (170, 257, 6) );
+    ( "idl", Callgraph.Pta, (21, 33, [ "IRObject::repo_tag" ]), (108, 113, 3) );
+    ( "idl", Callgraph.Pta1, (21, 33, [ "IRObject::repo_tag" ]),
+        (121, 117, 3) );
+    ( "npic", Callgraph.Pta, (16, 15,
+        [ "Cell::debug_flux"; "FieldSolver::spectral_modes" ]),
+        (53, 50, 1) );
+    ( "npic", Callgraph.Pta1, (16, 15,
+        [ "Cell::debug_flux"; "FieldSolver::spectral_modes" ]),
+        (48, 50, 1) );
+    ( "lcom", Callgraph.Pta, (36, 52,
+        [ "Expr::type_cache"; "Lexer::pushback"; "SymTab::hits";
+          "VM::trace_pc" ]),
+        (133, 177, 9) );
+    ( "lcom", Callgraph.Pta1, (36, 52,
+        [ "Expr::type_cache"; "Lexer::pushback"; "SymTab::hits";
+          "VM::trace_pc" ]),
+        (118, 176, 9) );
+    ( "taldict", Callgraph.Pta, (22, 28,
+        [ "Histogram::last_update"; "TDictIterator::seen";
+          "TDictStats::avg_chain_x100"; "TDictStats::dict";
+          "TDictStats::max_chain"; "TDictStats::min_chain";
+          "TDictionary::load_pct"; "TDictionary::mod_count";
+          "TDictionary::stat_collisions"; "TObject::refcount";
+          "TSortedDictionary::cmp_mode"; "TSortedDictionary::sorted" ]),
+        (85, 65, 5) );
+    ( "taldict", Callgraph.Pta1, (22, 28,
+        [ "Histogram::last_update"; "TDictIterator::seen";
+          "TDictStats::avg_chain_x100"; "TDictStats::dict";
+          "TDictStats::max_chain"; "TDictStats::min_chain";
+          "TDictionary::load_pct"; "TDictionary::mod_count";
+          "TDictionary::stat_collisions"; "TObject::refcount";
+          "TSortedDictionary::cmp_mode"; "TSortedDictionary::sorted" ]),
+        (75, 68, 5) );
+    ( "ixx", Callgraph.Pta, (26, 31,
+        [ "Decl::repo_version"; "OpDecl::context_id";
+          "Scanner::include_depth" ]),
+        (94, 150, 4) );
+    ( "ixx", Callgraph.Pta1, (26, 31,
+        [ "Decl::repo_version"; "OpDecl::context_id";
+          "Scanner::include_depth" ]),
+        (82, 146, 4) );
+    ( "simulate", Callgraph.Pta, (18, 18,
+        [ "RandomStream::antithetic"; "RandomStream::stream_id";
+          "SimCalendar::max_length"; "SimCalendar::trace_level";
+          "SimMonitor::enabled"; "SimMonitor::event_mask";
+          "SimResource::capacity"; "SimResource::in_use";
+          "SimResource::queue_len"; "StatCounter::batch_size";
+          "StatCounter::sum_sq" ]),
+        (49, 57, 5) );
+    ( "simulate", Callgraph.Pta1, (18, 18,
+        [ "RandomStream::antithetic"; "RandomStream::stream_id";
+          "SimCalendar::max_length"; "SimCalendar::trace_level";
+          "SimMonitor::enabled"; "SimMonitor::event_mask";
+          "SimResource::capacity"; "SimResource::in_use";
+          "SimResource::queue_len"; "StatCounter::batch_size";
+          "StatCounter::sum_sq" ]),
+        (44, 60, 5) );
+    ( "sched", Callgraph.Pta, (10, 10,
+        [ "Insn::debug_line"; "Insn::profile_count"; "RegInfo::coalesce_hint";
+          "RegInfo::spill_cost" ]),
+        (68, 54, 6) );
+    ( "sched", Callgraph.Pta1, (10, 10,
+        [ "Insn::debug_line"; "Insn::profile_count"; "RegInfo::coalesce_hint";
+          "RegInfo::spill_cost" ]),
+        (68, 59, 6) );
+    ( "hotwire", Callgraph.Pta, (22, 23,
+        [ "Chart::legend_pos"; "Chart::n_series"; "Image::pixels";
+          "Image::scale_pct"; "Renderer::aa_level"; "Renderer::clip_x";
+          "Renderer::clip_y"; "Renderer::hit_test_slop"; "Slide::transition";
+          "Style::cache_key"; "Style::dirty" ]),
+        (85, 133, 4) );
+    ( "hotwire", Callgraph.Pta1, (22, 23,
+        [ "Chart::legend_pos"; "Chart::n_series"; "Image::pixels";
+          "Image::scale_pct"; "Renderer::aa_level"; "Renderer::clip_x";
+          "Renderer::clip_y"; "Renderer::hit_test_slop"; "Slide::transition";
+          "Style::cache_key"; "Style::dirty" ]),
+        (92, 115, 6) );
+    ( "deltablue", Callgraph.Pta, (56, 93, []), (266, 680, 6) );
+    ( "deltablue", Callgraph.Pta1, (56, 93, []), (654, 1035, 6) );
+    ( "richards", Callgraph.Pta, (30, 44, []), (189, 801, 10) );
+    ( "richards", Callgraph.Pta1, (30, 44, []), (621, 1762, 10) );
+  ]
+
+let t_pinned_ports () =
+  List.iter
+    (fun (name, alg, shape, solver) ->
+      let b =
+        List.find (fun (b : Benchmarks.Suite.t) -> b.name = name)
+          Benchmarks.Suite.all
+      in
+      let r = analyze_with alg (Benchmarks.Suite.program b) in
+      let cg = r.Deadmem.Liveness.callgraph in
+      let tag = name ^ " " ^ Callgraph.algorithm_to_string alg in
+      Alcotest.(check (triple int int (list string)))
+        (tag ^ ": nodes, edges, dead") shape
+        (Callgraph.num_nodes cg, Callgraph.num_edges cg, Util.dead_names r);
+      let s = Option.get cg.Callgraph.pta_stats in
+      Alcotest.(check (triple int int int))
+        (tag ^ ": constraints, delta props, solver rounds") solver
+        (s.Pta.p_constraints, s.Pta.p_delta_props, s.Pta.p_solver_iters))
+    pinned
+
+(* -- explain names every receiver behind an edge ------------------------------ *)
+
+let two_receivers_src =
+  {|class A { public: virtual int f() { return 0; } };
+class B : public A { public: B() : y(1) { } virtual int f() { return y; } int y; };
+int main() {
+  A *p = new B();
+  A *q = new B();
+  return p->f() + q->f();
+}|}
+
+let t_explain_every_receiver () =
+  (* two call sites produce the one edge main -> B::f: both receivers'
+     allocation sites are its provenance, not just the last one seen *)
+  let config = { Deadmem.Config.paper with call_graph = Callgraph.Pta } in
+  let _, r = Util.analyze ~config two_receivers_src in
+  let out = Deadmem.Liveness.explain r ("B", "y") in
+  List.iter
+    (fun line ->
+      Util.check_bool ("explain names the site on line " ^ line) true
+        (Util.contains_sub ~sub:("new B at <string>:" ^ line ^ ":") out))
+    [ "4"; "5" ]
+
 let suite =
   [
     Util.test "dead(CHA) ⊆ dead(RTA) ⊆ dead(PTA) on the whole suite"
@@ -264,4 +407,7 @@ let suite =
     Util.test "virtual delete resolves from points-to sets" t_virtual_delete;
     Util.test "regression: array-element stores flow" t_array_element_flow;
     Util.test "regression: this escaping a base ctor" t_base_ctor_this_escape;
+    Util.test "per-port PTA/PTA1 results pinned" t_pinned_ports;
+    Util.test "explain names every receiver behind an edge"
+      t_explain_every_receiver;
   ]

@@ -44,8 +44,66 @@ let t_is_base_of () =
 let t_subclasses () =
   let t = table hierarchy_src in
   Alcotest.(check (list string))
-    "subclasses of A" [ "B"; "C" ]
-    (List.sort compare (Class_table.subclasses t "A"))
+    "subclasses of A" [ "B"; "C" ] (Class_table.subclasses t "A");
+  Alcotest.(check (list string))
+    "subclasses of V" [ "L"; "R"; "D" ] (Class_table.subclasses t "V");
+  Alcotest.(check (list string)) "leaf" [] (Class_table.subclasses t "D");
+  Alcotest.(check (list string)) "unknown" [] (Class_table.subclasses t "Nope")
+
+(* qcheck: the subclass index equals the definition it replaced — a
+   filter of every class by [is_strict_base_of], in declaration order —
+   on random acyclic hierarchies with multiple and virtual bases,
+   declared in an order unrelated to the hierarchy. Class [K<i>] may
+   derive only from [K<j>], j < i, which keeps the graph acyclic. *)
+let gen_hierarchy =
+  QCheck.Gen.(
+    int_range 1 10 >>= fun n ->
+    let cls i =
+      if i = 0 then return (0, [])
+      else
+        list_size (int_range 0 3) (pair (int_bound (i - 1)) bool)
+        >|= fun bases ->
+        ( i,
+          List.sort_uniq (fun (a, _) (b, _) -> compare a b) bases )
+    in
+    flatten_l (List.init n cls) >>= shuffle_l)
+
+let hierarchy_source classes =
+  String.concat "\n"
+    (List.map
+       (fun (i, bases) ->
+         let spec =
+           match bases with
+           | [] -> ""
+           | _ ->
+               " : "
+               ^ String.concat ", "
+                   (List.map
+                      (fun (j, virt) ->
+                        Printf.sprintf "public %sK%d"
+                          (if virt then "virtual " else "") j)
+                      bases)
+         in
+         Printf.sprintf "class K%d%s { public: int m%d; };" i spec i)
+       classes)
+
+let prop_subclass_index =
+  QCheck.Test.make ~name:"subclass index = filter by is_strict_base_of"
+    ~count:200
+    (QCheck.make ~print:hierarchy_source gen_hierarchy)
+    (fun classes ->
+      let t = Class_table.of_program (Util.parse (hierarchy_source classes)) in
+      let by_definition name =
+        List.filter
+          (fun (c : Class_table.cls) ->
+            Class_table.is_strict_base_of t ~base:name ~derived:c.c_name)
+          (Class_table.all_classes t)
+        |> List.map (fun (c : Class_table.cls) -> c.c_name)
+      in
+      Class_table.subclasses t "Unknown" = []
+      && List.for_all
+           (fun name -> Class_table.subclasses t name = by_definition name)
+           (Class_table.class_names t))
 
 let t_implicit_virtual () =
   (* B::f overrides virtual A::f without the keyword: implicitly virtual *)
@@ -343,4 +401,5 @@ let suite =
     Util.test "volatile flag threaded" t_volatile_flag;
     Util.test "function pointers" t_function_pointer;
     Util.test "reference parameters" t_reference_param;
+    QCheck_alcotest.to_alcotest prop_subclass_index;
   ]
