@@ -2655,6 +2655,10 @@ and run_ctor_idx vm (o : obj) fi ~most_derived (src : value array) base argc =
   let cf = vm.funcs.(fi) in
   match cf.c_kind with
   | KCtor { kc_body; kc_entry } ->
+      (* constructor runs outside [call_function] ([new], stack
+         objects, base and member subobjects) count as calls too *)
+      if Array.length vm.prof_calls <> 0 then
+        Array.unsafe_set vm.prof_calls fi (Array.unsafe_get vm.prof_calls fi + 1);
       run_ctor vm o cf kc_body kc_entry ~most_derived src base argc
   | _ ->
       tick vm;
@@ -3366,7 +3370,12 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         end
     | ILoopScan (x, op0, v0, texit0, j, slots, m, op, n, a, s2, m2, bdst, ty)
       ->
-        let rec scan () =
+        (* a plain loop over an unboxed local: a local recursive closure
+           here would be allocated on every dispatch. [next] stays -1
+           until the loop leaves: to the body at [pc + 2], or to the
+           guard's (patched, non-negative) exit *)
+        let next = ref (-1) in
+        while !next < 0 do
           if cmp_test op0 (Array.get locals x) v0 then begin
             tick vm;
             tick vm;
@@ -3377,7 +3386,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
                 (Array.get locals n)
             then begin
               tick vm;
-              -1
+              next := pc + 2
             end
             else begin
               tick vm;
@@ -3389,14 +3398,12 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
                  count of 1 would hide exactly the hot loops the
                  profiler exists to surface *)
               if profiling then
-                Array.unsafe_set prow pc (Array.unsafe_get prow pc + 1);
-              scan ()
+                Array.unsafe_set prow pc (Array.unsafe_get prow pc + 1)
             end
           end
-          else texit0
-        in
-        let t = scan () in
-        if t >= 0 then loop t sp isp else loop (pc + 2) sp isp
+          else next := texit0
+        done;
+        loop !next sp isp
     (* -- typed (untagged) arms: pushes, bridges ---------------------- *)
     | IConstI n ->
         ist.(isp) <- n;
@@ -3911,65 +3918,70 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         (* destination resolves first, then the rpn leaves left to
            right — the unfused statement's evaluation and error order.
            The int stack above [isp] is free scratch: the collapsed run
-           was stack-neutral, so the recorded bound still covers it. *)
-        let o, d =
+           was stack-neutral, so the recorded bound still covers it.
+           The object and its slot come from two matches on [dst] and
+           the leaves from a counted loop, so the dispatch allocates
+           neither a tuple nor a closure. *)
+        let o =
           match dst with
-          | DTickLocField (a, s, m) ->
+          | DTickLocField (a, _, _) ->
               tick vm;
-              let o = as_obj (Array.get locals a) in
-              (o, field_slot o s m)
-          | DFieldIdx (a, s, m, i, s2, m2) ->
+              as_obj (Array.get locals a)
+          | DFieldIdx (a, s, m, i, _, _) ->
               let oa = as_obj (Array.get locals a) in
               let av = oa.fields.cells.(field_slot oa s m) in
-              let o = as_obj (index_read av (Array.unsafe_get ilocals i)) in
-              (o, field_slot o s2 m2)
-          | DTickFieldLocField (i, s, m, s2, m2) ->
+              as_obj (index_read av (Array.unsafe_get ilocals i))
+          | DTickFieldLocField (i, s, m, _, _) ->
               tick vm;
               let oi = as_obj (Array.get locals i) in
-              let o = as_obj oi.fields.cells.(field_slot oi s m) in
-              (o, field_slot o s2 m2)
+              as_obj oi.fields.cells.(field_slot oi s m)
         in
-        let top =
-          Array.fold_left
-            (fun p r ->
-              match r with
-              | RpConst k ->
-                  ist.(p) <- k;
-                  p + 1
-              | RpLocal i ->
-                  ist.(p) <- Array.unsafe_get ilocals i;
-                  p + 1
-              | RpLoadField (j, s, m) ->
-                  let oj = as_obj (Array.get locals j) in
-                  ist.(p) <- oj.ifields.(field_slot oj s m);
-                  p + 1
-              | RpThisField (s, m) -> (
-                  match frame.this with
-                  | Some t ->
-                      ist.(p) <- t.ifields.(field_slot t s m);
-                      p + 1
-                  | None -> runtime_error "'this' outside a method")
-              | RpFieldIdxField (i, s, m, j, op, k, s2, m2) ->
-                  let oi = as_obj (Array.get locals i) in
-                  let av = oi.fields.cells.(field_slot oi s m) in
-                  let iv = ibinop_i op (Array.unsafe_get ilocals j) k in
-                  let eo = as_obj (index_read av iv) in
-                  ist.(p) <- eo.ifields.(field_slot eo s2 m2);
-                  p + 1
-              | RpFieldField (j, s, m, s2, m2) ->
-                  let oj = as_obj (Array.get locals j) in
-                  let eo = as_obj oj.fields.cells.(field_slot oj s m) in
-                  ist.(p) <- eo.ifields.(field_slot eo s2 m2);
-                  p + 1
-              | RpBinop op ->
-                  ist.(p - 2) <- ibinop_i op ist.(p - 2) ist.(p - 1);
-                  p - 1
-              | RpBinopConst (op, k) ->
-                  ist.(p - 1) <- ibinop_i op ist.(p - 1) k;
-                  p)
-            isp ops
+        let d =
+          match dst with
+          | DTickLocField (_, s, m)
+          | DFieldIdx (_, _, _, _, s, m)
+          | DTickFieldLocField (_, _, _, s, m) ->
+              field_slot o s m
         in
-        o.ifields.(d) <- apply_ic ic ist.(top - 1);
+        let p = ref isp in
+        for r = 0 to Array.length ops - 1 do
+          match Array.unsafe_get ops r with
+          | RpConst k ->
+              ist.(!p) <- k;
+              incr p
+          | RpLocal i ->
+              ist.(!p) <- Array.unsafe_get ilocals i;
+              incr p
+          | RpLoadField (j, s, m) ->
+              let oj = as_obj (Array.get locals j) in
+              ist.(!p) <- oj.ifields.(field_slot oj s m);
+              incr p
+          | RpThisField (s, m) -> (
+              match frame.this with
+              | Some t ->
+                  ist.(!p) <- t.ifields.(field_slot t s m);
+                  incr p
+              | None -> runtime_error "'this' outside a method")
+          | RpFieldIdxField (i, s, m, j, op, k, s2, m2) ->
+              let oi = as_obj (Array.get locals i) in
+              let av = oi.fields.cells.(field_slot oi s m) in
+              let iv = ibinop_i op (Array.unsafe_get ilocals j) k in
+              let eo = as_obj (index_read av iv) in
+              ist.(!p) <- eo.ifields.(field_slot eo s2 m2);
+              incr p
+          | RpFieldField (j, s, m, s2, m2) ->
+              let oj = as_obj (Array.get locals j) in
+              let eo = as_obj oj.fields.cells.(field_slot oj s m) in
+              ist.(!p) <- eo.ifields.(field_slot eo s2 m2);
+              incr p
+          | RpBinop op ->
+              let q = !p in
+              ist.(q - 2) <- ibinop_i op ist.(q - 2) ist.(q - 1);
+              p := q - 1
+          | RpBinopConst (op, k) ->
+              ist.(!p - 1) <- ibinop_i op ist.(!p - 1) k
+        done;
+        o.ifields.(d) <- apply_ic ic ist.(!p - 1);
         loop (pc + 1) sp isp
     | IBinopConstCastStoreI (op, v, ty, i) ->
         let r = binop op ost.(sp - 1) v in

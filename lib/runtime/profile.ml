@@ -31,8 +31,10 @@ type alloc_info = {
 type t = {
   table : Class_table.t;
   dead : Member.Set.t;
-  full_layout : Layout.t;
-  reduced_layout : Layout.t;
+  (* (size, reduced size, dead bytes) of one object, per class: fixed for
+     the run, so each class is laid out the first time it is journalled
+     and every later allocation is a lookup *)
+  sizes : (string, int * int * int) Hashtbl.t;
   allocs : (int, alloc_info) Hashtbl.t;
   mutable next_id : int;
   mutable object_space : int;       (* Table 2 column 1 *)
@@ -49,8 +51,7 @@ let create ?(dead = Member.Set.empty) table =
   {
     table;
     dead;
-    full_layout = Layout.create table;
-    reduced_layout = Layout.create ~dead table;
+    sizes = Hashtbl.create 16;
     allocs = Hashtbl.create 256;
     next_id = 0;
     object_space = 0;
@@ -69,10 +70,15 @@ let fresh_id t =
   id
 
 let class_sizes t cls =
-  let size = (Layout.layout_of t.full_layout cls).Layout.cl_size in
-  let reduced = (Layout.layout_of t.reduced_layout cls).Layout.cl_size in
-  let dead_bytes = Layout.dead_member_bytes ~dead:t.dead t.table cls in
-  (size, reduced, dead_bytes)
+  match Hashtbl.find t.sizes cls with
+  | sizes -> sizes
+  | exception Not_found ->
+      let size = Layout.object_size t.table cls in
+      let reduced = Layout.object_size ~dead:t.dead t.table cls in
+      let dead_bytes = Layout.dead_member_bytes ~dead:t.dead t.table cls in
+      let sizes = (size, reduced, dead_bytes) in
+      Hashtbl.replace t.sizes cls sizes;
+      sizes
 
 (* Record the creation of [count] complete objects of class [cls] in one
    allocation under the caller-chosen id (the interpreter uses object ids

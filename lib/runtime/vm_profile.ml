@@ -25,7 +25,7 @@ let create ~body_sizes ~nfuncs =
 type func_row = {
   fr_name : string;
   fr_instrs : int;  (* dispatches attributed to this body *)
-  fr_calls : int;  (* function-protocol invocations (0 for dtor/global bodies) *)
+  fr_calls : int;  (* entries: calls, plus constructor runs (0 for dtor/global bodies) *)
 }
 
 type site_row = {

@@ -24,8 +24,10 @@ type func_row = {
   fr_name : string;
   fr_instrs : int;  (** dispatches attributed to this body *)
   fr_calls : int;
-      (** function-protocol invocations (0 for destructor and
-          global-initializer bodies, which are dispatched directly) *)
+      (** entries: function-protocol calls plus constructor runs for
+          [new], stack objects and base/member subobjects (0 for
+          destructor and global-initializer bodies, which are
+          dispatched directly) *)
 }
 
 type site_row = {

@@ -15,6 +15,7 @@ let () =
       ("typed_slots", Test_typed_slots.suite);
       ("profile", Test_profile.suite);
       ("vm_profile", Test_vm_profile.suite);
+      ("alloc", Test_alloc.suite);
       ("benchmarks", Test_benchmarks.suite);
       ("eliminate", Test_eliminate.suite);
       ("properties", Test_properties.suite);

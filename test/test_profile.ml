@@ -109,6 +109,60 @@ let t_per_class_allocs () =
   ignore r;
   ()
 
+(* The journal lays out each class once and then reuses the answer:
+   journalling a class again must add exactly what a fresh layout says
+   one object of it weighs. Checked on every class each port
+   instantiates, under the port's paper dead set. *)
+let t_size_memo_matches_layout () =
+  List.iter
+    (fun (b : Benchmarks.Suite.t) ->
+      let prog = Util.check_source b.source in
+      let dead =
+        Deadmem.Liveness.dead_set
+          (Deadmem.Liveness.analyze ~config:Deadmem.Config.paper prog)
+      in
+      let vm =
+        Runtime.Bytecode.make_vm ~dead ~step_limit:Runtime.Interp.default_step_limit
+          ~call_depth_limit:Runtime.Interp.default_call_depth_limit
+          ~heap_object_limit:Runtime.Interp.default_heap_object_limit
+          (Runtime.Bytecode.compile (Runtime.Resolve.program prog))
+      in
+      ignore (Runtime.Bytecode.execute vm);
+      let classes =
+        List.map (fun (c, _, _) -> c)
+          (Runtime.Profile.per_class_allocs (Runtime.Bytecode.profile vm))
+      in
+      Util.check_bool (b.name ^ " instantiates classes") true (classes <> []);
+      let table = prog.Typed_ast.table in
+      let p = Runtime.Profile.create ~dead table in
+      let id = ref 0 in
+      List.iter
+        (fun cls ->
+          let size = Layout.object_size table cls in
+          let reduced = Layout.object_size ~dead table cls in
+          let dead_bytes = Layout.dead_member_bytes ~dead table cls in
+          (* once to lay the class out, then again from the memo *)
+          List.iter
+            (fun count ->
+              let s0 = Runtime.Profile.snapshot p in
+              Runtime.Profile.record_alloc p ~id:!id ~kind:Runtime.Profile.Heap
+                ~cls ~count;
+              incr id;
+              let s1 = Runtime.Profile.snapshot p in
+              let what f = Printf.sprintf "%s %s x%d %s" b.name cls count f in
+              Util.check_int (what "size") (size * count)
+                (s1.Runtime.Profile.object_space - s0.Runtime.Profile.object_space);
+              Util.check_int (what "dead bytes") (dead_bytes * count)
+                (s1.Runtime.Profile.dead_space - s0.Runtime.Profile.dead_space);
+              (* nothing is freed, so the reduced high-water mark is the
+                 running reduced total *)
+              Util.check_int (what "reduced size") (reduced * count)
+                (s1.Runtime.Profile.high_water_mark_reduced
+                - s0.Runtime.Profile.high_water_mark_reduced))
+            [ 1; 3 ])
+        classes)
+    Benchmarks.Suite.all
+
 let suite =
   [
     Util.test "single allocation" t_single_alloc;
@@ -121,4 +175,6 @@ let suite =
     Util.test "empty dead set" t_empty_dead_set_no_reduction;
     Util.test "independent hwm peaks" t_reduced_hwm_independent_peak;
     Util.test "per-class allocation summary" t_per_class_allocs;
+    Util.test "journal sizes memoized per class match the layout"
+      t_size_memo_matches_layout;
   ]

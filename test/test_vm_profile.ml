@@ -79,6 +79,36 @@ let t_functions_and_calls () =
   | Some f -> check_int "main called once" 1 f.VP.fr_calls
   | None -> Alcotest.fail "main missing from the function table"
 
+(* Constructor bodies run outside the call protocol ([new], stack
+   objects, base subobjects); each run still counts as a call. *)
+let t_constructor_calls () =
+  let n = 37 in
+  let src =
+    Printf.sprintf
+      {|struct Base { int b; Base(int x) { b = x; } };
+struct Derived : Base { int d; Derived(int x) : Base(x) { d = x + 1; } };
+int main() {
+  int total = 0;
+  for (int i = 0; i < %d; i++) {
+    Derived *p = new Derived(i);
+    total = total + p->d;
+    delete p;
+  }
+  print_int(total);
+  return 0;
+}|}
+      n
+  in
+  let _, r = run_profiled src in
+  let calls name =
+    match List.find_opt (fun f -> f.VP.fr_name = name) r.VP.r_functions with
+    | Some f -> f.VP.fr_calls
+    | None -> Alcotest.failf "%s missing from the function table" name
+  in
+  check_int "derived constructor runs" n (calls "Derived::Derived/1");
+  check_int "base constructor runs" n (calls "Base::Base/1");
+  check_int "main called once" 1 (calls "main")
+
 let t_loop_sites_found () =
   let _, r = run_profiled loopy_src in
   check_bool "back-branch sites recorded" true (r.VP.r_sites <> []);
@@ -182,6 +212,7 @@ let suite =
     Util.test "profiler: opcode and function counts sum to dispatches"
       t_counts_consistent;
     Util.test "profiler: per-function call counts" t_functions_and_calls;
+    Util.test "profiler: constructor runs count as calls" t_constructor_calls;
     Util.test "profiler: back-branch loop sites" t_loop_sites_found;
     Util.test "profiler: profiled run observationally identical"
       t_profiled_run_identical;
