@@ -88,14 +88,6 @@ let callgraph_alg =
   in
   Arg.(value & opt alg Callgraph.Rta & info [ "callgraph" ] ~docv:"ALG" ~doc)
 
-let pta_jobs_opt =
-  let doc =
-    "Domains used by the points-to solver's parallel phase (with \
-     --callgraph=pta or pta1). The solution is byte-identical for every \
-     value; this only trades wall-clock for cores."
-  in
-  Arg.(value & opt int 1 & info [ "pta-jobs" ] ~docv:"N" ~doc)
-
 let conservative_flag =
   let doc =
     "Use the fully conservative configuration: sizeof marks contained \
@@ -122,9 +114,9 @@ let keep_going_flag =
   in
   Arg.(value & flag & info [ "k"; "keep-going" ] ~doc)
 
-let config_of ?(pta_jobs = 1) ~alg ~conservative ~library_classes () =
+let config_of ~alg ~conservative ~library_classes () =
   let base = if conservative then Deadmem.Config.default else Deadmem.Config.paper in
-  let base = { base with Deadmem.Config.call_graph = alg; pta_jobs } in
+  let base = { base with Deadmem.Config.call_graph = alg } in
   Deadmem.Config.with_library_classes library_classes base
 
 let engine_opt =
@@ -200,11 +192,11 @@ let with_telemetry ?(metrics_format = `Json) ~metrics ~trace_out f =
 (* -- analyze ----------------------------------------------------------------- *)
 
 let analyze_cmd =
-  let run file alg pta_jobs conservative library_classes verbose keep_going
+  let run file alg conservative library_classes verbose keep_going
       metrics metrics_format trace_out =
     handle_errors (fun () ->
         with_telemetry ~metrics_format ~metrics ~trace_out @@ fun () ->
-        let config = config_of ~pta_jobs ~alg ~conservative ~library_classes () in
+        let config = config_of ~alg ~conservative ~library_classes () in
         let prog, unknown, code =
           if keep_going then begin
             let src = read_source file in
@@ -244,8 +236,8 @@ let analyze_cmd =
   in
   let doc = "Detect dead data members in a MiniC++ program." in
   Cmd.v (Cmd.info "analyze" ~doc)
-    Term.(const run $ file_arg $ callgraph_alg $ pta_jobs_opt
-          $ conservative_flag $ library_classes_opt $ verbose
+    Term.(const run $ file_arg $ callgraph_alg $ conservative_flag
+          $ library_classes_opt $ verbose
           $ keep_going_flag $ metrics_opt $ metrics_format_opt
           $ trace_out_opt)
 
@@ -265,7 +257,7 @@ let split_member s =
   | _ -> None
 
 let explain_cmd =
-  let run member file alg pta_jobs conservative library_classes keep_going
+  let run member file alg conservative library_classes keep_going
       metrics metrics_format trace_out =
     handle_errors (fun () ->
         with_telemetry ~metrics_format ~metrics ~trace_out @@ fun () ->
@@ -275,9 +267,7 @@ let explain_cmd =
               member;
             exit_usage
         | Some m ->
-            let config =
-              config_of ~pta_jobs ~alg ~conservative ~library_classes ()
-            in
+            let config = config_of ~alg ~conservative ~library_classes () in
             let prog, unknown, code =
               if keep_going then begin
                 let src = read_source file in
@@ -326,7 +316,7 @@ let explain_cmd =
      that no derivation exists (the member is dead)."
   in
   Cmd.v (Cmd.info "explain" ~doc)
-    Term.(const run $ member_arg $ file_arg1 $ callgraph_alg $ pta_jobs_opt
+    Term.(const run $ member_arg $ file_arg1 $ callgraph_alg
           $ conservative_flag $ library_classes_opt $ keep_going_flag
           $ metrics_opt $ metrics_format_opt $ trace_out_opt)
 

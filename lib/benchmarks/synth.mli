@@ -15,8 +15,9 @@ type params = {
   chain_len : int;  (** pointer locals per chain *)
 }
 
-(** The pinned stress configuration used by [bench --pta-stress] and the
-    CI gate: ≥50k points-to constraints at seed 42. *)
+(** The pinned stress configuration measured by [bench/main.exe
+    pta-stress] and pinned by CI: 196,179 points-to constraints at
+    seed 42. *)
 val stress : params
 
 (** The program text. *)

@@ -292,7 +292,7 @@ let edges_gauge = Telemetry.Gauge.make "callgraph.edges"
 let pta_resolved_counter = Telemetry.Counter.make "callgraph.pta_resolved_sites"
 let pta_fallback_counter = Telemetry.Counter.make "callgraph.pta_fallback_sites"
 
-let build ?(algorithm = Rta) ?(jobs = 1) ?(library_classes = StringSet.empty)
+let build ?(algorithm = Rta) ?(library_classes = StringSet.empty)
     ?(extra_roots = []) (p : program) : t =
   Telemetry.Span.with_ "callgraph" @@ fun () ->
   let table = p.table in
@@ -337,12 +337,12 @@ let build ?(algorithm = Rta) ?(jobs = 1) ?(library_classes = StringSet.empty)
   let roots = FuncSet.elements base_roots in
   let pta =
     match algorithm with
-    | Pta | Pta1 -> Some (Pta.analyze ~jobs ~roots p)
+    | Pta | Pta1 -> Some (Pta.analyze ~roots p)
     | Cha | Rta -> None
   in
   let pta_refined =
     match algorithm with
-    | Pta1 -> Some (Pta.analyze ~mode:Pta.OneCfa ~jobs ~roots p)
+    | Pta1 -> Some (Pta.analyze ~mode:Pta.OneCfa ~roots p)
     | Cha | Rta | Pta -> None
   in
   (* Taken before the queries below, whose set unions would otherwise

@@ -56,12 +56,9 @@ type t = {
 }
 
 (** Build the call graph of a program. [library_classes] triggers the
-    override-root rule; [extra_roots] adds entry points beyond [main];
-    [jobs] bounds the points-to solver's parallelism (result-invariant,
-    meaningful only for [Pta]/[Pta1]). *)
+    override-root rule; [extra_roots] adds entry points beyond [main]. *)
 val build :
   ?algorithm:algorithm ->
-  ?jobs:int ->
   ?library_classes:StringSet.t ->
   ?extra_roots:Func_id.t list ->
   program ->

@@ -19,7 +19,6 @@ type sizeof_policy =
 
 type t = {
   call_graph : Callgraph.algorithm;
-  pta_jobs : int;
   sizeof_policy : sizeof_policy;
   assume_downcasts_safe : bool;
   library_classes : StringSet.t;
@@ -30,7 +29,6 @@ type t = {
 let default =
   {
     call_graph = Callgraph.Rta;
-    pta_jobs = 1;
     sizeof_policy = Sizeof_conservative;
     assume_downcasts_safe = false;
     library_classes = StringSet.empty;

@@ -13,9 +13,6 @@ type sizeof_policy =
 type t = {
   call_graph : Callgraph.algorithm;
       (** which call-graph construction feeds the analysis *)
-  pta_jobs : int;
-      (** domains for the points-to solver's parallel phase (result does
-          not depend on it) *)
   sizeof_policy : sizeof_policy;
   assume_downcasts_safe : bool;
       (** the paper's authors verified every down-cast in their

@@ -369,7 +369,6 @@ let analyze ?(config = Config.default) ?(unknown = []) (p : program) : result =
   in
   let cg =
     Callgraph.build ~algorithm:config.Config.call_graph
-      ~jobs:config.Config.pta_jobs
       ~library_classes:config.Config.library_classes
       ~extra_roots p
   in

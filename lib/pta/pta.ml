@@ -16,8 +16,8 @@
    language cannot model raise a global [havoc] flag that degrades every
    dispatch site.
 
-   The solver core (rebuilt from the PR 4 version, which is frozen as
-   {!Pta_legacy}):
+   The solver core (its naive counterpart, {!Pta_ref}, is the oracle the
+   test suite checks it against, expression by expression):
 
    - Points-to sets are hash-consed {!Ptset} values: equal contents are
      one shared array, set identity is pointer identity, and union/diff
@@ -29,12 +29,10 @@
    - The worklist runs in bulk-synchronous rounds. At a round boundary
      the pending nodes are drained into a frontier, each node's
      (delta, top) snapshot is taken and cleared, and then phase A scans
-     the frontier's copy edges *read-only* — filtering out edges whose
-     target already covers the delta — before phase B applies the
-     surviving work sequentially in frontier order. Phase A never
-     mutates, so slicing it across [jobs] domains cannot change any
-     state-mutation order: the solution and every counter are
-     byte-identical for all job counts.
+     the frontier's copy edges — filtering out edges whose target
+     already covers the delta — before phase B applies the surviving
+     work in frontier order. The order of the two phases fixes every
+     solver counter the tests pin.
 
    - [OneCfa] mode refines the abstraction by cloning callees one level
      deep: method calls are analyzed per receiver allocation site
@@ -191,7 +189,6 @@ type solution = {
   prog : program;
   table : Class_table.t;
   mode : mode;
-  jobs : int;
   it : Ptset.interner;
   mutable nodes : node array;
   mutable n_nodes : int;
@@ -310,12 +307,6 @@ let rec find st i =
     n.parent <- r;
     r
   end
-
-(* Non-compressing find for the read-only parallel phase: no mutation,
-   safe from any domain while no unions are in flight. *)
-let rec find_ro st i =
-  let p = (st.nodes.(i)).parent in
-  if p = i then i else find_ro st p
 
 let push st i =
   let r = find st i in
@@ -847,10 +838,9 @@ let attach_dsite st (ds : dsite) dnode =
 (* -- the round-based solver ---------------------------------------------------
 
    One round: drain the worklist into a frontier of (node, delta, ⊤)
-   snapshots, filter the frontier's copy edges read-only (phase A,
-   parallel when [jobs] allows), then apply the surviving work in
-   frontier order (phase B, sequential). Every mutation happens in
-   phase B or generation, in a deterministic order. *)
+   snapshots, filter the frontier's copy edges (phase A), then apply
+   the surviving work in frontier order (phase B). Every set mutation
+   happens in phase B or generation, in a deterministic order. *)
 
 type entry = {
   en_node : int;
@@ -928,19 +918,17 @@ let drain st =
   done;
   Array.of_list (List.rev !acc)
 
-(* Phase A: strictly read-only. A copy edge is kept when the delta is
-   not already covered by the target's set; a skip stays valid because
-   sets only grow. The filter's output is a pure function of the
-   frontier snapshot, so parallel and sequential runs agree exactly. *)
+(* Phase A: a copy edge is kept when the delta is not already covered
+   by the target's set; a skip stays valid because sets only grow. The
+   whole frontier is filtered before phase B changes any set. *)
 let compute_keeps st frontier =
   let keep e s =
-    let r = find_ro st s in
+    let r = find st s in
     r <> e.en_node
     && (e.en_top || not (Ptset.subset e.en_delta (st.nodes.(r)).pts))
   in
-  let work lo hi =
-    for k = lo to hi - 1 do
-      let e = frontier.(k) in
+  Array.iter
+    (fun e ->
       let nsucc = Array.length e.en_succ in
       let m = ref 0 in
       for j = 0 to nsucc - 1 do
@@ -960,22 +948,8 @@ let compute_keeps st frontier =
           end
         done;
         e.en_keep <- buf
-      end
-    done
-  in
-  let nf = Array.length frontier in
-  if st.jobs > 1 && nf >= 64 then begin
-    let chunk = (nf + st.jobs - 1) / st.jobs in
-    let doms =
-      List.init (st.jobs - 1) (fun k ->
-          let lo = min nf ((k + 1) * chunk) in
-          let hi = min nf (lo + chunk) in
-          Domain.spawn (fun () -> work lo hi))
-    in
-    work 0 (min chunk nf);
-    List.iter Domain.join doms
-  end
-  else work 0 nf
+      end)
+    frontier
 
 (* Phase B: apply one frontier entry. Monotone: stale snapshots after a
    mid-round merge only cause redundant (deduplicated) re-firing. *)
@@ -1745,15 +1719,14 @@ let count_fallback_sites st =
     st.all_dsites;
   Hashtbl.fold (fun _ fb acc -> if fb then acc + 1 else acc) status 0
 
-let analyze ?(mode = Insensitive) ?(jobs = 1) ?(roots = [ main_id ])
-    (p : program) : solution =
+let analyze ?(mode = Insensitive) ?(roots = [ main_id ]) (p : program) :
+    solution =
   Telemetry.Span.with_ "pta" @@ fun () ->
   let st =
     {
       prog = p;
       table = p.table;
       mode;
-      jobs = max 1 jobs;
       it = Ptset.create ();
       nodes = [||];
       n_nodes = 0;
@@ -1926,39 +1899,3 @@ let stats st =
     p_fallback_sites = count_fallback_sites st;
     p_reachable = FuncSet.cardinal st.reached;
   }
-
-(* A digest of everything the solver computed: per-node sets and flags,
-   reachability, and the deterministic counters. Byte-identical across
-   [jobs] settings by construction — pinned by tests. *)
-let fingerprint st =
-  let b = Buffer.create 4096 in
-  for i = 0 to st.n_nodes - 1 do
-    if find st i = i then begin
-      let n = st.nodes.(i) in
-      Buffer.add_string b (string_of_int i);
-      Buffer.add_char b (if n.top then 'T' else '=');
-      Ptset.iter
-        (fun o ->
-          Buffer.add_string b (string_of_int o);
-          Buffer.add_char b ',')
-        n.pts;
-      Buffer.add_char b ';'
-    end
-  done;
-  FuncSet.iter
-    (fun f ->
-      Buffer.add_string b (Func_id.to_string f);
-      Buffer.add_char b ';')
-    st.reached;
-  StringSet.iter
-    (fun c ->
-      Buffer.add_string b c;
-      Buffer.add_char b ';')
-    st.inst;
-  Buffer.add_string b
-    (Printf.sprintf "|d%d|r%d|s%d|m%d|n%d|o%d|c%d|i%d" st.n_delta st.rounds
-       (Ptset.interned_count st.it)
-       (Ptset.memo_hits st.it) st.n_nodes st.n_objs
-       (st.n_copy + st.n_complex)
-       (FctxTbl.length st.instances));
-  Digest.to_hex (Digest.string (Buffer.contents b))

@@ -23,10 +23,9 @@
     [⊤] element that individual queries report as [None].
 
     The solver propagates {e differences} over hash-consed {!Ptset}
-    sets, in bulk-synchronous rounds whose read-only filtering phase can
-    be sliced across [jobs] domains; the solution (and every counter
-    derived from it) is byte-identical for all job counts — see
-    {!fingerprint}. *)
+    sets, in bulk-synchronous rounds. {!Pta_ref} computes the
+    [Insensitive] solution naively; the test suite holds the two equal
+    on every expression. *)
 
 open Sema.Typed_ast
 
@@ -46,12 +45,10 @@ module ExprTbl : Hashtbl.S with type key = texpr
 type mode = Insensitive | OneCfa
 
 (** Analyze a program, computing points-to sets for every pointer-valued
-    expression reachable from [roots] (default: [main] alone). [jobs]
-    bounds the domains used by the solver's parallel phase (default 1 =
-    sequential); the result does not depend on it. Runs under a ["pta"]
-    telemetry span with nested ["pta.seed"] and ["pta.solve"] phases. *)
-val analyze :
-  ?mode:mode -> ?jobs:int -> ?roots:Func_id.t list -> program -> solution
+    expression reachable from [roots] (default: [main] alone). Runs
+    under a ["pta"] telemetry span with nested ["pta.seed"] and
+    ["pta.solve"] phases. *)
+val analyze : ?mode:mode -> ?roots:Func_id.t list -> program -> solution
 
 val mode : solution -> mode
 
@@ -93,7 +90,7 @@ val num_nodes : solution -> int
 val num_objects : solution -> int
 val num_constraints : solution -> int
 
-(** Deterministic solver statistics, independent of [jobs]. *)
+(** Deterministic solver statistics: equal inputs give equal counts. *)
 type stats = {
   p_nodes : int;
   p_objects : int;
@@ -110,9 +107,3 @@ type stats = {
 }
 
 val stats : solution -> stats
-
-(** A digest of the full solution — per-node points-to sets, flags,
-    reachability, and the deterministic counters. Equal fingerprints
-    mean byte-identical solver results; used to pin that parallel and
-    sequential runs agree. *)
-val fingerprint : solution -> string

@@ -1,14 +1,17 @@
 (* Tests for the scaled points-to tier: the hash-consed set layer
-   against a reference implementation, the rebuilt difference-propagation
-   solver against the frozen PR 4 solver, byte-identical parallel
-   solving, and the 1-CFA refinement's soundness and precision.
+   against a reference implementation, the production solver against
+   the naive reference solver, and the 1-CFA refinement's soundness and
+   precision.
 
    - Ptset is checked against Stdlib.Set over random operation mixes,
      including the interning identity (equal contents, same pointer);
-   - the rebuilt solver must agree with [Pta_legacy] on every paper
-     benchmark (reachability, instantiation, address-taken, havoc);
-   - [fingerprint] must be byte-identical between [jobs:1] and
-     [jobs:4] on randomly generated synthetic programs, in both modes;
+   - [Pta] must agree with [Pta_ref] on reachability, instantiation,
+     address-taken functions, havoc, and the receiver classes and
+     function-pointer targets of every expression, on the paper
+     benchmarks, every inline points-to test program, and random
+     synthetic programs;
+   - wherever the reference knows an expression's receiver classes,
+     1-CFA must know a subset of them;
    - the four-tier chain dead(CHA) ⊆ dead(RTA) ⊆ dead(PTA) ⊆ dead(PTA1)
      must hold across the suite;
    - allocation-site cloning must not lose flow through copy-edge
@@ -53,27 +56,32 @@ let prop_ptset_oracle =
       && Ptset.equal p (inter (IS.elements o))
       && Ptset.subset p (Ptset.add it 99 p))
 
-(* -- rebuilt solver vs the frozen PR 4 solver ---------------------------------- *)
+(* A reference cycle through a field: node merges in the solver, and a
+   receiver that must still see both allocation sites. *)
+let cycle_src =
+  {|class Node {
+    public:
+      Node() : next(NULL), tag(0) { }
+      Node *next;
+      int tag;
+      virtual int id() { return tag; }
+    };
+    class Special : public Node {
+    public:
+      virtual int id() { return 42; }
+    };
+    int main() {
+      Node *a = new Node();
+      Node *b = new Special();
+      a->next = b;
+      b->next = a;
+      Node *p = a;
+      Node *q = p->next;
+      p->next = q;
+      return q->id();
+    }|}
 
-let t_legacy_differential () =
-  List.iter
-    (fun (b : Benchmarks.Suite.t) ->
-      let prog = Benchmarks.Suite.program b in
-      let nu = Pta.analyze prog in
-      let old = Pta_legacy.analyze prog in
-      let name part = b.Benchmarks.Suite.name ^ ": " ^ part in
-      Util.check_bool (name "reachable") true
-        (FuncSet.equal (Pta.reachable nu) (Pta_legacy.reachable old));
-      Alcotest.(check (list string))
-        (name "instantiated")
-        (List.sort compare (Pta_legacy.instantiated old))
-        (List.sort compare (Pta.instantiated nu));
-      Util.check_bool (name "address-taken") true
-        (FuncSet.equal (Pta.address_taken nu) (Pta_legacy.address_taken old));
-      Util.check_bool (name "havoc") (Pta_legacy.havoc old) (Pta.havoc nu))
-    Benchmarks.Suite.all
-
-(* -- parallel solving is byte-identical ---------------------------------------- *)
+(* -- Pta against the naive reference solver, per expression ------------------- *)
 
 let gen_synth_params =
   let open QCheck.Gen in
@@ -84,30 +92,116 @@ let gen_synth_params =
   let* chain_len = int_range 2 12 in
   return { Benchmarks.Synth.seed; classes; sites; chains; chain_len }
 
-let prop_jobs_identical =
-  QCheck.Test.make ~count:12
-    ~name:"fingerprint: --pta-jobs 4 byte-identical to sequential"
+let ports () =
+  List.map
+    (fun (b : Benchmarks.Suite.t) ->
+      (b.Benchmarks.Suite.name, Benchmarks.Suite.program b))
+    Benchmarks.Suite.all
+
+(* Every inline test program of the points-to suites, checked fresh. *)
+let inline_programs () =
+  List.map
+    (fun (name, src) -> (name, Util.check_source src))
+    [
+      ("precision", Test_pta.precision_src);
+      ("fallback", Test_pta.fallback_src);
+      ("havoc", Test_pta.havoc_src);
+      ("funptr", Test_pta.funptr_src);
+      ("vdelete", Test_pta.vdelete_src);
+      ("array", Test_pta.array_src);
+      ("escape", Test_pta.escape_src);
+      ("two_receivers", Test_pta.two_receivers_src);
+      ("cycle", cycle_src);
+    ]
+
+(* Every expression occurrence of the program: global initializers and
+   every function's initializers and body. *)
+let all_exprs prog =
+  let collect acc e = e :: acc in
+  List.fold_left
+    (fun acc (g : global) ->
+      match g.g_init with Some e -> fold_expr collect acc e | None -> acc)
+    (List.fold_left (fold_func_exprs collect) [] (all_funcs prog))
+    prog.globals
+
+let sorted xs = Option.map (List.sort compare) xs
+
+let show_answer show = function
+  | None -> "unknown"
+  | Some xs -> "{" ^ String.concat ", " (List.map show xs) ^ "}"
+
+(* The first disagreement between the reference solver and [Pta]
+   (Insensitive), or [None]. *)
+let ref_mismatch prog =
+  let r = Pta_ref.analyze prog and p = Pta.analyze prog in
+  let at (e : texpr) what a b =
+    Some
+      (Printf.sprintf "%s at %s: reference %s, Pta %s" what
+         (Frontend.Source.span_to_string e.tloc)
+         a b)
+  in
+  let site e =
+    let rc = sorted (Pta_ref.receiver_classes r e)
+    and pc = sorted (Pta.receiver_classes p e) in
+    let rf = sorted (Pta_ref.funptr_targets r e)
+    and pf = sorted (Pta.funptr_targets p e) in
+    if rc <> pc then
+      at e "receiver_classes" (show_answer Fun.id rc) (show_answer Fun.id pc)
+    else if rf <> pf then
+      at e "funptr_targets"
+        (show_answer Func_id.to_string rf)
+        (show_answer Func_id.to_string pf)
+    else None
+  in
+  if not (FuncSet.equal (Pta_ref.reachable r) (Pta.reachable p)) then
+    Some "reachable"
+  else if
+    List.sort compare (Pta_ref.instantiated r)
+    <> List.sort compare (Pta.instantiated p)
+  then Some "instantiated"
+  else if not (FuncSet.equal (Pta_ref.address_taken r) (Pta.address_taken p))
+  then Some "address_taken"
+  else if Pta_ref.havoc r <> Pta.havoc p then Some "havoc"
+  else List.find_map site (all_exprs prog)
+
+let check_agrees (name, prog) =
+  Alcotest.(check (option string)) (name ^ ": Pta = reference") None
+    (ref_mismatch prog)
+
+let t_ref_differential_ports () = List.iter check_agrees (ports ())
+let t_ref_differential_inline () = List.iter check_agrees (inline_programs ())
+
+let prop_ref_differential =
+  QCheck.Test.make ~count:30
+    ~name:"synthetic programs: Pta = reference solver per expression"
     (QCheck.make gen_synth_params)
     (fun params ->
-      let prog = Benchmarks.Synth.program params in
-      List.for_all
-        (fun mode ->
-          let f jobs = Pta.fingerprint (Pta.analyze ~mode ~jobs prog) in
-          String.equal (f 1) (f 4))
-        [ Pta.Insensitive; Pta.OneCfa ])
+      match ref_mismatch (Benchmarks.Synth.program params) with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
 
-let t_jobs_identical_stress_shape () =
-  (* one fixed non-trivial instance, large enough to cross the parallel
-     phase's frontier threshold *)
-  let params =
-    { Benchmarks.Synth.seed = 7; classes = 6; sites = 24; chains = 4; chain_len = 80 }
-  in
-  let prog = Benchmarks.Synth.program params in
+(* 1-CFA refines the reference per site: wherever the reference knows a
+   receiver's classes, 1-CFA knows them too, and names no others. *)
+let t_onecfa_within_ref () =
   List.iter
-    (fun mode ->
-      let f jobs = Pta.fingerprint (Pta.analyze ~mode ~jobs prog) in
-      Util.check_string "jobs 1 = jobs 3" (f 1) (f 3))
-    [ Pta.Insensitive; Pta.OneCfa ]
+    (fun (name, prog) ->
+      let r = Pta_ref.analyze prog and p1 = Pta.analyze ~mode:Pta.OneCfa prog in
+      List.iter
+        (fun (e : texpr) ->
+          match Pta_ref.receiver_classes r e with
+          | None -> ()
+          | Some cs ->
+              let ok =
+                match Pta.receiver_classes p1 e with
+                | Some cs1 -> List.for_all (fun c -> List.mem c cs) cs1
+                | None -> false
+              in
+              if not ok then
+                Alcotest.failf "%s: 1-CFA at %s leaves the reference's %s" name
+                  (Frontend.Source.span_to_string e.tloc)
+                  (show_answer Fun.id (Some cs)))
+        (all_exprs prog))
+    (ports () @ inline_programs ())
 
 (* -- the four-tier precision chain --------------------------------------------- *)
 
@@ -132,29 +226,6 @@ let t_four_tier_chain () =
     Benchmarks.Suite.all
 
 (* -- cycle collapse under cloning ---------------------------------------------- *)
-
-let cycle_src =
-  {|class Node {
-    public:
-      Node() : next(NULL), tag(0) { }
-      Node *next;
-      int tag;
-      virtual int id() { return tag; }
-    };
-    class Special : public Node {
-    public:
-      virtual int id() { return 42; }
-    };
-    int main() {
-      Node *a = new Node();
-      Node *b = new Special();
-      a->next = b;
-      b->next = a;
-      Node *p = a;
-      Node *q = p->next;
-      p->next = q;
-      return q->id();
-    }|}
 
 let t_cycle_collapse_under_cloning () =
   (* the a->b->a reference cycle forces node merges; with per-site
@@ -204,11 +275,13 @@ let t_stats_populated () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_ptset_oracle;
-    Util.test "rebuilt solver agrees with the frozen PR 4 solver"
-      t_legacy_differential;
-    QCheck_alcotest.to_alcotest prop_jobs_identical;
-    Util.test "parallel determinism on a pipelined stress shape"
-      t_jobs_identical_stress_shape;
+    Util.test "ports: Pta = reference solver per expression"
+      t_ref_differential_ports;
+    Util.test "inline programs: Pta = reference solver per expression"
+      t_ref_differential_inline;
+    QCheck_alcotest.to_alcotest prop_ref_differential;
+    Util.test "1-CFA stays inside the reference per receiver site"
+      t_onecfa_within_ref;
     Util.test "dead(CHA) ⊆ dead(RTA) ⊆ dead(PTA) ⊆ dead(PTA1) on the suite"
       t_four_tier_chain;
     Util.test "cycle collapse stays sound under cloning"
