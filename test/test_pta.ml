@@ -251,104 +251,102 @@ let t_base_ctor_this_escape () =
 
 (* -- per-port results, pinned ----------------------------------------------- *)
 
-(* For each port under PTA and PTA1: (nodes, edges, dead members) of the
-   call graph the verdict used, and the deciding solution's
-   (constraints, delta props, solver rounds). The subset chain above
-   lets a change shift a verdict within the chain; these rows do not. *)
+(* For each port under every tier: (nodes, edges, dead members) of the
+   call graph the verdict used, and, for PTA and PTA1, the deciding
+   solution's (constraints, delta props, solver rounds). The subset
+   chain above lets a change shift a verdict within the chain; these
+   rows do not. *)
 let pinned =
-  [
-    ( "jikes", Callgraph.Pta, (30, 41,
-        [ "AstField::javadoc_ref"; "AstMethod::line_table_ref";
-          "JLexer::deprecated_count"; "JParser::n_errors";
-          "SymbolTable::n_probes" ]),
-        (187, 218, 6) );
-    ( "jikes", Callgraph.Pta1, (30, 41,
-        [ "AstField::javadoc_ref"; "AstMethod::line_table_ref";
-          "JLexer::deprecated_count"; "JParser::n_errors";
-          "SymbolTable::n_probes" ]),
-        (170, 257, 6) );
-    ( "idl", Callgraph.Pta, (21, 33, [ "IRObject::repo_tag" ]), (108, 113, 3) );
-    ( "idl", Callgraph.Pta1, (21, 33, [ "IRObject::repo_tag" ]),
-        (121, 117, 3) );
-    ( "npic", Callgraph.Pta, (16, 15,
-        [ "Cell::debug_flux"; "FieldSolver::spectral_modes" ]),
-        (53, 50, 1) );
-    ( "npic", Callgraph.Pta1, (16, 15,
-        [ "Cell::debug_flux"; "FieldSolver::spectral_modes" ]),
-        (48, 50, 1) );
-    ( "lcom", Callgraph.Pta, (36, 52,
-        [ "Expr::type_cache"; "Lexer::pushback"; "SymTab::hits";
-          "VM::trace_pc" ]),
-        (133, 177, 9) );
-    ( "lcom", Callgraph.Pta1, (36, 52,
-        [ "Expr::type_cache"; "Lexer::pushback"; "SymTab::hits";
-          "VM::trace_pc" ]),
-        (118, 176, 9) );
-    ( "taldict", Callgraph.Pta, (22, 28,
-        [ "Histogram::last_update"; "TDictIterator::seen";
-          "TDictStats::avg_chain_x100"; "TDictStats::dict";
-          "TDictStats::max_chain"; "TDictStats::min_chain";
-          "TDictionary::load_pct"; "TDictionary::mod_count";
-          "TDictionary::stat_collisions"; "TObject::refcount";
-          "TSortedDictionary::cmp_mode"; "TSortedDictionary::sorted" ]),
-        (85, 65, 5) );
-    ( "taldict", Callgraph.Pta1, (22, 28,
-        [ "Histogram::last_update"; "TDictIterator::seen";
-          "TDictStats::avg_chain_x100"; "TDictStats::dict";
-          "TDictStats::max_chain"; "TDictStats::min_chain";
-          "TDictionary::load_pct"; "TDictionary::mod_count";
-          "TDictionary::stat_collisions"; "TObject::refcount";
-          "TSortedDictionary::cmp_mode"; "TSortedDictionary::sorted" ]),
-        (75, 68, 5) );
-    ( "ixx", Callgraph.Pta, (26, 31,
-        [ "Decl::repo_version"; "OpDecl::context_id";
-          "Scanner::include_depth" ]),
-        (94, 150, 4) );
-    ( "ixx", Callgraph.Pta1, (26, 31,
-        [ "Decl::repo_version"; "OpDecl::context_id";
-          "Scanner::include_depth" ]),
-        (82, 146, 4) );
-    ( "simulate", Callgraph.Pta, (18, 18,
-        [ "RandomStream::antithetic"; "RandomStream::stream_id";
-          "SimCalendar::max_length"; "SimCalendar::trace_level";
-          "SimMonitor::enabled"; "SimMonitor::event_mask";
-          "SimResource::capacity"; "SimResource::in_use";
-          "SimResource::queue_len"; "StatCounter::batch_size";
-          "StatCounter::sum_sq" ]),
-        (49, 57, 5) );
-    ( "simulate", Callgraph.Pta1, (18, 18,
-        [ "RandomStream::antithetic"; "RandomStream::stream_id";
-          "SimCalendar::max_length"; "SimCalendar::trace_level";
-          "SimMonitor::enabled"; "SimMonitor::event_mask";
-          "SimResource::capacity"; "SimResource::in_use";
-          "SimResource::queue_len"; "StatCounter::batch_size";
-          "StatCounter::sum_sq" ]),
-        (44, 60, 5) );
-    ( "sched", Callgraph.Pta, (10, 10,
-        [ "Insn::debug_line"; "Insn::profile_count"; "RegInfo::coalesce_hint";
-          "RegInfo::spill_cost" ]),
-        (68, 54, 6) );
-    ( "sched", Callgraph.Pta1, (10, 10,
-        [ "Insn::debug_line"; "Insn::profile_count"; "RegInfo::coalesce_hint";
-          "RegInfo::spill_cost" ]),
-        (68, 59, 6) );
-    ( "hotwire", Callgraph.Pta, (22, 23,
-        [ "Chart::legend_pos"; "Chart::n_series"; "Image::pixels";
-          "Image::scale_pct"; "Renderer::aa_level"; "Renderer::clip_x";
-          "Renderer::clip_y"; "Renderer::hit_test_slop"; "Slide::transition";
-          "Style::cache_key"; "Style::dirty" ]),
-        (85, 133, 4) );
-    ( "hotwire", Callgraph.Pta1, (22, 23,
-        [ "Chart::legend_pos"; "Chart::n_series"; "Image::pixels";
-          "Image::scale_pct"; "Renderer::aa_level"; "Renderer::clip_x";
-          "Renderer::clip_y"; "Renderer::hit_test_slop"; "Slide::transition";
-          "Style::cache_key"; "Style::dirty" ]),
-        (92, 115, 6) );
-    ( "deltablue", Callgraph.Pta, (56, 93, []), (266, 680, 6) );
-    ( "deltablue", Callgraph.Pta1, (56, 93, []), (654, 1035, 6) );
-    ( "richards", Callgraph.Pta, (30, 44, []), (189, 801, 10) );
-    ( "richards", Callgraph.Pta1, (30, 44, []), (621, 1762, 10) );
-  ]
+  let jikes =
+    [ "AstField::javadoc_ref"; "AstMethod::line_table_ref";
+      "JLexer::deprecated_count"; "JParser::n_errors";
+      "SymbolTable::n_probes" ]
+  in
+  let npic = [ "Cell::debug_flux"; "FieldSolver::spectral_modes" ] in
+  let lcom =
+    [ "Expr::type_cache"; "Lexer::pushback"; "SymTab::hits"; "VM::trace_pc" ]
+  in
+  let taldict =
+    [ "Histogram::last_update"; "TDictIterator::seen";
+      "TDictStats::avg_chain_x100"; "TDictStats::dict";
+      "TDictStats::max_chain"; "TDictStats::min_chain";
+      "TDictionary::load_pct"; "TDictionary::mod_count";
+      "TDictionary::stat_collisions"; "TObject::refcount";
+      "TSortedDictionary::cmp_mode"; "TSortedDictionary::sorted" ]
+  in
+  let ixx =
+    [ "Decl::repo_version"; "OpDecl::context_id"; "Scanner::include_depth" ]
+  in
+  let simulate =
+    [ "RandomStream::antithetic"; "RandomStream::stream_id";
+      "SimCalendar::max_length"; "SimCalendar::trace_level";
+      "SimMonitor::enabled"; "SimMonitor::event_mask";
+      "SimResource::capacity"; "SimResource::in_use";
+      "SimResource::queue_len"; "StatCounter::batch_size";
+      "StatCounter::sum_sq" ]
+  in
+  let sched =
+    [ "Insn::debug_line"; "Insn::profile_count"; "RegInfo::coalesce_hint";
+      "RegInfo::spill_cost" ]
+  in
+  let hotwire_cha =
+    [ "Image::pixels"; "Renderer::aa_level"; "Renderer::clip_x";
+      "Renderer::clip_y"; "Renderer::hit_test_slop"; "Slide::transition";
+      "Style::cache_key"; "Style::dirty" ]
+  in
+  let hotwire =
+    [ "Chart::legend_pos"; "Chart::n_series"; "Image::pixels";
+      "Image::scale_pct"; "Renderer::aa_level"; "Renderer::clip_x";
+      "Renderer::clip_y"; "Renderer::hit_test_slop"; "Slide::transition";
+      "Style::cache_key"; "Style::dirty" ]
+  in
+  Callgraph.
+    [
+      ("jikes", Cha, (32, 45, jikes), None);
+      ("jikes", Rta, (32, 45, jikes), None);
+      ("jikes", Pta, (30, 41, jikes), Some (187, 218, 6));
+      ("jikes", Pta1, (30, 41, jikes), Some (170, 257, 6));
+      ("idl", Cha, (23, 41, [ "IRObject::repo_tag" ]), None);
+      ("idl", Rta, (23, 41, [ "IRObject::repo_tag" ]), None);
+      ("idl", Pta, (21, 33, [ "IRObject::repo_tag" ]), Some (108, 113, 3));
+      ("idl", Pta1, (21, 33, [ "IRObject::repo_tag" ]), Some (121, 117, 3));
+      ("npic", Cha, (16, 15, npic), None);
+      ("npic", Rta, (16, 15, npic), None);
+      ("npic", Pta, (16, 15, npic), Some (53, 50, 1));
+      ("npic", Pta1, (16, 15, npic), Some (48, 50, 1));
+      ("lcom", Cha, (38, 57, lcom), None);
+      ("lcom", Rta, (38, 57, lcom), None);
+      ("lcom", Pta, (36, 52, lcom), Some (133, 177, 9));
+      ("lcom", Pta1, (36, 52, lcom), Some (118, 176, 9));
+      ("taldict", Cha, (23, 30, taldict), None);
+      ("taldict", Rta, (22, 28, taldict), None);
+      ("taldict", Pta, (22, 28, taldict), Some (85, 65, 5));
+      ("taldict", Pta1, (22, 28, taldict), Some (75, 68, 5));
+      ("ixx", Cha, (28, 33, ixx), None);
+      ("ixx", Rta, (28, 33, ixx), None);
+      ("ixx", Pta, (26, 31, ixx), Some (94, 150, 4));
+      ("ixx", Pta1, (26, 31, ixx), Some (82, 146, 4));
+      ("simulate", Cha, (18, 18, simulate), None);
+      ("simulate", Rta, (18, 18, simulate), None);
+      ("simulate", Pta, (18, 18, simulate), Some (49, 57, 5));
+      ("simulate", Pta1, (18, 18, simulate), Some (44, 60, 5));
+      ("sched", Cha, (10, 10, sched), None);
+      ("sched", Rta, (10, 10, sched), None);
+      ("sched", Pta, (10, 10, sched), Some (68, 54, 6));
+      ("sched", Pta1, (10, 10, sched), Some (68, 59, 6));
+      ("hotwire", Cha, (25, 26, hotwire_cha), None);
+      ("hotwire", Rta, (23, 24, hotwire), None);
+      ("hotwire", Pta, (22, 23, hotwire), Some (85, 133, 4));
+      ("hotwire", Pta1, (22, 23, hotwire), Some (92, 115, 6));
+      ("deltablue", Cha, (63, 102, []), None);
+      ("deltablue", Rta, (63, 102, []), None);
+      ("deltablue", Pta, (56, 93, []), Some (266, 680, 6));
+      ("deltablue", Pta1, (56, 93, []), Some (654, 1035, 6));
+      ("richards", Cha, (30, 44, []), None);
+      ("richards", Rta, (30, 44, []), None);
+      ("richards", Pta, (30, 44, []), Some (189, 801, 10));
+      ("richards", Pta1, (30, 44, []), Some (621, 1762, 10));
+    ]
 
 let t_pinned_ports () =
   List.iter
@@ -363,10 +361,12 @@ let t_pinned_ports () =
       Alcotest.(check (triple int int (list string)))
         (tag ^ ": nodes, edges, dead") shape
         (Callgraph.num_nodes cg, Callgraph.num_edges cg, Util.dead_names r);
-      let s = Option.get cg.Callgraph.pta_stats in
-      Alcotest.(check (triple int int int))
+      Alcotest.(check (option (triple int int int)))
         (tag ^ ": constraints, delta props, solver rounds") solver
-        (s.Pta.p_constraints, s.Pta.p_delta_props, s.Pta.p_solver_iters))
+        (Option.map
+           (fun (s : Pta.stats) ->
+             (s.p_constraints, s.p_delta_props, s.p_solver_iters))
+           cg.Callgraph.pta_stats))
     pinned
 
 (* -- explain names every receiver behind an edge ------------------------------ *)
@@ -407,7 +407,7 @@ let suite =
     Util.test "virtual delete resolves from points-to sets" t_virtual_delete;
     Util.test "regression: array-element stores flow" t_array_element_flow;
     Util.test "regression: this escaping a base ctor" t_base_ctor_this_escape;
-    Util.test "per-port PTA/PTA1 results pinned" t_pinned_ports;
+    Util.test "per-port results pinned, every tier" t_pinned_ports;
     Util.test "explain names every receiver behind an edge"
       t_explain_every_receiver;
   ]
