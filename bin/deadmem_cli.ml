@@ -133,6 +133,18 @@ let engine_opt =
   Arg.(value & opt eng Runtime.Interp.Bytecode
        & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
+(* A benchmark named on the command line; an unknown name is a usage
+   error, reported with the list of valid names. *)
+let find_bench name =
+  let b = Benchmarks.Suite.find name in
+  if b = None then
+    Fmt.epr "unknown benchmark '%s'; available: %s@." name
+      (String.concat ", "
+         (List.map
+            (fun (b : Benchmarks.Suite.t) -> b.name)
+            Benchmarks.Suite.all));
+  b
+
 (* -- telemetry options ------------------------------------------------------ *)
 
 let metrics_opt =
@@ -546,16 +558,8 @@ let profile_cmd =
           | _ when top < 1 ->
               Fmt.epr "error: --top must be at least 1 (got %d)@." top;
               None
-          | Some name, _ -> (
-              match Benchmarks.Suite.find name with
-              | Some b -> Some (Benchmarks.Suite.program b)
-              | None ->
-                  Fmt.epr "unknown benchmark '%s'; available: %s@." name
-                    (String.concat ", "
-                       (List.map
-                          (fun (b : Benchmarks.Suite.t) -> b.name)
-                          Benchmarks.Suite.all));
-                  None)
+          | Some name, _ ->
+              Option.map Benchmarks.Suite.program (find_bench name)
           | None, Some f -> Some (load f)
           | None, None ->
               Fmt.epr "error: provide a FILE or --bench NAME@.";
@@ -676,13 +680,8 @@ let bench_cmd =
   let run name alg engine metrics metrics_format trace_out =
     handle_errors (fun () ->
         with_telemetry ~metrics_format ~metrics ~trace_out @@ fun () ->
-        match Benchmarks.Suite.find name with
-        | None ->
-            Fmt.epr "unknown benchmark '%s'; available: %s@." name
-              (String.concat ", "
-                 (List.map (fun (b : Benchmarks.Suite.t) -> b.name)
-                    Benchmarks.Suite.all));
-            1
+        match find_bench name with
+        | None -> exit_usage
         | Some b ->
             let prog = Benchmarks.Suite.program b in
             let config =

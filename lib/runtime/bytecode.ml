@@ -80,15 +80,6 @@ let[@inline] apply_ic ic n =
   | CChar -> n land 255
   | CBool -> if n <> 0 then 1 else 0
 
-(* Compile-time image of the int rhs transform folded into
-   [IThisXAssignI]: either a chain of three constant binops (the
-   [IBinopConst3I] shape) or a unary operator. A separate payload type
-   rather than more constructors, to stay under the variant-size
-   limit. *)
-type ixform =
-  | XBc3 of Ast.binop * int * Ast.binop * int * Ast.binop * int
-  | XUn of Ast.unop
-
 (* One slot of a fused constructor field-init run ([IInitFieldsI]):
    initialize an int-bank member from a local ([FInitL]) or from a
    constant ([FInitC]). *)
@@ -97,7 +88,7 @@ type finit =
   | FInitC of slots_by_class * Member.t * icoerce * int
 
 (* Index operand of a fused [this->arr[ix]->f = rhs] store
-   ([IThisIdxFieldStoreI]): an unboxed int local, or an int member of
+   ([ITickThisIdxFieldStoreI]): an unboxed int local, or an int member of
    an object held in a local. *)
 type idxsrc =
   | IxLocal of int
@@ -270,22 +261,17 @@ type instr =
   | ITickLoad of int                                  (* ITick; ILoad *)
   | ITickLoadField of int * slots_by_class * Member.t
   | IThisField of slots_by_class * Member.t           (* IThis; IField *)
-  | ILoadLocField of int * slots_by_class * Member.t  (* ILoad; ILocField *)
   | IBinopConst of Ast.binop * value                  (* IConst; IBinop *)
   | ITickN of int                                     (* n adjacent ITicks *)
-  | ITickPushScope of int array
   | IAssignPop of Ast.type_expr                       (* IAssign; IPop *)
   | IStoreLocalPopT of int * Ast.type_expr            (* store; next stmt's tick *)
   | IStoreLocalPopJump of int * Ast.type_expr * int   (* store; back edge *)
   (* branch variants; the T forms run the fall-through statement's tick *)
-  | IJumpIfFalseT of int
-  | IJumpCmpFalseT of Ast.binop * int
   | IJumpCmpConstFalse of Ast.binop * value * int
   | IJumpCmpConstFalseT of Ast.binop * value * int
   | IJumpLocCmpConstFalse of int * Ast.binop * value * int
   | IJumpLocCmpConstFalseT of int * Ast.binop * value * int
   | IJumpLocCmpFalse of Ast.binop * int * int     (* top CMP local *)
-  | IJumpLocCmpFalseT of Ast.binop * int * int
   (* the pointer-chase loop body [p = p->f;] in one or two dispatches *)
   | ITickLoadFieldStore of
       int * slots_by_class * Member.t * int * Ast.type_expr
@@ -294,18 +280,13 @@ type instr =
   (* round 3: cascade fusion re-fuses a fusion product with its own
      predecessor, so whole expression chains ([o.f[i*k+j].g], the
      pointer-scan loop condition) collapse to one dispatch. *)
-  | ILoadFieldBC of int * slots_by_class * Member.t * Ast.binop * value
-  | IBinopAssignPop of Ast.binop * Ast.type_expr      (* IBinop; IAssignPop *)
   | ITickThisField of slots_by_class * Member.t
-  | ILoadLoadField of int * int * slots_by_class * Member.t
   | ILocFieldLoadField of
       slots_by_class * Member.t * int * slots_by_class * Member.t
-  | IStoreTLoadField of int * Ast.type_expr * int * slots_by_class * Member.t
   | ITickLoadFieldCmpLocFalse of
       int * slots_by_class * Member.t * Ast.binop * int * int
   | ITickLoadFieldCmpLocFalseT of
       int * slots_by_class * Member.t * Ast.binop * int * int
-  | IBinopConstAndFalse of Ast.binop * value * int
   (* a scan loop's hot cycle [guard-branch -> p = p->f -> back edge]
      with the step on the branch's false edge: [finish]'s branch-target
      peephole inlines the step into the false arm; the step's own slot
@@ -322,8 +303,6 @@ type instr =
       * int * slots_by_class * Member.t * Ast.binop * int
       * int * slots_by_class * Member.t * int * Ast.type_expr
   | IBinop2 of Ast.binop * Ast.binop                  (* IBinop; IBinop *)
-  | ILoadFieldBCAndFalse of
-      int * slots_by_class * Member.t * Ast.binop * value * int
   (* -- typed (untagged) instructions -----------------------------------
      These run on the per-invocation int operand stack instead of the
      boxed one: zero allocation and no tag dispatch on int hot paths.
@@ -384,8 +363,8 @@ type instr =
   | IJumpIfTrueI of int
   | IAndFalseI of int
   | IOrTrueI of int
-  | IJumpCmpFalseI of Ast.binop * bool * int
-  (* in every branch form below, a [bool] right before the target folds
+  | IJumpCmpFalseI of Ast.binop * int
+  (* in the branch forms below, a [bool] right before the target folds
      the fall-through tick (the former ...T / ...TI twin constructor) *)
   | IJumpCmpConstFalseI of Ast.binop * int * bool * int
   | IJumpLocCmpConstFalseI of int * Ast.binop * int * bool * int
@@ -409,19 +388,13 @@ type instr =
       (* boxed l.f; typed [l' op k] index *)
   | ILoadFieldBinopI of int * slots_by_class * Member.t * Ast.binop
   | IThisFieldBinopI of slots_by_class * Member.t * Ast.binop
-  | IBinopConstAndFalseI of Ast.binop * int * int
   | IStoreLocalPopTI of icoerce * int
-  | IStoreLocalPopJumpI of icoerce * int * int
   | IIncDecLocalJumpI of Ast.incdec * int * int
   | IFieldIdxFieldI of
       int * slots_by_class * Member.t * int * Ast.binop * int
       * slots_by_class * Member.t
   | ITickLoadFieldCmpLocFalseI of
       int * slots_by_class * Member.t * Ast.binop * int * bool * int
-  | ILoadFieldBinopJumpFalseI of
-      int * slots_by_class * Member.t * Ast.binop * bool * int
-  | IJumpBCCmpFalseI of Ast.binop * int * Ast.binop * bool * int
-      (* the bool folds the fall-through tick (the former ...TI form) *)
   | IJumpLL2FBCCmpFalseI of
       int * int * slots_by_class * Member.t * Ast.binop * int * Ast.binop
       * bool * int
@@ -439,15 +412,13 @@ type instr =
   | ITLFIndexIStoreT of
       int * slots_by_class * Member.t * int * int * Ast.type_expr
   | ILoadBinopI of Ast.binop * int
-  | ILoadLoadFieldBinopI of
-      int * int * slots_by_class * Member.t * Ast.binop
   | ILoadLocFieldI of int * slots_by_class * Member.t
   | ITickLocFieldI of int * slots_by_class * Member.t
   | IAssignFieldLIPop of icoerce * int
   | IAssignFieldLFIPop of icoerce * int * slots_by_class * Member.t
-  | IFieldStoreLI of bool * icoerce * int * slots_by_class * Member.t * int
+  | ITickFieldStoreLI of icoerce * int * slots_by_class * Member.t * int
   | IFieldCopyII of
-      bool * icoerce * int * slots_by_class * Member.t * int * slots_by_class
+      icoerce * int * slots_by_class * Member.t * int * slots_by_class
       * Member.t
   (* this-rooted lvalues, constructor field initialization from a local
      or constant, folded constant-operator chains, and the
@@ -460,43 +431,44 @@ type instr =
   | IBinopConst3I of
       Ast.binop * int * Ast.binop * int * Ast.binop * int
   | ITickLoadBCI of int * Ast.binop * int
-  | IJumpLocTFCmpFalseI of
-      Ast.binop * int * slots_by_class * Member.t * bool * int
+  | IJumpLocTFCmpFalseI of Ast.binop * int * slots_by_class * Member.t * int
   (* [if (local->f BINOP const)] in branch position: the whole guard in
-     one dispatch. The two bools fold a tick before the test (statement
-     tick) and on fall-through (next statement's tick) — flags rather
-     than four constructors to stay under the variant-size limit *)
+     one dispatch. The bool folds the statement tick before the test *)
   | IJumpLocFieldBCFalseI of
-      bool * int * slots_by_class * Member.t * Ast.binop * int * bool * int
-  (* [if (this->f BINOP const)], same tick-flag scheme *)
+      bool * int * slots_by_class * Member.t * Ast.binop * int * int
+  (* [if (this->f BINOP const)]; the two bools fold a tick before the
+     test (statement tick) and on fall-through (next statement's tick) —
+     flags rather than four constructors to stay under the variant-size
+     limit *)
   | IJumpThisFieldBCFalseI of
       bool * slots_by_class * Member.t * Ast.binop * int * bool * int
-  (* [this->dst = xform(this->src)] in one dispatch: dst slot resolves
-     first, then the src read — the order the unfused sequence used *)
+  (* [this->dst = this->src op1 k1 op2 k2 op3 k3] (the [IBinopConst3I]
+     chain) in one dispatch: dst slot resolves first, then the src read —
+     the order the unfused sequence used. The leading int counts the
+     folded statement ticks *)
   | IThisXAssignI of
-      int * slots_by_class * Member.t * slots_by_class * Member.t * ixform
+      int * slots_by_class * Member.t * slots_by_class * Member.t
+      * (Ast.binop * int * Ast.binop * int * Ast.binop * int)
       * icoerce
   (* [return this->f] on an int member, statement tick included *)
   | IReturnThisFieldI of slots_by_class * Member.t
   (* a run of consecutive int-member initializers in a constructor
      prologue, executed left to right exactly as the unfused ops *)
   | IInitFieldsI of finit array
-  (* [this->arr[ix]->f = rhs] as one dispatch (the dependency-graph
-     edge stores in hot loops). The bool folds the statement tick.
-     Destination resolves fully (array read, index, element, slot)
-     before the rhs is evaluated — the unfused order *)
-  | IThisIdxFieldStoreI of
-      bool * slots_by_class * Member.t * idxsrc * slots_by_class
-      * Member.t * icoerce * irhs
+  (* [this->arr[ix]->f = rhs] as one dispatch, statement tick included
+     (the dependency-graph edge stores in hot loops). Destination
+     resolves fully (array read, index, element, slot) before the rhs is
+     evaluated — the unfused order *)
+  | ITickThisIdxFieldStoreI of
+      slots_by_class * Member.t * idxsrc * slots_by_class * Member.t
+      * icoerce * irhs
   (* [local = localA->arr[i]; if (localN->f BINOP const)] — the
      statement-plus-guard prefix of the hot list-walk loops, one
      dispatch. First tuple is the [ITLFIndexIStoreT] payload (both its
-     ticks included), second the [IJumpLocFieldBCFalseI] test; the bool
-     folds the fall-through tick *)
+     ticks included), second the [IJumpLocFieldBCFalseI] test *)
   | ITLFIndexIStoreJumpFBCI of
       (int * slots_by_class * Member.t * int * int * Ast.type_expr)
       * (int * slots_by_class * Member.t * Ast.binop * int)
-      * bool
       * int
   (* a whole pure-int assignment statement (destination resolution, an
      RPN chain of int reads/combines, the store) in one dispatch — the
@@ -618,29 +590,18 @@ let delta = function
       -1
   | IJumpCmpFalse _ -> -2
   | ILoadField _ | ITickLoad _ | ITickLoadField _ | IThisField _
-  | ILoadLocField _ ->
+  | ITickThisField _ | ILocFieldLoadField _ ->
       1
-  | IBinopConst _ | ITickN _ | ITickPushScope _
+  | IBinopConst _ | ITickN _
   | IJumpLocCmpConstFalse _ | IJumpLocCmpConstFalseT _
-  | ITickLoadFieldStore _ | ITickLoadFieldStoreJump _ ->
+  | ITickLoadFieldStore _ | ITickLoadFieldStoreJump _
+  | ITickLoadFieldCmpLocFalse _ | ITickLoadFieldCmpLocFalseT _
+  | IScanStep _ | ILoopScan _ ->
       0
   | IStoreLocalPopT _ | IStoreLocalPopJump _
-  | IJumpIfFalseT _ | IJumpCmpConstFalse _ | IJumpCmpConstFalseT _
-  | IJumpLocCmpFalse _ | IJumpLocCmpFalseT _ ->
+  | IJumpCmpConstFalse _ | IJumpCmpConstFalseT _ | IJumpLocCmpFalse _ ->
       -1
-  | IAssignPop _ | IJumpCmpFalseT _ -> -2
-  | ILoadFieldBC _ | ITickThisField _
-  | ILocFieldLoadField _ ->
-      1
-  | ILoadLoadField _ -> 2
-  | IStoreTLoadField _ | ITickLoadFieldCmpLocFalse _
-  | ITickLoadFieldCmpLocFalseT _ ->
-      0
-  | IBinopConstAndFalse _ ->
-      -1
-  | IScanStep _ | ILoopScan _ | ILoadFieldBCAndFalse _ -> 0
-  | IBinop2 _ -> -2
-  | IBinopAssignPop _ -> -3
+  | IAssignPop _ | IBinop2 _ -> -2
   | IBuiltin (_, n) | ICallFunc (_, n) | INewObj { n_argc = n; _ } -> 1 - n
   | ICallMethod { m_argc = n; _ } -> -n  (* receiver consumed, result pushed *)
   | ILoadIBn a -> Array.length a
@@ -684,19 +645,15 @@ let delta = function
   | ITickLoadI _ | ILoadFieldI _
   | ITickLoadFieldI _ | IThisFieldI _ | ITickThisFieldI _
   | ILoadLoadFieldI _ | IBinopConstI _ | ILoadBinopConstI _ | ILoadFieldBCI _
-  | ILoadFieldBinopI _ | IThisFieldBinopI _
-  | IBinopConstAndFalseI _ | IStoreLocalPopTI _ | IStoreLocalPopJumpI _
+  | ILoadFieldBinopI _ | IThisFieldBinopI _ | IStoreLocalPopTI _
   | IIncDecLocalJumpI _ | IFieldIdxFieldI _ | ITickLoadFieldCmpLocFalseI _
-  | ILoadFieldBinopJumpFalseI _
-  | IJumpBCCmpFalseI _
   | IJumpLL2FBCCmpFalseI _ | IScanStepI _
   | ILoadIndexI _ | ITLFIndexIStoreT _ | ILoadBinopI _
-  | ILoadLoadFieldBinopI _ | IFieldStoreLI _
-  | IFieldCopyII _
+  | ITickFieldStoreLI _ | IFieldCopyII _
   | IInitFieldLI _ | IInitFieldConstI _ | IBinopConst2I _ | IBinopConst3I _
   | ITickLoadBCI _ | IJumpLocTFCmpFalseI _
   | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _ | IThisXAssignI _
-  | IReturnThisFieldI _ | IInitFieldsI _ | IThisIdxFieldStoreI _
+  | IReturnThisFieldI _ | IInitFieldsI _ | ITickThisIdxFieldStoreI _
   | ITLFIndexIStoreJumpFBCI _ | IRpnStoreI _ | IThisFieldIdxFStoreI _
   | ITLFIStoreFieldCopyII _ | IThisCallMStoreI _ | IIncDecJumpLocFCmpI _
   | IIncDecJumpLL2FBCI _ ->
@@ -709,12 +666,12 @@ let idelta = function
   | ITickLoadFieldI _ | IThisFieldI _ | ITickThisFieldI _ | ILoadBinopConstI _
   | ILoadFieldBCI _ | ILoadFieldLoadBCI _ | IIncDecLocalI _
   | ILocFieldI _ | IFieldIdxFieldI _
-  | ILoadLocFieldI _ | ITickLocFieldI _ | ILoadLoadFieldBinopI _
+  | ILoadLocFieldI _ | ITickLocFieldI _
   | IThisLocFieldI _ | ITickLoadBCI _ ->
       1
   | ILoadLoadFieldI _ -> 2
   | IBoxI | IBoxIU | IPopI | IBinopII _ | IStoreLocalPopI _
-  | IStoreLocalPopTI _ | IStoreLocalPopJumpI _ | ICompoundLocalIPop _
+  | IStoreLocalPopTI _ | ICompoundLocalIPop _
   | IJumpIfFalseI _ | IJumpIfTrueI _ | IAndFalseI _
   | IOrTrueI _ | IJumpCmpConstFalseI _
   | IJumpLocCmpFalseI _ | IAssignFieldI _
@@ -723,12 +680,10 @@ let idelta = function
   | ICompoundFieldB _ | ICompoundFieldBPop _
   | IIncDecFieldIPop _
   | IInitFieldScalarI _
-  | IBinopConstAndFalseI _ | ILoadFieldBinopJumpFalseI _
   | IIndexI
   | IAssignFieldLIPop _ | IAssignFieldLFIPop _ | IAssignFieldCIPop _ ->
       -1
-  | IJumpCmpFalseI _ | IAssignFieldIPop _
-  | ICompoundFieldIPop _ | IJumpBCCmpFalseI _ ->
+  | IJumpCmpFalseI _ | IAssignFieldIPop _ | ICompoundFieldIPop _ ->
       -2
   | _ -> 0
 
@@ -777,15 +732,6 @@ let is_cmp = function
   | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Gt | Ast.Le | Ast.Ge -> true
   | _ -> false
 
-(* Operators whose [ibinop_i] image is symmetric in its arguments, so a
-   pushed constant may be folded as the *right* operand of a fused
-   field-op form. Division, subtraction, shifts and orderings are
-   excluded; [Eq]/[Ne] on ints are plain equality. *)
-let commutes = function
-  | Ast.Add | Ast.Mul | Ast.Eq | Ast.Ne | Ast.BAnd | Ast.BOr | Ast.BXor ->
-      true
-  | _ -> false
-
 (* The pair-fusion table: [fuse prev i] is the single instruction
    equivalent to [prev; i], or [None]. Every fusion preserves the exact
    sequence semantics (evaluation order, ticks, errors) by
@@ -799,19 +745,14 @@ let fuse (prev : instr) (i : instr) : instr option =
   | ILoad n, IField (s, m) -> Some (ILoadField (n, s, m))
   | ITickLoad n, IField (s, m) -> Some (ITickLoadField (n, s, m))
   | IThis, IField (s, m) -> Some (IThisField (s, m))
-  | ILoad n, ILocField (s, m) -> Some (ILoadLocField (n, s, m))
   | ITick, ILoad n -> Some (ITickLoad n)
   | ITick, ITick -> Some (ITickN 2)
   | ITickN n, ITick -> Some (ITickN (n + 1))
-  | ITick, IPushScope s -> Some (ITickPushScope s)
   | IStoreLocalPop (n, ty), ITick -> Some (IStoreLocalPopT (n, ty))
-  | IJumpIfFalse t, ITick -> Some (IJumpIfFalseT t)
-  | IJumpCmpFalse (op, t), ITick -> Some (IJumpCmpFalseT (op, t))
   | IJumpCmpConstFalse (op, v, t), ITick ->
       Some (IJumpCmpConstFalseT (op, v, t))
   | IJumpLocCmpConstFalse (n, op, v, t), ITick ->
       Some (IJumpLocCmpConstFalseT (n, op, v, t))
-  | IJumpLocCmpFalse (op, n, t), ITick -> Some (IJumpLocCmpFalseT (op, n, t))
   | ITickLoadField (i, s, m), IStoreLocalPop (j, ty) ->
       Some (ITickLoadFieldStore (i, s, m, j, ty))
   | ITickLoadFieldStore (i, s, m, j, ty), IJump t ->
@@ -819,16 +760,11 @@ let fuse (prev : instr) (i : instr) : instr option =
   | IConst v, IBinop op -> Some (IBinopConst (op, v))
   | IAssign ty, IPop -> Some (IAssignPop ty)
   | IStoreLocalPop (n, ty), IJump t -> Some (IStoreLocalPopJump (n, ty, t))
-  | IIncDecLocal (w, _, n), IPop -> Some (IIncDecLocalPop (w, n))
-  | IStoreLocal (n, ty), IPop -> Some (IStoreLocalPop (n, ty))
   | ITickLoadField (n, s, m), IJumpLocCmpFalse (op, y, t) ->
       Some (ITickLoadFieldCmpLocFalse (n, s, m, op, y, t))
   | ITickLoadFieldCmpLocFalse (n, s, m, op, y, t), ITick ->
       Some (ITickLoadFieldCmpLocFalseT (n, s, m, op, y, t))
-  | IBinopConst (op, v), IAndFalse t -> Some (IBinopConstAndFalse (op, v, t))
   | IBinop op1, IBinop op2 -> Some (IBinop2 (op1, op2))
-  | ILoadFieldBC (n, s, m, op, v), IAndFalse t ->
-      Some (ILoadFieldBCAndFalse (n, s, m, op, v, t))
   (* -- typed mirrors ---------------------------------------------------- *)
   | IConstI n, IBoxI -> Some (IConst (vint n))
   | ILoadI n, IBoxI -> Some (ILoadIB n)
@@ -841,22 +777,9 @@ let fuse (prev : instr) (i : instr) : instr option =
   | IConstI k, IBinopII op -> Some (IBinopConstI (op, k))
   | ILoadFieldI (n, s, m), IBinopII op -> Some (ILoadFieldBinopI (n, s, m, op))
   | IThisFieldI (s, m), IBinopII op -> Some (IThisFieldBinopI (s, m, op))
-  | IBinopConstI (op, k), IAndFalseI t -> Some (IBinopConstAndFalseI (op, k, t))
-  | IStoreLocalI (ic, n), IPopI -> Some (IStoreLocalPopI (ic, n))
-  | IStoreLocalIB (ty, n), IPop -> Some (IStoreLocalIBPop (ty, n))
-  | IIncDecLocalI (w, _, n), IPopI -> Some (IIncDecLocalPopI (w, n))
-  | ICompoundLocalI (op, ic, n), IPopI -> Some (ICompoundLocalIPop (op, ic, n))
-  | ICompoundLocalB (op, ty, n), IPop -> Some (ICompoundLocalBPop (op, ty, n))
-  | IAssignFieldI ic, IPopI -> Some (IAssignFieldIPop ic)
-  | IAssignFieldIB ty, IPop -> Some (IAssignFieldIBPop ty)
-  | ICompoundFieldI (op, ic), IPopI -> Some (ICompoundFieldIPop (op, ic))
-  | ICompoundFieldB (op, ty), IPop -> Some (ICompoundFieldBPop (op, ty))
-  | IIncDecFieldI (w, _), IPopI -> Some (IIncDecFieldIPop w)
   | IStoreLocalPopI (ic, n), ITick -> Some (IStoreLocalPopTI (ic, n))
-  | IStoreLocalPopI (ic, n), IJump t -> Some (IStoreLocalPopJumpI (ic, n, t))
   | IIncDecLocalPopI (w, n), IJump t -> Some (IIncDecLocalJumpI (w, n, t))
   | IJumpIfFalseI (false, t), ITick -> Some (IJumpIfFalseI (true, t))
-  | IJumpCmpFalseI (op, false, t), ITick -> Some (IJumpCmpFalseI (op, true, t))
   | IJumpCmpConstFalseI (op, k, false, t), ITick ->
       Some (IJumpCmpConstFalseI (op, k, true, t))
   | IJumpLocCmpConstFalseI (n, op, k, false, t), ITick ->
@@ -867,37 +790,23 @@ let fuse (prev : instr) (i : instr) : instr option =
       Some (IJumpLoc2CmpFalseI (op, x, y, true, t))
   | IJumpLocFCmpFalseI (i, j, s, m, op, false, t), ITick ->
       Some (IJumpLocFCmpFalseI (i, j, s, m, op, true, t))
-  | IJumpBCCmpFalseI (o1, k, o2, false, t), ITick ->
-      Some (IJumpBCCmpFalseI (o1, k, o2, true, t))
   | IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, false, t), ITick ->
       Some (IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, true, t))
-  | IJumpLocFieldBCFalseI (tp, n, s, m, op, k, false, t), ITick ->
-      Some (IJumpLocFieldBCFalseI (tp, n, s, m, op, k, true, t))
-  | ITLFIndexIStoreJumpFBCI (st, br, false, t), ITick ->
-      Some (ITLFIndexIStoreJumpFBCI (st, br, true, t))
   | IJumpThisFieldBCFalseI (tp, s, m, op, k, false, t), ITick ->
       Some (IJumpThisFieldBCFalseI (tp, s, m, op, k, true, t))
   | ILoadFieldBCI (n, s, m, op, k), IJumpIfFalseI (false, t) ->
-      Some (IJumpLocFieldBCFalseI (false, n, s, m, op, k, false, t))
+      Some (IJumpLocFieldBCFalseI (false, n, s, m, op, k, t))
   | ITickLoadFieldI (n, s, m), IJumpLocCmpFalseI (op, y, tk, t) ->
       Some (ITickLoadFieldCmpLocFalseI (n, s, m, op, y, tk, t))
   | ITickLoadFieldCmpLocFalseI (n, s, m, op, y, false, t), ITick ->
       Some (ITickLoadFieldCmpLocFalseI (n, s, m, op, y, true, t))
-  | ILoadFieldBinopI (n, s, m, op), IJumpIfFalseI (false, t) ->
-      Some (ILoadFieldBinopJumpFalseI (n, s, m, op, false, t))
-  | ILoadFieldBinopJumpFalseI (n, s, m, op, false, t), ITick ->
-      Some (ILoadFieldBinopJumpFalseI (n, s, m, op, true, t))
   | ILoadI i, IIndexI -> Some (ILoadIndexI i)
   | ILoadI i, IBinopII op -> Some (ILoadBinopI (op, i))
-  | ILoadLoadFieldI (x, y, s, m), IBinopII op ->
-      Some (ILoadLoadFieldBinopI (x, y, s, m, op))
   | ILoad n, ILocFieldI (s, m) -> Some (ILoadLocFieldI (n, s, m))
   | ITickLoad n, ILocFieldI (s, m) -> Some (ITickLocFieldI (n, s, m))
   | IThis, ILocFieldI (s, m) -> Some (IThisLocFieldI (s, m))
   | IThis, ICallMethod { m_func; m_argc = 0; m_arrow = _ } ->
       Some (ITickThisCallM (false, m_func))
-  | ITick, IThisXAssignI (0, sd, md, ss, ms, xf, ic) ->
-      Some (IThisXAssignI (1, sd, md, ss, ms, xf, ic))
   | ITickN n, IThisXAssignI (0, sd, md, ss, ms, xf, ic) ->
       Some (IThisXAssignI (n, sd, md, ss, ms, xf, ic))
   | ITickThisCallM (tk, f), IBinopConstCastStoreI (op, v, ty, i) ->
@@ -922,27 +831,14 @@ let fuse (prev : instr) (i : instr) : instr option =
            | Ast.Not -> if k = 0 then 1 else 0
            | Ast.BitNot -> lnot k
            | Ast.UPlus -> k))
-  | IJumpLocTFCmpFalseI (op, x, s, m, false, t), ITick ->
-      Some (IJumpLocTFCmpFalseI (op, x, s, m, true, t))
-  (* a comparison already leaves exactly 0/1 on the int stack, so the
-     [&&]/[||] rhs normalization to bool is the identity on it *)
-  | IBinopII op, IToBoolI when is_cmp op -> Some (IBinopII op)
-  | IBinopConstI (op, k), IToBoolI when is_cmp op -> Some (IBinopConstI (op, k))
-  | ILoadBinopConstI (n, op, k), IToBoolI when is_cmp op ->
-      Some (ILoadBinopConstI (n, op, k))
-  | ILoadFieldBCI (n, s, m, op, k), IToBoolI when is_cmp op ->
-      Some (ILoadFieldBCI (n, s, m, op, k))
-  | ILoadBinopI (op, i), IToBoolI when is_cmp op -> Some (ILoadBinopI (op, i))
-  | ILoadFieldBinopI (n, s, m, op), IToBoolI when is_cmp op ->
-      Some (ILoadFieldBinopI (n, s, m, op))
-  | ILoadLoadFieldBinopI (x, y, s, m, op), IToBoolI when is_cmp op ->
-      Some (ILoadLoadFieldBinopI (x, y, s, m, op))
-  | (IBinopConst2I (_, _, op, _) as p), IToBoolI when is_cmp op -> Some p
-  | (IBinopConst3I (_, _, _, _, op, _) as p), IToBoolI when is_cmp op -> Some p
-  | (ITickLoadBCI (_, op, _) as p), IToBoolI when is_cmp op -> Some p
-  | IToBoolI, IToBoolI -> Some IToBoolI
-  | IUnaryI Ast.Not, IToBoolI -> Some (IUnaryI Ast.Not)
   | _ -> None
+
+(* The member initializers of a fused constructor-prologue run. *)
+let finits = function
+  | IInitFieldLI (s, m, c, i) -> [| FInitL (s, m, c, i) |]
+  | IInitFieldConstI (s, m, c, k) -> [| FInitC (s, m, c, k) |]
+  | IInitFieldsI a -> a
+  | _ -> [||]
 
 (* The cascade table: after [fuse] lands a combined instruction, try
    fusing it with *its* predecessor. Only forms whose consumed halves
@@ -951,18 +847,12 @@ let fuse (prev : instr) (i : instr) : instr option =
    recorded patch positions stay valid when the frontier shrinks. *)
 let fuse2 (prev : instr) (f : instr) : instr option =
   match (prev, f) with
-  | ILoadField (n, s, m), IBinopConst (op, v) ->
-      Some (ILoadFieldBC (n, s, m, op, v))
-  | IBinop op, IAssignPop ty -> Some (IBinopAssignPop (op, ty))
   | ITick, IThisField (s, m) -> Some (ITickThisField (s, m))
   | ITick, ITickThisCallM (false, f) -> Some (ITickThisCallM (true, f))
   | ILoadIB a, ILoadIB c -> Some (ILoadIBn [| a; c |])
   | ILoadIBn a, ILoadIB c -> Some (ILoadIBn (Array.append a [| c |]))
-  | ILoad i, ILoadField (j, s, m) -> Some (ILoadLoadField (i, j, s, m))
   | ILocField (s1, m1), ILoadField (j, s2, m2) ->
       Some (ILocFieldLoadField (s1, m1, j, s2, m2))
-  | IStoreLocalPopT (i, ty), ILoadField (j, s, m) ->
-      Some (IStoreTLoadField (i, ty, j, s, m))
   (* -- typed mirrors ---------------------------------------------------- *)
   | ILoadI n, IBinopConstI (op, k) -> Some (ILoadBinopConstI (n, op, k))
   | ILoadFieldI (n, s, m), IBinopConstI (op, k) ->
@@ -978,49 +868,30 @@ let fuse2 (prev : instr) (f : instr) : instr option =
       Some (ITickLoadFieldIndexI (a, s, m, i))
   | ITickLoadFieldIndexI (a, s, m, i), IStoreLocalPopT (x, ty) ->
       Some (ITLFIndexIStoreT (a, s, m, i, x, ty))
-  | IConstI k, ILoadFieldBinopI (j, s, m, op) when commutes op ->
-      Some (ILoadFieldBCI (j, s, m, op, k))
-  | ILoadI i, IAssignFieldIPop ic -> Some (IAssignFieldLIPop (ic, i))
-  | ILoadFieldI (j, s, m), IAssignFieldIPop ic ->
-      Some (IAssignFieldLFIPop (ic, j, s, m))
-  | ILoadLocFieldI (n, s, m), IAssignFieldLIPop (ic, i) ->
-      Some (IFieldStoreLI (false, ic, n, s, m, i))
   | ITickLocFieldI (n, s, m), IAssignFieldLIPop (ic, i) ->
-      Some (IFieldStoreLI (true, ic, n, s, m, i))
+      Some (ITickFieldStoreLI (ic, n, s, m, i))
   | ILoadLocFieldI (a, s1, m1), IAssignFieldLFIPop (ic, j, s2, m2) ->
-      Some (IFieldCopyII (false, ic, a, s1, m1, j, s2, m2))
-  | ITickLocFieldI (a, s1, m1), IAssignFieldLFIPop (ic, j, s2, m2) ->
-      Some (IFieldCopyII (true, ic, a, s1, m1, j, s2, m2))
+      Some (IFieldCopyII (ic, a, s1, m1, j, s2, m2))
   | IBinopConstI (o1, k1), IBinopConstI (o2, k2) ->
       Some (IBinopConst2I (o1, k1, o2, k2))
   | IBinopConst2I (o1, k1, o2, k2), IBinopConstI (o3, k3) ->
       Some (IBinopConst3I (o1, k1, o2, k2, o3, k3))
   | ITickLoadI n, IBinopConstI (op, k) -> Some (ITickLoadBCI (n, op, k))
   (* constructor-prologue init runs: [IInitFieldLI]/[IInitFieldConstI]
-     only ever appear via fusion, so the chain rules live here (the
+     only ever appear via fusion, so the chain rule lives here (the
      [settle] cascade) rather than in the pairwise table *)
-  | IInitFieldLI (s1, m1, c1, i1), IInitFieldLI (s2, m2, c2, i2) ->
-      Some (IInitFieldsI [| FInitL (s1, m1, c1, i1); FInitL (s2, m2, c2, i2) |])
-  | IInitFieldLI (s1, m1, c1, i1), IInitFieldConstI (s2, m2, c2, k2) ->
-      Some (IInitFieldsI [| FInitL (s1, m1, c1, i1); FInitC (s2, m2, c2, k2) |])
-  | IInitFieldConstI (s1, m1, c1, k1), IInitFieldLI (s2, m2, c2, i2) ->
-      Some (IInitFieldsI [| FInitC (s1, m1, c1, k1); FInitL (s2, m2, c2, i2) |])
-  | IInitFieldConstI (s1, m1, c1, k1), IInitFieldConstI (s2, m2, c2, k2) ->
-      Some (IInitFieldsI [| FInitC (s1, m1, c1, k1); FInitC (s2, m2, c2, k2) |])
-  | IInitFieldsI a, IInitFieldLI (s, m, c, i) ->
-      Some (IInitFieldsI (Array.append a [| FInitL (s, m, c, i) |]))
-  | IInitFieldsI a, IInitFieldConstI (s, m, c, k) ->
-      Some (IInitFieldsI (Array.append a [| FInitC (s, m, c, k) |]))
+  | ( (IInitFieldLI _ | IInitFieldConstI _ | IInitFieldsI _),
+      (IInitFieldLI _ | IInitFieldConstI _) ) ->
+      Some (IInitFieldsI (Array.append (finits prev) (finits f)))
   | ( ITLFIndexIStoreT (a, s, m, i, x, ty),
-      IFieldCopyII (false, ic, a2, s1, m1, j, s2, m2) ) ->
+      IFieldCopyII (ic, a2, s1, m1, j, s2, m2) ) ->
       Some (ITLFIStoreFieldCopyII ((a, s, m, i, x, ty), (ic, a2, s1, m1, j, s2, m2)))
   | ( ITLFIndexIStoreT (a, s0, m0, i0, x0, ty0),
-      IJumpLocFieldBCFalseI (false, n, s, m, op, k, ta, t) ) ->
+      IJumpLocFieldBCFalseI (false, n, s, m, op, k, t) ) ->
       (* the indexed-load statement supplies the guard's leading tick
          itself (its trailing tick), so only the tickless form fuses *)
       Some
-        (ITLFIndexIStoreJumpFBCI
-           ((a, s0, m0, i0, x0, ty0), (n, s, m, op, k), ta, t))
+        (ITLFIndexIStoreJumpFBCI ((a, s0, m0, i0, x0, ty0), (n, s, m, op, k), t))
   | _ -> None
 
 let emit (b : buf) (i : instr) =
@@ -1061,7 +932,7 @@ let emit_patch b i =
   b.len - 1
 
 (* Collapse a settled [this->arr[ix]->f = rhs] statement tail into one
-   [IThisIdxFieldStoreI] dispatch. Runs right after the statement's
+   [ITickThisIdxFieldStoreI] dispatch. Runs right after the statement's
    final store lands (and its pairwise fusions settle), so the tail
    shapes below are exactly what the disassembly shows for the hot
    dependency-edge stores. Every matched run is stack-neutral, so
@@ -1071,26 +942,12 @@ let fuse_this_idx_store b =
   let n = b.len in
   if n >= 4 && b.lastlab < n - 3 then
     match (b.code.(n - 4), b.code.(n - 3), b.code.(n - 2), b.code.(n - 1)) with
-    | ( (ITickThisField (s1, m1) | IThisField (s1, m1)),
+    | ( ITickThisField (s1, m1),
         ILoadIndexI i,
         ILocFieldI (s2, m2),
         IAssignFieldCIPop (ic, k) ) ->
-        let tk =
-          match b.code.(n - 4) with ITickThisField _ -> true | _ -> false
-        in
         b.len <- n - 4;
-        emit b
-          (IThisIdxFieldStoreI (tk, s1, m1, IxLocal i, s2, m2, ic, RConst k))
-    | ( (ITickThisField (s1, m1) | IThisField (s1, m1)),
-        ILoadIndexI i,
-        ILocFieldI (s2, m2),
-        IAssignFieldLIPop (ic, j) ) ->
-        let tk =
-          match b.code.(n - 4) with ITickThisField _ -> true | _ -> false
-        in
-        b.len <- n - 4;
-        emit b
-          (IThisIdxFieldStoreI (tk, s1, m1, IxLocal i, s2, m2, ic, RLocal j))
+        emit b (ITickThisIdxFieldStoreI (s1, m1, IxLocal i, s2, m2, ic, RConst k))
     | _ ->
         if n >= 5 && b.lastlab < n - 4 then
           match
@@ -1107,17 +964,8 @@ let fuse_this_idx_store b =
               IAssignFieldLIPop (ic, i) ) ->
               b.len <- n - 5;
               emit b
-                (IThisIdxFieldStoreI
-                   (true, s1, m1, IxLocField (j, s2, m2), s3, m3, ic, RLocal i))
-          | ( ITickThisField (s1, m1),
-              ILoadFieldI (j, s2, m2),
-              IIndexI,
-              ILocFieldI (s3, m3),
-              IAssignFieldCIPop (ic, k) ) ->
-              b.len <- n - 5;
-              emit b
-                (IThisIdxFieldStoreI
-                   (true, s1, m1, IxLocField (j, s2, m2), s3, m3, ic, RConst k))
+                (ITickThisIdxFieldStoreI
+                   (s1, m1, IxLocField (j, s2, m2), s3, m3, ic, RLocal i))
           | _ ->
               if n >= 9 && b.lastlab < n - 8 then
                 match
@@ -1142,9 +990,8 @@ let fuse_this_idx_store b =
                     IAssignFieldIPop ic ) ->
                     b.len <- n - 9;
                     emit b
-                      (IThisIdxFieldStoreI
-                         ( true,
-                           s1,
+                      (ITickThisIdxFieldStoreI
+                         ( s1,
                            m1,
                            IxLocField (j, s2, m2),
                            s3,
@@ -1273,73 +1120,87 @@ let here b =
   b.lastlab <- b.len;
   b.len
 
-let patch_to (b : buf) (t : int) (i : int) =
-  b.code.(i) <-
-    (match b.code.(i) with
-    | IJump _ -> IJump t
-    | IJumpIfFalse _ -> IJumpIfFalse t
-    | IJumpIfFalseT _ -> IJumpIfFalseT t
-    | IJumpIfTrue _ -> IJumpIfTrue t
-    | IJumpCmpFalse (op, _) -> IJumpCmpFalse (op, t)
-    | IJumpCmpFalseT (op, _) -> IJumpCmpFalseT (op, t)
-    | IJumpCmpConstFalse (op, v, _) -> IJumpCmpConstFalse (op, v, t)
-    | IJumpCmpConstFalseT (op, v, _) -> IJumpCmpConstFalseT (op, v, t)
-    | IJumpLocCmpConstFalse (n, op, v, _) -> IJumpLocCmpConstFalse (n, op, v, t)
-    | IJumpLocCmpConstFalseT (n, op, v, _) ->
-        IJumpLocCmpConstFalseT (n, op, v, t)
-    | IJumpLocCmpFalse (op, n, _) -> IJumpLocCmpFalse (op, n, t)
-    | IJumpLocCmpFalseT (op, n, _) -> IJumpLocCmpFalseT (op, n, t)
-    | IStoreLocalPopJump (n, ty, _) -> IStoreLocalPopJump (n, ty, t)
-    | ITickLoadFieldStoreJump (i, s, m, j, ty, _) ->
-        ITickLoadFieldStoreJump (i, s, m, j, ty, t)
-    | IAndFalse _ -> IAndFalse t
-    | ITickLoadFieldCmpLocFalse (n, s, m, op, y, _) ->
-        ITickLoadFieldCmpLocFalse (n, s, m, op, y, t)
-    | ITickLoadFieldCmpLocFalseT (n, s, m, op, y, _) ->
-        ITickLoadFieldCmpLocFalseT (n, s, m, op, y, t)
-    | IBinopConstAndFalse (op, v, _) -> IBinopConstAndFalse (op, v, t)
-    | ILoadFieldBCAndFalse (n, s, m, op, v, _) ->
-        ILoadFieldBCAndFalse (n, s, m, op, v, t)
-    | IOrTrue _ -> IOrTrue t
-    (* typed branch forms *)
-    | IJumpIfFalseI (tk, _) -> IJumpIfFalseI (tk, t)
-    | IJumpIfTrueI _ -> IJumpIfTrueI t
-    | IAndFalseI _ -> IAndFalseI t
-    | IOrTrueI _ -> IOrTrueI t
-    | IJumpCmpFalseI (op, tk, _) -> IJumpCmpFalseI (op, tk, t)
-    | IJumpCmpConstFalseI (op, k, tk, _) -> IJumpCmpConstFalseI (op, k, tk, t)
-    | IJumpLocCmpConstFalseI (n, op, k, tk, _) ->
-        IJumpLocCmpConstFalseI (n, op, k, tk, t)
-    | IJumpLocCmpFalseI (op, n, tk, _) -> IJumpLocCmpFalseI (op, n, tk, t)
-    | IJumpLoc2CmpFalseI (op, x, y, tk, _) ->
-        IJumpLoc2CmpFalseI (op, x, y, tk, t)
-    | IJumpLocFCmpFalseI (i, j, s, m, op, tk, _) ->
-        IJumpLocFCmpFalseI (i, j, s, m, op, tk, t)
-    | IJumpBCCmpFalseI (o1, k, o2, tk, _) -> IJumpBCCmpFalseI (o1, k, o2, tk, t)
-    | IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, tk, _) ->
-        IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, tk, t)
-    | IBinopConstAndFalseI (op, k, _) -> IBinopConstAndFalseI (op, k, t)
-    | IJumpLocTFCmpFalseI (op, x, s, m, tk, _) ->
-        IJumpLocTFCmpFalseI (op, x, s, m, tk, t)
-    | IJumpLocFieldBCFalseI (tp, n, s, m, op, k, ta, _) ->
-        IJumpLocFieldBCFalseI (tp, n, s, m, op, k, ta, t)
-    | ITLFIndexIStoreJumpFBCI (st, br, ta, _) ->
-        ITLFIndexIStoreJumpFBCI (st, br, ta, t)
-    | IJumpThisFieldBCFalseI (tp, s, m, op, k, ta, _) ->
-        IJumpThisFieldBCFalseI (tp, s, m, op, k, ta, t)
-    | ITickLoadFieldCmpLocFalseI (n, s, m, op, y, tk, _) ->
-        ITickLoadFieldCmpLocFalseI (n, s, m, op, y, tk, t)
-    | ILoadFieldBinopJumpFalseI (n, s, m, op, tk, _) ->
-        ILoadFieldBinopJumpFalseI (n, s, m, op, tk, t)
-    | IStoreLocalPopJumpI (ic, n, _) -> IStoreLocalPopJumpI (ic, n, t)
-    | IIncDecLocalJumpI (w, n, _) -> IIncDecLocalJumpI (w, n, t)
-    | _ -> assert false)
+(* The branch forms, listed once: [retarget f i] is [i] with its
+   branch target [t] replaced by [f t], or [i] itself when it carries
+   none. [patch_to] and [branch_target] are both read off this table,
+   so no branch form can be patchable but invisible to loop detection,
+   or the other way round. [ILoopScan]'s back edge is internal. *)
+let retarget f (i : instr) : instr =
+  match i with
+  | IJump t -> IJump (f t)
+  | IJumpIfFalse t -> IJumpIfFalse (f t)
+  | IJumpIfTrue t -> IJumpIfTrue (f t)
+  | IAndFalse t -> IAndFalse (f t)
+  | IOrTrue t -> IOrTrue (f t)
+  | IJumpCmpFalse (op, t) -> IJumpCmpFalse (op, f t)
+  | IJumpCmpConstFalse (op, v, t) -> IJumpCmpConstFalse (op, v, f t)
+  | IJumpCmpConstFalseT (op, v, t) -> IJumpCmpConstFalseT (op, v, f t)
+  | IJumpLocCmpConstFalse (n, op, v, t) -> IJumpLocCmpConstFalse (n, op, v, f t)
+  | IJumpLocCmpConstFalseT (n, op, v, t) ->
+      IJumpLocCmpConstFalseT (n, op, v, f t)
+  | IJumpLocCmpFalse (op, n, t) -> IJumpLocCmpFalse (op, n, f t)
+  | IStoreLocalPopJump (n, ty, t) -> IStoreLocalPopJump (n, ty, f t)
+  | ITickLoadFieldStoreJump (i, s, m, j, ty, t) ->
+      ITickLoadFieldStoreJump (i, s, m, j, ty, f t)
+  | ITickLoadFieldCmpLocFalse (n, s, m, op, y, t) ->
+      ITickLoadFieldCmpLocFalse (n, s, m, op, y, f t)
+  | ITickLoadFieldCmpLocFalseT (n, s, m, op, y, t) ->
+      ITickLoadFieldCmpLocFalseT (n, s, m, op, y, f t)
+  | IScanStep (j, s, m, op, n, a, s2, m2, d, ty, t) ->
+      IScanStep (j, s, m, op, n, a, s2, m2, d, ty, f t)
+  (* typed branch forms *)
+  | IJumpIfFalseI (tk, t) -> IJumpIfFalseI (tk, f t)
+  | IJumpIfTrueI t -> IJumpIfTrueI (f t)
+  | IAndFalseI t -> IAndFalseI (f t)
+  | IOrTrueI t -> IOrTrueI (f t)
+  | IJumpCmpFalseI (op, t) -> IJumpCmpFalseI (op, f t)
+  | IJumpCmpConstFalseI (op, k, tk, t) -> IJumpCmpConstFalseI (op, k, tk, f t)
+  | IJumpLocCmpConstFalseI (n, op, k, tk, t) ->
+      IJumpLocCmpConstFalseI (n, op, k, tk, f t)
+  | IJumpLocCmpFalseI (op, n, tk, t) -> IJumpLocCmpFalseI (op, n, tk, f t)
+  | IJumpLoc2CmpFalseI (op, x, y, tk, t) ->
+      IJumpLoc2CmpFalseI (op, x, y, tk, f t)
+  | IJumpLocFCmpFalseI (i, j, s, m, op, tk, t) ->
+      IJumpLocFCmpFalseI (i, j, s, m, op, tk, f t)
+  | IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, tk, t) ->
+      IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, tk, f t)
+  | IJumpLocTFCmpFalseI (op, x, s, m, t) ->
+      IJumpLocTFCmpFalseI (op, x, s, m, f t)
+  | IJumpLocFieldBCFalseI (tp, n, s, m, op, k, t) ->
+      IJumpLocFieldBCFalseI (tp, n, s, m, op, k, f t)
+  | IJumpThisFieldBCFalseI (tp, s, m, op, k, ta, t) ->
+      IJumpThisFieldBCFalseI (tp, s, m, op, k, ta, f t)
+  | ITLFIndexIStoreJumpFBCI (st, br, t) -> ITLFIndexIStoreJumpFBCI (st, br, f t)
+  | ITickLoadFieldCmpLocFalseI (n, s, m, op, y, tk, t) ->
+      ITickLoadFieldCmpLocFalseI (n, s, m, op, y, tk, f t)
+  | IIncDecLocalJumpI (w, n, t) -> IIncDecLocalJumpI (w, n, f t)
+  | IScanStepI (j, s, m, op, n, a, s2, m2, d, ty, t) ->
+      IScanStepI (j, s, m, op, n, a, s2, m2, d, ty, f t)
+  | IIncDecJumpLocFCmpI (w, n, g, t) -> IIncDecJumpLocFCmpI (w, n, g, f t)
+  | IIncDecJumpLL2FBCI (w, n, g, t) -> IIncDecJumpLL2FBCI (w, n, g, f t)
+  | _ -> i
+
+(* The branch target carried by an instruction, if any. *)
+let branch_target (i : instr) : int option =
+  let r = ref None in
+  ignore (retarget (fun t -> r := Some t; t) i);
+  !r
+
+(* Aim the branches at the given patch sites at [t]. *)
+let patch_to (b : buf) (t : int) sites =
+  let f _ = t in
+  List.iter
+    (fun i ->
+      let ins = b.code.(i) in
+      let ins' = retarget f ins in
+      assert (ins' != ins);
+      b.code.(i) <- ins')
+    sites
 
 (* Land the given patch sites on the frontier. *)
 let land_patches b sites =
   if sites <> [] then begin
-    let t = b.len in
-    List.iter (patch_to b t) sites;
+    patch_to b b.len sites;
     b.lastlab <- b.len
   end
 
@@ -1389,22 +1250,11 @@ let emit_branch_false_i b =
   if b.len > 0 && b.lastlab <> b.len then
     match b.code.(b.len - 1) with
     | IBinopII op when is_cmp op -> (
+        (* [ILoadI; IBinopII] has already fused into [ILoadBinopI]
+           (below) wherever a branch could fold it *)
         match
           if b.lastlab < b.len - 1 then b.code.(b.len - 2) else IReturnUnit
         with
-        | ILoadI y
-          when b.len >= 3 && b.lastlab < b.len - 2
-               && (match b.code.(b.len - 3) with ILoadI _ -> true | _ -> false)
-          ->
-            let x =
-              match b.code.(b.len - 3) with ILoadI x -> x | _ -> assert false
-            in
-            b.len <- b.len - 3;
-            b.iod <- b.iod - 1;
-            emit_patch b (IJumpLoc2CmpFalseI (op, x, y, false, -1))
-        | ILoadI y ->
-            b.len <- b.len - 2;
-            emit_patch b (IJumpLocCmpFalseI (op, y, false, -1))
         | ILoadLoadFieldI (x, y, s, m) ->
             b.len <- b.len - 1;
             b.iod <- b.iod - 1;
@@ -1424,13 +1274,8 @@ let emit_branch_false_i b =
                   IJumpLL2FBCCmpFalseI (x, y, s, m, op1, k, op, false, -1);
                 b.len - 1
             | _ -> assert false)
-        | IBinopConstI (op1, k) ->
-            b.len <- b.len - 1;
-            b.iod <- b.iod - 1;
-            b.code.(b.len - 1) <- IJumpBCCmpFalseI (op1, k, op, false, -1);
-            b.len - 1
         | _ ->
-            b.code.(b.len - 1) <- IJumpCmpFalseI (op, false, -1);
+            b.code.(b.len - 1) <- IJumpCmpFalseI (op, -1);
             b.iod <- b.iod - 1;
             b.len - 1)
     | ILoadBinopConstI (n, op, k) when is_cmp op ->
@@ -1438,37 +1283,16 @@ let emit_branch_false_i b =
         b.iod <- b.iod - 1;
         b.len - 1
     | IBinopConstI (op, k) when is_cmp op -> (
+        (* [ILoadI]/[ILoadFieldI] operands have already fused into
+           [ILoadBinopConstI]/[ILoadFieldBCI] *)
         match
           if b.len >= 2 && b.lastlab < b.len - 1 then b.code.(b.len - 2)
           else IReturnUnit
         with
-        | ILoadI n ->
-            b.len <- b.len - 2;
-            b.iod <- b.iod - 1;
-            emit_patch b (IJumpLocCmpConstFalseI (n, op, k, false, -1))
-        | ILoadFieldI (n, s, m) -> (
-            (* a preceding indexed-load statement fuses in too: the
-               list-walk loops test a member of the object the previous
-               statement just fetched *)
-            match
-              if b.len >= 3 && b.lastlab < b.len - 2 then b.code.(b.len - 3)
-              else IReturnUnit
-            with
-            | ITLFIndexIStoreT (a, s0, m0, i0, x0, ty0) ->
-                b.len <- b.len - 3;
-                b.iod <- b.iod - 1;
-                emit_patch b
-                  (ITLFIndexIStoreJumpFBCI
-                     ((a, s0, m0, i0, x0, ty0), (n, s, m, op, k), false, -1))
-            | _ ->
-                b.len <- b.len - 2;
-                b.iod <- b.iod - 1;
-                emit_patch b
-                  (IJumpLocFieldBCFalseI (false, n, s, m, op, k, false, -1)))
         | ITickLoadFieldI (n, s, m) ->
             b.len <- b.len - 2;
             b.iod <- b.iod - 1;
-            emit_patch b (IJumpLocFieldBCFalseI (true, n, s, m, op, k, false, -1))
+            emit_patch b (IJumpLocFieldBCFalseI (true, n, s, m, op, k, -1))
         | IThisFieldI (s, m) ->
             b.len <- b.len - 2;
             b.iod <- b.iod - 1;
@@ -1497,10 +1321,6 @@ let emit_branch_false_i b =
                [ITickLoadFieldCmpLocFalseI] *)
             b.len <- b.len - 1;
             emit_patch b (IJumpLocCmpFalseI (op, y, false, -1)))
-    | ILoadLoadFieldBinopI (x, y, s, m, op) when is_cmp op ->
-        b.code.(b.len - 1) <- IJumpLocFCmpFalseI (x, y, s, m, op, false, -1);
-        b.iod <- b.iod - 1;
-        b.len - 1
     | IThisFieldBinopI (s, m, op)
       when is_cmp op && b.len >= 2
            && b.lastlab < b.len - 1
@@ -1511,7 +1331,7 @@ let emit_branch_false_i b =
         in
         b.len <- b.len - 2;
         b.iod <- b.iod - 1;
-        emit_patch b (IJumpLocTFCmpFalseI (op, x, s, m, false, -1))
+        emit_patch b (IJumpLocTFCmpFalseI (op, x, s, m, -1))
     | _ -> emit_patch b (IJumpIfFalseI (false, -1))
   else emit_patch b (IJumpIfFalseI (false, -1))
 
@@ -1760,8 +1580,9 @@ and compile_assign b (lhs : rlval) rhs ty ~keep : shape =
       match compile_expr b rhs with
       | SInt ->
           let ic = ic_of_ty ty in
-          (* [this->dst = xform(this->src)]: fold the whole statement
-             into one dispatch (the PRNG-step shape in hot loops) *)
+          (* [this->dst = this->src op k op k op k]: fold the whole
+             statement into one dispatch (the PRNG-step shape in hot
+             loops) *)
           let fused =
             (not keep) && b.len >= 3
             && b.lastlab < b.len - 2
@@ -1777,13 +1598,7 @@ and compile_assign b (lhs : rlval) rhs ty ~keep : shape =
                 b.iod <- b.iod - 2;
                 emit b
                   (IThisXAssignI
-                     (0, sd, md, ss, ms, XBc3 (o1, k1, o2, k2, o3, k3), ic));
-                true
-            | IThisLocFieldI (sd, md), IThisFieldI (ss, ms), IUnaryI op ->
-                b.len <- b.len - 3;
-                b.od <- b.od - 1;
-                b.iod <- b.iod - 2;
-                emit b (IThisXAssignI (0, sd, md, ss, ms, XUn op, ic));
+                     (0, sd, md, ss, ms, (o1, k1, o2, k2, o3, k3), ic));
                 true
             | _ -> false
           in
@@ -2040,7 +1855,7 @@ and compile_stmt b (lc : loopctx option) (s : rstmt) =
       let lc' = { brk = []; cont = []; base = b.sdepth } in
       compile_stmt b (Some lc') body;
       emit b (IJump top);
-      List.iter (patch_to b top) lc'.cont;  (* continue re-tests the condition *)
+      patch_to b top lc'.cont;  (* continue re-tests the condition *)
       land_patches b (jend @ lc'.brk)
   | RSDoWhile (body, c) ->
       let top = here b in
@@ -3212,10 +3027,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         | Some o -> ost.(sp) <- o.fields.cells.(field_slot o slots m)
         | None -> runtime_error "'this' outside a method");
         loop (pc + 1) (sp + 1) isp
-    | ILoadLocField (i, slots, m) ->
-        let o = as_obj (Array.get locals i) in
-        ost.(sp) <- VPtr (PArr (o.fields, field_slot o slots m));
-        loop (pc + 1) (sp + 1) isp
     | IBinopConst (op, v) ->
         ost.(sp - 1) <- binop op ost.(sp - 1) v;
         loop (pc + 1) sp isp
@@ -3223,10 +3034,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let s = vm.steps + n in
         if s > vm.next_stop then slow_tick_n vm s;
         vm.steps <- s;
-        loop (pc + 1) sp isp
-    | ITickPushScope slots ->
-        tick vm;
-        scopes := slots :: !scopes;
         loop (pc + 1) sp isp
     | IAssignPop ty ->
         let v = coerce ty ost.(sp - 1) in
@@ -3239,18 +3046,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | IStoreLocalPopJump (i, ty, t) ->
         Array.set locals i (coerce ty ost.(sp - 1));
         loop t (sp - 1) isp
-    | IJumpIfFalseT t ->
-        if truthy ost.(sp - 1) then begin
-          tick vm;
-          loop (pc + 1) (sp - 1) isp
-        end
-        else loop t (sp - 1) isp
-    | IJumpCmpFalseT (op, t) ->
-        if cmp_test op ost.(sp - 2) ost.(sp - 1) then begin
-          tick vm;
-          loop (pc + 1) (sp - 2) isp
-        end
-        else loop t (sp - 2) isp
     | IJumpCmpConstFalse (op, v, t) ->
         if cmp_test op ost.(sp - 1) v then loop (pc + 1) (sp - 1) isp
         else loop t (sp - 1) isp
@@ -3273,12 +3068,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         if cmp_test op ost.(sp - 1) (Array.get locals i) then
           loop (pc + 1) (sp - 1) isp
         else loop t (sp - 1) isp
-    | IJumpLocCmpFalseT (op, i, t) ->
-        if cmp_test op ost.(sp - 1) (Array.get locals i) then begin
-          tick vm;
-          loop (pc + 1) (sp - 1) isp
-        end
-        else loop t (sp - 1) isp
     | ITickLoadFieldStore (i, slots, m, j, ty) ->
         tick vm;
         let o = as_obj (Array.get locals i) in
@@ -3289,37 +3078,18 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let o = as_obj (Array.get locals i) in
         Array.set locals j (coerce ty o.fields.cells.(field_slot o slots m));
         loop t sp isp
-    | ILoadFieldBC (i, slots, m, op, v) ->
-        let o = as_obj (Array.get locals i) in
-        ost.(sp) <- binop op o.fields.cells.(field_slot o slots m) v;
-        loop (pc + 1) (sp + 1) isp
-    | IBinopAssignPop (op, ty) ->
-        let v = coerce ty (binop op ost.(sp - 2) ost.(sp - 1)) in
-        loc_write ost.(sp - 3) v;
-        loop (pc + 1) (sp - 3) isp
     | ITickThisField (slots, m) ->
         tick vm;
         (match frame.this with
         | Some o -> ost.(sp) <- o.fields.cells.(field_slot o slots m)
         | None -> runtime_error "'this' outside a method");
         loop (pc + 1) (sp + 1) isp
-    | ILoadLoadField (i, j, slots, m) ->
-        ost.(sp) <- Array.get locals i;
-        let o = as_obj (Array.get locals j) in
-        ost.(sp + 1) <- o.fields.cells.(field_slot o slots m);
-        loop (pc + 1) (sp + 2) isp
     | ILocFieldLoadField (s1, m1, j, s2, m2) ->
         let o = as_obj ost.(sp - 1) in
         ost.(sp - 1) <- VPtr (PArr (o.fields, field_slot o s1 m1));
         let o2 = as_obj (Array.get locals j) in
         ost.(sp) <- o2.fields.cells.(field_slot o2 s2 m2);
         loop (pc + 1) (sp + 1) isp
-    | IStoreTLoadField (i, ty, j, slots, m) ->
-        Array.set locals i (coerce ty ost.(sp - 1));
-        tick vm;
-        let o = as_obj (Array.get locals j) in
-        ost.(sp - 1) <- o.fields.cells.(field_slot o slots m);
-        loop (pc + 1) sp isp
     | ITickLoadFieldCmpLocFalse (j, slots, m, op, n, t) ->
         tick vm;
         let o = as_obj (Array.get locals j) in
@@ -3335,24 +3105,10 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
           loop (pc + 1) sp isp
         end
         else loop t sp isp
-    | IBinopConstAndFalse (op, v, t) ->
-        if truthy (binop op ost.(sp - 1) v) then loop (pc + 1) (sp - 1) isp
-        else begin
-          ost.(sp - 1) <- VInt 0;
-          loop t sp isp
-        end
     | IBinop2 (op1, op2) ->
         ost.(sp - 3) <-
           binop op2 ost.(sp - 3) (binop op1 ost.(sp - 2) ost.(sp - 1));
         loop (pc + 1) (sp - 2) isp
-    | ILoadFieldBCAndFalse (i, slots, m, op, v, t) ->
-        let o = as_obj (Array.get locals i) in
-        if truthy (binop op o.fields.cells.(field_slot o slots m) v) then
-          loop (pc + 1) sp isp
-        else begin
-          ost.(sp) <- VInt 0;
-          loop t (sp + 1) isp
-        end
     | IScanStep (j, slots, m, op, n, a, s2, m2, bdst, ty, tback) ->
         tick vm;
         let o = as_obj (Array.get locals j) in
@@ -3593,11 +3349,8 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
           loop t sp isp
         end
         else loop (pc + 1) sp (isp - 1)
-    | IJumpCmpFalseI (op, tk, t) ->
-        if icmp op ist.(isp - 2) ist.(isp - 1) then begin
-          if tk then tick vm;
-          loop (pc + 1) sp (isp - 2)
-        end
+    | IJumpCmpFalseI (op, t) ->
+        if icmp op ist.(isp - 2) ist.(isp - 1) then loop (pc + 1) sp (isp - 2)
         else loop t sp (isp - 2)
     | IJumpCmpConstFalseI (op, k, tk, t) ->
         if icmp op ist.(isp - 1) k then begin
@@ -3632,13 +3385,11 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
           loop (pc + 1) sp isp
         end
         else loop t sp isp
-    | IJumpLocFieldBCFalseI (tp, n, slots, m, op, k, ta, t) ->
+    | IJumpLocFieldBCFalseI (tp, n, slots, m, op, k, t) ->
         if tp then tick vm;
         let o = as_obj (Array.get locals n) in
-        if ibinop_i op o.ifields.(field_slot o slots m) k <> 0 then begin
-          if ta then tick vm;
+        if ibinop_i op o.ifields.(field_slot o slots m) k <> 0 then
           loop (pc + 1) sp isp
-        end
         else loop t sp isp
     | IJumpThisFieldBCFalseI (tp, slots, m, op, k, ta, t) -> (
         if tp then tick vm;
@@ -3712,19 +3463,10 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
               ibinop_i op ist.(isp - 1) o.ifields.(field_slot o slots m)
         | None -> runtime_error "'this' outside a method");
         loop (pc + 1) sp isp
-    | IBinopConstAndFalseI (op, k, t) ->
-        if ibinop_i op ist.(isp - 1) k <> 0 then loop (pc + 1) sp (isp - 1)
-        else begin
-          ist.(isp - 1) <- 0;
-          loop t sp isp
-        end
     | IStoreLocalPopTI (ic, i) ->
         Array.unsafe_set ilocals i (apply_ic ic ist.(isp - 1));
         tick vm;
         loop (pc + 1) sp (isp - 1)
-    | IStoreLocalPopJumpI (ic, i, t) ->
-        Array.unsafe_set ilocals i (apply_ic ic ist.(isp - 1));
-        loop t sp (isp - 1)
     | IIncDecLocalJumpI (which, i, t) ->
         Array.unsafe_set ilocals i
           (Array.unsafe_get ilocals i + incdec_delta which);
@@ -3746,21 +3488,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
           loop (pc + 1) sp isp
         end
         else loop t sp isp
-    | ILoadFieldBinopJumpFalseI (i, slots, m, op, tk, t) ->
-        let o = as_obj (Array.get locals i) in
-        if ibinop_i op ist.(isp - 1) o.ifields.(field_slot o slots m) <> 0
-        then begin
-          if tk then tick vm;
-          loop (pc + 1) sp (isp - 1)
-        end
-        else loop t sp (isp - 1)
-    | IJumpBCCmpFalseI (op1, k, op2, tk, t) ->
-        let rhs = ibinop_i op1 ist.(isp - 1) k in
-        if icmp op2 ist.(isp - 2) rhs then begin
-          if tk then tick vm;
-          loop (pc + 1) sp (isp - 2)
-        end
-        else loop t sp (isp - 2)
     | IJumpLL2FBCCmpFalseI (i, j, slots, m, op1, k, op2, tk, t) ->
         let o = as_obj (Array.get locals j) in
         let rhs = ibinop_i op1 o.ifields.(field_slot o slots m) k in
@@ -3794,11 +3521,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | ILoadBinopI (op, i) ->
         ist.(isp - 1) <- ibinop_i op ist.(isp - 1) (Array.unsafe_get ilocals i);
         loop (pc + 1) sp isp
-    | ILoadLoadFieldBinopI (x, y, slots, m, op) ->
-        let a = Array.unsafe_get ilocals x in
-        let o = as_obj (Array.get locals y) in
-        ist.(isp) <- ibinop_i op a o.ifields.(field_slot o slots m);
-        loop (pc + 1) sp (isp + 1)
     | ILoadLocFieldI (a, slots, m) ->
         let o = as_obj (Array.get locals a) in
         ist.(isp) <- field_slot o slots m;
@@ -3820,14 +3542,13 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let o = as_obj ost.(sp - 1) in
         o.ifields.(ist.(isp - 1)) <- v;
         loop (pc + 1) (sp - 1) (isp - 1)
-    | IFieldStoreLI (tk, ic, n, slots, m, i) ->
-        if tk then tick vm;
+    | ITickFieldStoreLI (ic, n, slots, m, i) ->
+        tick vm;
         let o = as_obj (Array.get locals n) in
         o.ifields.(field_slot o slots m) <-
           apply_ic ic (Array.unsafe_get ilocals i);
         loop (pc + 1) sp isp
-    | IFieldCopyII (tk, ic, a, s1, m1, j, s2, m2) ->
-        if tk then tick vm;
+    | IFieldCopyII (ic, a, s1, m1, j, s2, m2) ->
         let o1 = as_obj (Array.get locals a) in
         let d = field_slot o1 s1 m1 in
         let o2 = as_obj (Array.get locals j) in
@@ -3865,8 +3586,8 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
                 o.ifields.(field_slot o slots m) <- apply_ic ic k)
           inits;
         loop (pc + 1) sp isp
-    | IThisIdxFieldStoreI (tk, s1, m1, ix, s2, m2, ic, rhs) ->
-        if tk then tick vm;
+    | ITickThisIdxFieldStoreI (s1, m1, ix, s2, m2, ic, rhs) ->
+        tick vm;
         (match frame.this with
         | Some o ->
             (* destination resolves fully before the rhs, matching the
@@ -3900,8 +3621,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
             o2.ifields.(d) <- apply_ic ic v
         | None -> runtime_error "'this' outside a method");
         loop (pc + 1) sp isp
-    | ITLFIndexIStoreJumpFBCI ((a, s0, m0, i0, x0, ty0), (n, s, m, op, k), ta, t)
-      ->
+    | ITLFIndexIStoreJumpFBCI ((a, s0, m0, i0, x0, ty0), (n, s, m, op, k), t) ->
         tick vm;
         let o = as_obj (Array.get locals a) in
         let av = o.fields.cells.(field_slot o s0 m0) in
@@ -3909,10 +3629,8 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
           (coerce ty0 (index_read av (Array.unsafe_get ilocals i0)));
         tick vm;
         let o2 = as_obj (Array.get locals n) in
-        if ibinop_i op o2.ifields.(field_slot o2 s m) k <> 0 then begin
-          if ta then tick vm;
+        if ibinop_i op o2.ifields.(field_slot o2 s m) k <> 0 then
           loop (pc + 1) sp isp
-        end
         else loop t sp isp
     | IRpnStoreI (dst, ops, ic) ->
         (* destination resolves first, then the rpn leaves left to
@@ -4062,7 +3780,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         Array.unsafe_set ilocals i (apply_ic ic eo.ifields.(field_slot eo s3 m3));
         if tt then tick vm;
         loop (pc + 1) sp isp
-    | IThisXAssignI (tn, sd, md, ss, ms, xf, ic) ->
+    | IThisXAssignI (tn, sd, md, ss, ms, (o1, k1, o2, k2, o3, k3), ic) ->
         for _ = 1 to tn do
           tick vm
         done;
@@ -4070,17 +3788,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         | Some o ->
             let d = field_slot o sd md in
             let v = o.ifields.(field_slot o ss ms) in
-            let v =
-              match xf with
-              | XBc3 (o1, k1, o2, k2, o3, k3) ->
-                  ibinop_i o3 (ibinop_i o2 (ibinop_i o1 v k1) k2) k3
-              | XUn op -> (
-                  match op with
-                  | Ast.Neg -> -v
-                  | Ast.Not -> if v = 0 then 1 else 0
-                  | Ast.BitNot -> lnot v
-                  | Ast.UPlus -> v)
-            in
+            let v = ibinop_i o3 (ibinop_i o2 (ibinop_i o1 v k1) k2) k3 in
             o.ifields.(d) <- apply_ic ic v
         | None -> runtime_error "'this' outside a method");
         loop (pc + 1) sp isp
@@ -4103,14 +3811,11 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         tick vm;
         ist.(isp) <- ibinop_i op (Array.unsafe_get ilocals n) k;
         loop (pc + 1) sp (isp + 1)
-    | IJumpLocTFCmpFalseI (op, x, slots, m, tk, t) -> (
+    | IJumpLocTFCmpFalseI (op, x, slots, m, t) -> (
         match frame.this with
         | Some o ->
             if icmp op (Array.unsafe_get ilocals x) o.ifields.(field_slot o slots m)
-            then begin
-              if tk then tick vm;
-              loop (pc + 1) sp isp
-            end
+            then loop (pc + 1) sp isp
             else loop t sp isp
         | None -> runtime_error "'this' outside a method")
     | IScanStepI (j, slots, m, op, n, a, s2, m2, bdst, ty, tback) ->
@@ -4281,36 +3986,25 @@ let mnemonic (i : instr) : string =
   | ITickLoad _ -> "ITickLoad"
   | ITickLoadField _ -> "ITickLoadField"
   | IThisField _ -> "IThisField"
-  | ILoadLocField _ -> "ILoadLocField"
   | IBinopConst _ -> "IBinopConst"
   | ITickN _ -> "ITickN"
-  | ITickPushScope _ -> "ITickPushScope"
   | IAssignPop _ -> "IAssignPop"
   | IStoreLocalPopT _ -> "IStoreLocalPopT"
   | IStoreLocalPopJump _ -> "IStoreLocalPopJump"
-  | IJumpIfFalseT _ -> "IJumpIfFalseT"
-  | IJumpCmpFalseT _ -> "IJumpCmpFalseT"
   | IJumpCmpConstFalse _ -> "IJumpCmpConstFalse"
   | IJumpCmpConstFalseT _ -> "IJumpCmpConstFalseT"
   | IJumpLocCmpConstFalse _ -> "IJumpLocCmpConstFalse"
   | IJumpLocCmpConstFalseT _ -> "IJumpLocCmpConstFalseT"
   | IJumpLocCmpFalse _ -> "IJumpLocCmpFalse"
-  | IJumpLocCmpFalseT _ -> "IJumpLocCmpFalseT"
   | ITickLoadFieldStore _ -> "ITickLoadFieldStore"
   | ITickLoadFieldStoreJump _ -> "ITickLoadFieldStoreJump"
-  | ILoadFieldBC _ -> "ILoadFieldBC"
-  | IBinopAssignPop _ -> "IBinopAssignPop"
   | ITickThisField _ -> "ITickThisField"
-  | ILoadLoadField _ -> "ILoadLoadField"
   | ILocFieldLoadField _ -> "ILocFieldLoadField"
-  | IStoreTLoadField _ -> "IStoreTLoadField"
   | ITickLoadFieldCmpLocFalse _ -> "ITickLoadFieldCmpLocFalse"
   | ITickLoadFieldCmpLocFalseT _ -> "ITickLoadFieldCmpLocFalseT"
-  | IBinopConstAndFalse _ -> "IBinopConstAndFalse"
   | IScanStep _ -> "IScanStep"
   | ILoopScan _ -> "ILoopScan"
   | IBinop2 _ -> "IBinop2"
-  | ILoadFieldBCAndFalse _ -> "ILoadFieldBCAndFalse"
   (* typed (untagged) instructions *)
   | IConstI _ -> "IConstI"
   | ILoadI _ -> "ILoadI"
@@ -4352,8 +4046,7 @@ let mnemonic (i : instr) : string =
   | IJumpIfTrueI _ -> "IJumpIfTrueI"
   | IAndFalseI _ -> "IAndFalseI"
   | IOrTrueI _ -> "IOrTrueI"
-  | IJumpCmpFalseI (_, tk, _) ->
-      if tk then "IJumpCmpFalseTI" else "IJumpCmpFalseI"
+  | IJumpCmpFalseI _ -> "IJumpCmpFalseI"
   | IJumpCmpConstFalseI (_, _, tk, _) ->
       if tk then "IJumpCmpConstFalseTI" else "IJumpCmpConstFalseI"
   | IJumpLocCmpConstFalseI (_, _, _, tk, _) ->
@@ -4377,17 +4070,11 @@ let mnemonic (i : instr) : string =
   | ILoadFieldLoadBCI _ -> "ILoadFieldLoadBCI"
   | ILoadFieldBinopI _ -> "ILoadFieldBinopI"
   | IThisFieldBinopI _ -> "IThisFieldBinopI"
-  | IBinopConstAndFalseI _ -> "IBinopConstAndFalseI"
   | IStoreLocalPopTI _ -> "IStoreLocalPopTI"
-  | IStoreLocalPopJumpI _ -> "IStoreLocalPopJumpI"
   | IIncDecLocalJumpI _ -> "IIncDecLocalJumpI"
   | IFieldIdxFieldI _ -> "IFieldIdxFieldI"
   | ITickLoadFieldCmpLocFalseI (_, _, _, _, _, tk, _) ->
       if tk then "ITickLoadFieldCmpLocFalseTI" else "ITickLoadFieldCmpLocFalseI"
-  | ILoadFieldBinopJumpFalseI (_, _, _, _, tk, _) ->
-      if tk then "ILoadFieldBinopJumpFalseTI" else "ILoadFieldBinopJumpFalseI"
-  | IJumpBCCmpFalseI (_, _, _, tk, _) ->
-      if tk then "IJumpBCCmpFalseTI" else "IJumpBCCmpFalseI"
   | IJumpLL2FBCCmpFalseI (_, _, _, _, _, _, _, tk, _) ->
       if tk then "IJumpLL2FBCCmpFalseTI" else "IJumpLL2FBCCmpFalseI"
   | IScanStepI _ -> "IScanStepI"
@@ -4396,15 +4083,12 @@ let mnemonic (i : instr) : string =
   | ITickLoadFieldIndexI _ -> "ITickLoadFieldIndexI"
   | ITLFIndexIStoreT _ -> "ITLFIndexIStoreT"
   | ILoadBinopI _ -> "ILoadBinopI"
-  | ILoadLoadFieldBinopI _ -> "ILoadLoadFieldBinopI"
   | ILoadLocFieldI _ -> "ILoadLocFieldI"
   | ITickLocFieldI _ -> "ITickLocFieldI"
   | IAssignFieldLIPop _ -> "IAssignFieldLIPop"
   | IAssignFieldLFIPop _ -> "IAssignFieldLFIPop"
-  | IFieldStoreLI (tk, _, _, _, _, _) ->
-      if tk then "ITickFieldStoreLI" else "IFieldStoreLI"
-  | IFieldCopyII (tk, _, _, _, _, _, _, _) ->
-      if tk then "ITickFieldCopyII" else "IFieldCopyII"
+  | ITickFieldStoreLI _ -> "ITickFieldStoreLI"
+  | IFieldCopyII _ -> "IFieldCopyII"
   | IThisLocFieldI _ -> "IThisLocFieldI"
   | IAssignFieldCIPop _ -> "IAssignFieldCIPop"
   | IInitFieldLI _ -> "IInitFieldLI"
@@ -4412,14 +4096,9 @@ let mnemonic (i : instr) : string =
   | IBinopConst2I _ -> "IBinopConst2I"
   | IBinopConst3I _ -> "IBinopConst3I"
   | ITickLoadBCI _ -> "ITickLoadBCI"
-  | IJumpLocTFCmpFalseI (_, _, _, _, tk, _) ->
-      if tk then "IJumpLocTFCmpFalseTI" else "IJumpLocTFCmpFalseI"
-  | IJumpLocFieldBCFalseI (tp, _, _, _, _, _, ta, _) -> (
-      match (tp, ta) with
-      | false, false -> "IJumpLocFieldBCFalseI"
-      | false, true -> "IJumpLocFieldBCFalseTI"
-      | true, false -> "ITickJumpLocFieldBCFalseI"
-      | true, true -> "ITickJumpLocFieldBCFalseTI")
+  | IJumpLocTFCmpFalseI _ -> "IJumpLocTFCmpFalseI"
+  | IJumpLocFieldBCFalseI (tp, _, _, _, _, _, _) ->
+      if tp then "ITickJumpLocFieldBCFalseI" else "IJumpLocFieldBCFalseI"
   | IJumpThisFieldBCFalseI (tp, _, _, _, _, ta, _) -> (
       match (tp, ta) with
       | false, false -> "IJumpThisFieldBCFalseI"
@@ -4430,10 +4109,8 @@ let mnemonic (i : instr) : string =
       if tn > 0 then "ITickThisXAssignI" else "IThisXAssignI"
   | IReturnThisFieldI _ -> "IReturnThisFieldI"
   | IInitFieldsI _ -> "IInitFieldsI"
-  | IThisIdxFieldStoreI (tk, _, _, _, _, _, _, _) ->
-      if tk then "ITickThisIdxFieldStoreI" else "IThisIdxFieldStoreI"
-  | ITLFIndexIStoreJumpFBCI (_, _, ta, _) ->
-      if ta then "ITLFIndexIStoreJumpFBCTI" else "ITLFIndexIStoreJumpFBCI"
+  | ITickThisIdxFieldStoreI _ -> "ITickThisIdxFieldStoreI"
+  | ITLFIndexIStoreJumpFBCI _ -> "ITLFIndexIStoreJumpFBCI"
   | IRpnStoreI ((DTickLocField _ | DTickFieldLocField _), _, _) ->
       "ITickRpnStoreI"
   | IRpnStoreI _ -> "IRpnStoreI"
@@ -4482,68 +4159,22 @@ let is_typed (i : instr) : bool =
   | ITickLoadFieldI _ | IThisFieldI _ | ITickThisFieldI _
   | IIndexFieldI _ | ILoadLoadFieldI _ | IBinopConstI _ | ILoadBinopConstI _
   | ILoadFieldBCI _ | ILoadFieldLoadBCI _ | ILoadFieldBinopI _
-  | IThisFieldBinopI _ | IBinopConstAndFalseI _
-  | IStoreLocalPopTI _ | IStoreLocalPopJumpI _ | IIncDecLocalJumpI _
+  | IThisFieldBinopI _ | IStoreLocalPopTI _ | IIncDecLocalJumpI _
   | IFieldIdxFieldI _ | ITickLoadFieldCmpLocFalseI _
-  | ILoadFieldBinopJumpFalseI _
-  | IJumpBCCmpFalseI _
   | IJumpLL2FBCCmpFalseI _ | IScanStepI _
   | ILoadIndexI _ | ILoadFieldIndexI _ | ITickLoadFieldIndexI _
-  | ITLFIndexIStoreT _ | ILoadBinopI _ | ILoadLoadFieldBinopI _
+  | ITLFIndexIStoreT _ | ILoadBinopI _
   | ILoadLocFieldI _ | ITickLocFieldI _
-  | IAssignFieldLIPop _ | IAssignFieldLFIPop _ | IFieldStoreLI _
+  | IAssignFieldLIPop _ | IAssignFieldLFIPop _ | ITickFieldStoreLI _
   | IFieldCopyII _
   | IThisLocFieldI _ | IAssignFieldCIPop _ | IInitFieldLI _
   | IInitFieldConstI _ | IBinopConst2I _ | IBinopConst3I _
   | ITickLoadBCI _ | IJumpLocTFCmpFalseI _
   | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _ | IThisXAssignI _
-  | IReturnThisFieldI _ | IInitFieldsI _ | IThisIdxFieldStoreI _
+  | IReturnThisFieldI _ | IInitFieldsI _ | ITickThisIdxFieldStoreI _
   | ITLFIndexIStoreJumpFBCI _ | IRpnStoreI _ | IBinopConstCastStoreI _ ->
       true
   | _ -> false
-
-(* The branch target carried by an instruction, for back-branch (loop)
-   detection — the same constructor enumeration [patch_to] maintains.
-   [ILoopScan] is handled separately: its back edge is internal. *)
-let branch_target (i : instr) : int option =
-  match i with
-  | IJump t | IJumpIfFalse t | IJumpIfTrue t | IJumpIfFalseT t
-  | IAndFalse t | IOrTrue t
-  | IJumpCmpFalse (_, t) | IJumpCmpFalseT (_, t)
-  | IJumpCmpConstFalse (_, _, t) | IJumpCmpConstFalseT (_, _, t)
-  | IJumpLocCmpConstFalse (_, _, _, t) | IJumpLocCmpConstFalseT (_, _, _, t)
-  | IJumpLocCmpFalse (_, _, t) | IJumpLocCmpFalseT (_, _, t)
-  | ITickLoadFieldStoreJump (_, _, _, _, _, t)
-  | IStoreLocalPopJump (_, _, t)
-  | ITickLoadFieldCmpLocFalse (_, _, _, _, _, t)
-  | ITickLoadFieldCmpLocFalseT (_, _, _, _, _, t)
-  | IBinopConstAndFalse (_, _, t)
-  | ILoadFieldBCAndFalse (_, _, _, _, _, t)
-  | IScanStep (_, _, _, _, _, _, _, _, _, _, t)
-  (* typed branch forms *)
-  | IJumpIfFalseI (_, t) | IJumpIfTrueI t
-  | IAndFalseI t | IOrTrueI t
-  | IJumpCmpFalseI (_, _, t)
-  | IJumpCmpConstFalseI (_, _, _, t)
-  | IJumpLocCmpConstFalseI (_, _, _, _, t)
-  | IJumpLocCmpFalseI (_, _, _, t)
-  | IJumpLoc2CmpFalseI (_, _, _, _, t)
-  | IJumpLocFCmpFalseI (_, _, _, _, _, _, t)
-  | IBinopConstAndFalseI (_, _, t)
-  | IJumpLocTFCmpFalseI (_, _, _, _, _, t)
-  | IStoreLocalPopJumpI (_, _, t)
-  | IIncDecLocalJumpI (_, _, t)
-  | ITickLoadFieldCmpLocFalseI (_, _, _, _, _, _, t)
-  | ILoadFieldBinopJumpFalseI (_, _, _, _, _, t)
-  | IJumpBCCmpFalseI (_, _, _, _, t)
-  | IJumpLL2FBCCmpFalseI (_, _, _, _, _, _, _, _, t)
-  | IScanStepI (_, _, _, _, _, _, _, _, _, _, t)
-  | IJumpLocFieldBCFalseI (_, _, _, _, _, _, _, t)
-  | ITLFIndexIStoreJumpFBCI (_, _, _, t)
-  | IIncDecJumpLocFCmpI (_, _, _, t) | IIncDecJumpLL2FBCI (_, _, _, t)
-  | IJumpThisFieldBCFalseI (_, _, _, _, _, _, t) ->
-      Some t
-  | _ -> None
 
 (* A loop site: a branch whose target is at or before itself, or a
    whole-loop superinstruction. *)

@@ -53,17 +53,17 @@ let layer_words (b : Benchmarks.Suite.t) =
    (23546527 in all). *)
 let pinned_words =
   [
-    ("deltablue", 45313, 16691, 285289);
-    ("hotwire", 29059, 10006, 45323);
-    ("idl", 27328, 9635, 384776);
-    ("ixx", 22338, 9361, 634036);
-    ("jikes", 44692, 20276, 1681843);
-    ("lcom", 32397, 13744, 743231);
-    ("npic", 16322, 8235, 2362957);
-    ("richards", 27965, 12068, 571181);
-    ("sched", 19119, 9357, 4549565);
-    ("simulate", 21205, 10339, 1714909);
-    ("taldict", 25647, 10517, 137830);
+    ("deltablue", 45313, 16683, 285541);
+    ("hotwire", 29059, 10015, 45323);
+    ("idl", 27328, 9655, 384776);
+    ("ixx", 22338, 9399, 634036);
+    ("jikes", 44692, 20403, 1682149);
+    ("lcom", 32397, 14030, 743231);
+    ("npic", 16322, 8251, 2362957);
+    ("richards", 27965, 12153, 571131);
+    ("sched", 19119, 9327, 4549565);
+    ("simulate", 21205, 10346, 1714909);
+    ("taldict", 25647, 10591, 137830);
   ]
 
 let t_port_words_pinned () =

@@ -121,9 +121,10 @@ let t_exit_codes () =
       ("profile " ^ q ret7, 0);
       ("profile --top=0 " ^ q ret7, 2);
       ("profile --top=-3 --bench richards", 2);
-      (* bench: unknown benchmark is a diagnosed failure *)
+      (* an unknown benchmark name is a usage error *)
+      ("profile --bench frobnicate", 2);
       ("bench richards", 0);
-      ("bench frobnicate", 1);
+      ("bench frobnicate", 2);
       (* precision: no inputs to get wrong except flags *)
       ("precision --format=json", 0);
       ("precision --format=yaml", 2);

@@ -10,10 +10,12 @@
      function-pointer targets of every expression, on the paper
      benchmarks, every inline points-to test program, and random
      synthetic programs;
-   - wherever the reference knows an expression's receiver classes,
-     1-CFA must know a subset of them;
+   - 1-CFA must reach no function the reference does not, and inside
+     the functions it reaches, wherever the reference knows an
+     expression's receiver classes, 1-CFA must know a subset of them;
    - the four-tier chain dead(CHA) ⊆ dead(RTA) ⊆ dead(PTA) ⊆ dead(PTA1)
-     must hold across the suite;
+     must hold across the suite, and on one program cloning must
+     strictly grow the dead list;
    - allocation-site cloning must not lose flow through copy-edge
      cycles (the classic collapse-under-cloning soundness trap);
    - on deltablue, cloning must strictly shrink [pta.fallback_sites]. *)
@@ -81,6 +83,34 @@ let cycle_src =
       return q->id();
     }|}
 
+(* The program where 1-CFA changes a dead list: [id] merges both
+   allocation sites for the context-insensitive tiers, so [x->f()] may
+   reach [B::f] and [B::b_only] is read; cloning [id] per call site
+   gives [x] only the [A] site, and [B::f] becomes unreachable. *)
+let onecfa_id_src =
+  {|class Base {
+    public:
+      virtual int f() { return 0; }
+    };
+    class A : public Base {
+    public:
+      A() : a_only(1) { }
+      int a_only;
+      virtual int f() { return a_only; }
+    };
+    class B : public Base {
+    public:
+      B() : b_only(2) { }
+      int b_only;
+      virtual int f() { return b_only; }
+    };
+    Base *id(Base *p) { return p; }
+    int main() {
+      Base *x = id(new A());
+      Base *y = id(new B());
+      return x->f();
+    }|}
+
 (* -- Pta against the naive reference solver, per expression ------------------- *)
 
 let gen_synth_params =
@@ -112,16 +142,19 @@ let inline_programs () =
       ("escape", Test_pta.escape_src);
       ("two_receivers", Test_pta.two_receivers_src);
       ("cycle", cycle_src);
+      ("onecfa_id", onecfa_id_src);
     ]
 
 (* Every expression occurrence of the program: global initializers and
-   every function's initializers and body. *)
-let all_exprs prog =
+   the initializers and body of every function [keep] admits. *)
+let all_exprs ?(keep = fun _ -> true) prog =
   let collect acc e = e :: acc in
   List.fold_left
     (fun acc (g : global) ->
       match g.g_init with Some e -> fold_expr collect acc e | None -> acc)
-    (List.fold_left (fold_func_exprs collect) [] (all_funcs prog))
+    (FuncMap.fold
+       (fun id fn acc -> if keep id then fold_func_exprs collect acc fn else acc)
+       prog.funcs [])
     prog.globals
 
 let sorted xs = Option.map (List.sort compare) xs
@@ -180,12 +213,21 @@ let prop_ref_differential =
       | None -> true
       | Some m -> QCheck.Test.fail_report m)
 
-(* 1-CFA refines the reference per site: wherever the reference knows a
-   receiver's classes, 1-CFA knows them too, and names no others. *)
+(* 1-CFA refines the reference: it reaches no function the reference
+   does not, and inside the functions it reaches, wherever the reference
+   knows a receiver's classes, 1-CFA knows them too and names no
+   others. Outside them 1-CFA answers [None] by contract (an expression
+   it proved unreachable has no points-to set), so the per-site check
+   stops there. *)
 let t_onecfa_within_ref () =
   List.iter
     (fun (name, prog) ->
       let r = Pta_ref.analyze prog and p1 = Pta.analyze ~mode:Pta.OneCfa prog in
+      let reached = Pta.reachable p1 in
+      Util.check_bool
+        (name ^ ": reachable(1-CFA) ⊆ reachable(reference)")
+        true
+        (FuncSet.subset reached (Pta_ref.reachable r));
       List.iter
         (fun (e : texpr) ->
           match Pta_ref.receiver_classes r e with
@@ -200,7 +242,7 @@ let t_onecfa_within_ref () =
                 Alcotest.failf "%s: 1-CFA at %s leaves the reference's %s" name
                   (Frontend.Source.span_to_string e.tloc)
                   (show_answer Fun.id (Some cs)))
-        (all_exprs prog))
+        (all_exprs ~keep:(fun id -> FuncSet.mem id reached) prog))
     (ports () @ inline_programs ())
 
 (* -- the four-tier precision chain --------------------------------------------- *)
@@ -223,7 +265,17 @@ let t_four_tier_chain () =
       Util.check_bool (name "dead(CHA) ⊆ dead(RTA)") true (subset dc dr);
       Util.check_bool (name "dead(RTA) ⊆ dead(PTA)") true (subset dr dp);
       Util.check_bool (name "dead(PTA) ⊆ dead(PTA1)") true (subset dp d1))
-    Benchmarks.Suite.all
+    Benchmarks.Suite.all;
+  (* no port separates PTA from PTA1; this program does *)
+  let prog = Util.check_source onecfa_id_src in
+  let dead alg = Util.dead_names (analyze_with alg prog) in
+  List.iter
+    (fun (tier, alg) ->
+      Alcotest.(check (list string)) ("onecfa_id: dead(" ^ tier ^ ")") []
+        (dead alg))
+    [ ("CHA", Callgraph.Cha); ("RTA", Callgraph.Rta); ("PTA", Callgraph.Pta) ];
+  Alcotest.(check (list string)) "onecfa_id: dead(PTA1)" [ "B::b_only" ]
+    (dead Callgraph.Pta1)
 
 (* -- cycle collapse under cloning ---------------------------------------------- *)
 

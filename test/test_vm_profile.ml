@@ -180,17 +180,17 @@ let t_text_rendering () =
    compiler that explains it. *)
 let pinned_dispatches =
   [
-    ("deltablue", 22047, 47179, 17578);
-    ("hotwire", 2423, 9045, 3924);
-    ("idl", 26115, 61415, 25340);
-    ("ixx", 49278, 100782, 44238);
-    ("jikes", 459845, 567505, 286740);
-    ("lcom", 61204, 145528, 68595);
-    ("npic", 967396, 1331240, 1106154);
-    ("richards", 61628, 153829, 44190);
-    ("sched", 2161560, 1674210, 935904);
-    ("simulate", 174307, 423748, 188972);
-    ("taldict", 18454, 35330, 20456);
+    ("deltablue", 22047, 47664, 17704);
+    ("hotwire", 2423, 9218, 3978);
+    ("idl", 26115, 62110, 25340);
+    ("ixx", 49278, 102016, 44797);
+    ("jikes", 459845, 568918, 287557);
+    ("lcom", 61204, 147682, 69410);
+    ("npic", 967396, 1331281, 1106154);
+    ("richards", 61628, 155411, 45726);
+    ("sched", 2161560, 1676727, 936144);
+    ("simulate", 174307, 430738, 188976);
+    ("taldict", 18454, 35400, 20456);
   ]
 
 let t_port_dispatches_pinned () =
