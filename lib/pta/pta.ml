@@ -10,7 +10,9 @@
 
    Reachability is on the fly: constraints for a function are generated
    the first time it becomes reachable, and dispatch discovered during
-   solving feeds new functions back in. Receivers whose set degrades to
+   solving feeds new functions back in. A pointer local that is never
+   written after its initializer shares the initializer's node instead
+   of copying it ([substitutable]). Receivers whose set degrades to
    ⊤ (unknown) fall back to RTA-style resolution over the instantiated
    cone, so the solution is never less conservative than RTA; stores the
    language cannot model raise a global [havoc] flag that degrades every
@@ -1049,6 +1051,61 @@ type lv =
   | LTop  (* unmodelable: writes of tracked values havoc *)
   | LNone  (* untracked or not an lvalue *)
 
+(* Local copy substitution (Rountev & Chandra's offline variable
+   substitution, per function; DESIGN.md §4j): the pointer locals of [f]
+   declared once with an expression initializer, not named like a
+   parameter, and never written afterwards — never the root, through
+   casts and [?:], of an assignment target, an [&] or [++]/[--] operand,
+   a call or [new] argument (a [T*&] formal may bind it), or a reference
+   local's initializer. Such a local ends with exactly its initializer's
+   set. Its inflows all come from its own body, so unlike parameters,
+   returns, fields and globals it can be settled at generation time. *)
+let substitutable (f : tfunc) =
+  let decls = Hashtbl.create 16 and written = Hashtbl.create 16 in
+  let rec write (e : texpr) =
+    match e.te with
+    | TLocal x -> Hashtbl.replace written x ()
+    | TCast (_, _, a, _) -> write a
+    | TCond (_, a, b) ->
+        write a;
+        write b
+    | _ -> ()
+  in
+  List.iter (fun (p, _) -> Hashtbl.replace written p ()) f.tf_params;
+  let expr () (e : texpr) =
+    match e.te with
+    | TAssign (_, a, _) | TAddrOf a | TIncDec (_, _, a) -> write a
+    | TNewObj { args; _ } | TCall (CFree (_, args) | CFunPtr (_, args)) ->
+        List.iter write args
+    | TCall (CMethod mc) -> List.iter write mc.mc_args
+    | _ -> ()
+  in
+  let decl (d : tvar_decl) =
+    let single =
+      match (d.tv_type, d.tv_init) with
+      | (Ast.TPtr _ | Ast.TFun _), TInitExpr _ -> true
+      | Ast.TRef _, TInitExpr e ->
+          write e;
+          false
+      | _, TInitCtor (_, args) ->
+          List.iter write args;
+          false
+      | _ -> false
+    in
+    let once = not (Hashtbl.mem decls d.tv_name) in
+    Hashtbl.replace decls d.tv_name (single && once)
+  in
+  fold_func_exprs expr () f;
+  let stmt () (s : tstmt) =
+    match s.ts with TSDecl ds -> List.iter decl ds | _ -> ()
+  in
+  Option.iter (fold_stmts stmt ()) f.tf_body;
+  Hashtbl.fold
+    (fun x single acc ->
+      if single && not (Hashtbl.mem written x) then StringSet.add x acc
+      else acc)
+    decls StringSet.empty
+
 let rec gen_expr st (fx : fctx) (e : texpr) : int =
   let prior =
     match ExprTbl.find_opt st.expr_node e with Some l -> l | None -> []
@@ -1415,7 +1472,7 @@ and gen_call st fx (e : texpr) (c : call) : int =
 
 (* -- statements and functions -------------------------------------------------- *)
 
-and gen_decl st fx (d : tvar_decl) =
+and gen_decl st fx subst (d : tvar_decl) =
   match d.tv_type with
   | Ast.TNamed cls when Class_table.mem st.table cls ->
       (* a stack object: exact dynamic class, destroyed at scope exit *)
@@ -1458,7 +1515,12 @@ and gen_decl st fx (d : tvar_decl) =
       match d.tv_init with
       | TInitExpr e ->
           let ge = gen_rval st fx e in
-          if tracked st d.tv_type then begin
+          if
+            ge >= 0
+            && StringSet.mem d.tv_name subst
+            && not (Hashtbl.mem st.var_node (fx, d.tv_name))
+          then Hashtbl.add st.var_node (fx, d.tv_name) ge
+          else if tracked st d.tv_type then begin
             let v = node_of_var st fx d.tv_name in
             add_edge st ge v;
             if ref_needs_writeback d.tv_type then
@@ -1480,10 +1542,10 @@ and gen_decl st fx (d : tvar_decl) =
           | _ -> List.iter (fun a -> ignore (gen_expr st fx a)) args)
       | TInitNone -> ())
 
-and gen_stmt st fx (s : tstmt) =
+and gen_stmt st fx subst (s : tstmt) =
   match s.ts with
   | TSExpr e -> ignore (gen_expr st fx e)
-  | TSDecl ds -> List.iter (gen_decl st fx) ds
+  | TSDecl ds -> List.iter (gen_decl st fx subst) ds
   | TSIf (c, _, _) | TSWhile (c, _) | TSDoWhile (_, c) ->
       ignore (gen_expr st fx c)
   | TSFor (_, cond, step, _) ->
@@ -1624,7 +1686,9 @@ and gen_func st (fx : fctx) =
             c.c_fields
       | Func_id.FFree _ | Func_id.FMethod _ -> ());
       (match f.tf_body with
-      | Some body -> fold_stmts (fun () s -> gen_stmt st fx s) () body
+      | Some body ->
+          let subst = substitutable f in
+          fold_stmts (fun () s -> gen_stmt st fx subst s) () body
       | None -> ())
 
 (* -- driver -------------------------------------------------------------------- *)

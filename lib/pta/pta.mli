@@ -23,9 +23,11 @@
     [⊤] element that individual queries report as [None].
 
     The solver propagates {e differences} over hash-consed {!Ptset}
-    sets, in bulk-synchronous rounds. {!Pta_ref} computes the
-    [Insensitive] solution naively; the test suite holds the two equal
-    on every expression. *)
+    sets, in bulk-synchronous rounds. A pointer local that is never
+    written after its initializer gets no node of its own: it shares
+    its initializer's, so copy chains cost neither nodes nor edges.
+    {!Pta_ref} computes the [Insensitive] solution naively; the test
+    suite holds the two equal on every expression. *)
 
 open Sema.Typed_ast
 

@@ -304,48 +304,48 @@ let pinned =
     [
       ("jikes", Cha, (32, 45, jikes), None);
       ("jikes", Rta, (32, 45, jikes), None);
-      ("jikes", Pta, (30, 41, jikes), Some (187, 218, 6));
-      ("jikes", Pta1, (30, 41, jikes), Some (170, 257, 6));
+      ("jikes", Pta, (30, 41, jikes), Some (182, 213, 6));
+      ("jikes", Pta1, (30, 41, jikes), Some (165, 252, 6));
       ("idl", Cha, (23, 41, [ "IRObject::repo_tag" ]), None);
       ("idl", Rta, (23, 41, [ "IRObject::repo_tag" ]), None);
-      ("idl", Pta, (21, 33, [ "IRObject::repo_tag" ]), Some (108, 113, 3));
-      ("idl", Pta1, (21, 33, [ "IRObject::repo_tag" ]), Some (121, 117, 3));
+      ("idl", Pta, (21, 33, [ "IRObject::repo_tag" ]), Some (106, 111, 3));
+      ("idl", Pta1, (21, 33, [ "IRObject::repo_tag" ]), Some (119, 115, 3));
       ("npic", Cha, (16, 15, npic), None);
       ("npic", Rta, (16, 15, npic), None);
-      ("npic", Pta, (16, 15, npic), Some (53, 50, 1));
-      ("npic", Pta1, (16, 15, npic), Some (48, 50, 1));
+      ("npic", Pta, (16, 15, npic), Some (49, 46, 1));
+      ("npic", Pta1, (16, 15, npic), Some (44, 46, 1));
       ("lcom", Cha, (38, 57, lcom), None);
       ("lcom", Rta, (38, 57, lcom), None);
-      ("lcom", Pta, (36, 52, lcom), Some (133, 177, 9));
-      ("lcom", Pta1, (36, 52, lcom), Some (118, 176, 9));
+      ("lcom", Pta, (36, 52, lcom), Some (130, 174, 9));
+      ("lcom", Pta1, (36, 52, lcom), Some (115, 173, 9));
       ("taldict", Cha, (23, 30, taldict), None);
       ("taldict", Rta, (22, 28, taldict), None);
-      ("taldict", Pta, (22, 28, taldict), Some (85, 65, 5));
-      ("taldict", Pta1, (22, 28, taldict), Some (75, 68, 5));
+      ("taldict", Pta, (22, 28, taldict), Some (81, 61, 4));
+      ("taldict", Pta1, (22, 28, taldict), Some (71, 64, 4));
       ("ixx", Cha, (28, 33, ixx), None);
       ("ixx", Rta, (28, 33, ixx), None);
-      ("ixx", Pta, (26, 31, ixx), Some (94, 150, 4));
-      ("ixx", Pta1, (26, 31, ixx), Some (82, 146, 4));
+      ("ixx", Pta, (26, 31, ixx), Some (90, 142, 4));
+      ("ixx", Pta1, (26, 31, ixx), Some (78, 138, 4));
       ("simulate", Cha, (18, 18, simulate), None);
       ("simulate", Rta, (18, 18, simulate), None);
-      ("simulate", Pta, (18, 18, simulate), Some (49, 57, 5));
-      ("simulate", Pta1, (18, 18, simulate), Some (44, 60, 5));
+      ("simulate", Pta, (18, 18, simulate), Some (42, 47, 3));
+      ("simulate", Pta1, (18, 18, simulate), Some (37, 50, 3));
       ("sched", Cha, (10, 10, sched), None);
       ("sched", Rta, (10, 10, sched), None);
-      ("sched", Pta, (10, 10, sched), Some (68, 54, 6));
-      ("sched", Pta1, (10, 10, sched), Some (68, 59, 6));
+      ("sched", Pta, (10, 10, sched), Some (65, 51, 6));
+      ("sched", Pta1, (10, 10, sched), Some (65, 56, 6));
       ("hotwire", Cha, (25, 26, hotwire_cha), None);
       ("hotwire", Rta, (23, 24, hotwire), None);
-      ("hotwire", Pta, (22, 23, hotwire), Some (85, 133, 4));
-      ("hotwire", Pta1, (22, 23, hotwire), Some (92, 115, 6));
+      ("hotwire", Pta, (22, 23, hotwire), Some (82, 130, 3));
+      ("hotwire", Pta1, (22, 23, hotwire), Some (89, 112, 5));
       ("deltablue", Cha, (63, 102, []), None);
       ("deltablue", Rta, (63, 102, []), None);
-      ("deltablue", Pta, (56, 93, []), Some (266, 680, 6));
-      ("deltablue", Pta1, (56, 93, []), Some (654, 1035, 6));
+      ("deltablue", Pta, (56, 93, []), Some (252, 601, 3));
+      ("deltablue", Pta1, (56, 93, []), Some (608, 762, 4));
       ("richards", Cha, (30, 44, []), None);
       ("richards", Rta, (30, 44, []), None);
-      ("richards", Pta, (30, 44, []), Some (189, 801, 10));
-      ("richards", Pta1, (30, 44, []), Some (621, 1762, 10));
+      ("richards", Pta, (30, 44, []), Some (180, 762, 10));
+      ("richards", Pta1, (30, 44, []), Some (611, 1712, 9));
     ]
 
 let t_pinned_ports () =

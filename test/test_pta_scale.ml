@@ -111,6 +111,49 @@ let onecfa_id_src =
       return x->f();
     }|}
 
+(* Locals that local copy substitution must keep apart from their
+   initializer, one per exclusion: each is written after its
+   declaration (through a [T*&] formal, through [&], through a [T*&]
+   local, by assignment), is declared twice, or shadows a parameter.
+   Every one is followed by a virtual call on the local and on its
+   initializer, whose receiver sets differ unless the write is lost or
+   leaks into the initializer. *)
+let copy_writes_src =
+  {|class Base { public: virtual int f() { return 0; } };
+    class B : public Base { public: virtual int f() { return 1; } };
+    class C : public Base { public: virtual int f() { return 2; } };
+    class D : public Base { public: virtual int f() { return 3; } };
+    void set(Base *&p) { p = new C(); }
+    int shadow(Base *p) {
+      int n = p->f();
+      { Base *p = new D(); n = n + p->f(); }
+      return n;
+    }
+    int main() {
+      Base *s1 = new B();
+      Base *x = s1;
+      set(x);
+      int n = x->f() + s1->f();
+      Base *s2 = new B();
+      Base *y = s2;
+      Base **py = &y;
+      *py = new C();
+      n = n + y->f() + s2->f();
+      Base *s3 = new B();
+      Base *z = s3;
+      Base *&r = z;
+      r = new C();
+      n = n + z->f() + s3->f();
+      Base *s4 = new B();
+      Base *w = s4;
+      w = new C();
+      n = n + w->f() + s4->f();
+      Base *s5 = new B();
+      { Base *u = s5; n = n + u->f() + s5->f(); }
+      { Base *u = new C(); n = n + u->f(); }
+      return n + shadow(new B());
+    }|}
+
 (* -- Pta against the naive reference solver, per expression ------------------- *)
 
 let gen_synth_params =
@@ -143,6 +186,7 @@ let inline_programs () =
       ("two_receivers", Test_pta.two_receivers_src);
       ("cycle", cycle_src);
       ("onecfa_id", onecfa_id_src);
+      ("copy_writes", copy_writes_src);
     ]
 
 (* Every expression occurrence of the program: global initializers and
@@ -277,6 +321,35 @@ let t_four_tier_chain () =
   Alcotest.(check (list string)) "onecfa_id: dead(PTA1)" [ "B::b_only" ]
     (dead Callgraph.Pta1)
 
+(* -- a deterministic twin of the synth_pta workload ------------------------- *)
+
+(* One generated program at the top of the synth_pta size ranges: its
+   chain locals are single-definition copies, so local copy substitution
+   decides the solver counters pinned here, and the reference solver
+   must still agree with [Pta] on every expression. *)
+let synth_twin =
+  {
+    Benchmarks.Synth.seed = 7;
+    classes = 32;
+    sites = 48;
+    chains = 12;
+    chain_len = 400;
+  }
+
+let t_synth_twin () =
+  let prog = Benchmarks.Synth.program synth_twin in
+  let r = analyze_with Callgraph.Pta prog in
+  let pads = List.init 32 (fun k -> Printf.sprintf "Node%d::pad%d" k k) in
+  Alcotest.(check (list string)) "dead members" (List.sort compare pads)
+    (Util.dead_names r);
+  Alcotest.(check (option (triple int int int)))
+    "constraints, delta props, solver rounds" (Some (7824, 2888, 53))
+    (Option.map
+       (fun (s : Pta.stats) ->
+         (s.p_constraints, s.p_delta_props, s.p_solver_iters))
+       r.Deadmem.Liveness.callgraph.Callgraph.pta_stats);
+  check_agrees ("synth twin", prog)
+
 (* -- cycle collapse under cloning ---------------------------------------------- *)
 
 let t_cycle_collapse_under_cloning () =
@@ -332,6 +405,8 @@ let suite =
     Util.test "inline programs: Pta = reference solver per expression"
       t_ref_differential_inline;
     QCheck_alcotest.to_alcotest prop_ref_differential;
+    Util.test "synth_pta twin: counters, dead list, reference agreement"
+      t_synth_twin;
     Util.test "1-CFA stays inside the reference per receiver site"
       t_onecfa_within_ref;
     Util.test "dead(CHA) ⊆ dead(RTA) ⊆ dead(PTA) ⊆ dead(PTA1) on the suite"
