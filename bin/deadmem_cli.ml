@@ -39,8 +39,11 @@ let read_source path =
 
 let load path = Sema.Type_check.check_source ~file:path (read_source path)
 
-let handle_errors f =
+let rec handle_errors f =
   try f () with
+  (* a destructor that failed while an error unwound its scope: report
+     the destructor's error, the one the program ended with *)
+  | Fun.Finally_raised e -> handle_errors (fun () -> raise e)
   | Frontend.Source.Compile_error d ->
       Fmt.epr "%a@." Frontend.Source.pp_diagnostic d;
       exit exit_diagnostics

@@ -512,7 +512,11 @@ type instr =
 (* A compiled code body. [b_omax] bounds the operand stack the body can
    ever need (computed conservatively during emission); [b_scoped] says
    whether any destroy scope is opened, so scope-free bodies skip the
-   unwinding machinery entirely. [b_id] is the body's index into
+   unwinding machinery entirely. [b_escapes] says whether the code
+   holds an [ILocLocal]/[ILocLocalRef], the only instructions that let
+   a pointer into the frame's locals outlive the activation; such
+   bodies get fresh frames, every other body runs on pooled ones (see
+   [new_frame]). [b_id] is the body's index into
    [cp_bodies]/[cp_owners], assigned during [compile]; the profiler
    uses it to find the body's counter row. *)
 type cbody = {
@@ -520,6 +524,7 @@ type cbody = {
   b_omax : int;
   b_imax : int;  (* untagged int operand-stack bound *)
   b_scoped : bool;
+  b_escapes : bool;
   mutable b_id : int;
 }
 
@@ -1925,6 +1930,15 @@ and compile_stmt b (lc : loopctx option) (s : rstmt) =
       emit b IDelete
   | RSEmpty -> ()
 
+(* [code] holds an [ILocLocal]/[ILocLocalRef] at or after [pc]. A plain
+   recursion: [Array.exists] would allocate its loop closure per body. *)
+let rec takes_local_address (code : instr array) pc =
+  pc < Array.length code
+  &&
+  match code.(pc) with
+  | ILocLocal _ | ILocLocalRef _ -> true
+  | _ -> takes_local_address code (pc + 1)
+
 let finish (b : buf) : cbody =
   let code = Array.sub b.code 0 b.len in
   (* Branch-target inlining, after all patching: a list-scan loop runs
@@ -1998,6 +2012,7 @@ let finish (b : buf) : cbody =
     b_omax = b.omax + 8;  (* slack over the conservative linear estimate *)
     b_imax = (if b.iomax = 0 then 0 else b.iomax + 8);
     b_scoped = b.scoped;
+    b_escapes = takes_local_address code 0;
     b_id = -1;
   }
 
@@ -2191,9 +2206,25 @@ type vm = {
      once per call — one predictable branch each when disabled *)
   prof_counts : int array array;
   prof_calls : int array;
+  (* Activation pools, indexed by activation depth: [act] counts the
+     live [exec_code] entries (constructors run at their caller's call
+     depth but are activations of their own). An entry's operand stacks
+     always come from the pool at its depth, its locals too unless its
+     body lets their address escape ([b_escapes]). A normal return
+     restores [act]; an exception may leave it high, which is safe:
+     every activation above the handler is dead, so the slots it skips
+     belong to nobody. The four arrays grow together, on demand. *)
+  mutable act : int;
+  mutable pool_ost : value array array;
+  mutable pool_ist : int array array;
+  mutable pool_locals : harray array;
+  mutable pool_ilocals : int array array;
 }
 
 let empty_vals : value array = [||]
+
+(* shared empty locals: the pool's initial entry at every depth *)
+let no_locals : harray = { arr_id = -1; cells = empty_vals }
 
 (* shared sentinel: "no profiling rows for this body" *)
 let no_prof_row : int array = [||]
@@ -2382,11 +2413,56 @@ let[@inline] icmp op (x : int) (y : int) : bool =
 let[@inline] incdec_delta which =
   match which with Ast.Incr -> 1 | Ast.Decr -> -1
 
-let frame_of_shape (sh : fshape) this =
-  mk_frame ~ints:sh.nint sh.nbox this
+let[@inline never] grow_pools vm d =
+  let n = max 8 (2 * (d + 1)) in
+  let grow a fill =
+    Array.init n (fun i -> if i < Array.length a then a.(i) else fill)
+  in
+  vm.pool_ost <- grow vm.pool_ost empty_vals;
+  vm.pool_ist <- grow vm.pool_ist no_ints;
+  vm.pool_locals <- grow vm.pool_locals no_locals;
+  vm.pool_ilocals <- grow vm.pool_ilocals no_ints
 
-let rec bind_params vm frame (cf : cfunc) (src : value array) base argc =
-  ignore vm;
+(* [pool.(d)], replaced by a fresh [n]-slot array when it is shorter;
+   the contents are stale, callers reset what they read first. *)
+let pooled pool d n fill =
+  let a = Array.get pool d in
+  if Array.length a >= n then a
+  else begin
+    let a = Array.make n fill in
+    Array.set pool d a;
+    a
+  end
+
+(* The frame for an activation of [b] at depth [vm.act]: fresh when [b]
+   can take its locals' address, otherwise the pooled banks at that
+   depth, reset to [VUnit] / 0 as a fresh frame would be. A pooled bank
+   may be longer than the shape; nothing reads past the shape. *)
+let new_frame vm (sh : fshape) (b : cbody) this =
+  if b.b_escapes then mk_frame ~ints:sh.nint sh.nbox this
+  else begin
+    let d = vm.act in
+    if d >= Array.length vm.pool_locals then grow_pools vm d;
+    let h = Array.get vm.pool_locals d in
+    let h =
+      if Array.length h.cells >= sh.nbox then h
+      else begin
+        let h = { arr_id = -1; cells = Array.make sh.nbox VUnit } in
+        Array.set vm.pool_locals d h;
+        h
+      end
+    in
+    for i = 0 to sh.nbox - 1 do
+      Array.set h.cells i VUnit
+    done;
+    let il = pooled vm.pool_ilocals d sh.nint 0 in
+    for i = 0 to sh.nint - 1 do
+      Array.set il i 0
+    done;
+    { locals = h; ilocals = il; this }
+  end
+
+let rec bind_params frame (cf : cfunc) (src : value array) base argc =
   let n = Array.length cf.c_params in
   if n <> argc then
     runtime_error "arity mismatch calling %s" (Func_id.to_string cf.c_id);
@@ -2427,8 +2503,8 @@ and invoke vm fi ~this (src : value array) base argc : value =
   let cf = vm.funcs.(fi) in
   match cf.c_kind with
   | KBody body ->
-      let frame = frame_of_shape cf.c_frame this in
-      bind_params vm frame cf src base argc;
+      let frame = new_frame vm cf.c_frame body this in
+      bind_params frame cf src base argc;
       exec_code vm frame body 0
   | KCtor { kc_body; kc_entry } -> (
       match this with
@@ -2459,8 +2535,8 @@ and invoke vm fi ~this (src : value array) base argc : value =
 and run_ctor vm (o : obj) (cf : cfunc) kc_body kc_entry ~most_derived
     (src : value array) base argc =
   tick vm;
-  let frame = frame_of_shape cf.c_frame (Some o) in
-  bind_params vm frame cf src base argc;
+  let frame = new_frame vm cf.c_frame kc_body (Some o) in
+  bind_params frame cf src base argc;
   ignore (exec_code vm frame kc_body (if most_derived then 0 else kc_entry))
 
 (* Constructor dispatch without the call-depth protocol: base, virtual
@@ -2501,36 +2577,36 @@ and destroy_from vm (o : obj) cid ~most_derived =
     let cd = vm.destroy.(cid) in
     (match cd.cd_dtor with
     | Some (fsize, body) ->
-        let frame = frame_of_shape fsize (Some o) in
-        ignore (exec_code vm frame body 0)
+        ignore (exec_code vm (new_frame vm fsize body (Some o)) body 0)
     | None -> ());
     (* member subobjects, reverse declaration order *)
-    Array.iter
-      (fun df ->
-        match df with
-        | DFClass slots -> (
-            let s = if o.obj_cid >= 0 then slots.(o.obj_cid) else -1 in
-            if s >= 0 then
-              match o.fields.cells.(s) with
-              | VObj sub -> destroy_complete vm sub
-              | _ -> ())
-        | DFClassArr slots -> (
-            let s = if o.obj_cid >= 0 then slots.(o.obj_cid) else -1 in
-            if s >= 0 then
-              match o.fields.cells.(s) with
-              | VArr h ->
-                  Array.iter
-                    (function VObj sub -> destroy_complete vm sub | _ -> ())
-                    h.cells
-              | _ -> ()))
-      cd.cd_fields;
-    Array.iter
-      (fun bcid -> destroy_from vm o bcid ~most_derived:false)
-      cd.cd_nv_bases;
+    for k = 0 to Array.length cd.cd_fields - 1 do
+      match cd.cd_fields.(k) with
+      | DFClass slots -> (
+          let s = if o.obj_cid >= 0 then slots.(o.obj_cid) else -1 in
+          if s >= 0 then
+            match o.fields.cells.(s) with
+            | VObj sub -> destroy_complete vm sub
+            | _ -> ())
+      | DFClassArr slots -> (
+          let s = if o.obj_cid >= 0 then slots.(o.obj_cid) else -1 in
+          if s >= 0 then
+            match o.fields.cells.(s) with
+            | VArr h ->
+                for j = 0 to Array.length h.cells - 1 do
+                  match h.cells.(j) with
+                  | VObj sub -> destroy_complete vm sub
+                  | _ -> ()
+                done
+            | _ -> ())
+    done;
+    for k = 0 to Array.length cd.cd_nv_bases - 1 do
+      destroy_from vm o cd.cd_nv_bases.(k) ~most_derived:false
+    done;
     if most_derived then
-      Array.iter
-        (fun vcid -> destroy_from vm o vcid ~most_derived:false)
-        cd.cd_vbases_rev
+      for k = 0 to Array.length cd.cd_vbases_rev - 1 do
+        destroy_from vm o cd.cd_vbases_rev.(k) ~most_derived:false
+      done
   end
 
 and destroy_slots vm (locals : value array) (slots : int array) =
@@ -2600,11 +2676,13 @@ and exec_builtin vm (ost : value array) base (b : builtin) argc : unit =
 
 and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
   let code = b.b_code in
-  let ost = if b.b_omax > 0 then Array.make b.b_omax VUnit else empty_vals in
+  let d = vm.act in
+  if d >= Array.length vm.pool_ost then grow_pools vm d;
+  vm.act <- d + 1;
+  let ost = pooled vm.pool_ost d b.b_omax VUnit in
   (* Untagged operand stack: int operands live here, never boxed;
-     purely generic bodies keep the bound at 0 and share the empty
-     array. *)
-  let ist = if b.b_imax > 0 then Array.make b.b_imax 0 else no_ints in
+     purely generic bodies keep the bound at 0. *)
+  let ist = pooled vm.pool_ist d b.b_imax 0 in
   let locals = frame.locals.cells in
   let ilocals = frame.ilocals in
   let scopes = if b.b_scoped then ref [] else no_scopes in
@@ -3835,13 +3913,17 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
           loop tback sp isp
         end
   in
-  if not b.b_scoped then loop start 0 0
-  else
-    try loop start 0 0
-    with e ->
-      let bt = Printexc.get_raw_backtrace () in
-      let e = unwind_exn vm locals scopes e in
-      Printexc.raise_with_backtrace e bt
+  let v =
+    if not b.b_scoped then loop start 0 0
+    else
+      try loop start 0 0
+      with e ->
+        let bt = Printexc.get_raw_backtrace () in
+        let e = unwind_exn vm locals scopes e in
+        Printexc.raise_with_backtrace e bt
+  in
+  vm.act <- d;
+  v
 
 (* -- entry points -------------------------------------------------------------- *)
 
@@ -3878,7 +3960,14 @@ let make_vm ?(dead = Member.Set.empty) ?profiler ~step_limit ~call_depth_limit
     heap_object_limit = max 1 heap_object_limit;
     prof_counts;
     prof_calls;
+    act = 0;
+    pool_ost = [||];
+    pool_ist = [||];
+    pool_locals = [||];
+    pool_ilocals = [||];
   }
+
+let no_shape : fshape = { nbox = 0; nint = 0 }
 
 let execute (vm : vm) : value =
   let cp = vm.cp in
@@ -3893,7 +3982,7 @@ let execute (vm : vm) : value =
           (match cp.cp_ginit.(i) with
           | Some body ->
               coerce g.rg_coerce
-                (exec_code vm (mk_frame ~ints:0 0 None) body 0)
+                (exec_code vm (new_frame vm no_shape body None) body 0)
           | None -> default_value g.rg_default))
       rp.rp_globals;
     (try call_function vm rp.rp_main ~this:None empty_vals 0 0

@@ -30,8 +30,8 @@ type cprogram
 val compile : Resolve.rprogram -> cprogram
 
 (** One execution's mutable state: profile journal, globals/statics,
-    output buffer and resource-guard counters. Not reusable across
-    runs. *)
+    output buffer, resource-guard counters and the per-depth pools of
+    operand stacks and frames. Not reusable across runs. *)
 type vm
 
 (** Preallocate hot-site profiler state sized for [cprogram]'s bodies

@@ -9,7 +9,11 @@
 
    The fused-loop tests check the property the pins are there to keep:
    the hot fused loop instructions allocate nothing per dispatch, so a
-   program's execute words do not grow with its iteration count. *)
+   program's execute words do not grow with its iteration count. The
+   call test checks the same of a call's frame: its words do not grow
+   with the callee's locals and operand stacks. The frontend pins
+   measure lex, parse and type-check on the generated points-to
+   programs. *)
 
 open Runtime
 
@@ -50,20 +54,24 @@ let layer_words (b : Benchmarks.Suite.t) =
    arms, for the record: jikes 2930621, idl 610932, npic 5335627,
    lcom 1163094, taldict 143144, ixx 1021692, simulate 2443809,
    sched 8931241, hotwire 67297, deltablue 293801, richards 605269
-   (23546527 in all). *)
+   (23546527 in all). Before the per-depth activation pools, execute
+   was: deltablue 285541, hotwire 45323, idl 384776, ixx 634036,
+   jikes 1682149, lcom 743231, npic 2362957, richards 571131,
+   sched 4549565, simulate 1714909, taldict 137830 (13111448 in all);
+   compile was one word a body less (the [b_escapes] flag). *)
 let pinned_words =
   [
-    ("deltablue", 45313, 16683, 285541);
-    ("hotwire", 29059, 10015, 45323);
-    ("idl", 27328, 9655, 384776);
-    ("ixx", 22338, 9399, 634036);
-    ("jikes", 44692, 20403, 1682149);
-    ("lcom", 32397, 14030, 743231);
-    ("npic", 16322, 8251, 2362957);
-    ("richards", 27965, 12153, 571131);
-    ("sched", 19119, 9327, 4549565);
-    ("simulate", 21205, 10346, 1714909);
-    ("taldict", 25647, 10591, 137830);
+    ("deltablue", 45313, 16731, 165292);
+    ("hotwire", 29059, 10044, 29568);
+    ("idl", 27328, 9680, 227116);
+    ("ixx", 22338, 9423, 365246);
+    ("jikes", 44692, 20439, 1050324);
+    ("lcom", 32397, 14064, 435366);
+    ("npic", 16322, 8265, 1340479);
+    ("richards", 27965, 12181, 335974);
+    ("sched", 19119, 9339, 2851735);
+    ("simulate", 21205, 10367, 985090);
+    ("taldict", 25647, 10620, 72956);
   ]
 
 let t_port_words_pinned () =
@@ -159,10 +167,115 @@ let t_rpn_store_no_alloc () =
     [ "ITickRpnStoreI"; "IRpnStoreI" ];
   check_int "execute words do not grow with the passes" w1 w2
 
+(* -- calls -------------------------------------------------------------------- *)
+
+(* Execute words of [calls] calls of [callee], plus its profiled call
+   count. [small] has no locals; [big] has int and boxed locals (one of
+   them a float) and deep expressions, so its frame and operand stacks
+   are several times [small]'s. Arguments are constants and neither
+   method returns a value, so the call sites box nothing. *)
+let call_words meth args calls =
+  let src =
+    Printf.sprintf
+      {|struct Leaf {
+  int hits;
+  Leaf *self;
+  void small() { hits = hits + 1; }
+  void big(int a, int b) {
+    int x = a * 2 + b;
+    int y = (x + a) * (b + 3) - (x - b) * 2;
+    int z = x + y;
+    Leaf *l1 = self;
+    Leaf *l2 = l1->self;
+    double f = 1.5;
+    l2->hits = l2->hits + ((x + (y + (z + (a + (b + 1))))) %% 7);
+  }
+};
+int main() {
+  Leaf *leaf = new Leaf();
+  leaf->self = leaf;
+  for (int i = 0; i < %d; i++) leaf->%s(%s);
+  return 0;
+}|}
+      calls meth args
+  in
+  telemetry_off (fun () ->
+      let prog = Sema.Type_check.check_source src in
+      let cp = Bytecode.compile (Resolve.program prog) in
+      let _, w = words (fun () -> Bytecode.execute (make_vm cp)) in
+      let _, r = Interp.run_profiled prog in
+      let row =
+        List.find
+          (fun (f : Vm_profile.func_row) -> f.fr_name = "Leaf::" ^ meth)
+          r.Vm_profile.r_functions
+      in
+      (w, row.fr_calls))
+
+(* A call takes its operand stacks and, when its body never takes a
+   local's address, its locals from the VM's per-depth pools, so what a
+   call allocates does not depend on its frame: 10,000 more calls cost
+   the same words for [small] and [big]. The 31 words a call are the
+   dispatch loop's closure (23), the frame record (4), the receiver's
+   [Some] (2) and one [VObj] the callee pushes (2); the arrays the
+   pools replaced grew with the frame. *)
+let t_call_no_frame_alloc () =
+  let per_call meth args =
+    let w1, c1 = call_words meth args 100 in
+    let w2, c2 = call_words meth args 10_100 in
+    check_int (meth ^ ": 100 calls ran") 100 c1;
+    check_int (meth ^ ": 10100 calls ran") 10_100 c2;
+    check_int (meth ^ ": whole words per call") 0 ((w2 - w1) mod 10_000);
+    (w2 - w1) / 10_000
+  in
+  let small = per_call "small" "" in
+  check_int "words per call, whatever the frame" small (per_call "big" "3, 4");
+  check_int "words per call" 31 small
+
+(* -- frontend ------------------------------------------------------------------ *)
+
+(* Minor words of lex, parse and type-check, run as bench/e2e's
+   synth_pta op runs them, on the pinned stress program and on the
+   synth_pta twin of test_pta_scale.ml. Measuring only: DESIGN.md §4k
+   says what the lexer's words are made of. (tokens, lex, parse,
+   typecheck) per program. *)
+let synth_twin =
+  {
+    Benchmarks.Synth.seed = 7;
+    classes = 32;
+    sites = 48;
+    chains = 12;
+    chain_len = 400;
+  }
+
+let pinned_frontend =
+  [
+    ("stress", Benchmarks.Synth.stress, (393363, 16429470, 3287262, 8243787));
+    ("synth_pta twin", synth_twin, (36650, 1515762, 305496, 767811));
+  ]
+
+let t_frontend_words_pinned () =
+  telemetry_off (fun () ->
+      List.iter
+        (fun (name, params, (tokens, lex, parse, typecheck)) ->
+          let src = Benchmarks.Synth.source params in
+          let toks, l =
+            words (fun () -> Frontend.Lexer.tokenize ~file:"<synth>" src)
+          in
+          let ast, p = words (fun () -> Frontend.Parser.parse_tokens toks) in
+          let _, t = words (fun () -> Sema.Type_check.check_program ast) in
+          check_int (name ^ " tokens") tokens (List.length toks);
+          check_int (name ^ " lex words") lex l;
+          check_int (name ^ " parse words") parse p;
+          check_int (name ^ " typecheck words") typecheck t)
+        pinned_frontend)
+
 let suite =
   [
     Util.test "resolve/compile/execute words of the 11 ports pinned"
       t_port_words_pinned;
     Util.test "ILoopScan allocates nothing per dispatch" t_loop_scan_no_alloc;
     Util.test "IRpnStoreI allocates nothing per dispatch" t_rpn_store_no_alloc;
+    Util.test "a call allocates no frame arrays" t_call_no_frame_alloc;
+    Util.test "lex/parse/typecheck words of the synth programs pinned"
+      t_frontend_words_pinned;
   ]

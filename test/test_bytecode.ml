@@ -314,10 +314,86 @@ let t_pointer_chase_in_then_block () =
   Util.check_bool "the then-block exit is the fused jump" true
     (List.mem_assoc "ITickLoadFieldStoreJump" r.Runtime.Vm_profile.r_opcodes)
 
+(* -- escaped locals and unwinding (examples/corpus) ------------------------------ *)
+
+(* The VM runs activations on per-depth pooled frames unless a body can
+   take a local's address, and an exception leaves the pool depth
+   wherever the raise left it. These corpus programs check both rules
+   against the tree engine: pointers to locals read after later calls
+   at the same depth, and a runtime error and a step-limit hit unwinding
+   through callers whose stack objects' destructors make calls. *)
+
+let steps_counter = Telemetry.Counter.make "interp.steps"
+
+let corpus_source name =
+  In_channel.with_open_bin
+    (Filename.concat
+       (Filename.dirname Sys.executable_name)
+       ("../examples/corpus/" ^ name))
+    In_channel.input_all
+
+let rec describe_exn = function
+  | Runtime.Value.Runtime_error m -> "runtime error: " ^ m
+  | Runtime.Value.Limit_exceeded m -> "resource limit: " ^ m
+  | Fun.Finally_raised e -> "raised while unwinding: " ^ describe_exn e
+  | e -> raise e
+
+(* What a run shows: exit code and output, or the error text (a failed
+   run's output is not returned by either engine), plus the steps and
+   allocations it took, which the engines count even when a run fails. *)
+let observe ~engine ?step_limit prog =
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  let s0 = Telemetry.Counter.value steps_counter
+  and a0 = Telemetry.Counter.value allocs_counter in
+  let shown =
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_enabled was)
+      (fun () ->
+        match Runtime.Interp.run ~engine ?step_limit prog with
+        | o -> Printf.sprintf "exit %d\n%s" o.return_value o.output
+        | exception e -> describe_exn e)
+  in
+  ( shown,
+    Telemetry.Counter.value steps_counter - s0,
+    Telemetry.Counter.value allocs_counter - a0 )
+
+let corpus_engines_agree ?step_limit name =
+  let prog = Util.check_source (corpus_source name) in
+  let st, nt, at = observe ~engine:Runtime.Interp.Tree ?step_limit prog in
+  let sb, nb, ab = observe ~engine:Runtime.Interp.Bytecode ?step_limit prog in
+  Util.check_string (name ^ ": outcome") st sb;
+  Util.check_int (name ^ ": steps") nt nb;
+  Util.check_int (name ^ ": allocations") at ab;
+  st
+
+let t_escaped_locals () =
+  Util.check_string "values the locals held when their calls returned"
+    "exit 14\n101\n71\n201\n81\n301\n91\n1\n4\n9\n"
+    (corpus_engines_agree "escape_locals.mcc")
+
+let t_unwind_runtime_error () =
+  Util.check_string "the callee's error"
+    "runtime error: null pointer dereference"
+    (corpus_engines_agree "unwind_error.mcc")
+
+let t_unwind_step_limit () =
+  let shown =
+    corpus_engines_agree ~step_limit:20_000 "unwind_step_limit.mcc"
+  in
+  Util.check_bool "the step limit, hit again by the first destructor" true
+    (Util.contains_sub shown
+       ~sub:"raised while unwinding: resource limit: step limit exceeded")
+
 let suite =
   [
     Util.test "benchmarks identical under both engines"
       t_benchmark_engine_differential;
+    Util.test "locals whose address escapes keep their values"
+      t_escaped_locals;
+    Util.test "runtime error unwinding through scoped callers"
+      t_unwind_runtime_error;
+    Util.test "step limit unwinding through scoped callers" t_unwind_step_limit;
     Util.test "pointer chase in an if/else then-block"
       t_pointer_chase_in_then_block;
     Util.test "missing member: identical structured error"

@@ -69,6 +69,10 @@ let broken_src = "class A { int x; ;;; garbage here\nint main( { return }\n"
 let loop_src = "int f(int n) { return f(n); }\nint main() { return f(0); }\n"
 let ret7_src = "int main() { return 7; }\n"
 
+(* the step limit hits again in [g]'s destructor as the error unwinds *)
+let unwind_src =
+  "class G { public: ~G() { } };\nint main() { G g; while (1) { } return 0; }\n"
+
 (* -- the exit-code table ------------------------------------------------------ *)
 
 let t_exit_codes () =
@@ -76,6 +80,7 @@ let t_exit_codes () =
   let broken = temp_src broken_src in
   let deep = temp_src loop_src in
   let ret7 = temp_src ret7_src in
+  let unwind = temp_src unwind_src in
   let q = Filename.quote in
   let cases =
     [
@@ -107,6 +112,8 @@ let t_exit_codes () =
       ("run " ^ q deep, 3);
       ("run --step-limit=100 " ^ q valid, 0);
       ("run --step-limit=1 " ^ q ret7, 3) (* guest needs more steps *);
+      ("run --step-limit=1000 " ^ q unwind, 3)
+      (* used to exit 2: an uncaught Fun.Finally_raised *);
       ("run --engine=jit " ^ q ret7, 2) (* used to exit 124 *);
       ("run no/such/file.mcc", 2);
       ("run " ^ q broken, 1);
