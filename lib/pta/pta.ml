@@ -1,12 +1,11 @@
 (* Andersen-style inclusion-based points-to analysis for MiniC++.
 
    Subset constraints are generated from the typed AST and solved to a
-   fixpoint; copy-edge cycles are collapsed with a union-find (direct
-   2-cycles eagerly, longer cycles by a periodic Tarjan pass). The
-   abstraction is flow-insensitive and *field-based*: one node per
-   (defining class, member) identity — the same [Member.t] the
-   dead-member analysis classifies — so stores to [p->f] and loads of
-   [q->f] meet in the node for [C::f].
+   fixpoint by one difference-propagating worklist. The abstraction is
+   flow-insensitive and *field-based*: one node per (defining class,
+   member) identity — the same [Member.t] the dead-member analysis
+   classifies — so stores to [p->f] and loads of [q->f] meet in the node
+   for [C::f].
 
    Reachability is on the fly: constraints for a function are generated
    the first time it becomes reachable, and dispatch discovered during
@@ -28,13 +27,13 @@
      and only deltas flow along edges — a new edge replays the full
      source set against just that edge once, at attach time.
 
-   - The worklist runs in bulk-synchronous rounds. At a round boundary
-     the pending nodes are drained into a frontier, each node's
-     (delta, top) snapshot is taken and cleared, and then phase A scans
-     the frontier's copy edges — filtering out edges whose target
-     already covers the delta — before phase B applies the surviving
-     work in frontier order. The order of the two phases fixes every
-     solver counter the tests pin.
+   - The worklist runs in rounds. A round pops the nodes queued before
+     it started; each takes and clears its delta and pending ⊤ and
+     pushes them along its copy edges, through its loads and stores and
+     into its dispatch sites. Nodes that gain during the round queue for
+     the next. Copy cycles are not collapsed: a delta travels a cycle
+     once, because [add_objs] keeps only what a node does not already
+     hold. The pop order fixes every solver counter the tests pin.
 
    - [OneCfa] mode refines the abstraction by cloning callees one level
      deep: method calls are analyzed per receiver allocation site
@@ -58,7 +57,6 @@ let objects_counter = Telemetry.Counter.make "pta.objects"
 let copy_counter = Telemetry.Counter.make "pta.copy_edges"
 let complex_counter = Telemetry.Counter.make "pta.complex_constraints"
 let iter_counter = Telemetry.Counter.make "pta.solve_iterations"
-let cycle_counter = Telemetry.Counter.make "pta.cycles_collapsed"
 let sets_counter = Telemetry.Counter.make "pta.sets_interned"
 let memo_counter = Telemetry.Counter.make "pta.memo_hits"
 let delta_counter = Telemetry.Counter.make "pta.delta_props"
@@ -149,8 +147,6 @@ type dsite = {
 }
 
 type node = {
-  mutable parent : int;  (* union-find *)
-  mutable rank : int;
   mutable pts : Ptset.t;  (* object ids: everything known *)
   mutable delta : Ptset.t;  (* object ids: not yet propagated *)
   mutable top : bool;  (* may point anywhere (⊤) *)
@@ -158,13 +154,6 @@ type node = {
   mutable succ : IntSet.t;  (* inclusion edges: pts(succ) ⊇ pts(self) *)
   mutable loads : IntSet.t;  (* dst nodes: dst ⊇ *self *)
   mutable stores : IntSet.t;  (* src nodes: *self ⊇ src *)
-  (* array views of the three edge sets, rebuilt lazily after mutation:
-     a node enters the frontier once per delta arrival, and walking the
-     AVL sets into fresh arrays at every drain dominates solving time
-     on long pipelined propagations *)
-  mutable succ_c : int array option;
-  mutable loads_c : int array option;
-  mutable stores_c : int array option;
   mutable vsites : vsite list;
   mutable fsites : fsite list;
   mutable dsites : dsite list;
@@ -227,8 +216,6 @@ type solution = {
   mutable n_complex : int;
   mutable n_delta : int;  (* objects moved by difference propagation *)
   mutable rounds : int;  (* solver rounds *)
-  mutable pops : int;  (* frontier nodes, for periodic cycle collapse *)
-  mutable last_collapse : int;
 }
 
 (* -- node / object stores ----------------------------------------------------- *)
@@ -243,8 +230,6 @@ let fresh_node st =
            if i < st.n_nodes then st.nodes.(i)
            else
              {
-               parent = i;
-               rank = 0;
                pts = Ptset.empty;
                delta = Ptset.empty;
                top = false;
@@ -252,9 +237,6 @@ let fresh_node st =
                succ = IntSet.empty;
                loads = IntSet.empty;
                stores = IntSet.empty;
-               succ_c = None;
-               loads_c = None;
-               stores_c = None;
                vsites = [];
                fsites = [];
                dsites = [];
@@ -265,8 +247,6 @@ let fresh_node st =
   let id = st.n_nodes in
   st.nodes.(id) <-
     {
-      parent = id;
-      rank = 0;
       pts = Ptset.empty;
       delta = Ptset.empty;
       top = false;
@@ -274,9 +254,6 @@ let fresh_node st =
       succ = IntSet.empty;
       loads = IntSet.empty;
       stores = IntSet.empty;
-      succ_c = None;
-      loads_c = None;
-      stores_c = None;
       vsites = [];
       fsites = [];
       dsites = [];
@@ -301,58 +278,17 @@ let new_obj st ~cls ~fn ~payload ~site =
   Telemetry.Counter.incr objects_counter;
   id
 
-let rec find st i =
-  let n = st.nodes.(i) in
-  if n.parent = i then i
-  else begin
-    let r = find st n.parent in
-    n.parent <- r;
-    r
-  end
-
 let push st i =
-  let r = find st i in
-  let n = st.nodes.(r) in
+  let n = st.nodes.(i) in
   if not n.queued then begin
     n.queued <- true;
-    Queue.add r st.worklist
-  end
-
-(* Merge two nodes (cycle collapse). All constraint sets are unioned into
-   the winner; its delta becomes the full merged set (one full replay
-   re-fires the merged constraints). *)
-let union st a b =
-  let a = find st a and b = find st b in
-  if a = b then a
-  else begin
-    let na = st.nodes.(a) and nb = st.nodes.(b) in
-    let w, l = if na.rank >= nb.rank then (a, b) else (b, a) in
-    let nw = st.nodes.(w) and nl = st.nodes.(l) in
-    if nw.rank = nl.rank then nw.rank <- nw.rank + 1;
-    nl.parent <- w;
-    nw.pts <- Ptset.union st.it nw.pts nl.pts;
-    nw.delta <- nw.pts;
-    if nl.top then nw.top <- true;
-    if nw.top then nw.top_pending <- true;
-    nw.succ <- IntSet.union nw.succ nl.succ;
-    nw.loads <- IntSet.union nw.loads nl.loads;
-    nw.stores <- IntSet.union nw.stores nl.stores;
-    nw.succ_c <- None;
-    nw.loads_c <- None;
-    nw.stores_c <- None;
-    nw.vsites <- nl.vsites @ nw.vsites;
-    nw.fsites <- nl.fsites @ nw.fsites;
-    nw.dsites <- nl.dsites @ nw.dsites;
-    Telemetry.Counter.incr cycle_counter;
-    push st w;
-    w
+    Queue.add i st.worklist
   end
 
 (* Grow [i]'s set by [s]: only the genuinely new part enters [delta]. *)
 let add_objs st i s =
   if not (Ptset.is_empty s) then begin
-    let r = find st i in
-    let n = st.nodes.(r) in
+    let n = st.nodes.(i) in
     let d = Ptset.diff st.it s n.pts in
     if not (Ptset.is_empty d) then begin
       n.pts <- Ptset.union st.it n.pts d;
@@ -360,7 +296,7 @@ let add_objs st i s =
       let moved = Ptset.cardinal d in
       st.n_delta <- st.n_delta + moved;
       Telemetry.Counter.add delta_counter moved;
-      push st r
+      push st i
     end
   end
 
@@ -368,35 +304,25 @@ let add_obj st i o = add_objs st i (Ptset.singleton st.it o)
 
 let set_top st i =
   if i >= 0 then begin
-    let r = find st i in
-    let n = st.nodes.(r) in
+    let n = st.nodes.(i) in
     if not n.top then begin
       n.top <- true;
       n.top_pending <- true;
-      push st r
+      push st i
     end
   end
 
 let add_edge st src dst =
-  if src >= 0 && dst >= 0 then begin
-    let src = find st src and dst = find st dst in
-    if src <> dst then begin
-      let n = st.nodes.(src) in
-      if not (IntSet.mem dst n.succ) then begin
-        (* eager direct-cycle collapse: bidirectional edges (reference
-           aliasing) unify immediately *)
-        if IntSet.mem src (st.nodes.(dst)).succ then ignore (union st src dst)
-        else begin
-          n.succ <- IntSet.add dst n.succ;
-          n.succ_c <- None;
-          st.n_copy <- st.n_copy + 1;
-          Telemetry.Counter.incr copy_counter;
-          (* replay the full current set against just the new edge;
-             future growth arrives via difference propagation *)
-          if n.top then set_top st dst;
-          add_objs st dst n.pts
-        end
-      end
+  if src >= 0 && dst >= 0 && src <> dst then begin
+    let n = st.nodes.(src) in
+    if not (IntSet.mem dst n.succ) then begin
+      n.succ <- IntSet.add dst n.succ;
+      st.n_copy <- st.n_copy + 1;
+      Telemetry.Counter.incr copy_counter;
+      (* replay the full current set against just the new edge;
+         future growth arrives via difference propagation *)
+      if n.top then set_top st dst;
+      add_objs st dst n.pts
     end
   end
 
@@ -404,23 +330,25 @@ let payload st o =
   let p = (st.objs.(o)).o_payload in
   if p >= 0 then Some p else None
 
-(* Loads and stores replay the full current set against just the new
-   complex edge at attach time; deltas cover the rest. *)
-let add_load st p dst =
-  let r = find st p in
-  let n = st.nodes.(r) in
-  n.loads <- IntSet.add dst n.loads;
-  n.loads_c <- None;
-  st.n_complex <- st.n_complex + 1;
-  Telemetry.Counter.incr complex_counter;
-  if n.top then set_top st dst
+(* [dst ⊇ *p] for one batch of [p]'s objects. Loads and stores replay
+   the full current set against just the new complex edge at attach
+   time; deltas cover the rest. *)
+let feed_load st dst ~objs ~is_top =
+  if is_top then set_top st dst
   else
     Ptset.iter
       (fun o ->
         match payload st o with
         | Some p -> add_edge st p dst
         | None -> set_top st dst)
-      n.pts
+      objs
+
+let add_load st p dst =
+  let n = st.nodes.(p) in
+  n.loads <- IntSet.add dst n.loads;
+  st.n_complex <- st.n_complex + 1;
+  Telemetry.Counter.incr complex_counter;
+  feed_load st dst ~objs:n.pts ~is_top:n.top
 
 (* -- named nodes -------------------------------------------------------------- *)
 
@@ -472,9 +400,8 @@ let class_object st cls =
 (* The cell object for an address-taken location whose contents live in
    node [n]: pts(&x) = { cell(x) }, payload(cell(x)) = node(x). *)
 let cell_object st n =
-  let r = find st n in
-  memo st.cell_obj r (fun () ->
-      new_obj st ~cls:None ~fn:None ~payload:r ~site:None)
+  memo st.cell_obj n (fun () ->
+      new_obj st ~cls:None ~fn:None ~payload:n ~site:None)
 
 (* One node per (defining class, member). Class-typed members denote the
    subobject itself: the node is pre-seeded with an object of the
@@ -802,240 +729,71 @@ let feed_dsite st (ds : dsite) ~objs ~is_top =
         | None -> degrade_dsite st ds)
       objs
 
-(* Stores replay like loads, but need [feed]-style havoc handling. *)
-let add_store st p src =
-  let r = find st p in
-  let n = st.nodes.(r) in
-  n.stores <- IntSet.add src (st.nodes.(r)).stores;
-  n.stores_c <- None;
-  st.n_complex <- st.n_complex + 1;
-  Telemetry.Counter.incr complex_counter;
-  if n.top then do_havoc st
+(* [*p ⊇ src]: stores replay like loads, but a store the analysis
+   cannot place havocs. *)
+let feed_store st src ~objs ~is_top =
+  if is_top then do_havoc st
   else
     Ptset.iter
       (fun o ->
         match payload st o with
-        | Some pl -> add_edge st src pl
+        | Some p -> add_edge st src p
         | None -> do_havoc st)
-      n.pts
+      objs
+
+let add_store st p src =
+  let n = st.nodes.(p) in
+  n.stores <- IntSet.add src n.stores;
+  st.n_complex <- st.n_complex + 1;
+  Telemetry.Counter.incr complex_counter;
+  feed_store st src ~objs:n.pts ~is_top:n.top
 
 let attach_vsite st (vs : vsite) rnode =
-  let r = find st rnode in
-  let n = st.nodes.(r) in
+  let n = st.nodes.(rnode) in
   n.vsites <- vs :: n.vsites;
   feed_vsite st vs ~rnode ~objs:n.pts ~is_top:n.top
 
 let attach_fsite st (fs : fsite) fnode =
-  let r = find st fnode in
-  let n = st.nodes.(r) in
+  let n = st.nodes.(fnode) in
   n.fsites <- fs :: n.fsites;
   feed_fsite st fs ~objs:n.pts ~is_top:n.top
 
 let attach_dsite st (ds : dsite) dnode =
-  let r = find st dnode in
-  let n = st.nodes.(r) in
+  let n = st.nodes.(dnode) in
   n.dsites <- ds :: n.dsites;
   feed_dsite st ds ~objs:n.pts ~is_top:n.top
 
-(* -- the round-based solver ---------------------------------------------------
+(* -- the solver ---------------------------------------------------------------
 
-   One round: drain the worklist into a frontier of (node, delta, ⊤)
-   snapshots, filter the frontier's copy edges (phase A), then apply
-   the surviving work in frontier order (phase B). Every set mutation
-   happens in phase B or generation, in a deterministic order. *)
+   Sets only grow and [add_objs] keeps only the genuinely new part, so
+   the order nodes are popped in moves the counters, never the
+   solution. *)
 
-type entry = {
-  en_node : int;
-  en_delta : Ptset.t;
-  en_top : bool;
-  en_succ : int array;
-  mutable en_keep : int array;
-  en_loads : int array;
-  en_stores : int array;
-  en_vsites : vsite list;
-  en_fsites : fsite list;
-  en_dsites : dsite list;
-}
-
-let no_edges = [||]
-
-let succ_view n =
-  match n.succ_c with
-  | Some a -> a
-  | None ->
-      let a =
-        if IntSet.is_empty n.succ then no_edges
-        else Array.of_list (IntSet.elements n.succ)
-      in
-      n.succ_c <- Some a;
-      a
-
-let loads_view n =
-  match n.loads_c with
-  | Some a -> a
-  | None ->
-      let a =
-        if IntSet.is_empty n.loads then no_edges
-        else Array.of_list (IntSet.elements n.loads)
-      in
-      n.loads_c <- Some a;
-      a
-
-let stores_view n =
-  match n.stores_c with
-  | Some a -> a
-  | None ->
-      let a =
-        if IntSet.is_empty n.stores then no_edges
-        else Array.of_list (IntSet.elements n.stores)
-      in
-      n.stores_c <- Some a;
-      a
-
-let drain st =
-  let acc = ref [] in
-  while not (Queue.is_empty st.worklist) do
-    let i = Queue.pop st.worklist in
-    let n = st.nodes.(i) in
-    n.queued <- false;
-    if find st i = i && ((not (Ptset.is_empty n.delta)) || n.top_pending) then begin
-      let e =
-        {
-          en_node = i;
-          en_delta = n.delta;
-          en_top = n.top_pending;
-          en_succ = succ_view n;
-          en_keep = no_edges;
-          en_loads = loads_view n;
-          en_stores = stores_view n;
-          en_vsites = n.vsites;
-          en_fsites = n.fsites;
-          en_dsites = n.dsites;
-        }
-      in
-      n.delta <- Ptset.empty;
-      n.top_pending <- false;
-      acc := e :: !acc
-    end
-  done;
-  Array.of_list (List.rev !acc)
-
-(* Phase A: a copy edge is kept when the delta is not already covered
-   by the target's set; a skip stays valid because sets only grow. The
-   whole frontier is filtered before phase B changes any set. *)
-let compute_keeps st frontier =
-  let keep e s =
-    let r = find st s in
-    r <> e.en_node
-    && (e.en_top || not (Ptset.subset e.en_delta (st.nodes.(r)).pts))
-  in
-  Array.iter
-    (fun e ->
-      let nsucc = Array.length e.en_succ in
-      let m = ref 0 in
-      for j = 0 to nsucc - 1 do
-        if keep e e.en_succ.(j) then incr m
-      done;
-      (* count first, then fill exactly — and when everything survives
-         (the common case) reuse the cached edge array outright *)
-      if !m = nsucc then e.en_keep <- e.en_succ
-      else if !m > 0 then begin
-        let buf = Array.make !m 0 in
-        let w = ref 0 in
-        for j = 0 to nsucc - 1 do
-          let s = e.en_succ.(j) in
-          if keep e s then begin
-            buf.(!w) <- s;
-            incr w
-          end
-        done;
-        e.en_keep <- buf
-      end)
-    frontier
-
-(* Phase B: apply one frontier entry. Monotone: stale snapshots after a
-   mid-round merge only cause redundant (deduplicated) re-firing. *)
-let apply_entry st e =
-  Telemetry.Counter.incr iter_counter;
-  let is_top = e.en_top || (st.nodes.(find st e.en_node)).top in
-  Array.iter
-    (fun dst ->
-      if e.en_top then set_top st dst;
-      add_objs st dst e.en_delta)
-    e.en_keep;
-  Array.iter
-    (fun dst ->
-      if is_top then set_top st dst
-      else
-        Ptset.iter
-          (fun o ->
-            match payload st o with
-            | Some p -> add_edge st p dst
-            | None -> set_top st dst)
-          e.en_delta)
-    e.en_loads;
-  Array.iter
-    (fun src ->
-      if is_top then do_havoc st
-      else
-        Ptset.iter
-          (fun o ->
-            match payload st o with
-            | Some p -> add_edge st src p
-            | None -> do_havoc st)
-          e.en_delta)
-    e.en_stores;
-  List.iter
-    (fun vs -> feed_vsite st vs ~rnode:e.en_node ~objs:e.en_delta ~is_top)
-    e.en_vsites;
-  List.iter (fun fs -> feed_fsite st fs ~objs:e.en_delta ~is_top) e.en_fsites;
-  List.iter (fun ds -> feed_dsite st ds ~objs:e.en_delta ~is_top) e.en_dsites
-
-(* Periodic Tarjan pass over copy edges: collapse multi-node cycles the
-   eager 2-cycle check misses. Purely an acceleration; unions performed
-   mid-walk only cause redundant re-propagation. *)
-let collapse_cycles st =
-  let n = st.n_nodes in
-  let index = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let rec strong v =
-    index.(v) <- !counter;
-    low.(v) <- !counter;
-    incr counter;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
+(* Push node [i]'s pending difference along its edges and into its
+   sites. [delta] and [top_pending] are taken and cleared first, so
+   anything [i] gains meanwhile (an edge a load, store or dispatch adds
+   into [i]) queues it again. *)
+let propagate st i =
+  let n = st.nodes.(i) in
+  n.queued <- false;
+  let delta = n.delta and top = n.top_pending and is_top = n.top in
+  n.delta <- Ptset.empty;
+  n.top_pending <- false;
+  if top || not (Ptset.is_empty delta) then begin
+    Telemetry.Counter.incr iter_counter;
     IntSet.iter
-      (fun s ->
-        let w = find st s in
-        if w <> v && w < n then
-          if index.(w) < 0 then begin
-            strong w;
-            low.(v) <- min low.(v) low.(w)
-          end
-          else if on_stack.(w) then low.(v) <- min low.(v) index.(w))
-      (st.nodes.(v)).succ;
-    if low.(v) = index.(v) then begin
-      let rec pop acc =
-        match !stack with
-        | w :: rest ->
-            stack := rest;
-            on_stack.(w) <- false;
-            if w = v then w :: acc else pop (w :: acc)
-        | [] -> acc
-      in
-      match pop [] with
-      | _ :: _ :: _ as scc ->
-          ignore
-            (List.fold_left (fun a b -> union st a b) (List.hd scc) (List.tl scc))
-      | _ -> ()
-    end
-  in
-  for v = 0 to n - 1 do
-    if find st v = v && index.(v) < 0 then strong v
-  done
+      (fun dst ->
+        if top then set_top st dst;
+        add_objs st dst delta)
+      n.succ;
+    IntSet.iter (fun dst -> feed_load st dst ~objs:delta ~is_top) n.loads;
+    IntSet.iter (fun src -> feed_store st src ~objs:delta ~is_top) n.stores;
+    List.iter
+      (fun vs -> feed_vsite st vs ~rnode:i ~objs:delta ~is_top)
+      n.vsites;
+    List.iter (fun fs -> feed_fsite st fs ~objs:delta ~is_top) n.fsites;
+    List.iter (fun ds -> feed_dsite st ds ~objs:delta ~is_top) n.dsites
+  end
 
 (* -- constraint generation ----------------------------------------------------
 
@@ -1694,6 +1452,7 @@ and gen_func st (fx : fctx) =
 (* -- driver -------------------------------------------------------------------- *)
 
 let solve st =
+  let round = Queue.create () in
   let running = ref true in
   while !running do
     while not (Queue.is_empty st.gen_queue) do
@@ -1703,38 +1462,28 @@ let solve st =
     else begin
       st.rounds <- st.rounds + 1;
       Telemetry.Counter.incr round_counter;
-      let frontier = drain st in
-      compute_keeps st frontier;
-      Array.iter (apply_entry st) frontier;
-      st.pops <- st.pops + Array.length frontier;
-      (* the collapse pass is O(V+E); scale the trigger with graph size
-         so long pipelined propagations don't drown in Tarjan walks *)
-      if st.pops - st.last_collapse >= max 4096 (4 * st.n_nodes) then begin
-        st.last_collapse <- st.pops;
-        collapse_cycles st
-      end
+      Queue.transfer st.worklist round;
+      while not (Queue.is_empty round) do
+        propagate st (Queue.pop round)
+      done
     end
   done
 
 (* A converged solution should retain the answer, not the machinery
-   that produced it: drop the capacity slack of the node/object stores,
-   the lazily built edge-array views, and the interner's operation
-   memos (interned sets survive — queries re-dedup on demand). *)
+   that produced it: drop the capacity slack of the node/object stores
+   and the interner's operation memos (interned sets survive — queries
+   re-dedup on demand). *)
 let shrink st =
   if Array.length st.nodes > st.n_nodes then
     st.nodes <- Array.sub st.nodes 0 st.n_nodes;
   if Array.length st.objs > st.n_objs then
     st.objs <- Array.sub st.objs 0 st.n_objs;
   let live = ref [] in
-  Array.iteri
-    (fun i n ->
-      n.succ_c <- None;
-      n.loads_c <- None;
-      n.stores_c <- None;
+  Array.iter
+    (fun n ->
       (* the constraint graph exists to reach the fixpoint; the
          solution keeps only per-node answers ([pts], [top]) and the
-         site registries ([all_vsites] & co). Merged-away nodes keep
-         just their forwarding pointer. *)
+         site registries ([all_vsites] & co) *)
       n.delta <- Ptset.empty;
       n.succ <- IntSet.empty;
       n.loads <- IntSet.empty;
@@ -1742,8 +1491,7 @@ let shrink st =
       n.vsites <- [];
       n.fsites <- [];
       n.dsites <- [];
-      if n.parent <> i then n.pts <- Ptset.empty
-      else if not (Ptset.is_empty n.pts) then live := n.pts :: !live)
+      if not (Ptset.is_empty n.pts) then live := n.pts :: !live)
     st.nodes;
   Ptset.compact st.it !live;
   (* generation-time memos: nothing after the solve reads them *)
@@ -1826,8 +1574,6 @@ let analyze ?(mode = Insensitive) ?(roots = [ main_id ]) (p : program) :
       n_complex = 0;
       n_delta = 0;
       rounds = 0;
-      pops = 0;
-      last_collapse = 0;
     }
   in
   Telemetry.Span.with_ "pta.seed" (fun () ->
@@ -1870,7 +1616,7 @@ let node_objects st e =
         let pts =
           List.fold_left
             (fun acc (_, n) ->
-              let nd = st.nodes.(find st n) in
+              let nd = st.nodes.(n) in
               if nd.top then ok := false;
               Ptset.union st.it acc nd.pts)
             Ptset.empty entries

@@ -1,12 +1,12 @@
 (** Andersen-style inclusion-based points-to analysis over MiniC++.
 
     Flow-insensitive subset constraints are generated from the typed AST
-    and solved with a worklist algorithm; copy-edge cycles are collapsed
-    with a union-find so propagation is cycle-aware. The abstraction is
-    {e field-based}: one node per [(defining class, name)] data member —
-    the same {!Sema.Member.t} identity the dead-member analysis
-    classifies — so a store to [p->f] and a load of [q->f] meet in the
-    single node for [C::f].
+    and solved with one worklist that propagates only what each node
+    gained since it was last popped. The abstraction is {e field-based}:
+    one node per [(defining class, name)] data member — the same
+    {!Sema.Member.t} identity the dead-member analysis classifies — so a
+    store to [p->f] and a load of [q->f] meet in the single node for
+    [C::f].
 
     Reachability is computed on the fly: constraints for a function are
     generated the first time it becomes reachable, and virtual-call /
@@ -23,9 +23,9 @@
     [⊤] element that individual queries report as [None].
 
     The solver propagates {e differences} over hash-consed {!Ptset}
-    sets, in bulk-synchronous rounds. A pointer local that is never
-    written after its initializer gets no node of its own: it shares
-    its initializer's, so copy chains cost neither nodes nor edges.
+    sets, in worklist rounds. A pointer local that is never written
+    after its initializer gets no node of its own: it shares its
+    initializer's, so copy chains cost neither nodes nor edges.
     {!Pta_ref} computes the [Insensitive] solution naively; the test
     suite holds the two equal on every expression. *)
 
@@ -100,7 +100,8 @@ type stats = {
   p_sets_interned : int;  (** distinct hash-consed sets created *)
   p_memo_hits : int;  (** set operations answered from the memo table *)
   p_delta_props : int;  (** objects moved by difference propagation *)
-  p_solver_iters : int;  (** bulk-synchronous solver rounds *)
+  p_solver_iters : int;
+      (** worklist rounds; a round pops the nodes queued before it began *)
   p_contexts : int;  (** function instances generated *)
   p_fallback_sites : int;
       (** static dispatch sites the analysis could not pin to a single

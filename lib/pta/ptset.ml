@@ -2,8 +2,7 @@
 
    The interner owns two tables: [intern] maps array contents to the
    canonical set value, and the operation memos map operand identities
-   to results. All table mutation happens in the solver's sequential
-   phases; worker domains only read the immutable [arr] payloads. *)
+   to results. Neither is synchronised: an interner is single-threaded. *)
 
 type t = { sid : int; arr : int array }
 
@@ -31,11 +30,10 @@ let mem x t =
   done;
   !found
 
-(* Every element of [a] present in [b]? Read-only and allocation-free
-   (safe from the solver's parallel read phase): a linear merge walk for
-   comparable sizes, per-element binary search when [a] is much smaller
-   than [b] — the hot case is a singleton delta probed against a large
-   accumulated set. *)
+(* Every element of [a] present in [b]? Read-only and allocation-free:
+   a linear merge walk for comparable sizes, per-element binary search
+   when [a] is much smaller than [b] — the hot case is a singleton delta
+   probed against a large accumulated set. *)
 let subset a b =
   a == b
   ||

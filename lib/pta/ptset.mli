@@ -9,12 +9,10 @@
     so sharing plus operation dedup removes most of the cost of the
     naive one-tree-per-node representation.
 
-    Concurrency contract: every {e creating} operation ({!singleton},
-    {!add}, {!union}, {!diff}) mutates the interner and must run on a
-    single thread (the solver's sequential phases). The read-only
-    operations ({!mem}, {!subset}, {!cardinal}, {!iter}, {!fold},
-    {!elements}, {!equal}) touch only immutable arrays and are safe to
-    call concurrently from worker domains. *)
+    An interner is single-threaded: the {e creating} operations
+    ({!singleton}, {!add}, {!union}, {!diff}) mutate its tables without
+    synchronisation, so one interner belongs to one solve on one
+    domain. *)
 
 type t
 type interner
@@ -34,7 +32,7 @@ val mem : int -> t -> bool
 val equal : t -> t -> bool
 
 (** [subset a b] is true when every element of [a] is in [b]. Pure — no
-    interner access, safe concurrently. *)
+    interner access. *)
 val subset : t -> t -> bool
 
 val elements : t -> int list

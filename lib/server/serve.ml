@@ -393,44 +393,50 @@ let execute_timed cfg (req : request) ~enqueued =
            deadline_ms)
     else
       let source () = Option.value req.source ~default:"" in
-      try
-        Runtime.Value.with_deadline deadline @@ fun () ->
-        match req.op with
-        | Analyze -> do_analyze tr req (source ())
-        | Check -> do_check tr req (source ())
-        | Run -> do_run cfg tr req (source ())
-        | Explain ->
-            do_explain tr req (source ()) (Option.value req.member ~default:"")
-        | Precision -> do_precision tr req
-        | Crash ->
-            if cfg.fault_injection then raise Fault_injected
-            else
-              error_response ?id ?trace Unsupported
-                "fault injection is disabled (start the server with \
-                 --fault-injection to enable the crash op)"
-        | Health | Stats | Shutdown ->
-            (* unreachable through [handle_line]; kept total for direct
-               callers (tests) *)
+      let rec answer_errors f =
+        try f () with
+        (* a destructor that failed while an error unwound its scope:
+           answer the destructor's error, the one the program ended with *)
+        | Fun.Finally_raised e -> answer_errors (fun () -> raise e)
+        | Runtime.Value.Limit_exceeded m ->
+            error_response ?id ?trace Limit ("resource limit: " ^ m)
+        | Runtime.Value.Runtime_error m ->
+            error_response ?id ?trace Runtime ("runtime error: " ^ m)
+        | Runtime.Interp.Abort_called ->
+            error_response ?id ?trace Runtime "runtime error: abort() called"
+        | Frontend.Source.Compile_error d ->
+            error_response ?id ?trace
+              ~extra:
+                [ ("diagnostics", jarr [ Frontend.Source.diagnostic_to_json d ]) ]
+              Diagnostics
+              (Frontend.Source.diagnostic_to_string d)
+        | Stack_overflow ->
+            error_response ?id ?trace Limit
+              "resource limit: native stack exhausted"
+        | Out_of_memory ->
+            error_response ?id ?trace Limit "resource limit: out of memory"
+      in
+      answer_errors @@ fun () ->
+      Runtime.Value.with_deadline deadline @@ fun () ->
+      match req.op with
+      | Analyze -> do_analyze tr req (source ())
+      | Check -> do_check tr req (source ())
+      | Run -> do_run cfg tr req (source ())
+      | Explain ->
+          do_explain tr req (source ()) (Option.value req.member ~default:"")
+      | Precision -> do_precision tr req
+      | Crash ->
+          if cfg.fault_injection then raise Fault_injected
+          else
             error_response ?id ?trace Unsupported
-              (Printf.sprintf "'%s' is a control op answered by the server loop"
-                 (op_name req.op))
-      with
-      | Runtime.Value.Limit_exceeded m ->
-          error_response ?id ?trace Limit ("resource limit: " ^ m)
-      | Runtime.Value.Runtime_error m ->
-          error_response ?id ?trace Runtime ("runtime error: " ^ m)
-      | Runtime.Interp.Abort_called ->
-          error_response ?id ?trace Runtime "runtime error: abort() called"
-      | Frontend.Source.Compile_error d ->
-          error_response ?id ?trace
-            ~extra:
-              [ ("diagnostics", jarr [ Frontend.Source.diagnostic_to_json d ]) ]
-            Diagnostics
-            (Frontend.Source.diagnostic_to_string d)
-      | Stack_overflow ->
-          error_response ?id ?trace Limit "resource limit: native stack exhausted"
-      | Out_of_memory ->
-          error_response ?id ?trace Limit "resource limit: out of memory"
+              "fault injection is disabled (start the server with \
+               --fault-injection to enable the crash op)"
+      | Health | Stats | Shutdown ->
+          (* unreachable through [handle_line]; kept total for direct
+             callers (tests) *)
+          error_response ?id ?trace Unsupported
+            (Printf.sprintf "'%s' is a control op answered by the server loop"
+               (op_name req.op))
   in
   (resp, req, tr)
 

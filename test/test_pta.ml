@@ -328,8 +328,8 @@ let pinned =
       ("ixx", Pta1, (26, 31, ixx), Some (78, 138, 4));
       ("simulate", Cha, (18, 18, simulate), None);
       ("simulate", Rta, (18, 18, simulate), None);
-      ("simulate", Pta, (18, 18, simulate), Some (42, 47, 3));
-      ("simulate", Pta1, (18, 18, simulate), Some (37, 50, 3));
+      ("simulate", Pta, (18, 18, simulate), Some (43, 49, 3));
+      ("simulate", Pta1, (18, 18, simulate), Some (38, 52, 4));
       ("sched", Cha, (10, 10, sched), None);
       ("sched", Rta, (10, 10, sched), None);
       ("sched", Pta, (10, 10, sched), Some (65, 51, 6));

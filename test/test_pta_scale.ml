@@ -17,7 +17,7 @@
      must hold across the suite, and on one program cloning must
      strictly grow the dead list;
    - allocation-site cloning must not lose flow through copy-edge
-     cycles (the classic collapse-under-cloning soundness trap);
+     cycles (where solvers that collapse cycles classically go wrong);
    - on deltablue, cloning must strictly shrink [pta.fallback_sites]. *)
 
 open Sema.Typed_ast
@@ -58,8 +58,9 @@ let prop_ptset_oracle =
       && Ptset.equal p (inter (IS.elements o))
       && Ptset.subset p (Ptset.add it 99 p))
 
-(* A reference cycle through a field: node merges in the solver, and a
-   receiver that must still see both allocation sites. *)
+(* A reference cycle through a field — a 2-node copy cycle in the
+   constraint graph — and a receiver that must still see both
+   allocation sites. *)
 let cycle_src =
   {|class Node {
     public:
@@ -81,6 +82,37 @@ let cycle_src =
       Node *q = p->next;
       p->next = q;
       return q->id();
+    }|}
+
+(* A 4-node copy cycle a -> Shape::link -> c -> b -> a: locals reassigned
+   in a loop (so none is substituted away) and a field hop. Each
+   allocation reaches the other three nodes only around the cycle; [d]
+   is off it and keeps its one class. *)
+let copy_cycle_src =
+  {|class Shape {
+    public:
+      Shape() : link(NULL) { }
+      Shape *link;
+      virtual int area() { return 0; }
+    };
+    class Square : public Shape { public: virtual int area() { return 4; } };
+    class Tri : public Shape { public: virtual int area() { return 3; } };
+    class Circle : public Shape { public: virtual int area() { return 7; } };
+    int main() {
+      Shape *a = new Square();
+      Shape *b = new Tri();
+      Shape *c = new Circle();
+      Shape *d = NULL;
+      d = new Shape();
+      int n = d->area();
+      while (n < 100) {
+        b->link = a;
+        a = b;
+        b = c;
+        c = a->link;
+        n = n + a->area() + b->area() + c->area();
+      }
+      return n;
     }|}
 
 (* The program where 1-CFA changes a dead list: [id] merges both
@@ -185,6 +217,7 @@ let inline_programs () =
       ("escape", Test_pta.escape_src);
       ("two_receivers", Test_pta.two_receivers_src);
       ("cycle", cycle_src);
+      ("copy_cycle", copy_cycle_src);
       ("onecfa_id", onecfa_id_src);
       ("copy_writes", copy_writes_src);
     ]
@@ -350,16 +383,17 @@ let t_synth_twin () =
        r.Deadmem.Liveness.callgraph.Callgraph.pta_stats);
   check_agrees ("synth twin", prog)
 
-(* -- cycle collapse under cloning ---------------------------------------------- *)
+(* -- copy cycles under cloning ------------------------------------------------- *)
 
-let t_cycle_collapse_under_cloning () =
-  (* the a->b->a reference cycle forces node merges; with per-site
-     clones the merge must still see both allocation sites, so the
-     dispatch through the cycle keeps Special::id reachable *)
+let t_cycle_under_cloning () =
+  (* the a->b->a reference cycle is a copy cycle; with per-site clones,
+     flow around it must still bring both allocation sites to the
+     receiver, so the dispatch through the cycle keeps Special::id
+     reachable *)
   List.iter
     (fun alg ->
       let cg = Callgraph.build ~algorithm:alg (Util.check_source cycle_src) in
-      Util.check_bool "Special::id survives the collapsed cycle" true
+      Util.check_bool "Special::id survives the cycle" true
         (Callgraph.reachable cg (Func_id.FMethod ("Special", "id"))))
     [ Callgraph.Pta; Callgraph.Pta1 ];
   (* and the refinement may only shrink the dead set, never flip a live
@@ -411,8 +445,7 @@ let suite =
       t_onecfa_within_ref;
     Util.test "dead(CHA) ⊆ dead(RTA) ⊆ dead(PTA) ⊆ dead(PTA1) on the suite"
       t_four_tier_chain;
-    Util.test "cycle collapse stays sound under cloning"
-      t_cycle_collapse_under_cloning;
+    Util.test "copy cycles stay sound under cloning" t_cycle_under_cloning;
     Util.test "1-CFA strictly shrinks deltablue's fallback sites"
       t_deltablue_fallback_shrink;
     Util.test "PTA1 surfaces solver statistics" t_stats_populated;

@@ -328,6 +328,23 @@ let t_exec_engine_error_parity () =
         (match Option.get kind with "limit" | "runtime" -> true | _ -> false))
     cases
 
+(* A step limit hit under scopes holding stack objects unwinds through
+   destructors that make calls, so a destructor fails while the limit
+   error unwinds and the error arrives wrapped in [Fun.Finally_raised].
+   It is still the program's resource limit, not a worker crash. *)
+let t_exec_limit_through_destructors () =
+  let src = Test_bytecode.corpus_source "unwind_step_limit.mcc" in
+  let resp =
+    exec
+      (Printf.sprintf {|{"id":"u","cmd":"run","source":%s,"step_limit":20000}|}
+         (P.jstr src))
+  in
+  let ok, kind = shape resp in
+  check_bool "not ok" false ok;
+  check_string "limit kind" "limit" (Option.get kind);
+  check_bool "names the step limit" true
+    (Util.contains_sub ~sub:"resource limit: step limit exceeded" resp)
+
 let t_exec_diagnostics () =
   let broken = "class A { int x; ;;; garbage\nint main( { return }" in
   let resp =
@@ -856,6 +873,8 @@ let suite =
       t_exec_zero_deadline_disables;
     Util.test "execute: limit/runtime errors identical across engines"
       t_exec_engine_error_parity;
+    Util.test "execute: a limit unwinding through destructors is a limit"
+      t_exec_limit_through_destructors;
     Util.test "execute: diagnostics are structured" t_exec_diagnostics;
     Util.test "execute: explain verdicts and errors" t_exec_explain;
     Util.test "execute: crash op is gated" t_exec_crash_gated;
