@@ -269,9 +269,8 @@ let measure_solver f =
 
 let stats_json (s : Pta.stats) =
   Fmt.str
-    "{\"sets_interned\":%d,\"memo_hits\":%d,\"delta_props\":%d,\"solver_iters\":%d,\"contexts\":%d,\"fallback_sites\":%d}"
-    s.Pta.p_sets_interned s.Pta.p_memo_hits s.Pta.p_delta_props
-    s.Pta.p_solver_iters s.Pta.p_contexts s.Pta.p_fallback_sites
+    "{\"delta_props\":%d,\"solver_iters\":%d,\"contexts\":%d,\"fallback_sites\":%d}"
+    s.Pta.p_delta_props s.Pta.p_solver_iters s.Pta.p_contexts s.Pta.p_fallback_sites
 
 let pta_stress () =
   let prog = Synth.program Synth.stress in
@@ -288,7 +287,7 @@ let pta_stress () =
     "{\n\
     \  \"seed\": %d,\n\
     \  \"constraints\": %d,\n\
-    \  \"shared_delta\": {\"wall_ms\": %.1f, \"alloc_words\": %.0f, \"live_words\": %d, \"stats\": %s},\n\
+    \  \"pta\": {\"wall_ms\": %.1f, \"alloc_words\": %.0f, \"live_words\": %d, \"stats\": %s},\n\
     \  \"pta1\": {\"wall_ms\": %.1f, \"stats\": %s}\n\
      }@."
     Synth.stress.Synth.seed (Pta.num_constraints sol) wall alloc live

@@ -757,8 +757,8 @@ let precision_cmd =
               rows;
             (* solver detail: where each points-to tier lost precision
                (fallback sites) and what the solve cost *)
-            Fmt.pr "@.%-10s %5s %9s %6s %6s %6s %6s %6s@." "solver" "tier"
-              "fallback" "sets" "memo" "delta" "iters" "ctxs";
+            Fmt.pr "@.%-10s %5s %9s %6s %6s %6s@." "solver" "tier"
+              "fallback" "delta" "iters" "ctxs";
             List.iter
               (fun (name, cells) ->
                 List.iter2
@@ -766,11 +766,10 @@ let precision_cmd =
                     match stats with
                     | None -> ()
                     | Some (s : Pta.stats) ->
-                        Fmt.pr "%-10s %5s %9d %6d %6d %6d %6d %6d@." name
+                        Fmt.pr "%-10s %5s %9d %6d %6d %6d@." name
                           (String.lowercase_ascii
                              (Callgraph.algorithm_to_string alg))
-                          s.Pta.p_fallback_sites s.Pta.p_sets_interned
-                          s.Pta.p_memo_hits s.Pta.p_delta_props
+                          s.Pta.p_fallback_sites s.Pta.p_delta_props
                           s.Pta.p_solver_iters s.Pta.p_contexts)
                   tiers cells)
               rows
@@ -782,9 +781,8 @@ let precision_cmd =
                   | None -> ""
                   | Some (s : Pta.stats) ->
                       Fmt.str
-                        {|,"solver":{"fallback_sites":%d,"sets_interned":%d,"memo_hits":%d,"delta_props":%d,"solver_iters":%d,"contexts":%d,"constraints":%d}|}
-                        s.Pta.p_fallback_sites s.Pta.p_sets_interned
-                        s.Pta.p_memo_hits s.Pta.p_delta_props
+                        {|,"solver":{"fallback_sites":%d,"delta_props":%d,"solver_iters":%d,"contexts":%d,"constraints":%d}|}
+                        s.Pta.p_fallback_sites s.Pta.p_delta_props
                         s.Pta.p_solver_iters s.Pta.p_contexts
                         s.Pta.p_constraints
                 in

@@ -345,8 +345,6 @@ let build ?(algorithm = Rta) ?(library_classes = StringSet.empty)
     | Pta1 -> Some (Pta.analyze ~mode:Pta.OneCfa ~roots p)
     | Cha | Rta | Pta -> None
   in
-  (* Taken before the queries below, whose set unions would otherwise
-     count towards the solver's memo hits. *)
   let pta_stats =
     match (pta_refined, pta) with
     | Some sol, _ | None, Some sol -> Some (Pta.stats sol)

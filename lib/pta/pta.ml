@@ -20,12 +20,13 @@
    The solver core (its naive counterpart, {!Pta_ref}, is the oracle the
    test suite checks it against, expression by expression):
 
-   - Points-to sets are hash-consed {!Ptset} values: equal contents are
-     one shared array, set identity is pointer identity, and union/diff
-     between previously-seen operands are memo-table hits. Each node
-     carries [pts] (everything known) plus [delta] (not yet propagated),
-     and only deltas flow along edges — a new edge replays the full
-     source set against just that edge once, at attach time.
+   - Points-to sets are {!Ptset} values, immutable sorted int arrays.
+     Each node carries [pts] (everything known) plus [delta] (not yet
+     propagated), and only deltas flow along edges — a new edge replays
+     the full source set against just that edge once, at attach time.
+     [Ptset.diff] allocates only when it drops part of its operand, so
+     an [add_objs] that brings nothing new allocates nothing, and one
+     that brings only new objects allocates just the grown sets.
 
    - The worklist runs in rounds. A round pops the nodes queued before
      it started; each takes and clears its delta and pending ⊤ and
@@ -57,8 +58,6 @@ let objects_counter = Telemetry.Counter.make "pta.objects"
 let copy_counter = Telemetry.Counter.make "pta.copy_edges"
 let complex_counter = Telemetry.Counter.make "pta.complex_constraints"
 let iter_counter = Telemetry.Counter.make "pta.solve_iterations"
-let sets_counter = Telemetry.Counter.make "pta.sets_interned"
-let memo_counter = Telemetry.Counter.make "pta.memo_hits"
 let delta_counter = Telemetry.Counter.make "pta.delta_props"
 let round_counter = Telemetry.Counter.make "pta.solver_iters"
 let reach_gauge = Telemetry.Gauge.make "pta.reachable_functions"
@@ -180,7 +179,6 @@ type solution = {
   prog : program;
   table : Class_table.t;
   mode : mode;
-  it : Ptset.interner;
   mutable nodes : node array;
   mutable n_nodes : int;
   mutable objs : obj array;
@@ -222,30 +220,21 @@ type solution = {
 
 let nonode = -1
 
+(* [arr], whose first [n] slots are in use, with room for entry [n]:
+   when full, capacity doubles and every slack slot holds [filler] (the
+   caller's new entry, so no blank record is built per slot). A slack
+   slot is always overwritten before it is read. *)
+let grow arr n filler =
+  if n < Array.length arr then arr
+  else begin
+    let nu = Array.make (max 256 (2 * Array.length arr)) filler in
+    Array.blit arr 0 nu 0 n;
+    nu
+  end
+
 let fresh_node st =
-  (if st.n_nodes >= Array.length st.nodes then
-     let cap = max 256 (2 * Array.length st.nodes) in
-     let nu =
-       Array.init cap (fun i ->
-           if i < st.n_nodes then st.nodes.(i)
-           else
-             {
-               pts = Ptset.empty;
-               delta = Ptset.empty;
-               top = false;
-               top_pending = false;
-               succ = IntSet.empty;
-               loads = IntSet.empty;
-               stores = IntSet.empty;
-               vsites = [];
-               fsites = [];
-               dsites = [];
-               queued = false;
-             })
-     in
-     st.nodes <- nu);
   let id = st.n_nodes in
-  st.nodes.(id) <-
+  let blank =
     {
       pts = Ptset.empty;
       delta = Ptset.empty;
@@ -258,22 +247,19 @@ let fresh_node st =
       fsites = [];
       dsites = [];
       queued = false;
-    };
+    }
+  in
+  st.nodes <- grow st.nodes id blank;
+  st.nodes.(id) <- blank;
   st.n_nodes <- id + 1;
   Telemetry.Counter.incr nodes_counter;
   id
 
 let new_obj st ~cls ~fn ~payload ~site =
-  (if st.n_objs >= Array.length st.objs then
-     let cap = max 256 (2 * Array.length st.objs) in
-     let nu =
-       Array.init cap (fun i ->
-           if i < st.n_objs then st.objs.(i)
-           else { o_class = None; o_fn = None; o_payload = -1; o_site = None })
-     in
-     st.objs <- nu);
   let id = st.n_objs in
-  st.objs.(id) <- { o_class = cls; o_fn = fn; o_payload = payload; o_site = site };
+  let o = { o_class = cls; o_fn = fn; o_payload = payload; o_site = site } in
+  st.objs <- grow st.objs id o;
+  st.objs.(id) <- o;
   st.n_objs <- id + 1;
   Telemetry.Counter.incr objects_counter;
   id
@@ -289,10 +275,10 @@ let push st i =
 let add_objs st i s =
   if not (Ptset.is_empty s) then begin
     let n = st.nodes.(i) in
-    let d = Ptset.diff st.it s n.pts in
+    let d = Ptset.diff s n.pts in
     if not (Ptset.is_empty d) then begin
-      n.pts <- Ptset.union st.it n.pts d;
-      n.delta <- Ptset.union st.it n.delta d;
+      n.pts <- Ptset.union n.pts d;
+      n.delta <- Ptset.union n.delta d;
       let moved = Ptset.cardinal d in
       st.n_delta <- st.n_delta + moved;
       Telemetry.Counter.add delta_counter moved;
@@ -300,7 +286,7 @@ let add_objs st i s =
     end
   end
 
-let add_obj st i o = add_objs st i (Ptset.singleton st.it o)
+let add_obj st i o = add_objs st i (Ptset.singleton o)
 
 let set_top st i =
   if i >= 0 then begin
@@ -1470,15 +1456,13 @@ let solve st =
   done
 
 (* A converged solution should retain the answer, not the machinery
-   that produced it: drop the capacity slack of the node/object stores
-   and the interner's operation memos (interned sets survive — queries
-   re-dedup on demand). *)
+   that produced it: drop the capacity slack of the node/object stores,
+   the constraint graph and the generation-time memos. *)
 let shrink st =
   if Array.length st.nodes > st.n_nodes then
     st.nodes <- Array.sub st.nodes 0 st.n_nodes;
   if Array.length st.objs > st.n_objs then
     st.objs <- Array.sub st.objs 0 st.n_objs;
-  let live = ref [] in
   Array.iter
     (fun n ->
       (* the constraint graph exists to reach the fixpoint; the
@@ -1490,10 +1474,8 @@ let shrink st =
       n.stores <- IntSet.empty;
       n.vsites <- [];
       n.fsites <- [];
-      n.dsites <- [];
-      if not (Ptset.is_empty n.pts) then live := n.pts :: !live)
+      n.dsites <- [])
     st.nodes;
-  Ptset.compact st.it !live;
   (* generation-time memos: nothing after the solve reads them *)
   Hashtbl.reset st.var_node;
   Hashtbl.reset st.global_node;
@@ -1539,7 +1521,6 @@ let analyze ?(mode = Insensitive) ?(roots = [ main_id ]) (p : program) :
       prog = p;
       table = p.table;
       mode;
-      it = Ptset.create ();
       nodes = [||];
       n_nodes = 0;
       objs = [||];
@@ -1589,8 +1570,6 @@ let analyze ?(mode = Insensitive) ?(roots = [ main_id ]) (p : program) :
       List.iter (make_root st) roots);
   Telemetry.Span.with_ "pta.solve" (fun () -> solve st);
   shrink st;
-  Telemetry.Counter.add sets_counter (Ptset.interned_count st.it);
-  Telemetry.Counter.add memo_counter (Ptset.memo_hits st.it);
   Telemetry.Gauge.set reach_gauge (FuncSet.cardinal st.reached);
   Telemetry.Gauge.set ctx_gauge (FctxTbl.length st.instances);
   Telemetry.Gauge.set fallback_gauge (count_fallback_sites st);
@@ -1618,7 +1597,7 @@ let node_objects st e =
             (fun acc (_, n) ->
               let nd = st.nodes.(n) in
               if nd.top then ok := false;
-              Ptset.union st.it acc nd.pts)
+              Ptset.union acc nd.pts)
             Ptset.empty entries
         in
         if !ok then Some pts else None
@@ -1701,8 +1680,8 @@ let stats st =
     p_nodes = st.n_nodes;
     p_objects = st.n_objs;
     p_constraints = st.n_copy + st.n_complex;
-    p_sets_interned = Ptset.interned_count st.it;
-    p_memo_hits = Ptset.memo_hits st.it;
+    p_sets_interned = 0;
+    p_memo_hits = 0;
     p_delta_props = st.n_delta;
     p_solver_iters = st.rounds;
     p_contexts = FctxTbl.length st.instances;

@@ -22,7 +22,7 @@
     every dispatch site. Per-expression unknowns are tracked with a
     [⊤] element that individual queries report as [None].
 
-    The solver propagates {e differences} over hash-consed {!Ptset}
+    The solver propagates {e differences} over sorted-array {!Ptset}
     sets, in worklist rounds. A pointer local that is never written
     after its initializer gets no node of its own: it shares its
     initializer's, so copy chains cost neither nodes nor edges.
@@ -97,8 +97,12 @@ type stats = {
   p_nodes : int;
   p_objects : int;
   p_constraints : int;
-  p_sets_interned : int;  (** distinct hash-consed sets created *)
-  p_memo_hits : int;  (** set operations answered from the memo table *)
+  p_sets_interned : int;
+      (** always 0: sets are not interned. Kept only because the
+          benchmark harness still reports it. *)
+  p_memo_hits : int;
+      (** always 0: set operations are not memoized. Kept like
+          [p_sets_interned]. *)
   p_delta_props : int;  (** objects moved by difference propagation *)
   p_solver_iters : int;
       (** worklist rounds; a round pops the nodes queued before it began *)

@@ -9,7 +9,10 @@
    - the `check --jobs N` differential: parallel batch output
      (stdout, stderr, exit code) must be byte-identical to a
      sequential run, including failing files, duplicate files and
-     deterministic randomized batches. *)
+     deterministic randomized batches;
+
+   - the shape of `precision --format=json`: every points-to tier's
+     `solver` object has exactly the documented keys. *)
 
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
@@ -199,6 +202,35 @@ let t_jobs_differential_randomized () =
     diff_batch (Printf.sprintf "random batch %d" round) files
   done
 
+(* -- precision --format=json shape ---------------------------------------------- *)
+
+let t_precision_json () =
+  let module J = Telemetry.Json in
+  let code, out, _ = run_capture "precision --format=json" in
+  check_int "precision exits 0" 0 code;
+  let rows =
+    match J.parse out with
+    | Ok (J.Arr rows) -> rows
+    | Ok _ -> Alcotest.fail "precision JSON is not an array"
+    | Error m -> Alcotest.failf "precision output is not JSON: %s" m
+  in
+  check_int "one row per benchmark" 11 (List.length rows);
+  let want =
+    [ "constraints"; "contexts"; "delta_props"; "fallback_sites"; "solver_iters" ]
+  in
+  List.iter
+    (fun row ->
+      List.iter
+        (fun tier ->
+          match Option.bind (J.member tier row) (J.member "solver") with
+          | Some (J.Obj kvs) ->
+              Alcotest.(check (list string))
+                (tier ^ " solver keys") want
+                (List.sort compare (List.map fst kvs))
+          | _ -> Alcotest.failf "%s row lacks a solver object" tier)
+        [ "pta"; "pta1" ])
+    rows
+
 let suite =
   [
     Util.test "exit codes: exhaustive subcommand table" t_exit_codes;
@@ -206,4 +238,5 @@ let suite =
       t_jobs_differential;
     Util.test "check --jobs: randomized batches identical"
       t_jobs_differential_randomized;
+    Util.test "precision --format=json: solver object shape" t_precision_json;
   ]
