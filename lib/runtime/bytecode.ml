@@ -2561,11 +2561,10 @@ and construct_raw vm cid cls ctor (src : value array) base argc : obj =
   run_ctor_idx vm o ctor ~most_derived:true src base argc;
   o
 
-and construct_journalled vm ~kind cid cls ctor (src : value array) base argc :
-    obj =
+and construct_journalled vm cid cls ctor (src : value array) base argc : obj =
   let id = fresh_obj_id vm in
   let o = new_obj_of vm.classes cid cls id in
-  Profile.record_alloc vm.profile ~id ~kind ~cls ~count:1;
+  Profile.record_alloc vm.profile ~id ~cls ~count:1;
   run_ctor_idx vm o ctor ~most_derived:true src base argc;
   o
 
@@ -2943,22 +2942,18 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | IRaise msg -> runtime_error "%s" msg
     | INewObj { n_cid; n_cls; n_ctor; n_argc } ->
         let base = sp - n_argc in
-        let o =
-          construct_journalled vm ~kind:Profile.Heap n_cid n_cls n_ctor ost base
-            n_argc
-        in
+        let o = construct_journalled vm n_cid n_cls n_ctor ost base n_argc in
         ost.(base) <- VPtr (PObj o);
         loop (pc + 1) (base + 1) isp
     | INewScalar (bytes, ty) ->
-        ignore (Profile.record_scalar_alloc vm.profile ~bytes);
+        Profile.record_scalar_alloc vm.profile ~bytes;
         ost.(sp) <- VPtr (PArr ({ arr_id = -1; cells = [| default_value ty |] }, 0));
         loop (pc + 1) (sp + 1) isp
     | INewArrObj { w_cid; w_cls; w_ctor } ->
         let n = as_int ost.(sp - 1) in
         if n < 0 then runtime_error "negative array size in new[]";
         let id = fresh_obj_id vm in
-        Profile.record_alloc vm.profile ~id ~kind:Profile.HeapArray ~cls:w_cls
-          ~count:n;
+        Profile.record_alloc vm.profile ~id ~cls:w_cls ~count:n;
         let cells =
           Array.init n (fun _ ->
               VObj (construct_raw vm w_cid w_cls w_ctor empty_vals 0 0))
@@ -2968,9 +2963,9 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | INewArrScalar (ty, elem_bytes) ->
         let n = as_int ost.(sp - 1) in
         if n < 0 then runtime_error "negative array size in new[]";
-        let id = Profile.record_scalar_alloc vm.profile ~bytes:(n * elem_bytes) in
+        Profile.record_scalar_alloc vm.profile ~bytes:(n * elem_bytes);
         let cells = Array.init n (fun _ -> default_value ty) in
-        ost.(sp - 1) <- VPtr (PArr ({ arr_id = id; cells }, 0));
+        ost.(sp - 1) <- VPtr (PArr ({ arr_id = -1; cells }, 0));
         loop (pc + 1) sp isp
     | IDelete ->
         (match ost.(sp - 1) with
@@ -2990,8 +2985,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         loop (pc + 1) sp isp
     | IDeclStackArr { ds_slot; ds_cid; ds_cls; ds_ctor; ds_len } ->
         let id = fresh_obj_id vm in
-        Profile.record_alloc vm.profile ~id ~kind:Profile.Stack ~cls:ds_cls
-          ~count:ds_len;
+        Profile.record_alloc vm.profile ~id ~cls:ds_cls ~count:ds_len;
         let cells =
           Array.init ds_len (fun _ ->
               VObj (construct_raw vm ds_cid ds_cls ds_ctor empty_vals 0 0))
@@ -3000,10 +2994,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         loop (pc + 1) sp isp
     | IDeclCtor { dc_slot; dc_cid; dc_cls; dc_ctor; dc_argc } ->
         let base = sp - dc_argc in
-        let o =
-          construct_journalled vm ~kind:Profile.Stack dc_cid dc_cls dc_ctor ost
-            base dc_argc
-        in
+        let o = construct_journalled vm dc_cid dc_cls dc_ctor ost base dc_argc in
         locals.(dc_slot) <- VObj o;
         loop (pc + 1) base isp
     | IBuiltin (bi, argc) ->

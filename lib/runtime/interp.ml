@@ -185,18 +185,17 @@ let rec eval env frame (e : rexpr) : value =
       | _ -> runtime_error ".*/->* with a non-member-pointer")
   | RNewObj { no_cid; no_cls; no_ctor; no_args } ->
       let argv = eval_args env frame no_args in
-      let o = construct_journalled env ~kind:Profile.Heap no_cid no_cls no_ctor argv in
+      let o = construct_journalled env no_cid no_cls no_ctor argv in
       VPtr (PObj o)
   | RNewScalar { ns_bytes; ns_ty } ->
-      ignore (Profile.record_scalar_alloc env.profile ~bytes:ns_bytes);
+      Profile.record_scalar_alloc env.profile ~bytes:ns_bytes;
       let h = { arr_id = -1; cells = [| default_value ns_ty |] } in
       VPtr (PArr (h, 0))
   | RNewArrObj { na_cid; na_cls; na_ctor; na_len } ->
       let n = as_int (eval env frame na_len) in
       if n < 0 then runtime_error "negative array size in new[]";
       let id = fresh_obj_id env in
-      Profile.record_alloc env.profile ~id ~kind:Profile.HeapArray ~cls:na_cls
-        ~count:n;
+      Profile.record_alloc env.profile ~id ~cls:na_cls ~count:n;
       let cells =
         Array.init n (fun _ -> VObj (construct_raw env na_cid na_cls na_ctor [||]))
       in
@@ -204,11 +203,9 @@ let rec eval env frame (e : rexpr) : value =
   | RNewArrScalar { nas_ty; nas_elem_bytes; nas_len } ->
       let n = as_int (eval env frame nas_len) in
       if n < 0 then runtime_error "negative array size in new[]";
-      let id =
-        Profile.record_scalar_alloc env.profile ~bytes:(n * nas_elem_bytes)
-      in
+      Profile.record_scalar_alloc env.profile ~bytes:(n * nas_elem_bytes);
       let cells = Array.init n (fun _ -> default_value nas_ty) in
-      VPtr (PArr ({ arr_id = id; cells }, 0))
+      VPtr (PArr ({ arr_id = -1; cells }, 0))
   | RInvalid msg -> runtime_error "%s" msg
 
 and eval_binary env frame op a b =
@@ -448,10 +445,10 @@ and construct_raw env cid cls ctor argv : obj =
   run_ctor_idx env o ctor argv ~most_derived:true;
   o
 
-and construct_journalled env ~kind cid cls ctor argv : obj =
+and construct_journalled env cid cls ctor argv : obj =
   let id = fresh_obj_id env in
   let o = new_obj env cid cls id in
-  Profile.record_alloc env.profile ~id ~kind ~cls ~count:1;
+  Profile.record_alloc env.profile ~id ~cls ~count:1;
   run_ctor_idx env o ctor argv ~most_derived:true;
   o
 
@@ -626,8 +623,7 @@ and exec_decl env frame (d : rdecl) =
       (* a stack array of class objects: default-construct every
          element; journalled as one allocation *)
       let id = fresh_obj_id env in
-      Profile.record_alloc env.profile ~id ~kind:Profile.Stack ~cls:d_cls
-        ~count:d_len;
+      Profile.record_alloc env.profile ~id ~cls:d_cls ~count:d_len;
       let cells =
         Array.init d_len (fun _ ->
             VObj (construct_raw env d_cid d_cls d_ctor [||]))
@@ -644,9 +640,7 @@ and exec_decl env frame (d : rdecl) =
       frame.locals.cells.(d_slot) <- ptr_of_loc (eval_lval env frame d_lv)
   | DCtor { d_slot; d_cid; d_cls; d_ctor; d_args } ->
       let argv = eval_args env frame d_args in
-      let o =
-        construct_journalled env ~kind:Profile.Stack d_cid d_cls d_ctor argv
-      in
+      let o = construct_journalled env d_cid d_cls d_ctor argv in
       frame.locals.cells.(d_slot) <- VObj o
   | DFail msg -> runtime_error "%s" msg
 

@@ -11,32 +11,35 @@
    - the high-water mark of live object space;
    - the high-water mark if dead members were eliminated — tracked as its
      own running maximum because, as the paper notes, the two high-water
-     marks may occur at different execution points. *)
+     marks may occur at different execution points.
+
+   The journal is indexed by allocation id. Both engines draw those ids
+   from one dense object counter, so a live allocation's bytes sit in two
+   growable int arrays at its id; freeing one writes [not_live] back. *)
 
 open Sema
 
-type alloc_kind = Heap | Stack | HeapArray
-
-type alloc_info = {
-  a_id : int;
-  a_class : string;
-  a_kind : alloc_kind;
-  a_count : int;          (* number of objects (for new[]) *)
-  a_size : int;           (* total bytes as laid out *)
-  a_dead_bytes : int;     (* bytes of dead members inside *)
-  a_reduced_size : int;   (* bytes if dead members were removed *)
-  mutable a_freed : bool;
+(* Per class: one object's (size, reduced size, dead bytes), fixed for
+   the run, so each class is laid out the first time it is journalled;
+   plus the running count and bytes of its objects, for
+   [per_class_allocs]. *)
+type class_info = {
+  c_size : int;
+  c_reduced : int;
+  c_dead : int;
+  mutable c_count : int;
+  mutable c_bytes : int;
 }
 
 type t = {
   table : Class_table.t;
   dead : Member.Set.t;
-  (* (size, reduced size, dead bytes) of one object, per class: fixed for
-     the run, so each class is laid out the first time it is journalled
-     and every later allocation is a lookup *)
-  sizes : (string, int * int * int) Hashtbl.t;
-  allocs : (int, alloc_info) Hashtbl.t;
-  mutable next_id : int;
+  classes : (string, class_info) Hashtbl.t;
+  (* live bytes and live reduced bytes of allocation [id] at index [id];
+     [not_live] for an id never journalled or already freed *)
+  mutable live_size : int array;
+  mutable live_reduced : int array;
+  mutable live_allocs : int;        (* journalled and not yet freed *)
   mutable object_space : int;       (* Table 2 column 1 *)
   mutable dead_space : int;         (* Table 2 column 2 *)
   mutable cur : int;
@@ -47,13 +50,17 @@ type t = {
   mutable num_objects : int;
 }
 
+(* Not 0: [new A\[0\]] is a live allocation of 0 bytes. *)
+let not_live = -1
+
 let create ?(dead = Member.Set.empty) table =
   {
     table;
     dead;
-    sizes = Hashtbl.create 16;
-    allocs = Hashtbl.create 256;
-    next_id = 0;
+    classes = Hashtbl.create 16;
+    live_size = Array.make 256 not_live;
+    live_reduced = Array.make 256 not_live;
+    live_allocs = 0;
     object_space = 0;
     dead_space = 0;
     cur = 0;
@@ -64,62 +71,62 @@ let create ?(dead = Member.Set.empty) table =
     num_objects = 0;
   }
 
-let fresh_id t =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  id
-
-let class_sizes t cls =
-  match Hashtbl.find t.sizes cls with
-  | sizes -> sizes
+let class_info t cls =
+  match Hashtbl.find t.classes cls with
+  | ci -> ci
   | exception Not_found ->
-      let size = Layout.object_size t.table cls in
-      let reduced = Layout.object_size ~dead:t.dead t.table cls in
-      let dead_bytes = Layout.dead_member_bytes ~dead:t.dead t.table cls in
-      let sizes = (size, reduced, dead_bytes) in
-      Hashtbl.replace t.sizes cls sizes;
-      sizes
+      let ci =
+        {
+          c_size = Layout.object_size t.table cls;
+          c_reduced = Layout.object_size ~dead:t.dead t.table cls;
+          c_dead = Layout.dead_member_bytes ~dead:t.dead t.table cls;
+          c_count = 0;
+          c_bytes = 0;
+        }
+      in
+      Hashtbl.replace t.classes cls ci;
+      ci
+
+let grow a n =
+  let b = Array.make (max n (2 * Array.length a)) not_live in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 (* Record the creation of [count] complete objects of class [cls] in one
-   allocation under the caller-chosen id (the interpreter uses object ids
-   as allocation ids). *)
-let record_alloc t ~id ~kind ~cls ~count =
-  let size1, reduced1, dead1 = class_sizes t cls in
-  let info =
-    {
-      a_id = id;
-      a_class = cls;
-      a_kind = kind;
-      a_count = count;
-      a_size = size1 * count;
-      a_dead_bytes = dead1 * count;
-      a_reduced_size = reduced1 * count;
-      a_freed = false;
-    }
-  in
-  Hashtbl.replace t.allocs id info;
-  t.object_space <- t.object_space + info.a_size;
-  t.dead_space <- t.dead_space + info.a_dead_bytes;
+   allocation under the caller-chosen id (the engines use object ids as
+   allocation ids). *)
+let record_alloc t ~id ~cls ~count =
+  let ci = class_info t cls in
+  let size = ci.c_size * count and reduced = ci.c_reduced * count in
+  if id >= Array.length t.live_size then begin
+    t.live_size <- grow t.live_size (id + 1);
+    t.live_reduced <- grow t.live_reduced (id + 1)
+  end;
+  t.live_size.(id) <- size;
+  t.live_reduced.(id) <- reduced;
+  t.live_allocs <- t.live_allocs + 1;
+  ci.c_count <- ci.c_count + count;
+  ci.c_bytes <- ci.c_bytes + size;
+  t.object_space <- t.object_space + size;
+  t.dead_space <- t.dead_space + (ci.c_dead * count);
   t.num_objects <- t.num_objects + count;
-  t.cur <- t.cur + info.a_size;
-  t.cur_reduced <- t.cur_reduced + info.a_reduced_size;
+  t.cur <- t.cur + size;
+  t.cur_reduced <- t.cur_reduced + reduced;
   if t.cur > t.hwm then t.hwm <- t.cur;
   if t.cur_reduced > t.hwm_reduced then t.hwm_reduced <- t.cur_reduced
 
 let record_free t id =
-  match Hashtbl.find_opt t.allocs id with
-  | None -> ()
-  | Some info ->
-      if not info.a_freed then begin
-        info.a_freed <- true;
-        t.cur <- t.cur - info.a_size;
-        t.cur_reduced <- t.cur_reduced - info.a_reduced_size
-      end
+  if id >= 0 && id < Array.length t.live_size then begin
+    let size = t.live_size.(id) in
+    if size <> not_live then begin
+      t.live_size.(id) <- not_live;
+      t.live_allocs <- t.live_allocs - 1;
+      t.cur <- t.cur - size;
+      t.cur_reduced <- t.cur_reduced - t.live_reduced.(id)
+    end
+  end
 
-let record_scalar_alloc t ~bytes =
-  let id = fresh_id t in
-  t.scalar_bytes <- t.scalar_bytes + bytes;
-  id
+let record_scalar_alloc t ~bytes = t.scalar_bytes <- t.scalar_bytes + bytes
 
 (* -- final snapshot ----------------------------------------------------------- *)
 
@@ -150,8 +157,7 @@ let snapshot ?limits (t : t) =
     high_water_mark_reduced = t.hwm_reduced;
     num_objects = t.num_objects;
     scalar_bytes = t.scalar_bytes;
-    leaked_objects =
-      Hashtbl.fold (fun _ a acc -> if a.a_freed then acc else acc + 1) t.allocs 0;
+    leaked_objects = t.live_allocs;
     limits;
   }
 
@@ -181,13 +187,5 @@ let pp_snapshot ppf s =
 
 (* Per-class allocation summary, for diagnostics and tests. *)
 let per_class_allocs t : (string * int * int) list =
-  let tbl = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun _ a ->
-      let n, b =
-        Option.value ~default:(0, 0) (Hashtbl.find_opt tbl a.a_class)
-      in
-      Hashtbl.replace tbl a.a_class (n + a.a_count, b + a.a_size))
-    t.allocs;
-  Hashtbl.fold (fun cls (n, b) acc -> (cls, n, b) :: acc) tbl []
+  Hashtbl.fold (fun cls ci acc -> (cls, ci.c_count, ci.c_bytes) :: acc) t.classes []
   |> List.sort compare

@@ -6,31 +6,33 @@
     with dead members removed. Running sums yield total object space,
     dead-member space, and {e two} high-water marks — the paper notes the
     with- and without-dead maxima may occur at different execution
-    points, so each is tracked as its own running maximum. *)
+    points, so each is tracked as its own running maximum.
+
+    The journal is indexed by allocation id: the engines' object ids,
+    which are dense from 0. A live allocation's bytes sit in two growable
+    arrays at its id, each class keeps a running object count and byte
+    tally, and a live-allocation counter gives the leaked objects, so no
+    query walks the journal. *)
 
 open Sema
-
-type alloc_kind = Heap | Stack | HeapArray
 
 type t
 
 val create : ?dead:Member.Set.t -> Class_table.t -> t
 
-(** Fresh allocation/object identifier. *)
-val fresh_id : t -> int
-
 (** Record the creation of [count] complete objects of class [cls] as
-    one allocation under the caller-chosen [id]. *)
-val record_alloc :
-  t -> id:int -> kind:alloc_kind -> cls:string -> count:int -> unit
+    one allocation under the caller-chosen [id], a non-negative id not
+    yet journalled. *)
+val record_alloc : t -> id:int -> cls:string -> count:int -> unit
 
 (** Mark an allocation freed (idempotent; unknown ids are ignored, which
     covers stack-internal ids). *)
 val record_free : t -> int -> unit
 
-(** Record a non-class heap allocation (e.g. [new int\[n\]]); returns its
-    allocation id for a later {!record_free}. *)
-val record_scalar_alloc : t -> bytes:int -> int
+(** Record a non-class heap allocation (e.g. [new int\[n\]]). It is not
+    journalled and takes no id: its bytes are only summed into
+    [scalar_bytes]. *)
+val record_scalar_alloc : t -> bytes:int -> unit
 
 (** {1 Final measurements} *)
 

@@ -36,7 +36,9 @@ and obj = {
 }
 
 and harray = {
-  arr_id : int;  (* heap allocation id; -1 for stack/member arrays *)
+  arr_id : int;
+      (* journalled allocation id of a class-object array; -1 for scalar
+         and member arrays *)
   cells : value array;
 }
 

@@ -58,20 +58,24 @@ let layer_words (b : Benchmarks.Suite.t) =
    was: deltablue 285541, hotwire 45323, idl 384776, ixx 634036,
    jikes 1682149, lcom 743231, npic 2362957, richards 571131,
    sched 4549565, simulate 1714909, taldict 137830 (13111448 in all);
-   compile was one word a body less (the [b_escapes] flag). *)
+   compile was one word a body less (the [b_escapes] flag). Before the
+   id-indexed allocation journal, execute was: deltablue 165292,
+   hotwire 29568, idl 227116, ixx 365246, jikes 1050324, lcom 435366,
+   npic 1340479, richards 335974, sched 2851735, simulate 985090,
+   taldict 72956 (7859146 in all). *)
 let pinned_words =
   [
-    ("deltablue", 45313, 16731, 165292);
-    ("hotwire", 29059, 10044, 29568);
-    ("idl", 27328, 9680, 227116);
-    ("ixx", 22338, 9423, 365246);
-    ("jikes", 44692, 20439, 1050324);
-    ("lcom", 32397, 14064, 435366);
-    ("npic", 16322, 8265, 1340479);
-    ("richards", 27965, 12181, 335974);
-    ("sched", 19119, 9339, 2851735);
-    ("simulate", 21205, 10367, 985090);
-    ("taldict", 25647, 10620, 72956);
+    ("deltablue", 45313, 16731, 164579);
+    ("hotwire", 29059, 10044, 28217);
+    ("idl", 27328, 9680, 218081);
+    ("ixx", 22338, 9423, 335954);
+    ("jikes", 44692, 20439, 956721);
+    ("lcom", 32397, 14064, 403261);
+    ("npic", 16322, 8265, 1235034);
+    ("richards", 27965, 12181, 333424);
+    ("sched", 19119, 9339, 2603425);
+    ("simulate", 21205, 10367, 923009);
+    ("taldict", 25647, 10620, 72362);
   ]
 
 let t_port_words_pinned () =

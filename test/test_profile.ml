@@ -99,15 +99,88 @@ let t_reduced_hwm_independent_peak () =
   Util.check_int "full hwm at peak 1" 32 s.Runtime.Profile.high_water_mark;
   Util.check_int "reduced hwm at peak 2" 24 s.Runtime.Profile.high_water_mark_reduced
 
+(* The journal a bytecode run of [prog] leaves behind. *)
+let bytecode_journal ?dead prog =
+  let vm =
+    Runtime.Bytecode.make_vm ?dead ~step_limit:Runtime.Interp.default_step_limit
+      ~call_depth_limit:Runtime.Interp.default_call_depth_limit
+      ~heap_object_limit:Runtime.Interp.default_heap_object_limit
+      (Runtime.Bytecode.compile (Runtime.Resolve.program prog))
+  in
+  ignore (Runtime.Bytecode.execute vm);
+  Runtime.Bytecode.profile vm
+
 let t_per_class_allocs () =
   let prog =
     Util.check_source
-      "struct A { int x; };\nstruct B { int y; };\n\
-       int main() { A a; B *b1 = new B(); B *b2 = new B(); free(b1); free(b2); return 0; }"
+      "struct A { int x; };\nstruct B { int y; int z; };\nstruct C { int w; };\n\
+       int main() { A a; B *b1 = new B(); B *b2 = new B(); free(b1); free(b2);\n\
+       C *cs = new C[3]; C *none = new C[0]; C stack[2];\n\
+       delete[] cs; delete[] none; return 0; }"
   in
-  let r = Runtime.Interp.run prog in
-  ignore r;
-  ()
+  (* (class, objects, bytes): freeing does not take objects back out,
+     and a zero-length array is journalled as 0 objects of 0 bytes *)
+  let rows = Runtime.Profile.per_class_allocs (bytecode_journal prog) in
+  Alcotest.(check (list (triple string int int)))
+    "rows" [ ("A", 1, 4); ("B", 2, 16); ("C", 5, 20) ] rows
+
+(* -- journal edge cases, under both engines ---------------------------------- *)
+
+(* The snapshot of [src] under both engines, which must agree. *)
+let snap_both ?dead src =
+  let prog = Util.check_source src in
+  let run engine = (Runtime.Interp.run ~engine ?dead prog).Runtime.Interp.snapshot in
+  let t = run Runtime.Interp.Tree and b = run Runtime.Interp.Bytecode in
+  Util.check_bool "tree and bytecode snapshots agree" true (t = b);
+  b
+
+let check_journal what ~hwm ~hwm_reduced ~leaked (s : Runtime.Profile.snapshot) =
+  Util.check_int (what ^ ": hwm") hwm s.high_water_mark;
+  Util.check_int (what ^ ": reduced hwm") hwm_reduced s.high_water_mark_reduced;
+  Util.check_int (what ^ ": leaked objects") leaked s.leaked_objects
+
+(* [new A\[0\]] is a live allocation of 0 bytes: its [delete\[\]] must
+   free it, so it is not counted as leaked. *)
+let t_zero_length_array () =
+  let s =
+    snap_both
+      "struct A { int x; };\n\
+       int main() { A *z = new A[0]; A *p = new A(); delete[] z; return p->x; }"
+  in
+  Util.check_int "objects" 1 s.num_objects;
+  check_journal "new A[0]" ~hwm:4 ~hwm_reduced:4 ~leaked:1 s
+
+(* A second [delete] of the same object frees nothing more. *)
+let t_double_delete () =
+  let dead = Member.Set.of_list [ ("B", "w") ] in
+  let s =
+    snap_both ~dead
+      "struct A { int x; };\nstruct B { int y; int w; };\n\
+       int main() { A *p = new A(); A *q = new A(); delete p; delete p;\n\
+       B *r = new B(); r->w = 1; return q->x + r->y; }"
+  in
+  check_journal "double delete" ~hwm:12 ~hwm_reduced:8 ~leaked:2 s
+
+(* Freeing a member subobject frees nothing: its id was never
+   journalled. The second one's id lies past every journalled id. *)
+let t_free_unjournalled_id () =
+  let s =
+    snap_both
+      "struct In { int v; In *self() { return this; } };\n\
+       struct Out { In in; int w; };\n\
+       int main() { Out *o = new Out(); In *i = o->in.self(); delete i;\n\
+       Out arr[300]; In *j = arr[299].in.self(); free(j); return o->w; }"
+  in
+  check_journal "member subobject" ~hwm:2408 ~hwm_reduced:2408 ~leaked:1 s
+
+(* [delete\[\]] of a scalar array frees no class object: scalar arrays
+   are not journalled, so both Big objects of
+   examples/corpus/scalar_delete.mcc are live at the end. *)
+let t_scalar_delete () =
+  let s = snap_both (Test_bytecode.corpus_source "scalar_delete.mcc") in
+  Util.check_int "objects" 2 s.num_objects;
+  Util.check_int "scalar bytes" 16 s.scalar_bytes;
+  check_journal "scalar delete[]" ~hwm:32 ~hwm_reduced:32 ~leaked:2 s
 
 (* The journal lays out each class once and then reuses the answer:
    journalling a class again must add exactly what a fresh layout says
@@ -121,16 +194,9 @@ let t_size_memo_matches_layout () =
         Deadmem.Liveness.dead_set
           (Deadmem.Liveness.analyze ~config:Deadmem.Config.paper prog)
       in
-      let vm =
-        Runtime.Bytecode.make_vm ~dead ~step_limit:Runtime.Interp.default_step_limit
-          ~call_depth_limit:Runtime.Interp.default_call_depth_limit
-          ~heap_object_limit:Runtime.Interp.default_heap_object_limit
-          (Runtime.Bytecode.compile (Runtime.Resolve.program prog))
-      in
-      ignore (Runtime.Bytecode.execute vm);
       let classes =
         List.map (fun (c, _, _) -> c)
-          (Runtime.Profile.per_class_allocs (Runtime.Bytecode.profile vm))
+          (Runtime.Profile.per_class_allocs (bytecode_journal ~dead prog))
       in
       Util.check_bool (b.name ^ " instantiates classes") true (classes <> []);
       let table = prog.Typed_ast.table in
@@ -145,8 +211,7 @@ let t_size_memo_matches_layout () =
           List.iter
             (fun count ->
               let s0 = Runtime.Profile.snapshot p in
-              Runtime.Profile.record_alloc p ~id:!id ~kind:Runtime.Profile.Heap
-                ~cls ~count;
+              Runtime.Profile.record_alloc p ~id:!id ~cls ~count;
               incr id;
               let s1 = Runtime.Profile.snapshot p in
               let what f = Printf.sprintf "%s %s x%d %s" b.name cls count f in
@@ -175,6 +240,10 @@ let suite =
     Util.test "empty dead set" t_empty_dead_set_no_reduction;
     Util.test "independent hwm peaks" t_reduced_hwm_independent_peak;
     Util.test "per-class allocation summary" t_per_class_allocs;
+    Util.test "new A[0] then delete[]" t_zero_length_array;
+    Util.test "double delete frees once" t_double_delete;
+    Util.test "free of a never-journalled id" t_free_unjournalled_id;
+    Util.test "delete[] of a scalar array frees no object" t_scalar_delete;
     Util.test "journal sizes memoized per class match the layout"
       t_size_memo_matches_layout;
   ]
