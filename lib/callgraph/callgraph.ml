@@ -34,12 +34,6 @@ let algorithm_to_string = function
   | Pta -> "PTA"
   | Pta1 -> "PTA1"
 
-module EdgeMap = Map.Make (struct
-  type t = Func_id.t * Func_id.t
-
-  let compare = Stdlib.compare
-end)
-
 type t = {
   algorithm : algorithm;
   nodes : FuncSet.t;  (* reachable functions *)
@@ -47,20 +41,25 @@ type t = {
   roots : FuncSet.t;
   instantiated : StringSet.t;  (* classes whose ctor is reachable *)
   address_taken : FuncSet.t;
-  edge_sites : (string * Source.span) list list EdgeMap.t;
-      (* dispatch edges resolved from points-to sets -> the allocation
-         sites of the receiver objects that produced them, one list per
-         distinct receiver answer; merged by [dispatch_sites] *)
+  edge_sites : (Func_id.t list * (string * Source.span) list) list FuncMap.t;
+      (* caller -> its dispatch sites resolved from points-to sets, each
+         as (its targets, its receiver's allocation sites); merged per
+         edge by [dispatch_sites] *)
   pta_stats : Pta.stats option;  (* solver stats of the deciding solution *)
 }
 
 let reachable t id = FuncSet.mem id t.nodes
 
 let dispatch_sites t ~src dst =
-  match EdgeMap.find_opt (src, dst) t.edge_sites with
-  | None -> []
-  | Some [ ss ] -> ss
-  | Some per_site -> List.sort_uniq Stdlib.compare (List.concat per_site)
+  let per_site =
+    List.filter_map
+      (fun (targets, ss) -> if List.mem dst targets then Some ss else None)
+      (Option.value ~default:[] (FuncMap.find_opt src t.edge_sites))
+  in
+  match per_site with
+  | [ ss ] -> ss
+  | _ -> List.sort_uniq Stdlib.compare (List.concat per_site)
+
 let callees t id = Option.value ~default:FuncSet.empty (FuncMap.find_opt id t.edges)
 let num_nodes t = FuncSet.cardinal t.nodes
 
@@ -69,15 +68,15 @@ let num_edges t =
 
 (* -- per-function events ---------------------------------------------------- *)
 
+(* Constructing an object is a static call of its constructor: reaching
+   [FCtor (c, _)] is what makes [c] instantiated. Destroying one of
+   static class [c] is a static call of [FDtor c]. *)
 type event =
   | EStatic of Func_id.t
   | EVirtual of string * string * texpr  (* static class, method, receiver *)
   | EVirtualDelete of string * texpr     (* static pointee class, pointer *)
-  | EStaticDelete of string
   | EFunPtrCall of int * texpr           (* arity, pointer expression *)
   | EAddrTaken of Func_id.t
-  | EInstantiate of string * Func_id.t (* class, ctor *)
-  | EStackDestroy of string
 
 let receiver_class (mc : method_call) : string option =
   if mc.mc_arrow then Ctype.receiver_class_arrow mc.mc_recv.ty
@@ -97,157 +96,94 @@ let dtor_is_virtual table cls =
   in
   go cls
 
-let expr_events table acc (e : texpr) =
+let expr_events emit () (e : texpr) =
   match e.te with
-  | TCall (CFree (name, _)) -> EStatic (Func_id.FFree name) :: acc
+  | TCall (CFree (name, _)) -> emit (EStatic (Func_id.FFree name))
   | TCall (CMethod mc) -> (
-      match mc.mc_dispatch with
-      | DStatic -> EStatic (Func_id.FMethod (mc.mc_class, mc.mc_name)) :: acc
-      | DVirtual -> (
-          match receiver_class mc with
-          | Some cls -> EVirtual (cls, mc.mc_name, mc.mc_recv) :: acc
-          | None -> EStatic (Func_id.FMethod (mc.mc_class, mc.mc_name)) :: acc))
-  | TCall (CFunPtr (fn, args)) -> (
-      match fn.te with
-      | TFunAddr id -> EStatic id :: acc
-      | _ -> EFunPtrCall (List.length args, fn) :: acc)
-  | TCall (CBuiltin _) -> acc
-  | TFunAddr id -> EAddrTaken id :: acc
-  | TNewObj { cls; ctor; _ } -> EInstantiate (cls, ctor) :: acc
-  | TNewArr (Ast.TNamed cls, _) ->
-      EInstantiate (cls, Func_id.FCtor (cls, 0)) :: acc
-  | _ ->
-      ignore table;
-      acc
+      match (mc.mc_dispatch, receiver_class mc) with
+      | DVirtual, Some cls -> emit (EVirtual (cls, mc.mc_name, mc.mc_recv))
+      | _ -> emit (EStatic (Func_id.FMethod (mc.mc_class, mc.mc_name))))
+  | TCall (CFunPtr ({ te = TFunAddr id; _ }, _)) -> emit (EStatic id)
+  | TCall (CFunPtr (fn, args)) -> emit (EFunPtrCall (List.length args, fn))
+  | TFunAddr id -> emit (EAddrTaken id)
+  | TNewObj { ctor; _ } -> emit (EStatic ctor)
+  | TNewArr (Ast.TNamed cls, _) -> emit (EStatic (Func_id.FCtor (cls, 0)))
+  | _ -> ()
 
-let stmt_events table acc (s : tstmt) =
+(* A stack object is constructed, then destroyed at scope exit. *)
+let rec decl_events emit = function
+  | [] -> ()
+  | d :: ds ->
+      (match (d.tv_init, d.tv_type) with
+      | TInitCtor (ctor, _), Ast.TNamed cls ->
+          emit (EStatic ctor);
+          emit (EStatic (Func_id.FDtor cls))
+      (* stack arrays of class objects *)
+      | (TInitNone | TInitExpr _), Ast.TArr (Ast.TNamed cls, _) ->
+          emit (EStatic (Func_id.FCtor (cls, 0)));
+          emit (EStatic (Func_id.FDtor cls))
+      | _ -> ());
+      decl_events emit ds
+
+let stmt_events table emit () (s : tstmt) =
   match s.ts with
-  | TSDecl ds ->
-      List.fold_left
-        (fun acc d ->
-          match d.tv_init with
-          | TInitCtor (ctor, _) -> (
-              match d.tv_type with
-              | Ast.TNamed cls ->
-                  EStackDestroy cls :: EInstantiate (cls, ctor) :: acc
-              | _ -> acc)
-          | TInitNone | TInitExpr _ -> (
-              (* stack arrays of class objects *)
-              match d.tv_type with
-              | Ast.TArr (Ast.TNamed cls, _) ->
-                  EStackDestroy cls
-                  :: EInstantiate (cls, Func_id.FCtor (cls, 0))
-                  :: acc
-              | _ -> acc))
-        acc ds
+  | TSDecl ds -> decl_events emit ds
   | TSDelete (_, e) -> (
       match Ctype.pointee e.ty with
       | Some (Ast.TNamed cls) ->
-          if dtor_is_virtual table cls then EVirtualDelete (cls, e) :: acc
-          else EStaticDelete cls :: acc
-      | _ -> acc)
-  | _ -> acc
+          if dtor_is_virtual table cls then emit (EVirtualDelete (cls, e))
+          else emit (EStatic (Func_id.FDtor cls))
+      | _ -> ())
+  | _ -> ()
 
 (* Structural obligations of constructors and destructors: base-class
    subobject construction, member subobject construction/destruction. *)
-let structural_events table (fn : tfunc) : event list =
+let structural_events table emit (fn : tfunc) =
+  let static id = emit (EStatic id) in
   match fn.tf_id with
   | Func_id.FCtor (cls, _) ->
       let c = Class_table.find_exn table cls in
-      let base_events =
-        List.map
-          (fun bi ->
-            EStatic (Func_id.FCtor (bi.bi_class, List.length bi.bi_args)))
-          fn.tf_base_inits
-      in
-      let explicit = List.map (fun fi -> fi.fi_field) fn.tf_field_inits in
-      let field_events =
-        List.concat_map
-          (fun (f : Class_table.field) ->
-            if f.f_static then []
-            else
-              let ctor_of cls nargs = EStatic (Func_id.FCtor (cls, nargs)) in
-              match f.f_type with
-              | Ast.TNamed fcls ->
-                  if List.mem f.f_name explicit then
-                    let fi =
-                      List.find (fun fi -> fi.fi_field = f.f_name) fn.tf_field_inits
-                    in
-                    [ ctor_of fcls (List.length fi.fi_args) ]
-                  else [ ctor_of fcls 0 ]
-              | Ast.TArr (Ast.TNamed fcls, _) -> [ ctor_of fcls 0 ]
-              | _ -> [])
-          c.c_fields
-      in
-      base_events @ field_events
+      List.iter
+        (fun bi -> static (Func_id.FCtor (bi.bi_class, List.length bi.bi_args)))
+        fn.tf_base_inits;
+      List.iter
+        (fun (f : Class_table.field) ->
+          if not f.f_static then
+            match f.f_type with
+            | Ast.TNamed fcls ->
+                let nargs =
+                  match
+                    List.find_opt (fun fi -> fi.fi_field = f.f_name) fn.tf_field_inits
+                  with
+                  | Some fi -> List.length fi.fi_args
+                  | None -> 0
+                in
+                static (Func_id.FCtor (fcls, nargs))
+            | Ast.TArr (Ast.TNamed fcls, _) -> static (Func_id.FCtor (fcls, 0))
+            | _ -> ())
+        c.c_fields
   | Func_id.FDtor cls ->
       let c = Class_table.find_exn table cls in
-      let base_events =
-        List.map
-          (fun (b : Ast.base_spec) -> EStatic (Func_id.FDtor b.b_name))
-          c.c_bases
-        @ List.filter_map
-            (fun vb ->
-              if List.exists (fun (b : Ast.base_spec) -> b.b_name = vb) c.c_bases
-              then None
-              else Some (EStatic (Func_id.FDtor vb)))
-            (Class_table.virtual_base_names table cls)
-      in
-      let field_events =
-        List.filter_map
-          (fun (f : Class_table.field) ->
-            if f.f_static then None
-            else
-              match f.f_type with
-              | Ast.TNamed fcls | Ast.TArr (Ast.TNamed fcls, _) ->
-                  Some (EStatic (Func_id.FDtor fcls))
-              | _ -> None)
-          c.c_fields
-      in
-      base_events @ field_events
-  | Func_id.FFree _ | Func_id.FMethod _ -> []
+      List.iter (fun (b : Ast.base_spec) -> static (Func_id.FDtor b.b_name)) c.c_bases;
+      List.iter
+        (fun vb ->
+          if not (List.exists (fun (b : Ast.base_spec) -> b.b_name = vb) c.c_bases)
+          then static (Func_id.FDtor vb))
+        (Class_table.virtual_base_names table cls);
+      List.iter
+        (fun (f : Class_table.field) ->
+          if not f.f_static then
+            match f.f_type with
+            | Ast.TNamed fcls | Ast.TArr (Ast.TNamed fcls, _) ->
+                static (Func_id.FDtor fcls)
+            | _ -> ())
+        c.c_fields
+  | Func_id.FFree _ | Func_id.FMethod _ -> ()
 
-let func_events table (fn : tfunc) : event list =
-  let acc = structural_events table fn in
-  let acc = fold_func_exprs (expr_events table) acc fn in
-  let acc =
-    match fn.tf_body with
-    | Some body -> fold_stmts (stmt_events table) acc body
-    | None -> acc
-  in
-  acc
-
-(* -- virtual dispatch resolution -------------------------------------------- *)
-
-(* Possible dynamic classes for a receiver of static class [s]:
-   [s] itself and all subclasses, filtered by the instantiated set under
-   RTA. *)
-let candidate_classes ~algorithm ~instantiated table s =
-  let all = s :: Class_table.subclasses table s in
-  match algorithm with
-  | Cha -> all
-  | Rta | Pta | Pta1 -> List.filter (fun c -> StringSet.mem c instantiated) all
-
-let resolve_virtual_among table ~candidates name : FuncSet.t =
-  List.fold_left
-    (fun acc d ->
-      match Member_lookup.dispatch table ~dyn:d ~name with
-      | Some (def, m) when m.m_body <> None || not m.m_pure ->
-          FuncSet.add (Func_id.FMethod (def, name)) acc
-      | Some (def, _) -> FuncSet.add (Func_id.FMethod (def, name)) acc
-      | None -> acc)
-    FuncSet.empty candidates
-
-let resolve_virtual ~algorithm ~instantiated table s name : FuncSet.t =
-  resolve_virtual_among table
-    ~candidates:(candidate_classes ~algorithm ~instantiated table s)
-    name
-
-let resolve_virtual_delete ~algorithm ~instantiated table s : FuncSet.t =
-  List.fold_left
-    (fun acc d -> FuncSet.add (Func_id.FDtor d) acc)
-    FuncSet.empty
-    (candidate_classes ~algorithm ~instantiated table s)
+let func_events table emit (fn : tfunc) =
+  structural_events table emit fn;
+  fold_func_exprs (expr_events emit) () fn;
+  Option.iter (fold_stmts (stmt_events table emit) ()) fn.tf_body
 
 (* -- extra roots (paper §3.3) ------------------------------------------------ *)
 
@@ -283,10 +219,27 @@ let library_override_roots table ~library_classes : FuncSet.t =
       FuncSet.empty
       (Class_table.all_classes table)
 
-(* -- fixpoint ----------------------------------------------------------------- *)
+(* -- one pass ----------------------------------------------------------------- *)
+
+(* A reachable function and its callees so far. *)
+type caller = { c_id : Func_id.t; mutable c_out : FuncSet.t }
+
+(* A virtual-call or virtual-delete site. It is offered each class of
+   its static class's cone once that class is instantiated; [keep] is
+   its receiver's points-to answer ([None]: every class). Its own
+   targets are kept for provenance, so only under PTA. *)
+type vsite = {
+  v_src : caller;
+  v_recv : texpr;
+  v_target : string -> Func_id.t option;  (* dynamic class -> callee *)
+  v_keep : string list option;
+  mutable v_targets : Func_id.t list;
+}
+
+(* A function-pointer call site, offered each address-taken function. *)
+type fsite = { f_src : caller; f_arity : int; f_keep : Func_id.t list option }
 
 (* telemetry instruments (no-ops unless collection is enabled) *)
-let iterations_counter = Telemetry.Counter.make "callgraph.fixpoint_iterations"
 let nodes_gauge = Telemetry.Gauge.make "callgraph.reachable_functions"
 let edges_gauge = Telemetry.Gauge.make "callgraph.edges"
 let pta_resolved_counter = Telemetry.Counter.make "callgraph.pta_resolved_sites"
@@ -296,40 +249,14 @@ let build ?(algorithm = Rta) ?(library_classes = StringSet.empty)
     ?(extra_roots = []) (p : program) : t =
   Telemetry.Span.with_ "callgraph" @@ fun () ->
   let table = p.table in
-  (* Sites resolve with this algorithm when points-to information is
-     absent or inconclusive: PTA degrades to RTA, never worse. *)
-  let fallback = match algorithm with Pta | Pta1 -> Rta | a -> a in
-  (* memoize per-function events *)
-  let events_cache : (Func_id.t, event list) Hashtbl.t = Hashtbl.create 64 in
-  let events_of id =
-    match Hashtbl.find_opt events_cache id with
-    | Some ev -> ev
-    | None ->
-        let ev =
-          match find_func p id with
-          | Some fn -> func_events table fn
-          | None -> []  (* unknown externals: no events *)
-        in
-        Hashtbl.add events_cache id ev;
-        ev
-  in
-  (* events of global initializers feed the root set *)
-  let global_events =
-    List.fold_left
-      (fun acc g ->
-        match g.g_init with
-        | Some e -> fold_expr (expr_events table) acc e
-        | None -> acc)
-      [] p.globals
-  in
   let base_roots =
     FuncSet.union
       (FuncSet.of_list (main_id :: extra_roots))
       (library_override_roots table ~library_classes)
   in
   (* The points-to solution is computed once, over the same root set the
-     replay below uses; its per-expression sets then resolve the
-     dispatch events. [Pta1] additionally computes the 1-CFA refinement
+     pass below starts from; its per-expression sets then decide the
+     dispatch sites. [Pta1] additionally computes the 1-CFA refinement
      and intersects both answers per site: each is an over-approximation
      on its own, so the intersection is sound and the refined tier can
      never resolve to {e more} targets than plain PTA — the subset chain
@@ -350,232 +277,206 @@ let build ?(algorithm = Rta) ?(library_classes = StringSet.empty)
     | Some sol, _ | None, Some sol -> Some (Pta.stats sol)
     | None, None -> None
   in
-  (* Per-site receiver classes / function targets, both tiers combined. *)
-  let combined query e =
+  (* A site's receiver classes / function targets, both tiers combined;
+     [None] (unknown, or not a PTA tier) falls back to RTA, never worse.
+     Each site asks once and is counted once. *)
+  let answer query e =
     match pta with
     | None -> None
-    | Some plain -> (
+    | Some plain ->
         let base = query plain e in
-        match pta_refined with
-        | None -> base
-        | Some refined -> (
-            match (query refined e, base) with
-            | Some a, Some b -> Some (List.filter (fun c -> List.mem c b) a)
-            | Some a, None -> Some a
-            | None, b -> b))
+        let a =
+          match pta_refined with
+          | None -> base
+          | Some refined -> (
+              match (query refined e, base) with
+              | Some a, Some b -> Some (List.filter (fun c -> List.mem c b) a)
+              | Some a, None -> Some a
+              | None, b -> b)
+        in
+        Telemetry.Counter.incr
+          (if Option.is_none a then pta_fallback_counter else pta_resolved_counter);
+        a
   in
-  (* The solutions are final, but the fixpoint below replays every
-     dispatch event once per iteration: answer each receiver expression
-     once. The tables are local to this build, which may run on a serve
-     worker domain. *)
-  let per_site f =
-    let tbl = Pta.ExprTbl.create 64 in
-    fun e ->
-      match Pta.ExprTbl.find_opt tbl e with
-      | Some v -> v
-      | None ->
-          let v = f e in
-          Pta.ExprTbl.add tbl e v;
-          v
-  in
-  let recv_classes = per_site (combined Pta.receiver_classes) in
-  let funptr_of = per_site (combined Pta.funptr_targets) in
   (* Allocation-site provenance for a resolved receiver: the refined
      solution's answer when it has one (fewer, sharper sites). *)
-  let alloc_sites =
-    per_site (fun e ->
-        let q sol = Pta.receiver_alloc_sites sol e in
-        match (Option.map q pta_refined, Option.map q pta) with
-        | Some (Some s), _ | (None | Some None), Some (Some s) -> s
-        | _ -> [])
+  let alloc_sites e =
+    let q sol = Pta.receiver_alloc_sites sol e in
+    match (Option.map q pta_refined, Option.map q pta) with
+    | Some (Some s), _ | (None | Some None), Some (Some s) -> s
+    | _ -> []
   in
-  (* Iterate reachability to a fixpoint over (instantiated, address_taken):
-     both sets only grow, and each enlargement can only add reachable
-     functions, so the loop terminates. *)
+  (* The dispatch table: method -> dynamic class -> override, filled on
+     demand. Local to this build, which may run on a serve worker. *)
+  let overrides = Hashtbl.create 16 in
+  let dispatch name =
+    let tbl =
+      match Hashtbl.find overrides name with
+      | tbl -> tbl
+      | exception Not_found ->
+          let tbl = Hashtbl.create 16 in
+          Hashtbl.add overrides name tbl;
+          tbl
+    in
+    fun d ->
+      match Hashtbl.find tbl d with
+      | r -> r
+      | exception Not_found ->
+          let r =
+            Option.map
+              (fun (def, _) -> Func_id.FMethod (def, name))
+              (Member_lookup.dispatch table ~dyn:d ~name)
+          in
+          Hashtbl.add tbl d r;
+          r
+  in
+  (* Reachability, one pass: each reachable function's events are
+     processed once. The instantiated and address-taken sets only grow,
+     and each growth is offered to the sites already waiting on it, so
+     the result is the least fixpoint over both sets. *)
+  let nodes = ref FuncSet.empty and callers = ref [] in
+  let final_roots = ref base_roots in
   let instantiated = ref StringSet.empty in
   let address_taken = ref FuncSet.empty in
-  (* Dispatch resolution: under PTA, intersect the receiver's points-to
-     classes with the RTA candidate cone — never more targets than RTA,
-     and conservative fallback whenever the set is unknown. *)
-  let resolve_virtual_event cls name recv : FuncSet.t =
-    let fb () =
-      resolve_virtual ~algorithm:fallback ~instantiated:!instantiated table cls
-        name
-    in
-    if pta = None then fb ()
-    else
-      match recv_classes recv with
-      | Some cs ->
-          Telemetry.Counter.incr pta_resolved_counter;
-          resolve_virtual_among table
-            ~candidates:
-              (List.filter
-                 (fun c -> List.mem c cs)
-                 (candidate_classes ~algorithm:Rta ~instantiated:!instantiated
-                    table cls))
-            name
-      | None ->
-          Telemetry.Counter.incr pta_fallback_counter;
-          fb ()
+  let queue = Queue.create () in
+  let enqueue id =
+    if not (FuncSet.mem id !nodes) then begin
+      nodes := FuncSet.add id !nodes;
+      Queue.add id queue
+    end
   in
-  let resolve_vdelete_event cls e : FuncSet.t =
-    let fb () =
-      resolve_virtual_delete ~algorithm:fallback ~instantiated:!instantiated
-        table cls
-    in
-    if pta = None then fb ()
-    else
-      match recv_classes e with
-      | Some cs ->
-          Telemetry.Counter.incr pta_resolved_counter;
-          List.fold_left
-            (fun acc c ->
-              if List.mem c cs then FuncSet.add (Func_id.FDtor c) acc else acc)
-            FuncSet.empty
-            (candidate_classes ~algorithm:Rta ~instantiated:!instantiated table
-               cls)
-      | None ->
-          Telemetry.Counter.incr pta_fallback_counter;
-          fb ()
+  let caller id =
+    let c = { c_id = id; c_out = FuncSet.empty } in
+    callers := c :: !callers;
+    c
   in
-  let funptr_candidates fe : FuncSet.t =
-    if pta = None then !address_taken
-    else
-      match funptr_of fe with
-      | Some fs ->
-          Telemetry.Counter.incr pta_resolved_counter;
-          FuncSet.filter
-            (fun id -> FuncSet.mem id !address_taken)
-            (FuncSet.of_list fs)
-      | None ->
-          Telemetry.Counter.incr pta_fallback_counter;
-          !address_taken
+  let call c dst =
+    if not (FuncSet.mem dst c.c_out) then begin
+      c.c_out <- FuncSet.add dst c.c_out;
+      enqueue dst
+    end
   in
-  let final_nodes = ref FuncSet.empty in
-  let final_edges = ref FuncMap.empty in
-  let final_roots = ref base_roots in
-  let final_sites = ref EdgeMap.empty in
-  let stable = ref false in
-  while not !stable do
-    Telemetry.Counter.incr iterations_counter;
-    let inst0 = !instantiated and addr0 = !address_taken in
-    let nodes = ref FuncSet.empty in
-    let edges = ref FuncMap.empty in
-    (* every call site that produces an edge contributes its receiver's
-       sites; the per-site answers are shared, so [memq] drops repeats *)
-    let sites = ref EdgeMap.empty in
-    let record_sites src dst e =
-      if pta <> None then
-        match alloc_sites e with
-        | [] -> ()
-        | ss ->
-            sites :=
-              EdgeMap.update (src, dst)
-                (function
-                  | Some prior when List.memq ss prior -> Some prior
-                  | Some prior -> Some (ss :: prior)
-                  | None -> Some [ ss ])
-                !sites
+  (* under PTA each virtual site keeps its targets, for provenance *)
+  let vsites = ref [] and fsites = ref [] in
+  let provenance = Option.is_some pta in
+  (* sites waiting for a class of their cone to be instantiated *)
+  let waiting : (string, vsite list) Hashtbl.t = Hashtbl.create 64 in
+  let offer s d =
+    match s.v_target d with
+    | Some id ->
+        if provenance && not (List.mem id s.v_targets) then
+          s.v_targets <- id :: s.v_targets;
+        call s.v_src id
+    | None -> ()
+  in
+  (* CHA counts every cone class as instantiated *)
+  let register src recv target cls =
+    let s =
+      { v_src = src; v_recv = recv; v_target = target;
+        v_keep = answer Pta.receiver_classes recv; v_targets = [] }
     in
-    let add_edge src dst =
-      edges :=
-        FuncMap.update src
-          (function
-            | Some s -> Some (FuncSet.add dst s)
-            | None -> Some (FuncSet.singleton dst))
-          !edges
+    List.iter
+      (fun d ->
+        match s.v_keep with
+        | Some cs when not (List.mem d cs) -> ()
+        | _ ->
+            if algorithm = Cha || StringSet.mem d !instantiated then offer s d
+            else
+              Hashtbl.replace waiting d
+                (s :: Option.value ~default:[] (Hashtbl.find_opt waiting d)))
+      (cls :: Class_table.subclasses table cls);
+    if provenance then vsites := s :: !vsites
+  in
+  let offer_fn s id =
+    let wanted = match s.f_keep with Some fs -> List.mem id fs | None -> true in
+    let arity_ok =
+      match find_func p id with
+      | Some fn -> List.length fn.tf_params = s.f_arity
+      | None -> true
     in
-    let queue = Queue.create () in
-    let enqueue id =
-      if not (FuncSet.mem id !nodes) then begin
-        nodes := FuncSet.add id !nodes;
-        Queue.add id queue
-      end
-    in
-    let roots =
-      FuncSet.union base_roots
-        (FuncSet.filter (fun id -> find_func p id <> None) !address_taken)
-    in
-    FuncSet.iter enqueue roots;
-    (* pseudo-edges from global initializers hang off main *)
-    let process_events src events =
-      List.iter
-        (fun ev ->
-          match ev with
-          | EStatic id ->
-              add_edge src id;
-              enqueue id
-          | EVirtual (cls, name, recv) ->
-              FuncSet.iter
-                (fun id ->
-                  add_edge src id;
-                  record_sites src id recv;
-                  enqueue id)
-                (resolve_virtual_event cls name recv)
-          | EVirtualDelete (cls, e) ->
-              FuncSet.iter
-                (fun id ->
-                  add_edge src id;
-                  record_sites src id e;
-                  enqueue id)
-                (resolve_vdelete_event cls e)
-          | EStaticDelete cls ->
-              add_edge src (Func_id.FDtor cls);
-              enqueue (Func_id.FDtor cls)
-          | EFunPtrCall (arity, fe) ->
-              FuncSet.iter
-                (fun id ->
-                  let matches =
-                    match find_func p id with
-                    | Some fn -> List.length fn.tf_params = arity
-                    | None -> true
-                  in
-                  if matches then begin
-                    add_edge src id;
-                    enqueue id
-                  end)
-                (funptr_candidates fe)
-          | EAddrTaken id -> address_taken := FuncSet.add id !address_taken
-          | EInstantiate (cls, ctor) ->
-              instantiated := StringSet.add cls !instantiated;
-              add_edge src ctor;
-              enqueue ctor
-          | EStackDestroy cls ->
-              add_edge src (Func_id.FDtor cls);
-              enqueue (Func_id.FDtor cls))
-        events
-    in
-    process_events main_id global_events;
-    let rec drain () =
-      match Queue.take_opt queue with
+    if wanted && arity_ok then call s.f_src id
+  in
+  let handle src = function
+    | EStatic id -> call src id
+    | EVirtual (cls, name, recv) -> register src recv (dispatch name) cls
+    | EVirtualDelete (cls, e) -> register src e (fun d -> Some (Func_id.FDtor d)) cls
+    | EFunPtrCall (arity, fe) ->
+        let s =
+          { f_src = src; f_arity = arity; f_keep = answer Pta.funptr_targets fe }
+        in
+        fsites := s :: !fsites;
+        FuncSet.iter (offer_fn s) !address_taken
+    | EAddrTaken id when not (FuncSet.mem id !address_taken) ->
+        address_taken := FuncSet.add id !address_taken;
+        (* an address-taken function with a body is a root *)
+        if find_func p id <> None then begin
+          final_roots := FuncSet.add id !final_roots;
+          enqueue id
+        end;
+        List.iter (fun s -> offer_fn s id) !fsites
+    | EAddrTaken _ -> ()
+  in
+  (* constructing a class makes it a potential dynamic type while its
+     constructor runs (C++ dispatch-during-construction) *)
+  let instantiate cls =
+    if not (StringSet.mem cls !instantiated) then begin
+      instantiated := StringSet.add cls !instantiated;
+      match Hashtbl.find_opt waiting cls with
+      | Some ss ->
+          Hashtbl.remove waiting cls;
+          List.iter (fun s -> offer s cls) ss
       | None -> ()
-      | Some id ->
-          (* constructing a class makes it a potential dynamic type while
-             its constructor runs (C++ dispatch-during-construction) *)
-          (match id with
-          | Func_id.FCtor (cls, _) ->
-              instantiated := StringSet.add cls !instantiated
-          | _ -> ());
-          process_events id (events_of id);
-          drain ()
-    in
-    drain ();
-    final_nodes := !nodes;
-    final_edges := !edges;
-    final_roots := roots;
-    final_sites := !sites;
-    stable :=
-      StringSet.equal inst0 !instantiated && FuncSet.equal addr0 !address_taken
-  done;
+    end
+  in
+  FuncSet.iter enqueue base_roots;
+  (* pseudo-edges from global initializers hang off main *)
+  let globals = handle (caller main_id) in
+  List.iter (fun g -> Option.iter (fold_expr (expr_events globals) ()) g.g_init) p.globals;
+  let rec drain () =
+    match Queue.take_opt queue with
+    | None -> ()
+    | Some id ->
+        (match id with Func_id.FCtor (cls, _) -> instantiate cls | _ -> ());
+        (match find_func p id with
+        | Some fn -> func_events table (handle (caller id)) fn
+        | None -> ());
+        drain ()
+  in
+  drain ();
+  (* main is two callers: its global initializers and its body *)
+  let edges =
+    List.fold_left
+      (fun acc c ->
+        if FuncSet.is_empty c.c_out then acc
+        else
+          FuncMap.update c.c_id
+            (fun prior -> Some (FuncSet.union c.c_out (Option.value ~default:FuncSet.empty prior)))
+            acc)
+      FuncMap.empty !callers
+  in
+  (* provenance, resolved once per site now that its targets are final *)
+  let edge_sites =
+    List.fold_left
+      (fun acc s ->
+        if s.v_targets = [] then acc
+        else
+          match alloc_sites s.v_recv with
+          | [] -> acc
+          | ss ->
+              FuncMap.update s.v_src.c_id
+                (fun l -> Some ((s.v_targets, ss) :: Option.value ~default:[] l))
+                acc)
+      FuncMap.empty !vsites
+  in
   let t =
     {
       algorithm;
-      nodes = !final_nodes;
-      edges = !final_edges;
+      nodes = !nodes;
+      edges;
       roots = !final_roots;
       instantiated = !instantiated;
       address_taken = !address_taken;
-      edge_sites = !final_sites;
+      edge_sites;
       pta_stats;
     }
   in

@@ -35,8 +35,6 @@ type algorithm = Cha | Rta | Pta | Pta1
 
 val algorithm_to_string : algorithm -> string
 
-module EdgeMap : Map.S with type key = Func_id.t * Func_id.t
-
 type t = {
   algorithm : algorithm;
   nodes : FuncSet.t;  (** functions reachable from the roots *)
@@ -44,11 +42,11 @@ type t = {
   roots : FuncSet.t;  (** [main] + extra roots *)
   instantiated : StringSet.t;  (** classes whose ctor is reachable *)
   address_taken : FuncSet.t;
-  edge_sites : (string * Frontend.Source.span) list list EdgeMap.t;
-      (** for dispatch edges resolved from points-to sets: the
-          allocation sites of the receiver objects that produced the
-          edge, as [(class, span)] pairs, one list per distinct receiver
-          answer (see {!dispatch_sites} for the merged set) *)
+  edge_sites : (Func_id.t list * (string * Frontend.Source.span) list) list FuncMap.t;
+      (** caller -> its dispatch sites decided by a points-to solution,
+          each as its targets and the allocation sites of its receiver's
+          objects, as [(class, span)] pairs (see {!dispatch_sites} for
+          one edge's merged set) *)
   pta_stats : Pta.stats option;
       (** solver statistics of the points-to solution that decided
           dispatch ([Pta]: the plain solution; [Pta1]: the 1-CFA

@@ -86,10 +86,23 @@ module FctxTbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
+(* [Stdlib.compare]'s order on [fctx], monomorphically: [CRoot] is an
+   immediate, so it sorts before every [CSite] and [CObj]. *)
+let compare_ctx a b =
+  match (a, b) with
+  | CRoot, CRoot -> 0
+  | CRoot, _ -> -1
+  | _, CRoot -> 1
+  | CSite x, CSite y | CObj x, CObj y -> Int.compare x y
+  | CSite _, CObj _ -> -1
+  | CObj _, CSite _ -> 1
+
 module FctxSet = Set.Make (struct
   type t = fctx
 
-  let compare = Stdlib.compare
+  let compare ((f, c) : t) (f', c') =
+    let r = Func_id.compare f f' in
+    if r <> 0 then r else compare_ctx c c'
 end)
 
 let ctx_cap = 200_000

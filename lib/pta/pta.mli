@@ -33,10 +33,6 @@ open Sema.Typed_ast
 
 type solution
 
-(** Tables keyed on expression {e occurrences}: keys compare physically,
-    the identity every per-expression query below uses. *)
-module ExprTbl : Hashtbl.S with type key = texpr
-
 (** Context sensitivity. [Insensitive] is the classic Andersen analysis
     (one instance per function). [OneCfa] clones callees one level deep:
     method calls are analyzed per receiver {e allocation site} and

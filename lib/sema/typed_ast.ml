@@ -17,7 +17,27 @@ module Func_id = struct
     | FCtor of string * int      (* class, arity — ctors overload by arity *)
     | FDtor of string            (* class *)
 
-  let compare = Stdlib.compare
+  (* [Stdlib.compare]'s order, without its polymorphic walk: constructor
+     first, in declaration order, then the fields left to right. Every
+     [FuncSet]/[FuncMap] iteration, and so everything printed from one,
+     depends on this order. *)
+  let compare a b =
+    match (a, b) with
+    | FFree x, FFree y -> String.compare x y
+    | FFree _, _ -> -1
+    | _, FFree _ -> 1
+    | FMethod (c, m), FMethod (c', m') ->
+        let r = String.compare c c' in
+        if r <> 0 then r else String.compare m m'
+    | FMethod _, _ -> -1
+    | _, FMethod _ -> 1
+    | FCtor (c, n), FCtor (c', n') ->
+        let r = String.compare c c' in
+        if r <> 0 then r else Int.compare n n'
+    | FCtor _, _ -> -1
+    | _, FCtor _ -> 1
+    | FDtor c, FDtor c' -> String.compare c c'
+
   let equal a b = compare a b = 0
 
   let to_string = function

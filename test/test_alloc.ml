@@ -13,6 +13,7 @@
    call test checks the same of a call's frame: its words do not grow
    with the callee's locals and operand stacks. The frontend pins
    measure lex, parse and type-check on the generated points-to
+   programs, and the call-graph pins measure the builds on the same
    programs. *)
 
 open Runtime
@@ -273,6 +274,35 @@ let t_frontend_words_pinned () =
           check_int (name ^ " typecheck words") typecheck t)
         pinned_frontend)
 
+(* -- call graph ------------------------------------------------------------------ *)
+
+(* Minor words of [Callgraph.build] on the same two programs: under PTA
+   less [Pta.analyze]'s own words (what the build adds to the solve),
+   and the whole RTA build. A PTA build runs first, so the class
+   table's lookup memo is full for every measurement. Before the
+   one-pass build (each dispatch site resolved once), measured the same
+   way: stress 29725232 and 7725429, twin 1774427 and 744341. *)
+let pinned_callgraph =
+  [
+    ("stress", Benchmarks.Synth.stress, (17093323, 947427));
+    ("synth_pta twin", synth_twin, (681457, 124082));
+  ]
+
+let t_callgraph_words_pinned () =
+  telemetry_off (fun () ->
+      List.iter
+        (fun (name, params, (pta, rta)) ->
+          let prog = Benchmarks.Synth.program params in
+          ignore (Callgraph.build ~algorithm:Callgraph.Pta prog);
+          let _, solve =
+            words (fun () -> Pta.analyze ~roots:[ Sema.Typed_ast.main_id ] prog)
+          in
+          let _, p = words (fun () -> Callgraph.build ~algorithm:Callgraph.Pta prog) in
+          let _, r = words (fun () -> Callgraph.build ~algorithm:Callgraph.Rta prog) in
+          check_int (name ^ " PTA build words beyond the solve") pta (p - solve);
+          check_int (name ^ " RTA build words") rta r)
+        pinned_callgraph)
+
 let suite =
   [
     Util.test "resolve/compile/execute words of the 11 ports pinned"
@@ -282,4 +312,6 @@ let suite =
     Util.test "a call allocates no frame arrays" t_call_no_frame_alloc;
     Util.test "lex/parse/typecheck words of the synth programs pinned"
       t_frontend_words_pinned;
+    Util.test "call-graph build words of the synth programs pinned"
+      t_callgraph_words_pinned;
   ]

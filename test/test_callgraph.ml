@@ -184,6 +184,204 @@ let t_global_initializers_reach () =
   in
   Util.check_bool "initializer call reachable" true (reachable_free cg "f")
 
+(* -- late binding -------------------------------------------------------------
+
+   Each program reaches a dispatch site before the class (or function)
+   it will dispatch to becomes live, so the builder must offer a later
+   instantiation or address-taken function to a site it has already
+   processed. Edges are compared exactly, per tier. *)
+
+let edge_list cg =
+  FuncMap.fold
+    (fun src dsts acc ->
+      FuncSet.fold
+        (fun dst acc -> (Func_id.to_string src ^ " -> " ^ Func_id.to_string dst) :: acc)
+        dsts acc)
+    cg.Callgraph.edges []
+  |> List.sort String.compare
+
+(* [tiers] lists each tier's edges beyond [common]. *)
+let check_tiers ?library_classes src ~common tiers =
+  List.iter
+    (fun (algorithm, extra) ->
+      let _, cg = build ~algorithm ?library_classes src in
+      Alcotest.(check (list string))
+        (Callgraph.algorithm_to_string algorithm ^ " edges")
+        (List.sort String.compare (common @ extra))
+        (edge_list cg))
+    tiers
+
+let late_vcall =
+  {|class Shape { public: virtual int area() { return 0; } };
+    class Square : public Shape {
+    public:
+      int side;
+      Square(int s) : side(s) {}
+      virtual int area() { return side * side; }
+    };
+    class Circle : public Shape { public: virtual int area() { return 3; } };
+    int measure(Shape *p) { return p->area(); }
+    Shape *make3() { return new Square(3); }
+    Shape *make2() { return make3(); }
+    Shape *make1() { return make2(); }
+    int main() { Shape *p = make1(); return measure(p); }|}
+
+let t_late_virtual_call () =
+  check_tiers late_vcall
+    ~common:
+      [ "main -> make1"; "main -> measure"; "make1 -> make2"; "make2 -> make3";
+        "make3 -> Square::Square/1"; "measure -> Square::area";
+        "Square::Square/1 -> Shape::Shape/0" ]
+    Callgraph.
+      [ (Cha, [ "measure -> Circle::area"; "measure -> Shape::area" ]);
+        (Rta, [ "measure -> Shape::area" ]); (Pta, []); (Pta1, []) ]
+
+let late_vdelete =
+  {|class Res { public: virtual ~Res() {} };
+    class File : public Res { public: ~File() {} };
+    class Sock : public Res { public: ~Sock() {} };
+    void drop(Res *r) { delete r; }
+    Res *open3() { return new File(); }
+    Res *open2() { return open3(); }
+    Res *open1() { return open2(); }
+    int main() { Res *r = open1(); drop(r); return 0; }|}
+
+let t_late_virtual_delete () =
+  check_tiers late_vdelete
+    ~common:
+      [ "drop -> File::~File"; "main -> drop"; "main -> open1"; "open1 -> open2";
+        "open2 -> open3"; "open3 -> File::File/0"; "File::File/0 -> Res::Res/0";
+        "File::~File -> Res::~Res" ]
+    Callgraph.
+      [ (Cha, [ "drop -> Res::~Res"; "drop -> Sock::~Sock"; "Sock::~Sock -> Res::~Res" ]);
+        (Rta, [ "drop -> Res::~Res" ]); (Pta, []); (Pta1, []) ]
+
+let late_funptr =
+  {|int apply(int f(int), int v) { return f(v); }
+    int zero(int x) { return 0; }
+    int twice(int x) { return x * 2; }
+    int add(int a, int b) { return a + b; }
+    int never(int x) { return x; }
+    int deep3() { int (*g)(int, int) = add; return apply(twice, 4) + g(1, 2); }
+    int deep2() { return deep3(); }
+    int deep1() { return deep2(); }
+    int main() { return apply(zero, 0) + deep1(); }|}
+
+let t_late_funptr () =
+  (* [add] is address-taken but has another arity than [apply]'s [f] *)
+  check_tiers late_funptr
+    ~common:
+      [ "apply -> twice"; "apply -> zero"; "deep1 -> deep2"; "deep2 -> deep3";
+        "deep3 -> add"; "deep3 -> apply"; "main -> apply"; "main -> deep1" ]
+    Callgraph.[ (Cha, []); (Rta, []); (Pta, []); (Pta1, []) ]
+
+let late_ctor_dispatch =
+  {|class Base {
+    public:
+      int ready;
+      Base() { ready = setup(); }
+      virtual int setup() { return 1; }
+      virtual int kind() = 0;
+    };
+    class Derived : public Base {
+    public:
+      int tag;
+      Derived() : Base() { tag = 2; }
+      virtual int setup() { return 2; }
+      virtual int kind() { return tag; }
+    };
+    Base *build3() { return new Derived(); }
+    Base *build2() { return build3(); }
+    Base *build1() { return build2(); }
+    int main() { Base *b = build1(); return b->kind(); }|}
+
+let t_late_ctor_dispatch () =
+  (* the abstract Base is instantiated only while its constructor runs
+     as Derived's base initializer *)
+  check_tiers late_ctor_dispatch
+    ~common:
+      [ "build1 -> build2"; "build2 -> build3"; "build3 -> Derived::Derived/0";
+        "main -> build1"; "main -> Derived::kind"; "Base::Base/0 -> Base::setup";
+        "Base::Base/0 -> Derived::setup"; "Derived::Derived/0 -> Base::Base/0" ]
+    Callgraph.
+      [ (Cha, [ "main -> Base::kind" ]); (Rta, [ "main -> Base::kind" ]); (Pta, []);
+        (Pta1, []) ]
+
+let late_library_root =
+  {|class Listener { public: virtual int on_event(int e) { return e; } };
+    class Sink { public: virtual int put(int v) { return v; } };
+    class Log : public Sink { public: virtual int put(int v) { return v + 1; } };
+    Sink *the_sink;
+    class App : public Listener {
+    public:
+      int hits;
+      virtual int on_event(int e) { hits = hits + 1; return the_sink->put(e); }
+    };
+    Sink *sink3() { return new Log(); }
+    Sink *sink2() { return sink3(); }
+    Sink *sink1() { return sink2(); }
+    int main() { the_sink = sink1(); return 0; }|}
+
+let t_late_library_root () =
+  (* App::on_event is a root from the start; the Log it dispatches to
+     is built three calls deep *)
+  let common =
+    [ "main -> sink1"; "sink1 -> sink2"; "sink2 -> sink3"; "sink3 -> Log::Log/0";
+      "Log::Log/0 -> Sink::Sink/0" ]
+  in
+  check_tiers late_library_root ~common
+    Callgraph.[ (Cha, []); (Rta, []); (Pta, []); (Pta1, []) ];
+  check_tiers ~library_classes:[ "Listener" ] late_library_root
+    ~common:(common @ [ "App::on_event -> Log::put" ])
+    Callgraph.
+      [ (Cha, [ "App::on_event -> Sink::put" ]); (Rta, [ "App::on_event -> Sink::put" ]);
+        (Pta, []); (Pta1, []) ]
+
+(* The same shapes in one runnable program: (nodes, edges, dead) per
+   tier, dead growing with precision. *)
+let t_late_dispatch_corpus () =
+  let prog =
+    Util.check_source (Test_bytecode.corpus_source "late_dispatch.mcc")
+  in
+  List.iter
+    (fun (algorithm, nodes, edges, dead) ->
+      let name = Callgraph.algorithm_to_string algorithm in
+      let cg = Callgraph.build ~algorithm prog in
+      let config = { Deadmem.Config.paper with call_graph = algorithm } in
+      let r = Deadmem.Liveness.analyze ~config prog in
+      Util.check_int (name ^ " nodes") nodes (Callgraph.num_nodes cg);
+      Util.check_int (name ^ " edges") edges (Callgraph.num_edges cg);
+      Alcotest.(check (list string)) (name ^ " dead") dead (Util.dead_names r))
+    Callgraph.
+      [ (Cha, 36, 38, []); (Rta, 34, 35, [ "Circle::radius"; "Sock::port" ]);
+        (Pta, 32, 32, [ "Circle::radius"; "Shape::unit"; "Sock::port" ]);
+        (Pta1, 32, 32, [ "Circle::radius"; "Shape::unit"; "Sock::port" ]) ]
+
+(* -- Func_id order ------------------------------------------------------------- *)
+
+(* [Func_id.compare] orders every FuncSet/FuncMap, so everything printed
+   from one; it must order exactly as [Stdlib.compare] did. Names come
+   from a two-letter alphabet, so empty names and shared prefixes are
+   common. *)
+let prop_func_id_order =
+  let open QCheck in
+  let name = Gen.(string_size ~gen:(oneofl [ 'a'; 'b' ]) (0 -- 3)) in
+  let id =
+    Gen.(
+      oneof
+        [
+          map (fun f -> Func_id.FFree f) name;
+          map2 (fun c m -> Func_id.FMethod (c, m)) name name;
+          map2 (fun c n -> Func_id.FCtor (c, n)) name (-3 -- 3);
+          map (fun c -> Func_id.FDtor c) name;
+        ])
+  in
+  Test.make ~name:"Func_id.compare orders like Stdlib.compare" ~count:2000
+    (make ~print:(fun (a, b) -> Func_id.to_string a ^ " vs " ^ Func_id.to_string b)
+       (Gen.pair id id))
+    (fun (a, b) ->
+      Int.compare (Func_id.compare a b) 0 = Int.compare (Stdlib.compare a b) 0)
+
 let suite =
   [
     Util.test "RTA prunes uninstantiated receivers" t_rta_excludes_uninstantiated;
@@ -203,4 +401,12 @@ let suite =
     Util.test "RTA subset of CHA on all benchmarks" t_rta_subset_of_cha;
     Util.test "dot output" t_dot_output;
     Util.test "global initializers feed reachability" t_global_initializers_reach;
+    Util.test "late binding: virtual call before its class" t_late_virtual_call;
+    Util.test "late binding: virtual delete before its class" t_late_virtual_delete;
+    Util.test "late binding: function pointer before &f" t_late_funptr;
+    Util.test "late binding: dispatch in an abstract base's ctor"
+      t_late_ctor_dispatch;
+    Util.test "late binding: library-override root" t_late_library_root;
+    Util.test "late binding: corpus program per tier" t_late_dispatch_corpus;
+    QCheck_alcotest.to_alcotest prop_func_id_order;
   ]
