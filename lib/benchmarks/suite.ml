@@ -114,20 +114,6 @@ let find_exn name =
 (* Lines of code (Table 1, column 3). *)
 let loc b = Frontend.Lexer.count_code_lines b.source
 
-(* Parse and type check the benchmark. *)
-(* Each benchmark's typed program is memoised (keyed by name, locked for
-   parallel batch runs). Callers that re-run a benchmark — the bench
-   harness's repetitions, differential tests — then also share the
-   interpreter's resolve/compile cache, which is keyed on the typed
-   program's physical identity. *)
-let program_cache : (string, Typed_ast.program) Hashtbl.t = Hashtbl.create 16
-let program_mutex = Mutex.create ()
-
+(* Parse and type check the benchmark: a fresh typed program per call. *)
 let program b : Typed_ast.program =
-  Mutex.protect program_mutex @@ fun () ->
-  match Hashtbl.find_opt program_cache b.name with
-  | Some p -> p
-  | None ->
-      let p = Type_check.check_source ~file:(b.name ^ ".mcc") b.source in
-      Hashtbl.add program_cache b.name p;
-      p
+  Type_check.check_source ~file:(b.name ^ ".mcc") b.source

@@ -47,5 +47,6 @@ val find_exn : string -> t
 (** Lines of code (Table 1, column 3). *)
 val loc : t -> int
 
-(** Parse and type-check the benchmark. *)
+(** Parse and type-check the benchmark. Nothing is memoized: each call
+    returns a fresh typed program. *)
 val program : t -> Typed_ast.program

@@ -4336,28 +4336,3 @@ let profile_report (cp : cprogram) (p : Vm_profile.t) ~steps :
            (fun (s : Vm_profile.site_row) -> s.Vm_profile.sr_count))
         !sites;
   }
-
-(* Debug aid (surfaced via DEADMEM_DISASM in [Interp.run_bytecode]):
-   every compiled body as one [pc mnemonic [-> target]] line per
-   instruction. Operand detail is deliberately omitted — the mnemonic
-   stream with branch structure is what superinstruction work needs. *)
-let disassemble (cp : cprogram) : string =
-  let buf = Buffer.create 4096 in
-  Array.iteri
-    (fun bid (body : cbody) ->
-      let owner, _ = cp.cp_owners.(bid) in
-      Buffer.add_string buf
-        (Printf.sprintf "== %s (body %d, omax %d imax %d) ==\n" owner bid
-           body.b_omax body.b_imax);
-      Array.iteri
-        (fun pc ins ->
-          let tgt =
-            match branch_target ins with
-            | Some t -> Printf.sprintf " -> %d" t
-            | None -> ""
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "  %4d  %s%s\n" pc (mnemonic ins) tgt))
-        body.b_code)
-    cp.cp_bodies;
-  Buffer.contents buf

@@ -77,8 +77,3 @@ val profile : vm -> Profile.t
     finished VM's step counter, carried in the report for
     cross-checking. *)
 val profile_report : cprogram -> Vm_profile.t -> steps:int -> Vm_profile.report
-
-(** Every compiled body as one [pc mnemonic [-> target]] line per
-    instruction — a debug aid for superinstruction work, surfaced by
-    the [DEADMEM_DISASM] environment variable. *)
-val disassemble : cprogram -> string

@@ -694,78 +694,18 @@ let default_step_limit = 200_000_000
 let default_call_depth_limit = 10_000
 let default_heap_object_limit = 10_000_000
 
-(* -- lowering cache ----------------------------------------------------------
+(* -- lowering -----------------------------------------------------------------
 
    Resolution and bytecode compilation are pure functions of the typed
-   program, so repeated [run]s of the same program (bench sampling, the
-   dead-vs-live differential, REPL-style reuse, serve-daemon traffic)
-   share one lowering. Two tiers, one mutex:
+   program. A caller that runs one program many times (the serve
+   daemon's front cache) lowers it once with [lower] and passes the
+   result to every [run]; otherwise [run] lowers the program itself. *)
 
-   - the ephemeron tier is keyed by physical identity of the typed
-     program, so a cached entry never outlives its program; the small
-     FIFO cap bounds the list walk;
-   - the content tier is keyed by a caller-supplied source content hash
-     ([run ?cache_key]): identical translation units hit the same
-     lowering even when they were parsed into distinct ASTs (duplicate
-     files in a batch, repeated daemon requests after the front cache
-     evicted). Entries are held strongly, so the tier is FIFO-capped.
+type lowered = { lo_rp : rprogram; lo_bc : Bytecode.cprogram }
 
-   A mutex makes both tiers safe under the domains-parallel batch
-   pipeline and the serve daemon's worker domains. *)
-
-type lowered = {
-  lo_rp : rprogram;
-  mutable lo_bc : Bytecode.cprogram option;  (* compiled on first VM run *)
-}
-
-let lower_mutex = Mutex.create ()
-let lower_cache : (program, lowered) Ephemeron.K1.t list ref = ref []
-let lower_cache_cap = 32
-let content_cache : (string, lowered) Hashtbl.t = Hashtbl.create 64
-let content_order : string Queue.t = Queue.create ()
-let content_cache_cap = 64
-let lower_hits = Telemetry.Counter.make "runtime.lower_cache.hits"
-let lower_misses = Telemetry.Counter.make "runtime.lower_cache.misses"
-
-let lookup_phys p = List.find_map (fun e -> Ephemeron.K1.query e p) !lower_cache
-
-let insert_phys p lo =
-  let keep = List.filteri (fun i _ -> i < lower_cache_cap - 1) !lower_cache in
-  lower_cache := Ephemeron.K1.make p lo :: keep
-
-let lower ~need_bc ?cache_key (p : program) : lowered =
-  Mutex.protect lower_mutex @@ fun () ->
-  let build () =
-    match lookup_phys p with
-    | Some lo ->
-        Telemetry.Counter.incr lower_hits;
-        lo
-    | None ->
-        Telemetry.Counter.incr lower_misses;
-        let lo = { lo_rp = Resolve.program p; lo_bc = None } in
-        insert_phys p lo;
-        lo
-  in
-  let lo =
-    match cache_key with
-    | None -> build ()
-    | Some k -> (
-        match Hashtbl.find_opt content_cache k with
-        | Some lo ->
-            Telemetry.Counter.incr lower_hits;
-            lo
-        | None ->
-            let lo = build () in
-            if Queue.length content_order >= content_cache_cap then
-              Hashtbl.remove content_cache (Queue.pop content_order);
-            Hashtbl.replace content_cache k lo;
-            Queue.push k content_order;
-            lo)
-  in
-  (match lo.lo_bc with
-  | Some _ -> ()
-  | None -> if need_bc then lo.lo_bc <- Some (Bytecode.compile lo.lo_rp));
-  lo
+let lower (p : program) : lowered =
+  let rp = Resolve.program p in
+  { lo_rp = rp; lo_bc = Bytecode.compile rp }
 
 (* telemetry instruments (no-ops unless collection is enabled); the
    per-step hot path is untouched — totals are recorded once per run.
@@ -780,10 +720,10 @@ let objects_pct_gauge = Telemetry.Gauge.make "interp.guard.objects_used_pct"
 
 let pct_of used limit = if limit <= 0 then 0 else used * 100 / limit
 
-let run_tree ~dead ~step_limit ~call_depth_limit ~heap_object_limit ?cache_key
+let run_tree ~dead ~step_limit ~call_depth_limit ~heap_object_limit ?lowered
     (p : program) : outcome =
   Telemetry.Span.with_ "interp" @@ fun () ->
-  let rp = (lower ~need_bc:false ?cache_key p).lo_rp in
+  let rp = match lowered with Some lo -> lo.lo_rp | None -> Resolve.program p in
   let env =
     {
       rp;
@@ -860,10 +800,9 @@ let run_tree ~dead ~step_limit ~call_depth_limit ~heap_object_limit ?cache_key
    VM. Telemetry totals and guard proximity are recorded even when a
    limit aborts the run, exactly as in the tree engine. *)
 let run_bytecode ~dead ~step_limit ~call_depth_limit ~heap_object_limit
-    ?cache_key ?profiler (p : program) : outcome =
+    ?lowered ?profiler (p : program) : outcome =
   Telemetry.Span.with_ "interp" @@ fun () ->
-  let lo = lower ~need_bc:true ?cache_key p in
-  let cp = match lo.lo_bc with Some cp -> cp | None -> assert false in
+  let cp = (match lowered with Some lo -> lo | None -> lower p).lo_bc in
   let step_limit = max 1 step_limit in
   let call_depth_limit = max 1 call_depth_limit in
   let heap_object_limit = max 1 heap_object_limit in
@@ -871,8 +810,6 @@ let run_bytecode ~dead ~step_limit ~call_depth_limit ~heap_object_limit
     Bytecode.make_vm ~dead ?profiler ~step_limit ~call_depth_limit
       ~heap_object_limit cp
   in
-  if Sys.getenv_opt "DEADMEM_DISASM" <> None then
-    prerr_string (Bytecode.disassemble cp);
   let record_telemetry () =
     Telemetry.Counter.incr runs_counter;
     Telemetry.Counter.add steps_counter (Bytecode.steps vm);
@@ -902,29 +839,27 @@ let run_bytecode ~dead ~step_limit ~call_depth_limit ~heap_object_limit
 let run ?(engine = Bytecode) ?(dead = Member.Set.empty)
     ?(step_limit = default_step_limit)
     ?(call_depth_limit = default_call_depth_limit)
-    ?(heap_object_limit = default_heap_object_limit) ?cache_key (p : program) :
+    ?(heap_object_limit = default_heap_object_limit) ?lowered (p : program) :
     outcome =
   match engine with
   | Tree ->
       run_tree ~dead ~step_limit ~call_depth_limit ~heap_object_limit
-        ?cache_key p
+        ?lowered p
   | Bytecode ->
       run_bytecode ~dead ~step_limit ~call_depth_limit ~heap_object_limit
-        ?cache_key p
+        ?lowered p
 
 (* Profiled run: always the bytecode engine (the profiler counts its
-   dispatches). The extra [lower] here is a guaranteed cache hit — the
-   compiled program is needed up front to size the profiler's counter
-   rows. *)
+   dispatches). The program is lowered here, once, because the compiled
+   program is needed up front to size the profiler's counter rows. *)
 let run_profiled ?(dead = Member.Set.empty) ?(step_limit = default_step_limit)
     ?(call_depth_limit = default_call_depth_limit)
-    ?(heap_object_limit = default_heap_object_limit) ?cache_key (p : program) :
+    ?(heap_object_limit = default_heap_object_limit) (p : program) :
     outcome * Vm_profile.report =
-  let lo = lower ~need_bc:true ?cache_key p in
-  let cp = match lo.lo_bc with Some cp -> cp | None -> assert false in
-  let profiler = Bytecode.make_profiler cp in
+  let lo = lower p in
+  let profiler = Bytecode.make_profiler lo.lo_bc in
   let outcome =
     run_bytecode ~dead ~step_limit ~call_depth_limit ~heap_object_limit
-      ?cache_key ~profiler p
+      ~lowered:lo ~profiler p
   in
-  (outcome, Bytecode.profile_report cp profiler ~steps:outcome.steps)
+  (outcome, Bytecode.profile_report lo.lo_bc profiler ~steps:outcome.steps)

@@ -38,6 +38,17 @@ type outcome = {
     by [test/test_bytecode.ml]. *)
 type engine = Tree | Bytecode
 
+(** A program lowered for both engines: resolved through {!Resolve} and
+    compiled through {!Bytecode.compile}. No run changes it, so one
+    lowering can serve any number of runs, concurrently too. *)
+type lowered
+
+(** Resolve and compile a program. A plain function: nothing is cached
+    here. A caller that runs one program many times keeps the result
+    itself (the serve daemon keeps it in its front cache,
+    [Server.Cache]) and passes it to {!run}. *)
+val lower : Typed_ast.program -> lowered
+
 val default_step_limit : int
 val default_call_depth_limit : int
 val default_heap_object_limit : int
@@ -56,13 +67,9 @@ val default_heap_object_limit : int
     per-request budget) is checked at the same tick points and reported
     the same way.
 
-    [cache_key] is a content hash of the source the program was checked
-    from. When given, the resolve+compile cache is keyed on it, so
-    identical translation units share one lowering even across distinct
-    typed ASTs (duplicate files in a batch, repeated daemon requests);
-    without it the cache falls back to physical AST identity. Hits and
-    misses are counted in the [runtime.lower_cache.hits]/[.misses]
-    telemetry counters.
+    [lowered] must be [lower] of this same program; when it is not
+    given, [run] lowers the program itself (the tree engine then only
+    resolves it).
 
     @raise Value.Runtime_error on dynamic errors (null dereference,
     division by zero, out-of-bounds access…).
@@ -73,7 +80,7 @@ val run :
   ?step_limit:int ->
   ?call_depth_limit:int ->
   ?heap_object_limit:int ->
-  ?cache_key:string ->
+  ?lowered:lowered ->
   Typed_ast.program ->
   outcome
 
@@ -82,12 +89,11 @@ val run :
     of per-opcode dispatch counts, per-function instruction/call counts
     and back-branch loop sites for the run. Profiling only affects the
     report — semantics, tick points and the outcome are identical to an
-    unprofiled run. *)
+    unprofiled run. The program is lowered once per call. *)
 val run_profiled :
   ?dead:Member.Set.t ->
   ?step_limit:int ->
   ?call_depth_limit:int ->
   ?heap_object_limit:int ->
-  ?cache_key:string ->
   Typed_ast.program ->
   outcome * Vm_profile.report

@@ -1,17 +1,17 @@
 (** Content-addressed front cache over the resilient parse+sema
     pipeline, shared by the serve daemon and the CLI's batch [check]:
     identical (file, content) pairs are lexed, parsed and type-checked
-    once per process, and liveness analysis over a cached program is
-    memoized per configuration.
+    once per process, liveness analysis over a cached program is
+    memoized per configuration, and the program is lowered once, on its
+    first run. It is the only cache in front of the pipeline.
 
     Hits and misses are counted in the [server.source_cache.*] and
     [server.analysis_cache.*] telemetry counters. The table is bounded
-    (FIFO eviction) and domain-safe. *)
+    by {!budget} bytes with FIFO eviction, and is domain-safe. *)
 
 open Frontend
 
 type entry = {
-  e_key : string;
   e_prog : Sema.Typed_ast.program;
   e_unknown : Source.unknown_region list;
   e_diags : Source.diagnostic list;
@@ -22,20 +22,24 @@ type entry = {
           cached CLI output is byte-identical to an uncached run *)
   e_lock : Mutex.t;
   mutable e_analyses : (Deadmem.Config.t * Deadmem.Liveness.result) list;
+      (** latest first, at most {!analyses_cap} *)
+  e_lowered : Runtime.Interp.lowered Lazy.t;  (** read it with {!lowered} *)
 }
 
-(** Hash of file name + content (the cache key: diagnostics embed the
-    file name, so equal content under different names must not share
-    rendered output). *)
-val key : file:string -> string -> string
+(** The byte budget; the oldest entries are evicted until a new one fits. *)
+val budget : int
 
-(** Hash of the content alone — the key the daemon hands to
-    {!Runtime.Interp.run}'s resolve+compile cache. *)
-val content_key : string -> string
+(** What an entry is charged: its source length plus a fixed floor. *)
+val charge : string -> int
+
+(** How many configs an entry's analysis memo keeps. *)
+val analyses_cap : int
 
 (** [get ~file source] returns the cached entry (and whether it hit)
     or runs the resilient checker and caches the result. Never caches
-    a crashed pipeline — exceptions propagate. Domain-safe. *)
+    a crashed pipeline (exceptions propagate) or a source over
+    {!budget}. Domain-safe. The key hashes file name and content:
+    diagnostics embed the file name. *)
 val get : file:string -> string -> entry * bool
 
 (** Memoized [Deadmem.Liveness.analyze] over the entry's program with
@@ -44,8 +48,14 @@ val get : file:string -> string -> entry * bool
     program. *)
 val analyze : entry -> config:Deadmem.Config.t -> Deadmem.Liveness.result
 
+(** The entry's lowering, built by the first call under the entry lock. *)
+val lowered : entry -> Runtime.Interp.lowered
+
 (** Number of cached translation units. *)
 val entries : unit -> int
 
-(** Drop every entry (the drain path flushes the caches). *)
+(** Bytes charged to the cached units; never above {!budget}. *)
+val bytes : unit -> int
+
+(** Drop every entry (the drain path flushes the cache). *)
 val clear : unit -> unit

@@ -35,7 +35,7 @@
    Graceful drain (SIGTERM, SIGINT, or a `shutdown` request): intake
    stops, queued and in-flight requests finish and are answered, worker
    domains and reader threads are joined, final stats go to stderr, the
-   caches are flushed, and the socket file is removed. *)
+   cache is flushed, and the socket file is removed. *)
 
 module P = Protocol
 open P
@@ -285,7 +285,7 @@ let do_run cfg tr (req : request) source =
               ~call_depth_limit:(pick req.call_depth_limit cfg.call_depth_limit)
               ~heap_object_limit:
                 (pick req.heap_object_limit cfg.heap_object_limit)
-              ~cache_key:(Cache.content_key source) e.e_prog)
+              ~lowered:(Cache.lowered e) e.e_prog)
       in
       ok_response ?id:req.req_id ?trace:req.trace_id ~op:Run
         [
@@ -595,6 +595,7 @@ let stats_fields t =
       ("worker_restarts", jint (Supervisor.restarts t.pool));
       ("quarantined", quarantined);
       ("source_cache_entries", jint (Cache.entries ()));
+      ("source_cache_bytes", jint (Cache.bytes ()));
       ("requests_by_error_kind", by_error_kind);
       ("latency", latency);
       ("spans_dropped", jint (Telemetry.spans_dropped ()));

@@ -87,7 +87,7 @@ val drain_pool : t -> unit
 
 (** Run the daemon until EOF, SIGTERM/SIGINT or a [shutdown] request,
     then drain gracefully (in-flight requests answered, domains and
-    threads joined, final stats on stderr, caches flushed, socket file
+    threads joined, final stats on stderr, cache flushed, socket file
     removed). [socket] selects the Unix-socket transport; without it
     the daemon speaks stdin/stdout. Returns the process exit code. *)
 val run : ?socket:string -> config -> int

@@ -428,6 +428,99 @@ let t_exec_caching () =
   let ok, _ = shape (exec conservative) in
   check_bool "different config still answers" true ok
 
+(* The front cache's byte budget. A source is charged its length plus a
+   fixed floor; flooding past the budget evicts the oldest entries, and
+   a source over the whole budget is answered but never cached. *)
+
+module Cache = Server.Cache
+
+(* a well-formed unit of [n] source bytes, distinct per [i] *)
+let padded_source i n =
+  let head = Printf.sprintf "int main() { return %d; }\n" (i mod 100) in
+  let filler = max 0 (n - String.length head - 5) in
+  head ^ "/*" ^ String.make filler 'x' ^ "*/\n"
+
+let check_line src =
+  Printf.sprintf {|{"id":"b","cmd":"check","trace_id":"tb","source":%s}|}
+    (P.jstr src)
+
+let cached resp =
+  match J.member "result" (json_of resp) with
+  | Some r -> (
+      match J.member "cached" r with Some (J.Bool b) -> b | _ -> false)
+  | None -> false
+
+let t_cache_byte_budget () =
+  Cache.clear ();
+  let n = 20_000 in
+  let floods = (Cache.budget / Cache.charge (padded_source 0 n)) + 10 in
+  for i = 1 to floods do
+    let resp = exec (check_line (padded_source i n)) in
+    check_bool "flooding source answers" true (fst (shape resp));
+    if Cache.bytes () > Cache.budget then
+      Alcotest.failf "charged %d bytes, budget %d" (Cache.bytes ())
+        Cache.budget
+  done;
+  check_bool "the flood filled the budget" true
+    (Cache.bytes () + Cache.charge (padded_source 0 n) > Cache.budget);
+  check_int "entries are what the budget holds"
+    (Cache.bytes () / Cache.charge (padded_source 0 n))
+    (Cache.entries ());
+  let huge = padded_source 7 Cache.budget in
+  check_bool "an over-budget source is answered" true
+    (fst (shape (exec (check_line huge))));
+  check_bool "and not cached on repeat" false (cached (exec (check_line huge)));
+  check_bool "the budget still holds" true (Cache.bytes () <= Cache.budget);
+  Cache.clear ();
+  check_int "clear drops the charge" 0 (Cache.bytes ())
+
+(* a response without its last field, "cached" *)
+let without_cached resp = String.sub resp 0 (String.rindex resp ',')
+
+let t_cache_eviction_same_answer () =
+  Cache.clear ();
+  let port = Benchmarks.Suite.hotwire in
+  let line =
+    Printf.sprintf
+      {|{"id":"p","cmd":"run","profile":true,"trace_id":"tp","source":%s}|}
+      (P.jstr port.Benchmarks.Suite.source)
+  in
+  ignore (exec line);
+  let before = exec line in
+  check_bool "second run is cached" true (cached before);
+  let n = 20_000 in
+  for i = 1 to (Cache.budget / Cache.charge (padded_source 0 n)) + 1 do
+    ignore (exec (check_line (padded_source i n)))
+  done;
+  let after = exec line in
+  check_bool "the port was evicted" false (cached after);
+  check_string "same answer after eviction, but for cached"
+    (without_cached before) (without_cached after);
+  Cache.clear ()
+
+(* A request's library_classes list is part of its config, so one
+   source sent with ever new lists must not grow its entry's memo. *)
+let t_cache_analysis_memo_bounded () =
+  Cache.clear ();
+  let e, _ =
+    Cache.get ~file:"memo.mcc"
+      "class C { int a; int b; };\nint main() { C c; return c.a; }"
+  in
+  let config i =
+    Deadmem.Config.with_library_classes
+      [ Printf.sprintf "Lib%d" i ]
+      Deadmem.Config.paper
+  in
+  let last = ref (Cache.analyze e ~config:(config 0)) in
+  for i = 1 to 999 do
+    last := Cache.analyze e ~config:(config i)
+  done;
+  check_int "the memo stays at its cap" Cache.analyses_cap
+    (List.length e.Cache.e_analyses);
+  check_bool "the latest config answers from the memo" true
+    (Cache.analyze e ~config:(config 999) == !last);
+  Cache.clear ()
+
 (* -- the full dispatch path (handle_line) ------------------------------------ *)
 
 let t_handle_worker_restart_end_to_end () =
@@ -566,7 +659,8 @@ let t_handle_stats_shape () =
       check_bool ("stats has " ^ field) true (J.member field result <> None))
     [
       "status"; "workers"; "queue_depth"; "worker_restarts"; "quarantined";
-      "source_cache_entries"; "counters"; "gauges"; "uptime_ms";
+      "source_cache_entries"; "source_cache_bytes"; "counters"; "gauges";
+      "uptime_ms";
     ]
 
 (* -- observability: tracing, the slow-request log, latency stats ------------- *)
@@ -879,6 +973,12 @@ let suite =
     Util.test "execute: explain verdicts and errors" t_exec_explain;
     Util.test "execute: crash op is gated" t_exec_crash_gated;
     Util.test "execute: content-addressed caching" t_exec_caching;
+    Util.test "cache: charged bytes stay within the budget"
+      t_cache_byte_budget;
+    Util.test "cache: a run answers the same after eviction"
+      t_cache_eviction_same_answer;
+    Util.test "cache: the analysis memo is bounded"
+      t_cache_analysis_memo_bounded;
     Util.test "serve: poison request restarts worker, next request served"
       t_handle_worker_restart_end_to_end;
     Util.test "serve: overload sheds with structured errors"

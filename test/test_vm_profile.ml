@@ -132,6 +132,28 @@ let t_profiled_run_identical () =
   check_string "same output" plain.I.output profiled.I.output;
   check_int "same step count" plain.I.steps profiled.I.steps
 
+(* [run_profiled] needs the compiled program before the run, to size
+   the profiler; it must hand that lowering to the run, not compile the
+   program a second time. *)
+let compiled_counter = Telemetry.Counter.make "bytecode.instructions_compiled"
+
+let t_profiled_compiles_once () =
+  let prog = Sema.Type_check.check_source loopy_src in
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) @@ fun () ->
+  let compiled f =
+    let c0 = Telemetry.Counter.value compiled_counter in
+    ignore (f ());
+    Telemetry.Counter.value compiled_counter - c0
+  in
+  let one =
+    compiled (fun () -> Runtime.Bytecode.compile (Runtime.Resolve.program prog))
+  in
+  check_bool "the program compiles to instructions" true (one > 0);
+  check_int "run_profiled compiles the program once" one
+    (compiled (fun () -> I.run_profiled prog))
+
 let t_limits_respected () =
   (* a profiled run under a step limit raises exactly like a plain one *)
   check_bool "step limit enforced while profiling" true
@@ -216,6 +238,8 @@ let suite =
     Util.test "profiler: back-branch loop sites" t_loop_sites_found;
     Util.test "profiler: profiled run observationally identical"
       t_profiled_run_identical;
+    Util.test "profiler: run_profiled compiles the program once"
+      t_profiled_compiles_once;
     Util.test "profiler: resource limits still enforced" t_limits_respected;
     Util.test "profiler: json report parses and agrees" t_json_rendering;
     Util.test "profiler: text report sections" t_text_rendering;
