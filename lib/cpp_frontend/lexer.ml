@@ -7,21 +7,74 @@
 type state = {
   src : string;
   file : string;
+  diags : Source.Diagnostics.t option;  (* [Some] when lexing keeps going *)
+  names : (string, Token.t) Hashtbl.t;
+      (* the keywords, then every identifier seen so far: all occurrences
+         of a name share one [Token.IDENT] block and one string *)
   mutable pos : int;   (* byte offset *)
   mutable line : int;  (* 1-based *)
   mutable bol : int;   (* offset of beginning of current line *)
+  mutable tok_line : int;  (* start of the current token (or comment) *)
+  mutable tok_col : int;
+  mutable tok_offset : int;
 }
 
-let make ~file src = { src; file; pos = 0; line = 1; bol = 0 }
+(* [Token.keyword_table] hashed once; each [tokenize] call copies it. *)
+let keywords =
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun (text, kw) -> Hashtbl.replace tbl text kw) Token.keyword_table;
+  tbl
 
-let current_pos st : Source.pos =
-  { line = st.line; col = st.pos - st.bol + 1; offset = st.pos }
+let make ?diags ~file src =
+  {
+    src;
+    file;
+    diags;
+    names = Hashtbl.copy keywords;
+    pos = 0;
+    line = 1;
+    bol = 0;
+    tok_line = 1;
+    tok_col = 1;
+    tok_offset = 0;
+  }
 
-let span_from st (start_pos : Source.pos) : Source.span =
-  Source.make_span ~file:st.file ~start_pos ~end_pos:(current_pos st)
+(* The current token starts here. *)
+let mark st =
+  st.tok_line <- st.line;
+  st.tok_col <- st.pos - st.bol + 1;
+  st.tok_offset <- st.pos
 
-let lex_error st start_pos fmt =
-  Fmt.kstr (fun msg -> Source.error ~at:(span_from st start_pos) "%s" msg) fmt
+(* From the current token's start to here, written straight from the
+   int state: no [Source.pos] is built. *)
+let span st : Source.span =
+  {
+    file = st.file;
+    start_line = st.tok_line;
+    start_col = st.tok_col;
+    start_offset = st.tok_offset;
+    end_line = st.line;
+    end_col = st.pos - st.bol + 1;
+    end_offset = st.pos;
+  }
+
+let lex_error st fmt =
+  Fmt.kstr (fun msg -> Source.error ~at:(span st) "%s" msg) fmt
+
+(* telemetry instruments (no-ops unless collection is enabled) *)
+let tokens_counter = Telemetry.Counter.make "lexer.tokens"
+let recovered_counter = Telemetry.Counter.make "lexer.recovered_errors"
+
+(* A numeric literal that scans but has no value. Keep-going lexing
+   reports it and keeps the token, with the value [tok], so the parse
+   goes on; strict lexing raises. *)
+let bad_literal st tok msg =
+  match st.diags with
+  | None -> lex_error st "%s" msg
+  | Some diags ->
+      Source.Diagnostics.error diags ~at:(span st) "%s" msg;
+      Telemetry.Counter.incr recovered_counter;
+      tok
 
 let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
 
@@ -62,7 +115,7 @@ let rec skip_trivia st =
           to_eol ();
           skip_trivia st
       | Some '*' ->
-          let start_pos = current_pos st in
+          mark st;
           advance st;
           advance st;
           let rec to_close () =
@@ -70,7 +123,7 @@ let rec skip_trivia st =
             | Some '*', Some '/' ->
                 advance st;
                 advance st
-            | None, _ -> lex_error st start_pos "unterminated comment"
+            | None, _ -> lex_error st "unterminated comment"
             | Some _, _ ->
                 advance st;
                 to_close ()
@@ -92,7 +145,7 @@ let rec skip_trivia st =
       skip_trivia st
   | Some _ | None -> ()
 
-let lex_escape st start_pos =
+let lex_escape st =
   advance st;
   (* consume backslash *)
   match peek st with
@@ -117,26 +170,38 @@ let lex_escape st start_pos =
   | Some '"' ->
       advance st;
       '"'
-  | Some c -> lex_error st start_pos "unknown escape sequence '\\%c'" c
-  | None -> lex_error st start_pos "unterminated escape sequence"
+  | Some c -> lex_error st "unknown escape sequence '\\%c'" c
+  | None -> lex_error st "unterminated escape sequence"
 
-let lex_number st start_pos =
+let skip_while st p =
+  while (match peek st with Some c -> p c | None -> false) do
+    advance st
+  done
+
+(* [src.[start .. stop - 1]] is an integer literal's digits; its suffixes
+   l/u/L/U follow and are accepted and ignored. *)
+let int_literal st start stop =
+  while
+    (match peek st with Some ('l' | 'L' | 'u' | 'U') -> true | _ -> false)
+  do
+    advance st
+  done;
+  match int_of_string_opt (String.sub st.src start (stop - start)) with
+  | Some n -> Token.INT_LIT n
+  | None -> bad_literal st (Token.INT_LIT 0) "integer literal out of range"
+
+let lex_number st =
   let start = st.pos in
   if peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X') then begin
     advance st;
     advance st;
     let hstart = st.pos in
-    while (match peek st with Some c -> is_hex_digit c | None -> false) do
-      advance st
-    done;
-    if st.pos = hstart then lex_error st start_pos "malformed hex literal";
-    let text = String.sub st.src start (st.pos - start) in
-    Token.INT_LIT (int_of_string text)
+    skip_while st is_hex_digit;
+    if st.pos = hstart then lex_error st "malformed hex literal";
+    int_literal st start st.pos
   end
   else begin
-    while (match peek st with Some c -> is_digit c | None -> false) do
-      advance st
-    done;
+    skip_while st is_digit;
     let is_float =
       match (peek st, peek2 st) with
       | Some '.', Some c when is_digit c -> true
@@ -146,64 +211,31 @@ let lex_number st start_pos =
     in
     if is_float then begin
       if peek st = Some '.' then advance st;
-      while (match peek st with Some c -> is_digit c | None -> false) do
-        advance st
-      done;
+      skip_while st is_digit;
       (match peek st with
       | Some ('e' | 'E') ->
           advance st;
           (match peek st with
           | Some ('+' | '-') -> advance st
           | Some _ | None -> ());
-          while (match peek st with Some c -> is_digit c | None -> false) do
-            advance st
-          done
+          skip_while st is_digit
       | Some _ | None -> ());
+      let stop = st.pos in
       (match peek st with
       | Some ('f' | 'F') -> advance st
       | Some _ | None -> ());
-      let text = String.sub st.src start (st.pos - start) in
-      let text =
-        if text <> "" && (text.[String.length text - 1] = 'f'
-                          || text.[String.length text - 1] = 'F')
-        then String.sub text 0 (String.length text - 1)
-        else text
-      in
-      Token.FLOAT_LIT (float_of_string text)
+      match float_of_string_opt (String.sub st.src start (stop - start)) with
+      | Some f -> Token.FLOAT_LIT f
+      | None ->
+          bad_literal st (Token.FLOAT_LIT 0.0) "malformed floating-point literal"
     end
-    else begin
-      (* integer suffixes l/u/L/U are accepted and ignored *)
-      while
-        (match peek st with Some ('l' | 'L' | 'u' | 'U') -> true | _ -> false)
-      do
-        advance st
-      done;
-      let text = String.sub st.src start (st.pos - start) in
-      let text =
-        let n = String.length text in
-        let rec strip i =
-          if i > 0 && (match text.[i - 1] with
-                       | 'l' | 'L' | 'u' | 'U' -> true
-                       | _ -> false)
-          then strip (i - 1)
-          else i
-        in
-        String.sub text 0 (strip n)
-      in
-      Token.INT_LIT (int_of_string text)
-    end
+    else int_literal st start st.pos
   end
-
-(* [Token.keyword_table] hashed once: every identifier is looked up. *)
-let keywords =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun (text, kw) -> Hashtbl.replace tbl text kw) Token.keyword_table;
-  tbl
 
 let next_token st : Token.spanned =
   skip_trivia st;
-  let start_pos = current_pos st in
-  let mk tok = { Token.tok; span = span_from st start_pos } in
+  mark st;
+  let mk tok = { Token.tok; span = span st } in
   match peek st with
   | None -> mk Token.EOF
   | Some c when is_ident_start c ->
@@ -212,25 +244,28 @@ let next_token st : Token.spanned =
         advance st
       done;
       let text = String.sub st.src start (st.pos - start) in
-      (match Hashtbl.find_opt keywords text with
-      | Some kw -> mk kw
-      | None -> mk (Token.IDENT text))
-  | Some c when is_digit c -> mk (lex_number st start_pos)
+      (match Hashtbl.find st.names text with
+      | tok -> mk tok
+      | exception Not_found ->
+          let tok = Token.IDENT text in
+          Hashtbl.add st.names text tok;
+          mk tok)
+  | Some c when is_digit c -> mk (lex_number st)
   | Some '\'' ->
       advance st;
       let c =
         match peek st with
-        | Some '\\' -> lex_escape st start_pos
+        | Some '\\' -> lex_escape st
         | Some c ->
             advance st;
             c
-        | None -> lex_error st start_pos "unterminated character literal"
+        | None -> lex_error st "unterminated character literal"
       in
       (match peek st with
       | Some '\'' ->
           advance st;
           mk (Token.CHAR_LIT c)
-      | Some _ | None -> lex_error st start_pos "unterminated character literal")
+      | Some _ | None -> lex_error st "unterminated character literal")
   | Some '"' ->
       advance st;
       let buf = Buffer.create 16 in
@@ -238,13 +273,13 @@ let next_token st : Token.spanned =
         match peek st with
         | Some '"' -> advance st
         | Some '\\' ->
-            Buffer.add_char buf (lex_escape st start_pos);
+            Buffer.add_char buf (lex_escape st);
             go ()
         | Some c ->
             advance st;
             Buffer.add_char buf c;
             go ()
-        | None -> lex_error st start_pos "unterminated string literal"
+        | None -> lex_error st "unterminated string literal"
       in
       go ();
       mk (Token.STRING_LIT (Buffer.contents buf))
@@ -377,47 +412,44 @@ let next_token st : Token.spanned =
               end
               else mk Token.SHR
           | Some _ | None -> mk Token.GT)
-      | c -> lex_error st start_pos "unexpected character '%c'" c)
+      | c -> lex_error st "unexpected character '%c'" c)
 
-(* telemetry instruments (no-ops unless collection is enabled) *)
-let tokens_counter = Telemetry.Counter.make "lexer.tokens"
-let recovered_counter = Telemetry.Counter.make "lexer.recovered_errors"
+let count_tokens toks =
+  if Telemetry.enabled () then
+    Telemetry.Counter.add tokens_counter (List.length toks)
 
-(* Tokenize a whole source buffer, including the trailing EOF token. *)
+(* Tokenize a whole source buffer, including the trailing EOF token. The
+   list is built in order ([tail_mod_cons]), with no reversed copy. *)
 let tokenize ~file src : Token.spanned list =
   Telemetry.Span.with_ "lex" @@ fun () ->
   let st = make ~file src in
-  let rec go acc =
+  let[@tail_mod_cons] rec go () =
     let t = next_token st in
-    match t.Token.tok with
-    | Token.EOF -> List.rev (t :: acc)
-    | _ -> go (t :: acc)
+    match t.Token.tok with Token.EOF -> [ t ] | _ -> t :: go ()
   in
-  let toks = go [] in
-  Telemetry.Counter.add tokens_counter (List.length toks);
+  let toks = go () in
+  count_tokens toks;
   toks
 
 (* Keep-going lexing: a malformed token becomes a diagnostic in [diags],
    the offending character is skipped, and lexing continues — so one bad
-   byte no longer hides every later error. *)
+   byte no longer hides every later error. A numeric literal without a
+   value is reported and kept ([bad_literal]). *)
 let tokenize_resilient ~diags ~file src : Token.spanned list =
   Telemetry.Span.with_ "lex" @@ fun () ->
-  let st = make ~file src in
-  let rec go acc =
+  let st = make ~diags ~file src in
+  let[@tail_mod_cons] rec go () =
     match next_token st with
-    | t -> (
-        match t.Token.tok with
-        | Token.EOF -> List.rev (t :: acc)
-        | _ -> go (t :: acc))
+    | t -> ( match t.Token.tok with Token.EOF -> [ t ] | _ -> t :: go ())
     | exception Source.Compile_error d ->
         Source.Diagnostics.emit diags d;
         Telemetry.Counter.incr recovered_counter;
         (* guarantee progress past the offending input *)
         if peek st <> None then advance st;
-        go acc
+        go ()
   in
-  let toks = go [] in
-  Telemetry.Counter.add tokens_counter (List.length toks);
+  let toks = go () in
+  count_tokens toks;
   toks
 
 (* Number of non-blank, non-comment-only source lines: used for the LOC

@@ -8,12 +8,17 @@
 (** [tokenize ~file src] lexes a complete source buffer into a token
     list terminated by {!Token.EOF}.
 
-    @raise Source.Compile_error on malformed input. *)
+    Each call interns its identifiers: all occurrences of a name share
+    one [Token.IDENT] value, and so one string.
+
+    @raise Source.Compile_error on malformed input, including an integer
+    literal out of range and a malformed floating-point literal. *)
 val tokenize : file:string -> string -> Token.spanned list
 
 (** Keep-going variant: malformed tokens become diagnostics in [diags],
-    the offending character is skipped, and lexing continues. Never
-    raises on user input. *)
+    the offending character is skipped, and lexing continues. A numeric
+    literal out of range or malformed is reported and kept, with value
+    0, so the parse goes on. Never raises on user input. *)
 val tokenize_resilient :
   diags:Source.Diagnostics.t -> file:string -> string -> Token.spanned list
 

@@ -10,36 +10,56 @@ type pos = {
   offset : int;  (* 0-based byte offset into the file *)
 }
 
-let dummy_pos = { line = 0; col = 0; offset = 0 }
-
+(* One flat 8-word block, the file then the start and end positions'
+   fields: every token keeps one until the parser is done. Structural
+   equality and [Hashtbl.hash] mean "same location" ([Eliminate] keys a
+   table by span). *)
 type span = {
   file : string;
-  start_pos : pos;
-  end_pos : pos;
+  start_line : int;
+  start_col : int;
+  start_offset : int;
+  end_line : int;
+  end_col : int;
+  end_offset : int;
 }
 
-let dummy_span = { file = "<none>"; start_pos = dummy_pos; end_pos = dummy_pos }
+let dummy_span =
+  {
+    file = "<none>";
+    start_line = 0;
+    start_col = 0;
+    start_offset = 0;
+    end_line = 0;
+    end_col = 0;
+    end_offset = 0;
+  }
 
-let make_span ~file ~start_pos ~end_pos = { file; start_pos; end_pos }
+let start_pos s = { line = s.start_line; col = s.start_col; offset = s.start_offset }
+let end_pos s = { line = s.end_line; col = s.end_col; offset = s.end_offset }
 
 (* A span covering both arguments; assumes both are in the same file. *)
 let join a b =
-  let start_pos =
-    if a.start_pos.offset <= b.start_pos.offset then a.start_pos else b.start_pos
-  in
-  let end_pos =
-    if a.end_pos.offset >= b.end_pos.offset then a.end_pos else b.end_pos
-  in
-  { file = a.file; start_pos; end_pos }
+  let s = if a.start_offset <= b.start_offset then a else b in
+  let e = if a.end_offset >= b.end_offset then a else b in
+  {
+    file = a.file;
+    start_line = s.start_line;
+    start_col = s.start_col;
+    start_offset = s.start_offset;
+    end_line = e.end_line;
+    end_col = e.end_col;
+    end_offset = e.end_offset;
+  }
 
 let pp_pos ppf p = Fmt.pf ppf "%d:%d" p.line p.col
 
 let pp_span ppf s =
-  if s.start_pos.line = s.end_pos.line then
-    Fmt.pf ppf "%s:%d:%d-%d" s.file s.start_pos.line s.start_pos.col
-      s.end_pos.col
+  if s.start_line = s.end_line then
+    Fmt.pf ppf "%s:%d:%d-%d" s.file s.start_line s.start_col s.end_col
   else
-    Fmt.pf ppf "%s:%a-%a" s.file pp_pos s.start_pos pp_pos s.end_pos
+    Fmt.pf ppf "%s:%d:%d-%d:%d" s.file s.start_line s.start_col s.end_line
+      s.end_col
 
 let span_to_string s = Fmt.str "%a" pp_span s
 
@@ -100,7 +120,7 @@ let diagnostic_to_json d =
     "{\"file\":\"%s\",\"severity\":\"%s\",\"line\":%d,\"col\":%d,\"end_line\":%d,\"end_col\":%d,\"message\":\"%s\"}"
     (json_escape d.at.file)
     (severity_to_string d.severity)
-    d.at.start_pos.line d.at.start_pos.col d.at.end_pos.line d.at.end_pos.col
+    d.at.start_line d.at.start_col d.at.end_line d.at.end_col
     (json_escape d.message)
 
 (* Unknown regions -------------------------------------------------------
@@ -188,7 +208,7 @@ module Diagnostics = struct
       (fun a b ->
         match String.compare a.at.file b.at.file with
         | 0 -> (
-            match compare a.at.start_pos.offset b.at.start_pos.offset with
+            match Int.compare a.at.start_offset b.at.start_offset with
             | 0 -> compare (severity_rank a.severity) (severity_rank b.severity)
             | c -> c)
         | c -> c)

@@ -11,14 +11,26 @@ type pos = {
   offset : int;  (** 0-based byte offset *)
 }
 
-val dummy_pos : pos
-
-(** A contiguous source region. *)
-type span = { file : string; start_pos : pos; end_pos : pos }
+(** A contiguous source region: the file, then the start and end
+    positions' fields ({!pos}'s [line], [col] and [offset]) flat in one
+    block. *)
+type span = {
+  file : string;
+  start_line : int;
+  start_col : int;
+  start_offset : int;
+  end_line : int;
+  end_col : int;
+  end_offset : int;
+}
 
 val dummy_span : span
 
-val make_span : file:string -> start_pos:pos -> end_pos:pos -> span
+(** The span's first position. Allocates a fresh {!pos}. *)
+val start_pos : span -> pos
+
+(** The position just past the span. Allocates a fresh {!pos}. *)
+val end_pos : span -> pos
 
 (** [join a b] is the smallest span covering both arguments (which must
     belong to the same file). *)

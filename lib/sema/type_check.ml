@@ -1026,8 +1026,8 @@ let check_program_gen recover (prog : Ast.program) : program =
             let offender decl =
               let l = Ast.top_decl_loc decl in
               String.equal l.Source.file at.Source.file
-              && l.Source.start_pos.offset <= at.Source.start_pos.offset
-              && at.Source.start_pos.offset <= l.Source.end_pos.offset
+              && l.Source.start_offset <= at.Source.start_offset
+              && at.Source.start_offset <= l.Source.end_offset
             in
             let dropped, kept =
               if attempts > 0 && List.exists offender prog then

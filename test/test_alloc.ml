@@ -241,8 +241,10 @@ let t_call_no_frame_alloc () =
 (* Minor words of lex, parse and type-check, run as bench/e2e's
    synth_pta op runs them, on the pinned stress program and on the
    synth_pta twin of test_pta_scale.ml. Measuring only: DESIGN.md §4k
-   says what the lexer's words are made of. (tokens, lex, parse,
-   typecheck) per program. *)
+   and §4l say what the lexer's words are made of. (tokens, lex, parse,
+   typecheck) per program. Before the flat span, the interned
+   identifiers and the in-order list, lex was 16429470 (stress) and
+   1515762 (twin); parse and typecheck did not move. *)
 let synth_twin =
   {
     Benchmarks.Synth.seed = 7;
@@ -254,9 +256,34 @@ let synth_twin =
 
 let pinned_frontend =
   [
-    ("stress", Benchmarks.Synth.stress, (393363, 16429470, 3287262, 8243787));
-    ("synth_pta twin", synth_twin, (36650, 1515762, 305496, 767811));
+    ("stress", Benchmarks.Synth.stress, (393363, 13303094, 3287262, 8243787));
+    ("synth_pta twin", synth_twin, (36650, 1228055, 305496, 767811));
   ]
+
+(* Live words of [tokenize]'s result ([Obj.reachable_words]): per token
+   a 3-word list cell, the 3-word [spanned] record and its 8-word flat
+   span, plus one [IDENT] block and string per distinct name. It was
+   7846186 (stress) and 729181 (twin), 19.9 words a token, with two
+   [pos] records a span, a string per identifier occurrence and the
+   reversed list. (tokens, words) per program. *)
+let pinned_stream =
+  [
+    ("stress", Benchmarks.Synth.stress, (393363, 5513372));
+    ("synth_pta twin", synth_twin, (36650, 515668));
+  ]
+
+let t_stream_words_pinned () =
+  List.iter
+    (fun (name, params, (tokens, live)) ->
+      let toks =
+        Frontend.Lexer.tokenize ~file:"<synth>" (Benchmarks.Synth.source params)
+      in
+      check_int (name ^ " tokens") tokens (List.length toks);
+      check_int (name ^ " live stream words") live
+        (Obj.reachable_words (Obj.repr toks));
+      Util.check_bool (name ^ " at most 14.1 words a token") true
+        (float_of_int live <= 14.1 *. float_of_int tokens))
+    pinned_stream
 
 let t_frontend_words_pinned () =
   telemetry_off (fun () ->
@@ -312,6 +339,8 @@ let suite =
     Util.test "a call allocates no frame arrays" t_call_no_frame_alloc;
     Util.test "lex/parse/typecheck words of the synth programs pinned"
       t_frontend_words_pinned;
+    Util.test "live token stream words of the synth programs pinned"
+      t_stream_words_pinned;
     Util.test "call-graph build words of the synth programs pinned"
       t_callgraph_words_pinned;
   ]

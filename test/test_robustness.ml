@@ -36,6 +36,9 @@ let corpus =
     ("unterminated comment", "int main() { return 0; } /* never closed");
     ("unterminated string", "int main() { print_str(\"oops; return 0; }");
     ("unterminated char", "int main() { char c = 'x; return 0; }");
+    ( "bad numeric literals",
+      "int main() { int a = 99999999999999999999; int b = \
+       0x1FFFFFFFFFFFFFFFFF; double c = 1e+; return 0; }" );
     ("missing semicolon", "struct A { int x\n};\nint main() { return 0; }");
     ("unbalanced braces", "int main() { { { return 0; }");
     ("stray close brace", "}}} int main() { return 0; }");
@@ -151,8 +154,15 @@ let t_unparsed_region_keeps_members_live () =
 (* -- diagnostics collector ------------------------------------------------- *)
 
 let span_at line =
-  let p o = { Source.line; col = 1; offset = o } in
-  Source.make_span ~file:"f.mcc" ~start_pos:(p line) ~end_pos:(p (line + 1))
+  {
+    Source.file = "f.mcc";
+    start_line = line;
+    start_col = 1;
+    start_offset = line;
+    end_line = line;
+    end_col = 1;
+    end_offset = line + 1;
+  }
 
 let t_collector_cap () =
   let d = D.create ~max_errors_per_file:3 () in

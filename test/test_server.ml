@@ -663,6 +663,32 @@ let t_handle_stats_shape () =
       "uptime_ms";
     ]
 
+(* A numeric literal without a value used to escape the lexer as a
+   [Failure], past [answer_errors], and restart the worker. It is a
+   located diagnostic now, and the worker lives on. *)
+let t_bad_literal_no_restart () =
+  let h = make_harness () in
+  let src = "int main() {\n  int x = 99999999999999999999;\n  return 0;\n}" in
+  feed h (Printf.sprintf {|{"id":"b","cmd":"analyze","source":%s}|} (P.jstr src));
+  await h 1;
+  feed h {|{"id":"s","cmd":"stats"}|};
+  await h 2;
+  stop h;
+  match responses h with
+  | [ resp; stats ] ->
+      let ok, kind = shape resp in
+      check_bool "not ok" false ok;
+      check_string "diagnostics kind" "diagnostics" (Option.get kind);
+      check_bool "located at the literal" true
+        (Util.contains_sub
+           ~sub:
+             {|"line":2,"col":11,"end_line":2,"end_col":31,"message":"integer literal out of range"|}
+           resp);
+      let result = Option.get (J.member "result" (json_of stats)) in
+      check_bool "no worker restart" true
+        (J.member "worker_restarts" result = Some (J.Num 0.))
+  | rs -> Alcotest.failf "%d responses" (List.length rs)
+
 (* -- observability: tracing, the slow-request log, latency stats ------------- *)
 
 let t_parse_trace_and_format () =
@@ -990,6 +1016,8 @@ let suite =
     Util.test "serve: newline-free oversized stream dropped as it arrives"
       t_read_loop_oversized_stream;
     Util.test "serve: stats response shape" t_handle_stats_shape;
+    Util.test "serve: a bad literal is a diagnostic, not a restart"
+      t_bad_literal_no_restart;
     Util.test "protocol: trace_id and stats format fields"
       t_parse_trace_and_format;
     Util.test "serve: trace ids echoed (supplied and generated)" t_trace_echo;
