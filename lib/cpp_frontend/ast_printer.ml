@@ -104,13 +104,24 @@ let rec pp_expr ppf e =
 
 and pp_args ppf args = Fmt.(list ~sep:(any ", ") pp_expr) ppf args
 
+(* [name] declared with type [t], in the declarator syntax the parser
+   reads back: an array bound follows the name, and a function pointer's
+   name sits in [( * )] ahead of its parameter types. Pointers,
+   references and member pointers ([int A::* pm]) prefix the name. *)
+let rec declarator t name =
+  match t with
+  | TArr (elt, n) -> declarator elt (Printf.sprintf "%s[%d]" name n)
+  | TFun (ret, params) ->
+      Printf.sprintf "%s (*%s)(%s)" (type_to_string ret) name
+        (String.concat ", " (List.map type_to_string params))
+  | _ -> Printf.sprintf "%s %s" (type_to_string t) name
+
 let pp_var_decl ppf d =
+  let decl = declarator d.v_type d.v_name in
   match d.v_init with
-  | None -> Fmt.pf ppf "%s %s" (type_to_string d.v_type) d.v_name
-  | Some (InitExpr e) ->
-      Fmt.pf ppf "%s %s = %a" (type_to_string d.v_type) d.v_name pp_expr e
-  | Some (InitCtor args) ->
-      Fmt.pf ppf "%s %s(%a)" (type_to_string d.v_type) d.v_name pp_args args
+  | None -> Fmt.string ppf decl
+  | Some (InitExpr e) -> Fmt.pf ppf "%s = %a" decl pp_expr e
+  | Some (InitCtor args) -> Fmt.pf ppf "%s(%a)" decl pp_args args
 
 let rec pp_stmt ind ppf st =
   let pad = String.make (2 * ind) ' ' in
@@ -157,8 +168,15 @@ let rec pp_stmt ind ppf st =
   | SDelete (true, e) -> Fmt.pf ppf "%sdelete[] %a;" pad pp_expr e
   | SEmpty -> Fmt.pf ppf "%s;" pad
 
-let pp_param ppf p = Fmt.pf ppf "%s %s" (type_to_string p.p_type) p.p_name
+let pp_param ppf p = Fmt.string ppf (declarator p.p_type p.p_name)
 let pp_params ppf ps = Fmt.(list ~sep:(any ", ") pp_param) ppf ps
+
+(* a constructor's initializer list, [ : base(args), member(args)] *)
+let pp_inits ppf = function
+  | [] -> ()
+  | inits ->
+      let pp_init ppf (n, args) = Fmt.pf ppf "%s(%a)" n pp_args args in
+      Fmt.pf ppf " : %a" Fmt.(list ~sep:(any ", ") pp_init) inits
 
 let pp_method ppf (m : method_decl) =
   let mods =
@@ -174,12 +192,6 @@ let pp_method ppf (m : method_decl) =
           (type_to_string m.mt_ret)
           m.mt_name pp_params m.mt_params
   in
-  let pp_inits ppf = function
-    | [] -> ()
-    | inits ->
-        let pp_init ppf (n, args) = Fmt.pf ppf "%s(%a)" n pp_args args in
-        Fmt.pf ppf " : %a" Fmt.(list ~sep:(any ", ") pp_init) inits
-  in
   match m.mt_body with
   | None when m.mt_pure -> Fmt.pf ppf "%a = 0;" header ()
   | None -> Fmt.pf ppf "%a;" header ()
@@ -187,10 +199,10 @@ let pp_method ppf (m : method_decl) =
       Fmt.pf ppf "%a%a@\n%a" header () pp_inits m.mt_inits (pp_stmt 1) body
 
 let pp_field ppf (f : field_decl) =
-  Fmt.pf ppf "  %s%s%s %s;"
+  Fmt.pf ppf "  %s%s%s;"
     (if f.fd_static then "static " else "")
     (if f.fd_volatile then "volatile " else "")
-    (type_to_string f.fd_type) f.fd_name
+    (declarator f.fd_type f.fd_name)
 
 let pp_class ppf (c : class_decl) =
   let pp_base ppf (b : base_spec) =
@@ -233,7 +245,8 @@ let pp_top ppf = function
       in
       match m.mt_body with
       | None -> Fmt.pf ppf "%a;" header ()
-      | Some body -> Fmt.pf ppf "%a@\n%a" header () (pp_stmt 0) body)
+      | Some body ->
+          Fmt.pf ppf "%a%a@\n%a" header () pp_inits m.mt_inits (pp_stmt 0) body)
   | TGlobal d -> Fmt.pf ppf "%a;" pp_var_decl d
   | TEnum e ->
       let pp_item ppf (n, v) = Fmt.pf ppf "%s = %d" n v in

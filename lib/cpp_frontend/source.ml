@@ -94,21 +94,7 @@ let error ?(at = dummy_span) fmt =
 (* JSON rendering of a diagnostic, for machine consumers of the CLI.
    Schema (documented in the README):
      {"file", "severity", "line", "col", "end_line", "end_col", "message"} *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Telemetry.json_escape
 
 let severity_to_string = function
   | Error -> "error"

@@ -52,10 +52,12 @@ end
 
 (* -- typed slots ---------------------------------------------------------------
 
-   The resolve pass banks every local slot and object member by static
-   type ([Resolve.bank]); the compiler mirrors that with a static
-   *shape* for every expression: which operand stack its value lives
-   on. [SBox] is the tagged stack; [SInt] is the untagged int stack.
+   The resolved IR keeps every slot boxed. [compile] asks [Resolve.banks]
+   which local slots and object members to keep in an unboxed int bank,
+   addresses each through that analysis's per-bank indices, layouts and
+   slot tables, and mirrors it with a static *shape* for every
+   expression: which operand stack its value lives on. [SBox] is the
+   tagged stack; [SInt] is the untagged int stack.
    Typed opcodes are emitted only when every operand's shape is known
    at compile time; anything polymorphic (floats included) runs the
    generic opcodes, reached through the explicit box bridges, so
@@ -538,10 +540,16 @@ type ckind =
   | KUndefined
   | KMissingCtor
 
+(* Where a call's argument lands in the callee's frame. *)
+type cparam =
+  | PBox of int * Ast.type_expr  (* boxed slot, coerced *)
+  | PInt of int * Ast.type_expr  (* int-bank slot, coerced *)
+  | PRef of int  (* reference: the location as passed, boxed *)
+
 type cfunc = {
   c_id : Func_id.t;
   c_frame : fshape;
-  c_params : rparam array;
+  c_params : cparam array;
   c_kind : ckind;
 }
 
@@ -555,6 +563,7 @@ type cdestroy = {
 
 type cprogram = {
   cp_rp : rprogram;
+  cp_classes : class_info array;  (* banked layouts, objects are built from *)
   cp_funcs : cfunc array;
   cp_destroy : cdestroy array;
   cp_ginit : cbody option array;  (* global initializers, by global index *)
@@ -693,6 +702,8 @@ let idelta = function
   | _ -> 0
 
 type buf = {
+  bk : banks;
+  u : unit_banks;  (* the body's local slots *)
   mutable code : instr array;
   mutable len : int;
   mutable od : int;    (* linear-scan operand depth *)
@@ -710,8 +721,10 @@ type buf = {
          is fine — jumpers wanted [prev] then [i] anyway. *)
 }
 
-let mk_buf () =
+let mk_buf bk u =
   {
+    bk;
+    u;
     code = Array.make 32 IReturnUnit;
     len = 0;
     od = 0;
@@ -1363,22 +1376,37 @@ let bop_of_assign (op : Ast.assign_op) : Ast.binop =
   | Ast.ShrAssign -> Ast.Shr
   | Ast.Assign -> assert false
 
+(* The analysis's verdicts for the body being compiled: a local's
+   bank, its index there, and whether a member is unboxed. *)
+let int_local b i = b.u.ub_bank.(i) = BInt
+let local_index b i = b.u.ub_index.(i)
+let int_member b m = member_bank b.bk m = BInt
+let slots b m = banked_slots b.bk m
+
+(* an lvalue the typed store/compound/incdec paths handle *)
+let int_lval b (lv : rlval) =
+  match lv with
+  | LvLocal i -> int_local b i
+  | LvField (_, _, m) -> int_member b m
+  | _ -> false
+
 (* Static shape prediction. Needed only where the compiler must commit
    to a stack before a subexpression is emitted (the lhs of a binop
    whose rhs is boxed, [&&]/[||] arms). It is syntax-directed over the
    same cases as [compile_expr], so the two always agree; even if they
    ever diverged, the cost would be an extra box bridge, never a
    semantic change — [compile_expr]'s returned shape is authoritative. *)
-let rec shape_of (e : rexpr) : shape =
+let rec shape_of b (e : rexpr) : shape =
   match e with
-  | RConst (VInt _) | RLocalI _ | RFieldI _ -> SInt
-  | RUnary (_, a) | RCastInt a -> shape_of a
+  | RConst (VInt _) -> SInt
+  | RLocal i when int_local b i -> SInt
+  | RField (_, _, m) when int_member b m -> SInt
+  | RUnary (_, a) | RCastInt a -> shape_of b a
   | RBinary (_, x, y) ->
-      if shape_of x = SInt && shape_of y = SInt then SInt else SBox
-  | RAssign ((LvLocalI _ | LvFieldI _), rhs, _)
-  | RCompound (_, (LvLocalI _ | LvFieldI _), rhs, _) ->
-      shape_of rhs
-  | RIncDec (_, _, (LvLocalI _ | LvFieldI _)) -> SInt
+      if shape_of b x = SInt && shape_of b y = SInt then SInt else SBox
+  | (RAssign (lv, rhs, _) | RCompound (_, lv, rhs, _)) when int_lval b lv ->
+      shape_of b rhs
+  | RIncDec (_, _, lv) when int_lval b lv -> SInt
   | _ -> SBox
 
 type loopctx = { mutable brk : int list; mutable cont : int list; base : int }
@@ -1392,9 +1420,10 @@ let rec compile_expr b (e : rexpr) : shape =
   match e with
   | RConst (VInt n) -> emit b (IConstI n); SInt
   | RConst v -> emit b (IConst v); SBox
-  | RLocal i -> emit b (ILoad i); SBox
-  | RLocalI i -> emit b (ILoadI i); SInt
-  | RLocalRef i -> emit b (ILoadRef i); SBox
+  | RLocal i ->
+      if int_local b i then (emit b (ILoadI (local_index b i)); SInt)
+      else (emit b (ILoad (local_index b i)); SBox)
+  | RLocalRef i -> emit b (ILoadRef (local_index b i)); SBox
   | RGlobal i -> emit b (IGlobal i); SBox
   | RStatic i -> emit b (IStatic i); SBox
   | RThis -> emit b IThis; SBox
@@ -1407,7 +1436,7 @@ let rec compile_expr b (e : rexpr) : shape =
           emit b (IUnary op);
           SBox)
   | RBinary (Ast.LAnd, x, y) ->
-      if shape_of x = SInt && shape_of y = SInt then begin
+      if shape_of b x = SInt && shape_of b y = SInt then begin
         (match compile_expr b x with SInt -> () | _ -> assert false);
         let j = emit_patch b (IAndFalseI (-1)) in
         (match compile_expr b y with SInt -> () | _ -> assert false);
@@ -1424,7 +1453,7 @@ let rec compile_expr b (e : rexpr) : shape =
         SBox
       end
   | RBinary (Ast.LOr, x, y) ->
-      if shape_of x = SInt && shape_of y = SInt then begin
+      if shape_of b x = SInt && shape_of b y = SInt then begin
         (match compile_expr b x with SInt -> () | _ -> assert false);
         let j = emit_patch b (IOrTrueI (-1)) in
         (match compile_expr b y with SInt -> () | _ -> assert false);
@@ -1445,7 +1474,7 @@ let rec compile_expr b (e : rexpr) : shape =
       (* if the rhs will be boxed, bridge the lhs now so the two reach
          the boxed stack in evaluation order (boxing is pure) *)
       let sx =
-        if sx <> SBox && shape_of y = SBox then begin
+        if sx <> SBox && shape_of b y = SBox then begin
           box_top b sx;
           SBox
         end
@@ -1492,14 +1521,10 @@ let rec compile_expr b (e : rexpr) : shape =
       compile_expr_box b a;
       emit b ICastFloat;
       SBox
-  | RField (oe, slots, m) ->
+  | RField (oe, _, m) ->
       compile_expr_box b oe;
-      emit b (IField (slots, m));
-      SBox
-  | RFieldI (oe, slots, m) ->
-      compile_expr_box b oe;
-      emit b (IFieldI (slots, m));
-      SInt
+      if int_member b m then (emit b (IFieldI (slots b m, m)); SInt)
+      else (emit b (IField (slots b m, m)); SBox)
   | RCall c ->
       compile_call b c;
       SBox
@@ -1563,11 +1588,13 @@ and compile_expr_box b (e : rexpr) = box_top b (compile_expr b e)
    ran. *)
 and compile_assign b (lhs : rlval) rhs ty ~keep : shape =
   match lhs with
-  | LvLocal i ->
+  | LvLocal i when not (int_local b i) ->
+      let i = local_index b i in
       compile_expr_box b rhs;
       emit b (if keep then IStoreLocal (i, ty) else IStoreLocalPop (i, ty));
       SBox
-  | LvLocalI i -> (
+  | LvLocal i -> (
+      let i = local_index b i in
       match compile_expr b rhs with
       | SInt ->
           let ic = ic_of_ty ty in
@@ -1579,9 +1606,9 @@ and compile_assign b (lhs : rlval) rhs ty ~keep : shape =
           if keep then emit b (IStoreLocalIB (ty, i))
           else emit_store_ib_pop b ty i;
           SBox)
-  | LvFieldI (oe, s, m) -> (
+  | LvField (oe, _, m) when int_member b m -> (
       compile_expr_box b oe;
-      emit b (ILocFieldI (s, m));
+      emit b (ILocFieldI (slots b m, m));
       match compile_expr b rhs with
       | SInt ->
           let ic = ic_of_ty ty in
@@ -1631,7 +1658,8 @@ and compile_assign b (lhs : rlval) rhs ty ~keep : shape =
 
 and compile_compound b op (lhs : rlval) rhs ty ~keep : shape =
   match lhs with
-  | LvLocalI i -> (
+  | LvLocal i when int_local b i -> (
+      let i = local_index b i in
       match compile_expr b rhs with
       | SInt ->
           let bop = bop_of_assign op and ic = ic_of_ty ty in
@@ -1644,9 +1672,9 @@ and compile_compound b op (lhs : rlval) rhs ty ~keep : shape =
             (if keep then ICompoundLocalB (op, ty, i)
              else ICompoundLocalBPop (op, ty, i));
           SBox)
-  | LvFieldI (oe, s, m) -> (
+  | LvField (oe, _, m) when int_member b m -> (
       compile_expr_box b oe;
-      emit b (ILocFieldI (s, m));
+      emit b (ILocFieldI (slots b m, m));
       match compile_expr b rhs with
       | SInt ->
           let bop = bop_of_assign op and ic = ic_of_ty ty in
@@ -1668,17 +1696,19 @@ and compile_compound b op (lhs : rlval) rhs ty ~keep : shape =
 
 and compile_incdec b w fx (lv : rlval) ~keep : shape =
   match lv with
-  | LvLocal i ->
+  | LvLocal i when not (int_local b i) ->
+      let i = local_index b i in
       if keep then emit b (IIncDecLocal (w, fx, i))
       else emit b (IIncDecLocalPop (w, i));
       SBox
-  | LvLocalI i ->
+  | LvLocal i ->
+      let i = local_index b i in
       if keep then emit b (IIncDecLocalI (w, fx, i))
       else emit b (IIncDecLocalPopI (w, i));
       SInt
-  | LvFieldI (oe, s, m) ->
+  | LvField (oe, _, m) when int_member b m ->
       compile_expr_box b oe;
-      emit b (ILocFieldI (s, m));
+      emit b (ILocFieldI (slots b m, m));
       if keep then emit b (IIncDecFieldI (w, fx))
       else emit b (IIncDecFieldIPop w);
       SInt
@@ -1690,19 +1720,18 @@ and compile_incdec b w fx (lv : rlval) ~keep : shape =
 
 and compile_lval b (lv : rlval) =
   match lv with
-  | LvLocal i -> emit b (ILocLocal i)
-  | LvLocalRef i -> emit b (ILocLocalRef i)
+  | _ when int_lval b lv ->
+      (* unreachable: the analysis demotes every address-taken or
+         reference-bound slot to the boxed bank, and the typed
+         store/compound/incdec paths intercept the rest *)
+      emit b (IRaise "cannot take the address of an unboxed slot")
+  | LvLocal i -> emit b (ILocLocal (local_index b i))
+  | LvLocalRef i -> emit b (ILocLocalRef (local_index b i))
   | LvGlobal i -> emit b (ILocGlobal i)
   | LvStatic i -> emit b (ILocStatic i)
-  | LvField (oe, slots, m) ->
+  | LvField (oe, _, m) ->
       compile_expr_box b oe;
-      emit b (ILocField (slots, m))
-  | LvLocalI _ | LvFieldI _ ->
-      (* unreachable from well-banked IR: resolve demotes every
-         address-taken or reference-bound slot to the boxed bank, and
-         the typed store/compound/incdec paths intercept the rest. The
-         tree engine would fail at [ptr_of_loc] with this message. *)
-      emit b (IRaise "cannot take the address of an unboxed slot")
+      emit b (ILocField (slots b m, m))
   | LvDeref a ->
       compile_expr_box b a;
       emit b ILocDeref
@@ -1756,22 +1785,25 @@ and compile_call b (c : rcall) =
 
 and compile_decl b (d : rdecl) =
   match d with
-  | DScalar { d_slot; d_ty } -> emit b (IDeclScalar (d_slot, d_ty))
-  | DScalarI d_slot -> emit b (IDeclScalarI d_slot)
+  | DScalar { d_slot; d_ty } ->
+      let i = local_index b d_slot in
+      emit b
+        (if int_local b d_slot then IDeclScalarI i else IDeclScalar (i, d_ty))
   | DStackArrObj { d_slot; d_cid; d_cls; d_ctor; d_len } ->
       emit b
         (IDeclStackArr
            {
-             ds_slot = d_slot;
+             ds_slot = local_index b d_slot;
              ds_cid = d_cid;
              ds_cls = d_cls;
              ds_ctor = d_ctor;
              ds_len = d_len;
            })
-  | DExpr { d_slot; d_coerce; d_init } ->
+  | DExpr { d_slot; d_coerce; d_init } when not (int_local b d_slot) ->
       compile_expr_box b d_init;
-      emit b (IStoreLocalPop (d_slot, d_coerce))
-  | DExprI { d_slot; d_coerce; d_init } -> (
+      emit b (IStoreLocalPop (local_index b d_slot, d_coerce))
+  | DExpr { d_slot; d_coerce; d_init } -> (
+      let d_slot = local_index b d_slot in
       match compile_expr b d_init with
       | SInt ->
           emit b (IStoreLocalPopI (ic_of_ty d_coerce, d_slot));
@@ -1784,13 +1816,13 @@ and compile_decl b (d : rdecl) =
       emit b IPop;
       compile_lval b d_lv;
       emit b ILocToPtr;
-      emit b (IStoreRawPop d_slot)
+      emit b (IStoreRawPop (local_index b d_slot))
   | DCtor { d_slot; d_cid; d_cls; d_ctor; d_args } ->
       compile_args b d_args;
       emit b
         (IDeclCtor
            {
-             dc_slot = d_slot;
+             dc_slot = local_index b d_slot;
              dc_cid = d_cid;
              dc_cls = d_cls;
              dc_ctor = d_ctor;
@@ -1810,7 +1842,7 @@ and compile_decl b (d : rdecl) =
    falsiness is exactly [= 0] on both paths. *)
 and compile_cond_false b (c : rexpr) : int list =
   match c with
-  | RBinary (Ast.LAnd, x, y) when shape_of x = SInt && shape_of y = SInt ->
+  | RBinary (Ast.LAnd, x, y) when shape_of b x = SInt && shape_of b y = SInt ->
       let jx = compile_cond_false b x in
       let jy = compile_cond_false b y in
       jx @ jy
@@ -1829,12 +1861,25 @@ and compile_expr_stmt b (e : rexpr) =
       | SBox -> emit b IPop
       | SInt -> emit b IPopI)
 
+(* A scope's destroy list, cut down to its owning boxed slots (see
+   [Resolve.unit_banks]) in their boxed-bank numbering, reverse
+   declaration order kept. *)
+and destroy_list b (slots : int array) =
+  let u = b.u in
+  Array.of_list
+    (List.filter_map
+       (fun s ->
+         if u.ub_bank.(s) = BBox && u.ub_owns.(s) then Some u.ub_index.(s)
+         else None)
+       (Array.to_list slots))
+
 and compile_stmt b (lc : loopctx option) (s : rstmt) =
   emit b ITick;
   match s with
   | RSExpr e -> compile_expr_stmt b e
   | RSDecl ds -> List.iter (compile_decl b) ds
   | RSBlock (body, destroy) ->
+      let destroy = destroy_list b destroy in
       if Array.length destroy = 0 then Array.iter (compile_stmt b lc) body
       else begin
         emit b (IPushScope destroy);
@@ -1875,6 +1920,7 @@ and compile_stmt b (lc : loopctx option) (s : rstmt) =
       (* the destroy scope covers init + body, as the tree engine's
          [Fun.protect] around [exec_for] did; break exits to the scope
          pop, not past it *)
+      let rf_destroy = destroy_list b rf_destroy in
       let scoped = Array.length rf_destroy > 0 in
       if scoped then begin
         emit b (IPushScope rf_destroy);
@@ -2018,8 +2064,8 @@ let finish (b : buf) : cbody =
 
 (* A statement body (function, constructor tail, destructor): falls off
    the end returning [VUnit], like the tree engine's implicit return. *)
-let compile_body_stmt (s : rstmt) : cbody =
-  let b = mk_buf () in
+let compile_body_stmt bk u (s : rstmt) : cbody =
+  let b = mk_buf bk u in
   compile_stmt b None s;
   emit b IReturnUnit;
   finish b
@@ -2027,8 +2073,8 @@ let compile_body_stmt (s : rstmt) : cbody =
 (* Constructor: virtual-base calls first (skipped via [kc_entry] when
    not most-derived), then direct bases, member initializers, body.
    The per-level tick is issued by the VM's [run_ctor], not in code. *)
-let compile_ctor (plan : ctor_plan) : int * cbody =
-  let b = mk_buf () in
+let compile_ctor bk u (plan : ctor_plan) : int * cbody =
+  let b = mk_buf bk u in
   Array.iter
     (fun (bp : base_plan) ->
       compile_args b bp.bp_args;
@@ -2043,33 +2089,34 @@ let compile_ctor (plan : ctor_plan) : int * cbody =
   Array.iter
     (fun fp ->
       match fp with
-      | FPClass { fc_slots; fc_member; fc_cid; fc_cls; fc_ctor; fc_args } ->
+      | FPClass { fc_member; fc_cid; fc_cls; fc_ctor; fc_args; _ } ->
           compile_args b fc_args;
           emit b
             (IInitField
                {
-                 if_slots = fc_slots;
+                 if_slots = slots b fc_member;
                  if_member = fc_member;
                  if_cid = fc_cid;
                  if_cls = fc_cls;
                  if_ctor = fc_ctor;
                  if_argc = Array.length fc_args;
                })
-      | FPClassArr { fa_slots; fa_member; fa_cid; fa_cls; fa_ctor; fa_len } ->
+      | FPClassArr { fa_member; fa_cid; fa_cls; fa_ctor; fa_len; _ } ->
           emit b
             (IInitFieldArr
                {
-                 ia_slots = fa_slots;
+                 ia_slots = slots b fa_member;
                  ia_member = fa_member;
                  ia_cid = fa_cid;
                  ia_cls = fa_cls;
                  ia_ctor = fa_ctor;
                  ia_len = fa_len;
                })
-      | FPScalar { fs_slots; fs_member; fs_bank; fs_coerce; fs_init } -> (
+      | FPScalar { fs_member; fs_coerce; fs_init; _ } -> (
           (* initializer evaluated and coerced before the slot lookup,
              matching the tree engine's store order *)
-          match fs_bank with
+          let fs_slots = slots b fs_member in
+          match member_bank b.bk fs_member with
           | BBox ->
               compile_expr_box b fs_init;
               emit b
@@ -2094,14 +2141,15 @@ let compile_ctor (plan : ctor_plan) : int * cbody =
 
 (* Global initializer: the bare expression (no tick — the tree engine
    evaluated these outside any statement). *)
-let compile_ginit (e : rexpr) : cbody =
-  let b = mk_buf () in
+let compile_ginit bk (e : rexpr) : cbody =
+  let b = mk_buf bk bk.bk_globals in
   compile_expr_box b e;
   emit b IReturn;
   finish b
 
 let compile (rp : rprogram) : cprogram =
   Telemetry.Span.with_ "bytecode" @@ fun () ->
+  let bk = Resolve.banks rp in
   let total = ref 0 in
   let bodies_rev = ref [] in
   let owners_rev = ref [] in
@@ -2120,39 +2168,53 @@ let compile (rp : rprogram) : cprogram =
     Array.mapi
       (fun fidx (rf : rfunc) ->
         let owner = Func_id.to_string rf.rf_id in
+        let u = bk.bk_funcs.(fidx) in
         let kind =
           match rf.rf_code with
-          | CBody s -> KBody (fin ~owner ~fidx (compile_body_stmt s))
+          | CBody s -> KBody (fin ~owner ~fidx (compile_body_stmt bk u s))
           | CCtor plan ->
-              let entry, cb = compile_ctor plan in
+              let entry, cb = compile_ctor bk u plan in
               KCtor { kc_body = fin ~owner ~fidx cb; kc_entry = entry }
           | CDtor -> KDtor
           | CUnknown -> KUnknown
           | CUndefined -> KUndefined
           | CMissingCtor -> KMissingCtor
         in
+        let param (p : rparam) =
+          let i = u.ub_index.(p.rp_slot) in
+          if p.rp_ref then PRef i
+          else
+            match u.ub_bank.(p.rp_slot) with
+            | BBox -> PBox (i, p.rp_coerce)
+            | BInt -> PInt (i, p.rp_coerce)
+        in
         {
           c_id = rf.rf_id;
-          c_frame = rf.rf_frame;
-          c_params = rf.rf_params;
+          c_frame = u.ub_shape;
+          c_params = Array.map param rf.rf_params;
           c_kind = kind;
         })
       rp.rp_funcs
   in
+  let banked = function
+    | DFClass (_, m) -> DFClass (banked_slots bk m, m)
+    | DFClassArr (_, m) -> DFClassArr (banked_slots bk m, m)
+  in
   let cp_destroy =
-    Array.map
-      (fun (ci : class_info) ->
-        let dp = ci.ci_destroy in
+    Array.mapi
+      (fun cid (ci : class_info) ->
+        let dp = rp.rp_destroy.(cid) in
         {
           cd_dtor =
-            Option.map
-              (fun (fsize, body) ->
-                ( fsize,
-                  fin
-                    ~owner:(Printf.sprintf "%s::~%s" ci.ci_name ci.ci_name)
-                    (compile_body_stmt body) ))
-              dp.dp_dtor;
-          cd_fields = dp.dp_fields;
+            (match (dp.dp_dtor, bk.bk_dtors.(cid)) with
+            | Some (_, body), Some u ->
+                Some
+                  ( u.ub_shape,
+                    fin
+                      ~owner:(Printf.sprintf "%s::~%s" ci.ci_name ci.ci_name)
+                      (compile_body_stmt bk u body) )
+            | _ -> None);
+          cd_fields = Array.map banked dp.dp_fields;
           cd_nv_bases = dp.dp_nv_bases;
           cd_vbases_rev = ci.ci_vbases_rev;
         })
@@ -2165,7 +2227,7 @@ let compile (rp : rprogram) : cprogram =
           (fun e ->
             fin
               ~owner:(Printf.sprintf "global-init:%s" g.rg_name)
-              (compile_ginit e))
+              (compile_ginit bk e))
           g.rg_init)
       rp.rp_globals
   in
@@ -2173,6 +2235,7 @@ let compile (rp : rprogram) : cprogram =
   Telemetry.Counter.add bodies_counter !nbodies;
   {
     cp_rp = rp;
+    cp_classes = bk.bk_classes;
     cp_funcs;
     cp_destroy;
     cp_ginit;
@@ -2467,13 +2530,10 @@ let rec bind_params frame (cf : cfunc) (src : value array) base argc =
   if n <> argc then
     runtime_error "arity mismatch calling %s" (Func_id.to_string cf.c_id);
   for i = 0 to n - 1 do
-    let p = cf.c_params.(i) in
-    match p.rp_bank with
-    | BInt -> frame.ilocals.(p.rp_slot) <- as_int (coerce p.rp_coerce src.(base + i))
-    | BBox ->
-        frame.locals.cells.(p.rp_slot) <-
-          (if p.rp_ref then src.(base + i) (* references carry locations *)
-           else coerce p.rp_coerce src.(base + i))
+    match cf.c_params.(i) with
+    | PBox (j, ty) -> frame.locals.cells.(j) <- coerce ty src.(base + i)
+    | PInt (j, ty) -> frame.ilocals.(j) <- as_int (coerce ty src.(base + i))
+    | PRef j -> frame.locals.cells.(j) <- src.(base + i)
   done
 
 (* Same protocol as the tree engine's [call_function]: depth guard and
@@ -2581,13 +2641,13 @@ and destroy_from vm (o : obj) cid ~most_derived =
     (* member subobjects, reverse declaration order *)
     for k = 0 to Array.length cd.cd_fields - 1 do
       match cd.cd_fields.(k) with
-      | DFClass slots -> (
+      | DFClass (slots, _) -> (
           let s = if o.obj_cid >= 0 then slots.(o.obj_cid) else -1 in
           if s >= 0 then
             match o.fields.cells.(s) with
             | VObj sub -> destroy_complete vm sub
             | _ -> ())
-      | DFClassArr slots -> (
+      | DFClassArr (slots, _) -> (
           let s = if o.obj_cid >= 0 then slots.(o.obj_cid) else -1 in
           if s >= 0 then
             match o.fields.cells.(s) with
@@ -3934,7 +3994,7 @@ let make_vm ?(dead = Member.Set.empty) ?profiler ~step_limit ~call_depth_limit
   {
     cp;
     funcs = cp.cp_funcs;
-    classes = rp.rp_classes;
+    classes = cp.cp_classes;
     destroy = cp.cp_destroy;
     profile = Profile.create ~dead rp.rp_table;
     globals =

@@ -6,7 +6,10 @@
    per-object [value array] addressed through per-member slot tables,
    virtual calls go through precomputed dispatch tables, and call
    targets/globals/statics are integer indices. Execution then walks the
-   resolved tree with no name lookups on the hot path.
+   resolved tree with no name lookups on the hot path. It runs the IR
+   exactly as resolved: every slot is boxed, and the bytecode compiler's
+   int-bank analysis ([Resolve.banks]) is never consulted, so the tree
+   walker stays an independent reference for the compiled engine.
 
    Semantics are those of the original tree-walker: the C++ object
    lifecycle the paper's dynamic measurements depend on (virtual bases
@@ -33,6 +36,7 @@ type env = {
   rp : rprogram;
   funcs : rfunc array;
   classes : class_info array;
+  destroy : destroy_plan array;
   profile : Profile.t;
   globals : harray;
   statics : harray;
@@ -49,8 +53,7 @@ type env = {
   heap_object_limit : int;
 }
 
-let frame_of_shape (sh : fshape) this =
-  mk_frame ~ints:sh.nint sh.nbox this
+let new_frame nslots this = mk_frame ~ints:0 nslots this
 
 let fresh_obj_id env =
   let id = env.obj_counter in
@@ -88,7 +91,6 @@ let rec eval env frame (e : rexpr) : value =
   match e with
   | RConst v -> v
   | RLocal i -> frame.locals.cells.(i)
-  | RLocalI i -> vint frame.ilocals.(i)
   | RLocalRef i -> (
       (* reference locals and parameters transparently read their
          referent *)
@@ -136,9 +138,6 @@ let rec eval env frame (e : rexpr) : value =
   | RField (oe, slots, m) ->
       let o = as_obj (eval env frame oe) in
       o.fields.cells.(field_slot o slots m)
-  | RFieldI (oe, slots, m) ->
-      let o = as_obj (eval env frame oe) in
-      vint o.ifields.(field_slot o slots m)
   | RCall c -> eval_call env frame c
   | RAddrOf lv -> (
       let loc = eval_lval env frame lv in
@@ -232,7 +231,6 @@ and eval_binary env frame op a b =
 and eval_lval env frame (lv : rlval) : location =
   match lv with
   | LvLocal i -> LSlot (frame.locals, i)
-  | LvLocalI i -> LInt (frame.ilocals, i)
   | LvLocalRef i -> (
       (* a reference local aliases its referent *)
       match frame.locals.cells.(i) with
@@ -244,9 +242,6 @@ and eval_lval env frame (lv : rlval) : location =
   | LvField (oe, slots, m) ->
       let o = as_obj (eval env frame oe) in
       LSlot (o.fields, field_slot o slots m)
-  | LvFieldI (oe, slots, m) ->
-      let o = as_obj (eval env frame oe) in
-      LInt (o.ifields, field_slot o slots m)
   | LvDeref a -> (
       match eval env frame a with
       | VPtr (PCell r) -> LRef r
@@ -387,7 +382,7 @@ and call_function env fi ~this argv : value =
       let rf = env.funcs.(fi) in
       match rf.rf_code with
       | CBody body -> (
-          let frame = frame_of_shape rf.rf_frame this in
+          let frame = new_frame rf.rf_nslots this in
           bind_params frame rf argv;
           try
             exec_stmt env frame body;
@@ -426,13 +421,9 @@ and bind_params frame (rf : rfunc) argv =
     runtime_error "arity mismatch calling %s" (Func_id.to_string rf.rf_id);
   for i = 0 to n - 1 do
     let p = rf.rf_params.(i) in
-    if p.rp_ref then
-      (* references carry locations; always boxed *)
-      frame.locals.cells.(p.rp_slot) <- argv.(i)
-    else
-      match p.rp_bank with
-      | BBox -> frame.locals.cells.(p.rp_slot) <- coerce p.rp_coerce argv.(i)
-      | BInt -> frame.ilocals.(p.rp_slot) <- as_int (coerce p.rp_coerce argv.(i))
+    frame.locals.cells.(p.rp_slot) <-
+      (if p.rp_ref then argv.(i) (* references carry locations *)
+       else coerce p.rp_coerce argv.(i))
   done
 
 (* -- construction / destruction -------------------------------------------------- *)
@@ -462,7 +453,7 @@ and run_ctor_idx env (o : obj) fi argv ~most_derived =
 
 and run_ctor env (o : obj) (rf : rfunc) (plan : ctor_plan) argv ~most_derived =
   tick env;
-  let frame = frame_of_shape rf.rf_frame (Some o) in
+  let frame = new_frame rf.rf_nslots (Some o) in
   bind_params frame rf argv;
   (* 1. virtual bases are constructed by the most-derived object only,
      using this constructor's initializer when it names them *)
@@ -494,14 +485,9 @@ and run_ctor env (o : obj) (rf : rfunc) (plan : ctor_plan) argv ~most_derived =
           in
           o.fields.cells.(field_slot o fa_slots fa_member) <-
             VArr { arr_id = -1; cells }
-      | FPScalar { fs_slots; fs_member; fs_bank; fs_coerce; fs_init } -> (
-          match fs_bank with
-          | BBox ->
-              o.fields.cells.(field_slot o fs_slots fs_member) <-
-                coerce fs_coerce (eval env frame fs_init)
-          | BInt ->
-              o.ifields.(field_slot o fs_slots fs_member) <-
-                as_int (coerce fs_coerce (eval env frame fs_init)))
+      | FPScalar { fs_slots; fs_member; fs_coerce; fs_init } ->
+          o.fields.cells.(field_slot o fs_slots fs_member) <-
+            coerce fs_coerce (eval env frame fs_init)
       | FPBadInit -> runtime_error "bad scalar member initializer")
     plan.cp_fields;
   (* 4. the constructor body *)
@@ -519,24 +505,23 @@ and destroy_complete env (o : obj) =
 and destroy_from env (o : obj) cid ~most_derived =
   tick env;
   if cid >= 0 then begin
-    let ci = env.classes.(cid) in
-    let dp = ci.ci_destroy in
+    let dp = env.destroy.(cid) in
     (match dp.dp_dtor with
-    | Some (fsh, body) -> (
-        let frame = frame_of_shape fsh (Some o) in
+    | Some (nslots, body) -> (
+        let frame = new_frame nslots (Some o) in
         try exec_stmt env frame body with Return_exc _ -> ())
     | None -> ());
     (* member subobjects, reverse declaration order *)
     Array.iter
       (fun df ->
         match df with
-        | DFClass slots -> (
+        | DFClass (slots, _) -> (
             let s = if o.obj_cid >= 0 then slots.(o.obj_cid) else -1 in
             if s >= 0 then
               match o.fields.cells.(s) with
               | VObj sub -> destroy_complete env sub
               | _ -> ())
-        | DFClassArr slots -> (
+        | DFClassArr (slots, _) -> (
             let s = if o.obj_cid >= 0 then slots.(o.obj_cid) else -1 in
             if s >= 0 then
               match o.fields.cells.(s) with
@@ -553,7 +538,7 @@ and destroy_from env (o : obj) cid ~most_derived =
     if most_derived then
       Array.iter
         (fun vcid -> destroy_from env o vcid ~most_derived:false)
-        ci.ci_vbases_rev
+        env.classes.(cid).ci_vbases_rev
   end
 
 (* -- statements ------------------------------------------------------------------- *)
@@ -618,7 +603,6 @@ and exec_decl env frame (d : rdecl) =
   match d with
   | DScalar { d_slot; d_ty } ->
       frame.locals.cells.(d_slot) <- default_value d_ty
-  | DScalarI d_slot -> frame.ilocals.(d_slot) <- 0
   | DStackArrObj { d_slot; d_cid; d_cls; d_ctor; d_len } ->
       (* a stack array of class objects: default-construct every
          element; journalled as one allocation *)
@@ -631,8 +615,6 @@ and exec_decl env frame (d : rdecl) =
       frame.locals.cells.(d_slot) <- VArr { arr_id = id; cells }
   | DExpr { d_slot; d_coerce; d_init } ->
       frame.locals.cells.(d_slot) <- coerce d_coerce (eval env frame d_init)
-  | DExprI { d_slot; d_coerce; d_init } ->
-      frame.ilocals.(d_slot) <- as_int (coerce d_coerce (eval env frame d_init))
   | DRefExpr { d_slot; d_init; d_lv } ->
       (* bind the reference to the initializer's location; the
          initializer is evaluated for its value first, as before *)
@@ -729,6 +711,7 @@ let run_tree ~dead ~step_limit ~call_depth_limit ~heap_object_limit ?lowered
       rp;
       funcs = rp.rp_funcs;
       classes = rp.rp_classes;
+      destroy = rp.rp_destroy;
       profile = Profile.create ~dead p.table;
       globals =
         { arr_id = -1; cells = Array.make (Array.length rp.rp_globals) VUnit };
@@ -758,7 +741,7 @@ let run_tree ~dead ~step_limit ~call_depth_limit ~heap_object_limit ?lowered
   (* totals and guard proximity are recorded even when a limit aborts
      the run — that is exactly when guard proximity matters *)
   Fun.protect ~finally:record_telemetry @@ fun () ->
-  let init_frame = mk_frame ~ints:0 0 None in
+  let init_frame = new_frame 0 None in
   let ret =
     (* native resource exhaustion (a Stack_overflow the depth guard did
        not preempt, or the allocator running dry) becomes a structured

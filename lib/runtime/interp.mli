@@ -31,11 +31,14 @@ type outcome = {
 }
 
 (** Execution engine. [Bytecode] (the default) lowers the resolved IR
-    once through {!Bytecode.compile} and runs the flat stack-machine VM;
-    [Tree] is the resolved-tree walker, kept as an escape hatch (and
-    differential oracle). Both produce identical observable outcomes —
-    output, return value, steps, allocations, snapshot, errors — pinned
-    by [test/test_bytecode.ml]. *)
+    once through {!Bytecode.compile} and runs the flat stack-machine VM,
+    with the int slots the compiler's bank analysis ([Resolve.banks])
+    unboxes. [Tree] walks the bank-free IR exactly as {!Resolve.program}
+    returns it, every slot boxed, and never consults that analysis: it
+    is the independent reference the VM is checked against. Both
+    produce identical observable outcomes — output, return value,
+    steps, allocations, snapshot, errors — pinned by
+    [test/test_bytecode.ml]. *)
 type engine = Tree | Bytecode
 
 (** A program lowered for both engines: resolved through {!Resolve} and

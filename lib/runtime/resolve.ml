@@ -20,7 +20,13 @@
    The pass is purely a change of addressing: evaluation order, tick
    (step-counting) points, construction/destruction order and error
    messages are preserved, so [interp.steps] and all observable behavior
-   match the pre-slotting interpreter. *)
+   match the pre-slotting interpreter.
+
+   Every slot of the IR lives in one boxed bank, and the tree walker runs
+   the IR exactly as resolved. Which slots the bytecode compiler keeps
+   unboxed is a separate analysis at the end of this file ([banks]): it
+   returns maps and never rewrites the IR, so one [rprogram] serves both
+   engines. *)
 
 open Frontend
 open Sema
@@ -31,25 +37,19 @@ open Value
    -1 when objects of that class have no such member. *)
 type slots_by_class = int array
 
-(* Which representation bank a local slot or data member lives in.
-   Integral slots (int/long/char/bool) whose address is never taken go
-   in an unboxed [int array]; everything else — floats, objects, arrays,
-   pointers, references, address-taken scalars,
-   member-pointer-reachable members — stays in the boxed [value
-   array]. *)
+(* Which representation bank a local slot or data member lives in. The
+   resolved IR has only the boxed [value array] bank; the bytecode
+   compiler also keeps integral slots (int/long/char/bool) whose address
+   never escapes in an unboxed [int array] (see [banks]). Everything
+   else — floats, objects, arrays, pointers, references, address-taken
+   scalars, member-pointer-reachable members — stays boxed. *)
 type bank = BBox | BInt
 
-(* -- resolved IR -------------------------------------------------------------
-
-   Slot references come in per-bank constructor variants ([RLocal] /
-   [RLocalI], [RField] / [RFieldI], …), assigned
-   by the retyping pass at the end of [program]; the integer payload is
-   the slot's index *within its bank*. *)
+(* -- resolved IR -------------------------------------------------------- *)
 
 type rexpr =
   | RConst of value
   | RLocal of int
-  | RLocalI of int  (* unboxed integral local *)
   | RLocalRef of int  (* reference-typed local: reads its referent *)
   | RGlobal of int
   | RStatic of int
@@ -63,7 +63,6 @@ type rexpr =
   | RCastInt of rexpr
   | RCastFloat of rexpr
   | RField of rexpr * slots_by_class * Member.t
-  | RFieldI of rexpr * slots_by_class * Member.t  (* unboxed integral member *)
   | RCall of rcall
   | RAddrOf of rlval
   | RDeref of rexpr
@@ -82,12 +81,10 @@ type rexpr =
 
 and rlval =
   | LvLocal of int
-  | LvLocalI of int  (* unboxed integral local *)
   | LvLocalRef of int  (* reference-typed local: location of its referent *)
   | LvGlobal of int
   | LvStatic of int
   | LvField of rexpr * slots_by_class * Member.t
-  | LvFieldI of rexpr * slots_by_class * Member.t  (* unboxed integral member *)
   | LvDeref of rexpr
   | LvIndex of rexpr * rexpr
   | LvMemPtrDeref of rexpr * rexpr
@@ -120,7 +117,6 @@ and rcall =
 
 type rdecl =
   | DScalar of { d_slot : int; d_ty : Ast.type_expr }
-  | DScalarI of int  (* unboxed integral local: zero-initialised *)
   | DStackArrObj of {
       d_slot : int;
       d_cid : int;
@@ -129,7 +125,6 @@ type rdecl =
       d_len : int;
     }
   | DExpr of { d_slot : int; d_coerce : Ast.type_expr; d_init : rexpr }
-  | DExprI of { d_slot : int; d_coerce : Ast.type_expr; d_init : rexpr }
   (* reference decl: the old interpreter evaluated the initializer for
      its value first, then again as an lvalue — both are kept *)
   | DRefExpr of { d_slot : int; d_init : rexpr; d_lv : rlval }
@@ -164,17 +159,7 @@ type rstmt =
   | RSDelete of rexpr
   | RSEmpty
 
-type rparam = {
-  rp_slot : int;  (* index within the param's bank after retyping *)
-  rp_bank : bank;
-  rp_ref : bool;
-  rp_coerce : Ast.type_expr;
-}
-
-(* Per-bank frame sizes of one body. *)
-type fshape = { nbox : int; nint : int }
-
-let zero_shape = { nbox = 0; nint = 0 }
+type rparam = { rp_slot : int; rp_ref : bool; rp_coerce : Ast.type_expr }
 
 (* Constructor execution plan: everything [run_ctor] needs, precomputed.
    Member slots still go through [slots_by_class] because the same
@@ -208,7 +193,6 @@ and field_plan =
   | FPScalar of {
       fs_slots : slots_by_class;
       fs_member : Member.t;
-      fs_bank : bank;  (* which object bank the member lives in *)
       fs_coerce : Ast.type_expr;
       fs_init : rexpr;
     }
@@ -224,7 +208,7 @@ type rcode =
 
 type rfunc = {
   rf_id : Func_id.t;
-  rf_frame : fshape;  (* per-bank frame sizes: params + every local declaration *)
+  rf_nslots : int;  (* frame size: params + every local declaration *)
   rf_params : rparam array;
   rf_code : rcode;
 }
@@ -233,33 +217,33 @@ type rfunc = {
    old [destroy_from] re-derived all of this from the class table on
    every destruction). *)
 type destroy_plan = {
-  dp_dtor : (fshape * rstmt) option;  (* dtor body: frame shape, body *)
+  dp_dtor : (int * rstmt) option;  (* dtor body: frame size, body *)
   dp_fields : dfield array;        (* reverse declaration order *)
   dp_nv_bases : int array;         (* direct non-virtual base cids, reversed *)
 }
 
 and dfield =
-  | DFClass of slots_by_class
-  | DFClassArr of slots_by_class
+  | DFClass of slots_by_class * Member.t
+  | DFClassArr of slots_by_class * Member.t
 
+(* One class's object layout. The IR's layout has every member in the
+   boxed bank; the bytecode compiler's ([banks]) numbers each bank
+   separately. *)
 type class_info = {
   ci_name : string;
   ci_id : int;
-  (* boxed-bank slot of every *boxed* member, for member-pointer
-     dereference; unboxed members cannot be reached through a member
-     pointer (naming one in a member-pointer constant demotes it to the
-     boxed bank). *)
-  ci_slot : (Member.t, int) Hashtbl.t;
+  (* bank and index within that bank of every instance member. A member
+     a member pointer names is always boxed (the analysis demotes it),
+     so member-pointer dereference reads only boxed entries. *)
+  ci_slot : (Member.t, bank * int) Hashtbl.t;
   (* default member values of the boxed bank, copied per object. Slots
      whose default is mutable (arrays) hold VUnit in the template and are
-     rebuilt fresh per object from [ci_fresh]. The unboxed banks need no
+     rebuilt fresh per object from [ci_fresh]. The unboxed bank needs no
      template: integral members always default to 0. *)
   ci_template : value array;
   ci_nints : int;  (* unboxed integral bank size *)
   ci_fresh : (int * Ast.type_expr) array;
-  ci_vbases : int array;      (* virtual base cids, construction order *)
-  ci_vbases_rev : int array;  (* and reversed, for destruction *)
-  mutable ci_destroy : destroy_plan;
+  ci_vbases_rev : int array;  (* virtual base cids, reversed, for destruction *)
 }
 
 type rglobal = {
@@ -273,6 +257,7 @@ type rprogram = {
   rp_table : Class_table.t;
   rp_classes : class_info array;
   rp_class_id : (string, int) Hashtbl.t;
+  rp_destroy : destroy_plan array;  (* by class id *)
   rp_funcs : rfunc array;
   rp_func_idx : (Func_id.t, int) Hashtbl.t;  (* for function-pointer calls *)
   rp_globals : rglobal array;
@@ -395,16 +380,18 @@ let static_of ctx (m : Member.t) : int =
       ctx.static_tys <- ty :: ctx.static_tys;
       i
 
+(* [m]'s slot in each class of [classes], within its bank *)
+let slots_of (classes : class_info array) (m : Member.t) : slots_by_class =
+  Array.map
+    (fun ci ->
+      match Hashtbl.find_opt ci.ci_slot m with Some (_, s) -> s | None -> -1)
+    classes
+
 let member_slots ctx (m : Member.t) : slots_by_class =
   match Hashtbl.find_opt ctx.member_slots_memo m with
   | Some a -> a
   | None ->
-      let a =
-        Array.init ctx.nclasses (fun c ->
-            match Hashtbl.find_opt ctx.classes.(c).ci_slot m with
-            | Some s -> s
-            | None -> -1)
-      in
+      let a = slots_of ctx.classes m in
       Hashtbl.replace ctx.member_slots_memo m a;
       Telemetry.Counter.incr member_tables_counter;
       a
@@ -660,16 +647,8 @@ let rparams f (params : (string * Ast.type_expr) list) : rparam array =
        (fun (name, ty) ->
          let slot = alloc_local f name in
          match ty with
-         (* rp_bank is provisional: the retyping pass reassigns it *)
-         | Ast.TRef _ ->
-             { rp_slot = slot; rp_bank = BBox; rp_ref = true; rp_coerce = ty }
-         | _ ->
-             {
-               rp_slot = slot;
-               rp_bank = BBox;
-               rp_ref = false;
-               rp_coerce = Ctype.decay ty;
-             })
+         | Ast.TRef _ -> { rp_slot = slot; rp_ref = true; rp_coerce = ty }
+         | _ -> { rp_slot = slot; rp_ref = false; rp_coerce = Ctype.decay ty })
        params)
 
 let ctor_plan ctx f (fn : tfunc) cls : ctor_plan =
@@ -762,7 +741,6 @@ let ctor_plan ctx f (fn : tfunc) cls : ctor_plan =
                               {
                                 fs_slots = member_slots ctx m;
                                 fs_member = m;
-                                fs_bank = BBox;  (* reassigned by retyping *)
                                 fs_coerce = Ctype.decay ty;
                                 fs_init = rexpr ctx f a;
                               })
@@ -788,7 +766,7 @@ let resolve_func ctx (fn : tfunc) : rfunc =
   Telemetry.Counter.incr funcs_counter;
   {
     rf_id = fn.tf_id;
-    rf_frame = { nbox = f.nslots; nint = 0 };  (* split by retyping *)
+    rf_nslots = f.nslots;
     rf_params = params;
     rf_code = code;
   }
@@ -801,13 +779,15 @@ let resolve_func ctx (fn : tfunc) : rfunc =
    declaration order — the same member set the old [populate_fields]
    materialized as a hashtable per object. The key is the paper's member
    identity (defining class, name), so a member reached through a shared
-   virtual base contributes exactly one slot. *)
-let build_class table class_id (name : string) (id : int) : class_info =
+   virtual base contributes exactly one slot. [bank] says which bank
+   each member goes in; each bank is numbered separately. *)
+let build_class table class_id ~(bank : Member.t -> bank) (name : string)
+    (id : int) : class_info =
   let chain = name :: Class_table.all_base_names table name in
   let slot_tbl = Hashtbl.create 16 in
   let defaults = ref [] (* reversed *) in
   let fresh = ref [] in
-  let next = ref 0 in
+  let nbox = ref 0 and nint = ref 0 in
   List.iter
     (fun c ->
       match Class_table.find table c with
@@ -816,15 +796,21 @@ let build_class table class_id (name : string) (id : int) : class_info =
           List.iter
             (fun (f : Class_table.field) ->
               if not f.f_static then begin
-                let slot = !next in
-                incr next;
-                Hashtbl.replace slot_tbl (f.f_class, f.f_name) slot;
-                match f.f_type with
-                | Ast.TArr _ ->
-                    (* mutable default: built fresh per object *)
-                    defaults := VUnit :: !defaults;
-                    fresh := (slot, f.f_type) :: !fresh
-                | ty -> defaults := default_value ty :: !defaults
+                let m = (f.f_class, f.f_name) in
+                match bank m with
+                | BInt ->
+                    Hashtbl.replace slot_tbl m (BInt, !nint);
+                    incr nint
+                | BBox -> (
+                    let slot = !nbox in
+                    incr nbox;
+                    Hashtbl.replace slot_tbl m (BBox, slot);
+                    match f.f_type with
+                    | Ast.TArr _ ->
+                        (* mutable default: built fresh per object *)
+                        defaults := VUnit :: !defaults;
+                        fresh := (slot, f.f_type) :: !fresh
+                    | ty -> defaults := default_value ty :: !defaults)
               end)
             ci.c_fields)
     chain;
@@ -837,11 +823,9 @@ let build_class table class_id (name : string) (id : int) : class_info =
     ci_id = id;
     ci_slot = slot_tbl;
     ci_template = Array.of_list (List.rev !defaults);
-    ci_nints = 0;  (* banks split by the retyping pass *)
+    ci_nints = !nint;
     ci_fresh = Array.of_list (List.rev !fresh);
-    ci_vbases = Array.of_list vbases;
     ci_vbases_rev = Array.of_list (List.rev vbases);
-    ci_destroy = { dp_dtor = None; dp_fields = [||]; dp_nv_bases = [||] };
   }
 
 let destroy_plan ctx (c : Class_table.cls) : destroy_plan =
@@ -851,7 +835,7 @@ let destroy_plan ctx (c : Class_table.cls) : destroy_plan =
         let f = new_fctx () in
         push_scope f;
         let rbody = rstmt ctx f body in
-        Some ({ nbox = f.nslots; nint = 0 }, rbody)
+        Some (f.nslots, rbody)
     | Some _ | None -> None
   in
   let dp_fields =
@@ -862,9 +846,9 @@ let destroy_plan ctx (c : Class_table.cls) : destroy_plan =
            else
              let m = (fld.f_class, fld.f_name) in
              match fld.f_type with
-             | Ast.TNamed _ -> Some (DFClass (member_slots ctx m))
+             | Ast.TNamed _ -> Some (DFClass (member_slots ctx m, m))
              | Ast.TArr (Ast.TNamed _, _) ->
-                 Some (DFClassArr (member_slots ctx m))
+                 Some (DFClassArr (member_slots ctx m, m))
              | _ -> None)
          (List.rev c.c_fields))
   in
@@ -877,512 +861,6 @@ let destroy_plan ctx (c : Class_table.cls) : destroy_plan =
   in
   { dp_dtor; dp_fields; dp_nv_bases }
 
-(* -- retyping: bank classification and slot splitting --------------------------
-
-   Runs once everything is resolved, when every escape site is visible.
-   Phase A scans the whole program: each local slot's declared bank
-   (from its declaration or parameter type) and each data member's bank
-   (from its declared type), demoting to the boxed bank every slot whose
-   location can escape — address-taken ([RAddrOf]), bound to a scalar
-   reference parameter ([ARefScalar]) or a reference local ([DRefExpr]),
-   or, for members, named in a member-pointer constant. Phase B rewrites
-   the IR: slot references become per-bank constructor variants carrying
-   bank-local indices, destroy lists shrink to their owning boxed slots
-   (unboxed slots can never hold objects, and a boxed pointer/reference/
-   scalar slot is a guaranteed no-op for [destroy_slots], so scanning
-   either was always wasted work — scopes with no owning slot compile
-   away entirely),
-   per-class layouts are rebuilt with per-bank numbering, and the
-   memoized [slots_by_class] arrays are remapped *in place* so every
-   access site and destroy plan sees the new numbering without being
-   rebuilt. The pass changes only addressing: evaluation order, tick
-   points, construction/destruction order and error messages are
-   untouched. *)
-
-let bank_of_type (ty : Ast.type_expr) : bank =
-  match ty with
-  | Ast.TRef _ -> BBox
-  | _ when Ctype.is_integral ty -> BInt
-  | _ -> BBox
-
-let unboxed_int_counter = Telemetry.Counter.make "runtime.slots.unboxed_int"
-let boxed_fallback_counter = Telemetry.Counter.make "runtime.slots.boxed_fallback"
-
-let count_bank = function
-  | BInt -> Telemetry.Counter.incr unboxed_int_counter
-  | BBox -> Telemetry.Counter.incr boxed_fallback_counter
-
-(* A full structural walk of one code unit, firing [on_decl] at
-   declaration sites and [on_escape_local] / [demote_member] wherever a
-   slot's location is exposed. *)
-type scanner = {
-  sc_stmt : rstmt -> unit;
-  sc_expr : rexpr -> unit;
-  sc_args : arg_mode array -> unit;
-}
-
-let make_scanner ~(demote_member : Member.t -> unit) ~(on_decl : rdecl -> unit)
-    ~(on_escape_local : int -> unit) : scanner =
-  let demote_lv = function
-    | LvLocal i -> on_escape_local i
-    | LvField (_, _, m) -> demote_member m
-    | _ -> ()
-    (* LvLocalRef/LvDeref/LvIndex/LvGlobal/LvStatic/LvMemPtrDeref reach
-       storage that is already boxed (referents are demoted where the
-       reference is bound; member-pointer targets where the constant is
-       formed) *)
-  in
-  let rec expr = function
-    | RConst (VMemPtr m) -> demote_member m
-    | RConst _ | RLocal _ | RLocalI _ | RLocalRef _ | RGlobal _
-    | RStatic _ | RThis | RInvalid _ | RNewScalar _ ->
-        ()
-    | RUnary (_, e)
-    | RCastInt e
-    | RCastFloat e
-    | RDeref e
-    | RField (e, _, _)
-    | RFieldI (e, _, _) ->
-        expr e
-    | RBinary (_, a, b) | RIndex (a, b) | RMemPtrDeref (a, b) ->
-        expr a;
-        expr b
-    | RAssign (lv, e, _) | RCompound (_, lv, e, _) ->
-        lval lv;
-        expr e
-    | RIncDec (_, _, lv) -> lval lv
-    | RCond (a, b, c) ->
-        expr a;
-        expr b;
-        expr c
-    | RAddrOf lv ->
-        demote_lv lv;
-        lval lv
-    | RCall c -> call c
-    | RNewObj { no_args; _ } -> args no_args
-    | RNewArrObj { na_len; _ } -> expr na_len
-    | RNewArrScalar { nas_len; _ } -> expr nas_len
-  and lval = function
-    | LvLocal _ | LvLocalI _ | LvLocalRef _ | LvGlobal _
-    | LvStatic _ | LvInvalid _ ->
-        ()
-    | LvField (e, _, _) | LvFieldI (e, _, _) | LvDeref e ->
-        expr e
-    | LvIndex (a, b) | LvMemPtrDeref (a, b) ->
-        expr a;
-        expr b
-  and args a = Array.iter arg a
-  and arg = function
-    | AVal e -> expr e
-    | ARefScalar lv ->
-        demote_lv lv;
-        lval lv
-    | ARefObj e -> expr e
-  and call = function
-    | RBuiltin (_, es) -> Array.iter expr es
-    | RCallFunc { cf_args; _ } -> args cf_args
-    | RCallMethod { cm_recv; cm_args; _ } ->
-        expr cm_recv;
-        args cm_args
-    | RCallVirtual { cv_recv; cv_args; _ } ->
-        expr cv_recv;
-        args cv_args
-    | RCallFunPtr { fp_fn; fp_args } ->
-        expr fp_fn;
-        args fp_args
-  and decl d =
-    on_decl d;
-    match d with
-    | DScalar _ | DScalarI _ | DStackArrObj _ | DFail _ -> ()
-    | DExpr { d_init; _ } | DExprI { d_init; _ } -> expr d_init
-    | DRefExpr { d_init; d_lv; _ } ->
-        demote_lv d_lv;
-        expr d_init;
-        lval d_lv
-    | DCtor { d_args; _ } -> args d_args
-  and stmt = function
-    | RSExpr e -> expr e
-    | RSDecl ds -> List.iter decl ds
-    | RSBlock (ss, _) -> Array.iter stmt ss
-    | RSIf (c, t, f) ->
-        expr c;
-        stmt t;
-        Option.iter stmt f
-    | RSWhile (c, b) ->
-        expr c;
-        stmt b
-    | RSDoWhile (b, c) ->
-        stmt b;
-        expr c
-    | RSFor { rf_init; rf_cond; rf_step; rf_body; _ } ->
-        Option.iter stmt rf_init;
-        Option.iter expr rf_cond;
-        Option.iter expr rf_step;
-        stmt rf_body
-    | RSReturn e -> Option.iter expr e
-    | RSDelete e -> expr e
-    | RSBreak | RSContinue | RSEmpty -> ()
-  in
-  { sc_stmt = stmt; sc_expr = expr; sc_args = args }
-
-(* The structural rewrite of one code unit: local slots through the
-   final bank/index maps, members through the global bank table. *)
-type rewriter = {
-  rw_stmt : rstmt -> rstmt;
-  rw_expr : rexpr -> rexpr;
-  rw_args : arg_mode array -> arg_mode array;
-}
-
-let make_rewriter ~(lb : bank array) ~(lx : int array) ~(owns : bool array)
-    ~(mb : Member.t -> bank) : rewriter =
-  let rec expr = function
-    | RConst _ as e -> e
-    | RLocal i -> (
-        match lb.(i) with
-        | BBox -> RLocal lx.(i)
-        | BInt -> RLocalI lx.(i))
-    | RLocalRef i -> RLocalRef lx.(i)
-    | (RGlobal _ | RStatic _ | RThis | RInvalid _ | RNewScalar _) as e -> e
-    | RUnary (op, e) -> RUnary (op, expr e)
-    | RBinary (op, a, b) -> RBinary (op, expr a, expr b)
-    | RAssign (lv, e, ty) -> RAssign (lval lv, expr e, ty)
-    | RCompound (op, lv, e, ty) -> RCompound (op, lval lv, expr e, ty)
-    | RIncDec (k, fx, lv) -> RIncDec (k, fx, lval lv)
-    | RCond (a, b, c) -> RCond (expr a, expr b, expr c)
-    | RCastInt e -> RCastInt (expr e)
-    | RCastFloat e -> RCastFloat (expr e)
-    | RField (e, slots, m) -> (
-        let e = expr e in
-        match mb m with
-        | BBox -> RField (e, slots, m)
-        | BInt -> RFieldI (e, slots, m))
-    | RCall c -> RCall (call c)
-    | RAddrOf lv -> RAddrOf (lval lv)
-    | RDeref e -> RDeref (expr e)
-    | RIndex (a, b) -> RIndex (expr a, expr b)
-    | RMemPtrDeref (a, b) -> RMemPtrDeref (expr a, expr b)
-    | RNewObj r -> RNewObj { r with no_args = args r.no_args }
-    | RNewArrObj r -> RNewArrObj { r with na_len = expr r.na_len }
-    | RNewArrScalar r -> RNewArrScalar { r with nas_len = expr r.nas_len }
-    | RLocalI _ | RFieldI _ -> assert false (* introduced only by this pass *)
-  and lval = function
-    | LvLocal i -> (
-        match lb.(i) with
-        | BBox -> LvLocal lx.(i)
-        | BInt -> LvLocalI lx.(i))
-    | LvLocalRef i -> LvLocalRef lx.(i)
-    | (LvGlobal _ | LvStatic _ | LvInvalid _) as lv -> lv
-    | LvField (e, slots, m) -> (
-        let e = expr e in
-        match mb m with
-        | BBox -> LvField (e, slots, m)
-        | BInt -> LvFieldI (e, slots, m))
-    | LvDeref e -> LvDeref (expr e)
-    | LvIndex (a, b) -> LvIndex (expr a, expr b)
-    | LvMemPtrDeref (a, b) -> LvMemPtrDeref (expr a, expr b)
-    | LvLocalI _ | LvFieldI _ -> assert false
-  and args a = Array.map arg a
-  and arg = function
-    | AVal e -> AVal (expr e)
-    | ARefScalar lv -> ARefScalar (lval lv)
-    | ARefObj e -> ARefObj (expr e)
-  and call = function
-    | RBuiltin (b, es) -> RBuiltin (b, Array.map expr es)
-    | RCallFunc r -> RCallFunc { r with cf_args = args r.cf_args }
-    | RCallMethod r ->
-        RCallMethod { r with cm_recv = expr r.cm_recv; cm_args = args r.cm_args }
-    | RCallVirtual r ->
-        RCallVirtual { r with cv_recv = expr r.cv_recv; cv_args = args r.cv_args }
-    | RCallFunPtr r ->
-        RCallFunPtr { fp_fn = expr r.fp_fn; fp_args = args r.fp_args }
-  and decl = function
-    | DScalar { d_slot; d_ty } -> (
-        match lb.(d_slot) with
-        | BBox -> DScalar { d_slot = lx.(d_slot); d_ty }
-        | BInt -> DScalarI lx.(d_slot))
-    | DExpr { d_slot; d_coerce; d_init } -> (
-        let d_init = expr d_init in
-        match lb.(d_slot) with
-        | BBox -> DExpr { d_slot = lx.(d_slot); d_coerce; d_init }
-        | BInt -> DExprI { d_slot = lx.(d_slot); d_coerce; d_init })
-    | DStackArrObj r -> DStackArrObj { r with d_slot = lx.(r.d_slot) }
-    | DRefExpr r ->
-        DRefExpr
-          { d_slot = lx.(r.d_slot); d_init = expr r.d_init; d_lv = lval r.d_lv }
-    | DCtor r -> DCtor { r with d_slot = lx.(r.d_slot); d_args = args r.d_args }
-    | DFail _ as d -> d
-    | DScalarI _ | DExprI _ -> assert false
-  and destroy a =
-    (* owning boxed survivors only, remapped; reverse-declaration order
-       kept. A slot that can never hold a [VObj] or a journalled [VArr]
-       is a guaranteed no-op for [destroy_slots], so dropping it here
-       lets scopes of pointer/scalar declarations compile away
-       entirely. *)
-    Array.of_list
-      (List.filter_map
-         (fun s -> if lb.(s) = BBox && owns.(s) then Some lx.(s) else None)
-         (Array.to_list a))
-  and stmt = function
-    | RSExpr e -> RSExpr (expr e)
-    | RSDecl ds -> RSDecl (List.map decl ds)
-    | RSBlock (ss, d) -> RSBlock (Array.map stmt ss, destroy d)
-    | RSIf (c, t, f) -> RSIf (expr c, stmt t, Option.map stmt f)
-    | RSWhile (c, b) -> RSWhile (expr c, stmt b)
-    | RSDoWhile (b, c) -> RSDoWhile (stmt b, expr c)
-    | RSFor r ->
-        RSFor
-          {
-            rf_init = Option.map stmt r.rf_init;
-            rf_cond = Option.map expr r.rf_cond;
-            rf_step = Option.map expr r.rf_step;
-            rf_body = stmt r.rf_body;
-            rf_destroy = destroy r.rf_destroy;
-          }
-    | RSReturn e -> RSReturn (Option.map expr e)
-    | RSDelete e -> RSDelete (expr e)
-    | (RSBreak | RSContinue | RSEmpty) as s -> s
-  in
-  { rw_stmt = stmt; rw_expr = expr; rw_args = args }
-
-let retype_program ~(table : Class_table.t) ~(classes : class_info array)
-    ~(member_slots_memo : (Member.t, slots_by_class) Hashtbl.t)
-    ~(rp_funcs : rfunc array) ~(rp_globals : rglobal array) : unit =
-  (* provisional member banks, by declared type *)
-  let mbank : (Member.t, bank) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (c : Class_table.cls) ->
-      List.iter
-        (fun (f : Class_table.field) ->
-          if not f.f_static then
-            Hashtbl.replace mbank (f.f_class, f.f_name) (bank_of_type f.f_type))
-        c.c_fields)
-    (Class_table.all_classes table);
-  let demote_member m =
-    if Hashtbl.mem mbank m then Hashtbl.replace mbank m BBox
-  in
-  let mb m = match Hashtbl.find_opt mbank m with Some b -> b | None -> BBox in
-  (* -- phase A: declared banks + escapes, per code unit ---------------------- *)
-  let decl_banks banks = function
-    | DScalar { d_slot; d_ty } -> banks.(d_slot) <- bank_of_type d_ty
-    | DExpr { d_slot; d_coerce; _ } -> banks.(d_slot) <- bank_of_type d_coerce
-    | DStackArrObj { d_slot; _ } -> banks.(d_slot) <- BBox
-    | DRefExpr { d_slot; _ } -> banks.(d_slot) <- BBox
-    | DCtor { d_slot; _ } -> banks.(d_slot) <- BBox
-    | DFail _ -> ()
-    | DScalarI _ | DExprI _ -> assert false
-  in
-  (* Slots a scope exit can actually destroy: only a by-value object or
-     a constructed stack array ever puts a [VObj] / journalled [VArr]
-     in a local slot — [coerce] turns pointers into [VPtr], references
-     bind as [ptr_of_loc] results, and scalar-array defaults carry
-     [arr_id = -1]. Everything else is invisible to [destroy_slots]. *)
-  let decl_owns owns = function
-    | DCtor { d_slot; _ } | DStackArrObj { d_slot; _ } ->
-        owns.(d_slot) <- true
-    | DScalar { d_slot; d_ty = Ast.TNamed _ | Ast.TArr _ }
-    | DExpr { d_slot; d_coerce = Ast.TNamed _ | Ast.TArr _; _ } ->
-        owns.(d_slot) <- true
-    | _ -> ()
-  in
-  let scan_ctor_plan sc (p : ctor_plan) =
-    let base (bp : base_plan) = sc.sc_args bp.bp_args in
-    Array.iter base p.cp_vbases;
-    Array.iter base p.cp_bases;
-    Array.iter
-      (function
-        | FPClass { fc_args; _ } -> sc.sc_args fc_args
-        | FPScalar { fs_init; _ } -> sc.sc_expr fs_init
-        | FPClassArr _ | FPBadInit -> ())
-      p.cp_fields;
-    Option.iter sc.sc_stmt p.cp_body
-  in
-  let unit_banks frame (params : rparam array) scan_body =
-    let banks = Array.make frame.nbox BBox in
-    let dem = Array.make frame.nbox false in
-    let owns = Array.make frame.nbox false in
-    Array.iter
-      (fun p ->
-        banks.(p.rp_slot) <-
-          (if p.rp_ref then BBox else bank_of_type p.rp_coerce))
-      params;
-    let sc =
-      make_scanner ~demote_member
-        ~on_decl:(fun d ->
-          decl_banks banks d;
-          decl_owns owns d)
-        ~on_escape_local:(fun s -> dem.(s) <- true)
-    in
-    scan_body sc;
-    (banks, dem, owns)
-  in
-  let fbanks =
-    Array.map
-      (fun rf ->
-        unit_banks rf.rf_frame rf.rf_params (fun sc ->
-            match rf.rf_code with
-            | CBody b -> sc.sc_stmt b
-            | CCtor p -> scan_ctor_plan sc p
-            | CDtor | CUnknown | CUndefined | CMissingCtor -> ()))
-      rp_funcs
-  in
-  let dbanks =
-    Array.map
-      (fun ci ->
-        match ci.ci_destroy.dp_dtor with
-        | None -> None
-        | Some (shape, body) ->
-            Some (unit_banks shape [||] (fun sc -> sc.sc_stmt body)))
-      classes
-  in
-  (* global initializers run in an empty frame but can still demote
-     members (member-pointer constants, address-taken fields) *)
-  let gscan =
-    make_scanner ~demote_member
-      ~on_decl:(fun _ -> assert false)
-      ~on_escape_local:(fun _ -> assert false)
-  in
-  Array.iter (fun g -> Option.iter gscan.sc_expr g.rg_init) rp_globals;
-  Hashtbl.iter (fun _ b -> count_bank b) mbank;
-  (* -- rebuild per-class layouts with per-bank numbering ---------------------- *)
-  let nclasses = Array.length classes in
-  let newslot : (Member.t, bank * int) Hashtbl.t array =
-    Array.init nclasses (fun _ -> Hashtbl.create 16)
-  in
-  Array.iteri
-    (fun cidx ci ->
-      let chain = ci.ci_name :: Class_table.all_base_names table ci.ci_name in
-      let defaults = ref [] (* reversed *) in
-      let fresh = ref [] in
-      let nb = ref 0 and ni = ref 0 in
-      List.iter
-        (fun c ->
-          match Class_table.find table c with
-          | None -> ()
-          | Some cls ->
-              List.iter
-                (fun (f : Class_table.field) ->
-                  if not f.f_static then begin
-                    let m = (f.f_class, f.f_name) in
-                    match mb m with
-                    | BInt ->
-                        Hashtbl.replace newslot.(cidx) m (BInt, !ni);
-                        incr ni
-                    | BBox -> (
-                        let slot = !nb in
-                        incr nb;
-                        Hashtbl.replace newslot.(cidx) m (BBox, slot);
-                        match f.f_type with
-                        | Ast.TArr _ ->
-                            defaults := VUnit :: !defaults;
-                            fresh := (slot, f.f_type) :: !fresh
-                        | ty -> defaults := default_value ty :: !defaults)
-                  end)
-                cls.c_fields)
-        chain;
-      let slot_tbl = Hashtbl.create 16 in
-      Hashtbl.iter
-        (fun m (b, s) -> if b = BBox then Hashtbl.replace slot_tbl m s)
-        newslot.(cidx);
-      classes.(cidx) <-
-        {
-          ci with
-          ci_slot = slot_tbl;
-          ci_template = Array.of_list (List.rev !defaults);
-          ci_nints = !ni;
-          ci_fresh = Array.of_list (List.rev !fresh);
-        })
-    classes;
-  (* remap every memoized per-member slot table in place: all access
-     sites and destroy plans share these arrays *)
-  Hashtbl.iter
-    (fun m arr ->
-      Array.iteri
-        (fun c _ ->
-          arr.(c) <-
-            (match Hashtbl.find_opt newslot.(c) m with
-            | Some (_, s) -> s
-            | None -> -1))
-        arr)
-    member_slots_memo;
-  (* -- phase B: rewrite every code unit over the final maps ------------------- *)
-  let bank_maps (banks, dem, owns) =
-    let n = Array.length banks in
-    let lb =
-      Array.init n (fun s -> if dem.(s) then BBox else banks.(s))
-    in
-    let lx = Array.make n (-1) in
-    let nbo = ref 0 and ni = ref 0 in
-    for s = 0 to n - 1 do
-      (match lb.(s) with
-      | BBox ->
-          lx.(s) <- !nbo;
-          incr nbo
-      | BInt ->
-          lx.(s) <- !ni;
-          incr ni);
-      count_bank lb.(s)
-    done;
-    (lb, lx, owns, { nbox = !nbo; nint = !ni })
-  in
-  let rewrite_ctor_plan rw (p : ctor_plan) =
-    let base (bp : base_plan) = { bp with bp_args = rw.rw_args bp.bp_args } in
-    {
-      cp_vbases = Array.map base p.cp_vbases;
-      cp_bases = Array.map base p.cp_bases;
-      cp_fields =
-        Array.map
-          (function
-            | FPClass r -> FPClass { r with fc_args = rw.rw_args r.fc_args }
-            | FPScalar r ->
-                FPScalar
-                  { r with fs_bank = mb r.fs_member; fs_init = rw.rw_expr r.fs_init }
-            | (FPClassArr _ | FPBadInit) as fp -> fp)
-          p.cp_fields;
-      cp_body = Option.map rw.rw_stmt p.cp_body;
-    }
-  in
-  Array.iteri
-    (fun i rf ->
-      match rf.rf_code with
-      | CUnknown | CUndefined | CMissingCtor -> ()
-      | CBody _ | CCtor _ | CDtor ->
-          let lb, lx, owns, shape = bank_maps fbanks.(i) in
-          let rw = make_rewriter ~lb ~lx ~owns ~mb in
-          let params =
-            Array.map
-              (fun p -> { p with rp_slot = lx.(p.rp_slot); rp_bank = lb.(p.rp_slot) })
-              rf.rf_params
-          in
-          let code =
-            match rf.rf_code with
-            | CBody b -> CBody (rw.rw_stmt b)
-            | CCtor p -> CCtor (rewrite_ctor_plan rw p)
-            | c -> c
-          in
-          rp_funcs.(i) <-
-            { rf with rf_frame = shape; rf_params = params; rf_code = code })
-    rp_funcs;
-  Array.iteri
-    (fun cidx info ->
-      match (dbanks.(cidx), classes.(cidx).ci_destroy.dp_dtor) with
-      | Some u, Some (_, body) ->
-          let lb, lx, owns, shape = bank_maps u in
-          let rw = make_rewriter ~lb ~lx ~owns ~mb in
-          classes.(cidx).ci_destroy <-
-            {
-              (classes.(cidx).ci_destroy) with
-              dp_dtor = Some (shape, rw.rw_stmt body);
-            }
-      | _ -> ignore info)
-    classes;
-  let rw0 = make_rewriter ~lb:[||] ~lx:[||] ~owns:[||] ~mb in
-  Array.iteri
-    (fun i g ->
-      match g.rg_init with
-      | None -> ()
-      | Some e -> rp_globals.(i) <- { g with rg_init = Some (rw0.rw_expr e) })
-    rp_globals
-
 (* -- entry point ------------------------------------------------------------------ *)
 
 let program (p : program) : rprogram =
@@ -1394,7 +872,9 @@ let program (p : program) : rprogram =
   List.iteri (fun i n -> Hashtbl.replace class_id n i) class_names;
   let classes =
     Array.of_list
-      (List.mapi (fun i n -> build_class table class_id n i) class_names)
+      (List.mapi
+         (fun i n -> build_class table class_id ~bank:(fun _ -> BBox) n i)
+         class_names)
   in
   Telemetry.Counter.add classes_counter nclasses;
   (* real functions get the first indices, in deterministic map order *)
@@ -1470,34 +950,328 @@ let program (p : program) : rprogram =
   in
   let resolved = List.map (resolve_func ctx) funcs in
   (* destroy plans need the member tables and dtor bodies *)
+  let rp_destroy =
+    Array.make nclasses { dp_dtor = None; dp_fields = [||]; dp_nv_bases = [||] }
+  in
   List.iter
     (fun (c : Class_table.cls) ->
-      classes.(cid ctx c.c_name).ci_destroy <- destroy_plan ctx c)
-    (Class_table.all_classes table);
+      rp_destroy.(cid ctx c.c_name) <- destroy_plan ctx c)
+    all_cls;
   let rp_main = fidx ctx main_id in
   (* assemble the function array: resolved bodies, then on-demand stubs *)
-  let placeholder =
-    { rf_id = main_id; rf_frame = zero_shape; rf_params = [||]; rf_code = CUnknown }
+  let stub rf_id rf_code =
+    { rf_id; rf_nslots = 0; rf_params = [||]; rf_code }
   in
-  let rp_funcs = Array.make (max 1 ctx.next_fidx) placeholder in
+  let rp_funcs = Array.make (max 1 ctx.next_fidx) (stub main_id CUnknown) in
   List.iteri (fun i rf -> rp_funcs.(i) <- rf) resolved;
-  List.iter
-    (fun (i, id, code) ->
-      rp_funcs.(i) <-
-        { rf_id = id; rf_frame = zero_shape; rf_params = [||]; rf_code = code })
-    ctx.stubs;
-  retype_program ~table ~classes ~member_slots_memo:ctx.member_slots_memo
-    ~rp_funcs ~rp_globals;
+  List.iter (fun (i, id, code) -> rp_funcs.(i) <- stub id code) ctx.stubs;
   {
     rp_table = table;
     rp_classes = classes;
     rp_class_id = class_id;
+    rp_destroy;
     rp_funcs;
     rp_func_idx = ctx.func_idx;
     rp_globals;
     rp_static_tys = Array.of_list (List.rev ctx.static_tys);
     rp_main;
   }
+
+(* -- int banks: the bytecode compiler's slot analysis ----------------------
+
+   The bytecode compiler keeps integral slots whose location never
+   escapes in an unboxed [int array]; [banks] decides which, and only
+   [Bytecode.compile] reads its answer. It runs on the finished IR, when
+   every escape site is visible, and scans every code unit once: each
+   local slot's declared bank (from its declaration or parameter type)
+   and each data member's bank (from its declared type), demoting to the
+   boxed bank every slot whose location can escape — address-taken
+   ([RAddrOf]), bound to a scalar reference parameter ([ARefScalar]) or
+   a reference local ([DRefExpr]), or, for members, named in a
+   member-pointer constant. It returns maps and changes nothing: the IR,
+   its layouts and its slot tables stay as resolved, so the tree walker
+   and the compiler can share one [rprogram]. *)
+
+let bank_of_type (ty : Ast.type_expr) : bank =
+  match ty with
+  | Ast.TRef _ -> BBox
+  | _ when Ctype.is_integral ty -> BInt
+  | _ -> BBox
+
+let unboxed_int_counter = Telemetry.Counter.make "runtime.slots.unboxed_int"
+let boxed_fallback_counter = Telemetry.Counter.make "runtime.slots.boxed_fallback"
+
+let count_bank = function
+  | BInt -> Telemetry.Counter.incr unboxed_int_counter
+  | BBox -> Telemetry.Counter.incr boxed_fallback_counter
+
+(* Per-bank frame sizes of one code unit. *)
+type fshape = { nbox : int; nint : int }
+
+(* The verdicts for one code unit's frame, indexed by IR slot. *)
+type unit_banks = {
+  ub_bank : bank array;
+  ub_index : int array;  (* the slot's index within its bank *)
+  (* Slots a scope exit can actually destroy: only a by-value object or
+     a constructed stack array ever puts a [VObj] / journalled [VArr]
+     in a local slot — [coerce] turns pointers into [VPtr], references
+     bind as [ptr_of_loc] results, and scalar-array defaults carry
+     [arr_id = -1]. The compiler drops every other slot, and every
+     unboxed one, from destroy lists: they are guaranteed no-ops for
+     the scope-exit scan, so scopes with no owning slot compile away. *)
+  ub_owns : bool array;
+  ub_shape : fshape;
+}
+
+type banks = {
+  bk_funcs : unit_banks array;  (* by function index *)
+  bk_dtors : unit_banks option array;  (* by class id *)
+  bk_globals : unit_banks;  (* global initializers: an empty frame *)
+  bk_member : (Member.t, bank) Hashtbl.t;  (* every instance member *)
+  bk_classes : class_info array;  (* layouts numbered per bank *)
+  bk_slots : (Member.t, slots_by_class) Hashtbl.t;  (* over [bk_classes] *)
+}
+
+let member_bank (bk : banks) (m : Member.t) : bank =
+  match Hashtbl.find_opt bk.bk_member m with Some b -> b | None -> BBox
+
+(* [m]'s slot table over the banked layouts: one array per member,
+   shared by every site that names it. *)
+let banked_slots (bk : banks) (m : Member.t) : slots_by_class =
+  match Hashtbl.find_opt bk.bk_slots m with
+  | Some a -> a
+  | None ->
+      let a = slots_of bk.bk_classes m in
+      Hashtbl.replace bk.bk_slots m a;
+      a
+
+(* A full structural walk of one code unit, firing [on_decl] at
+   declaration sites and [on_escape_local] / [demote_member] wherever a
+   slot's location is exposed. *)
+type scanner = {
+  sc_stmt : rstmt -> unit;
+  sc_expr : rexpr -> unit;
+  sc_args : arg_mode array -> unit;
+}
+
+let make_scanner ~(demote_member : Member.t -> unit) ~(on_decl : rdecl -> unit)
+    ~(on_escape_local : int -> unit) : scanner =
+  let demote_lv = function
+    | LvLocal i -> on_escape_local i
+    | LvField (_, _, m) -> demote_member m
+    | _ -> ()
+    (* LvLocalRef/LvDeref/LvIndex/LvGlobal/LvStatic/LvMemPtrDeref reach
+       storage that is already boxed (referents are demoted where the
+       reference is bound; member-pointer targets where the constant is
+       formed) *)
+  in
+  let rec expr = function
+    | RConst (VMemPtr m) -> demote_member m
+    | RConst _ | RLocal _ | RLocalRef _ | RGlobal _ | RStatic _ | RThis
+    | RInvalid _ | RNewScalar _ ->
+        ()
+    | RUnary (_, e) | RCastInt e | RCastFloat e | RDeref e | RField (e, _, _)
+      ->
+        expr e
+    | RBinary (_, a, b) | RIndex (a, b) | RMemPtrDeref (a, b) ->
+        expr a;
+        expr b
+    | RAssign (lv, e, _) | RCompound (_, lv, e, _) ->
+        lval lv;
+        expr e
+    | RIncDec (_, _, lv) -> lval lv
+    | RCond (a, b, c) ->
+        expr a;
+        expr b;
+        expr c
+    | RAddrOf lv ->
+        demote_lv lv;
+        lval lv
+    | RCall c -> call c
+    | RNewObj { no_args; _ } -> args no_args
+    | RNewArrObj { na_len; _ } -> expr na_len
+    | RNewArrScalar { nas_len; _ } -> expr nas_len
+  and lval = function
+    | LvLocal _ | LvLocalRef _ | LvGlobal _ | LvStatic _ | LvInvalid _ -> ()
+    | LvField (e, _, _) | LvDeref e -> expr e
+    | LvIndex (a, b) | LvMemPtrDeref (a, b) ->
+        expr a;
+        expr b
+  and args a = Array.iter arg a
+  and arg = function
+    | AVal e -> expr e
+    | ARefScalar lv ->
+        demote_lv lv;
+        lval lv
+    | ARefObj e -> expr e
+  and call = function
+    | RBuiltin (_, es) -> Array.iter expr es
+    | RCallFunc { cf_args; _ } -> args cf_args
+    | RCallMethod { cm_recv; cm_args; _ } ->
+        expr cm_recv;
+        args cm_args
+    | RCallVirtual { cv_recv; cv_args; _ } ->
+        expr cv_recv;
+        args cv_args
+    | RCallFunPtr { fp_fn; fp_args } ->
+        expr fp_fn;
+        args fp_args
+  and decl d =
+    on_decl d;
+    match d with
+    | DScalar _ | DStackArrObj _ | DFail _ -> ()
+    | DExpr { d_init; _ } -> expr d_init
+    | DRefExpr { d_init; d_lv; _ } ->
+        demote_lv d_lv;
+        expr d_init;
+        lval d_lv
+    | DCtor { d_args; _ } -> args d_args
+  and stmt = function
+    | RSExpr e -> expr e
+    | RSDecl ds -> List.iter decl ds
+    | RSBlock (ss, _) -> Array.iter stmt ss
+    | RSIf (c, t, f) ->
+        expr c;
+        stmt t;
+        Option.iter stmt f
+    | RSWhile (c, b) ->
+        expr c;
+        stmt b
+    | RSDoWhile (b, c) ->
+        stmt b;
+        expr c
+    | RSFor { rf_init; rf_cond; rf_step; rf_body; _ } ->
+        Option.iter stmt rf_init;
+        Option.iter expr rf_cond;
+        Option.iter expr rf_step;
+        stmt rf_body
+    | RSReturn e -> Option.iter expr e
+    | RSDelete e -> expr e
+    | RSBreak | RSContinue | RSEmpty -> ()
+  in
+  { sc_stmt = stmt; sc_expr = expr; sc_args = args }
+
+let banks (rp : rprogram) : banks =
+  (* member banks, by declared type until an escape demotes them *)
+  let bk_member : (Member.t, bank) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun (c : Class_table.cls) ->
+      List.iter
+        (fun (f : Class_table.field) ->
+          if not f.f_static then
+            Hashtbl.replace bk_member (f.f_class, f.f_name)
+              (bank_of_type f.f_type))
+        c.c_fields)
+    (Class_table.all_classes rp.rp_table);
+  let demote_member m =
+    if Hashtbl.mem bk_member m then Hashtbl.replace bk_member m BBox
+  in
+  (* one code unit: declared banks, escapes and owners, then each bank's
+     survivors numbered in slot order *)
+  let scan_unit nslots (params : rparam array) scan_body =
+    let declared = Array.make nslots BBox in
+    let escapes = Array.make nslots false in
+    let owns = Array.make nslots false in
+    Array.iter
+      (fun p ->
+        declared.(p.rp_slot) <-
+          (if p.rp_ref then BBox else bank_of_type p.rp_coerce))
+      params;
+    let on_decl = function
+      | DScalar { d_slot; d_ty } ->
+          declared.(d_slot) <- bank_of_type d_ty;
+          (match d_ty with
+          | Ast.TNamed _ | Ast.TArr _ -> owns.(d_slot) <- true
+          | _ -> ())
+      | DExpr { d_slot; d_coerce; _ } ->
+          declared.(d_slot) <- bank_of_type d_coerce;
+          (match d_coerce with
+          | Ast.TNamed _ | Ast.TArr _ -> owns.(d_slot) <- true
+          | _ -> ())
+      | DCtor { d_slot; _ } | DStackArrObj { d_slot; _ } ->
+          owns.(d_slot) <- true
+      | DRefExpr _ | DFail _ -> ()
+    in
+    scan_body
+      (make_scanner ~demote_member ~on_decl ~on_escape_local:(fun s ->
+           escapes.(s) <- true));
+    let bank = declared in
+    Array.iteri (fun s e -> if e then bank.(s) <- BBox) escapes;
+    let index = Array.make nslots (-1) in
+    let nbox = ref 0 and nint = ref 0 in
+    Array.iteri
+      (fun s b ->
+        let next = match b with BBox -> nbox | BInt -> nint in
+        index.(s) <- !next;
+        incr next;
+        count_bank b)
+      bank;
+    {
+      ub_bank = bank;
+      ub_index = index;
+      ub_owns = owns;
+      ub_shape = { nbox = !nbox; nint = !nint };
+    }
+  in
+  let scan_ctor_plan sc (p : ctor_plan) =
+    let base (bp : base_plan) = sc.sc_args bp.bp_args in
+    Array.iter base p.cp_vbases;
+    Array.iter base p.cp_bases;
+    Array.iter
+      (function
+        | FPClass { fc_args; _ } -> sc.sc_args fc_args
+        | FPScalar { fs_init; _ } -> sc.sc_expr fs_init
+        | FPClassArr _ | FPBadInit -> ())
+      p.cp_fields;
+    Option.iter sc.sc_stmt p.cp_body
+  in
+  let bk_funcs =
+    Array.map
+      (fun rf ->
+        let n = rf.rf_nslots in
+        match rf.rf_code with
+        | CBody b -> scan_unit n rf.rf_params (fun sc -> sc.sc_stmt b)
+        | CCtor p -> scan_unit n rf.rf_params (fun sc -> scan_ctor_plan sc p)
+        | CDtor | CUnknown | CUndefined | CMissingCtor ->
+            (* never entered, so no frame is built: nothing to bank *)
+            {
+              ub_bank = Array.make n BBox;
+              ub_index = Array.init n Fun.id;
+              ub_owns = Array.make n false;
+              ub_shape = { nbox = n; nint = 0 };
+            })
+      rp.rp_funcs
+  in
+  let bk_dtors =
+    Array.map
+      (fun dp ->
+        Option.map
+          (fun (nslots, body) ->
+            scan_unit nslots [||] (fun sc -> sc.sc_stmt body))
+          dp.dp_dtor)
+      rp.rp_destroy
+  in
+  (* global initializers run in an empty frame but can still demote
+     members (member-pointer constants, address-taken fields) *)
+  let bk_globals =
+    scan_unit 0 [||] (fun sc ->
+        Array.iter (fun g -> Option.iter sc.sc_expr g.rg_init) rp.rp_globals)
+  in
+  Hashtbl.iter (fun _ b -> count_bank b) bk_member;
+  let bank m =
+    match Hashtbl.find_opt bk_member m with Some b -> b | None -> BBox
+  in
+  let bk_classes =
+    Array.map
+      (fun ci ->
+        build_class rp.rp_table rp.rp_class_id ~bank ci.ci_name ci.ci_id)
+      rp.rp_classes
+  in
+  let bk_slots = Hashtbl.create (Hashtbl.length bk_member) in
+  Hashtbl.iter
+    (fun m _ -> Hashtbl.replace bk_slots m (slots_of bk_classes m))
+    bk_member;
+  { bk_funcs; bk_dtors; bk_globals; bk_member; bk_classes; bk_slots }
 
 (* -- runtime object helpers ----------------------------------------------------
 
@@ -1553,7 +1327,7 @@ let memptr_slot_of (classes : class_info array) (o : obj) (m : Member.t) : int =
     else Hashtbl.find_opt classes.(o.obj_cid).ci_slot m
   in
   match s with
-  | Some s -> s
-  | None ->
+  | Some (BBox, s) -> s
+  | Some (BInt, _) | None ->
       runtime_error "object of class %s has no member %s" o.obj_class
         (Member.to_string m)

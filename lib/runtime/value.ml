@@ -32,7 +32,7 @@ and obj = {
   obj_class : string;  (* most-derived (dynamic) class *)
   obj_cid : int;       (* interned id of the dynamic class (resolve pass) *)
   fields : harray;     (* boxed member bank, one cell per boxed member *)
-  ifields : int array;   (* unboxed integral member bank (resolve pass) *)
+  ifields : int array;   (* unboxed integral member bank (bytecode VM only) *)
 }
 
 and harray = {
@@ -194,22 +194,15 @@ let coerce (ty : Frontend.Ast.type_expr) (v : value) : value =
 type location =
   | LRef of value ref
   | LSlot of harray * int
-  | LInt of int array * int    (* unboxed integral slot (frame or object bank) *)
 
 let read_loc = function
   | LRef r -> !r
   | LSlot (h, i) -> h.cells.(i)
-  | LInt (a, i) -> vint a.(i)
 
-(* Unboxed slots store the integer image of the (already coerced) value.
-   Stores into them come from assignments whose static type is integral,
-   so in a type-checked program the value is always a VInt; [as_int]
-   keeps the historical error strings for anything else. *)
 let write_loc loc v =
   match loc with
   | LRef r -> r := v
   | LSlot (h, i) -> h.cells.(i) <- v
-  | LInt (a, i) -> a.(i) <- as_int v
 
 (* Pointers made from locations always carry [arr_id = -1], exactly as
    the scope-chain interpreter's [ptr_of_loc] did: a pointer *into* a
@@ -219,17 +212,13 @@ let ptr_of_loc = function
   | LRef r -> VPtr (PCell r)
   | LSlot (h, i) ->
       VPtr (PArr ((if h.arr_id = -1 then h else { arr_id = -1; cells = h.cells }), i))
-  | LInt _ ->
-      (* the resolve pass keeps every address-taken slot in the boxed
-         bank, so a pointer to an unboxed slot cannot be formed *)
-      runtime_error "cannot take the address of an unboxed slot"
 
 (* Shared empty bank, so frames and objects without unboxed slots cost
    nothing extra. *)
 let no_ints : int array = [||]
 
-(* A call frame: flat slot-addressed locals (one bank per representation)
-   plus the receiver. *)
+(* A call frame: flat slot-addressed locals (one bank per representation;
+   the tree walker's frames have no int bank) plus the receiver. *)
 type frame = {
   locals : harray;
   ilocals : int array;

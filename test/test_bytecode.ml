@@ -63,6 +63,35 @@ let t_benchmark_engine_differential () =
       check_outcomes b.name ot at ob ab)
     Benchmarks.Suite.all
 
+(* -- one lowering, both engines ------------------------------------------ *)
+
+(* The serve daemon's front cache hands one [Interp.lowered] to whichever
+   engine a request names, so no run, and no compile of the resolved
+   program, may change what a lowering holds: bytecode, tree, then
+   bytecode again from one lowering must each match a fresh run. *)
+let t_shared_lowering () =
+  List.iter
+    (fun (b : Benchmarks.Suite.t) ->
+      let prog = Benchmarks.Suite.program b in
+      let dead =
+        Deadmem.Liveness.dead_set
+          (Deadmem.Liveness.analyze ~config:Deadmem.Config.paper prog)
+      in
+      let fresh = Runtime.Interp.run ~dead prog in
+      let lowered = Runtime.Interp.lower prog in
+      List.iter
+        (fun (engine, tag) ->
+          let o = Runtime.Interp.run ~engine ~dead ~lowered prog in
+          check_outcomes
+            (b.name ^ ", " ^ tag ^ " from one lowering")
+            fresh 0 o 0)
+        [
+          (Runtime.Interp.Bytecode, "bytecode");
+          (Runtime.Interp.Tree, "tree");
+          (Runtime.Interp.Bytecode, "bytecode again");
+        ])
+    Benchmarks.Suite.all
+
 (* -- jump-target wiring: random nested control flow ----------------------------- *)
 
 (* A statement tree rendered into a [main] that traces its execution
@@ -389,6 +418,7 @@ let suite =
   [
     Util.test "benchmarks identical under both engines"
       t_benchmark_engine_differential;
+    Util.test "one lowering serves both engines" t_shared_lowering;
     Util.test "locals whose address escapes keep their values"
       t_escaped_locals;
     Util.test "runtime error unwinding through scoped callers"

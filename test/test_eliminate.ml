@@ -184,6 +184,62 @@ let t_benchmark_preservation (b : Benchmarks.Suite.t) () =
          b.Benchmarks.Suite.name before after)
       true (after <= before)
 
+(* -- printed source ---------------------------------------------------------
+
+   The printer's output must read back as the same program, and so must
+   the stripped source [deadmem strip] prints: both are checked by
+   running them. The corpus programs are the well-formed ones; the
+   step-limit one runs under the limit the engine differential uses. *)
+
+let corpus_programs =
+  [
+    ("escape_locals.mcc", None);
+    ("late_dispatch.mcc", None);
+    ("scalar_delete.mcc", None);
+    ("unwind_error.mcc", None);
+    ("unwind_step_limit.mcc", Some 20_000);
+    ("valid.mcc", None);
+  ]
+
+(* What a run shows: exit code and output, or the error that stopped it. *)
+let shown ~engine ?step_limit prog =
+  match Runtime.Interp.run ~engine ?step_limit prog with
+  | o -> Printf.sprintf "exit %d\n%s" o.return_value o.output
+  | exception e -> Test_bytecode.describe_exn e
+
+let t_printed_source_runs ?step_limit name source () =
+  let source = source () in
+  let printed = Frontend.Ast_printer.program_to_string (Util.parse source) in
+  let original = Util.check_source source in
+  let reparsed = Util.check_source printed in
+  List.iter
+    (fun (engine, tag) ->
+      Util.check_string
+        (Printf.sprintf "%s: printed source under %s" name tag)
+        (shown ~engine ?step_limit original)
+        (shown ~engine ?step_limit reparsed))
+    [ (Runtime.Interp.Tree, "tree"); (Runtime.Interp.Bytecode, "bytecode") ]
+
+let t_stripped_source_runs ?step_limit name source () =
+  let source = source () in
+  let text, _ = Eliminate.strip_to_source ~source ~file:name () in
+  Util.check_string
+    (name ^ ": stripped source prints what the original prints")
+    (shown ~engine:Runtime.Interp.Bytecode ?step_limit
+       (Util.check_source source))
+    (shown ~engine:Runtime.Interp.Bytecode ?step_limit
+       (Util.check_source text))
+
+(* (name, source, step limit); corpus files are read when a test runs *)
+let source_programs =
+  List.map
+    (fun (name, step_limit) ->
+      (name, (fun () -> Test_bytecode.corpus_source name), step_limit))
+    corpus_programs
+  @ List.map
+      (fun (b : Benchmarks.Suite.t) -> (b.name, (fun () -> b.source), None))
+      Benchmarks.Suite.all
+
 let suite =
   [
     Util.test "Figure 1 elimination" t_figure1_strip;
@@ -200,3 +256,12 @@ let suite =
         Util.test (b.name ^ ": behaviour preserved after elimination")
           (t_benchmark_preservation b))
       Benchmarks.Suite.all
+  @ List.concat_map
+      (fun (name, source, step_limit) ->
+        [
+          Util.test (name ^ ": printed source runs the same")
+            (t_printed_source_runs ?step_limit name source);
+          Util.test (name ^ ": stripped source runs the same")
+            (t_stripped_source_runs ?step_limit name source);
+        ])
+      source_programs

@@ -259,11 +259,83 @@ let t_float_nan_pin () =
      on NaN follow IEEE (never equal, always unequal) *)
   Util.check_string "nan compare trace" "1010011-naninf222" tree.o_out
 
+(* -- the bank verdicts --------------------------------------------------- *)
+
+(* [Resolve.banks] decides which slots the bytecode compiler unboxes;
+   the differential above only sees that the result behaves. This pins
+   the verdicts themselves, one per escape rule, plus the telemetry
+   totals they feed. [main]'s slots are numbered in declaration order. *)
+let t_bank_verdicts () =
+  let src =
+    {|class C {
+      public:
+        int plain;
+        int pointed;
+      };
+      void bump(int &r) { r = r + 1; }
+      int main() {
+        int a = 1;
+        int b = 2;
+        int c = 3;
+        double d = 1.5;
+        int *p = &b;
+        bump(c);
+        int C::*pm = &C::pointed;
+        C o;
+        o.plain = a;
+        o.*pm = 4;
+        print_int(a + *p + c + o.plain + o.pointed);
+        return 0;
+      }|}
+  in
+  let open Runtime.Resolve in
+  let rp = program (Util.check_source src) in
+  let unboxed = Telemetry.Counter.make "runtime.slots.unboxed_int"
+  and boxed = Telemetry.Counter.make "runtime.slots.boxed_fallback" in
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  let u0 = Telemetry.Counter.value unboxed
+  and b0 = Telemetry.Counter.value boxed in
+  let bk =
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_enabled was)
+      (fun () -> banks rp)
+  in
+  let name = function BInt -> "int" | BBox -> "boxed" in
+  let main_idx =
+    Hashtbl.find rp.rp_func_idx (Sema.Typed_ast.Func_id.FFree "main")
+  in
+  let main = bk.bk_funcs.(main_idx) in
+  List.iter
+    (fun (what, slot, want) ->
+      Util.check_string what (name want) (name main.ub_bank.(slot)))
+    [
+      ("plain int local", 0, BInt);
+      ("address-taken int local", 1, BBox);
+      ("int bound to an int& parameter", 2, BBox);
+      ("double local", 3, BBox);
+    ];
+  List.iter
+    (fun (what, m, want) ->
+      Util.check_string what (name want) (name (member_bank bk m)))
+    [
+      ("int member named by &C::pointed", ("C", "pointed"), BBox);
+      ("plain int member", ("C", "plain"), BInt);
+    ];
+  (* a, C::plain unboxed; b, c, d, p, pm, o, bump's r, C::pointed boxed *)
+  Util.check_int "runtime.slots.unboxed_int" 2
+    (Telemetry.Counter.value unboxed - u0);
+  Util.check_int "runtime.slots.boxed_fallback" 8
+    (Telemetry.Counter.value boxed - b0);
+  (* the verdicts do not change behaviour *)
+  check_two "bank verdicts" src
+
 let suite =
   [
     Util.test "int overflow wraps identically in all engines"
       t_int_overflow_pin;
     Util.test "float NaN/inf compares pinned against the tree walker"
       t_float_nan_pin;
+    Util.test "bank verdicts: one per escape rule" t_bank_verdicts;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_mixed_banks ]
