@@ -193,21 +193,15 @@ let ablation () =
   Fmt.pr "%s@." (String.make 64 '-');
   List.iter
     (fun (b : Suite.t) ->
-      let prog = Suite.program b in
-      let dead_with alg =
-        let config =
-          { Deadmem.Config.paper with Deadmem.Config.call_graph = alg }
-        in
-        let r = Deadmem.Liveness.analyze ~config prog in
-        ( List.length (Deadmem.Liveness.dead_members r),
-          r.Deadmem.Liveness.callgraph )
-      in
-      let cha, cha_cg = dead_with Callgraph.Cha in
-      let rta, rta_cg = dead_with Callgraph.Rta in
-      let pta, pta_cg = dead_with Callgraph.Pta in
-      Fmt.pr "%-10s %6d %6d %6d %10d %10d %10d@." b.Suite.name cha rta pta
-        (Callgraph.num_nodes cha_cg) (Callgraph.num_nodes rta_cg)
-        (Callgraph.num_nodes pta_cg))
+      match
+        Deadmem.Precision.measure
+          ~tiers:[ Callgraph.Cha; Callgraph.Rta; Callgraph.Pta ]
+          (Suite.program b)
+      with
+      | [ cha; rta; pta ] ->
+          Fmt.pr "%-10s %6d %6d %6d %10d %10d %10d@." b.Suite.name cha.dead
+            rta.dead pta.dead cha.nodes rta.nodes pta.nodes
+      | _ -> assert false)
     Suite.all;
   Fmt.pr
     "@.(RTA never finds fewer dead members than CHA, nor PTA fewer than RTA;@.\
@@ -274,8 +268,7 @@ let stats_json (s : Pta.stats) =
 
 let pta_stress () =
   let prog = Synth.program Synth.stress in
-  (* 1-CFA first: its dispatch lookups fill the class table's memo, so
-     the plain solve's words measure the solver alone *)
+  (* 1-CFA first, then the plain solve whose words are measured *)
   let pta1_stats, pta1_wall =
     let sol1, w1, _, _ =
       measure_solver (fun () -> Pta.analyze ~mode:Pta.OneCfa prog)

@@ -39,32 +39,24 @@ let read_source path =
 
 let load path = Sema.Type_check.check_source ~file:path (read_source path)
 
-let rec handle_errors f =
-  try f () with
-  (* a destructor that failed while an error unwound its scope: report
-     the destructor's error, the one the program ended with *)
-  | Fun.Finally_raised e -> handle_errors (fun () -> raise e)
-  | Frontend.Source.Compile_error d ->
-      Fmt.epr "%a@." Frontend.Source.pp_diagnostic d;
-      exit exit_diagnostics
-  | Runtime.Value.Runtime_error m ->
-      Fmt.epr "runtime error: %s@." m;
-      exit exit_diagnostics
-  | Runtime.Value.Limit_exceeded m ->
-      Fmt.epr "resource limit: %s@." m;
-      exit exit_limit
-  | Sys_error m ->
-      Fmt.epr "error: %s@." m;
-      exit exit_usage
-  | Invalid_argument m ->
-      Fmt.epr "invalid argument: %s@." m;
-      exit exit_usage
-  | Stack_overflow ->
-      Fmt.epr "resource limit: native stack exhausted@.";
-      exit exit_limit
-  | Out_of_memory ->
-      Fmt.epr "resource limit: out of memory@.";
-      exit exit_limit
+(* The daemon's failure taxonomy, as exit codes; I/O errors are the
+   CLI's own. *)
+let handle_errors f =
+  try f ()
+  with e -> (
+    match Server.Protocol.failure_of_exn e with
+    | Some (kind, msg, _) ->
+        Fmt.epr "%s@." msg;
+        exit (if kind = Server.Protocol.Limit then exit_limit else exit_diagnostics)
+    | None -> (
+        match Server.Protocol.root_exn e with
+        | Sys_error m ->
+            Fmt.epr "error: %s@." m;
+            exit exit_usage
+        | Invalid_argument m ->
+            Fmt.epr "invalid argument: %s@." m;
+            exit exit_usage
+        | e -> raise e))
 
 (* -- shared options -------------------------------------------------------- *)
 
@@ -117,10 +109,44 @@ let keep_going_flag =
   in
   Arg.(value & flag & info [ "k"; "keep-going" ] ~doc)
 
-let config_of ~alg ~conservative ~library_classes () =
-  let base = if conservative then Deadmem.Config.default else Deadmem.Config.paper in
-  let base = { base with Deadmem.Config.call_graph = alg } in
-  Deadmem.Config.with_library_classes library_classes base
+(* The front half of analyze/explain: the strict checker stops at the
+   first error; keep-going builds a front-cache entry as the daemon
+   does and prints every diagnostic. Returns the program, its unknown
+   regions and the exit code the diagnostics call for. *)
+let load_analysis ~keep_going file =
+  if keep_going then begin
+    let e = Server.Cache.build ~file (read_source file) in
+    Fmt.epr "%s%!" e.Server.Cache.e_diag_text;
+    ( e.Server.Cache.e_prog,
+      e.Server.Cache.e_unknown,
+      if e.Server.Cache.e_errors > 0 then exit_diagnostics else exit_ok )
+  end
+  else (load file, [], exit_ok)
+
+(* --format for check, profile and precision *)
+let format_opt ?(what = "") () =
+  let doc = "Output format: 'text' (default) or 'json'" ^ what ^ "." in
+  let fmt = Arg.enum [ ("text", `Text); ("json", `Json) ] in
+  Arg.(value & opt fmt `Text & info [ "format" ] ~docv:"FORMAT" ~doc)
+
+(* --step-limit, --call-depth-limit and --object-limit for run and
+   profile; the daemon's are defaults for each run request. *)
+let limits_opt ~daemon =
+  let opt name default ~plain ~per_request =
+    let doc = if daemon then per_request else plain in
+    Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc)
+  in
+  Term.(
+    const (fun s d o -> (s, d, o))
+    $ opt "step-limit" Runtime.Interp.default_step_limit
+        ~plain:"Interpreter step budget."
+        ~per_request:"Default interpreter step budget per run request."
+    $ opt "call-depth-limit" Runtime.Interp.default_call_depth_limit
+        ~plain:"Maximum interpreter call depth (exit 3 when exceeded)."
+        ~per_request:"Default maximum interpreter call depth per run request."
+    $ opt "object-limit" Runtime.Interp.default_heap_object_limit
+        ~plain:"Maximum number of objects created (exit 3 when exceeded)."
+        ~per_request:"Default maximum objects created per run request.")
 
 let engine_opt =
   let doc =
@@ -211,24 +237,10 @@ let analyze_cmd =
       metrics metrics_format trace_out =
     handle_errors (fun () ->
         with_telemetry ~metrics_format ~metrics ~trace_out @@ fun () ->
-        let config = config_of ~alg ~conservative ~library_classes () in
-        let prog, unknown, code =
-          if keep_going then begin
-            let src = read_source file in
-            let diags = Frontend.Source.Diagnostics.create () in
-            let prog, unknown =
-              Sema.Type_check.check_source_resilient ~file ~diags src
-            in
-            Fmt.epr "%a" Frontend.Source.Diagnostics.pp diags;
-            let code =
-              if Frontend.Source.Diagnostics.has_errors diags then
-                exit_diagnostics
-              else exit_ok
-            in
-            (prog, unknown, code)
-          end
-          else (load file, [], exit_ok)
+        let config =
+          Deadmem.Config.make ~conservative ~library_classes alg
         in
+        let prog, unknown, code = load_analysis ~keep_going file in
         let result = Deadmem.Liveness.analyze ~config ~unknown prog in
         let report = Deadmem.Report.of_result prog result in
         Fmt.pr "configuration: %a@." Deadmem.Config.pp config;
@@ -258,48 +270,20 @@ let analyze_cmd =
 
 (* -- explain ------------------------------------------------------------------ *)
 
-(* "Class::member" -> ("Class", "member"); both halves non-empty. *)
-let split_member s =
-  let n = String.length s in
-  let rec find i =
-    if i + 1 >= n then None
-    else if s.[i] = ':' && s.[i + 1] = ':' then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some i when i > 0 && i + 2 < n ->
-      Some (String.sub s 0 i, String.sub s (i + 2) (n - i - 2))
-  | _ -> None
-
 let explain_cmd =
   let run member file alg conservative library_classes keep_going
       metrics metrics_format trace_out =
     handle_errors (fun () ->
         with_telemetry ~metrics_format ~metrics ~trace_out @@ fun () ->
-        match split_member member with
-        | None ->
-            Fmt.epr "error: MEMBER must have the form 'Class::member' (got '%s')@."
-              member;
+        match Server.Protocol.parse_member member with
+        | Error why ->
+            Fmt.epr "error: MEMBER %s@." why;
             exit_usage
-        | Some m ->
-            let config = config_of ~alg ~conservative ~library_classes () in
-            let prog, unknown, code =
-              if keep_going then begin
-                let src = read_source file in
-                let diags = Frontend.Source.Diagnostics.create () in
-                let prog, unknown =
-                  Sema.Type_check.check_source_resilient ~file ~diags src
-                in
-                Fmt.epr "%a" Frontend.Source.Diagnostics.pp diags;
-                let code =
-                  if Frontend.Source.Diagnostics.has_errors diags then
-                    exit_diagnostics
-                  else exit_ok
-                in
-                (prog, unknown, code)
-              end
-              else (load file, [], exit_ok)
+        | Ok m ->
+            let config =
+              Deadmem.Config.make ~conservative ~library_classes alg
             in
+            let prog, unknown, code = load_analysis ~keep_going file in
             let result = Deadmem.Liveness.analyze ~config ~unknown prog in
             if not (Deadmem.Liveness.known_member result m) then begin
               Fmt.epr
@@ -396,10 +380,7 @@ let check_cmd =
         let dead_count =
           match entry with
           | Ok e when errors = 0 -> (
-              let config =
-                config_of ~alg ~conservative:false ~library_classes:[] ()
-              in
-              match Server.Cache.analyze e ~config with
+              match Server.Cache.analyze e ~config:(Deadmem.Config.make alg) with
               | r -> Some (List.length (Deadmem.Liveness.dead_members r))
               | exception _ -> None)
           | _ -> None
@@ -485,11 +466,6 @@ let check_cmd =
     let doc = "MiniC++ source files to diagnose." in
     Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE" ~doc)
   in
-  let format_arg =
-    let doc = "Output format: 'text' (default) or 'json' (one object per file)." in
-    let fmt = Arg.enum [ ("text", `Text); ("json", `Json) ] in
-    Arg.(value & opt fmt `Text & info [ "format" ] ~docv:"FORMAT" ~doc)
-  in
   let doc =
     "Diagnose MiniC++ translation units in batch. Every file is parsed \
      and type-checked with full error recovery; failures are isolated \
@@ -497,13 +473,14 @@ let check_cmd =
      errors, 2 when any file cannot be read."
   in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(const run $ files_arg $ format_arg $ callgraph_alg $ jobs_arg
+    Term.(const run $ files_arg $ format_opt ~what:" (one object per file)" ()
+          $ callgraph_alg $ jobs_arg
           $ metrics_opt $ metrics_format_opt $ trace_out_opt)
 
 (* -- run ---------------------------------------------------------------------- *)
 
 let run_cmd =
-  let run file profile engine step_limit call_depth_limit heap_object_limit =
+  let run file profile engine (step_limit, call_depth_limit, heap_object_limit) =
     handle_errors (fun () ->
         let prog = load file in
         let dead =
@@ -528,24 +505,9 @@ let run_cmd =
          & info [ "profile" ]
              ~doc:"Run the dead-member analysis first and report dead object space.")
   in
-  let step_limit =
-    Arg.(value & opt int Runtime.Interp.default_step_limit
-         & info [ "step-limit" ] ~docv:"N" ~doc:"Interpreter step budget.")
-  in
-  let call_depth_limit =
-    Arg.(value & opt int Runtime.Interp.default_call_depth_limit
-         & info [ "call-depth-limit" ] ~docv:"N"
-             ~doc:"Maximum interpreter call depth (exit 3 when exceeded).")
-  in
-  let heap_object_limit =
-    Arg.(value & opt int Runtime.Interp.default_heap_object_limit
-         & info [ "object-limit" ] ~docv:"N"
-             ~doc:"Maximum number of objects created (exit 3 when exceeded).")
-  in
   let doc = "Execute a MiniC++ program under the instrumented interpreter." in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run $ file_arg $ profile $ engine_opt $ step_limit
-          $ call_depth_limit $ heap_object_limit)
+    Term.(const run $ file_arg $ profile $ engine_opt $ limits_opt ~daemon:false)
 
 (* -- profile ------------------------------------------------------------------- *)
 
@@ -554,7 +516,8 @@ let run_cmd =
    dispatch counts, per-function instruction/call counts, and the
    back-branch sites that identify hot loops. *)
 let profile_cmd =
-  let run file bench format top step_limit call_depth_limit heap_object_limit =
+  let run file bench format top (step_limit, call_depth_limit, heap_object_limit)
+      =
     handle_errors (fun () ->
         let prog =
           match (bench, file) with
@@ -599,28 +562,9 @@ let profile_cmd =
     in
     Arg.(value & opt (some string) None & info [ "bench" ] ~docv:"NAME" ~doc)
   in
-  let format_arg =
-    let doc = "Output format: 'text' (default) or 'json'." in
-    let fmt = Arg.enum [ ("text", `Text); ("json", `Json) ] in
-    Arg.(value & opt fmt `Text & info [ "format" ] ~docv:"FORMAT" ~doc)
-  in
   let top_arg =
     let doc = "Rows per table in text output (at least 1)." in
     Arg.(value & opt int 20 & info [ "top" ] ~docv:"N" ~doc)
-  in
-  let step_limit =
-    Arg.(value & opt int Runtime.Interp.default_step_limit
-         & info [ "step-limit" ] ~docv:"N" ~doc:"Interpreter step budget.")
-  in
-  let call_depth_limit =
-    Arg.(value & opt int Runtime.Interp.default_call_depth_limit
-         & info [ "call-depth-limit" ] ~docv:"N"
-             ~doc:"Maximum interpreter call depth (exit 3 when exceeded).")
-  in
-  let heap_object_limit =
-    Arg.(value & opt int Runtime.Interp.default_heap_object_limit
-         & info [ "object-limit" ] ~docv:"N"
-             ~doc:"Maximum number of objects created (exit 3 when exceeded).")
   in
   let doc =
     "Execute a MiniC++ program on the bytecode VM with the hot-site \
@@ -630,8 +574,8 @@ let profile_cmd =
      superinstructions do not hide hot loops."
   in
   Cmd.v (Cmd.info "profile" ~doc)
-    Term.(const run $ file_arg $ bench_arg $ format_arg $ top_arg $ step_limit
-          $ call_depth_limit $ heap_object_limit)
+    Term.(const run $ file_arg $ bench_arg $ format_opt () $ top_arg
+          $ limits_opt ~daemon:false)
 
 (* -- callgraph ---------------------------------------------------------------- *)
 
@@ -657,7 +601,7 @@ let strip_cmd =
   let run file alg conservative library_classes =
     handle_errors (fun () ->
         let src = read_source file in
-        let config = config_of ~alg ~conservative ~library_classes () in
+        let config = Deadmem.Config.make ~conservative ~library_classes alg in
         let text, removed =
           Deadmem.Eliminate.strip_to_source ~config ~source:src ~file ()
         in
@@ -687,10 +631,7 @@ let bench_cmd =
         | None -> exit_usage
         | Some b ->
             let prog = Benchmarks.Suite.program b in
-            let config =
-              { Deadmem.Config.paper with Deadmem.Config.call_graph = alg }
-            in
-            let r = Deadmem.Liveness.analyze ~config prog in
+            let r = Deadmem.Liveness.analyze ~config:(Deadmem.Config.make alg) prog in
             let report = Deadmem.Report.of_result prog r in
             let outcome =
               Runtime.Interp.run ~engine ~dead:(Deadmem.Liveness.dead_set r)
@@ -719,25 +660,12 @@ let bench_cmd =
    the precision trajectory the paper's §3.1 observation predicts
    (call-graph precision bounds analysis precision). *)
 let precision_cmd =
-  let tiers = [ Callgraph.Cha; Callgraph.Rta; Callgraph.Pta; Callgraph.Pta1 ] in
-  let measure prog alg =
-    let config =
-      { Deadmem.Config.paper with Deadmem.Config.call_graph = alg }
-    in
-    let cg = Callgraph.build ~algorithm:alg prog in
-    let r = Deadmem.Liveness.analyze ~config prog in
-    ( Callgraph.num_nodes cg,
-      Callgraph.num_edges cg,
-      List.length (Deadmem.Liveness.dead_members r),
-      cg.Callgraph.pta_stats )
-  in
   let run format =
     handle_errors (fun () ->
         let rows =
           List.map
             (fun (b : Benchmarks.Suite.t) ->
-              let prog = Benchmarks.Suite.program b in
-              (b.name, List.map (measure prog) tiers))
+              (b.name, Deadmem.Precision.measure (Benchmarks.Suite.program b)))
             Benchmarks.Suite.all
         in
         (match format with
@@ -750,8 +678,8 @@ let precision_cmd =
               (fun (name, cells) ->
                 Fmt.pr "%-10s" name;
                 List.iter
-                  (fun (n, e, d, _) ->
-                    Fmt.pr " %22s" (Fmt.str "%d/%d/%d" n e d))
+                  (fun (c : Deadmem.Precision.cell) ->
+                    Fmt.pr " %22s" (Fmt.str "%d/%d/%d" c.nodes c.edges c.dead))
                   cells;
                 Fmt.pr "@.")
               rows;
@@ -761,59 +689,38 @@ let precision_cmd =
               "fallback" "delta" "iters" "ctxs";
             List.iter
               (fun (name, cells) ->
-                List.iter2
-                  (fun alg (_, _, _, stats) ->
-                    match stats with
+                List.iter
+                  (fun (c : Deadmem.Precision.cell) ->
+                    match c.solver with
                     | None -> ()
                     | Some (s : Pta.stats) ->
                         Fmt.pr "%-10s %5s %9d %6d %6d %6d@." name
-                          (String.lowercase_ascii
-                             (Callgraph.algorithm_to_string alg))
+                          (Deadmem.Precision.tier_name c)
                           s.Pta.p_fallback_sites s.Pta.p_delta_props
                           s.Pta.p_solver_iters s.Pta.p_contexts)
-                  tiers cells)
+                  cells)
               rows
         | `Json ->
-            let row_json (name, cells) =
-              let cell alg (n, e, d, stats) =
-                let solver =
-                  match stats with
-                  | None -> ""
-                  | Some (s : Pta.stats) ->
-                      Fmt.str
-                        {|,"solver":{"fallback_sites":%d,"delta_props":%d,"solver_iters":%d,"contexts":%d,"constraints":%d}|}
-                        s.Pta.p_fallback_sites s.Pta.p_delta_props
-                        s.Pta.p_solver_iters s.Pta.p_contexts
-                        s.Pta.p_constraints
-                in
-                Fmt.str {|"%s":{"nodes":%d,"edges":%d,"dead_members":%d%s}|}
-                  (String.lowercase_ascii (Callgraph.algorithm_to_string alg))
-                  n e d solver
-              in
-              Fmt.str {|{"benchmark":"%s",%s}|} name
-                (String.concat "," (List.map2 cell tiers cells))
-            in
-            Fmt.pr "[%s]@." (String.concat "," (List.map row_json rows)));
+            Fmt.pr "[%s]@."
+              (String.concat ","
+                 (List.map
+                    (fun (name, cells) -> Deadmem.Precision.row_json name cells)
+                    rows)));
         exit_ok)
     |> exit
-  in
-  let format_arg =
-    let doc = "Output format: 'text' (default) or 'json'." in
-    let fmt = Arg.enum [ ("text", `Text); ("json", `Json) ] in
-    Arg.(value & opt fmt `Text & info [ "format" ] ~docv:"FORMAT" ~doc)
   in
   let doc =
     "Print per-benchmark dead-member counts and call-graph sizes for the \
      CHA, RTA, PTA and PTA1 tiers side by side, plus points-to solver \
      statistics (fallback sites, set sharing, difference propagation)."
   in
-  Cmd.v (Cmd.info "precision" ~doc) Term.(const run $ format_arg)
+  Cmd.v (Cmd.info "precision" ~doc) Term.(const run $ format_opt ())
 
 (* -- serve -------------------------------------------------------------------- *)
 
 let serve_cmd =
   let run socket jobs queue_cap deadline_ms max_request_bytes fault_injection
-      step_limit call_depth_limit heap_object_limit slow_ms =
+      (step_limit, call_depth_limit, heap_object_limit) slow_ms =
     handle_errors (fun () ->
         let cfg =
           {
@@ -879,21 +786,6 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "fault-injection" ] ~doc)
   in
-  let step_limit =
-    Arg.(value & opt int Runtime.Interp.default_step_limit
-         & info [ "step-limit" ] ~docv:"N"
-             ~doc:"Default interpreter step budget per run request.")
-  in
-  let call_depth_limit =
-    Arg.(value & opt int Runtime.Interp.default_call_depth_limit
-         & info [ "call-depth-limit" ] ~docv:"N"
-             ~doc:"Default maximum interpreter call depth per run request.")
-  in
-  let heap_object_limit =
-    Arg.(value & opt int Runtime.Interp.default_heap_object_limit
-         & info [ "object-limit" ] ~docv:"N"
-             ~doc:"Default maximum objects created per run request.")
-  in
   let slow_ms =
     let doc =
       "Log every request whose end-to-end latency (queue wait included) \
@@ -913,8 +805,8 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run $ socket $ jobs $ queue_cap $ deadline_ms
-          $ max_request_bytes $ fault_injection $ step_limit
-          $ call_depth_limit $ heap_object_limit $ slow_ms)
+          $ max_request_bytes $ fault_injection $ limits_opt ~daemon:true
+          $ slow_ms)
 
 let () =
   let doc = "dead data member detection for MiniC++ (Sweeney & Tip, PLDI'98)" in

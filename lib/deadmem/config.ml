@@ -48,6 +48,12 @@ let paper =
 let with_library_classes names cfg =
   { cfg with library_classes = StringSet.of_list names }
 
+(* The configuration both front doors (CLI flags, daemon request
+   fields) build: the paper's unless [conservative]. *)
+let make ?(conservative = false) ?(library_classes = []) call_graph =
+  let base = if conservative then default else paper in
+  with_library_classes library_classes { base with call_graph }
+
 let pp_sizeof_policy ppf = function
   | Sizeof_conservative -> Fmt.string ppf "conservative"
   | Sizeof_ignore -> Fmt.string ppf "ignore"

@@ -35,5 +35,12 @@ val paper : t
 
 val with_library_classes : string list -> t -> t
 
+(** [make alg] is {!paper} with call graph [alg]; {!default} instead
+    when [conservative]; [library_classes] as {!with_library_classes}.
+    The one constructor the CLI's flags and the daemon's request
+    fields go through. *)
+val make :
+  ?conservative:bool -> ?library_classes:string list -> Callgraph.algorithm -> t
+
 val pp_sizeof_policy : Format.formatter -> sizeof_policy -> unit
 val pp : Format.formatter -> t -> unit

@@ -3015,7 +3015,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let id = fresh_obj_id vm in
         Profile.record_alloc vm.profile ~id ~cls:w_cls ~count:n;
         let cells =
-          Array.init n (fun _ ->
+          guest_array n (fun _ ->
               VObj (construct_raw vm w_cid w_cls w_ctor empty_vals 0 0))
         in
         ost.(sp - 1) <- VPtr (PArr ({ arr_id = id; cells }, 0));
@@ -3024,7 +3024,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let n = as_int ost.(sp - 1) in
         if n < 0 then runtime_error "negative array size in new[]";
         Profile.record_scalar_alloc vm.profile ~bytes:(n * elem_bytes);
-        let cells = Array.init n (fun _ -> default_value ty) in
+        let cells = guest_array n (fun _ -> default_value ty) in
         ost.(sp - 1) <- VPtr (PArr ({ arr_id = -1; cells }, 0));
         loop (pc + 1) sp isp
     | IDelete ->
@@ -3047,7 +3047,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let id = fresh_obj_id vm in
         Profile.record_alloc vm.profile ~id ~cls:ds_cls ~count:ds_len;
         let cells =
-          Array.init ds_len (fun _ ->
+          guest_array ds_len (fun _ ->
               VObj (construct_raw vm ds_cid ds_cls ds_ctor empty_vals 0 0))
         in
         locals.(ds_slot) <- VArr { arr_id = id; cells };
@@ -3125,7 +3125,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | IInitFieldArr { ia_slots; ia_member; ia_cid; ia_cls; ia_ctor; ia_len } ->
         let o = this_obj frame in
         let cells =
-          Array.init ia_len (fun _ ->
+          guest_array ia_len (fun _ ->
               VObj (construct_raw vm ia_cid ia_cls ia_ctor empty_vals 0 0))
         in
         o.fields.cells.(field_slot o ia_slots ia_member) <-
@@ -4023,8 +4023,8 @@ let no_shape : fshape = { nbox = 0; nint = 0 }
 let execute (vm : vm) : value =
   let cp = vm.cp in
   let rp = cp.cp_rp in
-  (* native resource exhaustion becomes a structured limit error, as in
-     the tree engine *)
+  (* [abort()] and native resource exhaustion end the run as in the
+     tree engine *)
   try
     (* globals, in declaration order *)
     Array.iteri
@@ -4036,9 +4036,9 @@ let execute (vm : vm) : value =
                 (exec_code vm (new_frame vm no_shape body None) body 0)
           | None -> default_value g.rg_default))
       rp.rp_globals;
-    (try call_function vm rp.rp_main ~this:None empty_vals 0 0
-     with Abort_called -> VInt 134)
+    call_function vm rp.rp_main ~this:None empty_vals 0 0
   with
+  | e when is_abort e -> VInt 134
   | Stack_overflow ->
       limit_exceeded "interpreter stack exhausted (call depth limit %d)"
         vm.call_depth_limit

@@ -30,7 +30,6 @@ open Resolve
 exception Return_exc of value
 exception Break_exc
 exception Continue_exc
-exception Abort_called = Value.Abort_called
 
 type env = {
   rp : rprogram;
@@ -196,14 +195,14 @@ let rec eval env frame (e : rexpr) : value =
       let id = fresh_obj_id env in
       Profile.record_alloc env.profile ~id ~cls:na_cls ~count:n;
       let cells =
-        Array.init n (fun _ -> VObj (construct_raw env na_cid na_cls na_ctor [||]))
+        guest_array n (fun _ -> VObj (construct_raw env na_cid na_cls na_ctor [||]))
       in
       VPtr (PArr ({ arr_id = id; cells }, 0))
   | RNewArrScalar { nas_ty; nas_elem_bytes; nas_len } ->
       let n = as_int (eval env frame nas_len) in
       if n < 0 then runtime_error "negative array size in new[]";
       Profile.record_scalar_alloc env.profile ~bytes:(n * nas_elem_bytes);
-      let cells = Array.init n (fun _ -> default_value nas_ty) in
+      let cells = guest_array n (fun _ -> default_value nas_ty) in
       VPtr (PArr ({ arr_id = -1; cells }, 0))
   | RInvalid msg -> runtime_error "%s" msg
 
@@ -480,7 +479,7 @@ and run_ctor env (o : obj) (rf : rfunc) (plan : ctor_plan) argv ~most_derived =
           o.fields.cells.(field_slot o fc_slots fc_member) <- VObj sub
       | FPClassArr { fa_slots; fa_member; fa_cid; fa_cls; fa_ctor; fa_len } ->
           let cells =
-            Array.init fa_len (fun _ ->
+            guest_array fa_len (fun _ ->
                 VObj (construct_raw env fa_cid fa_cls fa_ctor [||]))
           in
           o.fields.cells.(field_slot o fa_slots fa_member) <-
@@ -609,7 +608,7 @@ and exec_decl env frame (d : rdecl) =
       let id = fresh_obj_id env in
       Profile.record_alloc env.profile ~id ~cls:d_cls ~count:d_len;
       let cells =
-        Array.init d_len (fun _ ->
+        guest_array d_len (fun _ ->
             VObj (construct_raw env d_cid d_cls d_ctor [||]))
       in
       frame.locals.cells.(d_slot) <- VArr { arr_id = id; cells }
@@ -743,9 +742,11 @@ let run_tree ~dead ~step_limit ~call_depth_limit ~heap_object_limit ?lowered
   Fun.protect ~finally:record_telemetry @@ fun () ->
   let init_frame = new_frame 0 None in
   let ret =
-    (* native resource exhaustion (a Stack_overflow the depth guard did
-       not preempt, or the allocator running dry) becomes a structured
-       limit error, never an uncaught native exception *)
+    (* [abort()], wherever the guest calls it, ends the run with
+       status 134; native resource exhaustion (a Stack_overflow the
+       depth guard did not preempt, or the allocator running dry)
+       becomes a structured limit error, never an uncaught native
+       exception *)
     try
       (* globals, in declaration order *)
       Array.iteri
@@ -755,9 +756,9 @@ let run_tree ~dead ~step_limit ~call_depth_limit ~heap_object_limit ?lowered
             | Some e -> coerce g.rg_coerce (eval env init_frame e)
             | None -> default_value g.rg_default))
         rp.rp_globals;
-      try call_function env rp.rp_main ~this:None [||]
-      with Abort_called -> VInt 134
+      call_function env rp.rp_main ~this:None [||]
     with
+    | e when is_abort e -> VInt 134
     | Stack_overflow ->
         limit_exceeded "interpreter stack exhausted (call depth limit %d)"
           env.call_depth_limit

@@ -20,11 +20,12 @@
 
 open Sema
 
-exception Abort_called
-
 (** Result of executing a program's [main]. *)
 type outcome = {
-  return_value : int;  (** main's return value ([134] after [abort()]) *)
+  return_value : int;
+      (** main's return value; [134] after [abort()], wherever the guest
+          called it: in [main], in a global initializer, or in a
+          destructor while an error unwound *)
   output : string;  (** everything the [print_*] builtins produced *)
   snapshot : Profile.snapshot;  (** the object-space measurements *)
   steps : int;  (** interpreter steps consumed *)
@@ -65,7 +66,9 @@ val default_heap_object_limit : int
     native [Stack_overflow]/[Out_of_memory] escaping the evaluator — is
     reported as {!Value.Limit_exceeded} (the CLI maps it to exit code 3),
     never as an uncaught native exception. The limits in force are echoed
-    in the outcome's profile {!Profile.snapshot.limits}. A wall-clock
+    in the outcome's profile {!Profile.snapshot.limits}. A guest array
+    longer than [Sys.max_array_length] is a {!Value.Limit_exceeded} too,
+    in both engines. A wall-clock
     deadline armed with [Value.arm_deadline] (the serve daemon's
     per-request budget) is checked at the same tick points and reported
     the same way.
@@ -73,6 +76,9 @@ val default_heap_object_limit : int
     [lowered] must be [lower] of this same program; when it is not
     given, [run] lowers the program itself (the tree engine then only
     resolves it).
+
+    [abort()] never escapes: the run ends with return value 134 and the
+    output so far.
 
     @raise Value.Runtime_error on dynamic errors (null dereference,
     division by zero, out-of-bounds access…).

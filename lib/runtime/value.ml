@@ -152,6 +152,17 @@ let value_eq a b =
   | VMemPtr a, VMemPtr b -> Member.equal a b
   | _ -> runtime_error "incomparable values"
 
+(* Every array whose length the guest program chooses — [new T[n]],
+   local, global, static and member arrays, stack and member arrays of
+   objects — is allocated here, in both engines: a length past
+   [Sys.max_array_length] is a resource limit, not an [Invalid_argument]
+   escaping the run. *)
+let guest_array n f =
+  if n > Sys.max_array_length then
+    limit_exceeded "array of %d elements exceeds the maximum array length %d" n
+      Sys.max_array_length;
+  Array.init n f
+
 (* Default (zero) value for a type; class-typed slots are filled during
    construction and [VUnit] here is a placeholder that construction
    replaces. *)
@@ -166,7 +177,7 @@ let rec default_value (ty : Frontend.Ast.type_expr) : value =
   | Frontend.Ast.TRef _ -> VNull
   | Frontend.Ast.TNamed _ -> VUnit (* replaced by construction *)
   | Frontend.Ast.TArr (elem, n) ->
-      VArr { arr_id = -1; cells = Array.init n (fun _ -> default_value elem) }
+      VArr { arr_id = -1; cells = guest_array n (fun _ -> default_value elem) }
   | Frontend.Ast.TVoid -> VUnit
 
 (* Coerce a value being stored into a slot of static type [ty]: truncates
@@ -233,8 +244,16 @@ let mk_frame ~ints nslots this =
   }
 
 (* Raised by the [abort()] builtin; intercepted at the interpreter entry
-   point, where it becomes exit status 134. *)
+   point, where it becomes exit status 134. It never leaves the engines. *)
 exception Abort_called
+
+(* Whether a run ended in [abort()]: also when a destructor called it
+   while an error unwound its scope, which wraps it in
+   [Fun.Finally_raised]. *)
+let rec is_abort = function
+  | Abort_called -> true
+  | Fun.Finally_raised e -> is_abort e
+  | _ -> false
 
 (* -- operator semantics ----------------------------------------------------------
 

@@ -48,14 +48,9 @@ type cls = {
 type t = {
   classes : cls StringMap.t;
   order : string list;  (* declaration order *)
-  (* memoized hierarchy lookups (see Member_lookup): key is
-     "<kind>:<start>:<member>", value the set of defining classes *)
-  lookup_cache : (string, string list) Hashtbl.t;
   subclass_index : string list StringMap.t;
       (* class -> its strict subclasses, in declaration order *)
 }
-
-let lookup_cache t = t.lookup_cache
 
 let find t name = StringMap.find_opt name t.classes
 
@@ -311,7 +306,6 @@ let of_program (prog : Ast.program) : t =
     {
       classes = !classes;
       order = List.rev !order;
-      lookup_cache = Hashtbl.create 64;
       subclass_index = StringMap.empty;
     }
   in
@@ -368,7 +362,7 @@ let of_program (prog : Ast.program) : t =
     end
   in
   List.iter promote table.order;
-  let t = { table with classes = !classes; lookup_cache = Hashtbl.create 64 } in
+  let t = { table with classes = !classes } in
   let t = { t with subclass_index = subclass_index t } in
   Telemetry.Counter.add classes_counter (List.length t.order);
   Telemetry.Counter.add members_counter

@@ -56,11 +56,6 @@ val find : t -> string -> cls option
 val find_exn : t -> string -> cls
 val mem : t -> string -> bool
 
-(** The table's memoized hierarchy-lookup store. Owned by
-    {!Member_lookup}; exposed here because the cache's lifetime must
-    match the (immutable) hierarchy it summarises. *)
-val lookup_cache : t -> (string, string list) Hashtbl.t
-
 (** All classes, in declaration order. *)
 val all_classes : t -> cls list
 

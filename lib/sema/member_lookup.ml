@@ -11,93 +11,64 @@
      non-virtual base) is ambiguous and rejected. *)
 
 open Frontend
-module StringSet = Set.Make (String)
 
 type 'a result = Found of string * 'a | NotFound | Ambiguous of string list
 
+(* telemetry instrument (a no-op unless collection is enabled) *)
+let lookups_counter = Telemetry.Counter.make "sema.lookups"
+
 (* Generic hierarchy search: [own c] extracts the candidate defined
    directly in class [c]. Hiding: if [own] succeeds at [c], bases of [c]
-   are not searched. Returns the set of defining classes. *)
+   are not searched. Returns the (defining class, candidate) pairs met,
+   one per path. The walk runs on every lookup — hierarchies are a few
+   classes deep — and stores nothing, so the class table stays
+   immutable and is shared freely across domains. *)
 let search table ~start ~own =
-  let rec go cls_name : StringSet.t =
+  let rec go cls_name acc =
     match Class_table.find table cls_name with
-    | None -> StringSet.empty
+    | None -> acc
     | Some c -> (
         match own c with
-        | Some _ -> StringSet.singleton cls_name
+        | Some x -> (cls_name, x) :: acc
         | None ->
             List.fold_left
-              (fun acc (b : Ast.base_spec) -> StringSet.union acc (go b.b_name))
-              StringSet.empty c.c_bases)
+              (fun acc (b : Ast.base_spec) -> go b.b_name acc)
+              acc c.c_bases)
   in
-  go start
+  go start []
 
-(* telemetry instruments (no-ops unless collection is enabled) *)
-let lookups_counter = Telemetry.Counter.make "sema.lookups"
-let cache_hits_counter = Telemetry.Counter.make "sema.lookup_cache_hits"
-let cache_misses_counter = Telemetry.Counter.make "sema.lookup_cache_misses"
-
-(* The memo Hashtbl lives in the class table, which the content-keyed
-   caches share across worker domains (serve daemon, duplicate files in
-   a parallel batch); unguarded concurrent mutation of a Hashtbl can
-   corrupt it. One short-held module lock covers the find and the add —
-   the search itself runs outside it, so at worst a result is computed
-   twice. *)
-let cache_mutex = Mutex.create ()
-
-(* The set of defining classes for (kind, start, name) depends only on
-   the (immutable) hierarchy, so it is memoized in the class table's
-   lookup cache; [own] must be the canonical extractor for [kind]. *)
-let defining_classes table ~kind ~start ~name ~own : string list =
+let classify table ~start ~own : 'a result =
   Telemetry.Counter.incr lookups_counter;
-  let cache = Class_table.lookup_cache table in
-  let key = kind ^ ":" ^ start ^ ":" ^ name in
-  match Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache key) with
-  | Some ds ->
-      Telemetry.Counter.incr cache_hits_counter;
-      ds
-  | None ->
-      Telemetry.Counter.incr cache_misses_counter;
-      let ds = StringSet.elements (search table ~start ~own) in
-      Mutex.protect cache_mutex (fun () -> Hashtbl.replace cache key ds);
-      ds
-
-let classify table ~kind ~start ~name ~own : 'a result =
-  let defining = defining_classes table ~kind ~start ~name ~own in
-  match defining with
+  match search table ~start ~own with
   | [] -> NotFound
-  | [ d ] -> (
-      match Class_table.find table d with
-      | Some c -> (
-          match own c with
-          | Some x -> Found (d, x)
-          | None -> NotFound (* unreachable: d came from [own] succeeding *))
-      | None -> NotFound)
-  | ds ->
-      (* Distinct defining classes: ambiguous, unless one dominates the
-         others (i.e. all others are bases of it, as with the classic
-         virtual-base dominance rule). *)
-      let dominators =
-        List.filter
-          (fun d ->
-            List.for_all
-              (fun other ->
-                other = d || Class_table.is_strict_base_of table ~base:other ~derived:d)
-              ds)
-          ds
-      in
-      (match dominators with
-      | [ d ] -> (
-          match Class_table.find table d with
-          | Some c -> (
-              match own c with Some x -> Found (d, x) | None -> Ambiguous ds)
-          | None -> Ambiguous ds)
-      | _ -> Ambiguous ds)
+  | [ (d, x) ] -> Found (d, x)
+  | found -> (
+      (* one defining class reached along several paths (a shared
+         virtual base) is one member *)
+      match List.sort_uniq String.compare (List.map fst found) with
+      | [ d ] -> Found (d, List.assoc d found)
+      | ds -> (
+          (* Distinct defining classes: ambiguous, unless one dominates
+             the others (i.e. all others are bases of it, as with the
+             classic virtual-base dominance rule). *)
+          let dominators =
+            List.filter
+              (fun d ->
+                List.for_all
+                  (fun other ->
+                    other = d
+                    || Class_table.is_strict_base_of table ~base:other ~derived:d)
+                  ds)
+              ds
+          in
+          match dominators with
+          | [ d ] -> Found (d, List.assoc d found)
+          | _ -> Ambiguous ds))
 
 (* Look up data member [m] starting at class [start].  Mirrors the
    paper's [Lookup(X, m)]: "m may occur in a base class of X". *)
 let lookup_field table ~start ~name : Class_table.field result =
-  classify table ~kind:"f" ~start ~name
+  classify table ~start
     ~own:(fun c -> Class_table.own_field c name)
 
 (* Look up a normal method. *)
@@ -108,7 +79,7 @@ let lookup_method table ~start ~name : Class_table.method_info result =
         m.m_name = name && m.m_kind = Ast.MethNormal)
       c.Class_table.c_methods
   in
-  classify table ~kind:"m" ~start ~name ~own
+  classify table ~start ~own
 
 exception Lookup_error of string
 

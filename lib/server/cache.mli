@@ -35,6 +35,12 @@ val charge : string -> int
 (** How many configs an entry's analysis memo keeps. *)
 val analyses_cap : int
 
+(** [build ~file source] runs the resilient checker over one unit and
+    returns an uncached entry: the front half `deadmem analyze -k` and
+    `explain -k` print. Raises whatever the checker raises on a
+    pipeline bug. *)
+val build : file:string -> string -> entry
+
 (** [get ~file source] returns the cached entry (and whether it hit)
     or runs the resilient checker and caches the result. Never caches
     a crashed pipeline (exceptions propagate) or a source over

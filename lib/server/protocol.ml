@@ -116,6 +116,29 @@ let error_response ?id ?trace ?(extra = []) kind msg =
   Printf.sprintf {|{"id":%s%s,"ok":false,"error":%s}|} (jid id) (jtrace trace)
     (jobj ([ ("kind", jstr (kind_name kind)); ("message", jstr msg) ] @ extra))
 
+(* -- failures ---------------------------------------------------------------- *)
+
+(* A [Fun.protect] finaliser that raised while an error unwound (a
+   guest destructor failing on the way out) wraps that error; the
+   finaliser's error is the one the program ended with. *)
+let rec root_exn = function Fun.Finally_raised e -> root_exn e | e -> e
+
+(* The expected failures of a work op, shared by the daemon's error
+   responses and the CLI's exit codes: a kind, the message, and any
+   extra error fields. Anything else is a bug in the pipeline. *)
+let failure_of_exn e =
+  match root_exn e with
+  | Runtime.Value.Limit_exceeded m -> Some (Limit, "resource limit: " ^ m, [])
+  | Runtime.Value.Runtime_error m -> Some (Runtime, "runtime error: " ^ m, [])
+  | Frontend.Source.Compile_error d ->
+      Some
+        ( Diagnostics,
+          Frontend.Source.diagnostic_to_string d,
+          [ ("diagnostics", jarr [ Frontend.Source.diagnostic_to_json d ]) ] )
+  | Stack_overflow -> Some (Limit, "resource limit: native stack exhausted", [])
+  | Out_of_memory -> Some (Limit, "resource limit: out of memory", [])
+  | _ -> None
+
 (* -- request parsing --------------------------------------------------------- *)
 
 module J = Telemetry.Json
@@ -274,8 +297,10 @@ let parse_request ~max_depth (line : string) : request parse_result =
       with Reject (kind, msg) -> Error (req_id, kind, msg))
   | Ok _ -> Error (None, Protocol, "request must be a JSON object")
 
-(* "Class::member" -> Member.t; both halves non-empty. *)
-let split_member s =
+(* explain's member argument, as both front doors read it:
+   "Class::member", both halves non-empty. The error is the complaint
+   each prints after naming the argument. *)
+let parse_member s =
   let n = String.length s in
   let rec find i =
     if i + 1 >= n then None
@@ -284,8 +309,8 @@ let split_member s =
   in
   match find 0 with
   | Some i when i > 0 && i + 2 < n ->
-      Some
+      Ok
         (Sema.Member.make
            ~cls:(String.sub s 0 i)
            ~name:(String.sub s (i + 2) (n - i - 2)))
-  | _ -> None
+  | _ -> Error (Printf.sprintf "must have the form 'Class::member' (got '%s')" s)

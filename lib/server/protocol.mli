@@ -79,6 +79,18 @@ val error_response :
   string ->
   string
 
+(** The exception a failure ended with: [Fun.Finally_raised e]
+    unwrapped (a guest destructor that failed while another error
+    unwound its scope). *)
+val root_exn : exn -> exn
+
+(** The expected failures of a work op, as the error kind, the message
+    and extra error fields: resource limits, runtime errors, compile
+    errors and native stack/heap exhaustion, after {!root_exn}. [None]
+    for anything else. The daemon answers with exactly this; the CLI
+    prints the message and maps the kind to its exit code. *)
+val failure_of_exn : exn -> (error_kind * string * (string * string) list) option
+
 type 'a parse_result = ('a, string option * error_kind * string) result
 
 (** [parse_request ~max_depth line] parses and validates one frame.
@@ -87,5 +99,9 @@ type 'a parse_result = ('a, string option * error_kind * string) result
     still be correlated. Never raises. *)
 val parse_request : max_depth:int -> string -> request parse_result
 
-(** ["Class::member"] → a member identity; [None] when malformed. *)
-val split_member : string -> Sema.Member.t option
+(** ["Class::member"] (both halves non-empty) → a member identity, or
+    the complaint about a malformed one, to follow the argument's name
+    ("must have the form 'Class::member' (got '…')"). The one member
+    parser: the daemon's [explain] and `deadmem explain` both read
+    their argument with it. *)
+val parse_member : string -> (Sema.Member.t, string) result

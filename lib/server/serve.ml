@@ -166,12 +166,9 @@ let set_slow_log_sink f = slow_log_sink := f
 
 let request_file = "<request>"
 
-let config_of (req : request) =
-  let base =
-    if req.conservative then Deadmem.Config.default else Deadmem.Config.paper
-  in
-  let base = { base with Deadmem.Config.call_graph = req.callgraph } in
-  Deadmem.Config.with_library_classes req.library_classes base
+let request_config (req : request) =
+  Deadmem.Config.make ~conservative:req.conservative
+    ~library_classes:req.library_classes req.callgraph
 
 let jint = string_of_int
 let jbool = string_of_bool
@@ -218,7 +215,7 @@ let do_analyze tr (req : request) source =
   match checked_entry tr req source with
   | Error resp -> resp
   | Ok (e, cached) ->
-      let config = config_of req in
+      let config = request_config req in
       let result = phase tr "analyze" (fun () -> Cache.analyze e ~config) in
       let report = Deadmem.Report.of_result e.e_prog result in
       ok_response ?id:req.req_id ?trace:req.trace_id ~op:Analyze
@@ -245,9 +242,7 @@ let do_check tr (req : request) source =
   let dead_count =
     if e.e_errors > 0 then None
     else
-      let config =
-        config_of { req with conservative = false; library_classes = [] }
-      in
+      let config = Deadmem.Config.make req.callgraph in
       Some
         (phase tr "analyze" (fun () ->
              List.length
@@ -274,7 +269,7 @@ let do_run cfg tr (req : request) source =
         if req.profile then
           phase tr "analyze" (fun () ->
               Deadmem.Liveness.dead_set
-                (Cache.analyze e ~config:(config_of req)))
+                (Cache.analyze e ~config:(request_config req)))
         else Sema.Member.Set.empty
       in
       let pick v d = Option.value v ~default:d in
@@ -298,18 +293,17 @@ let do_run cfg tr (req : request) source =
         ]
 
 let do_explain tr (req : request) source member_str =
-  match P.split_member member_str with
-  | None ->
+  match P.parse_member member_str with
+  | Error why ->
       error_response ?id:req.req_id ?trace:req.trace_id Protocol
-        (Printf.sprintf "'member' must have the form 'Class::member' (got '%s')"
-           member_str)
-  | Some m -> (
+        ("'member' " ^ why)
+  | Ok m -> (
       match checked_entry tr req source with
       | Error resp -> resp
       | Ok (e, cached) ->
           let result =
             phase tr "analyze" (fun () ->
-                Cache.analyze e ~config:(config_of req))
+                Cache.analyze e ~config:(request_config req))
           in
           if not (Deadmem.Liveness.known_member result m) then
             error_response ?id:req.req_id ?trace:req.trace_id Unknown_member
@@ -325,31 +319,12 @@ let do_explain tr (req : request) source member_str =
                 ("cached", jbool cached);
               ])
 
+(* [precision] answers exactly what `deadmem precision --format=json`
+   prints, as its [benchmarks] array. *)
 let do_precision tr (req : request) =
-  let tiers = [ Callgraph.Cha; Callgraph.Rta; Callgraph.Pta ] in
-  let measure prog alg =
-    let config =
-      { Deadmem.Config.paper with Deadmem.Config.call_graph = alg }
-    in
-    let cg = Callgraph.build ~algorithm:alg prog in
-    let r = Deadmem.Liveness.analyze ~config prog in
-    ( Callgraph.num_nodes cg,
-      Callgraph.num_edges cg,
-      List.length (Deadmem.Liveness.dead_members r) )
-  in
   let row (b : Benchmarks.Suite.t) =
-    let prog = Benchmarks.Suite.program b in
-    jobj
-      (("benchmark", jstr b.name)
-      :: List.map
-           (fun alg ->
-             let n, e, d = measure prog alg in
-             ( alg_name alg,
-               jobj
-                 [
-                   ("nodes", jint n); ("edges", jint e); ("dead_members", jint d);
-                 ] ))
-           tiers)
+    Deadmem.Precision.row_json b.name
+      (Deadmem.Precision.measure (Benchmarks.Suite.program b))
   in
   let rows =
     phase tr "analyze" (fun () -> List.map row Benchmarks.Suite.all)
@@ -393,28 +368,12 @@ let execute_timed cfg (req : request) ~enqueued =
            deadline_ms)
     else
       let source () = Option.value req.source ~default:"" in
-      let rec answer_errors f =
-        try f () with
-        (* a destructor that failed while an error unwound its scope:
-           answer the destructor's error, the one the program ended with *)
-        | Fun.Finally_raised e -> answer_errors (fun () -> raise e)
-        | Runtime.Value.Limit_exceeded m ->
-            error_response ?id ?trace Limit ("resource limit: " ^ m)
-        | Runtime.Value.Runtime_error m ->
-            error_response ?id ?trace Runtime ("runtime error: " ^ m)
-        | Runtime.Interp.Abort_called ->
-            error_response ?id ?trace Runtime "runtime error: abort() called"
-        | Frontend.Source.Compile_error d ->
-            error_response ?id ?trace
-              ~extra:
-                [ ("diagnostics", jarr [ Frontend.Source.diagnostic_to_json d ]) ]
-              Diagnostics
-              (Frontend.Source.diagnostic_to_string d)
-        | Stack_overflow ->
-            error_response ?id ?trace Limit
-              "resource limit: native stack exhausted"
-        | Out_of_memory ->
-            error_response ?id ?trace Limit "resource limit: out of memory"
+      let answer_errors f =
+        try f ()
+        with e -> (
+          match P.failure_of_exn e with
+          | Some (kind, msg, extra) -> error_response ?id ?trace ~extra kind msg
+          | None -> raise (P.root_exn e))
       in
       answer_errors @@ fun () ->
       Runtime.Value.with_deadline deadline @@ fun () ->

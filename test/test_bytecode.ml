@@ -387,14 +387,17 @@ let observe ~engine ?step_limit prog =
     Telemetry.Counter.value steps_counter - s0,
     Telemetry.Counter.value allocs_counter - a0 )
 
-let corpus_engines_agree ?step_limit name =
-  let prog = Util.check_source (corpus_source name) in
+let engines_agree_on ?step_limit name src =
+  let prog = Util.check_source src in
   let st, nt, at = observe ~engine:Runtime.Interp.Tree ?step_limit prog in
   let sb, nb, ab = observe ~engine:Runtime.Interp.Bytecode ?step_limit prog in
   Util.check_string (name ^ ": outcome") st sb;
   Util.check_int (name ^ ": steps") nt nb;
   Util.check_int (name ^ ": allocations") at ab;
   st
+
+let corpus_engines_agree ?step_limit name =
+  engines_agree_on ?step_limit name (corpus_source name)
 
 let t_escaped_locals () =
   Util.check_string "values the locals held when their calls returned"
@@ -414,6 +417,59 @@ let t_unwind_step_limit () =
     (Util.contains_sub shown
        ~sub:"raised while unwinding: resource limit: step limit exceeded")
 
+(* [abort()] ends a run with status 134 and the output so far wherever
+   it is called: in main, in a global initializer (before main runs),
+   and in a destructor while an error unwinds its scope. *)
+let t_abort_everywhere () =
+  List.iter
+    (fun (name, src, want) ->
+      Util.check_string name want (engines_agree_on name src))
+    [
+      ( "abort in main",
+        "int main() { print_int(1); abort(); print_int(2); return 0; }",
+        "exit 134\n1" );
+      ( "abort in a global initializer",
+        "int f() { print_int(5); abort(); return 1; }\nint g = f();\n\
+         int main() { print_int(7); return 0; }",
+        "exit 134\n5" );
+      ( "abort in a destructor while an error unwinds",
+        "class G { public: ~G() { print_int(3); abort(); } };\n\
+         int main() { G g; int z = 0; print_int(1); return 1 / z; }",
+        "exit 134\n13" );
+    ]
+
+(* Every guest-sized array past [Sys.max_array_length] is the same
+   resource limit in both engines, never an [Invalid_argument]. *)
+let t_huge_arrays_are_limits () =
+  let n = "100000000000000000" in
+  let want =
+    Printf.sprintf
+      "resource limit: array of %s elements exceeds the maximum array length %d"
+      n Sys.max_array_length
+  in
+  List.iter
+    (fun (name, src) ->
+      Util.check_string name want
+        (engines_agree_on name (Printf.sprintf src n)))
+    [
+      ("new int[]", "int main() { int *p = new int[%s]; return 0; }");
+      ( "new A[]",
+        "class A { public: int x; };\n\
+         int main() { A *p = new A[%s]; return 0; }" );
+      ("local array", "int main() { int a[%s]; return 0; }");
+      ("global array", "int g[%s];\nint main() { return 0; }");
+      ( "member array, stack object",
+        "class A { public: int x[%s]; };\nint main() { A a; return 0; }" );
+      ( "member array, new object",
+        "class A { public: int x[%s]; };\n\
+         int main() { A *a = new A(); return 0; }" );
+      ( "stack array of objects",
+        "class A { public: int x; };\nint main() { A a[%s]; return 0; }" );
+      ( "member array of objects",
+        "class B { public: int y; };\nclass A { public: B b[%s]; };\n\
+         int main() { A a; return 0; }" );
+    ]
+
 let suite =
   [
     Util.test "benchmarks identical under both engines"
@@ -429,6 +485,10 @@ let suite =
     Util.test "missing member: identical structured error"
       t_missing_member_error_parity;
     Util.test "step limit trips at the same tick" t_step_limit_same_tick;
+    Util.test "abort() is status 134 in main, initializers and unwinding"
+      t_abort_everywhere;
+    Util.test "huge guest arrays are the same limit in both engines"
+      t_huge_arrays_are_limits;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_nested_control_flow; prop_short_circuit ]

@@ -12,7 +12,10 @@
      deterministic randomized batches;
 
    - the shape of `precision --format=json`: every points-to tier's
-     `solver` object has exactly the documented keys. *)
+     `solver` object has exactly the documented keys;
+
+   - one front door: on every port, the daemon's check, analyze, run,
+     explain and precision answers say what the subcommands print. *)
 
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
@@ -72,6 +75,12 @@ let broken_src = "class A { int x; ;;; garbage here\nint main( { return }\n"
 let loop_src = "int f(int n) { return f(n); }\nint main() { return f(0); }\n"
 let ret7_src = "int main() { return 7; }\n"
 
+let abort_init_src =
+  "int f() { abort(); return 1; }\nint g = f();\nint main() { return 0; }\n"
+
+let huge_new_src =
+  "int main() { int *p = new int[100000000000000000]; return 0; }\n"
+
 (* the step limit hits again in [g]'s destructor as the error unwinds *)
 let unwind_src =
   "class G { public: ~G() { } };\nint main() { G g; while (1) { } return 0; }\n"
@@ -84,6 +93,8 @@ let t_exit_codes () =
   let deep = temp_src loop_src in
   let ret7 = temp_src ret7_src in
   let unwind = temp_src unwind_src in
+  let abort_init = temp_src abort_init_src in
+  let huge_new = temp_src huge_new_src in
   let q = Filename.quote in
   let cases =
     [
@@ -118,6 +129,10 @@ let t_exit_codes () =
       ("run --step-limit=1000 " ^ q unwind, 3)
       (* used to exit 2: an uncaught Fun.Finally_raised *);
       ("run --engine=jit " ^ q ret7, 2) (* used to exit 124 *);
+      ("run " ^ q abort_init, 134) (* used to exit 2: abort() escaped *);
+      ("run --engine=tree " ^ q abort_init, 134);
+      ("run " ^ q huge_new, 3) (* used to exit 2: Invalid_argument *);
+      ("run --engine=tree " ^ q huge_new, 3);
       ("run no/such/file.mcc", 2);
       ("run " ^ q broken, 1);
       (* callgraph / strip *)
@@ -231,6 +246,166 @@ let t_precision_json () =
         [ "pta"; "pta1" ])
     rows
 
+(* -- the CLI and the daemon answer alike --------------------------------------- *)
+
+module J = Telemetry.Json
+
+(* The daemon's answer to one request, run in-process: the raw response
+   line and its parsed [result]. *)
+let daemon cmd fields =
+  let line =
+    Printf.sprintf {|{"id":"x","cmd":"%s"%s}|} cmd
+      (String.concat ""
+         (List.map (fun (k, v) -> "," ^ Server.Protocol.jstr k ^ ":" ^ v) fields))
+  in
+  let req =
+    match Server.Protocol.parse_request ~max_depth:64 line with
+    | Ok r -> r
+    | Error (_, _, m) -> Alcotest.failf "bad request %s: %s" line m
+  in
+  let resp =
+    Server.Serve.execute Server.Serve.default_config req
+      ~enqueued:(Unix.gettimeofday ())
+  in
+  match Result.map (J.member "result") (J.parse resp) with
+  | Ok (Some r) -> (resp, r)
+  | _ -> Alcotest.failf "daemon %s failed: %s" cmd resp
+
+let field r k =
+  match J.member k r with
+  | Some v -> v
+  | None -> Alcotest.failf "no field %s" k
+
+let int_field r k =
+  match J.to_int (field r k) with
+  | Some n -> n
+  | None -> Alcotest.failf "field %s is not an integer" k
+
+let str_field r k =
+  match field r k with
+  | J.Str s -> s
+  | _ -> Alcotest.failf "field %s is not a string" k
+
+let json_out what out =
+  match J.parse out with
+  | Ok v -> v
+  | Error m -> Alcotest.failf "%s: not JSON (%s): %s" what m out
+
+let lines s = String.split_on_char '\n' s
+
+(* [s] with every [sub] replaced by [by] *)
+let replace_all ~sub ~by s =
+  let b = Buffer.create (String.length s) and n = String.length sub in
+  let rec go i =
+    if i > String.length s - n then
+      Buffer.add_string b (String.sub s i (String.length s - i))
+    else if String.sub s i n = sub then begin
+      Buffer.add_string b by;
+      go (i + n)
+    end
+    else begin
+      Buffer.add_char b s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+let check_port (b : Benchmarks.Suite.t) =
+  let name = b.name in
+  let file = temp_src b.source in
+  let q = Filename.quote file in
+  let src = [ ("source", Server.Protocol.jstr b.source) ] in
+  (* check against check --format=json *)
+  let _, out, _ = run_capture ("check --format=json " ^ q) in
+  let cli = json_out (name ^ " check") out in
+  let _, d = daemon "check" src in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (name ^ " check " ^ k) true (field cli k = field d k))
+    [ "errors"; "suppressed"; "unknown_regions"; "dead_members"; "diagnostics" ];
+  (* analyze: the dead list and the report's numbers *)
+  let _, out, _ = run_capture ("analyze " ^ q) in
+  let _, d = daemon "analyze" src in
+  let dead =
+    List.filter_map
+      (fun l ->
+        if String.starts_with ~prefix:"DEAD " l then
+          Some (String.sub l 5 (String.length l - 5))
+        else None)
+      (lines out)
+  in
+  let dead_d =
+    match field d "dead_members" with
+    | J.Arr vs -> List.map (function J.Str s -> s | _ -> "?") vs
+    | _ -> Alcotest.fail "dead_members is not an array"
+  in
+  Alcotest.(check (list string)) (name ^ " analyze dead list") dead dead_d;
+  let report =
+    List.find (String.starts_with ~prefix:"classes: ") (lines out)
+  in
+  Scanf.sscanf report
+    "classes: %d (%d used), members in used classes: %d, dead: %d (%f%%)"
+    (fun classes used members dead_in_used pct ->
+      check_int (name ^ " num_classes") classes (int_field d "num_classes");
+      check_int (name ^ " num_used_classes") used (int_field d "num_used_classes");
+      check_int (name ^ " members_in_used") members (int_field d "members_in_used");
+      check_int (name ^ " dead_in_used") dead_in_used (int_field d "dead_in_used");
+      match field d "dead_pct" with
+      | J.Num f -> Alcotest.(check (float 0.05)) (name ^ " dead_pct") pct f
+      | _ -> Alcotest.fail "dead_pct is not a number");
+  (* run: return value, steps, output and snapshot *)
+  let code, out, _ = run_capture ("run " ^ q) in
+  let _, d = daemon "run" src in
+  let rv = int_field d "return_value" and steps = int_field d "steps" in
+  check_int (name ^ " run exit code") code (rv land 255);
+  let head =
+    Printf.sprintf "%s\n-- exit %d after %d steps --\n" (str_field d "output") rv
+      steps
+  in
+  Alcotest.(check bool) (name ^ " run output, exit and steps") true
+    (String.starts_with ~prefix:head out);
+  let snap = field d "snapshot" in
+  Scanf.sscanf
+    (String.sub out (String.length head) (String.length out - String.length head))
+    "object space: %d bytes (%d objects), dead member space: %d (%f%%), HWM: %d, HWM w/o dead: %d"
+    (fun space objects dead_space _ hwm hwm_reduced ->
+      List.iter
+        (fun (k, v) -> check_int (name ^ " snapshot " ^ k) v (int_field snap k))
+        [
+          ("object_space", space); ("num_objects", objects);
+          ("dead_space", dead_space); ("high_water_mark", hwm);
+          ("high_water_mark_reduced", hwm_reduced);
+        ]);
+  (* explain one dead and one live member: the same explanation text *)
+  let _, verbose, _ = run_capture ("analyze -v " ^ q) in
+  let live =
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l |> List.filter (( <> ) "") with
+        | [ m; "live" ] -> Some m
+        | _ -> None)
+      (lines verbose)
+  in
+  List.iter
+    (fun m ->
+      let _, out, _ = run_capture (Printf.sprintf "explain %s %s" m q) in
+      let _, d = daemon "explain" (("member", Server.Protocol.jstr m) :: src) in
+      (* locations name the file; the daemon's is "<request>" *)
+      check_string (name ^ " explain " ^ m)
+        (replace_all ~sub:file ~by:"<request>" out)
+        (str_field d "explanation"))
+    (List.filter_map Fun.id [ List.nth_opt dead 0; live ])
+
+let t_cli_daemon_agree () =
+  List.iter check_port Benchmarks.Suite.all;
+  let _, out, _ = run_capture "precision --format=json" in
+  let resp, _ = daemon "precision" [] in
+  let want = {|"result":{"benchmarks":|} ^ String.trim out ^ "}}" in
+  if not (String.ends_with ~suffix:want resp) then
+    Alcotest.failf "precision: the benchmarks array is not the CLI's JSON:\n%s\n%s"
+      resp out
+
 let suite =
   [
     Util.test "exit codes: exhaustive subcommand table" t_exit_codes;
@@ -239,4 +414,6 @@ let suite =
     Util.test "check --jobs: randomized batches identical"
       t_jobs_differential_randomized;
     Util.test "precision --format=json: solver object shape" t_precision_json;
+    Util.test "the daemon answers every port as the CLI does"
+      t_cli_daemon_agree;
   ]

@@ -887,12 +887,13 @@ let corpus_lines file =
 
 let is_blank line = String.for_all (fun c -> c = ' ' || c = '\t' || c = '\r') line
 
+let corpus_frames file =
+  List.filter
+    (fun l -> not (is_blank l))
+    (corpus_lines (build_path ("../examples/corpus/serve/" ^ file)))
+
 let t_corpus file () =
-  let lines =
-    List.filter
-      (fun l -> not (is_blank l))
-      (corpus_lines (build_path ("../examples/corpus/serve/" ^ file)))
-  in
+  let lines = corpus_frames file in
   Alcotest.(check bool) "corpus is not empty" true (lines <> []);
   let h = make_harness () in
   List.iter (feed h) lines;
@@ -900,6 +901,45 @@ let t_corpus file () =
   stop h;
   check_int "exactly one response per frame" (List.length lines) (count h);
   List.iter (fun r -> ignore (shape r)) (responses h)
+
+(* The hostile programs are answered without a worker restart: no frame
+   is answered [internal] (the corpus's [crash] is answered
+   [unsupported] here, fault injection being off), and [abort()] in a
+   global initializer and every array past the largest array length
+   have their documented answers. *)
+let t_corpus_hostile_no_restart () =
+  let lines = corpus_frames "hostile_programs.jsonl" in
+  let n = List.length lines in
+  (* room for every frame: none is shed *)
+  let h = make_harness ~cfg:{ test_cfg with Serve.queue_cap = n } () in
+  List.iter (feed h) lines;
+  await h n;
+  feed h {|{"id":"s","cmd":"stats"}|};
+  await h (n + 1);
+  stop h;
+  let rs = responses h in
+  let stats = List.nth rs n in
+  List.iteri
+    (fun i resp ->
+      if i < n then begin
+        let id = Option.value (resp_id resp) ~default:"?" in
+        let ok, kind = shape resp in
+        check_bool (id ^ " not internal") false (kind = Some "internal");
+        if id = "abort-in-initializer" then begin
+          check_bool (id ^ " ok") true ok;
+          let result = Option.get (J.member "result" (json_of resp)) in
+          check_bool (id ^ " exits 134") true
+            (J.member "return_value" result = Some (J.Num 134.));
+          check_bool (id ^ " keeps the output so far") true
+            (J.member "output" result = Some (J.Str "5"))
+        end;
+        if String.starts_with ~prefix:"huge-" id then
+          check_string (id ^ " is a limit") "limit" (Option.value kind ~default:"ok")
+      end)
+    rs;
+  let result = Option.get (J.member "result" (json_of stats)) in
+  check_bool "no worker restart" true
+    (J.member "worker_restarts" result = Some (J.Num 0.))
 
 (* -- protocol fuzzer --------------------------------------------------------- *)
 
@@ -1029,6 +1069,8 @@ let suite =
     Util.test "serve corpus: malformed frames" (t_corpus "malformed.jsonl");
     Util.test "serve corpus: hostile programs"
       (t_corpus "hostile_programs.jsonl");
+    Util.test "serve corpus: hostile programs restart no worker"
+      t_corpus_hostile_no_restart;
     Util.test "serve corpus: oversized frame" (t_corpus "oversized.jsonl");
     Util.test "serve corpus: truncated stream" (t_corpus "truncated.jsonl");
     Util.test "serve fuzz: every random frame answered"
