@@ -336,8 +336,10 @@ let check_cmd =
      byte-identical to an uncached run. *)
   let check_one ~format ~alg file =
     let out = Buffer.create 256 and err = Buffer.create 64 in
-    let pr fmt = Fmt.pf (Fmt.with_buffer out) fmt
-    and epr fmt = Fmt.pf (Fmt.with_buffer err) fmt in
+    (* one formatter per buffer: an unflushed [pr "%s"] is flushed by the
+       next [@.] on the same formatter *)
+    let out_ppf = Fmt.with_buffer out and err_ppf = Fmt.with_buffer err in
+    let pr fmt = Fmt.pf out_ppf fmt and epr fmt = Fmt.pf err_ppf fmt in
     let status =
     let json = format = `Json in
     match read_source file with

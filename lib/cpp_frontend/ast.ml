@@ -199,8 +199,6 @@ type program = top_decl list
 let mk_expr ?(loc = Source.dummy_span) e = { e; eloc = loc }
 let mk_stmt ?(loc = Source.dummy_span) s = { s; sloc = loc }
 
-let rec strip_refs = function TRef t -> strip_refs t | t -> t
-
 (* The class name mentioned at the root of a type, looking through
    pointers, references and arrays. Used by [MarkAllContainedMembers]
    call sites that need "the class occurring in a type". *)

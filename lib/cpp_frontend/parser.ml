@@ -171,6 +171,80 @@ let parse_ptr_suffix st base =
 
 let parse_type st : Ast.type_expr = parse_ptr_suffix st (parse_base_type st)
 
+(* A parenthesized parameter-type list, [(int, A* own)]: a name after a
+   type is allowed and dropped. *)
+let parse_type_list st : Ast.type_expr list =
+  expect st Token.LPAREN;
+  if accept st Token.RPAREN then []
+  else begin
+    let rec go acc =
+      let t = parse_type st in
+      (match cur_tok st with Token.IDENT _ -> advance st | _ -> ());
+      if accept st Token.COMMA then go (t :: acc)
+      else begin
+        expect st Token.RPAREN;
+        List.rev (t :: acc)
+      end
+    in
+    go []
+  end
+
+(* One declarator after its base type, the same in every position
+   (field, local, global, parameter): pointer/reference/member-pointer
+   suffixes, then either a function pointer [( * name)(types)] or a name
+   with an optional array bound [name[8]]. A '(' after a bare name is
+   left to the caller: it starts a function header, a function-typed
+   parameter or a constructor-style initializer.
+
+   [param] is the index of the parameter being read, for a parameter: it
+   may omit its name (it becomes [_arg<param>]) and its array bound, as
+   it decays to a pointer anyway. *)
+let declarator ?param st base : string * Ast.type_expr =
+  let t = parse_ptr_suffix st base in
+  if Token.equal (cur_tok st) Token.LPAREN && Token.equal (peek_tok st 1) Token.STAR
+  then begin
+    advance st;
+    advance st;
+    let name = expect_ident st in
+    expect st Token.RPAREN;
+    (name, Ast.TFun (t, parse_type_list st))
+  end
+  else begin
+    let name =
+      match (cur_tok st, param) with
+      | Token.IDENT _, _ | _, None -> expect_ident st
+      | _, Some i -> Printf.sprintf "_arg%d" i
+    in
+    if accept st Token.LBRACKET then begin
+      let n =
+        match cur_tok st with
+        | Token.INT_LIT n ->
+            advance st;
+            n
+        | _ when Option.is_some param -> 0
+        | _ -> parse_error st "array bound must be an integer literal"
+      in
+      expect st Token.RBRACKET;
+      (name, Ast.TArr (t, n))
+    end
+    else (name, t)
+  end
+
+(* Whether a declarator is a name alone, with no array bound and not a
+   function pointer: the one a '(' can extend into a function header. *)
+let bare = function Ast.TArr _ | Ast.TFun _ -> false | _ -> true
+
+(* The declarators after the first of a comma-separated list sharing
+   [base]; [mk st loc d] reads what follows declarator [d] and builds the
+   declaration. *)
+let rec more_declarators st base mk acc =
+  if accept st Token.COMMA then begin
+    let loc = cur_span st in
+    let d = declarator st base in
+    more_declarators st base mk (mk st loc d :: acc)
+  end
+  else List.rev acc
+
 (* -- expressions ---------------------------------------------------------- *)
 
 let assign_op_of_token = function
@@ -337,8 +411,7 @@ and parse_unary st =
       end
   | Token.KW_NEW ->
       advance st;
-      let t = parse_base_type st in
-      let t = parse_ptr_suffix st t in
+      let t = parse_type st in
       if accept st Token.LBRACKET then begin
         let n = parse_expr st in
         expect st Token.RBRACKET;
@@ -471,104 +544,60 @@ and parse_primary st =
 
 (* -- statements ----------------------------------------------------------- *)
 
+(* A variable after its declarator: an optional [= expr] initializer, or
+   in a body ([ctor_init]) a constructor-style [(args)] one after any
+   declarator but a function pointer. *)
+let var_decl st ~ctor_init loc (name, t) : Ast.var_decl =
+  let init =
+    if accept st Token.EQ then Some (Ast.InitExpr (parse_assignment st))
+    else
+      match t with
+      | Ast.TFun _ -> None
+      | _ ->
+          if ctor_init && accept st Token.LPAREN then Some (Ast.InitCtor (parse_args st))
+          else None
+  in
+  { Ast.v_name = name; v_type = t; v_init = init; v_loc = loc }
+
+let local_var st loc d = var_decl st ~ctor_init:true loc d
+let global_var st loc d = var_decl st ~ctor_init:false loc d
+
+(* Does a declarator start at offset [n] from the cursor: pointer
+   suffixes, then a name or [( * name ) ( types )]? *)
+let rec declarator_at st n =
+  match peek_tok st n with
+  | Token.STAR | Token.AMP | Token.KW_CONST | Token.KW_VOLATILE -> declarator_at st (n + 1)
+  | Token.IDENT _ -> true
+  | Token.LPAREN ->
+      Token.equal (peek_tok st (n + 1)) Token.STAR
+      && (match peek_tok st (n + 2) with Token.IDENT _ -> true | _ -> false)
+      && Token.equal (peek_tok st (n + 3)) Token.RPAREN
+      && Token.equal (peek_tok st (n + 4)) Token.LPAREN
+      && (Token.equal (peek_tok st (n + 5)) Token.RPAREN || type_starts_at st (n + 5))
+  | _ -> false
+
 (* A declaration statement begins with a type followed by a declarator:
-   [T x], [T * x], [T & x], but not [T * x = ...] parsed as multiplication
-   because T is known to be a type name. *)
-let rec starts_declaration st =
+   [T x], [T * x], [T & x], [T ( * f)(U)], but not [T * x = ...] parsed as
+   multiplication because T is known to be a type name. *)
+let starts_declaration st =
   match cur_tok st with
   | t when is_builtin_type_token t -> true
   | Token.KW_CONST | Token.KW_VOLATILE | Token.KW_STATIC -> true
   | Token.IDENT name when is_type_name st name -> (
-      (* [A x], [A *x], [A &x], [A x(...)]; but [A::m = 3] or [a * b] are
-         expressions. *)
+      (* [A x], [A *x], [A &x], [A x(...)], [A *( * f)(int)]; but [A::m = 3],
+         [a * b] or the call [A( * p)(x)] are expressions. *)
       match peek_tok st 1 with
-      | Token.IDENT _ -> true
-      | Token.STAR | Token.AMP ->
-          let rec after_ptrs n =
-            match peek_tok st n with
-            | Token.STAR | Token.AMP | Token.KW_CONST | Token.KW_VOLATILE ->
-                after_ptrs (n + 1)
-            | Token.IDENT _ -> true
-            | _ -> false
-          in
-          after_ptrs 1
+      | Token.IDENT _ | Token.STAR | Token.AMP | Token.LPAREN -> declarator_at st 1
       | _ -> false)
   | _ -> false
 
-and parse_var_decls st : Ast.var_decl list =
+let parse_var_decls st : Ast.var_decl list =
   ignore (accept st Token.KW_STATIC);
   let base = parse_base_type st in
-  let rec declarators acc =
-    let loc = cur_span st in
-    let t = parse_ptr_suffix st base in
-    (* function-pointer declarator: [ret ( STAR name ) ( types )] *)
-    if
-      Token.equal (cur_tok st) Token.LPAREN
-      && Token.equal (peek_tok st 1) Token.STAR
-    then begin
-      advance st;
-      advance st;
-      let name = expect_ident st in
-      expect st Token.RPAREN;
-      expect st Token.LPAREN;
-      let ptys =
-        if accept st Token.RPAREN then []
-        else begin
-          let rec tys acc =
-            let pt = parse_type st in
-            (match cur_tok st with
-            | Token.IDENT _ -> advance st
-            | _ -> ());
-            if accept st Token.COMMA then tys (pt :: acc)
-            else begin
-              expect st Token.RPAREN;
-              List.rev (pt :: acc)
-            end
-          in
-          tys []
-        end
-      in
-      let fty = Ast.TFun (t, ptys) in
-      let init =
-        if accept st Token.EQ then Some (Ast.InitExpr (parse_assignment st))
-        else None
-      in
-      let d = { Ast.v_name = name; v_type = fty; v_init = init; v_loc = loc } in
-      if accept st Token.COMMA then declarators (d :: acc)
-      else List.rev (d :: acc)
-    end
-    else begin
-    let name = expect_ident st in
-    let t =
-      if accept st Token.LBRACKET then begin
-        let n =
-          match cur_tok st with
-          | Token.INT_LIT n ->
-              advance st;
-              n
-          | _ -> parse_error st "array bound must be an integer literal"
-        in
-        expect st Token.RBRACKET;
-        Ast.TArr (t, n)
-      end
-      else t
-    in
-    let init =
-      if accept st Token.EQ then Some (Ast.InitExpr (parse_assignment st))
-      else if Token.equal (cur_tok st) Token.LPAREN then begin
-        advance st;
-        Some (Ast.InitCtor (parse_args st))
-      end
-      else None
-    in
-    let d = { Ast.v_name = name; v_type = t; v_init = init; v_loc = loc } in
-    if accept st Token.COMMA then declarators (d :: acc)
-    else List.rev (d :: acc)
-    end
-  in
-  declarators []
+  let loc = cur_span st in
+  more_declarators st base local_var [ local_var st loc (declarator st base) ]
 
-and parse_stmt st : Ast.stmt =
+let rec parse_stmt st : Ast.stmt =
   let loc = cur_span st in
   match cur_tok st with
   | Token.LBRACE ->
@@ -677,7 +706,11 @@ and parse_stmt st : Ast.stmt =
         Ast.mk_stmt ~loc (Ast.SExpr e)
       end
 
-(* -- class members --------------------------------------------------------- *)
+(* -- function headers and class members ------------------------------------ *)
+
+(* A parameter's default value: parsed and dropped (callers in the
+   benchmarks always pass all arguments). *)
+let skip_default st = if accept st Token.EQ then ignore (parse_assignment st)
 
 let parse_params st : Ast.param list =
   expect st Token.LPAREN;
@@ -689,105 +722,30 @@ let parse_params st : Ast.param list =
     []
   end
   else begin
-    (* a parenthesized parameter-type list, e.g. "(int, A own)" -> types *)
-    let parse_fn_param_types () =
-      expect st Token.LPAREN;
-      if accept st Token.RPAREN then []
-      else begin
-        let rec tys acc =
-          let t = parse_type st in
-          (match cur_tok st with
-          | Token.IDENT _ -> advance st (* optional parameter name *)
-          | _ -> ());
-          if accept st Token.COMMA then tys (t :: acc)
-          else begin
-            expect st Token.RPAREN;
-            List.rev (t :: acc)
-          end
-        in
-        tys []
-      end
-    in
     let rec go acc =
       let loc = cur_span st in
-      let t = parse_type st in
-      (* classic function-pointer declarator: ret ( STAR name ) ( types ) *)
-      if
-        Token.equal (cur_tok st) Token.LPAREN
-        && Token.equal (peek_tok st 1) Token.STAR
-      then begin
-        advance st;
-        advance st;
-        let name = expect_ident st in
-        expect st Token.RPAREN;
-        let ptys = parse_fn_param_types () in
-        let p = { Ast.p_name = name; p_type = Ast.TFun (t, ptys); p_loc = loc } in
-        if accept st Token.COMMA then go (p :: acc)
-        else begin
-          expect st Token.RPAREN;
-          List.rev (p :: acc)
-        end
-      end
-      else begin
-      let name =
-        match cur_tok st with
-        | Token.IDENT n ->
-            advance st;
-            n
-        | _ -> Printf.sprintf "_arg%d" (List.length acc)
-      in
-      (* function-typed parameter [ret name(types)] decays to a pointer *)
-      if Token.equal (cur_tok st) Token.LPAREN then begin
-        let ptys = parse_fn_param_types () in
-        let p = { Ast.p_name = name; p_type = Ast.TFun (t, ptys); p_loc = loc } in
-        if accept st Token.COMMA then go (p :: acc)
-        else begin
-          expect st Token.RPAREN;
-          List.rev (p :: acc)
-        end
-      end
-      else begin
+      let name, t = declarator st ~param:(List.length acc) (parse_base_type st) in
+      (* a parameter decays: [T a[n]] to [T*], and [ret f(types)] to a
+         function pointer *)
       let t =
-        if accept st Token.LBRACKET then begin
-          (* array parameter decays to pointer *)
-          (match cur_tok st with
-          | Token.INT_LIT _ -> advance st
-          | _ -> ());
-          expect st Token.RBRACKET;
-          Ast.TPtr t
-        end
-        else t
+        match t with
+        | Ast.TFun _ -> t
+        | Ast.TArr (elt, _) ->
+            skip_default st;
+            Ast.TPtr elt
+        | _ when Token.equal (cur_tok st) Token.LPAREN -> Ast.TFun (t, parse_type_list st)
+        | _ ->
+            skip_default st;
+            t
       in
-      (* default argument values: parsed and dropped (callers in the
-         benchmarks always pass all arguments) *)
-      if accept st Token.EQ then ignore (parse_assignment st);
       let p = { Ast.p_name = name; p_type = t; p_loc = loc } in
       if accept st Token.COMMA then go (p :: acc)
       else begin
         expect st Token.RPAREN;
         List.rev (p :: acc)
       end
-      end
-      end
     in
     go []
-  end
-
-(* Parse the common tail of a method: optional [const], then body,
-   [= 0;], or just [;]. Returns (pure, body). *)
-let parse_method_tail st =
-  ignore (accept st Token.KW_CONST);
-  if accept st Token.EQ then begin
-    (match cur_tok st with
-    | Token.INT_LIT 0 -> advance st
-    | _ -> parse_error st "expected '0' in pure-virtual specifier");
-    expect st Token.SEMI;
-    (true, None)
-  end
-  else if Token.equal (cur_tok st) Token.LBRACE then (false, Some (parse_stmt st))
-  else begin
-    expect st Token.SEMI;
-    (false, None)
   end
 
 let parse_ctor_inits st : (string * Ast.expr list) list =
@@ -802,6 +760,64 @@ let parse_ctor_inits st : (string * Ast.expr list) list =
     go []
   end
   else []
+
+(* One function header after its name, in a class body or out of line:
+   the parameters, a constructor's initializer list, then an optional
+   [const] and a body, [;], or (in a class body only) [= 0;]. *)
+let parse_method st ~loc ~in_class ~access ~virtual_ ~static kind name ret :
+    Ast.method_decl =
+  let params = parse_params st in
+  if kind = Ast.MethDtor && params <> [] then
+    Source.error ~at:loc "destructor cannot take parameters";
+  let inits = if kind = Ast.MethCtor then parse_ctor_inits st else [] in
+  ignore (accept st Token.KW_CONST);
+  let pure, body =
+    if Token.equal (cur_tok st) Token.EQ then begin
+      if not in_class then parse_error st "pure-virtual specifier outside a class body";
+      advance st;
+      (match cur_tok st with
+      | Token.INT_LIT 0 -> advance st
+      | _ -> parse_error st "expected '0' in pure-virtual specifier");
+      expect st Token.SEMI;
+      (true, None)
+    end
+    else if Token.equal (cur_tok st) Token.LBRACE then (false, Some (parse_stmt st))
+    else begin
+      expect st Token.SEMI;
+      (false, None)
+    end
+  in
+  if pure && kind = Ast.MethCtor then Source.error ~at:loc "constructor cannot be pure virtual";
+  {
+    mt_name = name;
+    mt_kind = kind;
+    mt_ret = ret;
+    mt_params = params;
+    mt_virtual = virtual_ && kind <> Ast.MethCtor;
+    mt_static = static && kind = Ast.MethNormal;
+    mt_pure = pure;
+    mt_inits = inits;
+    mt_body = body;
+    mt_access = access;
+    mt_loc = loc;
+  }
+
+(* A constructor or destructor header of [cls], the cursor on the class
+   name or the [~]. *)
+let parse_ctor_dtor st ~loc ~in_class ~access ~virtual_ cls : Ast.method_decl =
+  let kind, name =
+    if accept st Token.TILDE then begin
+      let name = expect_ident st in
+      if name <> cls then
+        Source.error ~at:loc "destructor name ~%s does not match class %s" name cls;
+      (Ast.MethDtor, "~" ^ cls)
+    end
+    else begin
+      advance st;
+      (Ast.MethCtor, cls)
+    end
+  in
+  parse_method st ~loc ~in_class ~access ~virtual_ ~static:false kind name Ast.TVoid
 
 let parse_member st ~class_name ~access : Ast.member_decl list =
   let loc = cur_span st in
@@ -822,125 +838,40 @@ let parse_member st ~class_name ~access : Ast.member_decl list =
     else if accept st Token.KW_CONST then modifiers ()
   in
   modifiers ();
-  (* destructor *)
-  if accept st Token.TILDE then begin
-    let name = expect_ident st in
-    if name <> class_name then
-      Source.error ~at:loc "destructor name ~%s does not match class %s" name
-        class_name;
-    let params = parse_params st in
-    if params <> [] then Source.error ~at:loc "destructor cannot take parameters";
-    let pure, body = parse_method_tail st in
-    [
-      Ast.MMethod
-        {
-          mt_name = "~" ^ class_name;
-          mt_kind = Ast.MethDtor;
-          mt_ret = Ast.TVoid;
-          mt_params = [];
-          mt_virtual = !virtual_;
-          mt_static = false;
-          mt_pure = pure;
-          mt_inits = [];
-          mt_body = body;
-          mt_access = access;
-          mt_loc = loc;
-        };
-    ]
+  let ctor_or_dtor =
+    match cur_tok st with
+    | Token.TILDE -> true
+    | Token.IDENT name -> name = class_name && Token.equal (peek_tok st 1) Token.LPAREN
+    | _ -> false
+  in
+  if ctor_or_dtor then
+    [ Ast.MMethod (parse_ctor_dtor st ~loc ~in_class:true ~access ~virtual_:!virtual_ class_name) ]
+  else begin
+    let base = parse_base_type st in
+    let name, t = declarator st base in
+    if bare t && Token.equal (cur_tok st) Token.LPAREN then
+      [
+        Ast.MMethod
+          (parse_method st ~loc ~in_class:true ~access ~virtual_:!virtual_ ~static:!static
+             Ast.MethNormal name t);
+      ]
+    else begin
+      let field _ loc (name, t) =
+        Ast.MField
+          {
+            fd_name = name;
+            fd_type = t;
+            fd_volatile = !volatile;
+            fd_static = !static;
+            fd_access = access;
+            fd_loc = loc;
+          }
+      in
+      let fields = more_declarators st base field [ field st loc (name, t) ] in
+      expect st Token.SEMI;
+      fields
+    end
   end
-  else
-    (* constructor: [ClassName ( ...] *)
-    match (cur_tok st, peek_tok st 1) with
-    | Token.IDENT name, Token.LPAREN when name = class_name ->
-        advance st;
-        let params = parse_params st in
-        let inits = parse_ctor_inits st in
-        let pure, body = parse_method_tail st in
-        if pure then Source.error ~at:loc "constructor cannot be pure virtual";
-        [
-          Ast.MMethod
-            {
-              mt_name = class_name;
-              mt_kind = Ast.MethCtor;
-              mt_ret = Ast.TVoid;
-              mt_params = params;
-              mt_virtual = false;
-              mt_static = false;
-              mt_pure = false;
-              mt_inits = inits;
-              mt_body = body;
-              mt_access = access;
-              mt_loc = loc;
-            };
-        ]
-    | _ ->
-        let base = parse_base_type st in
-        let first_t = parse_ptr_suffix st base in
-        let first_name = expect_ident st in
-        if Token.equal (cur_tok st) Token.LPAREN then begin
-          (* method *)
-          let params = parse_params st in
-          let pure, body = parse_method_tail st in
-          [
-            Ast.MMethod
-              {
-                mt_name = first_name;
-                mt_kind = Ast.MethNormal;
-                mt_ret = first_t;
-                mt_params = params;
-                mt_virtual = !virtual_;
-                mt_static = !static;
-                mt_pure = pure;
-                mt_inits = [];
-                mt_body = body;
-                mt_access = access;
-                mt_loc = loc;
-              };
-          ]
-        end
-        else begin
-          (* field(s) *)
-          let mk_field name t loc =
-            Ast.MField
-              {
-                fd_name = name;
-                fd_type = t;
-                fd_volatile = !volatile;
-                fd_static = !static;
-                fd_access = access;
-                fd_loc = loc;
-              }
-          in
-          let with_array t =
-            if accept st Token.LBRACKET then begin
-              let n =
-                match cur_tok st with
-                | Token.INT_LIT n ->
-                    advance st;
-                    n
-                | _ -> parse_error st "array bound must be an integer literal"
-              in
-              expect st Token.RBRACKET;
-              Ast.TArr (t, n)
-            end
-            else t
-          in
-          let first_t = with_array first_t in
-          let rec more acc =
-            if accept st Token.COMMA then begin
-              let loc = cur_span st in
-              let t = parse_ptr_suffix st base in
-              let name = expect_ident st in
-              let t = with_array t in
-              more (mk_field name t loc :: acc)
-            end
-            else begin
-              expect st Token.SEMI;
-              List.rev acc
-            end
-          in
-          more [ mk_field first_name first_t loc ]
-        end
 
 let parse_base_specs st : Ast.base_spec list =
   if accept st Token.COLON then begin
@@ -1074,61 +1005,6 @@ let parse_enum st : Ast.enum_decl =
   expect st Token.SEMI;
   { Ast.en_name = name; en_items = items; en_loc = loc }
 
-(* Out-of-line member definitions:
-     ret Class::method(params) { ... }
-     Class::Class(params) : inits { ... }
-     Class::~Class() { ... }                                            *)
-let parse_out_of_line_ctor_dtor st : Ast.top_decl =
-  let loc = cur_span st in
-  let cls = expect_ident st in
-  expect st Token.COLONCOLON;
-  if accept st Token.TILDE then begin
-    let name = expect_ident st in
-    if name <> cls then
-      Source.error ~at:loc "destructor name ~%s does not match class %s" name cls;
-    let params = parse_params st in
-    if params <> [] then Source.error ~at:loc "destructor cannot take parameters";
-    let _, body = parse_method_tail st in
-    Ast.TMethodDef
-      ( cls,
-        {
-          mt_name = "~" ^ cls;
-          mt_kind = Ast.MethDtor;
-          mt_ret = Ast.TVoid;
-          mt_params = [];
-          mt_virtual = false;
-          mt_static = false;
-          mt_pure = false;
-          mt_inits = [];
-          mt_body = body;
-          mt_access = Ast.Public;
-          mt_loc = loc;
-        } )
-  end
-  else begin
-    let name = expect_ident st in
-    if name <> cls then
-      Source.error ~at:loc "expected constructor %s::%s" cls cls;
-    let params = parse_params st in
-    let inits = parse_ctor_inits st in
-    let _, body = parse_method_tail st in
-    Ast.TMethodDef
-      ( cls,
-        {
-          mt_name = cls;
-          mt_kind = Ast.MethCtor;
-          mt_ret = Ast.TVoid;
-          mt_params = params;
-          mt_virtual = false;
-          mt_static = false;
-          mt_pure = false;
-          mt_inits = inits;
-          mt_body = body;
-          mt_access = Ast.Public;
-          mt_loc = loc;
-        } )
-  end
-
 let parse_top st : Ast.top_decl list =
   let loc = cur_span st in
   match cur_tok st with
@@ -1158,7 +1034,13 @@ let parse_top st : Ast.top_decl list =
             | Token.IDENT n -> n = cls
             | Token.TILDE -> true
             | _ -> false) ->
-      [ parse_out_of_line_ctor_dtor st ]
+      (* out-of-line [Class::Class(params) : inits] or [Class::~Class()] *)
+      advance st;
+      advance st;
+      [
+        Ast.TMethodDef
+          (cls, parse_ctor_dtor st ~loc ~in_class:false ~access:Ast.Public ~virtual_:false cls);
+      ]
   | _ ->
       (* function / global / out-of-line method: starts with a type *)
       ignore (accept st Token.KW_STATIC);
@@ -1166,43 +1048,27 @@ let parse_top st : Ast.top_decl list =
         parse_error st "expected a declaration but found '%s'"
           (Token.to_string (cur_tok st));
       let base = parse_base_type st in
-      let t = parse_ptr_suffix st base in
-      let name1 = expect_ident st in
-      if accept st Token.COLONCOLON then begin
+      let name, t = declarator st base in
+      if bare t && accept st Token.COLONCOLON then begin
         (* out-of-line method [ret Class::method(params)] or static member
            definition [int Class::member;] *)
-        let cls = name1 in
         let mname = expect_ident st in
-        if not (Token.equal (cur_tok st) Token.LPAREN) then begin
+        if Token.equal (cur_tok st) Token.LPAREN then
+          [
+            Ast.TMethodDef
+              ( name,
+                parse_method st ~loc ~in_class:false ~access:Ast.Public ~virtual_:false
+                  ~static:false Ast.MethNormal mname t );
+          ]
+        else begin
           (* static data member definition; an optional initializer is
              parsed and dropped (static members are zero-initialized) *)
           if accept st Token.EQ then ignore (parse_assignment st);
           expect st Token.SEMI;
           []
         end
-        else begin
-        let params = parse_params st in
-        let _, body = parse_method_tail st in
-        [
-          Ast.TMethodDef
-            ( cls,
-              {
-                mt_name = mname;
-                mt_kind = Ast.MethNormal;
-                mt_ret = t;
-                mt_params = params;
-                mt_virtual = false;
-                mt_static = false;
-                mt_pure = false;
-                mt_inits = [];
-                mt_body = body;
-                mt_access = Ast.Public;
-                mt_loc = loc;
-              } );
-        ]
-        end
       end
-      else if Token.equal (cur_tok st) Token.LPAREN then begin
+      else if bare t && Token.equal (cur_tok st) Token.LPAREN then begin
         let params = parse_params st in
         let body =
           if Token.equal (cur_tok st) Token.LBRACE then Some (parse_stmt st)
@@ -1211,51 +1077,13 @@ let parse_top st : Ast.top_decl list =
             None
           end
         in
-        [
-          Ast.TFunc
-            { fn_name = name1; fn_ret = t; fn_params = params; fn_body = body; fn_loc = loc };
-        ]
+        [ Ast.TFunc { fn_name = name; fn_ret = t; fn_params = params; fn_body = body; fn_loc = loc } ]
       end
       else begin
         (* global variable(s) *)
-        let with_array t =
-          if accept st Token.LBRACKET then begin
-            let n =
-              match cur_tok st with
-              | Token.INT_LIT n ->
-                  advance st;
-                  n
-              | _ -> parse_error st "array bound must be an integer literal"
-            in
-            expect st Token.RBRACKET;
-            Ast.TArr (t, n)
-          end
-          else t
-        in
-        let t = with_array t in
-        let init =
-          if accept st Token.EQ then Some (Ast.InitExpr (parse_assignment st))
-          else None
-        in
-        let first = { Ast.v_name = name1; v_type = t; v_init = init; v_loc = loc } in
-        let rec more acc =
-          if accept st Token.COMMA then begin
-            let loc = cur_span st in
-            let t = parse_ptr_suffix st base in
-            let name = expect_ident st in
-            let t = with_array t in
-            let init =
-              if accept st Token.EQ then Some (Ast.InitExpr (parse_assignment st))
-              else None
-            in
-            more ({ Ast.v_name = name; v_type = t; v_init = init; v_loc = loc } :: acc)
-          end
-          else begin
-            expect st Token.SEMI;
-            List.rev acc
-          end
-        in
-        List.map (fun d -> Ast.TGlobal d) (more [ first ])
+        let globals = more_declarators st base global_var [ global_var st loc (name, t) ] in
+        expect st Token.SEMI;
+        List.map (fun d -> Ast.TGlobal d) globals
       end
 
 (* Pre-scan the token stream for type names so that declaration parsing can
@@ -1364,8 +1192,11 @@ let span_between st ~from ~until =
   let last = max from (min until (Array.length st.tokens - 1) - 1) in
   Source.join st.tokens.(from).Token.span st.tokens.(last).Token.span
 
-let parse_tokens_resilient ~diags tokens :
+(* Keep-going entry point: lexes resiliently, recovers at declaration
+   boundaries, and reports every syntax error through [diags]. *)
+let parse_resilient ~diags ~file src :
     Ast.program * Source.unknown_region list =
+  let tokens = Lexer.tokenize_resilient ~diags ~file src in
   Telemetry.Span.with_ "parse" @@ fun () ->
   let tokens = Array.of_list tokens in
   let st = { tokens; idx = 0; type_names = prescan_type_names tokens } in
@@ -1376,27 +1207,23 @@ let parse_tokens_resilient ~diags tokens :
       let start = st.idx in
       match parse_top st with
       | decls -> go (List.rev_append decls acc)
-      | exception Source.Compile_error d ->
-          Source.Diagnostics.emit diags d;
+      | exception ((Source.Compile_error _ | Stack_overflow) as e) ->
+          let what =
+            match e with
+            | Source.Compile_error d ->
+                Source.Diagnostics.emit diags d;
+                "unparsed declaration"
+            | _ ->
+                Source.Diagnostics.error diags ~at:(cur_span st)
+                  "declaration nesting is too deep to parse";
+                "over-deep declaration"
+          in
           Telemetry.Counter.incr sync_counter;
           synchronize_top st;
           regions :=
             {
               Source.ur_at = span_between st ~from:start ~until:st.idx;
-              ur_what = "unparsed declaration";
-              ur_refs = idents_between st ~from:start ~until:st.idx;
-            }
-            :: !regions;
-          go acc
-      | exception Stack_overflow ->
-          Source.Diagnostics.error diags ~at:(cur_span st)
-            "declaration nesting is too deep to parse";
-          Telemetry.Counter.incr sync_counter;
-          synchronize_top st;
-          regions :=
-            {
-              Source.ur_at = span_between st ~from:start ~until:st.idx;
-              ur_what = "over-deep declaration";
+              ur_what = what;
               ur_refs = idents_between st ~from:start ~until:st.idx;
             }
             :: !regions;
@@ -1407,9 +1234,3 @@ let parse_tokens_resilient ~diags tokens :
   Telemetry.Counter.add decls_counter (List.length prog);
   Telemetry.Counter.add regions_counter (List.length !regions);
   (prog, List.rev !regions)
-
-(* Keep-going entry point: lexes resiliently, recovers at declaration
-   boundaries, and reports every syntax error through [diags]. *)
-let parse_resilient ~diags ~file src :
-    Ast.program * Source.unknown_region list =
-  parse_tokens_resilient ~diags (Lexer.tokenize_resilient ~diags ~file src)

@@ -28,8 +28,3 @@ val parse_resilient :
   string ->
   Ast.program * Source.unknown_region list
 
-(** Keep-going variant of {!parse_tokens}. *)
-val parse_tokens_resilient :
-  diags:Source.Diagnostics.t ->
-  Token.spanned list ->
-  Ast.program * Source.unknown_region list

@@ -139,9 +139,8 @@ type rdst =
 (* -- instruction set ----------------------------------------------------------
 
    Lvalue locations are encoded as pointer values on the one operand
-   stack: [VPtr (PCell r)] for legacy cell references and
-   [VPtr (PArr (h, i))] for a slot of a backing array. Reading/writing
-   through them is exactly [Value.read_loc]/[write_loc]; [ILocToPtr]
+   stack: [VPtr (PArr (h, i))] for a slot of a backing array. Reading and
+   writing through them is exactly [Value.read_loc]/[write_loc]; [ILocToPtr]
    applies the [arr_id = -1] re-wrap of [Value.ptr_of_loc] when a
    location escapes as a user-visible pointer. *)
 
@@ -2332,13 +2331,11 @@ let[@inline] tick vm =
 (* Locations on the operand stack are pointer values (see the
    instruction-set comment). *)
 let loc_read = function
-  | VPtr (PCell r) -> !r
   | VPtr (PArr (h, i)) -> h.cells.(i)
   | _ -> assert false
 
 let loc_write l v =
   match l with
-  | VPtr (PCell r) -> r := v
   | VPtr (PArr (h, i)) -> h.cells.(i) <- v
   | _ -> assert false
 
@@ -2767,7 +2764,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | ILoadRef i ->
         ost.(sp) <-
           (match Array.unsafe_get locals i with
-          | VPtr (PCell r) -> !r
           | VPtr (PArr (h, j)) -> h.cells.(j)
           | VPtr (PObj o) -> VObj o
           | v -> v);
@@ -2809,7 +2805,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | IDeref ->
         ost.(sp - 1) <-
           (match ost.(sp - 1) with
-          | VPtr (PCell r) -> !r
           | VPtr (PObj o) -> VObj o
           | VPtr (PArr (h, i)) ->
               if i < 0 || i >= Array.length h.cells then
@@ -2864,7 +2859,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | ILocLocalRef i ->
         ost.(sp) <-
           (match Array.unsafe_get locals i with
-          | VPtr (PCell _) as p -> p
           | VPtr (PArr _) as p -> p
           | _ -> VPtr (PArr (frame.locals, i)));
         loop (pc + 1) (sp + 1) isp
@@ -2881,7 +2875,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | ILocDeref ->
         ost.(sp - 1) <-
           (match ost.(sp - 1) with
-          | VPtr (PCell _) as p -> p
           | VPtr (PArr _) as p -> p
           | VPtr (PObj _) ->
               runtime_error "cannot assign whole objects through a pointer"

@@ -94,7 +94,6 @@ let rec eval env frame (e : rexpr) : value =
       (* reference locals and parameters transparently read their
          referent *)
       match frame.locals.cells.(i) with
-      | VPtr (PCell r) -> !r
       | VPtr (PArr (h, j)) -> h.cells.(j)
       | VPtr (PObj o) -> VObj o
       | v -> v)
@@ -147,7 +146,6 @@ let rec eval env frame (e : rexpr) : value =
       | _ -> ptr_of_loc loc)
   | RDeref a -> (
       match eval env frame a with
-      | VPtr (PCell r) -> !r
       | VPtr (PObj o) -> VObj o
       | VPtr (PArr (h, i)) ->
           if i < 0 || i >= Array.length h.cells then
@@ -233,7 +231,6 @@ and eval_lval env frame (lv : rlval) : location =
   | LvLocalRef i -> (
       (* a reference local aliases its referent *)
       match frame.locals.cells.(i) with
-      | VPtr (PCell r) -> LRef r
       | VPtr (PArr (h, j)) -> LSlot (h, j)
       | _ -> LSlot (frame.locals, i))
   | LvGlobal i -> LSlot (env.globals, i)
@@ -243,7 +240,6 @@ and eval_lval env frame (lv : rlval) : location =
       LSlot (o.fields, field_slot o slots m)
   | LvDeref a -> (
       match eval env frame a with
-      | VPtr (PCell r) -> LRef r
       | VPtr (PArr (h, i)) -> LSlot (h, i)
       | VPtr (PObj _) ->
           runtime_error "cannot assign whole objects through a pointer"

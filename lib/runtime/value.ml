@@ -24,7 +24,6 @@ type value =
 
 and pointer =
   | PObj of obj                (* pointer to a class object *)
-  | PCell of value ref         (* pointer to a scalar variable or member *)
   | PArr of harray * int       (* pointer into an array *)
 
 and obj = {
@@ -144,7 +143,6 @@ let value_eq a b =
   | VNull, VPtr _ | VPtr _, VNull -> false
   | VNull, (VInt 0) | (VInt 0), VNull -> true
   | VPtr (PObj a), VPtr (PObj b) -> a == b
-  | VPtr (PCell a), VPtr (PCell b) -> a == b
   | VPtr (PArr (a, i)), VPtr (PArr (b, j)) -> a.cells == b.cells && i = j
   | VPtr _, VPtr _ -> false
   | VStr a, VStr b -> String.equal a b
@@ -199,30 +197,19 @@ let coerce (ty : Frontend.Ast.type_expr) (v : value) : value =
 
    Shared by both execution engines (the tree-walker and the bytecode
    VM): an lvalue location is a slot of some backing array (frame,
-   object, globals, statics, or a program array), or a raw cell reached
-   through a legacy [PCell] pointer. *)
+   object, globals, statics, or a program array). *)
 
-type location =
-  | LRef of value ref
-  | LSlot of harray * int
+type location = LSlot of harray * int
 
-let read_loc = function
-  | LRef r -> !r
-  | LSlot (h, i) -> h.cells.(i)
-
-let write_loc loc v =
-  match loc with
-  | LRef r -> r := v
-  | LSlot (h, i) -> h.cells.(i) <- v
+let read_loc (LSlot (h, i)) = h.cells.(i)
+let write_loc (LSlot (h, i)) v = h.cells.(i) <- v
 
 (* Pointers made from locations always carry [arr_id = -1], exactly as
    the scope-chain interpreter's [ptr_of_loc] did: a pointer *into* a
    heap array is not the allocation itself, so [free] through it never
    journals a free. *)
-let ptr_of_loc = function
-  | LRef r -> VPtr (PCell r)
-  | LSlot (h, i) ->
-      VPtr (PArr ((if h.arr_id = -1 then h else { arr_id = -1; cells = h.cells }), i))
+let ptr_of_loc (LSlot (h, i)) =
+  VPtr (PArr ((if h.arr_id = -1 then h else { arr_id = -1; cells = h.cells }), i))
 
 (* Shared empty bank, so frames and objects without unboxed slots cost
    nothing extra. *)
@@ -345,17 +332,3 @@ let compound_op op old rv ty =
     | Frontend.Ast.Assign -> assert false
   in
   coerce ty (arith binop old rv)
-
-let pp_value ppf = function
-  | VUnit -> Fmt.string ppf "void"
-  | VInt n -> Fmt.int ppf n
-  | VFloat f -> Fmt.float ppf f
-  | VStr s -> Fmt.pf ppf "%S" s
-  | VNull -> Fmt.string ppf "NULL"
-  | VPtr (PObj o) -> Fmt.pf ppf "<%s#%d>" o.obj_class o.obj_id
-  | VPtr (PCell _) -> Fmt.string ppf "<ptr>"
-  | VPtr (PArr (_, i)) -> Fmt.pf ppf "<arr+%d>" i
-  | VObj o -> Fmt.pf ppf "<obj %s#%d>" o.obj_class o.obj_id
-  | VArr a -> Fmt.pf ppf "<array[%d]>" (Array.length a.cells)
-  | VMemPtr m -> Fmt.pf ppf "<&%s>" (Member.to_string m)
-  | VFunPtr f -> Fmt.pf ppf "<&%s>" (Typed_ast.Func_id.to_string f)

@@ -350,9 +350,12 @@ module Span = struct
           completed_count := c
       | _ -> ()
 
+  (* disabled, a bare call: [Fun.protect] and its closure cost words *)
   let with_ ?trace name f =
-    let s = enter ?trace name in
-    Fun.protect ~finally:(fun () -> exit s) f
+    if not !enabled_flag then f ()
+    else
+      let s = enter ?trace name in
+      Fun.protect ~finally:(fun () -> exit s) f
 
   let cap_setting () = locked @@ fun () -> !cap
 

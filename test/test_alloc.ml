@@ -73,20 +73,22 @@ let layer_words (b : Benchmarks.Suite.t) =
    again when member lookup lost its memo (a plain walk that allocates
    a pair per defining class found): deltablue 29107, hotwire 17619,
    idl 17037, ixx 13503, jikes 28045, lcom 19847, richards 16787,
-   taldict 15515 before; npic, sched and simulate did not move. *)
+   taldict 15515 before; npic, sched and simulate did not move. Resolve
+   and compile each lost 8 words on every port when a disabled
+   [Telemetry.Span.with_] stopped going through [Fun.protect]. *)
 let pinned_words =
   [
-    ("deltablue", 27220, 26088, 164579);
-    ("hotwire", 16773, 17715, 28217);
-    ("idl", 16309, 16509, 218081);
-    ("ixx", 12853, 14805, 335954);
-    ("jikes", 26465, 30239, 956721);
-    ("lcom", 18675, 21474, 403261);
-    ("npic", 9771, 12068, 1235034);
-    ("richards", 16519, 18902, 333424);
-    ("sched", 11769, 13632, 2603425);
-    ("simulate", 12396, 15735, 923009);
-    ("taldict", 14823, 17045, 72362);
+    ("deltablue", 27212, 26080, 164579);
+    ("hotwire", 16765, 17707, 28217);
+    ("idl", 16301, 16501, 218081);
+    ("ixx", 12845, 14797, 335954);
+    ("jikes", 26457, 30231, 956721);
+    ("lcom", 18667, 21466, 403261);
+    ("npic", 9763, 12060, 1235034);
+    ("richards", 16511, 18894, 333424);
+    ("sched", 11761, 13624, 2603425);
+    ("simulate", 12388, 15727, 923009);
+    ("taldict", 14815, 17037, 72362);
   ]
 
 let t_port_words_pinned () =
@@ -256,7 +258,11 @@ let t_call_no_frame_alloc () =
    identifiers and the in-order list, lex was 16429470 (stress) and
    1515762 (twin); parse and typecheck did not move. Before member
    lookup lost its memo, typecheck was 8243787 (stress) and 767811
-   (twin). *)
+   (twin). Before the one declarator reader (no per-statement closures
+   in [starts_declaration] and the local declarator loop), parse was
+   3287262 (stress) and 305496 (twin). Lex, parse and typecheck each
+   lost 8 words when a disabled [Telemetry.Span.with_] stopped going
+   through [Fun.protect]. *)
 let synth_twin =
   {
     Benchmarks.Synth.seed = 7;
@@ -268,8 +274,8 @@ let synth_twin =
 
 let pinned_frontend =
   [
-    ("stress", Benchmarks.Synth.stress, (393363, 13303094, 3287262, 8184219));
-    ("synth_pta twin", synth_twin, (36650, 1228055, 305496, 761550));
+    ("stress", Benchmarks.Synth.stress, (393363, 13303086, 2956798, 8184211));
+    ("synth_pta twin", synth_twin, (36650, 1228047, 276294, 761542));
   ]
 
 (* Live words of [tokenize]'s result ([Obj.reachable_words]): per token
@@ -321,11 +327,12 @@ let t_frontend_words_pinned () =
    one-pass build (each dispatch site resolved once), measured the same
    way: stress 29725232 and 7725429, twin 1774427 and 744341; before
    member lookup lost its memo, 17093323 and 947427, 681457 and
-   124082. *)
+   124082. Each lost 8 words when a disabled [Telemetry.Span.with_]
+   stopped going through [Fun.protect]. *)
 let pinned_callgraph =
   [
-    ("stress", Benchmarks.Synth.stress, (17093179, 947278));
-    ("synth_pta twin", synth_twin, (681301, 123921));
+    ("stress", Benchmarks.Synth.stress, (17093171, 947270));
+    ("synth_pta twin", synth_twin, (681293, 123913));
   ]
 
 let t_callgraph_words_pinned () =

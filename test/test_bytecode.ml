@@ -417,6 +417,26 @@ let t_unwind_step_limit () =
     (Util.contains_sub shown
        ~sub:"raised while unwinding: resource limit: step limit exceeded")
 
+(* Function pointers as a global, a field set in a constructor
+   initializer and a local returning a class pointer: every call-graph
+   tier finds the same two dead members, and with them both engines agree
+   on output, steps, allocations and the space snapshot. *)
+let t_declarators () =
+  Util.check_string "output" "exit 0\n17\n10\n7\n12\n"
+    (corpus_engines_agree "declarators.mcc");
+  let prog = Util.check_source (corpus_source "declarators.mcc") in
+  List.iter
+    (fun call_graph ->
+      let r = Deadmem.Liveness.analyze ~config:(Deadmem.Config.make call_graph) prog in
+      Util.check_dead r [ "Box::spare"; "Handler::unused" ];
+      let dead = Deadmem.Liveness.dead_set r in
+      let snapshot engine = (Runtime.Interp.run ~engine ~dead prog).snapshot in
+      Util.check_bool
+        (Callgraph.algorithm_to_string call_graph ^ ": snapshots agree")
+        true
+        (snapshot Runtime.Interp.Tree = snapshot Runtime.Interp.Bytecode))
+    Callgraph.[ Cha; Rta; Pta; Pta1 ]
+
 (* [abort()] ends a run with status 134 and the output so far wherever
    it is called: in main, in a global initializer (before main runs),
    and in a destructor while an error unwinds its scope. *)
@@ -489,6 +509,7 @@ let suite =
       t_abort_everywhere;
     Util.test "huge guest arrays are the same limit in both engines"
       t_huge_arrays_are_limits;
+    Util.test "function-pointer declarators in every position" t_declarators;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_nested_control_flow; prop_short_circuit ]

@@ -95,6 +95,9 @@ let t_exit_codes () =
   let unwind = temp_src unwind_src in
   let abort_init = temp_src abort_init_src in
   let huge_new = temp_src huge_new_src in
+  let declarators =
+    Filename.concat (Filename.dirname Sys.executable_name) "../examples/corpus/declarators.mcc"
+  in
   let q = Filename.quote in
   let cases =
     [
@@ -106,6 +109,11 @@ let t_exit_codes () =
       ("analyze no/such/file.mcc", 2);
       ("analyze --callgraph=psychic " ^ q valid, 2) (* used to exit 124 *);
       ("analyze", 2);
+      (* function-pointer globals and fields, under every tier *)
+      ("analyze --callgraph=cha " ^ q declarators, 0);
+      ("analyze --callgraph=rta " ^ q declarators, 0);
+      ("analyze --callgraph=pta " ^ q declarators, 0);
+      ("analyze --callgraph=pta1 " ^ q declarators, 0);
       (* explain *)
       ("explain P::y " ^ q valid, 0);
       ("explain nocolons " ^ q valid, 2);
@@ -406,9 +414,35 @@ let t_cli_daemon_agree () =
     Alcotest.failf "precision: the benchmarks array is not the CLI's JSON:\n%s\n%s"
       resp out
 
+(* Text [check] prints every diagnostic [--format=json] reports, as
+   [file:line:col-col: error: message]; a short one once went missing
+   from the text, leaving only the error count. *)
+let t_check_text_lists_diagnostics () =
+  let f = temp_src "int main() { return x; }\n" in
+  let _, json, _ = run_capture ("check --format=json " ^ Filename.quote f) in
+  let code, text, _ = run_capture ("check " ^ Filename.quote f) in
+  check_int "exit" 1 code;
+  let diags =
+    match J.to_list (field (json_out "check --format=json" json) "diagnostics") with
+    | Some ds -> ds
+    | None -> Alcotest.fail "diagnostics is not a list"
+  in
+  check_int "one diagnostic" 1 (List.length diags);
+  List.iter
+    (fun d ->
+      let line =
+        Printf.sprintf "%s:%d:%d-%d: error: %s" f (int_field d "line") (int_field d "col")
+          (int_field d "end_col") (str_field d "message")
+      in
+      if not (List.mem line (lines text)) then
+        Alcotest.failf "text check does not print %S:\n%s" line text)
+    diags
+
 let suite =
   [
     Util.test "exit codes: exhaustive subcommand table" t_exit_codes;
+    Util.test "check: text prints every diagnostic JSON reports"
+      t_check_text_lists_diagnostics;
     Util.test "check --jobs: parallel output byte-identical"
       t_jobs_differential;
     Util.test "check --jobs: randomized batches identical"

@@ -182,7 +182,16 @@ let t_benchmark_preservation (b : Benchmarks.Suite.t) () =
     Util.check_bool
       (Printf.sprintf "%s: object space did not grow (%d -> %d)"
          b.Benchmarks.Suite.name before after)
-      true (after <= before)
+      true (after <= before);
+  (* Table 2 cross-check: the HWM-without-dead-members column, which
+     [Profile]'s layout model computes in a run with the dead set, is the
+     high-water mark the stripped program measures *)
+  let dead = Deadmem.Liveness.dead_set (snd (Util.analyze b.Benchmarks.Suite.source)) in
+  let modelled = Util.run ~dead b.Benchmarks.Suite.source in
+  Util.check_int
+    (b.Benchmarks.Suite.name ^ ": HWM w/o dead = stripped program's HWM")
+    modelled.Runtime.Interp.snapshot.Runtime.Profile.high_water_mark_reduced
+    stripped.Runtime.Interp.snapshot.Runtime.Profile.high_water_mark
 
 (* -- printed source ---------------------------------------------------------
 
@@ -193,6 +202,7 @@ let t_benchmark_preservation (b : Benchmarks.Suite.t) () =
 
 let corpus_programs =
   [
+    ("declarators.mcc", None);
     ("escape_locals.mcc", None);
     ("late_dispatch.mcc", None);
     ("scalar_delete.mcc", None);

@@ -178,6 +178,23 @@ let t_out_of_line () =
         && f.Ast.mt_kind = Ast.MethNormal && f.Ast.mt_body <> None)
   | _ -> Alcotest.fail "unexpected shape"
 
+(* [= 0] is a pure-virtual specifier only on a declaration in a class
+   body: after an out-of-line header the parser rejects it, as it rejects
+   [A() = 0;] in the class. *)
+let t_out_of_line_pure () =
+  let cls = "class A { public: A(); ~A(); virtual int f(); };\n" in
+  List.iter
+    (fun def ->
+      Util.expect_error ~substr:"pure-virtual specifier outside a class body" (fun () ->
+          parse (cls ^ def)))
+    [ "A::A() = 0;"; "A::~A() = 0;"; "int A::f() = 0;"; "int A::f() const = 0;" ];
+  Util.expect_error ~substr:"constructor cannot be pure virtual" (fun () ->
+      parse "class A { public: A() = 0; };");
+  match parse "class A { public: virtual ~A() = 0; virtual int f() const = 0; };" with
+  | [ Ast.TClass { cd_members = [ Ast.MMethod d; Ast.MMethod f ]; _ } ] ->
+      Util.check_bool "in-class pure" true (d.Ast.mt_pure && f.Ast.mt_pure)
+  | _ -> Alcotest.fail "unexpected shape"
+
 let t_static_member_def () =
   match parse "class A { public: static int count; };\nint A::count;" with
   | [ Ast.TClass _ ] -> ()
@@ -212,6 +229,23 @@ let t_decl_vs_expr () =
       Util.check_bool "is decl" true
         (match s1.Ast.s with Ast.SDecl _ -> true | _ -> false)
   | _ -> Alcotest.fail "unexpected shape"
+
+(* [A( * p)(x)] is a call when [x] cannot begin a parameter-type list; with
+   one, or an empty list, it declares a function pointer. *)
+let t_fn_ptr_decl_vs_call () =
+  let is_decl src =
+    match parse ("class A { };\nint main() { " ^ src ^ " }") with
+    | [ _; Ast.TFunc { fn_body = Some { s = Ast.SBlock [ { s; _ } ]; _ }; _ } ] -> (
+        match s with
+        | Ast.SDecl _ -> true
+        | Ast.SExpr _ -> false
+        | _ -> Alcotest.fail "unexpected statement")
+    | _ -> Alcotest.fail "unexpected shape"
+  in
+  Util.check_bool "call" false (is_decl "A(*p)(x);");
+  Util.check_bool "call, one argument" false (is_decl "A(*p);");
+  Util.check_bool "no parameters" true (is_decl "A(*p)();");
+  Util.check_bool "class pointer result" true (is_decl "A *(*mk)(int, A*);")
 
 let t_forward_decl () =
   match parse "class B;\nclass B { public: int x; };" with
@@ -265,6 +299,70 @@ let prop_expr_roundtrip =
       let printed2 = Fmt.str "%a" Ast_printer.pp_expr e2 in
       printed = printed2)
 
+(* qcheck: a declarator type drawn from the shapes the parser produces
+   (scalar or class base; pointer, member-pointer and reference suffixes;
+   at most one array bound; function pointers, class-pointer results
+   included), printed as a field, a local, a global and a parameter,
+   parses back to the same type in each; a parameter decays. *)
+let gen_declarator_type =
+  let open QCheck.Gen in
+  let base = oneofl Ast.[ TInt; TLong; TChar; TBool; TFloat; TDouble; TNamed "A" ] in
+  let suffixed =
+    let* b = base in
+    let* steps = list_size (int_bound 3) (oneofl [ `Ptr; `MemPtr ]) in
+    let t =
+      List.fold_left
+        (fun t -> function `Ptr -> Ast.TPtr t | `MemPtr -> Ast.TMemPtrTy ("A", t))
+        b steps
+    in
+    map (fun r -> if r then Ast.TRef t else t) (frequency [ (4, return false); (1, return true) ])
+  in
+  frequency
+    [
+      (3, suffixed);
+      (2, map2 (fun t n -> Ast.TArr (t, n + 1)) suffixed (int_bound 7));
+      (3, map2 (fun r ps -> Ast.TFun (r, ps)) suffixed (list_size (int_bound 3) suffixed));
+    ]
+
+(* (position, program declaring [d] there, the declared type) *)
+let declarator_positions d =
+  [
+    ( "field",
+      "struct S { " ^ d ^ "; };",
+      function
+      | [ _; Ast.TClass { cd_members = [ Ast.MField f ]; _ } ] -> Some f.Ast.fd_type
+      | _ -> None );
+    ( "local",
+      "void f() { " ^ d ^ "; }",
+      function
+      | [ _; Ast.TFunc { fn_body = Some { s = Ast.SBlock [ { s = Ast.SDecl [ v ]; _ } ]; _ }; _ } ]
+        ->
+          Some v.Ast.v_type
+      | _ -> None );
+    ("global", d ^ ";", function [ _; Ast.TGlobal v ] -> Some v.Ast.v_type | _ -> None);
+    ( "parameter",
+      "void f(" ^ d ^ ");",
+      function [ _; Ast.TFunc { fn_params = [ p ]; _ } ] -> Some p.Ast.p_type | _ -> None );
+  ]
+
+let prop_declarator_positions =
+  QCheck.Test.make ~name:"a declarator parses back the same in every position" ~count:300
+    (QCheck.make ~print:(fun t -> Ast_printer.declarator t "v") gen_declarator_type)
+    (fun t ->
+      List.for_all
+        (fun (pos, src, declared) ->
+          let expected =
+            match (pos, t) with "parameter", Ast.TArr (elt, _) -> Ast.TPtr elt | _ -> t
+          in
+          match declared (parse ("class A { public: int m; };\n" ^ src)) with
+          | Some t' when Ast.type_equal t' expected -> true
+          | Some t' ->
+              QCheck.Test.fail_reportf "%s: parsed as %s" pos (Ast_printer.declarator t' "v")
+          | None -> QCheck.Test.fail_reportf "%s: unexpected shape" pos
+          | exception Source.Compile_error d ->
+              QCheck.Test.fail_reportf "%s: %s" pos (Source.diagnostic_to_string d))
+        (declarator_positions (Ast_printer.declarator t "v")))
+
 let suite =
   [
     Util.test "arithmetic precedence" t_precedence_arith;
@@ -284,13 +382,16 @@ let suite =
     Util.test "constructors and destructors" t_ctor_dtor;
     Util.test "pure virtual" t_pure_virtual;
     Util.test "out-of-line definitions" t_out_of_line;
+    Util.test "= 0 after an out-of-line header" t_out_of_line_pure;
     Util.test "static member definition" t_static_member_def;
     Util.test "enum" t_enum;
     Util.test "globals" t_globals;
     Util.test "control flow statements" t_control_flow;
     Util.test "declaration vs expression" t_decl_vs_expr;
+    Util.test "function-pointer declaration vs call" t_fn_ptr_decl_vs_call;
     Util.test "forward declarations" t_forward_decl;
     Util.test "parse errors located" t_parse_error_reports_location;
     Util.test "print/reparse round-trip" t_roundtrip_fig1;
     QCheck_alcotest.to_alcotest prop_expr_roundtrip;
+    QCheck_alcotest.to_alcotest prop_declarator_positions;
   ]

@@ -52,6 +52,38 @@ let t_disabled_noop () =
   Util.check_bool "disabled: no gauges in snapshot" true (T.gauges () = []);
   Util.check_bool "disabled: no spans recorded" true (T.Span.completed () = [])
 
+(* The disabled path is one boolean load and allocates nothing: 10,000
+   calls of each instrument take no more minor words than zero calls do
+   (the same loop around the same measurement). *)
+let noop () = ()
+
+let t_disabled_allocates_nothing () =
+  T.reset ();
+  T.set_enabled false;
+  let c = T.Counter.make "test.zero_words"
+  and g = T.Gauge.make "test.zero_words_gauge"
+  and h = T.Histogram.make "test.zero_words_hist" in
+  let words n call =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      call ()
+    done;
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  List.iter
+    (fun (name, call) ->
+      let zero = words 0 call and many = words 10_000 call in
+      if many > zero then
+        Alcotest.failf "%s: 10,000 disabled calls allocate %d minor words, zero calls %d"
+          name many zero)
+    [
+      ("Counter.incr", fun () -> T.Counter.incr c);
+      ("Counter.add", fun () -> T.Counter.add c 3);
+      ("Gauge.set", fun () -> T.Gauge.set g 3);
+      ("Histogram.observe", fun () -> T.Histogram.observe h 3);
+      ("Span.with_", fun () -> T.Span.with_ "test.zero_words_span" noop);
+    ]
+
 let t_reset_keeps_registrations () =
   with_telemetry @@ fun () ->
   let c = T.Counter.make "test.reset" in
@@ -424,6 +456,7 @@ let suite =
     Util.test "counters are monotone" t_counter_monotone;
     Util.test "Counter.make is idempotent" t_counter_make_idempotent;
     Util.test "disabled telemetry is a no-op" t_disabled_noop;
+    Util.test "disabled telemetry allocates nothing" t_disabled_allocates_nothing;
     Util.test "reset keeps registrations" t_reset_keeps_registrations;
     Util.test "untouched gauges omitted" t_gauge_untouched_omitted;
     Util.test "histogram observe/snapshot/quantile" t_hist_observe_snapshot;
