@@ -52,8 +52,9 @@ type params = {
   chain_len : int;  (* pointer locals per chain *)
 }
 
-(* The pinned stress configuration: 83,208 points-to constraints at
-   seed 42. *)
+(* The pinned stress configuration: 589 points-to constraints at
+   seed 42 (calls on one receiver share a dispatch record, and a call
+   with an untracked result adds none). *)
 let stress = { seed = 42; classes = 24; sites = 128; chains = 50; chain_len = 1100 }
 
 let source (p : params) : string =

@@ -16,7 +16,7 @@ type params = {
 }
 
 (** The pinned stress configuration measured by [bench/main.exe
-    pta-stress] and pinned by CI: 83,208 points-to constraints at
+    pta-stress] and pinned by CI: 589 points-to constraints at
     seed 42. Its chain locals are single-definition copies that the
     solver substitutes by design; the reassigned ladder rungs and the
     shared [Node::next] field still stagger object arrivals. *)

@@ -793,8 +793,8 @@ let parse_method st ~loc ~in_class ~access ~virtual_ ~static kind name ret :
     mt_kind = kind;
     mt_ret = ret;
     mt_params = params;
-    mt_virtual = virtual_ && kind <> Ast.MethCtor;
-    mt_static = static && kind = Ast.MethNormal;
+    mt_virtual = virtual_;
+    mt_static = static;
     mt_pure = pure;
     mt_inits = inits;
     mt_body = body;
@@ -803,8 +803,10 @@ let parse_method st ~loc ~in_class ~access ~virtual_ ~static kind name ret :
   }
 
 (* A constructor or destructor header of [cls], the cursor on the class
-   name or the [~]. *)
-let parse_ctor_dtor st ~loc ~in_class ~access ~virtual_ cls : Ast.method_decl =
+   name or the [~]. Neither may be [static], and a constructor may not
+   be [virtual]. *)
+let parse_ctor_dtor st ~loc ~in_class ~access ~virtual_ ~static cls :
+    Ast.method_decl =
   let kind, name =
     if accept st Token.TILDE then begin
       let name = expect_ident st in
@@ -817,6 +819,11 @@ let parse_ctor_dtor st ~loc ~in_class ~access ~virtual_ cls : Ast.method_decl =
       (Ast.MethCtor, cls)
     end
   in
+  if static then
+    Source.error ~at:loc "%s cannot be static"
+      (if kind = Ast.MethCtor then "constructor" else "destructor");
+  if virtual_ && kind = Ast.MethCtor then
+    Source.error ~at:loc "constructor cannot be virtual";
   parse_method st ~loc ~in_class ~access ~virtual_ ~static:false kind name Ast.TVoid
 
 let parse_member st ~class_name ~access : Ast.member_decl list =
@@ -845,7 +852,11 @@ let parse_member st ~class_name ~access : Ast.member_decl list =
     | _ -> false
   in
   if ctor_or_dtor then
-    [ Ast.MMethod (parse_ctor_dtor st ~loc ~in_class:true ~access ~virtual_:!virtual_ class_name) ]
+    [
+      Ast.MMethod
+        (parse_ctor_dtor st ~loc ~in_class:true ~access ~virtual_:!virtual_
+           ~static:!static class_name);
+    ]
   else begin
     let base = parse_base_type st in
     let name, t = declarator st base in
@@ -1039,7 +1050,9 @@ let parse_top st : Ast.top_decl list =
       advance st;
       [
         Ast.TMethodDef
-          (cls, parse_ctor_dtor st ~loc ~in_class:false ~access:Ast.Public ~virtual_:false cls);
+          ( cls,
+            parse_ctor_dtor st ~loc ~in_class:false ~access:Ast.Public
+              ~virtual_:false ~static:false cls );
       ]
   | _ ->
       (* function / global / out-of-line method: starts with a type *)
@@ -1137,11 +1150,16 @@ let parse_string ?(file = "<string>") src : Ast.program = parse ~file src
    boundary — a ';' or a closing '}' (followed by an optional ';') at
    brace depth 0, a top-level class/struct/union/enum keyword at depth 0,
    or EOF — and resumes, so one bad declaration no longer hides every
-   later diagnostic. The skipped tokens become an {!Source.unknown_region}
-   whose identifier set feeds the analysis's conservative degradation. *)
+   later diagnostic. Depth counts from the start of the failed
+   declaration: an error inside a class or function body skips to that
+   body's closing '}', not to the next ';' inside it, unless a
+   class/struct/union/enum keyword at the error's own depth shows that
+   the body was never closed. The skipped tokens become an
+   {!Source.unknown_region} whose identifier set feeds the analysis's
+   conservative degradation. *)
 
-let synchronize_top st =
-  let depth = ref 0 in
+let synchronize_top st ~depth:outer =
+  let depth = ref outer in
   let stop = ref false in
   let consume () =
     match cur_tok st with
@@ -1167,10 +1185,21 @@ let synchronize_top st =
     match cur_tok st with
     | Token.EOF -> stop := true
     | (Token.KW_CLASS | Token.KW_STRUCT | Token.KW_UNION | Token.KW_ENUM)
-      when !depth = 0 ->
+      when !depth <= outer ->
         stop := true
     | _ -> consume ()
   done
+
+(* The braces tokens [from, until) open and leave unclosed. *)
+let open_braces st ~from ~until =
+  let depth = ref 0 in
+  for i = from to min until (Array.length st.tokens) - 1 do
+    match st.tokens.(i).Token.tok with
+    | Token.LBRACE -> incr depth
+    | Token.RBRACE -> if !depth > 0 then decr depth
+    | _ -> ()
+  done;
+  !depth
 
 (* Identifiers mentioned in tokens [from, until): the conservative
    reference set of a skipped region. *)
@@ -1219,7 +1248,7 @@ let parse_resilient ~diags ~file src :
                 "over-deep declaration"
           in
           Telemetry.Counter.incr sync_counter;
-          synchronize_top st;
+          synchronize_top st ~depth:(open_braces st ~from:start ~until:st.idx);
           regions :=
             {
               Source.ur_at = span_between st ~from:start ~until:st.idx;

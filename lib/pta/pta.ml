@@ -36,6 +36,12 @@
      once, because [add_objs] keeps only what a node does not already
      hold. The pop order fixes every solver counter the tests pin.
 
+   - Virtual calls on one receiver node with the same static class,
+     name and fixed target share one dispatch record ([vsite]), so a
+     receiver class is resolved and bound once per record, not once
+     per call. A call whose result type is untracked gets no result
+     node, and its targets' returns no edge.
+
    - [OneCfa] mode refines the abstraction by cloning callees one level
      deep: method calls are analyzed per receiver allocation site
      ([CObj] — the callee instance's [this] holds exactly that object),
@@ -123,17 +129,28 @@ type obj = {
   o_site : Source.span option;
 }
 
-(* A virtual-call site attached to its receiver node. [vs_serial]
-   identifies the static occurrence, shared by every context clone;
-   [vs_fixed] is the statically-resolved target of non-virtual method
-   calls routed through receiver objects in [OneCfa] mode. *)
+(* One call through a dispatch record: its argument nodes (value node,
+   write-back sink) and its result node, [nonode] when the result type
+   is untracked. *)
+type member = { m_args : (int * int option) list; m_ret : int }
+
+(* A dispatch record attached to its receiver node: every virtual-call
+   site on that node with the same static class, method name and fixed
+   target. The sites see the same receiver objects, so they share what
+   dispatch learns — the classes resolved, the instances bound, the
+   degradation — and a new receiver class is resolved and bound once
+   per record, not once per site. [vs_serials] names each member's
+   static occurrence (shared by every context clone); [vs_binds] holds
+   only the members with something to bind, so a call with no arguments
+   and an untracked result costs nothing per target. [vs_fixed] is the
+   statically-resolved target of non-virtual method calls routed
+   through receiver objects in [OneCfa] mode. *)
 type vsite = {
-  vs_serial : int;
   vs_fixed : Func_id.t option;
   vs_static : string;  (* static receiver class *)
   vs_name : string;
-  vs_args : (int * int option) list;  (* value node, write-back sink *)
-  vs_ret : int;
+  mutable vs_serials : int list;
+  mutable vs_binds : member list;
   mutable vs_classes : StringSet.t;  (* dynamic classes already dispatched *)
   mutable vs_seen : StringSet.t;  (* receiver classes seen from objects *)
   mutable vs_bound : FctxSet.t;  (* instances already bound *)
@@ -166,7 +183,7 @@ type node = {
   mutable succ : IntSet.t;  (* inclusion edges: pts(succ) ⊇ pts(self) *)
   mutable loads : IntSet.t;  (* dst nodes: dst ⊇ *self *)
   mutable stores : IntSet.t;  (* src nodes: *self ⊇ src *)
-  mutable vsites : vsite list;
+  mutable vsites : vsite list;  (* dispatch records on this receiver *)
   mutable fsites : fsite list;
   mutable dsites : dsite list;
   mutable queued : bool;
@@ -227,6 +244,12 @@ type solution = {
   mutable n_complex : int;
   mutable n_delta : int;  (* objects moved by difference propagation *)
   mutable rounds : int;  (* solver rounds *)
+  (* query answers, keyed by an expression's node list: a program's
+     sites share few receiver nodes, so most queries are lookups *)
+  class_answers : (int list, string list option) Hashtbl.t;
+  fn_answers : (int list, Func_id.t list option) Hashtbl.t;
+  site_answers :
+    (int list, (string * Frontend.Source.span) list option) Hashtbl.t;
 }
 
 (* -- node / object stores ----------------------------------------------------- *)
@@ -547,8 +570,11 @@ and bind_virtual st (vs : vsite) ~recv target =
     (match recv with
     | Some rn -> add_edge st rn (node_of_this st fx)
     | None -> set_top st (node_of_this st fx));
-    bind_args st fx vs.vs_args vs.vs_ret
+    bind_members st vs fx
   end
+
+and bind_members st (vs : vsite) fx =
+  List.iter (fun m -> bind_args st fx m.m_args m.m_ret) vs.vs_binds
 
 (* Object-level dispatch ([OneCfa]): the callee instance is keyed by the
    receiver object, and its [this] holds exactly that object. *)
@@ -562,13 +588,14 @@ and dispatch_obj st (vs : vsite) o cls =
       if not (FctxSet.mem fx vs.vs_bound) then begin
         vs.vs_bound <- FctxSet.add fx vs.vs_bound;
         reach st fx;
-        bind_args st fx vs.vs_args vs.vs_ret
+        bind_members st vs fx
       end;
       add_obj st (node_of_this st fx) o
 
 (* Bind already-generated argument nodes to a target's formals, with
    write-back for reference-to-pointer parameters, and its return to the
-   call's result node. Unknown externals yield an unknown result. *)
+   call's result node ([nonode]: the result is untracked, so no edge).
+   Unknown externals yield an unknown result. *)
 and bind_args st (fx : fctx) args ret =
   match find_func st.prog (fst fx) with
   | Some f ->
@@ -585,7 +612,7 @@ and bind_args st (fx : fctx) args ret =
               end
           | None -> ())
         f.tf_params;
-      add_edge st (node_of_ret st fx) ret
+      if ret >= 0 then add_edge st (node_of_ret st fx) ret
   | None -> set_top st ret
 
 and resolve_vsite_fallback st (vs : vsite) =
@@ -613,7 +640,8 @@ and bind_fsite_target st (fs : fsite) id =
     | Some f when List.length f.tf_params = fs.fs_arity ->
         reach st (id, CRoot);
         (* formals of address-taken functions are already ⊤ *)
-        add_edge st (node_of_ret st (id, CRoot)) fs.fs_ret
+        if fs.fs_ret >= 0 then
+          add_edge st (node_of_ret st (id, CRoot)) fs.fs_ret
     | Some _ -> ()  (* arity mismatch: not a possible target *)
     | None ->
         reach st (id, CRoot);
@@ -747,10 +775,45 @@ let add_store st p src =
   Telemetry.Counter.incr complex_counter;
   feed_store st src ~objs:n.pts ~is_top:n.top
 
-let attach_vsite st (vs : vsite) rnode =
+(* A virtual call on receiver node [rnode] joins the node's live record
+   for its static class, name and fixed target: it is bound to every
+   instance the record has bound so far, and the record is fed the
+   objects still pending at the node — what a site of its own would
+   have dispatched on attaching. A call on a ⊤ node, under havoc, or
+   with no live record of its kind opens a new record fed the node's
+   whole set. *)
+let attach_vsite st ~fixed ~static_cls ~name ~serial (m : member) rnode =
   let n = st.nodes.(rnode) in
-  n.vsites <- vs :: n.vsites;
-  feed_vsite st vs ~rnode ~objs:n.pts ~is_top:n.top
+  let to_bind = m.m_args <> [] || m.m_ret >= 0 in
+  let joinable vs =
+    (not vs.vs_top) && vs.vs_name = name && vs.vs_static = static_cls
+    && vs.vs_fixed = fixed
+  in
+  match if n.top || st.havoc then None else List.find_opt joinable n.vsites with
+  | Some vs ->
+      vs.vs_serials <- serial :: vs.vs_serials;
+      if to_bind then begin
+        vs.vs_binds <- m :: vs.vs_binds;
+        FctxSet.iter (fun fx -> bind_args st fx m.m_args m.m_ret) vs.vs_bound
+      end;
+      feed_vsite st vs ~rnode ~objs:n.delta ~is_top:false
+  | None ->
+      let vs =
+        {
+          vs_fixed = fixed;
+          vs_static = static_cls;
+          vs_name = name;
+          vs_serials = [ serial ];
+          vs_binds = (if to_bind then [ m ] else []);
+          vs_classes = StringSet.empty;
+          vs_seen = StringSet.empty;
+          vs_bound = FctxSet.empty;
+          vs_top = false;
+        }
+      in
+      st.all_vsites <- vs :: st.all_vsites;
+      n.vsites <- vs :: n.vsites;
+      feed_vsite st vs ~rnode ~objs:n.pts ~is_top:n.top
 
 let attach_fsite st (fs : fsite) fnode =
   let n = st.nodes.(fnode) in
@@ -998,7 +1061,7 @@ and gen_expr_raw st fx (e : texpr) : int =
       add_obj st (node_of_this st cfx) o;
       let n = fresh_node st in
       add_obj st n o;
-      bind_args st cfx gargs (fresh_node st);
+      bind_args st cfx gargs nonode;
       n
   | TNewScalar _ ->
       let o =
@@ -1120,9 +1183,9 @@ and gen_static_call st fx ~recv ~callee ~args ret_ty =
   (match recv with
   | Some r -> add_edge st r (node_of_this st callee)
   | None -> ());
-  let rn = fresh_node st in
+  let rn = if tracked st ret_ty then fresh_node st else nonode in
   bind_args st callee gargs rn;
-  if tracked st ret_ty then rn else nonode
+  rn
 
 (* A method call routed through its receiver's objects: virtual calls
    always; statically-resolved calls too in [OneCfa] mode, so the callee
@@ -1130,22 +1193,7 @@ and gen_static_call st fx ~recv ~callee ~args ret_ty =
 and gen_method_site st fx (e : texpr) (mc : method_call) ~fixed ~static_cls
     grecv =
   let gargs = gen_args st fx mc.mc_args in
-  let rn = fresh_node st in
-  let vs =
-    {
-      vs_serial = serial_of st e;
-      vs_fixed = fixed;
-      vs_static = static_cls;
-      vs_name = mc.mc_name;
-      vs_args = gargs;
-      vs_ret = rn;
-      vs_classes = StringSet.empty;
-      vs_seen = StringSet.empty;
-      vs_bound = FctxSet.empty;
-      vs_top = false;
-    }
-  in
-  st.all_vsites <- vs :: st.all_vsites;
+  let rn = if tracked st e.ty then fresh_node st else nonode in
   let rnode =
     if grecv >= 0 then grecv
     else begin
@@ -1154,8 +1202,10 @@ and gen_method_site st fx (e : texpr) (mc : method_call) ~fixed ~static_cls
       t
     end
   in
-  attach_vsite st vs rnode;
-  if tracked st e.ty then rn else nonode
+  attach_vsite st ~fixed ~static_cls ~name:mc.mc_name ~serial:(serial_of st e)
+    { m_args = gargs; m_ret = rn }
+    rnode;
+  rn
 
 and gen_call st fx (e : texpr) (c : call) : int =
   match c with
@@ -1205,7 +1255,7 @@ and gen_call st fx (e : texpr) (c : call) : int =
       | _ ->
           let gf = gen_expr st fx fnx in
           List.iter (fun a -> ignore (gen_expr st fx a)) args;
-          let rn = fresh_node st in
+          let rn = if tracked st e.ty then fresh_node st else nonode in
           let fs =
             {
               fs_serial = serial_of st e;
@@ -1225,7 +1275,7 @@ and gen_call st fx (e : texpr) (c : call) : int =
             end
           in
           attach_fsite st fs fnode;
-          if tracked st e.ty then rn else nonode)
+          rn)
 
 (* -- statements and functions -------------------------------------------------- *)
 
@@ -1245,7 +1295,7 @@ and gen_decl st fx subst (d : tvar_decl) =
           let cfx = (ctor, ctx_for st ctor (CObj o)) in
           reach st cfx;
           add_obj st (node_of_this st cfx) o;
-          bind_args st cfx gargs (fresh_node st)
+          bind_args st cfx gargs nonode
       | TInitNone ->
           let ctor = Func_id.FCtor (cls, 0) in
           let cfx = (ctor, ctx_for st ctor (CObj o)) in
@@ -1368,7 +1418,7 @@ and gen_func st (fx : fctx) =
                  too: if [this] escapes from the base ctor, it carries the
                  derived object's identity *)
               add_edge st (node_of_this st fx) (node_of_this st bfx);
-              bind_args st bfx gargs (fresh_node st))
+              bind_args st bfx gargs nonode)
             f.tf_base_inits;
           let c = Class_table.find_exn st.table cls in
           List.iter
@@ -1394,7 +1444,7 @@ and gen_func st (fx : fctx) =
                     let fctor = Func_id.FCtor (fcls, nargs) in
                     let ffx = (fctor, CRoot) in
                     reach st ffx;
-                    bind_args st ffx gargs (fresh_node st)
+                    bind_args st ffx gargs nonode
                 | Ast.TArr (Ast.TNamed fcls, _)
                   when Class_table.mem st.table fcls ->
                     reach st (Func_id.FCtor (fcls, 0), CRoot)
@@ -1515,7 +1565,8 @@ let count_fallback_sites st =
   List.iter
     (fun vs ->
       if vs.vs_fixed = None then
-        mark vs.vs_serial (vs.vs_top || StringSet.cardinal vs.vs_seen > 1))
+        let fb = vs.vs_top || StringSet.cardinal vs.vs_seen > 1 in
+        List.iter (fun serial -> mark serial fb) vs.vs_serials)
     st.all_vsites;
   List.iter
     (fun fs -> mark fs.fs_serial (fs.fs_top || FuncSet.cardinal fs.fs_bound > 1))
@@ -1568,6 +1619,9 @@ let analyze ?(mode = Insensitive) ?(roots = [ main_id ]) (p : program) :
       n_complex = 0;
       n_delta = 0;
       rounds = 0;
+      class_answers = Hashtbl.create 16;
+      fn_answers = Hashtbl.create 16;
+      site_answers = Hashtbl.create 16;
     }
   in
   Telemetry.Span.with_ "pta.seed" (fun () ->
@@ -1596,80 +1650,83 @@ let instantiated st = StringSet.elements st.inst
 let address_taken st = st.addr_taken
 let havoc st = st.havoc
 
-(* The union over every context clone of the expression occurrence:
-   [None] when any clone's node degraded to ⊤ (or the store havocked). *)
-let node_objects st e =
+(* The union of the nodes' sets, [None] when one degraded to ⊤. *)
+let node_objects st nodes =
+  let ok = ref true in
+  let pts =
+    List.fold_left
+      (fun acc n ->
+        let nd = st.nodes.(n) in
+        if nd.top then ok := false;
+        Ptset.union acc nd.pts)
+      Ptset.empty nodes
+  in
+  if !ok then Some pts else None
+
+(* [answer] over the union of every context clone of the expression
+   occurrence, computed once per node list and then looked up: [None]
+   when any clone's node degraded to ⊤ (or the store havocked), or the
+   occurrence was never analyzed. *)
+let memo_answer tbl answer st e =
   if st.havoc then None
   else
     match ExprTbl.find_opt st.expr_node e with
     | None | Some [] -> None
     | Some entries ->
-        let ok = ref true in
-        let pts =
-          List.fold_left
-            (fun acc (_, n) ->
-              let nd = st.nodes.(n) in
-              if nd.top then ok := false;
-              Ptset.union acc nd.pts)
-            Ptset.empty entries
-        in
-        if !ok then Some pts else None
+        let nodes = List.map snd entries in
+        memo tbl nodes (fun () ->
+            Option.bind (node_objects st nodes) (answer st))
 
-let receiver_classes st e =
-  match node_objects st e with
-  | None -> None
-  | Some pts ->
-      let ok = ref true in
-      let cs =
-        Ptset.fold
-          (fun o acc ->
-            match (st.objs.(o)).o_class with
-            | Some c -> StringSet.add c acc
-            | None ->
-                ok := false;
-                acc)
-          pts StringSet.empty
-      in
-      if !ok then Some (StringSet.elements cs) else None
+let classes_of st pts =
+  let ok = ref true in
+  let cs =
+    Ptset.fold
+      (fun o acc ->
+        match (st.objs.(o)).o_class with
+        | Some c -> StringSet.add c acc
+        | None ->
+            ok := false;
+            acc)
+      pts StringSet.empty
+  in
+  if !ok then Some (StringSet.elements cs) else None
 
-let funptr_targets st e =
-  match node_objects st e with
-  | None -> None
-  | Some pts ->
-      let ok = ref true in
-      let fs =
-        Ptset.fold
-          (fun o acc ->
-            match (st.objs.(o)).o_fn with
-            | Some f -> FuncSet.add f acc
-            | None ->
-                ok := false;
-                acc)
-          pts FuncSet.empty
-      in
-      if !ok then Some (FuncSet.elements fs) else None
+let functions_of st pts =
+  let ok = ref true in
+  let fs =
+    Ptset.fold
+      (fun o acc ->
+        match (st.objs.(o)).o_fn with
+        | Some f -> FuncSet.add f acc
+        | None ->
+            ok := false;
+            acc)
+      pts FuncSet.empty
+  in
+  if !ok then Some (FuncSet.elements fs) else None
 
-(* The allocation sites behind an expression's objects — the provenance
-   the [explain] command names. Sites without a textual location
+(* The allocation sites behind a set's objects — the provenance the
+   [explain] command names. Sites without a textual location
    (class-identity and cell objects) are skipped. *)
+let alloc_sites_of st pts =
+  let sites =
+    Ptset.fold
+      (fun o acc ->
+        let ob = st.objs.(o) in
+        match ob.o_site with
+        | Some sp ->
+            let cls = match ob.o_class with Some c -> c | None -> "<scalar>" in
+            (cls, sp) :: acc
+        | None -> acc)
+      pts []
+  in
+  Some (List.sort_uniq Stdlib.compare sites)
+
+let receiver_classes st e = memo_answer st.class_answers classes_of st e
+let funptr_targets st e = memo_answer st.fn_answers functions_of st e
+
 let receiver_alloc_sites st e =
-  match node_objects st e with
-  | None -> None
-  | Some pts ->
-      let sites =
-        Ptset.fold
-          (fun o acc ->
-            let ob = st.objs.(o) in
-            match ob.o_site with
-            | Some sp ->
-                let cls =
-                  match ob.o_class with Some c -> c | None -> "<scalar>"
-                in
-                (cls, sp) :: acc
-            | None -> acc)
-          pts []
-      in
-      Some (List.sort_uniq Stdlib.compare sites)
+  memo_answer st.site_answers alloc_sites_of st e
 
 let num_nodes st = st.n_nodes
 let num_objects st = st.n_objs

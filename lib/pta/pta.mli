@@ -25,7 +25,9 @@
     The solver propagates {e differences} over sorted-array {!Ptset}
     sets, in worklist rounds. A pointer local that is never written
     after its initializer gets no node of its own: it shares its
-    initializer's, so copy chains cost neither nodes nor edges.
+    initializer's, so copy chains cost neither nodes nor edges. Virtual
+    calls on one receiver share their dispatch, and a call whose result
+    is untracked gets no result node.
     {!Pta_ref} computes the [Insensitive] solution naively; the test
     suite holds the two equal on every expression. *)
 
@@ -69,7 +71,9 @@ val havoc : solution -> bool
     unknown ([⊤], havoc, or [e] not part of the analyzed program). [e]
     is identified {e physically}: pass the very expression node from the
     program given to {!analyze}. In [OneCfa] mode the answer is the
-    union over every context clone of the occurrence. *)
+    union over every context clone of the occurrence. The answer is
+    computed once per list of nodes and kept in the solution, so the
+    calls on one receiver share it; so are the two queries below. *)
 val receiver_classes : solution -> texpr -> string list option
 
 (** [funptr_targets sol e] is the set of functions the pointer

@@ -195,6 +195,52 @@ let t_out_of_line_pure () =
       Util.check_bool "in-class pure" true (d.Ast.mt_pure && f.Ast.mt_pure)
   | _ -> Alcotest.fail "unexpected shape"
 
+(* A constructor is never [virtual] and neither a constructor nor a
+   destructor is [static]: each is an error at the member, not a flag
+   the parser drops. *)
+let t_ctor_dtor_modifiers () =
+  List.iter
+    (fun (src, want) ->
+      match Parser.parse_string ~file:"m.mcc" src with
+      | exception Source.Compile_error d ->
+          Util.check_string src want (Source.diagnostic_to_string d)
+      | _ -> Alcotest.failf "%s: accepted" src)
+    [
+      ( "class A { public: virtual A() { } int x; };",
+        "m.mcc:1:19-26: error: constructor cannot be virtual" );
+      ( "class A { public: static A() { } int x; };",
+        "m.mcc:1:19-25: error: constructor cannot be static" );
+      ( "class A { public: A() { } static ~A() { } int x; };",
+        "m.mcc:1:27-33: error: destructor cannot be static" );
+    ]
+
+(* Keep-going recovery from an error inside a class or function body
+   resumes after that body's closing brace: the rest of the body is not
+   re-read as top-level declarations, so the one error is the only
+   diagnostic and [main] still parses. *)
+let t_recovery_skips_body () =
+  List.iter
+    (fun (bad, want) ->
+      let diags = Source.Diagnostics.create () in
+      let prog, _ =
+        Parser.parse_resilient ~diags ~file:"r.mcc"
+          (bad ^ "\nint main() { return 0; }")
+      in
+      Alcotest.(check (list string))
+        bad [ want ]
+        (List.map Source.diagnostic_to_string (Source.Diagnostics.to_list diags));
+      match prog with
+      | [ Ast.TFunc { fn_name = "main"; _ } ] -> ()
+      | _ -> Alcotest.failf "%s: main lost" bad)
+    [
+      ( "class A { public: A() = 0; int f(); };",
+        "r.mcc:1:19-20: error: constructor cannot be pure virtual" );
+      ( "class A { public: virtual A() { } static ~A() { } int x; };",
+        "r.mcc:1:19-26: error: constructor cannot be virtual" );
+      ( "int f(int x) { if (x) { x = x +; } return x; }",
+        "r.mcc:1:32-33: error: unexpected token ';' in expression" );
+    ]
+
 let t_static_member_def () =
   match parse "class A { public: static int count; };\nint A::count;" with
   | [ Ast.TClass _ ] -> ()
@@ -394,4 +440,6 @@ let suite =
     Util.test "print/reparse round-trip" t_roundtrip_fig1;
     QCheck_alcotest.to_alcotest prop_expr_roundtrip;
     QCheck_alcotest.to_alcotest prop_declarator_positions;
+    Util.test "constructor/destructor modifiers rejected" t_ctor_dtor_modifiers;
+    Util.test "keep-going recovery skips the failed body" t_recovery_skips_body;
   ]

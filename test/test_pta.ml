@@ -304,48 +304,48 @@ let pinned =
     [
       ("jikes", Cha, (32, 45, jikes), None);
       ("jikes", Rta, (32, 45, jikes), None);
-      ("jikes", Pta, (30, 41, jikes), Some (182, 213, 6));
-      ("jikes", Pta1, (30, 41, jikes), Some (165, 252, 6));
+      ("jikes", Pta, (30, 41, jikes), Some (104, 213, 6));
+      ("jikes", Pta1, (30, 41, jikes), Some (84, 252, 6));
       ("idl", Cha, (23, 41, [ "IRObject::repo_tag" ]), None);
       ("idl", Rta, (23, 41, [ "IRObject::repo_tag" ]), None);
-      ("idl", Pta, (21, 33, [ "IRObject::repo_tag" ]), Some (106, 111, 3));
-      ("idl", Pta1, (21, 33, [ "IRObject::repo_tag" ]), Some (119, 115, 3));
+      ("idl", Pta, (21, 33, [ "IRObject::repo_tag" ]), Some (58, 111, 3));
+      ("idl", Pta1, (21, 33, [ "IRObject::repo_tag" ]), Some (62, 115, 3));
       ("npic", Cha, (16, 15, npic), None);
       ("npic", Rta, (16, 15, npic), None);
-      ("npic", Pta, (16, 15, npic), Some (49, 46, 1));
-      ("npic", Pta1, (16, 15, npic), Some (44, 46, 1));
+      ("npic", Pta, (16, 15, npic), Some (38, 46, 1));
+      ("npic", Pta1, (16, 15, npic), Some (33, 46, 1));
       ("lcom", Cha, (38, 57, lcom), None);
       ("lcom", Rta, (38, 57, lcom), None);
-      ("lcom", Pta, (36, 52, lcom), Some (130, 174, 9));
-      ("lcom", Pta1, (36, 52, lcom), Some (115, 173, 9));
+      ("lcom", Pta, (36, 52, lcom), Some (83, 174, 9));
+      ("lcom", Pta1, (36, 52, lcom), Some (60, 173, 9));
       ("taldict", Cha, (23, 30, taldict), None);
       ("taldict", Rta, (22, 28, taldict), None);
-      ("taldict", Pta, (22, 28, taldict), Some (81, 61, 4));
-      ("taldict", Pta1, (22, 28, taldict), Some (71, 64, 4));
+      ("taldict", Pta, (22, 28, taldict), Some (61, 61, 4));
+      ("taldict", Pta1, (22, 28, taldict), Some (50, 64, 4));
       ("ixx", Cha, (28, 33, ixx), None);
       ("ixx", Rta, (28, 33, ixx), None);
-      ("ixx", Pta, (26, 31, ixx), Some (90, 142, 4));
-      ("ixx", Pta1, (26, 31, ixx), Some (78, 138, 4));
+      ("ixx", Pta, (26, 31, ixx), Some (57, 142, 4));
+      ("ixx", Pta1, (26, 31, ixx), Some (45, 138, 4));
       ("simulate", Cha, (18, 18, simulate), None);
       ("simulate", Rta, (18, 18, simulate), None);
-      ("simulate", Pta, (18, 18, simulate), Some (43, 49, 3));
-      ("simulate", Pta1, (18, 18, simulate), Some (38, 52, 4));
+      ("simulate", Pta, (18, 18, simulate), Some (25, 49, 3));
+      ("simulate", Pta1, (18, 18, simulate), Some (20, 52, 4));
       ("sched", Cha, (10, 10, sched), None);
       ("sched", Rta, (10, 10, sched), None);
-      ("sched", Pta, (10, 10, sched), Some (65, 51, 6));
-      ("sched", Pta1, (10, 10, sched), Some (65, 56, 6));
+      ("sched", Pta, (10, 10, sched), Some (52, 51, 6));
+      ("sched", Pta1, (10, 10, sched), Some (52, 56, 6));
       ("hotwire", Cha, (25, 26, hotwire_cha), None);
       ("hotwire", Rta, (23, 24, hotwire), None);
-      ("hotwire", Pta, (22, 23, hotwire), Some (82, 130, 3));
-      ("hotwire", Pta1, (22, 23, hotwire), Some (89, 112, 5));
+      ("hotwire", Pta, (22, 23, hotwire), Some (52, 130, 3));
+      ("hotwire", Pta1, (22, 23, hotwire), Some (51, 112, 5));
       ("deltablue", Cha, (63, 102, []), None);
       ("deltablue", Rta, (63, 102, []), None);
-      ("deltablue", Pta, (56, 93, []), Some (252, 601, 3));
-      ("deltablue", Pta1, (56, 93, []), Some (608, 762, 4));
+      ("deltablue", Pta, (56, 93, []), Some (169, 601, 3));
+      ("deltablue", Pta1, (56, 93, []), Some (328, 762, 4));
       ("richards", Cha, (30, 44, []), None);
       ("richards", Rta, (30, 44, []), None);
-      ("richards", Pta, (30, 44, []), Some (180, 762, 10));
-      ("richards", Pta1, (30, 44, []), Some (611, 1712, 9));
+      ("richards", Pta, (30, 44, []), Some (156, 762, 10));
+      ("richards", Pta1, (30, 44, []), Some (558, 1712, 9));
     ]
 
 let t_pinned_ports () =

@@ -381,12 +381,66 @@ let t_synth_twin () =
   Alcotest.(check (list string)) "dead members" (List.sort compare pads)
     (Util.dead_names r);
   Alcotest.(check (option (triple int int int)))
-    "constraints, delta props, solver rounds" (Some (7824, 2888, 53))
+    "constraints, delta props, solver rounds" (Some (275, 2888, 53))
     (Option.map
        (fun (s : Pta.stats) ->
          (s.p_constraints, s.p_delta_props, s.p_solver_iters))
        r.Deadmem.Liveness.callgraph.Callgraph.pta_stats);
   check_agrees ("synth twin", prog)
+
+(* -- dispatch work grows with sites plus classes ---------------------------- *)
+
+(* One receiver over [classes] subclasses of [N], each overriding
+   [id], followed by [calls] virtual calls on it. *)
+let one_receiver_src ~classes ~calls =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "class N { public: virtual int id() { return 0; } };\n";
+  for c = 0 to classes - 1 do
+    Printf.bprintf b
+      "class N%d : public N { public: virtual int id() { return %d; } };\n" c
+      (c + 1)
+  done;
+  Buffer.add_string b "N* pick(int k) {\n";
+  for c = 0 to classes - 1 do
+    Printf.bprintf b "  if (k == %d) return new N%d();\n" c c
+  done;
+  Buffer.add_string b "  return new N();\n}\n";
+  Buffer.add_string b "int main() {\n  N* p = pick(3);\n  int s = 0;\n";
+  for _ = 1 to calls do
+    Buffer.add_string b "  s = s + p->id();\n"
+  done;
+  Buffer.add_string b "  return s;\n}\n";
+  Buffer.contents b
+
+(* Minor words of a second [Pta.analyze] (the first warms up), with
+   telemetry off. *)
+let solve_words prog =
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled false;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) @@ fun () ->
+  ignore (Pta.analyze prog);
+  let w0 = Gc.minor_words () in
+  ignore (Pta.analyze prog);
+  Gc.minor_words () -. w0
+
+(* Calls on one receiver share its dispatch: the words 128 more calls
+   add must not grow with the number of receiver classes. Resolving and
+   binding every class once per call made the increment 4.2x larger at
+   32 classes than at 8. *)
+let t_dispatch_sites_plus_classes () =
+  let increment classes =
+    let words calls =
+      solve_words (Util.check_source (one_receiver_src ~classes ~calls))
+    in
+    words 256 -. words 128
+  in
+  let few = increment 8 and many = increment 32 in
+  Util.check_bool
+    (Printf.sprintf
+       "128 more calls add %.0f words at 32 classes, %.0f at 8: within 10%%"
+       many few)
+    true
+    (Float.abs (many -. few) <= 0.1 *. few)
 
 (* -- copy cycles under cloning ------------------------------------------------- *)
 
@@ -453,4 +507,6 @@ let suite =
     Util.test "1-CFA strictly shrinks deltablue's fallback sites"
       t_deltablue_fallback_shrink;
     Util.test "PTA1 surfaces solver statistics" t_stats_populated;
+    Util.test "dispatch words grow with sites plus classes, not their product"
+      t_dispatch_sites_plus_classes;
   ]
