@@ -224,13 +224,15 @@ let library_override_roots table ~library_classes : FuncSet.t =
 (* A reachable function and its callees so far. *)
 type caller = { c_id : Func_id.t; mutable c_out : FuncSet.t }
 
-(* A virtual-call or virtual-delete site. It is offered each class of
-   its static class's cone once that class is instantiated; [keep] is
-   its receiver's points-to answer ([None]: every class). Its own
-   targets are kept for provenance, so only under PTA. *)
-type vsite = {
+(* One caller's virtual-call or virtual-delete sites that share their
+   dispatch (the method name, or [None] for a virtual delete), static
+   class and receiver answer ([v_keep]; [None]: every class). They
+   reach the same targets, so the group is offered each class of its
+   static class's cone once, once that class is instantiated, and its
+   members share one target list, kept for provenance (so only under
+   PTA). *)
+type vgroup = {
   v_src : caller;
-  v_recv : texpr;
   v_target : string -> Func_id.t option;  (* dynamic class -> callee *)
   v_keep : string list option;
   mutable v_targets : Func_id.t list;
@@ -345,7 +347,11 @@ let build ?(algorithm = Rta) ?(library_classes = StringSet.empty)
       Queue.add id queue
     end
   in
+  (* the site groups of the caller whose events are being handled: a
+     caller's events are handled together, before the next caller's *)
+  let groups = Hashtbl.create 16 in
   let caller id =
+    if Hashtbl.length groups > 0 then Hashtbl.reset groups;
     let c = { c_id = id; c_out = FuncSet.empty } in
     callers := c :: !callers;
     c
@@ -356,36 +362,49 @@ let build ?(algorithm = Rta) ?(library_classes = StringSet.empty)
       enqueue dst
     end
   in
-  (* under PTA each virtual site keeps its targets, for provenance *)
+  (* under PTA each virtual site keeps its receiver and its group, for
+     provenance *)
   let vsites = ref [] and fsites = ref [] in
   let provenance = Option.is_some pta in
-  (* sites waiting for a class of their cone to be instantiated *)
-  let waiting : (string, vsite list) Hashtbl.t = Hashtbl.create 64 in
-  let offer s d =
-    match s.v_target d with
+  (* groups waiting for a class of their cone to be instantiated *)
+  let waiting : (string, vgroup list) Hashtbl.t = Hashtbl.create 64 in
+  let offer g d =
+    match g.v_target d with
     | Some id ->
-        if provenance && not (List.mem id s.v_targets) then
-          s.v_targets <- id :: s.v_targets;
-        call s.v_src id
+        if provenance && not (List.mem id g.v_targets) then
+          g.v_targets <- id :: g.v_targets;
+        call g.v_src id
     | None -> ()
   in
-  (* CHA counts every cone class as instantiated *)
-  let register src recv target cls =
-    let s =
-      { v_src = src; v_recv = recv; v_target = target;
-        v_keep = answer Pta.receiver_classes recv; v_targets = [] }
+  (* Each site asks for its receiver's answer; only a new group walks
+     the cone. CHA counts every cone class as instantiated. *)
+  let register src recv name cls =
+    let keep = answer Pta.receiver_classes recv in
+    let key = (name, cls, keep) in
+    let g =
+      match Hashtbl.find groups key with
+      | g -> g
+      | exception Not_found ->
+          let target =
+            match name with
+            | Some name -> dispatch name
+            | None -> fun d -> Some (Func_id.FDtor d)
+          in
+          let g = { v_src = src; v_target = target; v_keep = keep; v_targets = [] } in
+          Hashtbl.add groups key g;
+          List.iter
+            (fun d ->
+              match keep with
+              | Some cs when not (List.mem d cs) -> ()
+              | _ ->
+                  if algorithm = Cha || StringSet.mem d !instantiated then offer g d
+                  else
+                    Hashtbl.replace waiting d
+                      (g :: Option.value ~default:[] (Hashtbl.find_opt waiting d)))
+            (cls :: Class_table.subclasses table cls);
+          g
     in
-    List.iter
-      (fun d ->
-        match s.v_keep with
-        | Some cs when not (List.mem d cs) -> ()
-        | _ ->
-            if algorithm = Cha || StringSet.mem d !instantiated then offer s d
-            else
-              Hashtbl.replace waiting d
-                (s :: Option.value ~default:[] (Hashtbl.find_opt waiting d)))
-      (cls :: Class_table.subclasses table cls);
-    if provenance then vsites := s :: !vsites
+    if provenance then vsites := (recv, g) :: !vsites
   in
   let offer_fn s id =
     let wanted = match s.f_keep with Some fs -> List.mem id fs | None -> true in
@@ -398,8 +417,8 @@ let build ?(algorithm = Rta) ?(library_classes = StringSet.empty)
   in
   let handle src = function
     | EStatic id -> call src id
-    | EVirtual (cls, name, recv) -> register src recv (dispatch name) cls
-    | EVirtualDelete (cls, e) -> register src e (fun d -> Some (Func_id.FDtor d)) cls
+    | EVirtual (cls, name, recv) -> register src recv (Some name) cls
+    | EVirtualDelete (cls, e) -> register src e None cls
     | EFunPtrCall (arity, fe) ->
         let s =
           { f_src = src; f_arity = arity; f_keep = answer Pta.funptr_targets fe }
@@ -422,9 +441,9 @@ let build ?(algorithm = Rta) ?(library_classes = StringSet.empty)
     if not (StringSet.mem cls !instantiated) then begin
       instantiated := StringSet.add cls !instantiated;
       match Hashtbl.find_opt waiting cls with
-      | Some ss ->
+      | Some gs ->
           Hashtbl.remove waiting cls;
-          List.iter (fun s -> offer s cls) ss
+          List.iter (fun g -> offer g cls) gs
       | None -> ()
     end
   in
@@ -457,14 +476,14 @@ let build ?(algorithm = Rta) ?(library_classes = StringSet.empty)
   (* provenance, resolved once per site now that its targets are final *)
   let edge_sites =
     List.fold_left
-      (fun acc s ->
-        if s.v_targets = [] then acc
+      (fun acc (recv, g) ->
+        if g.v_targets = [] then acc
         else
-          match alloc_sites s.v_recv with
+          match alloc_sites recv with
           | [] -> acc
           | ss ->
-              FuncMap.update s.v_src.c_id
-                (fun l -> Some ((s.v_targets, ss) :: Option.value ~default:[] l))
+              FuncMap.update g.v_src.c_id
+                (fun l -> Some ((g.v_targets, ss) :: Option.value ~default:[] l))
                 acc)
       FuncMap.empty !vsites
   in

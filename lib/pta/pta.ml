@@ -56,6 +56,7 @@ open Frontend
 open Sema
 open Sema.Typed_ast
 module StringSet = Set.Make (String)
+module StringTbl = Hashtbl.Make (String)
 module IntSet = Set.Make (Int)
 
 (* telemetry instruments (no-ops unless collection is enabled) *)
@@ -218,7 +219,7 @@ type solution = {
   decl_obj : int DeclTbl.t;  (* stack decl -> its one object *)
   serial_tbl : int ExprTbl.t;  (* static call-site serials *)
   mutable n_serials : int;
-  var_node : (fctx * string, int) Hashtbl.t;
+  var_node : int StringTbl.t FctxTbl.t;  (* instance -> its locals' nodes *)
   this_node : int FctxTbl.t;
   ret_node : int FctxTbl.t;
   global_node : (string, int) Hashtbl.t;
@@ -406,7 +407,18 @@ let memo_fctx tbl key mk =
       FctxTbl.add tbl key v;
       v
 
-let node_of_var st fx name = memo st.var_node (fx, name) (fun () -> fresh_node st)
+(* The local-variable table of one function instance. *)
+let vars_of st fx = memo_fctx st.var_node fx (fun () -> StringTbl.create 16)
+
+let node_of_var st fx name =
+  let vars = vars_of st fx in
+  match StringTbl.find vars name with
+  | n -> n
+  | exception Not_found ->
+      let n = fresh_node st in
+      StringTbl.add vars name n;
+      n
+
 let node_of_this st fx = memo_fctx st.this_node fx (fun () -> fresh_node st)
 let node_of_ret st fx = memo_fctx st.ret_node fx (fun () -> fresh_node st)
 let node_of_global st g = memo st.global_node g (fun () -> fresh_node st)
@@ -879,19 +891,20 @@ type lv =
    a call or [new] argument (a [T*&] formal may bind it), or a reference
    local's initializer. Such a local ends with exactly its initializer's
    set. Its inflows all come from its own body, so unlike parameters,
-   returns, fields and globals it can be settled at generation time. *)
+   returns, fields and globals it can be settled at generation time.
+   The result's keys are those locals. *)
 let substitutable (f : tfunc) =
-  let decls = Hashtbl.create 16 and written = Hashtbl.create 16 in
+  let decls = StringTbl.create 16 and written = StringTbl.create 16 in
   let rec write (e : texpr) =
     match e.te with
-    | TLocal x -> Hashtbl.replace written x ()
+    | TLocal x -> StringTbl.replace written x ()
     | TCast (_, _, a, _) -> write a
     | TCond (_, a, b) ->
         write a;
         write b
     | _ -> ()
   in
-  List.iter (fun (p, _) -> Hashtbl.replace written p ()) f.tf_params;
+  List.iter (fun (p, _) -> StringTbl.replace written p ()) f.tf_params;
   let expr () (e : texpr) =
     match e.te with
     | TAssign (_, a, _) | TAddrOf a | TIncDec (_, _, a) -> write a
@@ -912,19 +925,19 @@ let substitutable (f : tfunc) =
           false
       | _ -> false
     in
-    let once = not (Hashtbl.mem decls d.tv_name) in
-    Hashtbl.replace decls d.tv_name (single && once)
+    let once = not (StringTbl.mem decls d.tv_name) in
+    StringTbl.replace decls d.tv_name (single && once)
   in
   fold_func_exprs expr () f;
   let stmt () (s : tstmt) =
     match s.ts with TSDecl ds -> List.iter decl ds | _ -> ()
   in
   Option.iter (fold_stmts stmt ()) f.tf_body;
-  Hashtbl.fold
-    (fun x single acc ->
-      if single && not (Hashtbl.mem written x) then StringSet.add x acc
-      else acc)
-    decls StringSet.empty
+  StringTbl.filter_map_inplace
+    (fun x single ->
+      if single && not (StringTbl.mem written x) then Some true else None)
+    decls;
+  decls
 
 let rec gen_expr st (fx : fctx) (e : texpr) : int =
   let prior =
@@ -1322,11 +1335,12 @@ and gen_decl st fx subst (d : tvar_decl) =
       match d.tv_init with
       | TInitExpr e ->
           let ge = gen_rval st fx e in
+          let vars = vars_of st fx in
           if
             ge >= 0
-            && StringSet.mem d.tv_name subst
-            && not (Hashtbl.mem st.var_node (fx, d.tv_name))
-          then Hashtbl.add st.var_node (fx, d.tv_name) ge
+            && StringTbl.mem subst d.tv_name
+            && not (StringTbl.mem vars d.tv_name)
+          then StringTbl.add vars d.tv_name ge
           else if tracked st d.tv_type then begin
             let v = node_of_var st fx d.tv_name in
             add_edge st ge v;
@@ -1540,7 +1554,7 @@ let shrink st =
       n.dsites <- [])
     st.nodes;
   (* generation-time memos: nothing after the solve reads them *)
-  Hashtbl.reset st.var_node;
+  FctxTbl.reset st.var_node;
   Hashtbl.reset st.global_node;
   Hashtbl.reset st.field_node;
   Hashtbl.reset st.fun_obj;
@@ -1594,7 +1608,7 @@ let analyze ?(mode = Insensitive) ?(roots = [ main_id ]) (p : program) :
       decl_obj = DeclTbl.create 64;
       serial_tbl = ExprTbl.create 64;
       n_serials = 0;
-      var_node = Hashtbl.create 256;
+      var_node = FctxTbl.create 64;
       this_node = FctxTbl.create 64;
       ret_node = FctxTbl.create 64;
       global_node = Hashtbl.create 16;

@@ -18,14 +18,19 @@
 open Frontend
 open Typed_ast
 module StringMap = Map.Make (String)
+module StringTbl = Hashtbl.Make (String)
 
 type env = {
   table : Class_table.t;
   globals : Ast.type_expr StringMap.t;
   enums : int StringMap.t;
   free_sigs : (Ast.type_expr * Ast.param list) StringMap.t;
-  (* mutable per-function state *)
-  mutable scopes : Ast.type_expr StringMap.t list;
+  (* mutable per-function state: every local in scope, its newest
+     binding found first, with the depth of the scope that declared it;
+     and the names each open scope declared, innermost scope first *)
+  locals : (Ast.type_expr * int) StringTbl.t;
+  mutable scopes : string list list;
+  mutable depth : int;
   mutable this_class : string option;
   mutable ret_type : Ast.type_expr;
 }
@@ -65,32 +70,47 @@ let guard ?(fallback = fun () -> ()) recover ~what ~loc ~refs f =
           record_region rc ~what ~loc ~refs;
           (try fallback () with Source.Compile_error _ -> ()))
 
-(* -- scope handling ------------------------------------------------------- *)
+(* -- scope handling -------------------------------------------------------
 
-let push_scope env = env.scopes <- StringMap.empty :: env.scopes
+   One table holds every visible local, so declaring and finding one
+   costs the same whatever the scope's size; leaving a scope removes
+   the names it declared, which uncovers the bindings they shadowed. *)
+
+let push_scope env =
+  env.scopes <- [] :: env.scopes;
+  env.depth <- env.depth + 1
 
 let pop_scope env =
   match env.scopes with
-  | _ :: rest -> env.scopes <- rest
+  | names :: rest ->
+      List.iter (StringTbl.remove env.locals) names;
+      env.scopes <- rest;
+      env.depth <- env.depth - 1
   | [] -> assert false
+
+(* Start a function or a global initializer with no scope open. A
+   keep-going [guard] may have abandoned the last one midway, leaving
+   its names behind. *)
+let reset_scopes env =
+  if StringTbl.length env.locals > 0 then StringTbl.reset env.locals;
+  env.scopes <- [];
+  env.depth <- 0
 
 let add_local env ~loc name ty =
   match env.scopes with
-  | scope :: rest ->
-      if StringMap.mem name scope then
-        err ~at:loc "redeclaration of '%s' in the same scope" name;
-      env.scopes <- StringMap.add name ty scope :: rest
+  | names :: rest ->
+      (match StringTbl.find env.locals name with
+      | _, depth when depth = env.depth ->
+          err ~at:loc "redeclaration of '%s' in the same scope" name
+      | _ | (exception Not_found) -> ());
+      StringTbl.add env.locals name (ty, env.depth);
+      env.scopes <- (name :: names) :: rest
   | [] -> assert false
 
 let find_local env name =
-  let rec go = function
-    | [] -> None
-    | scope :: rest -> (
-        match StringMap.find_opt name scope with
-        | Some t -> Some t
-        | None -> go rest)
-  in
-  go env.scopes
+  match StringTbl.find env.locals name with
+  | ty, _ -> Some ty
+  | exception Not_found -> None
 
 (* -- type utilities -------------------------------------------------------- *)
 
@@ -919,7 +939,7 @@ let check_function_common env ~loc ~this_class ~ret ~(params : Ast.param list)
   Telemetry.Counter.incr functions_counter;
   env.this_class <- this_class;
   env.ret_type <- ret;
-  env.scopes <- [];
+  reset_scopes env;
   push_scope env;
   List.iter
     (fun (p : Ast.param) ->
@@ -1093,7 +1113,9 @@ let check_program_gen recover (prog : Ast.program) : program =
       globals = !globals;
       enums = !enums;
       free_sigs = !free_sigs;
+      locals = StringTbl.create 64;
       scopes = [];
+      depth = 0;
       this_class = None;
       ret_type = Ast.TVoid;
     }
@@ -1344,7 +1366,7 @@ let check_program_gen recover (prog : Ast.program) : program =
           Ast.collect_refs (fun add -> Ast.add_var_refs add d))
         (fun () ->
           check_type_exists env ~loc:d.v_loc d.v_type;
-          env.scopes <- [];
+          reset_scopes env;
           push_scope env;
           let init =
             match d.v_init with
@@ -1375,11 +1397,14 @@ let check_program_gen recover (prog : Ast.program) : program =
       enum_consts = StringMap.bindings !enums;
     }
   in
+  (* Under keep-going, an earlier error may have swallowed [main]: a
+     missing [main] is only news in an otherwise clean program. *)
   if not (FuncMap.mem main_id p.funcs) then begin
     match recover with
     | None -> err "program has no 'main' function"
     | Some rc ->
-        Source.Diagnostics.error rc.rc_diags "program has no 'main' function"
+        if not (Source.Diagnostics.has_errors rc.rc_diags) then
+          Source.Diagnostics.error rc.rc_diags "program has no 'main' function"
   end;
   p
 

@@ -262,7 +262,9 @@ let t_call_no_frame_alloc () =
    in [starts_declaration] and the local declarator loop), parse was
    3287262 (stress) and 305496 (twin). Lex, parse and typecheck each
    lost 8 words when a disabled [Telemetry.Span.with_] stopped going
-   through [Fun.protect]. *)
+   through [Fun.protect]. Before one hashed scope table replaced the
+   list of per-scope maps, typecheck was 8184211 (stress) and 761542
+   (twin). *)
 let synth_twin =
   {
     Benchmarks.Synth.seed = 7;
@@ -274,8 +276,8 @@ let synth_twin =
 
 let pinned_frontend =
   [
-    ("stress", Benchmarks.Synth.stress, (393363, 13303086, 2956798, 8184211));
-    ("synth_pta twin", synth_twin, (36650, 1228047, 276294, 761542));
+    ("stress", Benchmarks.Synth.stress, (393363, 13303086, 2956798, 3982821));
+    ("synth_pta twin", synth_twin, (36650, 1228047, 276294, 445460));
   ]
 
 (* Live words of [tokenize]'s result ([Obj.reachable_words]): per token
@@ -319,6 +321,38 @@ let t_frontend_words_pinned () =
           check_int (name ^ " typecheck words") typecheck t)
         pinned_frontend)
 
+(* One function of [n] chained pointer locals, [int* v1 = v0;] and on. *)
+let locals_src n =
+  let b = Buffer.create (n * 20) in
+  Buffer.add_string b "int main() {\n  int* v0 = NULL;\n";
+  for i = 1 to n - 1 do
+    Printf.bprintf b "  int* v%d = v%d;\n" i (i - 1)
+  done;
+  Buffer.add_string b "  return 0;\n}\n";
+  Buffer.contents b
+
+(* Declaring a local and finding one cost the same words whatever the
+   scope's size. With a persistent map per scope, each declaration
+   copied a path that grew with the scope: 122.4 words a local between
+   256 and 512 locals, 150.3 between 2,048 and 4,096. *)
+let t_typecheck_words_per_local () =
+  telemetry_off (fun () ->
+      let typecheck n =
+        let ast = Frontend.Parser.parse ~file:"<locals>" (locals_src n) in
+        snd (words (fun () -> Sema.Type_check.check_program ast))
+      in
+      let per_local lo hi =
+        float_of_int (typecheck hi - typecheck lo) /. float_of_int (hi - lo)
+      in
+      let small = per_local 256 512 and large = per_local 2048 4096 in
+      Util.check_bool
+        (Printf.sprintf
+           "%.1f words a local between 256 and 512 locals, %.1f between \
+            2048 and 4096: within 5%%"
+           small large)
+        true
+        (Float.abs (large -. small) <= 0.05 *. small))
+
 (* -- call graph ------------------------------------------------------------------ *)
 
 (* Minor words of [Callgraph.build] on the same two programs: under PTA
@@ -330,11 +364,14 @@ let t_frontend_words_pinned () =
    124082. Each lost 8 words when a disabled [Telemetry.Span.with_]
    stopped going through [Fun.protect]. Before the solution answered
    each node list's query once (and untracked call results lost their
-   nodes), the PTA column was 17093171 and 681293. *)
+   nodes), the PTA column was 17093171 and 681293. Before a caller's
+   sites with one dispatch, static class and receiver answer shared
+   one walk of the cone, stress was 1490268 and 947270, twin 162285
+   and 123913. *)
 let pinned_callgraph =
   [
-    ("stress", Benchmarks.Synth.stress, (1490268, 947270));
-    ("synth_pta twin", synth_twin, (162285, 123913));
+    ("stress", Benchmarks.Synth.stress, (787302, 460660));
+    ("synth_pta twin", synth_twin, (101113, 73659));
   ]
 
 let t_callgraph_words_pinned () =
@@ -365,4 +402,6 @@ let suite =
       t_stream_words_pinned;
     Util.test "call-graph build words of the synth programs pinned"
       t_callgraph_words_pinned;
+    Util.test "typecheck words per local do not grow with the scope"
+      t_typecheck_words_per_local;
   ]

@@ -438,6 +438,23 @@ let t_check_text_lists_diagnostics () =
         Alcotest.failf "text check does not print %S:\n%s" line text)
     diags
 
+(* A syntax error that swallows [main] is the one error reported: the
+   missing [main] follows from it. It was reported first, with no
+   location, before the line-7 error that caused it. *)
+let t_parse_error_hides_missing_main () =
+  let f =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      "../examples/corpus/unbalanced_braces.mcc"
+  in
+  let code, json, _ = run_capture ("check --format=json " ^ Filename.quote f) in
+  check_int "exit" 1 code;
+  match J.to_list (field (json_out "check --format=json" json) "diagnostics") with
+  | Some [ d ] ->
+      check_int "line" 7 (int_field d "line");
+      check_string "message" "expected ';' but found '{'" (str_field d "message")
+  | Some ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
+  | None -> Alcotest.fail "diagnostics is not a list"
+
 let suite =
   [
     Util.test "exit codes: exhaustive subcommand table" t_exit_codes;
@@ -450,4 +467,6 @@ let suite =
     Util.test "precision --format=json: solver object shape" t_precision_json;
     Util.test "the daemon answers every port as the CLI does"
       t_cli_daemon_agree;
+    Util.test "check: a parse error that swallows main is the one error"
+      t_parse_error_hides_missing_main;
   ]

@@ -412,16 +412,19 @@ let one_receiver_src ~classes ~calls =
   Buffer.add_string b "  return s;\n}\n";
   Buffer.contents b
 
-(* Minor words of a second [Pta.analyze] (the first warms up), with
-   telemetry off. *)
-let solve_words prog =
+(* Minor words of [f ()], with telemetry off. *)
+let words f =
   let was = Telemetry.enabled () in
   Telemetry.set_enabled false;
   Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) @@ fun () ->
-  ignore (Pta.analyze prog);
   let w0 = Gc.minor_words () in
-  ignore (Pta.analyze prog);
+  ignore (f ());
   Gc.minor_words () -. w0
+
+(* Minor words of a second [Pta.analyze] (the first warms up). *)
+let solve_words prog =
+  ignore (words (fun () -> Pta.analyze prog));
+  words (fun () -> Pta.analyze prog)
 
 (* Calls on one receiver share its dispatch: the words 128 more calls
    add must not grow with the number of receiver classes. Resolving and
@@ -441,6 +444,49 @@ let t_dispatch_sites_plus_classes () =
        many few)
     true
     (Float.abs (many -. few) <= 0.1 *. few)
+
+(* Minor words of the PTA call-graph build beyond its [Pta.analyze],
+   and of the RTA build, after a warming build. *)
+let build_words prog =
+  ignore (words (fun () -> Callgraph.build ~algorithm:Callgraph.Pta prog));
+  let solve = words (fun () -> Pta.analyze ~roots:[ main_id ] prog) in
+  let pta = words (fun () -> Callgraph.build ~algorithm:Callgraph.Pta prog) in
+  let rta = words (fun () -> Callgraph.build ~algorithm:Callgraph.Rta prog) in
+  (pta -. solve, rta)
+
+(* The call graph offers a receiver's cone once per group of a caller's
+   sites with one dispatch, static class and receiver answer, so the
+   words 128 more calls add must not grow with the number of receiver
+   classes, in either tier, and must stay below what walking the cone
+   once per site cost at 8 classes: 21,902 words under PTA and 10,496
+   under RTA (46,478 and 25,856 at 32 classes). *)
+let t_callgraph_sites_plus_classes () =
+  let increment classes =
+    let words calls =
+      build_words (Util.check_source (one_receiver_src ~classes ~calls))
+    in
+    let p1, r1 = words 128 and p2, r2 = words 256 in
+    (p2 -. p1, r2 -. r1)
+  in
+  let pta_few, rta_few = increment 8 and pta_many, rta_many = increment 32 in
+  List.iter
+    (fun (tier, few, many, ceiling) ->
+      Util.check_bool
+        (Printf.sprintf
+           "%s: 128 more calls add %.0f words at 32 classes, %.0f at 8: \
+            within 10%%"
+           tier many few)
+        true
+        (Float.abs (many -. few) <= 0.1 *. few);
+      Util.check_bool
+        (Printf.sprintf "%s: at most %.0f words (%.0f, %.0f)" tier ceiling few
+           many)
+        true
+        (Float.max few many <= ceiling))
+    [
+      ("PTA", pta_few, pta_many, 21_902.);
+      ("RTA", rta_few, rta_many, 10_496.);
+    ]
 
 (* -- copy cycles under cloning ------------------------------------------------- *)
 
@@ -509,4 +555,6 @@ let suite =
     Util.test "PTA1 surfaces solver statistics" t_stats_populated;
     Util.test "dispatch words grow with sites plus classes, not their product"
       t_dispatch_sites_plus_classes;
+    Util.test "call-graph words grow with sites plus classes"
+      t_callgraph_sites_plus_classes;
   ]

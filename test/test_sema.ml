@@ -215,6 +215,65 @@ let t_no_main () =
   Util.expect_error ~substr:"no 'main'" (fun () ->
       Util.check_source "int f() { return 0; }")
 
+(* -- scopes ---------------------------------------------------------------------- *)
+
+(* Keep-going abandons a function at its first error, in the middle of
+   its scopes; the locals it declared so far must not leak into the
+   next function checked (free functions go in name order, then
+   globals). *)
+let t_scopes_reset_after_abandoned_function () =
+  let diags = Frontend.Source.Diagnostics.create () in
+  ignore
+    (Type_check.check_source_resilient ~file:"input" ~diags
+       {|int a_fail() { int leak = 1; { int deeper = 2; return nope; } }
+int b_next() { int x = deeper; return leak; }
+int main() { return 0; }
+int z_fail() { int late = 3; return nope2; }
+int g = late;|});
+  Alcotest.(check (list string))
+    "every unknown name reported where it is used"
+    [
+      "input:1:55-59: error: unknown identifier 'nope'";
+      "input:2:24-30: error: unknown identifier 'deeper'";
+      "input:4:37-42: error: unknown identifier 'nope2'";
+      "input:5:9-13: error: unknown identifier 'late'";
+    ]
+    (List.map Frontend.Source.diagnostic_to_string
+       (Frontend.Source.Diagnostics.to_list diags))
+
+(* A shadow lives to the end of its block or [for] statement; the outer
+   binding is back after it, and a later sibling block may declare the
+   name again. *)
+let t_scopes_shadow_undone () =
+  ignore
+    (Util.check_source
+       {|int main() {
+  int x = 1;
+  { int* x = NULL; int* q = x; }
+  { int* x = NULL; }
+  for (int* x = NULL; x != NULL; ) { int* q = x; }
+  int* p = &x;
+  return x;
+}|});
+  Util.expect_error ~substr:"expected 'int*' but found 'int'" (fun () ->
+      Util.check_source
+        "int main() { int x = 1; { int* x = NULL; } int* p = x; return 0; }")
+
+let t_scopes_redeclaration () =
+  (match
+     Util.check_source "int main() {\n  int a = 1;\n  int a = 2;\n  return a;\n}"
+   with
+  | exception Frontend.Source.Compile_error d ->
+      Alcotest.(check string)
+        "message and location"
+        "<string>:3:7-8: error: redeclaration of 'a' in the same scope"
+        (Frontend.Source.diagnostic_to_string d)
+  | _ -> Alcotest.fail "a same-scope redeclaration must be rejected");
+  ignore
+    (Util.check_source
+       "int main() { int a = 1; { int a = 2; } for (int a = 0; a < 1; a++) { \
+        int a = 3; } return a; }")
+
 let t_member_on_nonclass () =
   Util.expect_error ~substr:"non-class" (fun () ->
       Util.check_source "int main() { int x; return x.m; }")
@@ -387,6 +446,11 @@ let suite =
     Util.test "unknown function" t_unknown_function;
     Util.test "arity mismatch" t_arity_mismatch;
     Util.test "missing main" t_no_main;
+    Util.test "scopes: an abandoned function leaks no locals"
+      t_scopes_reset_after_abandoned_function;
+    Util.test "scopes: a shadow ends with its block" t_scopes_shadow_undone;
+    Util.test "scopes: same-scope redeclaration rejected, nested accepted"
+      t_scopes_redeclaration;
     Util.test "member access on non-class" t_member_on_nonclass;
     Util.test "assignment to rvalue" t_assign_to_rvalue;
     Util.test "no whole-object assignment" t_no_object_assignment;
