@@ -641,14 +641,7 @@ and check_call env ~loc (callee : Ast.expr) (args : Ast.expr list) : texpr =
   | Ast.Ident name -> (
       (* local function pointer? *)
       match find_local env name with
-      | Some t -> (
-          match Ctype.decay t with
-          | Ast.TFun (ret, params) | Ast.TPtr (Ast.TFun (ret, params)) ->
-              let targs = targs () in
-              if List.length params <> List.length targs then
-                err ~at:loc "function pointer '%s' arity mismatch" name;
-              mk (TCall (CFunPtr (mk (TLocal name) t, targs))) ret
-          | _ -> err ~at:loc "'%s' is not a function" name)
+      | Some t -> call_through env ~loc ~name (mk (TLocal name) t) args
       | None -> (
           (* method of the enclosing class? *)
           let as_method =
@@ -660,6 +653,13 @@ and check_call env ~loc (callee : Ast.expr) (args : Ast.expr list) : texpr =
             | None -> None
           in
           match as_method with
+          | None
+            when (match env.this_class with
+                 | Some cls -> funptr_field env cls name
+                 | None -> false) ->
+              (* a function-pointer member of the enclosing class hides
+                 free functions and builtins, as a method does *)
+              call_through env ~loc ~name (check_expr env callee) args
           | Some (this_cls, def_class, m) ->
               let targs = targs () in
               check_args env ~loc (Printf.sprintf "method '%s'" name) m.m_params targs;
@@ -695,24 +695,19 @@ and check_call env ~loc (callee : Ast.expr) (args : Ast.expr list) : texpr =
                       mk (TCall (CFree (name, targs))) ret
                   | None -> (
                       match StringMap.find_opt name env.globals with
-                      | Some t -> (
-                          match Ctype.decay t with
-                          | Ast.TFun (ret, params)
-                          | Ast.TPtr (Ast.TFun (ret, params)) ->
-                              let targs = targs () in
-                              if List.length params <> List.length targs then
-                                err ~at:loc "function pointer '%s' arity mismatch" name;
-                              mk
-                                (TCall (CFunPtr (mk (TGlobalVar name) t, targs)))
-                                ret
-                          | _ -> err ~at:loc "'%s' is not a function" name)
+                      | Some t ->
+                          call_through env ~loc ~name (mk (TGlobalVar name) t) args
                       | None -> err ~at:loc "call to unknown function '%s'" name)))))
-  | Ast.Member (obj, name) -> check_method_call env ~loc obj name args ~arrow:false ~qualified:None
-  | Ast.Arrow (obj, name) -> check_method_call env ~loc obj name args ~arrow:true ~qualified:None
+  | Ast.Member (obj, name) ->
+      check_method_call env ~loc callee obj name args ~arrow:false ~qualified:None
+  | Ast.Arrow (obj, name) ->
+      check_method_call env ~loc callee obj name args ~arrow:true ~qualified:None
   | Ast.QualMember (obj, cls, name) ->
-      check_method_call env ~loc obj name args ~arrow:false ~qualified:(Some cls)
+      check_method_call env ~loc callee obj name args ~arrow:false
+        ~qualified:(Some cls)
   | Ast.QualArrow (obj, cls, name) ->
-      check_method_call env ~loc obj name args ~arrow:true ~qualified:(Some cls)
+      check_method_call env ~loc callee obj name args ~arrow:true
+        ~qualified:(Some cls)
   | Ast.ScopedIdent (cls, name) -> (
       if not (Class_table.mem env.table cls) then err ~at:loc "unknown class '%s'" cls;
       match Member_lookup.lookup_method env.table ~start:cls ~name with
@@ -755,18 +750,37 @@ and check_call env ~loc (callee : Ast.expr) (args : Ast.expr list) : texpr =
                 err ~at:loc "cannot call instance method '%s::%s' without an object"
                   cls name)
       | _ -> err ~at:loc "class '%s' has no method '%s'" cls name)
-  | _ -> (
+  | _ ->
       (* general function-pointer call through an expression *)
-      let tf = check_expr env callee in
-      match Ctype.decay tf.ty with
-      | Ast.TFun (ret, params) | Ast.TPtr (Ast.TFun (ret, params)) ->
-          let targs = targs () in
-          if List.length params <> List.length targs then
-            err ~at:loc "function pointer arity mismatch";
-          mk (TCall (CFunPtr (tf, targs))) ret
-      | _ -> err ~at:loc "called expression is not a function")
+      call_through env ~loc (check_expr env callee) args
 
-and check_method_call env ~loc obj name args ~arrow ~qualified : texpr =
+(* A call through the function-pointer value [tf]; [name] is the
+   callee's name when the call spells one. *)
+and call_through env ~loc ?name (tf : texpr) (args : Ast.expr list) : texpr =
+  match Ctype.decay tf.ty with
+  | Ast.TFun (ret, params) | Ast.TPtr (Ast.TFun (ret, params)) ->
+      let targs = List.map (check_expr env) args in
+      if List.length params <> List.length targs then (
+        match name with
+        | Some name -> err ~at:loc "function pointer '%s' arity mismatch" name
+        | None -> err ~at:loc "function pointer arity mismatch");
+      { te = TCall (CFunPtr (tf, targs)); ty = ret; tloc = loc }
+  | _ -> (
+      match name with
+      | Some name -> err ~at:loc "'%s' is not a function" name
+      | None -> err ~at:loc "called expression is not a function")
+
+(* Does [name] denote a data member of function-pointer type in class
+   [start]? *)
+and funptr_field env start name =
+  match Member_lookup.lookup_field env.table ~start ~name with
+  | Member_lookup.Found (_, f) -> (
+      match Ctype.decay f.f_type with
+      | Ast.TFun _ | Ast.TPtr (Ast.TFun _) -> true
+      | _ -> false)
+  | _ -> false
+
+and check_method_call env ~loc callee obj name args ~arrow ~qualified : texpr =
   let tobj = check_expr env obj in
   let recv_cls =
     if arrow then Ctype.receiver_class_arrow tobj.ty
@@ -776,7 +790,7 @@ and check_method_call env ~loc obj name args ~arrow ~qualified : texpr =
   | None ->
       err ~at:loc "method call '%s' on non-class type '%s'" name
         (Ctype.to_string tobj.ty)
-  | Some obj_cls ->
+  | Some obj_cls -> (
       let start =
         match qualified with
         | Some q ->
@@ -785,28 +799,37 @@ and check_method_call env ~loc obj name args ~arrow ~qualified : texpr =
             q
         | None -> obj_cls
       in
-      let def_class, m = Member_lookup.method_exn env.table ~start ~name ~loc in
-      let targs = List.map (check_expr env) args in
-      check_args env ~loc (Printf.sprintf "method '%s::%s'" def_class name)
-        m.m_params targs;
-      let dispatch =
-        if qualified = None && m.m_virtual then DVirtual else DStatic
-      in
-      {
-        te =
-          TCall
-            (CMethod
-               {
-                 mc_recv = tobj;
-                 mc_arrow = arrow;
-                 mc_dispatch = dispatch;
-                 mc_class = def_class;
-                 mc_name = name;
-                 mc_args = targs;
-               });
-        ty = m.m_ret;
-        tloc = loc;
-      }
+      match Member_lookup.lookup_method env.table ~start ~name with
+      | Member_lookup.NotFound when funptr_field env start name ->
+          (* a call through a function-pointer data member *)
+          call_through env ~loc (check_expr env callee) args
+      | found ->
+          let def_class, m =
+            match found with
+            | Member_lookup.Found (def_class, m) -> (def_class, m)
+            | _ -> Member_lookup.method_exn env.table ~start ~name ~loc
+          in
+          let targs = List.map (check_expr env) args in
+          check_args env ~loc (Printf.sprintf "method '%s::%s'" def_class name)
+            m.m_params targs;
+          let dispatch =
+            if qualified = None && m.m_virtual then DVirtual else DStatic
+          in
+          {
+            te =
+              TCall
+                (CMethod
+                   {
+                     mc_recv = tobj;
+                     mc_arrow = arrow;
+                     mc_dispatch = dispatch;
+                     mc_class = def_class;
+                     mc_name = name;
+                     mc_args = targs;
+                   });
+            ty = m.m_ret;
+            tloc = loc;
+          })
 
 and check_builtin_args _env ~loc b (targs : texpr list) =
   let expect_n n = if List.length targs <> n then

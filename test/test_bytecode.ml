@@ -6,12 +6,9 @@
    engine reports: output digest, return value, step and allocation
    counts, and the full profile snapshot.
 
-   The qcheck properties then stress the parts the lowering changed the
-   most: jump-target wiring (random nested if/while/for trees with
-   break/continue — every mis-patched branch target either diverges the
-   printed trace or the step count) and short-circuit evaluation
-   (random &&/||/! trees over side-effecting probes, where evaluating
-   one operand too many or too few is visible in the output).
+   Generated programs (jump-target wiring, short-circuit evaluation,
+   mixed int/float banks) go through the same comparison in
+   [test_generated.ml]; the cases here pin shapes by hand.
 
    The error-parity cases pin the two failure channels: structured
    runtime errors must carry the tree engine's exact message, and
@@ -19,48 +16,10 @@
    exactly [n] steps succeeds under both engines with [step_limit = n]
    and raises [Limit_exceeded] with identical text at [n - 1]. *)
 
-open QCheck
-
-let allocs_counter = Telemetry.Counter.make "interp.allocations"
-
-(* Run [prog] under [engine] observing the allocation counter, restoring
-   the previous telemetry state afterwards. *)
-let run_counted ~engine prog =
-  let was = Telemetry.enabled () in
-  Telemetry.set_enabled true;
-  let before = Telemetry.Counter.value allocs_counter in
-  Fun.protect
-    ~finally:(fun () -> Telemetry.set_enabled was)
-    (fun () ->
-      let outcome = Runtime.Interp.run ~engine prog in
-      (outcome, Telemetry.Counter.value allocs_counter - before))
-
-let check_outcomes name (ot : Runtime.Interp.outcome) at
-    (ob : Runtime.Interp.outcome) ab =
-  let check what = Util.check_int (name ^ ": " ^ what) in
-  check "return value" ot.return_value ob.return_value;
-  Util.check_string (name ^ ": output md5")
-    (Digest.to_hex (Digest.string ot.output))
-    (Digest.to_hex (Digest.string ob.output));
-  check "interp.steps" ot.steps ob.steps;
-  check "interp.allocations" at ab;
-  let st = ot.snapshot and sb = ob.snapshot in
-  check "object_space" st.object_space sb.object_space;
-  check "dead_space" st.dead_space sb.dead_space;
-  check "high_water_mark" st.high_water_mark sb.high_water_mark;
-  check "high_water_mark_reduced" st.high_water_mark_reduced
-    sb.high_water_mark_reduced;
-  check "num_objects" st.num_objects sb.num_objects;
-  check "scalar_bytes" st.scalar_bytes sb.scalar_bytes;
-  check "leaked_objects" st.leaked_objects sb.leaked_objects
-
 let t_benchmark_engine_differential () =
   List.iter
     (fun (b : Benchmarks.Suite.t) ->
-      let prog = Benchmarks.Suite.program b in
-      let ot, at = run_counted ~engine:Runtime.Interp.Tree prog in
-      let ob, ab = run_counted ~engine:Runtime.Interp.Bytecode prog in
-      check_outcomes b.name ot at ob ab)
+      ignore (Util.engines_agree b.name (Benchmarks.Suite.program b)))
     Benchmarks.Suite.all
 
 (* -- one lowering, both engines ------------------------------------------ *)
@@ -77,14 +36,14 @@ let t_shared_lowering () =
         Deadmem.Liveness.dead_set
           (Deadmem.Liveness.analyze ~config:Deadmem.Config.paper prog)
       in
-      let fresh = Runtime.Interp.run ~dead prog in
+      let fresh = Util.observe ~dead prog in
       let lowered = Runtime.Interp.lower prog in
       List.iter
         (fun (engine, tag) ->
-          let o = Runtime.Interp.run ~engine ~dead ~lowered prog in
-          check_outcomes
-            (b.name ^ ", " ^ tag ^ " from one lowering")
-            fresh 0 o 0)
+          Option.iter
+            (Alcotest.failf "%s, %s from one lowering: %s" b.name tag)
+            (Util.difference fresh
+               (Util.observe ~engine ~dead ~lowered prog)))
         [
           (Runtime.Interp.Bytecode, "bytecode");
           (Runtime.Interp.Tree, "tree");
@@ -92,168 +51,9 @@ let t_shared_lowering () =
         ])
     Benchmarks.Suite.all
 
-(* -- jump-target wiring: random nested control flow ----------------------------- *)
-
-(* A statement tree rendered into a [main] that traces its execution
-   through [print_int]. While/for loops get a fresh bounded counter each
-   so every generated program terminates; break/continue only appear
-   inside a loop. The compare-and-branch fusion, the cascade folding and
-   the post-patch peephole all rewrite branch operands, so the property
-   that the printed trace and the step count survive lowering exercises
-   every patch site. *)
-type cstmt =
-  | CTrace of int
-  | CIf of int * cstmt list * cstmt list  (* if (acc % k == 0) ... else ... *)
-  | CWhile of int * cstmt list  (* fresh counter, bound *)
-  | CFor of int * cstmt list  (* fresh counter, bound *)
-  | CBreakIf of int  (* inside a loop: if (acc % k == 0) break; *)
-  | CContinueIf of int  (* inside a loop: if (acc % k == 0) continue; *)
-
-let gen_cstmts =
-  let open Gen in
-  let leaf ~in_loop =
-    if in_loop then
-      frequency
-        [
-          (4, map (fun k -> CTrace k) (int_range 0 99));
-          (1, map (fun k -> CBreakIf (k + 2)) (int_range 0 3));
-          (1, map (fun k -> CContinueIf (k + 2)) (int_range 0 3));
-        ]
-    else map (fun k -> CTrace k) (int_range 0 99)
-  in
-  let rec stmt ~in_loop depth =
-    if depth = 0 then leaf ~in_loop
-    else
-      frequency
-        [
-          (3, leaf ~in_loop);
-          ( 2,
-            let* k = int_range 2 5 in
-            let* t = block ~in_loop (depth - 1) in
-            let* e = block ~in_loop (depth - 1) in
-            return (CIf (k, t, e)) );
-          ( 2,
-            let* bound = int_range 1 3 in
-            let* body = block ~in_loop:true (depth - 1) in
-            return (CWhile (bound, body)) );
-          ( 1,
-            let* bound = int_range 1 3 in
-            let* body = block ~in_loop:true (depth - 1) in
-            return (CFor (bound, body)) );
-        ]
-  and block ~in_loop depth =
-    Gen.list_size (int_range 1 3) (stmt ~in_loop depth)
-  in
-  block ~in_loop:false 3
-
-let render_cstmts stmts =
-  let buf = Buffer.create 512 in
-  let fresh = ref 0 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let rec emit s =
-    match s with
-    | CTrace k ->
-        pr "  acc = acc * 7 + %d;\n" k;
-        pr "  print_int(acc);\n"
-    | CIf (k, t, e) ->
-        pr "  if (acc %% %d == 0) {\n" k;
-        List.iter emit t;
-        pr "  } else {\n";
-        List.iter emit e;
-        pr "  }\n"
-    | CWhile (bound, body) ->
-        let v = !fresh in
-        incr fresh;
-        pr "  int w%d = 0;\n" v;
-        pr "  while (w%d < %d) {\n" v bound;
-        pr "    w%d = w%d + 1;\n" v v;
-        List.iter emit body;
-        pr "  }\n"
-    | CFor (bound, body) ->
-        let v = !fresh in
-        incr fresh;
-        pr "  for (int f%d = 0; f%d < %d; f%d = f%d + 1) {\n" v v bound v v;
-        List.iter emit body;
-        pr "  }\n"
-    | CBreakIf k -> pr "  if (acc %% %d == 0) { break; }\n" k
-    | CContinueIf k -> pr "  acc = acc + 1; if (acc %% %d == 0) { continue; }\n" k
-  in
-  Buffer.add_string buf "int main() {\n  int acc = 1;\n";
-  List.iter emit stmts;
-  Buffer.add_string buf "  return acc % 200;\n}\n";
-  Buffer.contents buf
-
-let engines_agree src =
-  let prog = Util.check_source src in
-  let ot, at = run_counted ~engine:Runtime.Interp.Tree prog in
-  let ob, ab = run_counted ~engine:Runtime.Interp.Bytecode prog in
-  ot.return_value = ob.return_value
-  && String.equal ot.output ob.output
-  && ot.steps = ob.steps && at = ab
-
-let prop_nested_control_flow =
-  Test.make ~name:"bytecode: nested control flow matches tree engine"
-    ~count:150
-    (make ~print:render_cstmts gen_cstmts)
-    (fun stmts -> engines_agree (render_cstmts stmts))
-
-(* -- short-circuit evaluation ---------------------------------------------------- *)
-
-(* Random boolean trees over side-effecting probes: [probe] prints its
-   id, so both which operands are evaluated and in what order are
-   visible in the output. *)
-type bexpr =
-  | BProbe of int * bool
-  | BAnd of bexpr * bexpr
-  | BOr of bexpr * bexpr
-  | BNot of bexpr
-  | BCmp of int * int
-
-let gen_bexpr =
-  let open Gen in
-  let leaf =
-    oneof
-      [
-        map2 (fun id v -> BProbe (id, v)) (int_range 0 99) bool;
-        map2 (fun a b -> BCmp (a, b)) (int_range 0 5) (int_range 0 5);
-      ]
-  in
-  let rec expr depth =
-    if depth = 0 then leaf
-    else
-      frequency
-        [
-          (2, leaf);
-          (2, map2 (fun a b -> BAnd (a, b)) (expr (depth - 1)) (expr (depth - 1)));
-          (2, map2 (fun a b -> BOr (a, b)) (expr (depth - 1)) (expr (depth - 1)));
-          (1, map (fun a -> BNot a) (expr (depth - 1)));
-        ]
-  in
-  expr 4
-
-let rec render_bexpr b =
-  match b with
-  | BProbe (id, v) -> Printf.sprintf "probe(%d, %d)" id (if v then 1 else 0)
-  | BAnd (a, b) -> Printf.sprintf "(%s && %s)" (render_bexpr a) (render_bexpr b)
-  | BOr (a, b) -> Printf.sprintf "(%s || %s)" (render_bexpr a) (render_bexpr b)
-  | BNot a -> Printf.sprintf "(!%s)" (render_bexpr a)
-  | BCmp (a, b) -> Printf.sprintf "(%d < %d)" a b
-
-let render_bprog b =
-  Printf.sprintf
-    {|int probe(int id, int v) { print_int(id); return v; }
-int main() {
-  if (%s) { print_int(1000); } else { print_int(2000); }
-  return 0;
-}
-|}
-    (render_bexpr b)
-
-let prop_short_circuit =
-  Test.make ~name:"bytecode: short-circuit evaluation matches tree engine"
-    ~count:200
-    (make ~print:render_bprog gen_bexpr)
-    (fun b -> engines_agree (render_bprog b))
+(* Both engines show the same run of [src]: what it shows. *)
+let agree_on ?step_limit name src =
+  Util.shown (Util.engines_agree ?step_limit name (Util.check_source src))
 
 (* -- error parity ---------------------------------------------------------------- *)
 
@@ -338,7 +138,7 @@ let t_pointer_chase_in_then_block () =
         return acc % 100;
       }|}
   in
-  Util.check_bool "engines agree" true (engines_agree src);
+  ignore (agree_on "pointer chase" src);
   let _, r = Runtime.Interp.run_profiled (Util.check_source src) in
   Util.check_bool "the then-block exit is the fused jump" true
     (List.mem_assoc "ITickLoadFieldStoreJump" r.Runtime.Vm_profile.r_opcodes)
@@ -352,8 +152,6 @@ let t_pointer_chase_in_then_block () =
    at the same depth, and a runtime error and a step-limit hit unwinding
    through callers whose stack objects' destructors make calls. *)
 
-let steps_counter = Telemetry.Counter.make "interp.steps"
-
 let corpus_source name =
   In_channel.with_open_bin
     (Filename.concat
@@ -361,43 +159,8 @@ let corpus_source name =
        ("../examples/corpus/" ^ name))
     In_channel.input_all
 
-let rec describe_exn = function
-  | Runtime.Value.Runtime_error m -> "runtime error: " ^ m
-  | Runtime.Value.Limit_exceeded m -> "resource limit: " ^ m
-  | Fun.Finally_raised e -> "raised while unwinding: " ^ describe_exn e
-  | e -> raise e
-
-(* What a run shows: exit code and output, or the error text (a failed
-   run's output is not returned by either engine), plus the steps and
-   allocations it took, which the engines count even when a run fails. *)
-let observe ~engine ?step_limit prog =
-  let was = Telemetry.enabled () in
-  Telemetry.set_enabled true;
-  let s0 = Telemetry.Counter.value steps_counter
-  and a0 = Telemetry.Counter.value allocs_counter in
-  let shown =
-    Fun.protect
-      ~finally:(fun () -> Telemetry.set_enabled was)
-      (fun () ->
-        match Runtime.Interp.run ~engine ?step_limit prog with
-        | o -> Printf.sprintf "exit %d\n%s" o.return_value o.output
-        | exception e -> describe_exn e)
-  in
-  ( shown,
-    Telemetry.Counter.value steps_counter - s0,
-    Telemetry.Counter.value allocs_counter - a0 )
-
-let engines_agree_on ?step_limit name src =
-  let prog = Util.check_source src in
-  let st, nt, at = observe ~engine:Runtime.Interp.Tree ?step_limit prog in
-  let sb, nb, ab = observe ~engine:Runtime.Interp.Bytecode ?step_limit prog in
-  Util.check_string (name ^ ": outcome") st sb;
-  Util.check_int (name ^ ": steps") nt nb;
-  Util.check_int (name ^ ": allocations") at ab;
-  st
-
 let corpus_engines_agree ?step_limit name =
-  engines_agree_on ?step_limit name (corpus_source name)
+  agree_on ?step_limit name (corpus_source name)
 
 let t_escaped_locals () =
   Util.check_string "values the locals held when their calls returned"
@@ -417,24 +180,22 @@ let t_unwind_step_limit () =
     (Util.contains_sub shown
        ~sub:"raised while unwinding: resource limit: step limit exceeded")
 
-(* Function pointers as a global, a field set in a constructor
-   initializer and a local returning a class pointer: every call-graph
-   tier finds the same two dead members, and with them both engines agree
-   on output, steps, allocations and the space snapshot. *)
-let t_declarators () =
-  Util.check_string "output" "exit 0\n17\n10\n7\n12\n"
-    (corpus_engines_agree "declarators.mcc");
-  let prog = Util.check_source (corpus_source "declarators.mcc") in
+(* A corpus program's output agrees under both engines, and every
+   call-graph tier finds the same dead members, with which both engines
+   agree on steps, allocations and the space snapshot too. *)
+let t_every_tier ~file ~output ~dead () =
+  Util.check_string "output" output (corpus_engines_agree file);
+  let prog = Util.check_source (corpus_source file) in
   List.iter
     (fun call_graph ->
-      let r = Deadmem.Liveness.analyze ~config:(Deadmem.Config.make call_graph) prog in
-      Util.check_dead r [ "Box::spare"; "Handler::unused" ];
-      let dead = Deadmem.Liveness.dead_set r in
-      let snapshot engine = (Runtime.Interp.run ~engine ~dead prog).snapshot in
-      Util.check_bool
-        (Callgraph.algorithm_to_string call_graph ^ ": snapshots agree")
-        true
-        (snapshot Runtime.Interp.Tree = snapshot Runtime.Interp.Bytecode))
+      let r =
+        Deadmem.Liveness.analyze ~config:(Deadmem.Config.make call_graph) prog
+      in
+      Util.check_dead r dead;
+      ignore
+        (Util.engines_agree ~dead:(Deadmem.Liveness.dead_set r)
+           (file ^ " under " ^ Callgraph.algorithm_to_string call_graph)
+           prog))
     Callgraph.[ Cha; Rta; Pta; Pta1 ]
 
 (* [abort()] ends a run with status 134 and the output so far wherever
@@ -443,7 +204,7 @@ let t_declarators () =
 let t_abort_everywhere () =
   List.iter
     (fun (name, src, want) ->
-      Util.check_string name want (engines_agree_on name src))
+      Util.check_string name want (agree_on name src))
     [
       ( "abort in main",
         "int main() { print_int(1); abort(); print_int(2); return 0; }",
@@ -470,7 +231,7 @@ let t_huge_arrays_are_limits () =
   List.iter
     (fun (name, src) ->
       Util.check_string name want
-        (engines_agree_on name (Printf.sprintf src n)))
+        (agree_on name (Printf.sprintf src n)))
     [
       ("new int[]", "int main() { int *p = new int[%s]; return 0; }");
       ( "new A[]",
@@ -509,7 +270,18 @@ let suite =
       t_abort_everywhere;
     Util.test "huge guest arrays are the same limit in both engines"
       t_huge_arrays_are_limits;
-    Util.test "function-pointer declarators in every position" t_declarators;
+    (* function pointers as a global, a field set in a constructor
+       initializer and a local returning a class pointer *)
+    Util.test "function-pointer declarators in every position"
+      (t_every_tier ~file:"declarators.mcc" ~output:"exit 0\n17\n10\n7\n12\n"
+         ~dead:[ "Box::spare"; "Handler::unused" ]);
+    (* a field whose only reads are calls through it stays live *)
+    Util.test "calls through function-pointer fields"
+      (t_every_tier ~file:"funptr_fields.mcc"
+         ~output:"exit 0\n6\n8\n10\n13\n9\n16\n1001\n"
+         ~dead:[ "Handler::unused" ]);
+    Test_generated.engines_agree ~gen:Gen_mcc.(focused Control)
+      "bytecode: nested control flow matches tree engine" ~count:150;
+    Test_generated.engines_agree ~gen:Gen_mcc.(focused Logic)
+      "bytecode: short-circuit evaluation matches tree engine" ~count:150;
   ]
-  @ List.map QCheck_alcotest.to_alcotest
-      [ prop_nested_control_flow; prop_short_circuit ]

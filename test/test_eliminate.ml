@@ -204,6 +204,7 @@ let corpus_programs =
   [
     ("declarators.mcc", None);
     ("escape_locals.mcc", None);
+    ("funptr_fields.mcc", None);
     ("late_dispatch.mcc", None);
     ("scalar_delete.mcc", None);
     ("unwind_error.mcc", None);
@@ -211,11 +212,8 @@ let corpus_programs =
     ("valid.mcc", None);
   ]
 
-(* What a run shows: exit code and output, or the error that stopped it. *)
 let shown ~engine ?step_limit prog =
-  match Runtime.Interp.run ~engine ?step_limit prog with
-  | o -> Printf.sprintf "exit %d\n%s" o.return_value o.output
-  | exception e -> Test_bytecode.describe_exn e
+  Util.shown (Util.observe ~engine ?step_limit prog)
 
 let t_printed_source_runs ?step_limit name source () =
   let source = source () in

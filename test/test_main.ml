@@ -18,7 +18,8 @@ let () =
       ("alloc", Test_alloc.suite);
       ("benchmarks", Test_benchmarks.suite);
       ("eliminate", Test_eliminate.suite);
-      ("properties", Test_properties.suite);
+      ("properties", Test_generated.properties);
+      ("generated", Test_generated.suite);
       ("edge", Test_edge.suite);
       ("robustness", Test_robustness.suite);
       ("telemetry", Test_telemetry.suite);

@@ -15,21 +15,6 @@
 
 open QCheck
 
-let allocs_counter = Telemetry.Counter.make "interp.allocations"
-
-(* Run [prog] with telemetry enabled long enough to observe the
-   interpreter's allocation counter, restoring the previous telemetry
-   state afterwards. *)
-let run_counted ?dead prog =
-  let was = Telemetry.enabled () in
-  Telemetry.set_enabled true;
-  let before = Telemetry.Counter.value allocs_counter in
-  Fun.protect
-    ~finally:(fun () -> Telemetry.set_enabled was)
-    (fun () ->
-      let outcome = Runtime.Interp.run ?dead prog in
-      (outcome, Telemetry.Counter.value allocs_counter - before))
-
 let t_benchmark_differential () =
   List.iter
     (fun (g : Golden_runs.golden) ->
@@ -48,7 +33,10 @@ let t_benchmark_differential () =
       let dead =
         Sema.Member.Set.of_list (Deadmem.Liveness.dead_members result)
       in
-      let outcome, allocations = run_counted ~dead prog in
+      let o = Util.observe ~dead prog in
+      let outcome =
+        match o.result with Ok r -> r | Error e -> Alcotest.fail e
+      in
       let check what = Util.check_int (g.g_name ^ ": " ^ what) in
       check "return value" g.g_return outcome.return_value;
       check "output length" g.g_output_len (String.length outcome.output);
@@ -57,7 +45,7 @@ let t_benchmark_differential () =
         g.g_output_md5
         (Digest.to_hex (Digest.string outcome.output));
       check "interp.steps" g.g_steps outcome.steps;
-      check "interp.allocations" g.g_allocations allocations;
+      check "interp.allocations" g.g_allocations o.allocations;
       let s = outcome.snapshot in
       check "object_space" g.g_object_space s.object_space;
       check "dead_space" g.g_dead_space s.dead_space;
