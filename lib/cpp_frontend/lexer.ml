@@ -76,10 +76,19 @@ let bad_literal st tok msg =
       Telemetry.Counter.incr recovered_counter;
       tok
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+(* [Some c] for every character, built once: the lexer looks at each
+   character several times, and a fresh [Some c] a look was about half
+   of what a token cost. At 256 words the table is still allocated on
+   the minor heap, so building it forces no collection. *)
+let some_char = Array.init 256 (fun i -> Some (Char.chr i))
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+let char_at st i =
+  if i < String.length st.src then
+    Array.unsafe_get some_char (Char.code (String.unsafe_get st.src i))
+  else None
+
+let peek st = char_at st st.pos
+let peek2 st = char_at st (st.pos + 1)
 
 let advance st =
   (match peek st with

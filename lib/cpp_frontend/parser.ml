@@ -1,29 +1,41 @@
 (* Recursive-descent parser for MiniC++.
 
-   The parser works on the full token array produced by [Lexer.tokenize].
-   A pre-scan collects all class/struct/union/enum names so that the
-   declaration-vs-expression ambiguity ([A * b;]) is resolved exactly, the
-   way a real C++ frontend does with its symbol table. *)
+   The parser walks the token list produced by [Lexer.tokenize] in place:
+   its cursor is the suffix of the list that starts at the current token,
+   so a parse copies nothing. A pre-scan collects all
+   class/struct/union/enum names so that the declaration-vs-expression
+   ambiguity ([A * b;]) is resolved exactly, the way a real C++ frontend
+   does with its symbol table. *)
 
 module StringSet = Set.Make (String)
 
 type state = {
-  tokens : Token.spanned array;
-  mutable idx : int;
+  mutable rest : Token.spanned list;
+      (* the current token and every later one; never advanced past the
+         last token (EOF) *)
   mutable type_names : StringSet.t;
 }
 
 (* -- token-stream primitives --------------------------------------------- *)
 
-let cur st = st.tokens.(st.idx)
+let cur st =
+  match st.rest with
+  | t :: _ -> t
+  | [] -> invalid_arg "Parser: empty token stream"
+
 let cur_tok st = (cur st).Token.tok
 let cur_span st = (cur st).Token.span
 
-let peek_tok st n =
-  let i = st.idx + n in
-  if i < Array.length st.tokens then st.tokens.(i).Token.tok else Token.EOF
+(* The token [n] places after the list's head, or EOF past its end. *)
+let rec nth_tok toks n =
+  match toks with
+  | [] -> Token.EOF
+  | t :: rest -> if n = 0 then t.Token.tok else nth_tok rest (n - 1)
 
-let advance st = if st.idx < Array.length st.tokens - 1 then st.idx <- st.idx + 1
+let peek_tok st n = nth_tok st.rest n
+
+let advance st =
+  match st.rest with _ :: (_ :: _ as rest) -> st.rest <- rest | _ -> ()
 
 let parse_error st fmt =
   Fmt.kstr (fun msg -> Source.error ~at:(cur_span st) "%s" msg) fmt
@@ -283,28 +295,8 @@ let binop_of_token = function
   | Token.PERCENT -> Some (Ast.Mod, 10)
   | _ -> None
 
-(* Is the parenthesized group starting at the current LPAREN a cast?
-   True when the next token begins a type and the token after the matching
-   RPAREN can begin a unary expression. *)
-let looks_like_cast st =
-  Token.equal (cur_tok st) Token.LPAREN
-  && type_starts_at st 1
-  &&
-  (* find matching RPAREN *)
-  let depth = ref 0 and i = ref st.idx and n = Array.length st.tokens in
-  let close = ref (-1) in
-  while !close < 0 && !i < n do
-    (match st.tokens.(!i).Token.tok with
-    | Token.LPAREN -> incr depth
-    | Token.RPAREN ->
-        decr depth;
-        if !depth = 0 then close := !i
-    | _ -> ());
-    incr i
-  done;
-  !close >= 0
-  &&
-  match if !close + 1 < n then st.tokens.(!close + 1).Token.tok else Token.EOF with
+(* Can this token begin a unary expression? *)
+let starts_unary = function
   | Token.IDENT _ | Token.INT_LIT _ | Token.FLOAT_LIT _ | Token.CHAR_LIT _
   | Token.STRING_LIT _ | Token.LPAREN | Token.KW_THIS | Token.KW_NEW
   | Token.KW_SIZEOF | Token.KW_TRUE | Token.KW_FALSE | Token.KW_NULL
@@ -312,6 +304,22 @@ let looks_like_cast st =
   | Token.AMP | Token.PLUSPLUS | Token.MINUSMINUS ->
       true
   | _ -> false
+
+(* Is the parenthesized group starting at the current LPAREN a cast?
+   True when the next token begins a type and the token after the matching
+   RPAREN can begin a unary expression. *)
+let looks_like_cast st =
+  let rec after_close depth = function
+    | [] -> false
+    | { Token.tok = Token.LPAREN; _ } :: rest -> after_close (depth + 1) rest
+    | { Token.tok = Token.RPAREN; _ } :: rest ->
+        if depth = 1 then starts_unary (nth_tok rest 0)
+        else after_close (depth - 1) rest
+    | _ :: rest -> after_close depth rest
+  in
+  Token.equal (cur_tok st) Token.LPAREN
+  && type_starts_at st 1
+  && after_close 0 st.rest
 
 let rec parse_expr st : Ast.expr = parse_assignment st
 
@@ -1102,18 +1110,18 @@ let parse_top st : Ast.top_decl list =
 (* Pre-scan the token stream for type names so that declaration parsing can
    consult the complete set even for uses before the definition. *)
 let prescan_type_names tokens =
-  let names = ref StringSet.empty in
-  Array.iteri
-    (fun i { Token.tok; _ } ->
-      match tok with
-      | Token.KW_CLASS | Token.KW_STRUCT | Token.KW_UNION | Token.KW_ENUM -> (
-          if i + 1 < Array.length tokens then
-            match tokens.(i + 1).Token.tok with
-            | Token.IDENT n -> names := StringSet.add n !names
-            | _ -> ())
-      | _ -> ())
-    tokens;
-  !names
+  let rec go names = function
+    | {
+        Token.tok =
+          Token.KW_CLASS | Token.KW_STRUCT | Token.KW_UNION | Token.KW_ENUM;
+        _;
+      }
+      :: ({ Token.tok = Token.IDENT n; _ } :: _ as rest) ->
+        go (StringSet.add n names) rest
+    | _ :: rest -> go names rest
+    | [] -> names
+  in
+  go StringSet.empty tokens
 
 (* telemetry instruments (no-ops unless collection is enabled) *)
 let decls_counter = Telemetry.Counter.make "parser.top_decls"
@@ -1122,8 +1130,7 @@ let regions_counter = Telemetry.Counter.make "parser.unknown_regions"
 
 let parse_tokens tokens : Ast.program =
   Telemetry.Span.with_ "parse" @@ fun () ->
-  let tokens = Array.of_list tokens in
-  let st = { tokens; idx = 0; type_names = prescan_type_names tokens } in
+  let st = { rest = tokens; type_names = prescan_type_names tokens } in
   let rec go acc =
     if Token.equal (cur_tok st) Token.EOF then List.rev acc
     else go (List.rev_append (parse_top st) acc)
@@ -1190,36 +1197,46 @@ let synchronize_top st ~depth:outer =
     | _ -> consume ()
   done
 
+(* The keep-going helpers below read the tokens [from, until): [from] is
+   a cursor position (a suffix of the token list) and [until] a later
+   one, a suffix of [from]. *)
+let rec fold_between f acc ~from ~until =
+  match from with
+  | t :: rest when from != until ->
+      fold_between f (f acc t.Token.tok) ~from:rest ~until
+  | _ -> acc
+
 (* The braces tokens [from, until) open and leave unclosed. *)
-let open_braces st ~from ~until =
-  let depth = ref 0 in
-  for i = from to min until (Array.length st.tokens) - 1 do
-    match st.tokens.(i).Token.tok with
-    | Token.LBRACE -> incr depth
-    | Token.RBRACE -> if !depth > 0 then decr depth
-    | _ -> ()
-  done;
-  !depth
+let open_braces ~from ~until =
+  fold_between
+    (fun depth -> function
+      | Token.LBRACE -> depth + 1
+      | Token.RBRACE -> if depth > 0 then depth - 1 else depth
+      | _ -> depth)
+    0 ~from ~until
 
 (* Identifiers mentioned in tokens [from, until): the conservative
    reference set of a skipped region. *)
-let idents_between st ~from ~until =
+let idents_between ~from ~until =
   let seen = Hashtbl.create 8 in
-  let names = ref [] in
-  for i = from to min until (Array.length st.tokens) - 1 do
-    match st.tokens.(i).Token.tok with
-    | Token.IDENT n ->
-        if not (Hashtbl.mem seen n) then begin
-          Hashtbl.add seen n ();
-          names := n :: !names
-        end
-    | _ -> ()
-  done;
-  List.rev !names
+  List.rev
+    (fold_between
+       (fun names -> function
+         | Token.IDENT n when not (Hashtbl.mem seen n) ->
+             Hashtbl.add seen n ();
+             n :: names
+         | _ -> names)
+       [] ~from ~until)
 
-let span_between st ~from ~until =
-  let last = max from (min until (Array.length st.tokens - 1) - 1) in
-  Source.join st.tokens.(from).Token.span st.tokens.(last).Token.span
+(* From the first token of [from, until) to its last; just the first when
+   the stretch is empty. *)
+let span_between ~from ~until =
+  let rec last t l =
+    match l with u :: rest when l != until -> last u rest | _ -> t
+  in
+  match from with
+  | first :: _ -> Source.join first.Token.span (last first from).Token.span
+  | [] -> invalid_arg "Parser.span_between"
 
 (* Keep-going entry point: lexes resiliently, recovers at declaration
    boundaries, and reports every syntax error through [diags]. *)
@@ -1227,13 +1244,12 @@ let parse_resilient ~diags ~file src :
     Ast.program * Source.unknown_region list =
   let tokens = Lexer.tokenize_resilient ~diags ~file src in
   Telemetry.Span.with_ "parse" @@ fun () ->
-  let tokens = Array.of_list tokens in
-  let st = { tokens; idx = 0; type_names = prescan_type_names tokens } in
+  let st = { rest = tokens; type_names = prescan_type_names tokens } in
   let regions = ref [] in
   let rec go acc =
     if Token.equal (cur_tok st) Token.EOF then List.rev acc
     else begin
-      let start = st.idx in
+      let start = st.rest in
       match parse_top st with
       | decls -> go (List.rev_append decls acc)
       | exception ((Source.Compile_error _ | Stack_overflow) as e) ->
@@ -1248,12 +1264,12 @@ let parse_resilient ~diags ~file src :
                 "over-deep declaration"
           in
           Telemetry.Counter.incr sync_counter;
-          synchronize_top st ~depth:(open_braces st ~from:start ~until:st.idx);
+          synchronize_top st ~depth:(open_braces ~from:start ~until:st.rest);
           regions :=
             {
-              Source.ur_at = span_between st ~from:start ~until:st.idx;
+              Source.ur_at = span_between ~from:start ~until:st.rest;
               ur_what = what;
-              ur_refs = idents_between st ~from:start ~until:st.idx;
+              ur_refs = idents_between ~from:start ~until:st.rest;
             }
             :: !regions;
           go acc

@@ -265,7 +265,11 @@ let t_call_no_frame_alloc () =
    through [Fun.protect]. Before one hashed scope table replaced the
    list of per-scope maps, typecheck was 8184211 (stress) and 761542
    (twin). Before a method call stopped copying its lookup's (class,
-   method) pair, typecheck was 3982821 (stress) and 445460 (twin). *)
+   method) pair, typecheck was 3982821 (stress) and 445460 (twin).
+   Before the lexer's [peek] served shared [Some c] values, lex was
+   13303086 (stress) and 1228047 (twin), 33.8 words a token; before the
+   parser walked the token list in place instead of copying it into an
+   array, parse was 2956798 (stress) and 276294 (twin). *)
 let synth_twin =
   {
     Benchmarks.Synth.seed = 7;
@@ -277,8 +281,8 @@ let synth_twin =
 
 let pinned_frontend =
   [
-    ("stress", Benchmarks.Synth.stress, (393363, 13303086, 2956798, 3972519));
-    ("synth_pta twin", synth_twin, (36650, 1228047, 276294, 444599));
+    ("stress", Benchmarks.Synth.stress, (393363, 6131600, 2956784, 3972519));
+    ("synth_pta twin", synth_twin, (36650, 574321, 276280, 444599));
   ]
 
 (* Live words of [tokenize]'s result ([Obj.reachable_words]): per token
@@ -318,6 +322,8 @@ let t_frontend_words_pinned () =
           let _, t = words (fun () -> Sema.Type_check.check_program ast) in
           check_int (name ^ " tokens") tokens (List.length toks);
           check_int (name ^ " lex words") lex l;
+          Util.check_bool (name ^ " at most 17 lex words a token") true
+            (float_of_int l <= 17. *. float_of_int tokens);
           check_int (name ^ " parse words") parse p;
           check_int (name ^ " typecheck words") typecheck t)
         pinned_frontend)

@@ -56,11 +56,12 @@ let temp_src =
 let exit_of args =
   Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" exe args)
 
-let run_capture args =
+(* [env] is prefixed to the command line, as [NAME=value ...]. *)
+let run_capture ?(env = "") args =
   let out = Filename.temp_file "deadmem_out" ".txt" in
   let err = Filename.temp_file "deadmem_err" ".txt" in
   let code =
-    Sys.command (Printf.sprintf "%s %s >%s 2>%s" exe args out err)
+    Sys.command (Printf.sprintf "%s%s %s >%s 2>%s" env exe args out err)
   in
   let o = read_file out and e = read_file err in
   Sys.remove out;
@@ -455,6 +456,34 @@ let t_parse_error_hides_missing_main () =
   | Some ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
   | None -> Alcotest.fail "diagnostics is not a list"
 
+(* A cold process never collects: [--version] and a [check --format=json]
+   of every port allocate less than the default minor heap holds, so the
+   exit statistics that [OCAMLRUNPARAM=v=0x400] prints (set here,
+   whatever the environment says) must read zero minor and zero major
+   collections. A module initialiser or a per-parse copy that builds an
+   array of more than 256 words from a young element forces a
+   collection and fails this. *)
+let t_cold_check_never_collects () =
+  let collections what args =
+    let code, _, err = run_capture ~env:"OCAMLRUNPARAM=v=0x400 " args in
+    let stat key =
+      let prefix = key ^ ": " in
+      match List.find_opt (String.starts_with ~prefix) (lines err) with
+      | Some l ->
+          int_of_string
+            (String.sub l (String.length prefix) (String.length l - String.length prefix))
+      | None -> Alcotest.failf "%s: no %s in stderr:\n%s" what key err
+    in
+    check_int (what ^ " exit") 0 code;
+    check_int (what ^ " minor_collections") 0 (stat "minor_collections");
+    check_int (what ^ " major_collections") 0 (stat "major_collections")
+  in
+  collections "--version" "--version";
+  List.iter
+    (fun (b : Benchmarks.Suite.t) ->
+      collections b.name ("check --format=json " ^ Filename.quote (temp_src b.source)))
+    Benchmarks.Suite.all
+
 let suite =
   [
     Util.test "exit codes: exhaustive subcommand table" t_exit_codes;
@@ -467,6 +496,7 @@ let suite =
     Util.test "precision --format=json: solver object shape" t_precision_json;
     Util.test "the daemon answers every port as the CLI does"
       t_cli_daemon_agree;
+    Util.test "a cold check never collects" t_cold_check_never_collects;
     Util.test "check: a parse error that swallows main is the one error"
       t_parse_error_hides_missing_main;
   ]

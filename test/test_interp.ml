@@ -271,6 +271,29 @@ let t_object_identity_through_casts () =
            return down->b;
          }|})
 
+(* [Value.vint_cache] is written out by hand as static data: entry [i]
+   must be [VInt (i - 256)], and [vint] must hand out those shared
+   blocks in range and fresh ones outside it. *)
+let t_small_int_table () =
+  let open Runtime.Value in
+  Util.check_int "table length" 1281 (Array.length vint_cache);
+  Array.iteri
+    (fun i v ->
+      match v with
+      | VInt n when n = i - 256 -> ()
+      | _ -> Alcotest.failf "vint_cache.(%d) is not VInt %d" i (i - 256))
+    vint_cache;
+  for n = -256 to 1024 do
+    if vint n != vint_cache.(n + 256) then
+      Alcotest.failf "vint %d is not shared" n
+  done;
+  List.iter
+    (fun n ->
+      match vint n with
+      | VInt m -> Util.check_int "outside the table" n m
+      | _ -> Alcotest.failf "vint %d is not a VInt" n)
+    [ -257; 1025; max_int; min_int ]
+
 let suite =
   [
     Util.test "arithmetic" t_arithmetic;
@@ -309,4 +332,5 @@ let suite =
     Util.test "this pointer" t_this_in_methods;
     Util.test "numeric casts" t_casts_numeric;
     Util.test "object identity through casts" t_object_identity_through_casts;
+    Util.test "small-int table" t_small_int_table;
   ]

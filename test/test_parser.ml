@@ -241,6 +241,30 @@ let t_recovery_skips_body () =
         "r.mcc:1:32-33: error: unexpected token ';' in expression" );
     ]
 
+(* Keep-going recovery's unknown regions on the corpus's syntax-error
+   programs, pinned whole: each region's start and end line:col, what it
+   stands for and the identifiers it mentions. [multi_error.mcc]'s errors
+   are all semantic, so it parses without a region. *)
+let t_recovery_regions_pinned () =
+  let region (r : Source.unknown_region) =
+    let s = r.ur_at in
+    Printf.sprintf "%d:%d-%d:%d %s [%s]" s.start_line s.start_col s.end_line
+      s.end_col r.ur_what (String.concat "; " r.ur_refs)
+  in
+  List.iter
+    (fun (file, want) ->
+      let diags = Source.Diagnostics.create () in
+      let _, regions =
+        Parser.parse_resilient ~diags ~file (Test_bytecode.corpus_source file)
+      in
+      Alcotest.(check (list string)) file want (List.map region regions))
+    [
+      ("missing_semi.mcc", [ "2:1-6:2 unparsed declaration [C; a; b]" ]);
+      ("multi_error.mcc", []);
+      ( "unbalanced_braces.mcc",
+        [ "1:1-7:25 unparsed declaration [D; m; f; main]" ] );
+    ]
+
 let t_static_member_def () =
   match parse "class A { public: static int count; };\nint A::count;" with
   | [ Ast.TClass _ ] -> ()
@@ -442,4 +466,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_declarator_positions;
     Util.test "constructor/destructor modifiers rejected" t_ctor_dtor_modifiers;
     Util.test "keep-going recovery skips the failed body" t_recovery_skips_body;
+    Util.test "keep-going recovery regions pinned" t_recovery_regions_pinned;
   ]
