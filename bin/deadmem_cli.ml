@@ -526,7 +526,10 @@ let profile_cmd =
           | _ when top < 1 ->
               Fmt.epr "error: --top must be at least 1 (got %d)@." top;
               None
-          | Some name, _ ->
+          | Some _, Some _ ->
+              Fmt.epr "error: provide a FILE or --bench NAME, not both@.";
+              None
+          | Some name, None ->
               Option.map Benchmarks.Suite.program (find_bench name)
           | None, Some f -> Some (load f)
           | None, None ->

@@ -89,23 +89,6 @@ type finit =
   | FInitL of slots_by_class * Member.t * icoerce * int
   | FInitC of slots_by_class * Member.t * icoerce * int
 
-(* Index operand of a fused [this->arr[ix]->f = rhs] store
-   ([ITickThisIdxFieldStoreI]): an unboxed int local, or an int member of
-   an object held in a local. *)
-type idxsrc =
-  | IxLocal of int
-  | IxLocField of int * slots_by_class * Member.t
-
-(* Right-hand side of the same fused store: a constant, an unboxed int
-   local, or another this-rooted indexed member read folded with a
-   constant binop ([op]=Add,[k]=0 when the source had no binop). *)
-type irhs =
-  | RConst of int
-  | RLocal of int
-  | RThisIdxField of
-      slots_by_class * Member.t * idxsrc * slots_by_class * Member.t
-      * Ast.binop * int
-
 (* Micro-ops of a fused int-RPN store ([IRpnStoreI]): the settled tail
    of a pure-int assignment statement, re-expressed as pushes and
    combines over the untagged int stack. Each variant replays exactly
@@ -121,20 +104,28 @@ type irpn =
       * slots_by_class * Member.t
   | RpFieldField of
       int * slots_by_class * Member.t * slots_by_class * Member.t
+  | RpThisIdxField of  (* [this->a[l->i]->f] *)
+      slots_by_class * Member.t * int * slots_by_class * Member.t
+      * slots_by_class * Member.t
   | RpBinop of Ast.binop
   | RpBinopConst of Ast.binop * int
 
 (* Destination of a fused int-RPN store: the member slot resolves fully
    before any rhs leaf is read, exactly as the unfused sequence did.
-   [DTickLocField] carries the statement tick ([ITickLocFieldI]);
-   [DFieldIdx] is the [ILoadFieldIndexI; ILocFieldI] pair (tickless —
-   the statement tick was already folded upstream). *)
+   The [DTick...] forms carry the statement tick, [DThis] a count of
+   them; [DFieldIdx] is the [ILoadFieldIndexI; ILocFieldI] pair. *)
 type rdst =
   | DTickLocField of int * slots_by_class * Member.t
   | DFieldIdx of
       int * slots_by_class * Member.t * int * slots_by_class * Member.t
   | DTickFieldLocField of
       int * slots_by_class * Member.t * slots_by_class * Member.t
+  | DTickThisIdx of  (* [this->a[il]->f] *)
+      slots_by_class * Member.t * int * slots_by_class * Member.t
+  | DTickThisIdxField of  (* [this->a[l->i]->f] *)
+      slots_by_class * Member.t * int * slots_by_class * Member.t
+      * slots_by_class * Member.t
+  | DThis of int * slots_by_class * Member.t
 
 (* -- instruction set ----------------------------------------------------------
 
@@ -144,10 +135,18 @@ type rdst =
    applies the [arr_id = -1] re-wrap of [Value.ptr_of_loc] when a
    location escapes as a user-visible pointer. *)
 
+(* Twins are one instruction with an operand. A leading [bool] on a
+   load folds the statement tick before it ([ITickLoad] is [ILoad] with
+   the flag set); a [bool] right before a branch target, or last on a
+   store, folds the next statement's tick on fall-through; [keep] says
+   whether a store, compound assignment or increment leaves the stored
+   (or, postfix, the old) value on the stack; [sense] is the truthiness
+   on which a conditional jump is taken. [mnemonic] reports each flag
+   setting under its own name. *)
 type instr =
   (* pushes *)
   | IConst of value
-  | ILoad of int          (* push frame slot *)
+  | ILoad of bool * int   (* tick?; push frame slot *)
   | ILoadRef of int       (* reference local: push its referent's value *)
   | IGlobal of int
   | IStatic of int
@@ -180,19 +179,16 @@ type instr =
   | IAssign of Ast.type_expr
   | ICompound of Ast.assign_op * Ast.type_expr
   | IIncDec of Ast.incdec * Ast.fixity
-  | IStoreLocal of int * Ast.type_expr      (* coerce, store, keep value *)
-  | IStoreLocalPop of int * Ast.type_expr   (* coerce, store, drop value *)
+  | IStoreLocal of bool * int * Ast.type_expr * bool
+      (* keep; coerce, store; tick? *)
   | IStoreRawPop of int                     (* store without coercion *)
-  | IIncDecLocal of Ast.incdec * Ast.fixity * int
-  | IIncDecLocalPop of Ast.incdec * int
+  | IIncDecLocal of bool * Ast.incdec * Ast.fixity * int  (* keep *)
   (* control *)
   | IJump of int
-  | IJumpIfFalse of int
-  | IJumpIfTrue of int
+  | IJumpIf of bool * int  (* pop; jump when its truthiness is [sense] *)
   | IJumpCmpFalse of Ast.binop * int  (* fused compare-and-branch *)
-  | IAndFalse of int      (* &&: pop; falsy -> push 0 and jump *)
-  | IOrTrue of int        (* ||: pop; truthy -> push 1 and jump *)
-  | ITick
+  | IShortCircuit of bool * int
+      (* &&/||: pop; truthiness [sense] -> push it as 0/1 and jump *)
   | IPushScope of int array
   | IPopScope
   | IExitScopes of int    (* break/continue leaving n destroy scopes *)
@@ -258,20 +254,14 @@ type instr =
      ticks glued to their first load, compare-and-branch against a
      constant or local, and the store/increment-then-back-edge of for
      loops together cover over half of all executed pairs. *)
-  | ILoadField of int * slots_by_class * Member.t     (* ILoad; IField *)
-  | ITickLoad of int                                  (* ITick; ILoad *)
-  | ITickLoadField of int * slots_by_class * Member.t
-  | IThisField of slots_by_class * Member.t           (* IThis; IField *)
+  | ILoadField of bool * int * slots_by_class * Member.t  (* ILoad; IField *)
+  | IThisField of bool * slots_by_class * Member.t        (* IThis; IField *)
   | IBinopConst of Ast.binop * value                  (* IConst; IBinop *)
-  | ITickN of int                                     (* n adjacent ITicks *)
+  | ITickN of int             (* n statement ticks; [ITick] when n = 1 *)
   | IAssignPop of Ast.type_expr                       (* IAssign; IPop *)
-  | IStoreLocalPopT of int * Ast.type_expr            (* store; next stmt's tick *)
   | IStoreLocalPopJump of int * Ast.type_expr * int   (* store; back edge *)
-  (* branch variants; the T forms run the fall-through statement's tick *)
-  | IJumpCmpConstFalse of Ast.binop * value * int
-  | IJumpCmpConstFalseT of Ast.binop * value * int
-  | IJumpLocCmpConstFalse of int * Ast.binop * value * int
-  | IJumpLocCmpConstFalseT of int * Ast.binop * value * int
+  | IJumpCmpConstFalse of Ast.binop * value * bool * int
+  | IJumpLocCmpConstFalse of int * Ast.binop * value * bool * int
   | IJumpLocCmpFalse of Ast.binop * int * int     (* top CMP local *)
   (* the pointer-chase loop body [p = p->f;] in one or two dispatches *)
   | ITickLoadFieldStore of
@@ -281,13 +271,10 @@ type instr =
   (* round 3: cascade fusion re-fuses a fusion product with its own
      predecessor, so whole expression chains ([o.f[i*k+j].g], the
      pointer-scan loop condition) collapse to one dispatch. *)
-  | ITickThisField of slots_by_class * Member.t
   | ILocFieldLoadField of
       slots_by_class * Member.t * int * slots_by_class * Member.t
   | ITickLoadFieldCmpLocFalse of
-      int * slots_by_class * Member.t * Ast.binop * int * int
-  | ITickLoadFieldCmpLocFalseT of
-      int * slots_by_class * Member.t * Ast.binop * int * int
+      int * slots_by_class * Member.t * Ast.binop * int * bool * int
   (* a scan loop's hot cycle [guard-branch -> p = p->f -> back edge]
      with the step on the branch's false edge: [finish]'s branch-target
      peephole inlines the step into the false arm; the step's own slot
@@ -316,7 +303,7 @@ type instr =
      unboxed int slot. *)
   (* pushes / reads *)
   | IConstI of int
-  | ILoadI of int         (* push int local *)
+  | ILoadI of bool * int  (* tick?; push int local *)
   | IFieldI of slots_by_class * Member.t   (* pop obj; push int member *)
   | IIndexI               (* a[i] with an untagged index; result boxed *)
   (* bridges between the int stack and the boxed stack *)
@@ -330,43 +317,31 @@ type instr =
   | IToBoolI
   | IBinopII of Ast.binop (* int OP int -> int, incl. compares *)
   (* typed local stores *)
-  | IStoreLocalI of icoerce * int           (* coerce, store, keep value *)
-  | IStoreLocalPopI of icoerce * int
-  | IStoreLocalIB of Ast.type_expr * int    (* boxed rhs -> int bank slot *)
-  | IStoreLocalIBPop of Ast.type_expr * int
-  | IIncDecLocalI of Ast.incdec * Ast.fixity * int
-  | IIncDecLocalPopI of Ast.incdec * int
-  | ICompoundLocalI of Ast.binop * icoerce * int
-  | ICompoundLocalIPop of Ast.binop * icoerce * int
-  | ICompoundLocalB of Ast.assign_op * Ast.type_expr * int  (* boxed rhs *)
-  | ICompoundLocalBPop of Ast.assign_op * Ast.type_expr * int
-  (* unboxed member lvalues. [ILocFieldI]/[ILocFieldF] keep the object
-     on the boxed stack and push the resolved bank index onto the int
-     stack, so the member lookup (and its missing-member error) happens
-     before the rhs is evaluated, exactly as the tree engine orders it. *)
+  | IStoreLocalI of bool * icoerce * int * bool
+      (* keep; coerce, store; tick? *)
+  | IStoreLocalIB of bool * Ast.type_expr * int  (* boxed rhs -> int slot *)
+  | IIncDecLocalI of bool * Ast.incdec * Ast.fixity * int
+  | ICompoundLocalI of bool * Ast.binop * icoerce * int
+  | ICompoundLocalB of bool * Ast.assign_op * Ast.type_expr * int
+      (* boxed rhs *)
+  (* unboxed member lvalues. [ILocFieldI] keeps the object on the boxed
+     stack and pushes the resolved bank index onto the int stack, so the
+     member lookup (and its missing-member error) happens before the rhs
+     is evaluated, exactly as the tree engine orders it. *)
   | ILocFieldI of slots_by_class * Member.t
-  | IAssignFieldI of icoerce       (* pop rhs(int), slot, obj; keep value *)
-  | IAssignFieldIPop of icoerce
-  | IAssignFieldIB of Ast.type_expr    (* boxed rhs -> int bank member *)
-  | IAssignFieldIBPop of Ast.type_expr
-  | ICompoundFieldI of Ast.binop * icoerce
-  | ICompoundFieldIPop of Ast.binop * icoerce
-  | ICompoundFieldB of Ast.assign_op * Ast.type_expr  (* boxed rhs *)
-  | ICompoundFieldBPop of Ast.assign_op * Ast.type_expr
-  | IIncDecFieldI of Ast.incdec * Ast.fixity
-  | IIncDecFieldIPop of Ast.incdec
+  | IAssignFieldI of bool * icoerce   (* pop rhs(int), slot, obj *)
+  | IAssignFieldIB of bool * Ast.type_expr    (* boxed rhs -> int bank member *)
+  | ICompoundFieldI of bool * Ast.binop * icoerce
+  | ICompoundFieldB of bool * Ast.assign_op * Ast.type_expr  (* boxed rhs *)
+  | IIncDecFieldI of bool * Ast.incdec * Ast.fixity
   (* typed declarations / ctor member initializers *)
   | IDeclScalarI of int
   | IInitFieldScalarI of slots_by_class * Member.t * icoerce
   | IInitFieldScalarB of slots_by_class * Member.t * Ast.type_expr
   (* typed control *)
-  | IJumpIfFalseI of bool * int
-  | IJumpIfTrueI of int
-  | IAndFalseI of int
-  | IOrTrueI of int
+  | IJumpIfI of bool * bool * int  (* sense; tick? on fall-through *)
+  | IShortCircuitI of bool * int
   | IJumpCmpFalseI of Ast.binop * int
-  (* in the branch forms below, a [bool] right before the target folds
-     the fall-through tick (the former ...T / ...TI twin constructor) *)
   | IJumpCmpConstFalseI of Ast.binop * int * bool * int
   | IJumpLocCmpConstFalseI of int * Ast.binop * int * bool * int
   | IJumpLocCmpFalseI of Ast.binop * int * bool * int
@@ -374,22 +349,18 @@ type instr =
   | IJumpLocFCmpFalseI of
       int * int * slots_by_class * Member.t * Ast.binop * bool * int
   (* typed superinstructions *)
-  | ITickLoadI of int
-  | ILoadFieldI of int * slots_by_class * Member.t
-  | ITickLoadFieldI of int * slots_by_class * Member.t
-  | IThisFieldI of slots_by_class * Member.t
-  | ITickThisFieldI of slots_by_class * Member.t
+  | ILoadFieldI of bool * int * slots_by_class * Member.t
+  | IThisFieldI of bool * slots_by_class * Member.t
   | IIndexFieldI of slots_by_class * Member.t
   | ILoadLoadFieldI of int * int * slots_by_class * Member.t
   | IBinopConstI of Ast.binop * int
-  | ILoadBinopConstI of int * Ast.binop * int
+  | ILoadBinopConstI of bool * int * Ast.binop * int
   | ILoadFieldBCI of int * slots_by_class * Member.t * Ast.binop * int
   | ILoadFieldLoadBCI of
       int * slots_by_class * Member.t * int * Ast.binop * int
       (* boxed l.f; typed [l' op k] index *)
   | ILoadFieldBinopI of int * slots_by_class * Member.t * Ast.binop
   | IThisFieldBinopI of slots_by_class * Member.t * Ast.binop
-  | IStoreLocalPopTI of icoerce * int
   | IIncDecLocalJumpI of Ast.incdec * int * int
   | IFieldIdxFieldI of
       int * slots_by_class * Member.t * int * Ast.binop * int
@@ -408,13 +379,11 @@ type instr =
      store-from-source forms that collapse whole assignment statements
      into one dispatch *)
   | ILoadIndexI of int
-  | ILoadFieldIndexI of int * slots_by_class * Member.t * int
-  | ITickLoadFieldIndexI of int * slots_by_class * Member.t * int
+  | ILoadFieldIndexI of bool * int * slots_by_class * Member.t * int
   | ITLFIndexIStoreT of
       int * slots_by_class * Member.t * int * int * Ast.type_expr
   | ILoadBinopI of Ast.binop * int
-  | ILoadLocFieldI of int * slots_by_class * Member.t
-  | ITickLocFieldI of int * slots_by_class * Member.t
+  | ILoadLocFieldI of bool * int * slots_by_class * Member.t
   | IAssignFieldLIPop of icoerce * int
   | IAssignFieldLFIPop of icoerce * int * slots_by_class * Member.t
   | ITickFieldStoreLI of icoerce * int * slots_by_class * Member.t * int
@@ -431,38 +400,20 @@ type instr =
   | IBinopConst2I of Ast.binop * int * Ast.binop * int
   | IBinopConst3I of
       Ast.binop * int * Ast.binop * int * Ast.binop * int
-  | ITickLoadBCI of int * Ast.binop * int
   | IJumpLocTFCmpFalseI of Ast.binop * int * slots_by_class * Member.t * int
   (* [if (local->f BINOP const)] in branch position: the whole guard in
      one dispatch. The bool folds the statement tick before the test *)
   | IJumpLocFieldBCFalseI of
       bool * int * slots_by_class * Member.t * Ast.binop * int * int
   (* [if (this->f BINOP const)]; the two bools fold a tick before the
-     test (statement tick) and on fall-through (next statement's tick) —
-     flags rather than four constructors to stay under the variant-size
-     limit *)
+     test (statement tick) and on fall-through (next statement's tick) *)
   | IJumpThisFieldBCFalseI of
       bool * slots_by_class * Member.t * Ast.binop * int * bool * int
-  (* [this->dst = this->src op1 k1 op2 k2 op3 k3] (the [IBinopConst3I]
-     chain) in one dispatch: dst slot resolves first, then the src read —
-     the order the unfused sequence used. The leading int counts the
-     folded statement ticks *)
-  | IThisXAssignI of
-      int * slots_by_class * Member.t * slots_by_class * Member.t
-      * (Ast.binop * int * Ast.binop * int * Ast.binop * int)
-      * icoerce
   (* [return this->f] on an int member, statement tick included *)
   | IReturnThisFieldI of slots_by_class * Member.t
   (* a run of consecutive int-member initializers in a constructor
      prologue, executed left to right exactly as the unfused ops *)
   | IInitFieldsI of finit array
-  (* [this->arr[ix]->f = rhs] as one dispatch, statement tick included
-     (the dependency-graph edge stores in hot loops). Destination
-     resolves fully (array read, index, element, slot) before the rhs is
-     evaluated — the unfused order *)
-  | ITickThisIdxFieldStoreI of
-      slots_by_class * Member.t * idxsrc * slots_by_class * Member.t
-      * icoerce * irhs
   (* [local = localA->arr[i]; if (localN->f BINOP const)] — the
      statement-plus-guard prefix of the hot list-walk loops, one
      dispatch. First tuple is the [ITLFIndexIStoreT] payload (both its
@@ -473,7 +424,9 @@ type instr =
       * int
   (* a whole pure-int assignment statement (destination resolution, an
      RPN chain of int reads/combines, the store) in one dispatch — the
-     stencil-update statements dominating numeric kernels *)
+     stencil updates of numeric kernels, the dependency-edge stores
+     [this->arr[ix]->f = rhs] and the PRNG step [this->x = this->y op k
+     op k op k] *)
   | IRpnStoreI of rdst * irpn array * icoerce
   (* [intlocal = (int)(BOXED binop const)] — the post-call coercion of
      a method result into an unboxed local, one dispatch *)
@@ -588,32 +541,35 @@ let bodies_counter = Telemetry.Counter.make "bytecode.bodies_compiled"
 let delta = function
   | IConst _ | ILoad _ | ILoadRef _ | IGlobal _ | IStatic _ | IThis
   | ILocLocal _ | ILocLocalRef _ | ILocGlobal _ | ILocStatic _
-  | INewScalar _ | IIncDecLocal _ | IRaise _ ->
+  | INewScalar _ | IRaise _ ->
       1
+  | IIncDecLocal (keep, _, _, _) -> if keep then 1 else 0
+  | IStoreLocal (keep, _, _, _)
+  | IStoreLocalIB (keep, _, _)
+  | ICompoundLocalB (keep, _, _, _) ->
+      if keep then 0 else -1
+  | IAssignFieldIB (keep, _) | ICompoundFieldB (keep, _, _) ->
+      if keep then -1 else -2
   | IUnary _ | IToBool | ICastInt | ICastFloat | IField _ | IDeref | IAsObj
   | IAddrOf | ILocField _ | ILocDeref | ILocToPtr | IObjToPtr | IIncDec _
-  | IStoreLocal _ | INewArrObj _ | INewArrScalar _ | IJump _ | ITick
+  | INewArrObj _ | INewArrScalar _ | IJump _
   | IPushScope _ | IPopScope | IExitScopes _ | IReturnUnit | IDeclScalar _
-  | IDeclStackArr _ | IIncDecLocalPop _ | IInitFieldArr _ ->
+  | IDeclStackArr _ | IInitFieldArr _ ->
       0
   | IPop | IBinop _ | IIndex | IMemPtrDeref | ILocIndex | ILocMemPtr
-  | IAssign _ | ICompound _ | IStoreLocalPop _ | IStoreRawPop _ | IDelete
-  | IJumpIfFalse _ | IJumpIfTrue _ | IAndFalse _ | IOrTrue _ | IReturn
+  | IAssign _ | ICompound _ | IStoreRawPop _ | IDelete
+  | IJumpIf _ | IShortCircuit _ | IReturn
   | IInitFieldScalar _ ->
       -1
   | IJumpCmpFalse _ -> -2
-  | ILoadField _ | ITickLoad _ | ITickLoadField _ | IThisField _
-  | ITickThisField _ | ILocFieldLoadField _ ->
-      1
+  | ILoadField _ | IThisField _ | ILocFieldLoadField _ -> 1
   | IBinopConst _ | ITickN _
-  | IJumpLocCmpConstFalse _ | IJumpLocCmpConstFalseT _
+  | IJumpLocCmpConstFalse _
   | ITickLoadFieldStore _ | ITickLoadFieldStoreJump _
-  | ITickLoadFieldCmpLocFalse _ | ITickLoadFieldCmpLocFalseT _
+  | ITickLoadFieldCmpLocFalse _
   | IScanStep _ | ILoopScan _ ->
       0
-  | IStoreLocalPopT _ | IStoreLocalPopJump _
-  | IJumpCmpConstFalse _ | IJumpCmpConstFalseT _ | IJumpLocCmpFalse _ ->
-      -1
+  | IStoreLocalPopJump _ | IJumpCmpConstFalse _ | IJumpLocCmpFalse _ -> -1
   | IAssignPop _ | IBinop2 _ -> -2
   | IBuiltin (_, n) | ICallFunc (_, n) | INewObj { n_argc = n; _ } -> 1 - n
   | ICallMethod { m_argc = n; _ } -> -n  (* receiver consumed, result pushed *)
@@ -627,46 +583,34 @@ let delta = function
   (* typed instructions: boxed-stack effect only (their int stack
      effects live in [idelta]) *)
   | IBoxI | IBoxIU | ILoadIB _ | ILoadFieldIB _
-  | ILoadFieldLoadBCI _ | ILoadFieldIndexI _
-  | ITickLoadFieldIndexI _ | ILoadLocFieldI _ | ITickLocFieldI _
+  | ILoadFieldLoadBCI _ | ILoadFieldIndexI _ | ILoadLocFieldI _
   | IThisLocFieldI _ ->
       1
-  | IFieldI _ | IIndexFieldI _ | IAssignFieldI _
-  | IAssignFieldIPop _ | IAssignFieldIB _
-  | ICompoundFieldI _ | ICompoundFieldIPop _
-  | ICompoundFieldB _
-  | IIncDecFieldI _ | IIncDecFieldIPop _
-  | IInitFieldScalarB _ | IStoreLocalIBPop _
-  | ICompoundLocalBPop _ | IAssignFieldLIPop _
+  | IFieldI _ | IIndexFieldI _ | IAssignFieldI _ | ICompoundFieldI _
+  | IIncDecFieldI _ | IInitFieldScalarB _ | IAssignFieldLIPop _
   | IAssignFieldLFIPop _ | IAssignFieldCIPop _ | IBinopConstCastStoreI _ ->
       -1
-  | IAssignFieldIBPop _ | ICompoundFieldBPop _ -> -2
   | IConstI _ | ILoadI _ | IIndexI | IPopI
   | IUnaryI _ | IToBoolI | IBinopII _
-  | IStoreLocalI _ | IStoreLocalPopI _
-  | IStoreLocalIB _ | IIncDecLocalI _ | IIncDecLocalPopI _
-  | ICompoundLocalI _
-  | ICompoundLocalIPop _
-  | ICompoundLocalB _ | ILocFieldI _ | IDeclScalarI _
+  | IStoreLocalI _ | IIncDecLocalI _ | ICompoundLocalI _
+  | ILocFieldI _ | IDeclScalarI _
   | IInitFieldScalarI _
-  | IJumpIfFalseI _ | IJumpIfTrueI _
-  | IAndFalseI _ | IOrTrueI _
+  | IJumpIfI _ | IShortCircuitI _
   | IJumpCmpFalseI _ | IJumpCmpConstFalseI _
   | IJumpLocCmpConstFalseI _
   | IJumpLocCmpFalseI _
   | IJumpLoc2CmpFalseI _ | IJumpLocFCmpFalseI _
-  | ITickLoadI _ | ILoadFieldI _
-  | ITickLoadFieldI _ | IThisFieldI _ | ITickThisFieldI _
+  | ILoadFieldI _ | IThisFieldI _
   | ILoadLoadFieldI _ | IBinopConstI _ | ILoadBinopConstI _ | ILoadFieldBCI _
-  | ILoadFieldBinopI _ | IThisFieldBinopI _ | IStoreLocalPopTI _
+  | ILoadFieldBinopI _ | IThisFieldBinopI _
   | IIncDecLocalJumpI _ | IFieldIdxFieldI _ | ITickLoadFieldCmpLocFalseI _
   | IJumpLL2FBCCmpFalseI _ | IScanStepI _
   | ILoadIndexI _ | ITLFIndexIStoreT _ | ILoadBinopI _
   | ITickFieldStoreLI _ | IFieldCopyII _
   | IInitFieldLI _ | IInitFieldConstI _ | IBinopConst2I _ | IBinopConst3I _
-  | ITickLoadBCI _ | IJumpLocTFCmpFalseI _
-  | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _ | IThisXAssignI _
-  | IReturnThisFieldI _ | IInitFieldsI _ | ITickThisIdxFieldStoreI _
+  | IJumpLocTFCmpFalseI _
+  | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _
+  | IReturnThisFieldI _ | IInitFieldsI _
   | ITLFIndexIStoreJumpFBCI _ | IRpnStoreI _ | IThisFieldIdxFStoreI _
   | ITLFIStoreFieldCopyII _ | IThisCallMStoreI _ | IIncDecJumpLocFCmpI _
   | IIncDecJumpLL2FBCI _ ->
@@ -675,29 +619,25 @@ let delta = function
 (* Net effect on the untagged int operand stack. Only typed instructions
    touch it, so the wildcard covers the whole generic set. *)
 let idelta = function
-  | IConstI _ | ILoadI _ | ITickLoadI _ | IFieldI _ | ILoadFieldI _
-  | ITickLoadFieldI _ | IThisFieldI _ | ITickThisFieldI _ | ILoadBinopConstI _
-  | ILoadFieldBCI _ | ILoadFieldLoadBCI _ | IIncDecLocalI _
-  | ILocFieldI _ | IFieldIdxFieldI _
-  | ILoadLocFieldI _ | ITickLocFieldI _
-  | IThisLocFieldI _ | ITickLoadBCI _ ->
+  | IConstI _ | ILoadI _ | IFieldI _ | ILoadFieldI _ | IThisFieldI _
+  | ILoadBinopConstI _ | ILoadFieldBCI _ | ILoadFieldLoadBCI _
+  | ILocFieldI _ | IFieldIdxFieldI _ | ILoadLocFieldI _ | IThisLocFieldI _ ->
       1
+  | IIncDecLocalI (keep, _, _, _) -> if keep then 1 else 0
+  | IStoreLocalI (keep, _, _, _)
+  | ICompoundLocalI (keep, _, _, _)
+  | IIncDecFieldI (keep, _, _) ->
+      if keep then 0 else -1
+  | IAssignFieldI (keep, _) | ICompoundFieldI (keep, _, _) ->
+      if keep then -1 else -2
   | ILoadLoadFieldI _ -> 2
-  | IBoxI | IBoxIU | IPopI | IBinopII _ | IStoreLocalPopI _
-  | IStoreLocalPopTI _ | ICompoundLocalIPop _
-  | IJumpIfFalseI _ | IJumpIfTrueI _ | IAndFalseI _
-  | IOrTrueI _ | IJumpCmpConstFalseI _
-  | IJumpLocCmpFalseI _ | IAssignFieldI _
-  | IAssignFieldIB _ | IAssignFieldIBPop _
-  | ICompoundFieldI _
-  | ICompoundFieldB _ | ICompoundFieldBPop _
-  | IIncDecFieldIPop _
-  | IInitFieldScalarI _
-  | IIndexI
+  | IBoxI | IBoxIU | IPopI | IBinopII _
+  | IJumpIfI _ | IShortCircuitI _ | IJumpCmpConstFalseI _
+  | IJumpLocCmpFalseI _ | IAssignFieldIB _ | ICompoundFieldB _
+  | IInitFieldScalarI _ | IIndexI
   | IAssignFieldLIPop _ | IAssignFieldLFIPop _ | IAssignFieldCIPop _ ->
       -1
-  | IJumpCmpFalseI _ | IAssignFieldIPop _ | ICompoundFieldIPop _ ->
-      -2
+  | IJumpCmpFalseI _ -> -2
   | _ -> 0
 
 type buf = {
@@ -759,83 +699,89 @@ let is_cmp = function
    plus back-edge of for loops cover over half of all executed pairs. *)
 let fuse (prev : instr) (i : instr) : instr option =
   match (prev, i) with
-  | ILoad n, IField (s, m) -> Some (ILoadField (n, s, m))
-  | ITickLoad n, IField (s, m) -> Some (ITickLoadField (n, s, m))
-  | IThis, IField (s, m) -> Some (IThisField (s, m))
-  | ITick, ILoad n -> Some (ITickLoad n)
-  | ITick, ITick -> Some (ITickN 2)
-  | ITickN n, ITick -> Some (ITickN (n + 1))
-  | IStoreLocalPop (n, ty), ITick -> Some (IStoreLocalPopT (n, ty))
-  | IJumpCmpConstFalse (op, v, t), ITick ->
-      Some (IJumpCmpConstFalseT (op, v, t))
-  | IJumpLocCmpConstFalse (n, op, v, t), ITick ->
-      Some (IJumpLocCmpConstFalseT (n, op, v, t))
-  | ITickLoadField (i, s, m), IStoreLocalPop (j, ty) ->
+  | ILoad (tk, n), IField (s, m) -> Some (ILoadField (tk, n, s, m))
+  | IThis, IField (s, m) -> Some (IThisField (false, s, m))
+  | ITickN 1, ILoad (false, n) -> Some (ILoad (true, n))
+  | ITickN a, ITickN c -> Some (ITickN (a + c))
+  | IStoreLocal (false, n, ty, false), ITickN 1 ->
+      Some (IStoreLocal (false, n, ty, true))
+  | IJumpCmpConstFalse (op, v, false, t), ITickN 1 ->
+      Some (IJumpCmpConstFalse (op, v, true, t))
+  | IJumpLocCmpConstFalse (n, op, v, false, t), ITickN 1 ->
+      Some (IJumpLocCmpConstFalse (n, op, v, true, t))
+  | ILoadField (true, i, s, m), IStoreLocal (false, j, ty, false) ->
       Some (ITickLoadFieldStore (i, s, m, j, ty))
   | ITickLoadFieldStore (i, s, m, j, ty), IJump t ->
       Some (ITickLoadFieldStoreJump (i, s, m, j, ty, t))
   | IConst v, IBinop op -> Some (IBinopConst (op, v))
   | IAssign ty, IPop -> Some (IAssignPop ty)
-  | IStoreLocalPop (n, ty), IJump t -> Some (IStoreLocalPopJump (n, ty, t))
-  | ITickLoadField (n, s, m), IJumpLocCmpFalse (op, y, t) ->
-      Some (ITickLoadFieldCmpLocFalse (n, s, m, op, y, t))
-  | ITickLoadFieldCmpLocFalse (n, s, m, op, y, t), ITick ->
-      Some (ITickLoadFieldCmpLocFalseT (n, s, m, op, y, t))
+  | IStoreLocal (false, n, ty, false), IJump t ->
+      Some (IStoreLocalPopJump (n, ty, t))
+  | ILoadField (true, n, s, m), IJumpLocCmpFalse (op, y, t) ->
+      Some (ITickLoadFieldCmpLocFalse (n, s, m, op, y, false, t))
+  | ITickLoadFieldCmpLocFalse (n, s, m, op, y, false, t), ITickN 1 ->
+      Some (ITickLoadFieldCmpLocFalse (n, s, m, op, y, true, t))
   | IBinop op1, IBinop op2 -> Some (IBinop2 (op1, op2))
   (* -- typed mirrors ---------------------------------------------------- *)
   | IConstI n, IBoxI -> Some (IConst (vint n))
-  | ILoadI n, IBoxI -> Some (ILoadIB n)
-  | ILoadFieldI (n, s, m), IBoxI -> Some (ILoadFieldIB (n, s, m))
-  | ITick, ILoadI n -> Some (ITickLoadI n)
-  | ILoad n, IFieldI (s, m) -> Some (ILoadFieldI (n, s, m))
-  | ITickLoad n, IFieldI (s, m) -> Some (ITickLoadFieldI (n, s, m))
-  | IThis, IFieldI (s, m) -> Some (IThisFieldI (s, m))
+  | ILoadI (false, n), IBoxI -> Some (ILoadIB n)
+  | ILoadFieldI (false, n, s, m), IBoxI -> Some (ILoadFieldIB (n, s, m))
+  | ITickN 1, ILoadI (false, n) -> Some (ILoadI (true, n))
+  | ILoad (tk, n), IFieldI (s, m) -> Some (ILoadFieldI (tk, n, s, m))
+  | IThis, IFieldI (s, m) -> Some (IThisFieldI (false, s, m))
   | IIndexI, IFieldI (s, m) -> Some (IIndexFieldI (s, m))
   | IConstI k, IBinopII op -> Some (IBinopConstI (op, k))
-  | ILoadFieldI (n, s, m), IBinopII op -> Some (ILoadFieldBinopI (n, s, m, op))
-  | IThisFieldI (s, m), IBinopII op -> Some (IThisFieldBinopI (s, m, op))
-  | IStoreLocalPopI (ic, n), ITick -> Some (IStoreLocalPopTI (ic, n))
-  | IIncDecLocalPopI (w, n), IJump t -> Some (IIncDecLocalJumpI (w, n, t))
-  | IJumpIfFalseI (false, t), ITick -> Some (IJumpIfFalseI (true, t))
-  | IJumpCmpConstFalseI (op, k, false, t), ITick ->
+  | ILoadFieldI (false, n, s, m), IBinopII op ->
+      Some (ILoadFieldBinopI (n, s, m, op))
+  | IThisFieldI (false, s, m), IBinopII op -> Some (IThisFieldBinopI (s, m, op))
+  | IStoreLocalI (false, ic, n, false), ITickN 1 ->
+      Some (IStoreLocalI (false, ic, n, true))
+  | IIncDecLocalI (false, w, _, n), IJump t ->
+      Some (IIncDecLocalJumpI (w, n, t))
+  | IJumpIfI (false, false, t), ITickN 1 -> Some (IJumpIfI (false, true, t))
+  | IJumpCmpConstFalseI (op, k, false, t), ITickN 1 ->
       Some (IJumpCmpConstFalseI (op, k, true, t))
-  | IJumpLocCmpConstFalseI (n, op, k, false, t), ITick ->
+  | IJumpLocCmpConstFalseI (n, op, k, false, t), ITickN 1 ->
       Some (IJumpLocCmpConstFalseI (n, op, k, true, t))
-  | IJumpLocCmpFalseI (op, n, false, t), ITick ->
+  | IJumpLocCmpFalseI (op, n, false, t), ITickN 1 ->
       Some (IJumpLocCmpFalseI (op, n, true, t))
-  | IJumpLoc2CmpFalseI (op, x, y, false, t), ITick ->
+  | IJumpLoc2CmpFalseI (op, x, y, false, t), ITickN 1 ->
       Some (IJumpLoc2CmpFalseI (op, x, y, true, t))
-  | IJumpLocFCmpFalseI (i, j, s, m, op, false, t), ITick ->
+  | IJumpLocFCmpFalseI (i, j, s, m, op, false, t), ITickN 1 ->
       Some (IJumpLocFCmpFalseI (i, j, s, m, op, true, t))
-  | IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, false, t), ITick ->
+  | IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, false, t), ITickN 1 ->
       Some (IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, true, t))
-  | IJumpThisFieldBCFalseI (tp, s, m, op, k, false, t), ITick ->
+  | IJumpThisFieldBCFalseI (tp, s, m, op, k, false, t), ITickN 1 ->
       Some (IJumpThisFieldBCFalseI (tp, s, m, op, k, true, t))
-  | ILoadFieldBCI (n, s, m, op, k), IJumpIfFalseI (false, t) ->
+  | ILoadFieldBCI (n, s, m, op, k), IJumpIfI (false, false, t) ->
       Some (IJumpLocFieldBCFalseI (false, n, s, m, op, k, t))
-  | ITickLoadFieldI (n, s, m), IJumpLocCmpFalseI (op, y, tk, t) ->
+  | ILoadFieldI (true, n, s, m), IJumpLocCmpFalseI (op, y, tk, t) ->
       Some (ITickLoadFieldCmpLocFalseI (n, s, m, op, y, tk, t))
-  | ITickLoadFieldCmpLocFalseI (n, s, m, op, y, false, t), ITick ->
+  | ITickLoadFieldCmpLocFalseI (n, s, m, op, y, false, t), ITickN 1 ->
       Some (ITickLoadFieldCmpLocFalseI (n, s, m, op, y, true, t))
-  | ILoadI i, IIndexI -> Some (ILoadIndexI i)
-  | ILoadI i, IBinopII op -> Some (ILoadBinopI (op, i))
-  | ILoad n, ILocFieldI (s, m) -> Some (ILoadLocFieldI (n, s, m))
-  | ITickLoad n, ILocFieldI (s, m) -> Some (ITickLocFieldI (n, s, m))
+  | ILoadI (false, i), IIndexI -> Some (ILoadIndexI i)
+  | ILoadI (false, i), IBinopII op -> Some (ILoadBinopI (op, i))
+  | ILoad (tk, n), ILocFieldI (s, m) -> Some (ILoadLocFieldI (tk, n, s, m))
   | IThis, ILocFieldI (s, m) -> Some (IThisLocFieldI (s, m))
   | IThis, ICallMethod { m_func; m_argc = 0; m_arrow = _ } ->
       Some (ITickThisCallM (false, m_func))
-  | ITickN n, IThisXAssignI (0, sd, md, ss, ms, xf, ic) ->
-      Some (IThisXAssignI (n, sd, md, ss, ms, xf, ic))
+  (* the PRNG-step store takes a run of two or more statement ticks; a
+     lone tick keeps its own dispatch *)
+  | ITickN n, IRpnStoreI (DThis (0, s, m), ops, ic) when n > 1 ->
+      Some (IRpnStoreI (DThis (n, s, m), ops, ic))
   | ITickThisCallM (tk, f), IBinopConstCastStoreI (op, v, ty, i) ->
       Some (IThisCallMStoreI (tk, f, op, v, ty, i))
-  | IThisFieldIdxFStoreI (lt, s, m, j, s2, m2, s3, m3, ic, i, false), ITick ->
+  | IThisFieldIdxFStoreI (lt, s, m, j, s2, m2, s3, m3, ic, i, false), ITickN 1
+    ->
       Some (IThisFieldIdxFStoreI (lt, s, m, j, s2, m2, s3, m3, ic, i, true))
   (* assignment/initialization whose rhs is a local or a constant *)
-  | ILoadI i, IAssignFieldIPop ic -> Some (IAssignFieldLIPop (ic, i))
-  | ILoadFieldI (j, s, m), IAssignFieldIPop ic ->
+  | ILoadI (false, i), IAssignFieldI (false, ic) ->
+      Some (IAssignFieldLIPop (ic, i))
+  | ILoadFieldI (false, j, s, m), IAssignFieldI (false, ic) ->
       Some (IAssignFieldLFIPop (ic, j, s, m))
-  | IConstI k, IAssignFieldIPop ic -> Some (IAssignFieldCIPop (ic, k))
-  | ILoadI i, IInitFieldScalarI (s, m, ic) -> Some (IInitFieldLI (s, m, ic, i))
+  | IConstI k, IAssignFieldI (false, ic) -> Some (IAssignFieldCIPop (ic, k))
+  | ILoadI (false, i), IInitFieldScalarI (s, m, ic) ->
+      Some (IInitFieldLI (s, m, ic, i))
   | IConstI k, IInitFieldScalarI (s, m, ic) ->
       Some (IInitFieldConstI (s, m, ic, k))
   (* unary operators on an int literal fold at compile time; the images
@@ -864,36 +810,36 @@ let finits = function
    recorded patch positions stay valid when the frontier shrinks. *)
 let fuse2 (prev : instr) (f : instr) : instr option =
   match (prev, f) with
-  | ITick, IThisField (s, m) -> Some (ITickThisField (s, m))
-  | ITick, ITickThisCallM (false, f) -> Some (ITickThisCallM (true, f))
+  | ITickN 1, IThisField (false, s, m) -> Some (IThisField (true, s, m))
+  | ITickN 1, ITickThisCallM (false, f) -> Some (ITickThisCallM (true, f))
   | ILoadIB a, ILoadIB c -> Some (ILoadIBn [| a; c |])
   | ILoadIBn a, ILoadIB c -> Some (ILoadIBn (Array.append a [| c |]))
-  | ILocField (s1, m1), ILoadField (j, s2, m2) ->
+  | ILocField (s1, m1), ILoadField (false, j, s2, m2) ->
       Some (ILocFieldLoadField (s1, m1, j, s2, m2))
   (* -- typed mirrors ---------------------------------------------------- *)
-  | ILoadI n, IBinopConstI (op, k) -> Some (ILoadBinopConstI (n, op, k))
-  | ILoadFieldI (n, s, m), IBinopConstI (op, k) ->
+  | ILoadI (tk, n), IBinopConstI (op, k) ->
+      Some (ILoadBinopConstI (tk, n, op, k))
+  | ILoadFieldI (false, n, s, m), IBinopConstI (op, k) ->
       Some (ILoadFieldBCI (n, s, m, op, k))
-  | ILoadField (n, s, m), ILoadBinopConstI (j, op, k) ->
+  | ILoadField (false, n, s, m), ILoadBinopConstI (false, j, op, k) ->
       Some (ILoadFieldLoadBCI (n, s, m, j, op, k))
   | ILoadFieldLoadBCI (n, s, m, j, op, k), IIndexFieldI (s2, m2) ->
       Some (IFieldIdxFieldI (n, s, m, j, op, k, s2, m2))
-  | ILoadI i, ILoadFieldI (j, s, m) -> Some (ILoadLoadFieldI (i, j, s, m))
-  | ITick, IThisFieldI (s, m) -> Some (ITickThisFieldI (s, m))
-  | ILoadField (a, s, m), ILoadIndexI i -> Some (ILoadFieldIndexI (a, s, m, i))
-  | ITickLoadField (a, s, m), ILoadIndexI i ->
-      Some (ITickLoadFieldIndexI (a, s, m, i))
-  | ITickLoadFieldIndexI (a, s, m, i), IStoreLocalPopT (x, ty) ->
+  | ILoadI (false, i), ILoadFieldI (false, j, s, m) ->
+      Some (ILoadLoadFieldI (i, j, s, m))
+  | ITickN 1, IThisFieldI (false, s, m) -> Some (IThisFieldI (true, s, m))
+  | ILoadField (tk, a, s, m), ILoadIndexI i ->
+      Some (ILoadFieldIndexI (tk, a, s, m, i))
+  | ILoadFieldIndexI (true, a, s, m, i), IStoreLocal (false, x, ty, true) ->
       Some (ITLFIndexIStoreT (a, s, m, i, x, ty))
-  | ITickLocFieldI (n, s, m), IAssignFieldLIPop (ic, i) ->
+  | ILoadLocFieldI (true, n, s, m), IAssignFieldLIPop (ic, i) ->
       Some (ITickFieldStoreLI (ic, n, s, m, i))
-  | ILoadLocFieldI (a, s1, m1), IAssignFieldLFIPop (ic, j, s2, m2) ->
+  | ILoadLocFieldI (false, a, s1, m1), IAssignFieldLFIPop (ic, j, s2, m2) ->
       Some (IFieldCopyII (ic, a, s1, m1, j, s2, m2))
   | IBinopConstI (o1, k1), IBinopConstI (o2, k2) ->
       Some (IBinopConst2I (o1, k1, o2, k2))
   | IBinopConst2I (o1, k1, o2, k2), IBinopConstI (o3, k3) ->
       Some (IBinopConst3I (o1, k1, o2, k2, o3, k3))
-  | ITickLoadI n, IBinopConstI (op, k) -> Some (ITickLoadBCI (n, op, k))
   (* constructor-prologue init runs: [IInitFieldLI]/[IInitFieldConstI]
      only ever appear via fusion, so the chain rule lives here (the
      [settle] cascade) rather than in the pairwise table *)
@@ -948,84 +894,14 @@ let emit_patch b i =
   emit b i;
   b.len - 1
 
-(* Collapse a settled [this->arr[ix]->f = rhs] statement tail into one
-   [ITickThisIdxFieldStoreI] dispatch. Runs right after the statement's
-   final store lands (and its pairwise fusions settle), so the tail
-   shapes below are exactly what the disassembly shows for the hot
-   dependency-edge stores. Every matched run is stack-neutral, so
-   [b.od]/[b.iod] need no rollback; a label is allowed only on the
-   first collapsed slot. *)
-let fuse_this_idx_store b =
-  let n = b.len in
-  if n >= 4 && b.lastlab < n - 3 then
-    match (b.code.(n - 4), b.code.(n - 3), b.code.(n - 2), b.code.(n - 1)) with
-    | ( ITickThisField (s1, m1),
-        ILoadIndexI i,
-        ILocFieldI (s2, m2),
-        IAssignFieldCIPop (ic, k) ) ->
-        b.len <- n - 4;
-        emit b (ITickThisIdxFieldStoreI (s1, m1, IxLocal i, s2, m2, ic, RConst k))
-    | _ ->
-        if n >= 5 && b.lastlab < n - 4 then
-          match
-            ( b.code.(n - 5),
-              b.code.(n - 4),
-              b.code.(n - 3),
-              b.code.(n - 2),
-              b.code.(n - 1) )
-          with
-          | ( ITickThisField (s1, m1),
-              ILoadFieldI (j, s2, m2),
-              IIndexI,
-              ILocFieldI (s3, m3),
-              IAssignFieldLIPop (ic, i) ) ->
-              b.len <- n - 5;
-              emit b
-                (ITickThisIdxFieldStoreI
-                   (s1, m1, IxLocField (j, s2, m2), s3, m3, ic, RLocal i))
-          | _ ->
-              if n >= 9 && b.lastlab < n - 8 then
-                match
-                  ( b.code.(n - 9),
-                    b.code.(n - 8),
-                    b.code.(n - 7),
-                    b.code.(n - 6),
-                    b.code.(n - 5),
-                    b.code.(n - 4),
-                    b.code.(n - 3),
-                    b.code.(n - 2),
-                    b.code.(n - 1) )
-                with
-                | ( ITickThisField (s1, m1),
-                    ILoadFieldI (j, s2, m2),
-                    IIndexI,
-                    ILocFieldI (s3, m3),
-                    IThisField (s4, m4),
-                    ILoadFieldI (j2, s5, m5),
-                    IIndexFieldI (s6, m6),
-                    IBinopConstI (op, k),
-                    IAssignFieldIPop ic ) ->
-                    b.len <- n - 9;
-                    emit b
-                      (ITickThisIdxFieldStoreI
-                         ( s1,
-                           m1,
-                           IxLocField (j, s2, m2),
-                           s3,
-                           m3,
-                           ic,
-                           RThisIdxField
-                             (s4, m4, IxLocField (j2, s5, m5), s6, m6, op, k) ))
-                | _ -> ()
-
 (* RPN decomposition of the opcodes allowed inside a fused int store.
    Ticked variants are deliberately absent: the destination carries the
    statement tick, and no other tick may move. *)
 let rpn_of_instr = function
   | IConstI k -> Some [ RpConst k ]
-  | ILoadI i -> Some [ RpLocal i ]
-  | ILoadFieldI (j, s, m) -> Some [ RpLoadField (j, s, m) ]
-  | IThisFieldI (s, m) -> Some [ RpThisField (s, m) ]
+  | ILoadI (false, i) -> Some [ RpLocal i ]
+  | ILoadFieldI (false, j, s, m) -> Some [ RpLoadField (j, s, m) ]
+  | IThisFieldI (false, s, m) -> Some [ RpThisField (s, m) ]
   | IFieldIdxFieldI (i, s, m, j, op, k, s2, m2) ->
       Some [ RpFieldIdxField (i, s, m, j, op, k, s2, m2) ]
   | IBinopII op -> Some [ RpBinop op ]
@@ -1041,63 +917,111 @@ let rpn_of_instr = function
 
 let rpn_delta = function
   | RpConst _ | RpLocal _ | RpLoadField _ | RpThisField _
-  | RpFieldIdxField _ | RpFieldField _ ->
+  | RpFieldIdxField _ | RpFieldField _ | RpThisIdxField _ ->
       1
   | RpBinop _ -> -1
   | RpBinopConst _ -> 0
 
-(* Collapse a settled pure-int assignment statement into one
-   [IRpnStoreI]. Walks back from the just-landed [IAssignFieldIPop]
-   over rpn-able opcodes until the destination-resolution shape, then
-   replaces the whole run. Fires only when it saves at least four
-   dispatches, so the short statements keep their specialized
-   superinstructions. The collapsed run is stack-neutral, so no depth
-   rollback; a label is allowed only on the first collapsed slot. *)
-let fuse_rpn_store b =
+(* Replace the last [len] instructions, a settled stack-neutral
+   statement, by one [IRpnStoreI] (no depth rollback needed). A label is
+   allowed only on the first replaced slot. *)
+let collapse_to_rpn b len dst ops ic =
+  if b.lastlab <= b.len - len then begin
+    b.len <- b.len - len;
+    emit b (IRpnStoreI (dst, ops, ic))
+  end
+
+(* The general collapse behind [fuse_member_store], for a store with
+   coercion [ic]: walk back over rpn-able opcodes; [p] must end in the
+   destination shape, fully before [acc], and the rhs run must produce
+   exactly one int. *)
+let fuse_rpn_store b ic =
   let n = b.len in
-  match if n >= 1 then b.code.(n - 1) else IReturnUnit with
-  | IAssignFieldIPop ic ->
-      let rec walk p acc =
-        if p < 1 || n - 1 - p > 16 then None
-        else
-          match rpn_of_instr b.code.(p) with
-          | Some ops -> walk (p - 1) (ops @ acc)
-          | None
-            when p >= 2
-                 &&
-                 (match (b.code.(p - 1), b.code.(p)) with
-                 | ILoadField _, IFieldI _ -> true
-                 | _ -> false) -> (
-              (* the boxed-intermediate pair [l->a->b]: one int leaf *)
-              match (b.code.(p - 1), b.code.(p)) with
-              | ILoadField (j, s, m), IFieldI (s2, m2) ->
-                  walk (p - 2) (RpFieldField (j, s, m, s2, m2) :: acc)
-              | _ -> None)
-          | None -> (
-              (* [p] must be the destination shape, fully before [acc],
-                 and the rhs run must produce exactly one int *)
-              if List.fold_left (fun d r -> d + rpn_delta r) 0 acc <> 1 then
-                None
-              else
-                match b.code.(p) with
-                | ITickLocFieldI (a, s, m) when b.lastlab <= p ->
-                    Some (p, DTickLocField (a, s, m), acc)
-                | ILocFieldI (s2, m2) when p >= 1 && b.lastlab <= p - 1 -> (
-                    match b.code.(p - 1) with
-                    | ILoadFieldIndexI (a, s, m, i) ->
-                        Some (p - 1, DFieldIdx (a, s, m, i, s2, m2), acc)
-                    | ITickLoadField (i, s, m) ->
-                        Some (p - 1, DTickFieldLocField (i, s, m, s2, m2), acc)
-                    | _ -> None)
-                | _ -> None)
-      in
-      if n >= 6 && b.lastlab < n - 1 then begin
-        match walk (n - 2) [] with
-        | Some (p, dst, ops) when n - p >= 5 ->
-            b.len <- p;
-            emit b (IRpnStoreI (dst, Array.of_list ops, ic))
-        | _ -> ()
-      end
+  let rec walk p acc =
+    if p < 1 || n - 1 - p > 16 then None
+    else
+      match (rpn_of_instr b.code.(p), b.code.(p - 1), b.code.(p)) with
+      | Some ops, _, _ -> walk (p - 1) (ops @ acc)
+      | None, ILoadField (false, j, s, m), IFieldI (s2, m2) when p >= 2 ->
+          (* the boxed-intermediate pair [l->a->b]: one int leaf *)
+          walk (p - 2) (RpFieldField (j, s, m, s2, m2) :: acc)
+      | None, _, _ -> (
+          if List.fold_left (fun d r -> d + rpn_delta r) 0 acc <> 1 then None
+          else
+            match (b.code.(p - 1), b.code.(p)) with
+            | _, ILoadLocFieldI (true, a, s, m) when b.lastlab <= p ->
+                Some (p, DTickLocField (a, s, m), acc)
+            | ILoadFieldIndexI (false, a, s, m, i), ILocFieldI (s2, m2)
+              when b.lastlab <= p - 1 ->
+                Some (p - 1, DFieldIdx (a, s, m, i, s2, m2), acc)
+            | ILoadField (true, i, s, m), ILocFieldI (s2, m2)
+              when b.lastlab <= p - 1 ->
+                Some (p - 1, DTickFieldLocField (i, s, m, s2, m2), acc)
+            | _ -> None)
+  in
+  if n >= 6 && b.lastlab < n - 1 then
+    match walk (n - 2) [] with
+    | Some (p, dst, ops) when n - p >= 5 ->
+        collapse_to_rpn b (n - p) dst (Array.of_list ops) ic
+    | _ -> ()
+
+(* Collapse a settled pure-int member store into one [IRpnStoreI] right
+   after its final store lands (and its pairwise fusions settle). Three
+   fixed tails are [this->arr[ix]->f = rhs], the dependency-edge stores
+   of hot graph-building loops; one is the PRNG step [this->x = this->y
+   op k op k op k]. Otherwise [fuse_rpn_store] walks back from the
+   store over rpn-able opcodes until a destination shape, firing only
+   when that saves at least four dispatches, so the short statements
+   keep their specialized superinstructions. *)
+let fuse_member_store b =
+  let n = b.len in
+  let at k = if k <= n then b.code.(n - k) else IReturnUnit in
+  match (at 1, at 2, at 3, at 4) with
+  | ( IAssignFieldCIPop (ic, k),
+      ILocFieldI (s2, m2),
+      ILoadIndexI i,
+      IThisField (true, s1, m1) ) ->
+      collapse_to_rpn b 4 (DTickThisIdx (s1, m1, i, s2, m2)) [| RpConst k |] ic
+  | ( IAssignFieldLIPop (ic, i),
+      ILocFieldI (s3, m3),
+      IIndexI,
+      ILoadFieldI (false, j, s2, m2) ) -> (
+      match at 5 with
+      | IThisField (true, s1, m1) ->
+          collapse_to_rpn b 5
+            (DTickThisIdxField (s1, m1, j, s2, m2, s3, m3))
+            [| RpLocal i |] ic
+      | _ -> ())
+  | ( IAssignFieldI (false, ic),
+      IBinopConstI (op, k),
+      IIndexFieldI (s6, m6),
+      ILoadFieldI (false, j2, s5, m5) ) -> (
+      match (at 5, at 6, at 7, at 8, at 9) with
+      | ( IThisField (false, s4, m4),
+          ILocFieldI (s3, m3),
+          IIndexI,
+          ILoadFieldI (false, j, s2, m2),
+          IThisField (true, s1, m1) ) ->
+          collapse_to_rpn b 9
+            (DTickThisIdxField (s1, m1, j, s2, m2, s3, m3))
+            [|
+              RpThisIdxField (s4, m4, j2, s5, m5, s6, m6); RpBinopConst (op, k);
+            |]
+            ic
+      | _ -> fuse_rpn_store b ic)
+  | ( IAssignFieldI (false, ic),
+      IBinopConst3I (o1, k1, o2, k2, o3, k3),
+      IThisFieldI (false, ss, ms),
+      IThisLocFieldI (sd, md) ) ->
+      collapse_to_rpn b 4 (DThis (0, sd, md))
+        [|
+          RpThisField (ss, ms);
+          RpBinopConst (o1, k1);
+          RpBinopConst (o2, k2);
+          RpBinopConst (o3, k3);
+        |]
+        ic
+  | IAssignFieldI (false, ic), _, _, _ -> fuse_rpn_store b ic
   | _ -> ()
 
 (* Store a boxed value into an int local, collapsing the
@@ -1109,8 +1033,8 @@ let emit_store_ib_pop b ty i =
     | IBinopConst (op, v), ICastInt ->
         b.len <- b.len - 2;
         emit b (IBinopConstCastStoreI (op, v, ty, i))
-    | _ -> emit b (IStoreLocalIBPop (ty, i))
-  else emit b (IStoreLocalIBPop (ty, i))
+    | _ -> emit b (IStoreLocalIB (false, ty, i))
+  else emit b (IStoreLocalIB (false, ty, i))
 
 (* After an int-local store lands, collapse the dependency-chase shape
    [tick?; push this->arr; push objlocal->idx; index-and-read ->field;
@@ -1121,13 +1045,10 @@ let fuse_tfield_idx_store b =
   let n = b.len - 1 in
   if n >= 3 && b.lastlab <= n - 3 then
     match (b.code.(n - 3), b.code.(n - 2), b.code.(n - 1), b.code.(n)) with
-    | ( (ITickThisField (s, m) | IThisField (s, m)),
-        ILoadFieldI (j, s2, m2),
+    | ( IThisField (lt, s, m),
+        ILoadFieldI (false, j, s2, m2),
         IIndexFieldI (s3, m3),
-        IStoreLocalPopI (ic, i) ) ->
-        let lt =
-          match b.code.(n - 3) with ITickThisField _ -> true | _ -> false
-        in
+        IStoreLocalI (false, ic, i, false) ) ->
         b.len <- b.len - 4;
         emit b (IThisFieldIdxFStoreI (lt, s, m, j, s2, m2, s3, m3, ic, i, false))
     | _ -> ()
@@ -1145,31 +1066,23 @@ let here b =
 let retarget f (i : instr) : instr =
   match i with
   | IJump t -> IJump (f t)
-  | IJumpIfFalse t -> IJumpIfFalse (f t)
-  | IJumpIfTrue t -> IJumpIfTrue (f t)
-  | IAndFalse t -> IAndFalse (f t)
-  | IOrTrue t -> IOrTrue (f t)
+  | IJumpIf (sense, t) -> IJumpIf (sense, f t)
+  | IShortCircuit (sense, t) -> IShortCircuit (sense, f t)
   | IJumpCmpFalse (op, t) -> IJumpCmpFalse (op, f t)
-  | IJumpCmpConstFalse (op, v, t) -> IJumpCmpConstFalse (op, v, f t)
-  | IJumpCmpConstFalseT (op, v, t) -> IJumpCmpConstFalseT (op, v, f t)
-  | IJumpLocCmpConstFalse (n, op, v, t) -> IJumpLocCmpConstFalse (n, op, v, f t)
-  | IJumpLocCmpConstFalseT (n, op, v, t) ->
-      IJumpLocCmpConstFalseT (n, op, v, f t)
+  | IJumpCmpConstFalse (op, v, tk, t) -> IJumpCmpConstFalse (op, v, tk, f t)
+  | IJumpLocCmpConstFalse (n, op, v, tk, t) ->
+      IJumpLocCmpConstFalse (n, op, v, tk, f t)
   | IJumpLocCmpFalse (op, n, t) -> IJumpLocCmpFalse (op, n, f t)
   | IStoreLocalPopJump (n, ty, t) -> IStoreLocalPopJump (n, ty, f t)
   | ITickLoadFieldStoreJump (i, s, m, j, ty, t) ->
       ITickLoadFieldStoreJump (i, s, m, j, ty, f t)
-  | ITickLoadFieldCmpLocFalse (n, s, m, op, y, t) ->
-      ITickLoadFieldCmpLocFalse (n, s, m, op, y, f t)
-  | ITickLoadFieldCmpLocFalseT (n, s, m, op, y, t) ->
-      ITickLoadFieldCmpLocFalseT (n, s, m, op, y, f t)
+  | ITickLoadFieldCmpLocFalse (n, s, m, op, y, tk, t) ->
+      ITickLoadFieldCmpLocFalse (n, s, m, op, y, tk, f t)
   | IScanStep (j, s, m, op, n, a, s2, m2, d, ty, t) ->
       IScanStep (j, s, m, op, n, a, s2, m2, d, ty, f t)
   (* typed branch forms *)
-  | IJumpIfFalseI (tk, t) -> IJumpIfFalseI (tk, f t)
-  | IJumpIfTrueI t -> IJumpIfTrueI (f t)
-  | IAndFalseI t -> IAndFalseI (f t)
-  | IOrTrueI t -> IOrTrueI (f t)
+  | IJumpIfI (sense, tk, t) -> IJumpIfI (sense, tk, f t)
+  | IShortCircuitI (sense, t) -> IShortCircuitI (sense, f t)
   | IJumpCmpFalseI (op, t) -> IJumpCmpFalseI (op, f t)
   | IJumpCmpConstFalseI (op, k, tk, t) -> IJumpCmpConstFalseI (op, k, tk, f t)
   | IJumpLocCmpConstFalseI (n, op, k, tk, t) ->
@@ -1235,7 +1148,7 @@ let emit_branch_false b =
         match
           if b.lastlab < b.len - 1 then b.code.(b.len - 2) else IReturnUnit
         with
-        | ILoad y ->
+        | ILoad (false, y) ->
             b.len <- b.len - 2;  (* roll back +1 -1 *)
             emit_patch b (IJumpLocCmpFalse (op, y, -1))
         | _ ->
@@ -1247,18 +1160,18 @@ let emit_branch_false b =
           if b.len >= 2 && b.lastlab < b.len - 1 then b.code.(b.len - 2)
           else IReturnUnit
         with
-        | ILoad n ->
+        | ILoad (false, n) ->
             (* roll back [ILoad; IBinopConst] (net +1); the fused branch
                is net 0 *)
             b.len <- b.len - 2;
             b.od <- b.od - 1;
-            emit_patch b (IJumpLocCmpConstFalse (n, op, v, -1))
+            emit_patch b (IJumpLocCmpConstFalse (n, op, v, false, -1))
         | _ ->
-            b.code.(b.len - 1) <- IJumpCmpConstFalse (op, v, -1);
+            b.code.(b.len - 1) <- IJumpCmpConstFalse (op, v, false, -1);
             b.od <- b.od - 1;  (* IBinopConst's 0 was applied; fused is -1 *)
             b.len - 1)
-    | _ -> emit_patch b (IJumpIfFalse (-1))
-  else emit_patch b (IJumpIfFalse (-1))
+    | _ -> emit_patch b (IJumpIf (false, -1))
+  else emit_patch b (IJumpIf (false, -1))
 
 (* The typed image of [emit_branch_false] for an int-shaped condition:
    same folds, same label guards, with the depth bookkeeping on the
@@ -1295,7 +1208,7 @@ let emit_branch_false_i b =
             b.code.(b.len - 1) <- IJumpCmpFalseI (op, -1);
             b.iod <- b.iod - 1;
             b.len - 1)
-    | ILoadBinopConstI (n, op, k) when is_cmp op ->
+    | ILoadBinopConstI (false, n, op, k) when is_cmp op ->
         b.code.(b.len - 1) <- IJumpLocCmpConstFalseI (n, op, k, false, -1);
         b.iod <- b.iod - 1;
         b.len - 1
@@ -1306,18 +1219,14 @@ let emit_branch_false_i b =
           if b.len >= 2 && b.lastlab < b.len - 1 then b.code.(b.len - 2)
           else IReturnUnit
         with
-        | ITickLoadFieldI (n, s, m) ->
+        | ILoadFieldI (true, n, s, m) ->
             b.len <- b.len - 2;
             b.iod <- b.iod - 1;
             emit_patch b (IJumpLocFieldBCFalseI (true, n, s, m, op, k, -1))
-        | IThisFieldI (s, m) ->
+        | IThisFieldI (tk, s, m) ->
             b.len <- b.len - 2;
             b.iod <- b.iod - 1;
-            emit_patch b (IJumpThisFieldBCFalseI (false, s, m, op, k, false, -1))
-        | ITickThisFieldI (s, m) ->
-            b.len <- b.len - 2;
-            b.iod <- b.iod - 1;
-            emit_patch b (IJumpThisFieldBCFalseI (true, s, m, op, k, false, -1))
+            emit_patch b (IJumpThisFieldBCFalseI (tk, s, m, op, k, false, -1))
         | _ ->
             b.code.(b.len - 1) <- IJumpCmpConstFalseI (op, k, false, -1);
             b.iod <- b.iod - 1;
@@ -1328,7 +1237,7 @@ let emit_branch_false_i b =
         match
           if b.lastlab < b.len - 1 then b.code.(b.len - 2) else IReturnUnit
         with
-        | ILoadI x ->
+        | ILoadI (false, x) ->
             b.len <- b.len - 2;
             b.iod <- b.iod - 1;
             emit_patch b (IJumpLoc2CmpFalseI (op, x, y, false, -1))
@@ -1341,16 +1250,20 @@ let emit_branch_false_i b =
     | IThisFieldBinopI (s, m, op)
       when is_cmp op && b.len >= 2
            && b.lastlab < b.len - 1
-           && (match b.code.(b.len - 2) with ILoadI _ -> true | _ -> false) ->
+           && (match b.code.(b.len - 2) with
+              | ILoadI (false, _) -> true
+              | _ -> false) ->
         (* [local CMP this.f] — the canonical [i < this->n] loop guard *)
         let x =
-          match b.code.(b.len - 2) with ILoadI x -> x | _ -> assert false
+          match b.code.(b.len - 2) with
+          | ILoadI (_, x) -> x
+          | _ -> assert false
         in
         b.len <- b.len - 2;
         b.iod <- b.iod - 1;
         emit_patch b (IJumpLocTFCmpFalseI (op, x, s, m, -1))
-    | _ -> emit_patch b (IJumpIfFalseI (false, -1))
-  else emit_patch b (IJumpIfFalseI (false, -1))
+    | _ -> emit_patch b (IJumpIfI (false, false, -1))
+  else emit_patch b (IJumpIfI (false, false, -1))
 
 (* Branch on a falsy condition whose compiled shape is [sh]. *)
 let emit_cond_false b (sh : shape) =
@@ -1420,8 +1333,8 @@ let rec compile_expr b (e : rexpr) : shape =
   | RConst (VInt n) -> emit b (IConstI n); SInt
   | RConst v -> emit b (IConst v); SBox
   | RLocal i ->
-      if int_local b i then (emit b (ILoadI (local_index b i)); SInt)
-      else (emit b (ILoad (local_index b i)); SBox)
+      if int_local b i then (emit b (ILoadI (false, local_index b i)); SInt)
+      else (emit b (ILoad (false, local_index b i)); SBox)
   | RLocalRef i -> emit b (ILoadRef (local_index b i)); SBox
   | RGlobal i -> emit b (IGlobal i); SBox
   | RStatic i -> emit b (IStatic i); SBox
@@ -1437,7 +1350,7 @@ let rec compile_expr b (e : rexpr) : shape =
   | RBinary (Ast.LAnd, x, y) ->
       if shape_of b x = SInt && shape_of b y = SInt then begin
         (match compile_expr b x with SInt -> () | _ -> assert false);
-        let j = emit_patch b (IAndFalseI (-1)) in
+        let j = emit_patch b (IShortCircuitI (false, -1)) in
         (match compile_expr b y with SInt -> () | _ -> assert false);
         emit b IToBoolI;
         land_patches b [ j ];
@@ -1445,7 +1358,7 @@ let rec compile_expr b (e : rexpr) : shape =
       end
       else begin
         compile_expr_box b x;
-        let j = emit_patch b (IAndFalse (-1)) in
+        let j = emit_patch b (IShortCircuit (false, -1)) in
         compile_expr_box b y;
         emit b IToBool;
         land_patches b [ j ];
@@ -1454,7 +1367,7 @@ let rec compile_expr b (e : rexpr) : shape =
   | RBinary (Ast.LOr, x, y) ->
       if shape_of b x = SInt && shape_of b y = SInt then begin
         (match compile_expr b x with SInt -> () | _ -> assert false);
-        let j = emit_patch b (IOrTrueI (-1)) in
+        let j = emit_patch b (IShortCircuitI (true, -1)) in
         (match compile_expr b y with SInt -> () | _ -> assert false);
         emit b IToBoolI;
         land_patches b [ j ];
@@ -1462,7 +1375,7 @@ let rec compile_expr b (e : rexpr) : shape =
       end
       else begin
         compile_expr_box b x;
-        let j = emit_patch b (IOrTrue (-1)) in
+        let j = emit_patch b (IShortCircuit (true, -1)) in
         compile_expr_box b y;
         emit b IToBool;
         land_patches b [ j ];
@@ -1581,7 +1494,7 @@ and compile_expr_box b (e : rexpr) = box_top b (compile_expr b e)
    the surrounding expression) or statement position. The lhs location
    is established before the rhs runs, exactly as the tree engine's
    [eval_lval]-then-[eval] order; for unboxed members that means
-   [ILocFieldI]/[ILocFieldF] resolve the slot (and raise any
+   [ILocFieldI] resolves the slot (and raises any
    missing-member error) first. Cross-shape stores bridge through the
    boxed instruction forms, which run the same [coerce] the tree engine
    ran. *)
@@ -1590,19 +1503,17 @@ and compile_assign b (lhs : rlval) rhs ty ~keep : shape =
   | LvLocal i when not (int_local b i) ->
       let i = local_index b i in
       compile_expr_box b rhs;
-      emit b (if keep then IStoreLocal (i, ty) else IStoreLocalPop (i, ty));
+      emit b (IStoreLocal (keep, i, ty, false));
       SBox
   | LvLocal i -> (
       let i = local_index b i in
       match compile_expr b rhs with
       | SInt ->
-          let ic = ic_of_ty ty in
-          emit b
-            (if keep then IStoreLocalI (ic, i) else IStoreLocalPopI (ic, i));
+          emit b (IStoreLocalI (keep, ic_of_ty ty, i, false));
           if not keep then fuse_tfield_idx_store b;
           SInt
       | SBox ->
-          if keep then emit b (IStoreLocalIB (ty, i))
+          if keep then emit b (IStoreLocalIB (true, ty, i))
           else emit_store_ib_pop b ty i;
           SBox)
   | LvField (oe, _, m) when int_member b m -> (
@@ -1610,43 +1521,11 @@ and compile_assign b (lhs : rlval) rhs ty ~keep : shape =
       emit b (ILocFieldI (slots b m, m));
       match compile_expr b rhs with
       | SInt ->
-          let ic = ic_of_ty ty in
-          (* [this->dst = this->src op k op k op k]: fold the whole
-             statement into one dispatch (the PRNG-step shape in hot
-             loops) *)
-          let fused =
-            (not keep) && b.len >= 3
-            && b.lastlab < b.len - 2
-            &&
-            match
-              (b.code.(b.len - 3), b.code.(b.len - 2), b.code.(b.len - 1))
-            with
-            | ( IThisLocFieldI (sd, md),
-                IThisFieldI (ss, ms),
-                IBinopConst3I (o1, k1, o2, k2, o3, k3) ) ->
-                b.len <- b.len - 3;
-                b.od <- b.od - 1;
-                b.iod <- b.iod - 2;
-                emit b
-                  (IThisXAssignI
-                     (0, sd, md, ss, ms, (o1, k1, o2, k2, o3, k3), ic));
-                true
-            | _ -> false
-          in
-          if not fused then begin
-            emit b (if keep then IAssignFieldI ic else IAssignFieldIPop ic);
-            (* [this->arr[ix]->f = rhs]: after the tail fusions above
-               settle, collapse the whole statement (the dependency-edge
-               stores dominating hot graph-building loops). The removed
-               run is stack-neutral, so no depth rollback is needed. *)
-            if not keep then begin
-              fuse_this_idx_store b;
-              fuse_rpn_store b
-            end
-          end;
+          emit b (IAssignFieldI (keep, ic_of_ty ty));
+          if not keep then fuse_member_store b;
           SInt
       | SBox ->
-          emit b (if keep then IAssignFieldIB ty else IAssignFieldIBPop ty);
+          emit b (IAssignFieldIB (keep, ty));
           SBox)
   | _ ->
       compile_lval b lhs;
@@ -1661,30 +1540,20 @@ and compile_compound b op (lhs : rlval) rhs ty ~keep : shape =
       let i = local_index b i in
       match compile_expr b rhs with
       | SInt ->
-          let bop = bop_of_assign op and ic = ic_of_ty ty in
-          emit b
-            (if keep then ICompoundLocalI (bop, ic, i)
-             else ICompoundLocalIPop (bop, ic, i));
+          emit b (ICompoundLocalI (keep, bop_of_assign op, ic_of_ty ty, i));
           SInt
       | SBox ->
-          emit b
-            (if keep then ICompoundLocalB (op, ty, i)
-             else ICompoundLocalBPop (op, ty, i));
+          emit b (ICompoundLocalB (keep, op, ty, i));
           SBox)
   | LvField (oe, _, m) when int_member b m -> (
       compile_expr_box b oe;
       emit b (ILocFieldI (slots b m, m));
       match compile_expr b rhs with
       | SInt ->
-          let bop = bop_of_assign op and ic = ic_of_ty ty in
-          emit b
-            (if keep then ICompoundFieldI (bop, ic)
-             else ICompoundFieldIPop (bop, ic));
+          emit b (ICompoundFieldI (keep, bop_of_assign op, ic_of_ty ty));
           SInt
       | SBox ->
-          emit b
-            (if keep then ICompoundFieldB (op, ty)
-             else ICompoundFieldBPop (op, ty));
+          emit b (ICompoundFieldB (keep, op, ty));
           SBox)
   | _ ->
       compile_lval b lhs;
@@ -1696,20 +1565,15 @@ and compile_compound b op (lhs : rlval) rhs ty ~keep : shape =
 and compile_incdec b w fx (lv : rlval) ~keep : shape =
   match lv with
   | LvLocal i when not (int_local b i) ->
-      let i = local_index b i in
-      if keep then emit b (IIncDecLocal (w, fx, i))
-      else emit b (IIncDecLocalPop (w, i));
+      emit b (IIncDecLocal (keep, w, fx, local_index b i));
       SBox
   | LvLocal i ->
-      let i = local_index b i in
-      if keep then emit b (IIncDecLocalI (w, fx, i))
-      else emit b (IIncDecLocalPopI (w, i));
+      emit b (IIncDecLocalI (keep, w, fx, local_index b i));
       SInt
   | LvField (oe, _, m) when int_member b m ->
       compile_expr_box b oe;
       emit b (ILocFieldI (slots b m, m));
-      if keep then emit b (IIncDecFieldI (w, fx))
-      else emit b (IIncDecFieldIPop w);
+      emit b (IIncDecFieldI (keep, w, fx));
       SInt
   | _ ->
       compile_lval b lv;
@@ -1800,12 +1664,12 @@ and compile_decl b (d : rdecl) =
            })
   | DExpr { d_slot; d_coerce; d_init } when not (int_local b d_slot) ->
       compile_expr_box b d_init;
-      emit b (IStoreLocalPop (local_index b d_slot, d_coerce))
+      emit b (IStoreLocal (false, local_index b d_slot, d_coerce, false))
   | DExpr { d_slot; d_coerce; d_init } -> (
       let d_slot = local_index b d_slot in
       match compile_expr b d_init with
       | SInt ->
-          emit b (IStoreLocalPopI (ic_of_ty d_coerce, d_slot));
+          emit b (IStoreLocalI (false, ic_of_ty d_coerce, d_slot, false));
           fuse_tfield_idx_store b
       | SBox -> emit_store_ib_pop b d_coerce d_slot)
   | DRefExpr { d_slot; d_init; d_lv } ->
@@ -1873,7 +1737,7 @@ and destroy_list b (slots : int array) =
        (Array.to_list slots))
 
 and compile_stmt b (lc : loopctx option) (s : rstmt) =
-  emit b ITick;
+  emit b (ITickN 1);
   match s with
   | RSExpr e -> compile_expr_stmt b e
   | RSDecl ds -> List.iter (compile_decl b) ds
@@ -1912,8 +1776,8 @@ and compile_stmt b (lc : loopctx option) (s : rstmt) =
       compile_stmt b (Some lc') body;
       land_patches b lc'.cont;  (* continue falls into the condition *)
       (match compile_expr b c with
-      | SBox -> emit b (IJumpIfTrue top)
-      | SInt -> emit b (IJumpIfTrueI top));
+      | SBox -> emit b (IJumpIf (true, top))
+      | SInt -> emit b (IJumpIfI (true, false, top)));
       land_patches b lc'.brk
   | RSFor { rf_init; rf_cond; rf_step; rf_body; rf_destroy } ->
       (* the destroy scope covers init + body, as the tree engine's
@@ -1944,14 +1808,14 @@ and compile_stmt b (lc : loopctx option) (s : rstmt) =
   | RSReturn None -> emit b IReturnUnit
   | RSReturn (Some e) -> (
       compile_expr_box b e;
-      (* [return this->f] on an int member compiles to
-         [ITickThisFieldI; IBoxI]; fold the box and the return in *)
+      (* [return this->f] on an int member compiles to a ticked
+         [IThisFieldI; IBoxI]; fold the box and the return in *)
       match
         if b.len >= 2 && b.lastlab < b.len - 1 then
           (b.code.(b.len - 2), b.code.(b.len - 1))
         else (IReturnUnit, IReturnUnit)
       with
-      | ITickThisFieldI (s, m), IBoxI ->
+      | IThisFieldI (true, s, m), IBoxI ->
           b.len <- b.len - 2;
           b.od <- b.od - 1;
           emit b (IReturnThisFieldI (s, m))
@@ -1996,7 +1860,7 @@ let finish (b : buf) : cbody =
   Array.iteri
     (fun i ins ->
       match ins with
-      | ITickLoadFieldCmpLocFalseT (j, s, m, op, n, texit)
+      | ITickLoadFieldCmpLocFalse (j, s, m, op, n, true, texit)
         when texit >= 0 && texit < Array.length code -> (
           match code.(texit) with
           | ITickLoadFieldStoreJump (a, s2, m2, bdst, ty, tback) ->
@@ -2008,7 +1872,7 @@ let finish (b : buf) : cbody =
   Array.iteri
     (fun i ins ->
       match ins with
-      | IJumpLocCmpConstFalseT (x, op0, v0, texit0)
+      | IJumpLocCmpConstFalse (x, op0, v0, true, texit0)
         when i + 1 < Array.length code -> (
           match code.(i + 1) with
           | IScanStep (j, s, m, op, n, a, s2, m2, bdst, ty, tback)
@@ -2473,6 +2337,11 @@ let[@inline] icmp op (x : int) (y : int) : bool =
 let[@inline] incdec_delta which =
   match which with Ast.Incr -> 1 | Ast.Decr -> -1
 
+let[@inline] this_of (fr : frame) =
+  match fr.this with
+  | Some o -> o
+  | None -> runtime_error "'this' outside a method"
+
 let[@inline never] grow_pools vm d =
   let n = max 8 (2 * (d + 1)) in
   let grow a fill =
@@ -2751,14 +2620,11 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     if profiling then
       Array.unsafe_set prow pc (Array.unsafe_get prow pc + 1);
     match Array.unsafe_get code pc with
-    | ITick ->
-        vm.steps <- vm.steps + 1;
-        if vm.steps > vm.next_stop then slow_tick vm;
-        loop (pc + 1) sp isp
     | IConst v ->
         ost.(sp) <- v;
         loop (pc + 1) (sp + 1) isp
-    | ILoad i ->
+    | ILoad (tk, i) ->
+        if tk then tick vm;
         ost.(sp) <- Array.unsafe_get locals i;
         loop (pc + 1) (sp + 1) isp
     | ILoadRef i ->
@@ -2775,10 +2641,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         ost.(sp) <- vm.statics.cells.(i);
         loop (pc + 1) (sp + 1) isp
     | IThis ->
-        ost.(sp) <-
-          (match frame.this with
-          | Some o -> VPtr (PObj o)
-          | None -> runtime_error "'this' outside a method");
+        ost.(sp) <- VPtr (PObj (this_of frame));
         loop (pc + 1) (sp + 1) isp
     | IPop -> loop (pc + 1) (sp - 1) isp
     | IUnary op ->
@@ -2922,45 +2785,39 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         loc_write l nv;
         ost.(sp - 1) <- (match fix with Ast.Prefix -> nv | Ast.Postfix -> old);
         loop (pc + 1) sp isp
-    | IStoreLocal (i, ty) ->
+    | IStoreLocal (keep, i, ty, tk) ->
         let v = coerce ty ost.(sp - 1) in
         Array.unsafe_set locals i v;
-        ost.(sp - 1) <- v;
-        loop (pc + 1) sp isp
-    | IStoreLocalPop (i, ty) ->
-        Array.unsafe_set locals i (coerce ty ost.(sp - 1));
-        loop (pc + 1) (sp - 1) isp
+        if keep then begin
+          ost.(sp - 1) <- v;
+          loop (pc + 1) sp isp
+        end
+        else begin
+          if tk then tick vm;
+          loop (pc + 1) (sp - 1) isp
+        end
     | IStoreRawPop i ->
         Array.unsafe_set locals i ost.(sp - 1);
         loop (pc + 1) (sp - 1) isp
-    | IIncDecLocal (which, fix, i) ->
+    | IIncDecLocal (keep, which, fix, i) ->
         let old = Array.unsafe_get locals i in
         let nv = incdec_new which old in
         Array.unsafe_set locals i nv;
-        ost.(sp) <- (match fix with Ast.Prefix -> nv | Ast.Postfix -> old);
-        loop (pc + 1) (sp + 1) isp
-    | IIncDecLocalPop (which, i) ->
-        Array.unsafe_set locals i (incdec_new which (Array.unsafe_get locals i));
-        loop (pc + 1) sp isp
+        if keep then begin
+          ost.(sp) <- (match fix with Ast.Prefix -> nv | Ast.Postfix -> old);
+          loop (pc + 1) (sp + 1) isp
+        end
+        else loop (pc + 1) sp isp
     | IJump t -> loop t sp isp
-    | IJumpIfFalse t ->
-        if truthy ost.(sp - 1) then loop (pc + 1) (sp - 1) isp
-        else loop t (sp - 1) isp
-    | IJumpIfTrue t ->
-        if truthy ost.(sp - 1) then loop t (sp - 1) isp
+    | IJumpIf (sense, t) ->
+        if truthy ost.(sp - 1) = sense then loop t (sp - 1) isp
         else loop (pc + 1) (sp - 1) isp
     | IJumpCmpFalse (op, t) ->
         if cmp_test op ost.(sp - 2) ost.(sp - 1) then loop (pc + 1) (sp - 2) isp
         else loop t (sp - 2) isp
-    | IAndFalse t ->
-        if truthy ost.(sp - 1) then loop (pc + 1) (sp - 1) isp
-        else begin
-          ost.(sp - 1) <- VInt 0;
-          loop t sp isp
-        end
-    | IOrTrue t ->
-        if truthy ost.(sp - 1) then begin
-          ost.(sp - 1) <- VInt 1;
+    | IShortCircuit (sense, t) ->
+        if truthy ost.(sp - 1) = sense then begin
+          ost.(sp - 1) <- (if sense then VInt 1 else VInt 0);
           loop t sp isp
         end
         else loop (pc + 1) (sp - 1) isp
@@ -3131,23 +2988,15 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         loop (pc + 1) (sp - 1) isp
     (* superinstructions: each arm is the exact concatenation of its
        parts' arms — same evaluation order, ticks and errors *)
-    | ILoadField (i, slots, m) ->
+    | ILoadField (tk, i, slots, m) ->
+        if tk then tick vm;
         let o = as_obj (Array.get locals i) in
         ost.(sp) <- o.fields.cells.(field_slot o slots m);
         loop (pc + 1) (sp + 1) isp
-    | ITickLoad i ->
-        tick vm;
-        ost.(sp) <- Array.get locals i;
-        loop (pc + 1) (sp + 1) isp
-    | ITickLoadField (i, slots, m) ->
-        tick vm;
-        let o = as_obj (Array.get locals i) in
+    | IThisField (tk, slots, m) ->
+        if tk then tick vm;
+        let o = this_of frame in
         ost.(sp) <- o.fields.cells.(field_slot o slots m);
-        loop (pc + 1) (sp + 1) isp
-    | IThisField (slots, m) ->
-        (match frame.this with
-        | Some o -> ost.(sp) <- o.fields.cells.(field_slot o slots m)
-        | None -> runtime_error "'this' outside a method");
         loop (pc + 1) (sp + 1) isp
     | IBinopConst (op, v) ->
         ost.(sp - 1) <- binop op ost.(sp - 1) v;
@@ -3161,28 +3010,18 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let v = coerce ty ost.(sp - 1) in
         loc_write ost.(sp - 2) v;
         loop (pc + 1) (sp - 2) isp
-    | IStoreLocalPopT (i, ty) ->
-        Array.set locals i (coerce ty ost.(sp - 1));
-        tick vm;
-        loop (pc + 1) (sp - 1) isp
     | IStoreLocalPopJump (i, ty, t) ->
         Array.set locals i (coerce ty ost.(sp - 1));
         loop t (sp - 1) isp
-    | IJumpCmpConstFalse (op, v, t) ->
-        if cmp_test op ost.(sp - 1) v then loop (pc + 1) (sp - 1) isp
-        else loop t (sp - 1) isp
-    | IJumpCmpConstFalseT (op, v, t) ->
+    | IJumpCmpConstFalse (op, v, tk, t) ->
         if cmp_test op ost.(sp - 1) v then begin
-          tick vm;
+          if tk then tick vm;
           loop (pc + 1) (sp - 1) isp
         end
         else loop t (sp - 1) isp
-    | IJumpLocCmpConstFalse (i, op, v, t) ->
-        if cmp_test op (Array.get locals i) v then loop (pc + 1) sp isp
-        else loop t sp isp
-    | IJumpLocCmpConstFalseT (i, op, v, t) ->
+    | IJumpLocCmpConstFalse (i, op, v, tk, t) ->
         if cmp_test op (Array.get locals i) v then begin
-          tick vm;
+          if tk then tick vm;
           loop (pc + 1) sp isp
         end
         else loop t sp isp
@@ -3200,30 +3039,18 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let o = as_obj (Array.get locals i) in
         Array.set locals j (coerce ty o.fields.cells.(field_slot o slots m));
         loop t sp isp
-    | ITickThisField (slots, m) ->
-        tick vm;
-        (match frame.this with
-        | Some o -> ost.(sp) <- o.fields.cells.(field_slot o slots m)
-        | None -> runtime_error "'this' outside a method");
-        loop (pc + 1) (sp + 1) isp
     | ILocFieldLoadField (s1, m1, j, s2, m2) ->
         let o = as_obj ost.(sp - 1) in
         ost.(sp - 1) <- VPtr (PArr (o.fields, field_slot o s1 m1));
         let o2 = as_obj (Array.get locals j) in
         ost.(sp) <- o2.fields.cells.(field_slot o2 s2 m2);
         loop (pc + 1) (sp + 1) isp
-    | ITickLoadFieldCmpLocFalse (j, slots, m, op, n, t) ->
-        tick vm;
-        let o = as_obj (Array.get locals j) in
-        if cmp_test op o.fields.cells.(field_slot o slots m) (Array.get locals n)
-        then loop (pc + 1) sp isp
-        else loop t sp isp
-    | ITickLoadFieldCmpLocFalseT (j, slots, m, op, n, t) ->
+    | ITickLoadFieldCmpLocFalse (j, slots, m, op, n, tk, t) ->
         tick vm;
         let o = as_obj (Array.get locals j) in
         if cmp_test op o.fields.cells.(field_slot o slots m) (Array.get locals n)
         then begin
-          tick vm;
+          if tk then tick vm;
           loop (pc + 1) sp isp
         end
         else loop t sp isp
@@ -3286,7 +3113,8 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | IConstI n ->
         ist.(isp) <- n;
         loop (pc + 1) sp (isp + 1)
-    | ILoadI i ->
+    | ILoadI (tk, i) ->
+        if tk then tick vm;
         ist.(isp) <- Array.unsafe_get ilocals i;
         loop (pc + 1) sp (isp + 1)
     | IFieldI (slots, m) ->
@@ -3326,116 +3154,108 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         ist.(isp - 2) <- ibinop_i op ist.(isp - 2) ist.(isp - 1);
         loop (pc + 1) sp (isp - 1)
     (* -- typed local stores ------------------------------------------ *)
-    | IStoreLocalI (ic, i) ->
+    | IStoreLocalI (keep, ic, i, tk) ->
         let v = apply_ic ic ist.(isp - 1) in
         Array.unsafe_set ilocals i v;
-        ist.(isp - 1) <- v;
-        loop (pc + 1) sp isp
-    | IStoreLocalPopI (ic, i) ->
-        Array.unsafe_set ilocals i (apply_ic ic ist.(isp - 1));
-        loop (pc + 1) sp (isp - 1)
-    | IStoreLocalIB (ty, i) ->
+        if keep then begin
+          ist.(isp - 1) <- v;
+          loop (pc + 1) sp isp
+        end
+        else begin
+          if tk then tick vm;
+          loop (pc + 1) sp (isp - 1)
+        end
+    | IStoreLocalIB (keep, ty, i) ->
         let v = coerce ty ost.(sp - 1) in
         Array.unsafe_set ilocals i (as_int v);
-        ost.(sp - 1) <- v;
-        loop (pc + 1) sp isp
-    | IStoreLocalIBPop (ty, i) ->
-        Array.unsafe_set ilocals i (as_int (coerce ty ost.(sp - 1)));
-        loop (pc + 1) (sp - 1) isp
-    | IIncDecLocalI (which, fix, i) ->
+        if keep then begin
+          ost.(sp - 1) <- v;
+          loop (pc + 1) sp isp
+        end
+        else loop (pc + 1) (sp - 1) isp
+    | IIncDecLocalI (keep, which, fix, i) ->
         let old = Array.unsafe_get ilocals i in
         let nv = old + incdec_delta which in
         Array.unsafe_set ilocals i nv;
-        ist.(isp) <- (match fix with Ast.Prefix -> nv | Ast.Postfix -> old);
-        loop (pc + 1) sp (isp + 1)
-    | IIncDecLocalPopI (which, i) ->
-        Array.unsafe_set ilocals i
-          (Array.unsafe_get ilocals i + incdec_delta which);
-        loop (pc + 1) sp isp
-    | ICompoundLocalI (op, ic, i) ->
+        if keep then begin
+          ist.(isp) <- (match fix with Ast.Prefix -> nv | Ast.Postfix -> old);
+          loop (pc + 1) sp (isp + 1)
+        end
+        else loop (pc + 1) sp isp
+    | ICompoundLocalI (keep, op, ic, i) ->
         let v =
           apply_ic ic (ibinop_i op (Array.unsafe_get ilocals i) ist.(isp - 1))
         in
         Array.unsafe_set ilocals i v;
-        ist.(isp - 1) <- v;
-        loop (pc + 1) sp isp
-    | ICompoundLocalIPop (op, ic, i) ->
-        Array.unsafe_set ilocals i
-          (apply_ic ic (ibinop_i op (Array.unsafe_get ilocals i) ist.(isp - 1)));
-        loop (pc + 1) sp (isp - 1)
-    | ICompoundLocalB (aop, ty, i) ->
+        if keep then begin
+          ist.(isp - 1) <- v;
+          loop (pc + 1) sp isp
+        end
+        else loop (pc + 1) sp (isp - 1)
+    | ICompoundLocalB (keep, aop, ty, i) ->
         let v = compound_op aop (vint ilocals.(i)) ost.(sp - 1) ty in
         ilocals.(i) <- as_int v;
-        ost.(sp - 1) <- v;
-        loop (pc + 1) sp isp
-    | ICompoundLocalBPop (aop, ty, i) ->
-        let v = compound_op aop (vint ilocals.(i)) ost.(sp - 1) ty in
-        ilocals.(i) <- as_int v;
-        loop (pc + 1) (sp - 1) isp
+        if keep then begin
+          ost.(sp - 1) <- v;
+          loop (pc + 1) sp isp
+        end
+        else loop (pc + 1) (sp - 1) isp
     (* -- typed member lvalues ---------------------------------------- *)
     | ILocFieldI (slots, m) ->
         let o = as_obj ost.(sp - 1) in
         ist.(isp) <- field_slot o slots m;
         ost.(sp - 1) <- VObj o;
         loop (pc + 1) sp (isp + 1)
-    | IAssignFieldI ic ->
+    | IAssignFieldI (keep, ic) ->
         let v = apply_ic ic ist.(isp - 1) in
         let o = as_obj ost.(sp - 1) in
         o.ifields.(ist.(isp - 2)) <- v;
-        ist.(isp - 2) <- v;
-        loop (pc + 1) (sp - 1) (isp - 1)
-    | IAssignFieldIPop ic ->
-        let o = as_obj ost.(sp - 1) in
-        o.ifields.(ist.(isp - 2)) <- apply_ic ic ist.(isp - 1);
-        loop (pc + 1) (sp - 1) (isp - 2)
-    | IAssignFieldIB ty ->
+        if keep then begin
+          ist.(isp - 2) <- v;
+          loop (pc + 1) (sp - 1) (isp - 1)
+        end
+        else loop (pc + 1) (sp - 1) (isp - 2)
+    | IAssignFieldIB (keep, ty) ->
         let v = coerce ty ost.(sp - 1) in
         let o = as_obj ost.(sp - 2) in
         o.ifields.(ist.(isp - 1)) <- as_int v;
-        ost.(sp - 2) <- v;
-        loop (pc + 1) (sp - 1) (isp - 1)
-    | IAssignFieldIBPop ty ->
-        let o = as_obj ost.(sp - 2) in
-        o.ifields.(ist.(isp - 1)) <- as_int (coerce ty ost.(sp - 1));
-        loop (pc + 1) (sp - 2) (isp - 1)
-    | ICompoundFieldI (op, ic) ->
+        if keep then begin
+          ost.(sp - 2) <- v;
+          loop (pc + 1) (sp - 1) (isp - 1)
+        end
+        else loop (pc + 1) (sp - 2) (isp - 1)
+    | ICompoundFieldI (keep, op, ic) ->
         let o = as_obj ost.(sp - 1) in
         let s = ist.(isp - 2) in
         let v = apply_ic ic (ibinop_i op o.ifields.(s) ist.(isp - 1)) in
         o.ifields.(s) <- v;
-        ist.(isp - 2) <- v;
-        loop (pc + 1) (sp - 1) (isp - 1)
-    | ICompoundFieldIPop (op, ic) ->
-        let o = as_obj ost.(sp - 1) in
-        let s = ist.(isp - 2) in
-        o.ifields.(s) <- apply_ic ic (ibinop_i op o.ifields.(s) ist.(isp - 1));
-        loop (pc + 1) (sp - 1) (isp - 2)
-    | ICompoundFieldB (aop, ty) ->
+        if keep then begin
+          ist.(isp - 2) <- v;
+          loop (pc + 1) (sp - 1) (isp - 1)
+        end
+        else loop (pc + 1) (sp - 1) (isp - 2)
+    | ICompoundFieldB (keep, aop, ty) ->
         let o = as_obj ost.(sp - 2) in
         let s = ist.(isp - 1) in
         let v = compound_op aop (vint o.ifields.(s)) ost.(sp - 1) ty in
         o.ifields.(s) <- as_int v;
-        ost.(sp - 2) <- v;
-        loop (pc + 1) (sp - 1) (isp - 1)
-    | ICompoundFieldBPop (aop, ty) ->
-        let o = as_obj ost.(sp - 2) in
-        let s = ist.(isp - 1) in
-        let v = compound_op aop (vint o.ifields.(s)) ost.(sp - 1) ty in
-        o.ifields.(s) <- as_int v;
-        loop (pc + 1) (sp - 2) (isp - 1)
-    | IIncDecFieldI (which, fix) ->
+        if keep then begin
+          ost.(sp - 2) <- v;
+          loop (pc + 1) (sp - 1) (isp - 1)
+        end
+        else loop (pc + 1) (sp - 2) (isp - 1)
+    | IIncDecFieldI (keep, which, fix) ->
         let o = as_obj ost.(sp - 1) in
         let s = ist.(isp - 1) in
         let old = o.ifields.(s) in
         let nv = old + incdec_delta which in
         o.ifields.(s) <- nv;
-        ist.(isp - 1) <- (match fix with Ast.Prefix -> nv | Ast.Postfix -> old);
-        loop (pc + 1) (sp - 1) isp
-    | IIncDecFieldIPop which ->
-        let o = as_obj ost.(sp - 1) in
-        let s = ist.(isp - 1) in
-        o.ifields.(s) <- o.ifields.(s) + incdec_delta which;
-        loop (pc + 1) (sp - 1) (isp - 1)
+        if keep then begin
+          ist.(isp - 1) <-
+            (match fix with Ast.Prefix -> nv | Ast.Postfix -> old);
+          loop (pc + 1) (sp - 1) isp
+        end
+        else loop (pc + 1) (sp - 1) (isp - 1)
     (* -- typed declarations / ctor member initializers ---------------- *)
     | IDeclScalarI i ->
         Array.unsafe_set ilocals i 0;
@@ -3450,24 +3270,15 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         o.ifields.(field_slot o slots m) <- as_int v;
         loop (pc + 1) (sp - 1) isp
     (* -- typed control ------------------------------------------------ *)
-    | IJumpIfFalseI (tk, t) ->
-        if ist.(isp - 1) <> 0 then begin
+    | IJumpIfI (sense, tk, t) ->
+        if (ist.(isp - 1) <> 0) = sense then loop t sp (isp - 1)
+        else begin
           if tk then tick vm;
           loop (pc + 1) sp (isp - 1)
         end
-        else loop t sp (isp - 1)
-    | IJumpIfTrueI t ->
-        if ist.(isp - 1) <> 0 then loop t sp (isp - 1)
-        else loop (pc + 1) sp (isp - 1)
-    | IAndFalseI t ->
-        if ist.(isp - 1) <> 0 then loop (pc + 1) sp (isp - 1)
-        else begin
-          ist.(isp - 1) <- 0;
-          loop t sp isp
-        end
-    | IOrTrueI t ->
-        if ist.(isp - 1) <> 0 then begin
-          ist.(isp - 1) <- 1;
+    | IShortCircuitI (sense, t) ->
+        if (ist.(isp - 1) <> 0) = sense then begin
+          ist.(isp - 1) <- (if sense then 1 else 0);
           loop t sp isp
         end
         else loop (pc + 1) sp (isp - 1)
@@ -3513,40 +3324,24 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         if ibinop_i op o.ifields.(field_slot o slots m) k <> 0 then
           loop (pc + 1) sp isp
         else loop t sp isp
-    | IJumpThisFieldBCFalseI (tp, slots, m, op, k, ta, t) -> (
+    | IJumpThisFieldBCFalseI (tp, slots, m, op, k, ta, t) ->
         if tp then tick vm;
-        match frame.this with
-        | Some o ->
-            if ibinop_i op o.ifields.(field_slot o slots m) k <> 0 then begin
-              if ta then tick vm;
-              loop (pc + 1) sp isp
-            end
-            else loop t sp isp
-        | None -> runtime_error "'this' outside a method")
+        let o = this_of frame in
+        if ibinop_i op o.ifields.(field_slot o slots m) k <> 0 then begin
+          if ta then tick vm;
+          loop (pc + 1) sp isp
+        end
+        else loop t sp isp
     (* -- typed superinstructions -------------------------------------- *)
-    | ITickLoadI i ->
-        tick vm;
-        ist.(isp) <- Array.unsafe_get ilocals i;
-        loop (pc + 1) sp (isp + 1)
-    | ILoadFieldI (i, slots, m) ->
+    | ILoadFieldI (tk, i, slots, m) ->
+        if tk then tick vm;
         let o = as_obj (Array.get locals i) in
         ist.(isp) <- o.ifields.(field_slot o slots m);
         loop (pc + 1) sp (isp + 1)
-    | ITickLoadFieldI (i, slots, m) ->
-        tick vm;
-        let o = as_obj (Array.get locals i) in
+    | IThisFieldI (tk, slots, m) ->
+        if tk then tick vm;
+        let o = this_of frame in
         ist.(isp) <- o.ifields.(field_slot o slots m);
-        loop (pc + 1) sp (isp + 1)
-    | IThisFieldI (slots, m) ->
-        (match frame.this with
-        | Some o -> ist.(isp) <- o.ifields.(field_slot o slots m)
-        | None -> runtime_error "'this' outside a method");
-        loop (pc + 1) sp (isp + 1)
-    | ITickThisFieldI (slots, m) ->
-        tick vm;
-        (match frame.this with
-        | Some o -> ist.(isp) <- o.ifields.(field_slot o slots m)
-        | None -> runtime_error "'this' outside a method");
         loop (pc + 1) sp (isp + 1)
     | IIndexFieldI (slots, m) ->
         let elem = index_read ost.(sp - 1) ist.(isp - 1) in
@@ -3561,7 +3356,8 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | IBinopConstI (op, k) ->
         ist.(isp - 1) <- ibinop_i op ist.(isp - 1) k;
         loop (pc + 1) sp isp
-    | ILoadBinopConstI (i, op, k) ->
+    | ILoadBinopConstI (tk, i, op, k) ->
+        if tk then tick vm;
         ist.(isp) <- ibinop_i op (Array.unsafe_get ilocals i) k;
         loop (pc + 1) sp (isp + 1)
     | ILoadFieldBCI (i, slots, m, op, k) ->
@@ -3579,16 +3375,10 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
           ibinop_i op ist.(isp - 1) o.ifields.(field_slot o slots m);
         loop (pc + 1) sp isp
     | IThisFieldBinopI (slots, m, op) ->
-        (match frame.this with
-        | Some o ->
-            ist.(isp - 1) <-
-              ibinop_i op ist.(isp - 1) o.ifields.(field_slot o slots m)
-        | None -> runtime_error "'this' outside a method");
+        let o = this_of frame in
+        ist.(isp - 1) <-
+          ibinop_i op ist.(isp - 1) o.ifields.(field_slot o slots m);
         loop (pc + 1) sp isp
-    | IStoreLocalPopTI (ic, i) ->
-        Array.unsafe_set ilocals i (apply_ic ic ist.(isp - 1));
-        tick vm;
-        loop (pc + 1) sp (isp - 1)
     | IIncDecLocalJumpI (which, i, t) ->
         Array.unsafe_set ilocals i
           (Array.unsafe_get ilocals i + incdec_delta which);
@@ -3621,13 +3411,8 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | ILoadIndexI i ->
         ost.(sp - 1) <- index_read ost.(sp - 1) (Array.unsafe_get ilocals i);
         loop (pc + 1) sp isp
-    | ILoadFieldIndexI (a, slots, m, i) ->
-        let o = as_obj (Array.get locals a) in
-        let av = o.fields.cells.(field_slot o slots m) in
-        ost.(sp) <- index_read av (Array.unsafe_get ilocals i);
-        loop (pc + 1) (sp + 1) isp
-    | ITickLoadFieldIndexI (a, slots, m, i) ->
-        tick vm;
+    | ILoadFieldIndexI (tk, a, slots, m, i) ->
+        if tk then tick vm;
         let o = as_obj (Array.get locals a) in
         let av = o.fields.cells.(field_slot o slots m) in
         ost.(sp) <- index_read av (Array.unsafe_get ilocals i);
@@ -3643,13 +3428,8 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | ILoadBinopI (op, i) ->
         ist.(isp - 1) <- ibinop_i op ist.(isp - 1) (Array.unsafe_get ilocals i);
         loop (pc + 1) sp isp
-    | ILoadLocFieldI (a, slots, m) ->
-        let o = as_obj (Array.get locals a) in
-        ist.(isp) <- field_slot o slots m;
-        ost.(sp) <- VObj o;
-        loop (pc + 1) (sp + 1) (isp + 1)
-    | ITickLocFieldI (a, slots, m) ->
-        tick vm;
+    | ILoadLocFieldI (tk, a, slots, m) ->
+        if tk then tick vm;
         let o = as_obj (Array.get locals a) in
         ist.(isp) <- field_slot o slots m;
         ost.(sp) <- VObj o;
@@ -3677,11 +3457,9 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         o1.ifields.(d) <- apply_ic ic o2.ifields.(field_slot o2 s2 m2);
         loop (pc + 1) sp isp
     | IThisLocFieldI (slots, m) ->
-        (match frame.this with
-        | Some o ->
-            ist.(isp) <- field_slot o slots m;
-            ost.(sp) <- VObj o
-        | None -> runtime_error "'this' outside a method");
+        let o = this_of frame in
+        ist.(isp) <- field_slot o slots m;
+        ost.(sp) <- VObj o;
         loop (pc + 1) (sp + 1) (isp + 1)
     | IAssignFieldCIPop (ic, k) ->
         let o = as_obj ost.(sp - 1) in
@@ -3707,41 +3485,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
             | FInitC (slots, m, ic, k) ->
                 o.ifields.(field_slot o slots m) <- apply_ic ic k)
           inits;
-        loop (pc + 1) sp isp
-    | ITickThisIdxFieldStoreI (s1, m1, ix, s2, m2, ic, rhs) ->
-        tick vm;
-        (match frame.this with
-        | Some o ->
-            (* destination resolves fully before the rhs, matching the
-               unfused evaluation order (and its error order) *)
-            let av = o.fields.cells.(field_slot o s1 m1) in
-            let idx =
-              match ix with
-              | IxLocal i -> Array.unsafe_get ilocals i
-              | IxLocField (j, s, m) ->
-                  let oj = as_obj (Array.get locals j) in
-                  oj.ifields.(field_slot oj s m)
-            in
-            let o2 = as_obj (index_read av idx) in
-            let d = field_slot o2 s2 m2 in
-            let v =
-              match rhs with
-              | RConst k -> k
-              | RLocal i -> Array.unsafe_get ilocals i
-              | RThisIdxField (s4, m4, ix2, s6, m6, op, k) ->
-                  let av2 = o.fields.cells.(field_slot o s4 m4) in
-                  let idx2 =
-                    match ix2 with
-                    | IxLocal i -> Array.unsafe_get ilocals i
-                    | IxLocField (j, s, m) ->
-                        let oj = as_obj (Array.get locals j) in
-                        oj.ifields.(field_slot oj s m)
-                  in
-                  let o3 = as_obj (index_read av2 idx2) in
-                  ibinop_i op o3.ifields.(field_slot o3 s6 m6) k
-            in
-            o2.ifields.(d) <- apply_ic ic v
-        | None -> runtime_error "'this' outside a method");
         loop (pc + 1) sp isp
     | ITLFIndexIStoreJumpFBCI ((a, s0, m0, i0, x0, ty0), (n, s, m, op, k), t) ->
         tick vm;
@@ -3775,12 +3518,31 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
               tick vm;
               let oi = as_obj (Array.get locals i) in
               as_obj oi.fields.cells.(field_slot oi s m)
+          | DTickThisIdx (s, m, i, _, _) ->
+              tick vm;
+              let t = this_of frame in
+              let av = t.fields.cells.(field_slot t s m) in
+              as_obj (index_read av (Array.unsafe_get ilocals i))
+          | DTickThisIdxField (s, m, j, sj, mj, _, _) ->
+              tick vm;
+              let t = this_of frame in
+              let av = t.fields.cells.(field_slot t s m) in
+              let oj = as_obj (Array.get locals j) in
+              as_obj (index_read av oj.ifields.(field_slot oj sj mj))
+          | DThis (n, _, _) ->
+              for _ = 1 to n do
+                tick vm
+              done;
+              this_of frame
         in
         let d =
           match dst with
           | DTickLocField (_, s, m)
           | DFieldIdx (_, _, _, _, s, m)
-          | DTickFieldLocField (_, _, _, s, m) ->
+          | DTickFieldLocField (_, _, _, s, m)
+          | DTickThisIdx (_, _, _, s, m)
+          | DTickThisIdxField (_, _, _, _, _, s, m)
+          | DThis (_, s, m) ->
               field_slot o s m
         in
         let p = ref isp in
@@ -3796,12 +3558,10 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
               let oj = as_obj (Array.get locals j) in
               ist.(!p) <- oj.ifields.(field_slot oj s m);
               incr p
-          | RpThisField (s, m) -> (
-              match frame.this with
-              | Some t ->
-                  ist.(!p) <- t.ifields.(field_slot t s m);
-                  incr p
-              | None -> runtime_error "'this' outside a method")
+          | RpThisField (s, m) ->
+              let t = this_of frame in
+              ist.(!p) <- t.ifields.(field_slot t s m);
+              incr p
           | RpFieldIdxField (i, s, m, j, op, k, s2, m2) ->
               let oi = as_obj (Array.get locals i) in
               let av = oi.fields.cells.(field_slot oi s m) in
@@ -3812,6 +3572,14 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
           | RpFieldField (j, s, m, s2, m2) ->
               let oj = as_obj (Array.get locals j) in
               let eo = as_obj oj.fields.cells.(field_slot oj s m) in
+              ist.(!p) <- eo.ifields.(field_slot eo s2 m2);
+              incr p
+          | RpThisIdxField (s, m, j, sj, mj, s2, m2) ->
+              let t = this_of frame in
+              let av = t.fields.cells.(field_slot t s m) in
+              let oj = as_obj (Array.get locals j) in
+              let iv = oj.ifields.(field_slot oj sj mj) in
+              let eo = as_obj (index_read av iv) in
               ist.(!p) <- eo.ifields.(field_slot eo s2 m2);
               incr p
           | RpBinop op ->
@@ -3837,20 +3605,12 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         loop (pc + 1) (sp + k) isp
     | ITickThisCallM (tk, f) ->
         if tk then tick vm;
-        let o =
-          match frame.this with
-          | Some o -> o
-          | None -> runtime_error "'this' outside a method"
-        in
+        let o = this_of frame in
         ost.(sp) <- call_function vm f ~this:(Some o) ost (sp + 1) 0;
         loop (pc + 1) (sp + 1) isp
     | IThisCallMStoreI (tk, f, op, v, ty, i) ->
         if tk then tick vm;
-        let o =
-          match frame.this with
-          | Some o -> o
-          | None -> runtime_error "'this' outside a method"
-        in
+        let o = this_of frame in
         let r = binop op (call_function vm f ~this:(Some o) ost (sp + 1) 0) v in
         let r = match r with VInt _ -> r | x -> vint (as_int x) in
         Array.unsafe_set ilocals i (as_int (coerce ty r));
@@ -3891,37 +3651,20 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         loop (pc + 1) sp isp
     | IThisFieldIdxFStoreI (lt, s, m, j, s2, m2, s3, m3, ic, i, tt) ->
         if lt then tick vm;
-        let av =
-          match frame.this with
-          | Some o -> o.fields.cells.(field_slot o s m)
-          | None -> runtime_error "'this' outside a method"
-        in
+        let o = this_of frame in
+        let av = o.fields.cells.(field_slot o s m) in
         let oj = as_obj (Array.get locals j) in
         let idx = oj.ifields.(field_slot oj s2 m2) in
         let eo = as_obj (index_read av idx) in
         Array.unsafe_set ilocals i (apply_ic ic eo.ifields.(field_slot eo s3 m3));
         if tt then tick vm;
         loop (pc + 1) sp isp
-    | IThisXAssignI (tn, sd, md, ss, ms, (o1, k1, o2, k2, o3, k3), ic) ->
-        for _ = 1 to tn do
-          tick vm
-        done;
-        (match frame.this with
-        | Some o ->
-            let d = field_slot o sd md in
-            let v = o.ifields.(field_slot o ss ms) in
-            let v = ibinop_i o3 (ibinop_i o2 (ibinop_i o1 v k1) k2) k3 in
-            o.ifields.(d) <- apply_ic ic v
-        | None -> runtime_error "'this' outside a method");
-        loop (pc + 1) sp isp
-    | IReturnThisFieldI (slots, m) -> (
+    | IReturnThisFieldI (slots, m) ->
         tick vm;
-        match frame.this with
-        | Some o ->
-            let v = vint o.ifields.(field_slot o slots m) in
-            if b.b_scoped then ret_unwind vm locals scopes;
-            v
-        | None -> runtime_error "'this' outside a method")
+        let o = this_of frame in
+        let v = vint o.ifields.(field_slot o slots m) in
+        if b.b_scoped then ret_unwind vm locals scopes;
+        v
     | IBinopConst2I (o1, k1, o2, k2) ->
         ist.(isp - 1) <- ibinop_i o2 (ibinop_i o1 ist.(isp - 1) k1) k2;
         loop (pc + 1) sp isp
@@ -3929,17 +3672,11 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         ist.(isp - 1) <-
           ibinop_i o3 (ibinop_i o2 (ibinop_i o1 ist.(isp - 1) k1) k2) k3;
         loop (pc + 1) sp isp
-    | ITickLoadBCI (n, op, k) ->
-        tick vm;
-        ist.(isp) <- ibinop_i op (Array.unsafe_get ilocals n) k;
-        loop (pc + 1) sp (isp + 1)
-    | IJumpLocTFCmpFalseI (op, x, slots, m, t) -> (
-        match frame.this with
-        | Some o ->
-            if icmp op (Array.unsafe_get ilocals x) o.ifields.(field_slot o slots m)
-            then loop (pc + 1) sp isp
-            else loop t sp isp
-        | None -> runtime_error "'this' outside a method")
+    | IJumpLocTFCmpFalseI (op, x, slots, m, t) ->
+        let o = this_of frame in
+        if icmp op (Array.unsafe_get ilocals x) o.ifields.(field_slot o slots m)
+        then loop (pc + 1) sp isp
+        else loop t sp isp
     | IScanStepI (j, slots, m, op, n, a, s2, m2, bdst, ty, tback) ->
         tick vm;
         let o = as_obj (Array.get locals j) in
@@ -4050,7 +3787,7 @@ let profile vm = vm.profile
 let mnemonic (i : instr) : string =
   match i with
   | IConst _ -> "IConst"
-  | ILoad _ -> "ILoad"
+  | ILoad (tk, _) -> if tk then "ITickLoad" else "ILoad"
   | ILoadRef _ -> "ILoadRef"
   | IGlobal _ -> "IGlobal"
   | IStatic _ -> "IStatic"
@@ -4080,18 +3817,17 @@ let mnemonic (i : instr) : string =
   | IAssign _ -> "IAssign"
   | ICompound _ -> "ICompound"
   | IIncDec _ -> "IIncDec"
-  | IStoreLocal _ -> "IStoreLocal"
-  | IStoreLocalPop _ -> "IStoreLocalPop"
+  | IStoreLocal (keep, _, _, tk) ->
+      if keep then "IStoreLocal"
+      else if tk then "IStoreLocalPopT"
+      else "IStoreLocalPop"
   | IStoreRawPop _ -> "IStoreRawPop"
-  | IIncDecLocal _ -> "IIncDecLocal"
-  | IIncDecLocalPop _ -> "IIncDecLocalPop"
+  | IIncDecLocal (keep, _, _, _) ->
+      if keep then "IIncDecLocal" else "IIncDecLocalPop"
   | IJump _ -> "IJump"
-  | IJumpIfFalse _ -> "IJumpIfFalse"
-  | IJumpIfTrue _ -> "IJumpIfTrue"
+  | IJumpIf (sense, _) -> if sense then "IJumpIfTrue" else "IJumpIfFalse"
   | IJumpCmpFalse _ -> "IJumpCmpFalse"
-  | IAndFalse _ -> "IAndFalse"
-  | IOrTrue _ -> "IOrTrue"
-  | ITick -> "ITick"
+  | IShortCircuit (sense, _) -> if sense then "IOrTrue" else "IAndFalse"
   | IPushScope _ -> "IPushScope"
   | IPopScope -> "IPopScope"
   | IExitScopes _ -> "IExitScopes"
@@ -4115,32 +3851,28 @@ let mnemonic (i : instr) : string =
   | IInitField _ -> "IInitField"
   | IInitFieldArr _ -> "IInitFieldArr"
   | IInitFieldScalar _ -> "IInitFieldScalar"
-  | ILoadField _ -> "ILoadField"
-  | ITickLoad _ -> "ITickLoad"
-  | ITickLoadField _ -> "ITickLoadField"
-  | IThisField _ -> "IThisField"
+  | ILoadField (tk, _, _, _) -> if tk then "ITickLoadField" else "ILoadField"
+  | IThisField (tk, _, _) -> if tk then "ITickThisField" else "IThisField"
   | IBinopConst _ -> "IBinopConst"
-  | ITickN _ -> "ITickN"
+  | ITickN n -> if n = 1 then "ITick" else "ITickN"
   | IAssignPop _ -> "IAssignPop"
-  | IStoreLocalPopT _ -> "IStoreLocalPopT"
   | IStoreLocalPopJump _ -> "IStoreLocalPopJump"
-  | IJumpCmpConstFalse _ -> "IJumpCmpConstFalse"
-  | IJumpCmpConstFalseT _ -> "IJumpCmpConstFalseT"
-  | IJumpLocCmpConstFalse _ -> "IJumpLocCmpConstFalse"
-  | IJumpLocCmpConstFalseT _ -> "IJumpLocCmpConstFalseT"
+  | IJumpCmpConstFalse (_, _, tk, _) ->
+      if tk then "IJumpCmpConstFalseT" else "IJumpCmpConstFalse"
+  | IJumpLocCmpConstFalse (_, _, _, tk, _) ->
+      if tk then "IJumpLocCmpConstFalseT" else "IJumpLocCmpConstFalse"
   | IJumpLocCmpFalse _ -> "IJumpLocCmpFalse"
   | ITickLoadFieldStore _ -> "ITickLoadFieldStore"
   | ITickLoadFieldStoreJump _ -> "ITickLoadFieldStoreJump"
-  | ITickThisField _ -> "ITickThisField"
   | ILocFieldLoadField _ -> "ILocFieldLoadField"
-  | ITickLoadFieldCmpLocFalse _ -> "ITickLoadFieldCmpLocFalse"
-  | ITickLoadFieldCmpLocFalseT _ -> "ITickLoadFieldCmpLocFalseT"
+  | ITickLoadFieldCmpLocFalse (_, _, _, _, _, tk, _) ->
+      if tk then "ITickLoadFieldCmpLocFalseT" else "ITickLoadFieldCmpLocFalse"
   | IScanStep _ -> "IScanStep"
   | ILoopScan _ -> "ILoopScan"
   | IBinop2 _ -> "IBinop2"
   (* typed (untagged) instructions *)
   | IConstI _ -> "IConstI"
-  | ILoadI _ -> "ILoadI"
+  | ILoadI (tk, _) -> if tk then "ITickLoadI" else "ILoadI"
   | IFieldI _ -> "IFieldI"
   | IIndexI -> "IIndexI"
   | IBoxI -> "IBoxI"
@@ -4151,34 +3883,37 @@ let mnemonic (i : instr) : string =
   | IUnaryI _ -> "IUnaryI"
   | IToBoolI -> "IToBoolI"
   | IBinopII _ -> "IBinopII"
-  | IStoreLocalI _ -> "IStoreLocalI"
-  | IStoreLocalPopI _ -> "IStoreLocalPopI"
-  | IStoreLocalIB _ -> "IStoreLocalIB"
-  | IStoreLocalIBPop _ -> "IStoreLocalIBPop"
-  | IIncDecLocalI _ -> "IIncDecLocalI"
-  | IIncDecLocalPopI _ -> "IIncDecLocalPopI"
-  | ICompoundLocalI _ -> "ICompoundLocalI"
-  | ICompoundLocalIPop _ -> "ICompoundLocalIPop"
-  | ICompoundLocalB _ -> "ICompoundLocalB"
-  | ICompoundLocalBPop _ -> "ICompoundLocalBPop"
+  | IStoreLocalI (keep, _, _, tk) ->
+      if keep then "IStoreLocalI"
+      else if tk then "IStoreLocalPopTI"
+      else "IStoreLocalPopI"
+  | IStoreLocalIB (keep, _, _) ->
+      if keep then "IStoreLocalIB" else "IStoreLocalIBPop"
+  | IIncDecLocalI (keep, _, _, _) ->
+      if keep then "IIncDecLocalI" else "IIncDecLocalPopI"
+  | ICompoundLocalI (keep, _, _, _) ->
+      if keep then "ICompoundLocalI" else "ICompoundLocalIPop"
+  | ICompoundLocalB (keep, _, _, _) ->
+      if keep then "ICompoundLocalB" else "ICompoundLocalBPop"
   | ILocFieldI _ -> "ILocFieldI"
-  | IAssignFieldI _ -> "IAssignFieldI"
-  | IAssignFieldIPop _ -> "IAssignFieldIPop"
-  | IAssignFieldIB _ -> "IAssignFieldIB"
-  | IAssignFieldIBPop _ -> "IAssignFieldIBPop"
-  | ICompoundFieldI _ -> "ICompoundFieldI"
-  | ICompoundFieldIPop _ -> "ICompoundFieldIPop"
-  | ICompoundFieldB _ -> "ICompoundFieldB"
-  | ICompoundFieldBPop _ -> "ICompoundFieldBPop"
-  | IIncDecFieldI _ -> "IIncDecFieldI"
-  | IIncDecFieldIPop _ -> "IIncDecFieldIPop"
+  | IAssignFieldI (keep, _) ->
+      if keep then "IAssignFieldI" else "IAssignFieldIPop"
+  | IAssignFieldIB (keep, _) ->
+      if keep then "IAssignFieldIB" else "IAssignFieldIBPop"
+  | ICompoundFieldI (keep, _, _) ->
+      if keep then "ICompoundFieldI" else "ICompoundFieldIPop"
+  | ICompoundFieldB (keep, _, _) ->
+      if keep then "ICompoundFieldB" else "ICompoundFieldBPop"
+  | IIncDecFieldI (keep, _, _) ->
+      if keep then "IIncDecFieldI" else "IIncDecFieldIPop"
   | IDeclScalarI _ -> "IDeclScalarI"
   | IInitFieldScalarI _ -> "IInitFieldScalarI"
   | IInitFieldScalarB _ -> "IInitFieldScalarB"
-  | IJumpIfFalseI (tk, _) -> if tk then "IJumpIfFalseTI" else "IJumpIfFalseI"
-  | IJumpIfTrueI _ -> "IJumpIfTrueI"
-  | IAndFalseI _ -> "IAndFalseI"
-  | IOrTrueI _ -> "IOrTrueI"
+  | IJumpIfI (sense, tk, _) ->
+      if sense then "IJumpIfTrueI"
+      else if tk then "IJumpIfFalseTI"
+      else "IJumpIfFalseI"
+  | IShortCircuitI (sense, _) -> if sense then "IOrTrueI" else "IAndFalseI"
   | IJumpCmpFalseI _ -> "IJumpCmpFalseI"
   | IJumpCmpConstFalseI (_, _, tk, _) ->
       if tk then "IJumpCmpConstFalseTI" else "IJumpCmpConstFalseI"
@@ -4190,20 +3925,17 @@ let mnemonic (i : instr) : string =
       if tk then "IJumpLoc2CmpFalseTI" else "IJumpLoc2CmpFalseI"
   | IJumpLocFCmpFalseI (_, _, _, _, _, tk, _) ->
       if tk then "IJumpLocFCmpFalseTI" else "IJumpLocFCmpFalseI"
-  | ITickLoadI _ -> "ITickLoadI"
-  | ILoadFieldI _ -> "ILoadFieldI"
-  | ITickLoadFieldI _ -> "ITickLoadFieldI"
-  | IThisFieldI _ -> "IThisFieldI"
-  | ITickThisFieldI _ -> "ITickThisFieldI"
+  | ILoadFieldI (tk, _, _, _) -> if tk then "ITickLoadFieldI" else "ILoadFieldI"
+  | IThisFieldI (tk, _, _) -> if tk then "ITickThisFieldI" else "IThisFieldI"
   | IIndexFieldI _ -> "IIndexFieldI"
   | ILoadLoadFieldI _ -> "ILoadLoadFieldI"
   | IBinopConstI _ -> "IBinopConstI"
-  | ILoadBinopConstI _ -> "ILoadBinopConstI"
+  | ILoadBinopConstI (tk, _, _, _) ->
+      if tk then "ITickLoadBCI" else "ILoadBinopConstI"
   | ILoadFieldBCI _ -> "ILoadFieldBCI"
   | ILoadFieldLoadBCI _ -> "ILoadFieldLoadBCI"
   | ILoadFieldBinopI _ -> "ILoadFieldBinopI"
   | IThisFieldBinopI _ -> "IThisFieldBinopI"
-  | IStoreLocalPopTI _ -> "IStoreLocalPopTI"
   | IIncDecLocalJumpI _ -> "IIncDecLocalJumpI"
   | IFieldIdxFieldI _ -> "IFieldIdxFieldI"
   | ITickLoadFieldCmpLocFalseI (_, _, _, _, _, tk, _) ->
@@ -4212,12 +3944,12 @@ let mnemonic (i : instr) : string =
       if tk then "IJumpLL2FBCCmpFalseTI" else "IJumpLL2FBCCmpFalseI"
   | IScanStepI _ -> "IScanStepI"
   | ILoadIndexI _ -> "ILoadIndexI"
-  | ILoadFieldIndexI _ -> "ILoadFieldIndexI"
-  | ITickLoadFieldIndexI _ -> "ITickLoadFieldIndexI"
+  | ILoadFieldIndexI (tk, _, _, _, _) ->
+      if tk then "ITickLoadFieldIndexI" else "ILoadFieldIndexI"
   | ITLFIndexIStoreT _ -> "ITLFIndexIStoreT"
   | ILoadBinopI _ -> "ILoadBinopI"
-  | ILoadLocFieldI _ -> "ILoadLocFieldI"
-  | ITickLocFieldI _ -> "ITickLocFieldI"
+  | ILoadLocFieldI (tk, _, _, _) ->
+      if tk then "ITickLocFieldI" else "ILoadLocFieldI"
   | IAssignFieldLIPop _ -> "IAssignFieldLIPop"
   | IAssignFieldLFIPop _ -> "IAssignFieldLFIPop"
   | ITickFieldStoreLI _ -> "ITickFieldStoreLI"
@@ -4228,7 +3960,6 @@ let mnemonic (i : instr) : string =
   | IInitFieldConstI _ -> "IInitFieldConstI"
   | IBinopConst2I _ -> "IBinopConst2I"
   | IBinopConst3I _ -> "IBinopConst3I"
-  | ITickLoadBCI _ -> "ITickLoadBCI"
   | IJumpLocTFCmpFalseI _ -> "IJumpLocTFCmpFalseI"
   | IJumpLocFieldBCFalseI (tp, _, _, _, _, _, _) ->
       if tp then "ITickJumpLocFieldBCFalseI" else "IJumpLocFieldBCFalseI"
@@ -4238,15 +3969,11 @@ let mnemonic (i : instr) : string =
       | false, true -> "IJumpThisFieldBCFalseTI"
       | true, false -> "ITickJumpThisFieldBCFalseI"
       | true, true -> "ITickJumpThisFieldBCFalseTI")
-  | IThisXAssignI (tn, _, _, _, _, _, _) ->
-      if tn > 0 then "ITickThisXAssignI" else "IThisXAssignI"
   | IReturnThisFieldI _ -> "IReturnThisFieldI"
   | IInitFieldsI _ -> "IInitFieldsI"
-  | ITickThisIdxFieldStoreI _ -> "ITickThisIdxFieldStoreI"
   | ITLFIndexIStoreJumpFBCI _ -> "ITLFIndexIStoreJumpFBCI"
-  | IRpnStoreI ((DTickLocField _ | DTickFieldLocField _), _, _) ->
-      "ITickRpnStoreI"
-  | IRpnStoreI _ -> "IRpnStoreI"
+  | IRpnStoreI ((DFieldIdx _ | DThis (0, _, _)), _, _) -> "IRpnStoreI"
+  | IRpnStoreI _ -> "ITickRpnStoreI"
   | IBinopConstCastStoreI _ -> "IBinopConstCastStoreI"
   | ILoadIBn _ -> "ILoadIBn"
   | ITLFIStoreFieldCopyII _ -> "ITLFIStoreFieldCopyII"
@@ -4269,42 +3996,33 @@ let is_typed (i : instr) : bool =
   | IIncDecJumpLocFCmpI _ | IIncDecJumpLL2FBCI _
   | ILoadFieldIB _
   | IUnaryI _ | IToBoolI | IBinopII _
-  | IStoreLocalI _ | IStoreLocalPopI _
-  | IStoreLocalIB _ | IStoreLocalIBPop _
-  | IIncDecLocalI _ | IIncDecLocalPopI _
-  | ICompoundLocalI _
-  | ICompoundLocalIPop _
-  | ICompoundLocalB _ | ICompoundLocalBPop _ | ILocFieldI _
-  | IAssignFieldI _ | IAssignFieldIPop _
-  | IAssignFieldIB _ | IAssignFieldIBPop _
-  | ICompoundFieldI _ | ICompoundFieldIPop _
-  | ICompoundFieldB _
-  | ICompoundFieldBPop _ | IIncDecFieldI _ | IIncDecFieldIPop _
+  | IStoreLocalI _ | IStoreLocalIB _ | IIncDecLocalI _
+  | ICompoundLocalI _ | ICompoundLocalB _ | ILocFieldI _
+  | IAssignFieldI _ | IAssignFieldIB _
+  | ICompoundFieldI _ | ICompoundFieldB _ | IIncDecFieldI _
   | IDeclScalarI _
   | IInitFieldScalarI _ | IInitFieldScalarB _
-  | IJumpIfFalseI _ | IJumpIfTrueI _
-  | IAndFalseI _ | IOrTrueI _
+  | IJumpIfI _ | IShortCircuitI _
   | IJumpCmpFalseI _ | IJumpCmpConstFalseI _
   | IJumpLocCmpConstFalseI _
   | IJumpLocCmpFalseI _
   | IJumpLoc2CmpFalseI _ | IJumpLocFCmpFalseI _
-  | ITickLoadI _ | ILoadFieldI _
-  | ITickLoadFieldI _ | IThisFieldI _ | ITickThisFieldI _
+  | ILoadFieldI _ | IThisFieldI _
   | IIndexFieldI _ | ILoadLoadFieldI _ | IBinopConstI _ | ILoadBinopConstI _
   | ILoadFieldBCI _ | ILoadFieldLoadBCI _ | ILoadFieldBinopI _
-  | IThisFieldBinopI _ | IStoreLocalPopTI _ | IIncDecLocalJumpI _
+  | IThisFieldBinopI _ | IIncDecLocalJumpI _
   | IFieldIdxFieldI _ | ITickLoadFieldCmpLocFalseI _
   | IJumpLL2FBCCmpFalseI _ | IScanStepI _
-  | ILoadIndexI _ | ILoadFieldIndexI _ | ITickLoadFieldIndexI _
+  | ILoadIndexI _ | ILoadFieldIndexI _
   | ITLFIndexIStoreT _ | ILoadBinopI _
-  | ILoadLocFieldI _ | ITickLocFieldI _
+  | ILoadLocFieldI _
   | IAssignFieldLIPop _ | IAssignFieldLFIPop _ | ITickFieldStoreLI _
   | IFieldCopyII _
   | IThisLocFieldI _ | IAssignFieldCIPop _ | IInitFieldLI _
   | IInitFieldConstI _ | IBinopConst2I _ | IBinopConst3I _
-  | ITickLoadBCI _ | IJumpLocTFCmpFalseI _
-  | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _ | IThisXAssignI _
-  | IReturnThisFieldI _ | IInitFieldsI _ | ITickThisIdxFieldStoreI _
+  | IJumpLocTFCmpFalseI _
+  | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _
+  | IReturnThisFieldI _ | IInitFieldsI _
   | ITLFIndexIStoreJumpFBCI _ | IRpnStoreI _ | IBinopConstCastStoreI _ ->
       true
   | _ -> false

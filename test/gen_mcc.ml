@@ -9,8 +9,13 @@
    of another, and nests if/else, while and for with guarded
    break/continue over &&/||/! of printing probes, int/float arithmetic
    with casts both ways, address-taken int locals, member reads, writes
-   and [sink(&o.f)], calls of [get] and [fn], and then-blocks that end
-   in [p = p->next] before an else-block.
+   and [sink(&o.f)], calls of [get] and [fn], then-blocks that end in
+   [p = p->next] before an else-block, and do-while loops. Updates
+   ([=], [+=], [-=], [*=], prefix and postfix [++]/[--]) of int, double,
+   [char] and [bool] locals and of members through every route stand as
+   statements or keep their value for a print or a chained assignment
+   ([iA = iB = k], [x = o.f += k]); the [char] and [bool] get values out
+   of their range.
 
    Every program terminates: each loop has a fresh counter bounded by 3,
    the ring is finite and nothing recurses. A description names classes,
@@ -40,6 +45,7 @@ type stmt =
   | Chase of cond * stmt list * stmt list  (* then-block ends p = p->next *)
   | While of int * stmt list
   | For of int * stmt list
+  | Do of int * stmt list
   | BreakIf of int
   | ContinueIf of int
   | IntArith of int * int * int  (* iA = iA * 31 + iB + k *)
@@ -53,6 +59,22 @@ type stmt =
   | Sink of obj * int
   | VCall of obj * int * int  (* iX = o.get(iX + k) *)
   | FnCall of obj * int
+  | Update of place * upd * use
+
+(* what an update changes: an int or double local, a member, or the
+   [char] ([true]) or [bool] local, which get out-of-range values *)
+and place = ILoc of int | DLoc of int | Fld of obj * int | Narrow of bool
+
+(* [= r], [+= r], [-= r], [*= r], or [++]/[--] (prefix?, increment?) *)
+and upd = Set of rhs | Add of rhs | Sub of rhs | Mul of rhs | Step of bool * bool
+
+(* a constant, or a double local (cast for an int place, so the stored
+   value arrives boxed) *)
+and rhs = K of int | D of int
+
+(* where the updated value goes: nowhere, [print_int]/[print_float],
+   or into another local of its kind ([iA = iB = k]) *)
+and use = Drop | Shown | Into of int
 
 type cls = {
   parent : int;  (* modulo the class's own index: an earlier class *)
@@ -72,13 +94,29 @@ type t = {
 (* [Any] mixes every shape. The others narrow [main] for a focused
    differential: [Control] to traces and nested branches, loops and
    jumps, [Logic] to the same with every condition over probes, and
-   [Banks] to straight-line arithmetic, casts, fields and calls. *)
+   [Banks] to straight-line arithmetic, casts, fields, calls and
+   updates. *)
 type focus = Any | Control | Logic | Banks
 
 let focused focus =
   let open Gen in
   let small = int_range 0 9 and ii = int_bound 2 and di = int_bound 1 in
   let kind = frequency [ (3, pure Int); (1, pure Double) ] in
+  let upd =
+    let rhs =
+      frequency [ (3, map (fun k -> K k) small); (1, map (fun d -> D d) di) ]
+    in
+    frequency
+      [
+        (2, map (fun r -> Set r) rhs);
+        (1, map (fun r -> Add r) rhs);
+        (1, map (fun r -> Sub r) rhs);
+        (1, map (fun r -> Mul r) rhs);
+        (2, map2 (fun pre inc -> Step (pre, inc)) bool bool);
+      ]
+  and use =
+    frequency [ (1, pure Drop); (2, pure Shown); (1, map (fun x -> Into x) ii) ]
+  in
   let cls =
     map3
       (fun parent fields get -> { parent; fields; get })
@@ -92,6 +130,7 @@ let focused focus =
                  (2, map2 (fun i k -> Write (This, i, k)) small small);
                  (1, map (fun i -> Sink (This, i)) small);
                  (1, map (fun k -> FnCall (This, k)) small);
+                 (2, map3 (fun i u w -> Update (Fld (This, i), u, w)) small upd use);
                ])))
   in
   let recv = map3 (fun stat dyn heap -> { stat; dyn; heap }) small small bool in
@@ -141,6 +180,17 @@ let focused focus =
       (1, map2 (fun o i -> Sink (o, i)) obj small);
       (2, map3 (fun o x k -> VCall (o, x, k)) obj ii small);
       (1, map2 (fun o k -> FnCall (o, k)) obj small);
+      ( 3,
+        map3
+          (fun p u w -> Update (p, u, w))
+          (frequency
+             [
+               (2, map (fun a -> ILoc a) ii);
+               (1, map (fun a -> DLoc a) di);
+               (2, map2 (fun o i -> Fld (o, i)) obj small);
+               (1, map (fun c -> Narrow c) bool);
+             ])
+          upd use );
     ]
   in
   let rec stmt ~in_loop depth =
@@ -163,6 +213,7 @@ let focused focus =
           (2, branch (fun c a b -> Chase (c, a, b)));
           (1, map2 (fun n b -> While (n, b)) bound (block ~in_loop:true));
           (1, map2 (fun n b -> For (n, b)) bound (block ~in_loop:true));
+          (1, map2 (fun n b -> Do (n, b)) bound (block ~in_loop:true));
         ])
   in
   let+ classes = list_size (int_range 1 4) cls
@@ -265,6 +316,13 @@ let emit t =
         line "for (int t%d = 0; t%d < %d; t%d = t%d + 1) {" v v bound v v;
         block b;
         line "}"
+    | Do (bound, b) ->
+        let v = fresh () in
+        line "int w%d = 0;" v;
+        line "do {";
+        line "  w%d = w%d + 1;" v v;
+        block b;
+        line "} while (w%d < %d);" v bound
     | BreakIf k -> line "if (acc %% %d == 0) { break; }" k
     | ContinueIf k -> line "acc = acc + 1; if (acc %% %d == 0) { continue; }" k
     | IntArith (a, b, k) -> line "i%d = i%d * 31 + i%d + %d;" a a b k
@@ -296,6 +354,45 @@ let emit t =
         | Recv _, (_, e) -> line "acc = acc + (%sfn)(acc %% 16 + %d);" e k
         | _, (_, e) -> line "acc = acc + %sfn(acc %% 16 + %d);" e k)
     | FnCall _ -> ()
+    | Update (p, u, w) ->
+        (* the place as source text, its kind, and the member it names *)
+        let update e is_int m =
+          let k = function
+            | D d -> Printf.sprintf (if is_int then "(int)d%d" else "d%d") d
+            | K n -> (
+                match p with
+                | Narrow true -> Printf.sprintf "%d" (250 + n)
+                | Narrow false -> Printf.sprintf "%d" (2 + n)
+                | _ -> Printf.sprintf (if is_int then "%d" else "%d.5") n)
+          in
+          let x =
+            match u with
+            | Set n -> Printf.sprintf "%s = %s" e (k n)
+            | Add n -> Printf.sprintf "%s += %s" e (k n)
+            | Sub n -> Printf.sprintf "%s -= %s" e (k n)
+            | Mul n -> Printf.sprintf "%s *= %s" e (k n)
+            | Step (pre, inc) ->
+                let op = if inc then "++" else "--" in
+                if pre then op ^ e else e ^ op
+          in
+          Option.iter
+            (fun m ->
+              use `Write m;
+              (* a compound update or ++/-- reads the old value *)
+              match u with Set _ -> () | _ -> use `Read m)
+            m;
+          match w with
+          | Drop -> line "%s;" x
+          | Shown -> line "print_%s(%s);" (if is_int then "int" else "float") x
+          | Into j when is_int ->
+              if cur < 0 then line "i%d = %s;" j x else line "acc = %s;" x
+          | Into j -> line "d%d = %s;" (j mod 2) x
+        in
+        match p with
+        | ILoc a -> update (Printf.sprintf "i%d" a) true None
+        | DLoc a -> update (Printf.sprintf "d%d" a) false None
+        | Narrow c -> update (if c then "c0" else "b0") true None
+        | Fld (o, i) -> member o i (fun e is_int m -> update e is_int (Some m))
   in
   for c = 0 to n - 1 do
     if c = 0 then pr "class K0 {\npublic:\n"
@@ -325,7 +422,7 @@ let emit t =
   pr "int twice(int x) { return 2 * x; }\n";
   pr "int inc(int x) { return x + 1; }\n";
   pr "int main() {\n  int acc = 1;\n  int i0 = 1;\n  int i1 = 2;\n  int i2 = 3;\n";
-  pr "  double d0 = 1.5;\n  double d1 = 2.5;\n";
+  pr "  double d0 = 1.5;\n  double d1 = 2.5;\n  char c0 = 7;\n  bool b0 = true;\n";
   for c = 0 to n - 1 do pr "  K%d o%d;\n" c c done;
   for c = 0 to n - 1 do
     use `Write next;
@@ -347,7 +444,8 @@ let emit t =
   pr "  K0 *p = &o0;\n";
   List.iter (stmt ~cur:(-1) "  ") t.main;
   pr "  print_int(i0); print_int(i1); print_int(i2);\n";
-  pr "  print_float(d0); print_float(d1);\n  print_int(acc);\n";
+  pr "  print_float(d0); print_float(d1);\n  print_int(c0); print_int(b0);\n";
+  pr "  print_int(acc);\n";
   List.iteri
     (fun j _ -> match recv j with _, _, true -> pr "  delete r%d;\n" j | _ -> ())
     t.recvs;

@@ -484,6 +484,16 @@ let t_cold_check_never_collects () =
       collections b.name ("check --format=json " ^ Filename.quote (temp_src b.source)))
     Benchmarks.Suite.all
 
+(* [--bench] and a FILE together are one usage error, not a profile of
+   the benchmark that ignores the file. *)
+let t_profile_bench_and_file () =
+  let code, out, err =
+    run_capture ("profile --bench richards " ^ Filename.quote (temp_src ret7_src))
+  in
+  check_int "exit" 2 code;
+  check_string "stdout" "" out;
+  check_string "stderr" "error: provide a FILE or --bench NAME, not both\n" err
+
 let suite =
   [
     Util.test "exit codes: exhaustive subcommand table" t_exit_codes;
@@ -499,4 +509,6 @@ let suite =
     Util.test "a cold check never collects" t_cold_check_never_collects;
     Util.test "check: a parse error that swallows main is the one error"
       t_parse_error_hides_missing_main;
+    Util.test "profile: --bench with a FILE is a usage error"
+      t_profile_bench_and_file;
   ]

@@ -3,7 +3,8 @@
 
    (a) the tree walker and the VM show the same run: output, exit code,
        steps, allocations and the space snapshot (measured with the
-       paper's dead set);
+       paper's dead set), and the same outcome and steps when the step
+       limit cuts the run short;
    (b) the dead sets nest, dead(CHA) ⊆ dead(RTA) ⊆ dead(PTA) ⊆ dead(PTA1);
    (d) printing is a fixpoint, and the printed source runs like the
        original.
@@ -45,16 +46,27 @@ let oracle ?(gen = Gen_mcc.gen) name ~count prop =
          prop t (Gen_mcc.render t);
          true))
 
-(* (a) on [gen]'s programs *)
+(* (a) on [gen]'s programs, then again with the step limit one step
+   short of the run and at a limit inside it drawn from the source: both
+   engines must stop at the same tick with the same outcome. *)
 let engines_agree ?gen name ~count =
   oracle ?gen name ~count (fun _ src ->
       let prog = check src in
-      let tree, vm =
-        Util.tree_and_vm ~dead:(dead_set Callgraph.Rta prog) ~step_limit prog
-      in
+      let dead = dead_set Callgraph.Rta prog in
+      let tree, vm = Util.tree_and_vm ~dead ~step_limit prog in
       Option.iter (Test.fail_reportf "(a) tree walker vs VM: %s")
         (Util.difference tree vm);
-      Result.iter_error (Test.fail_reportf "(a) the run failed: %s") tree.result)
+      Result.iter_error (Test.fail_reportf "(a) the run failed: %s") tree.result;
+      if tree.steps > 1 then
+        List.iter
+          (fun limit ->
+            let tree, vm = Util.tree_and_vm ~dead ~step_limit:limit prog in
+            if Util.shown tree <> Util.shown vm || tree.steps <> vm.steps then
+              Test.fail_reportf
+                "(a) at step limit %d: tree walker %S after %d steps, VM %S \
+                 after %d"
+                limit (Util.shown tree) tree.steps (Util.shown vm) vm.steps)
+          [ tree.steps - 1; 1 + (Hashtbl.hash src mod (tree.steps - 1)) ])
 
 let chain =
   oracle "(b) dead sets nest across tiers" ~count:250 (fun _ src ->
