@@ -2210,18 +2210,24 @@ let loc_to_ptr = function
       VPtr (PArr ({ arr_id = -1; cells = h.cells }, i))
   | l -> l
 
-let this_obj (frame : frame) : obj =
-  match frame.this with Some o -> o | None -> assert false
-
 let cmp_test_slow op va vb =
   match op with
   | Ast.Eq -> value_eq va vb
   | Ast.Ne -> not (value_eq va vb)
   | _ -> compare_test op va vb
 
+(* [value_eq] on object pointers and nulls: identity of the object. *)
+let[@inline] same_object va vb =
+  match (va, vb) with
+  | VPtr (PObj a), VPtr (PObj b) -> a == b
+  | VNull, VNull -> true
+  | _ -> false
+
 (* Int-int is the overwhelmingly common case in every benchmark's loop
    conditions; dispatch on the operator directly instead of computing a
-   three-way compare first. Semantically identical to the slow path. *)
+   three-way compare first. [==]/[!=] on object pointers and nulls (list
+   scans against NULL, receiver tests) compare identity the same way.
+   Semantically identical to the slow path. *)
 let[@inline] cmp_test op va vb =
   match (va, vb) with
   | VInt x, VInt y -> (
@@ -2233,6 +2239,11 @@ let[@inline] cmp_test op va vb =
       | Ast.Eq -> x = y
       | Ast.Ne -> x <> y
       | _ -> assert false)
+  | (VPtr (PObj _) | VNull), (VPtr (PObj _) | VNull) -> (
+      match op with
+      | Ast.Eq -> same_object va vb
+      | Ast.Ne -> not (same_object va vb)
+      | _ -> cmp_test_slow op va vb)
   | _ -> cmp_test_slow op va vb
 
 let binop_slow op va vb =
@@ -2336,11 +2347,6 @@ let[@inline] icmp op (x : int) (y : int) : bool =
 
 let[@inline] incdec_delta which =
   match which with Ast.Incr -> 1 | Ast.Decr -> -1
-
-let[@inline] this_of (fr : frame) =
-  match fr.this with
-  | Some o -> o
-  | None -> runtime_error "'this' outside a method"
 
 let[@inline never] grow_pools vm d =
   let n = max 8 (2 * (d + 1)) in
@@ -2964,16 +2970,16 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         loop (pc + 1) base isp
     | ICallCtor (fi, argc) ->
         let base = sp - argc in
-        run_ctor_idx vm (this_obj frame) fi ~most_derived:false ost base argc;
+        run_ctor_idx vm (this_of frame) fi ~most_derived:false ost base argc;
         loop (pc + 1) base isp
     | IInitField { if_slots; if_member; if_cid; if_cls; if_ctor; if_argc } ->
         let base = sp - if_argc in
-        let o = this_obj frame in
+        let o = this_of frame in
         let sub = construct_raw vm if_cid if_cls if_ctor ost base if_argc in
         o.fields.cells.(field_slot o if_slots if_member) <- VObj sub;
         loop (pc + 1) base isp
     | IInitFieldArr { ia_slots; ia_member; ia_cid; ia_cls; ia_ctor; ia_len } ->
-        let o = this_obj frame in
+        let o = this_of frame in
         let cells =
           guest_array ia_len (fun _ ->
               VObj (construct_raw vm ia_cid ia_cls ia_ctor empty_vals 0 0))
@@ -2983,7 +2989,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         loop (pc + 1) sp isp
     | IInitFieldScalar { is_slots; is_member; is_coerce } ->
         let v = coerce is_coerce ost.(sp - 1) in
-        let o = this_obj frame in
+        let o = this_of frame in
         o.fields.cells.(field_slot o is_slots is_member) <- v;
         loop (pc + 1) (sp - 1) isp
     (* superinstructions: each arm is the exact concatenation of its
@@ -3261,12 +3267,12 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         Array.unsafe_set ilocals i 0;
         loop (pc + 1) sp isp
     | IInitFieldScalarI (slots, m, ic) ->
-        let o = this_obj frame in
+        let o = this_of frame in
         o.ifields.(field_slot o slots m) <- apply_ic ic ist.(isp - 1);
         loop (pc + 1) sp (isp - 1)
     | IInitFieldScalarB (slots, m, ty) ->
         let v = coerce ty ost.(sp - 1) in
-        let o = this_obj frame in
+        let o = this_of frame in
         o.ifields.(field_slot o slots m) <- as_int v;
         loop (pc + 1) (sp - 1) isp
     (* -- typed control ------------------------------------------------ *)
@@ -3466,16 +3472,16 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         o.ifields.(ist.(isp - 1)) <- apply_ic ic k;
         loop (pc + 1) (sp - 1) (isp - 1)
     | IInitFieldLI (slots, m, ic, i) ->
-        let o = this_obj frame in
+        let o = this_of frame in
         o.ifields.(field_slot o slots m) <-
           apply_ic ic (Array.unsafe_get ilocals i);
         loop (pc + 1) sp isp
     | IInitFieldConstI (slots, m, ic, k) ->
-        let o = this_obj frame in
+        let o = this_of frame in
         o.ifields.(field_slot o slots m) <- apply_ic ic k;
         loop (pc + 1) sp isp
     | IInitFieldsI inits ->
-        let o = this_obj frame in
+        let o = this_of frame in
         Array.iter
           (fun f ->
             match f with

@@ -99,10 +99,7 @@ let rec eval env frame (e : rexpr) : value =
       | v -> v)
   | RGlobal i -> env.globals.cells.(i)
   | RStatic i -> env.statics.cells.(i)
-  | RThis -> (
-      match frame.this with
-      | Some o -> VPtr (PObj o)
-      | None -> runtime_error "'this' outside a method")
+  | RThis -> VPtr (PObj (this_of frame))
   | RUnary (op, a) -> unary op (eval env frame a)
   | RBinary (op, a, b) -> eval_binary env frame op a b
   | RAssign (lhs, rhs, ty) ->

@@ -1308,16 +1308,21 @@ let new_obj_of (classes : class_info array) cid cls id : obj =
     }
   end
 
+let[@inline never] no_member (o : obj) (m : Member.t) =
+  runtime_error "object of class %s has no member %s" o.obj_class
+    (Member.to_string m)
+
 (* Slot of member [m] in [o], from the access site's per-class table.
    [-1] (or an object of an unknown class) means objects of this dynamic
-   class have no such member. *)
-let field_slot (o : obj) (slots : slots_by_class) (m : Member.t) : int =
+   class have no such member. Inlined into both engines' field accesses;
+   the error stays out of line. *)
+let[@inline] field_slot (o : obj) (slots : slots_by_class) (m : Member.t) : int =
   let cid = o.obj_cid in
-  let s = if cid >= 0 && cid < Array.length slots then slots.(cid) else -1 in
-  if s >= 0 then s
-  else
-    runtime_error "object of class %s has no member %s" o.obj_class
-      (Member.to_string m)
+  let s =
+    if cid >= 0 && cid < Array.length slots then Array.unsafe_get slots cid
+    else -1
+  in
+  if s >= 0 then s else no_member o m
 
 (* Member-pointer accesses carry the member only as a runtime value, so
    they go through the class's slot table instead of a per-site array. *)
@@ -1328,6 +1333,4 @@ let memptr_slot_of (classes : class_info array) (o : obj) (m : Member.t) : int =
   in
   match s with
   | Some (BBox, s) -> s
-  | Some (BInt, _) | None ->
-      runtime_error "object of class %s has no member %s" o.obj_class
-        (Member.to_string m)
+  | Some (BInt, _) | None -> no_member o m

@@ -329,10 +329,14 @@ let as_float = function
   | VInt n -> float_of_int n
   | _ -> runtime_error "expected a floating-point value"
 
-let as_obj = function
+(* The per-dispatch helpers inline into both engines; their error
+   formatting stays out of line. *)
+let[@inline never] not_an_object () = runtime_error "expected a class object"
+
+let[@inline] as_obj = function
   | VObj o -> o
   | VPtr (PObj o) -> o
-  | _ -> runtime_error "expected a class object"
+  | _ -> not_an_object ()
 
 (* Equality used by == and != : pointer identity for pointers. *)
 let value_eq a b =
@@ -382,7 +386,8 @@ let rec default_value (ty : Frontend.Ast.type_expr) : value =
 (* Coerce a value being stored into a slot of static type [ty]: truncates
    floats into ints and widens ints into floats, mirroring C++ implicit
    conversions on assignment and argument passing. *)
-let coerce (ty : Frontend.Ast.type_expr) (v : value) : value =
+let[@inline never] coerce_slow (ty : Frontend.Ast.type_expr) (v : value) :
+    value =
   match (ty, v) with
   | (Frontend.Ast.TInt | Frontend.Ast.TLong), VFloat f -> vint (int_of_float f)
   | Frontend.Ast.TChar, VInt n -> vint (n land 255)
@@ -393,6 +398,14 @@ let coerce (ty : Frontend.Ast.type_expr) (v : value) : value =
   | Frontend.Ast.TPtr _, VArr h -> VPtr (PArr (h, 0))  (* array decay *)
   | Frontend.Ast.TPtr _, VObj o -> VPtr (PObj o)
   | _ -> v
+
+(* The stores that need no conversion answer inline. *)
+let[@inline] coerce (ty : Frontend.Ast.type_expr) (v : value) : value =
+  match (ty, v) with
+  | (Frontend.Ast.TInt | Frontend.Ast.TLong), VInt _
+  | Frontend.Ast.TPtr _, (VPtr _ | VNull) ->
+      v
+  | _ -> coerce_slow ty v
 
 (* -- lvalue locations ----------------------------------------------------------
 
@@ -423,6 +436,12 @@ type frame = {
   ilocals : int array;
   this : obj option;
 }
+
+let[@inline never] no_this () = runtime_error "'this' outside a method"
+
+(* The receiver of a method's frame. *)
+let[@inline] this_of (fr : frame) =
+  match fr.this with Some o -> o | None -> no_this ()
 
 let mk_frame ~ints nslots this =
   {

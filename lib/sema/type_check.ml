@@ -346,6 +346,10 @@ let rec check_expr env (e : Ast.expr) : texpr =
       if not (is_lvalue ta) then err ~at:loc "operand of ++/-- is not an lvalue";
       if not (Ctype.is_numeric ta.ty || Ctype.is_pointer (Ctype.decay ta.ty))
       then err ~at:loc "operand of ++/-- must be numeric or pointer";
+      (* C++ has no [--] on bool, and no [++] since C++17. *)
+      if Ctype.decay ta.ty = Ast.TBool then
+        err ~at:loc "operand of %s must not be 'bool'"
+          (match which with Ast.Incr -> "++" | Ast.Decr -> "--");
       mk (TIncDec (which, fix, ta)) (Ctype.decay ta.ty)
   | Ast.Cond (c, t, f) ->
       let tc = check_expr env c in

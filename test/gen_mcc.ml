@@ -11,14 +11,21 @@
    with casts both ways, address-taken int locals, member reads, writes
    and [sink(&o.f)], calls of [get] and [fn], then-blocks that end in
    [p = p->next] before an else-block, and do-while loops. Updates
-   ([=], [+=], [-=], [*=], prefix and postfix [++]/[--]) of int, double,
-   [char] and [bool] locals and of members through every route stand as
-   statements or keep their value for a print or a chained assignment
-   ([iA = iB = k], [x = o.f += k]); the [char] and [bool] get values out
-   of their range.
+   ([=], [+=], [-=], [*=], prefix and postfix [++]/[--]) of int, double
+   and [char] locals and of members through every route, and the
+   assignments of the [bool] local ([++]/[--] become [+= 1]/[-= 1], as
+   C++ has no [++]/[--] on bool), stand as statements or keep their
+   value for a print or a chained assignment ([iA = iB = k],
+   [x = o.f += k]); the [char] and [bool] get values out of their range.
+   Object pointers are compared with [==]/[!=], against each other and
+   against [NULL] on either side, and scan loops walk [next] from a
+   pointer until a pointer equal to a target or [NULL]
+   ([while (s != NULL) { if (s->next == u) {...; break; } s = s->next; }],
+   which the VM runs as one [ILoopScan]).
 
    Every program terminates: each loop has a fresh counter bounded by 3,
-   the ring is finite and nothing recurses. A description names classes,
+   the ring is finite, a scan meets its target (on the ring) or [NULL]
+   within one lap, and nothing recurses. A description names classes,
    receivers and fields by indices the renderer takes modulo what
    exists, so every description is a well-typed program and [QCheck2]
    shrinks each part on its own. *)
@@ -60,10 +67,18 @@ type stmt =
   | VCall of obj * int * int  (* iX = o.get(iX + k) *)
   | FnCall of obj * int
   | Update of place * upd * use
+  | PtrCmp of ptr * bool * ptr * bool
+      (* if (A == B) / (A != B) { acc = acc + 1; }, B on the left if swapped *)
+  | Scan of ptr * ptr * int  (* from A, until s->next == B: acc += k *)
 
 (* what an update changes: an int or double local, a member, or the
    [char] ([true]) or [bool] local, which get out-of-range values *)
 and place = ILoc of int | DLoc of int | Fld of obj * int | Narrow of bool
+
+(* an object pointer: [p] ([this] in [get]), [p->next] ([next] in
+   [get]), receiver [rJ] and [&oC] ([this] and [next] in [get]), or
+   [NULL] *)
+and ptr = Cur | Next | RecvP of int | Addr of int | Null
 
 (* [= r], [+= r], [-= r], [*= r], or [++]/[--] (prefix?, increment?) *)
 and upd = Set of rhs | Add of rhs | Sub of rhs | Mul of rhs | Step of bool * bool
@@ -134,6 +149,16 @@ let focused focus =
                ])))
   in
   let recv = map3 (fun stat dyn heap -> { stat; dyn; heap }) small small bool in
+  let ptr =
+    frequency
+      [
+        (2, pure Cur);
+        (2, pure Next);
+        (2, map (fun j -> RecvP j) small);
+        (2, map (fun c -> Addr c) small);
+        (1, pure Null);
+      ]
+  in
   let obj =
     frequency
       [
@@ -180,6 +205,9 @@ let focused focus =
       (1, map2 (fun o i -> Sink (o, i)) obj small);
       (2, map3 (fun o x k -> VCall (o, x, k)) obj ii small);
       (1, map2 (fun o k -> FnCall (o, k)) obj small);
+      ( 1,
+        let+ a = ptr and+ eq = bool and+ b = ptr and+ swap = bool in
+        PtrCmp (a, eq, b, swap) );
       ( 3,
         map3
           (fun p u w -> Update (p, u, w))
@@ -208,7 +236,9 @@ let focused focus =
       if depth = 0 || focus = Banks then []
       else
         let branch f = map3 f cond (block ~in_loop) (block ~in_loop) in
-        [
+        (if focus = Logic then []
+         else [ (1, map3 (fun a b k -> Scan (a, b, k)) ptr ptr small) ])
+        @ [
           (2, branch (fun c a b -> If (c, a, b)));
           (2, branch (fun c a b -> Chase (c, a, b)));
           (1, map2 (fun n b -> While (n, b)) bound (block ~in_loop:true));
@@ -291,6 +321,30 @@ let emit t =
         (fun (m, k) -> f (via ^ snd m) (k = Int) m)
         (pick (if ints then List.filter (fun (_, k) -> k = Int) vis else vis) i)
     in
+    (* an object pointer as source text. [k0] keeps to [K0*] or [NULL],
+       so that it compares with any pointer; [ring] keeps to the ring of
+       stack objects, or to [get]'s [this] and [next] (a heap [this] has
+       a [NULL] [next]), so that a scan for it ends *)
+    let ptr ?(k0 = false) ?(ring = false) a =
+      if cur < 0 then
+        match a with
+        | Cur -> "p"
+        | Next ->
+            use `Read next;
+            "p->next"
+        | RecvP _ when k0 || ring -> "p"
+        | RecvP j -> Printf.sprintf "r%d" (j mod List.length t.recvs)
+        | Addr _ when k0 -> "p"
+        | Addr c -> Printf.sprintf "&o%d" (c mod n)
+        | Null -> if ring then "p" else "NULL"
+      else
+        match a with
+        | Cur | RecvP _ -> "this"
+        | Next | Addr _ ->
+            use `Read next;
+            "next"
+        | Null -> if ring then "this" else "NULL"
+    in
     match s with
     | Trace k -> line "acc = acc * 7 + %d; print_int(acc);" k
     | If (c, a, b) | Chase (c, a, b) ->
@@ -354,6 +408,19 @@ let emit t =
         | Recv _, (_, e) -> line "acc = acc + (%sfn)(acc %% 16 + %d);" e k
         | _, (_, e) -> line "acc = acc + %sfn(acc %% 16 + %d);" e k)
     | FnCall _ -> ()
+    | PtrCmp (a, eq, b, swap) ->
+        let a = ptr a and b = ptr ~k0:true b in
+        let a, b = if swap then (b, a) else (a, b) in
+        line "if (%s %s %s) { acc = acc + 1; }" a (if eq then "==" else "!=") b
+    | Scan (a, b, k) ->
+        let v = fresh () in
+        line "K0 *s%d = %s;" v (ptr a);
+        line "K0 *u%d = %s;" v (ptr ~ring:true b);
+        use `Read next;
+        line "while (s%d != NULL) {" v;
+        line "  if (s%d->next == u%d) { acc = acc + %d; break; }" v v k;
+        line "  s%d = s%d->next;" v v;
+        line "}"
     | Update (p, u, w) ->
         (* the place as source text, its kind, and the member it names *)
         let update e is_int m =
@@ -371,6 +438,8 @@ let emit t =
             | Add n -> Printf.sprintf "%s += %s" e (k n)
             | Sub n -> Printf.sprintf "%s -= %s" e (k n)
             | Mul n -> Printf.sprintf "%s *= %s" e (k n)
+            | Step (_, inc) when p = Narrow false ->
+                Printf.sprintf "%s %s= 1" e (if inc then "+" else "-")
             | Step (pre, inc) ->
                 let op = if inc then "++" else "--" in
                 if pre then op ^ e else e ^ op

@@ -81,20 +81,27 @@ let layer_words (b : Benchmarks.Suite.t) =
    one: it was
    deltablue 26080, hotwire 17707, idl 16501, ixx 14797, jikes 30231,
    lcom 21466, npic 12060, richards 18894, sched 13624, simulate 15727,
-   taldict 17037 (204124 in all, now 210805: +3.3%). *)
+   taldict 17037 (204124 in all, now 210805: +3.3%). Resolve lost 5
+   words and execute 8 to 24 on every port when the build stopped
+   compiling modules with -opaque, so that [Value] and [Resolve]'s
+   helpers inline into their callers: resolve was deltablue 27212,
+   hotwire 16765, idl 16301, ixx 12845, jikes 26457, lcom 18667,
+   npic 9763, richards 16511, sched 11761, simulate 12388, taldict 14815,
+   and execute 164579, 28217, 218081, 335954, 956721, 403261, 1235034,
+   333424, 2603425, 923009, 72362 (7274067 in all, now 7273925). *)
 let pinned_words =
   [
-    ("deltablue", 27212, 27048, 164579);
-    ("hotwire", 16765, 18076, 28217);
-    ("idl", 16301, 16903, 218081);
-    ("ixx", 12845, 15220, 335954);
-    ("jikes", 26457, 31256, 956721);
-    ("lcom", 18667, 22127, 403261);
-    ("npic", 9763, 12534, 1235034);
-    ("richards", 16511, 19578, 333424);
-    ("sched", 11761, 14199, 2603425);
-    ("simulate", 12388, 16267, 923009);
-    ("taldict", 14815, 17597, 72362);
+    ("deltablue", 27207, 27048, 164567);
+    ("hotwire", 16760, 18076, 28203);
+    ("idl", 16296, 16903, 218069);
+    ("ixx", 12840, 15220, 335942);
+    ("jikes", 26452, 31256, 956697);
+    ("lcom", 18662, 22127, 403245);
+    ("npic", 9758, 12534, 1235024);
+    ("richards", 16506, 19578, 333412);
+    ("sched", 11756, 14199, 2603415);
+    ("simulate", 12383, 16267, 922997);
+    ("taldict", 14810, 17597, 72354);
   ]
 
 let t_port_words_pinned () =
@@ -275,7 +282,8 @@ let t_call_no_frame_alloc () =
    Before the lexer's [peek] served shared [Some c] values, lex was
    13303086 (stress) and 1228047 (twin), 33.8 words a token; before the
    parser walked the token list in place instead of copying it into an
-   array, parse was 2956798 (stress) and 276294 (twin). *)
+   array, parse was 2956798 (stress) and 276294 (twin); before the
+   build stopped compiling modules with -opaque, 2956784 and 276280. *)
 let synth_twin =
   {
     Benchmarks.Synth.seed = 7;
@@ -287,8 +295,8 @@ let synth_twin =
 
 let pinned_frontend =
   [
-    ("stress", Benchmarks.Synth.stress, (393363, 6131600, 2956784, 3972519));
-    ("synth_pta twin", synth_twin, (36650, 574321, 276280, 444599));
+    ("stress", Benchmarks.Synth.stress, (393363, 6131600, 2650788, 3972519));
+    ("synth_pta twin", synth_twin, (36650, 574321, 248236, 444599));
   ]
 
 (* Live words of [tokenize]'s result ([Obj.reachable_words]): per token
@@ -380,11 +388,12 @@ let t_typecheck_words_per_local () =
    nodes), the PTA column was 17093171 and 681293. Before a caller's
    sites with one dispatch, static class and receiver answer shared
    one walk of the cone, stress was 1490268 and 947270, twin 162285
-   and 123913. *)
+   and 123913. Before the build stopped compiling modules with -opaque,
+   stress was 787302 and 460660, twin 101113 and 73659. *)
 let pinned_callgraph =
   [
-    ("stress", Benchmarks.Synth.stress, (787302, 460660));
-    ("synth_pta twin", synth_twin, (101113, 73659));
+    ("stress", Benchmarks.Synth.stress, (786025, 459375));
+    ("synth_pta twin", synth_twin, (100396, 72934));
   ]
 
 let t_callgraph_words_pinned () =

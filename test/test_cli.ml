@@ -456,6 +456,23 @@ let t_parse_error_hides_missing_main () =
   | Some ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
   | None -> Alcotest.fail "diagnostics is not a list"
 
+(* [++]/[--] on a bool is a located error: both engines used to run
+   [b++] and print 2. *)
+let t_check_bool_step () =
+  let f =
+    temp_src "int main() {\n  bool b = true;\n  b++;\n  print_int(b);\n  return 0;\n}\n"
+  in
+  let code, json, _ = run_capture ("check --format=json " ^ Filename.quote f) in
+  check_int "exit" 1 code;
+  match J.to_list (field (json_out "check --format=json" json) "diagnostics") with
+  | Some [ d ] ->
+      check_int "line" 3 (int_field d "line");
+      check_int "col" 4 (int_field d "col");
+      check_int "end_col" 6 (int_field d "end_col");
+      check_string "message" "operand of ++ must not be 'bool'" (str_field d "message")
+  | Some ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
+  | None -> Alcotest.fail "diagnostics is not a list"
+
 (* A cold process never collects: [--version] and a [check --format=json]
    of every port allocate less than the default minor heap holds, so the
    exit statistics that [OCAMLRUNPARAM=v=0x400] prints (set here,
@@ -511,4 +528,5 @@ let suite =
       t_parse_error_hides_missing_main;
     Util.test "profile: --bench with a FILE is a usage error"
       t_profile_bench_and_file;
+    Util.test "check: ++ on a bool is a located error" t_check_bool_step;
   ]

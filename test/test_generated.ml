@@ -112,8 +112,39 @@ let printing =
       if print s1 <> s1 then Test.fail_reportf "(d) print(parse s1) <> s1:\n%s" s1;
       runs_like ~original:src "(d) printed" s1)
 
+(* The generator's scan loops reach the VM as [ILoopScan], and its
+   pointer tests as [==]/[!=] on objects and [NULL], so (a) checks the
+   VM's pointer comparisons on generated programs and not only on sched.
+   A fixed draw, whatever QCHECK_SEED says. *)
+let t_scans_fuse () =
+  let rand = Random.State.make [| 1 |] in
+  let progs =
+    List.map Gen_mcc.render (Gen.generate ~rand ~n:60 Gen_mcc.gen)
+  in
+  let scans =
+    List.filter
+      (fun src ->
+        let _, r = Runtime.Interp.run_profiled (Util.check_source src) in
+        List.mem_assoc "ILoopScan" r.Runtime.Vm_profile.r_opcodes)
+      progs
+  in
+  Util.check_bool
+    (Printf.sprintf "%d of 60 programs dispatch ILoopScan" (List.length scans))
+    true
+    (List.length scans >= 6);
+  List.iter
+    (fun sub ->
+      Util.check_bool (sub ^ " is generated") true
+        (List.exists (Util.contains_sub ~sub) progs))
+    [ " == NULL)"; "(NULL "; " != p)"; " == p->next)" ]
+
 let suite =
-  [ engines_agree "(a) tree walker and VM agree" ~count:250; chain; printing ]
+  [
+    engines_agree "(a) tree walker and VM agree" ~count:250;
+    chain;
+    printing;
+    Util.test "scan loops and pointer tests reach the VM" t_scans_fuse;
+  ]
 
 let properties =
   [

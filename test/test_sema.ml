@@ -215,6 +215,36 @@ let t_no_main () =
   Util.expect_error ~substr:"no 'main'" (fun () ->
       Util.check_source "int f() { return 0; }")
 
+(* C++ has no [--] on bool, and no [++] since C++17. Both engines used
+   to run [b++] on a bool and print 2. The error is located at the
+   operator, in strict and in keep-going mode; a bool still takes
+   assignments and compound assignments. *)
+let bool_steps_src =
+  {|int up() { bool b = true; b++; print_int(b); return 0; }
+int down() { bool b0 = true; print_int(b0--); return 0; }
+int pre(bool& r) { return ++r; }
+int main() { bool b = false; b = true; b += 1; b -= 1; int i = 0; i++; return b; }|}
+
+let t_bool_steps_rejected () =
+  let diags = Frontend.Source.Diagnostics.create () in
+  ignore (Type_check.check_source_resilient ~file:"input" ~diags bool_steps_src);
+  Alcotest.(check (list string))
+    "each ++/-- on a bool reported where it is"
+    [
+      "input:1:28-30: error: operand of ++ must not be 'bool'";
+      "input:2:42-44: error: operand of -- must not be 'bool'";
+      "input:3:27-29: error: operand of ++ must not be 'bool'";
+    ]
+    (List.map Frontend.Source.diagnostic_to_string
+       (Frontend.Source.Diagnostics.to_list diags));
+  match Type_check.check_source ~file:"input" bool_steps_src with
+  | _ -> Alcotest.fail "strict mode accepted ++ on a bool"
+  | exception Frontend.Source.Compile_error d ->
+      Alcotest.(check string)
+        "strict mode stops at the first (functions go in name order)"
+        "input:2:42-44: error: operand of -- must not be 'bool'"
+        (Frontend.Source.diagnostic_to_string d)
+
 (* -- scopes ---------------------------------------------------------------------- *)
 
 (* Keep-going abandons a function at its first error, in the middle of
@@ -446,6 +476,7 @@ let suite =
     Util.test "unknown function" t_unknown_function;
     Util.test "arity mismatch" t_arity_mismatch;
     Util.test "missing main" t_no_main;
+    Util.test "++/-- on a bool rejected" t_bool_steps_rejected;
     Util.test "scopes: an abandoned function leaks no locals"
       t_scopes_reset_after_abandoned_function;
     Util.test "scopes: a shadow ends with its block" t_scopes_shadow_undone;
