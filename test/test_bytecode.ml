@@ -143,6 +143,182 @@ let t_pointer_chase_in_then_block () =
   Util.check_bool "the then-block exit is the fused jump" true
     (List.mem_assoc "ITickLoadFieldStoreJump" r.Runtime.Vm_profile.r_opcodes)
 
+(* -- statements over arrays of object pointers ----------------------------- *)
+
+(* Statement shapes that only npic and sched reach among the ports
+   (generated programs hold no arrays of object pointers): an element
+   load into a pointer local followed by a field copy or by a field
+   test, an int local read through [this->arr[l->i]->f], the int cast
+   of a method result (the statement tick folded into the call or
+   carried by the previous store), and int stores through
+   [this->arr[ix]->f] from a constant, a local and another element's
+   field. Each also runs with one element set to NULL, which must be
+   the same error in both engines; every run is repeated one step short
+   of its length. *)
+let object_array_prelude =
+  {|
+    class Elem {
+    public:
+      Elem(int v) : f(0), g(v) { }
+      int f;
+      int g;
+    };
+
+    class Ref {
+    public:
+      Ref(int v) : i(v) { }
+      int i;
+    };
+
+    class Box {
+    public:
+      Box(int n_) : n(n_), seed(7) {
+        arr = new Elem*[n_];
+        for (int k = 0; k < n_; k++) {
+          arr[k] = new Elem(k * 3 + 1);
+          arr2[k] = new Elem(k + 2);
+          refs[k] = new Ref((k * 5) % n_);
+        }
+      }
+      long next() {
+        seed = (seed * 13 + 5) % 101;
+        return seed + arr[(int)(seed % n)]->g;
+      }
+      int chase() {
+        int acc = 0;
+        for (int k = 0; k < n; k++) {
+          Ref *r = refs[k];
+          int x = arr[r->i]->g;
+          print_int(x);
+          x = arr2[r->i]->g;
+          acc = acc * 3 + x;
+        }
+        return acc;
+      }
+      int calls_ticked() {
+        int acc = 0;
+        for (int k = 0; k < 6; k++) {
+          int x = (int)(next() % 5);
+          print_int(x);
+          x = (int)(next() * 7);
+          acc = acc + x;
+        }
+        return acc;
+      }
+      int calls_unticked() {
+        int acc = 0;
+        for (int k = 0; k < 6; k++) {
+          int y = acc + 1;
+          int z = (int)(next() + 3);
+          acc = acc + y + z;
+        }
+        return acc;
+      }
+      int store_const() {
+        for (int k = 0; k < n; k++) arr[k]->f = 4;
+        return arr[n - 1]->f;
+      }
+      int store_local() {
+        int v = 9;
+        Ref *r = refs[0];
+        for (int k = 0; k < n; k++) {
+          v = v + k;
+          if (v > 1000) v = 0;
+          arr2[r->i]->f = v;
+          r = refs[(k + 1) % n];
+        }
+        return v + arr2[3]->f;
+      }
+      int store_expr() {
+        int v = 0;
+        Ref *r = refs[0];
+        Ref *q = refs[n - 1];
+        for (int k = 0; k < n; k++) {
+          if (v > 100000) v = 0;
+          arr[r->i]->f = arr2[q->i]->g * 3;
+          v = v * 2 + arr[r->i]->f;
+          r = refs[(k + 1) % n];
+          q = refs[n - 1 - (k + 1) % n];
+        }
+        return v;
+      }
+      Elem **arr;
+      Elem *arr2[8];
+      Ref *refs[8];
+      int n;
+      long seed;
+    };
+
+    int copy(Box *b) {
+      int acc = 0;
+      for (int i = 0; i < b->n; i++) {
+        Elem *e = b->arr[i];
+        e->f = e->g;
+        acc = acc + e->f;
+      }
+      return acc;
+    }
+
+    int guard(Box *b) {
+      int acc = 0;
+      for (int i = 0; i < b->n; i++) {
+        Elem *e = b->arr[i];
+        if (e->g > 6) acc = acc + e->g;
+      }
+      return acc;
+    }
+  |}
+
+let t_object_array_statements () =
+  List.iter
+    (fun (name, null_stmt, call) ->
+      let src =
+        Printf.sprintf
+          "%s\nint main() {\n  Box *b = new Box(8);\n  %s\n  \
+           print_int(%s);\n  return 0;\n}\n"
+          object_array_prelude null_stmt call
+      in
+      let prog = Util.check_source src in
+      let tree = Util.engines_agree name prog in
+      (match (null_stmt, tree.result) with
+      | "", Ok _ -> ()
+      | "", Error e -> Alcotest.failf "%s: unexpected error %s" name e
+      | _, Error e ->
+          Util.check_string (name ^ ": the NULL element's error")
+            "runtime error: expected a class object" e
+      | _, Ok _ -> Alcotest.failf "%s: the NULL element was never read" name);
+      ignore
+        (Util.engines_agree ~step_limit:(tree.steps - 1)
+           (name ^ ", one step short")
+           prog))
+    [
+      ("element load, field copy", "", "copy(b)");
+      ("element load, field copy, NULL", "b->arr[3] = NULL;", "copy(b)");
+      ("element load, field test", "", "guard(b)");
+      ("element load, field test, NULL", "b->arr[3] = NULL;", "guard(b)");
+      ("this->arr[l->i]->f into a local", "", "b->chase()");
+      ("this->arr[l->i]->f into a local, NULL", "b->arr[5] = NULL;",
+       "b->chase()");
+      ("this->arr[l->i]->f into a local, ticked, NULL", "b->arr2[5] = NULL;",
+       "b->chase()");
+      ("(int)(this->m() op k), ticked", "", "b->calls_ticked()");
+      ("(int)(this->m() op k), ticked, NULL", "b->arr[1] = NULL;",
+       "b->calls_ticked()");
+      ("(int)(this->m() op k), unticked", "", "b->calls_unticked()");
+      ("(int)(this->m() op k), unticked, NULL", "b->arr[0] = NULL;",
+       "b->calls_unticked()");
+      ("this->arr[ix]->f = k", "", "b->store_const()");
+      ("this->arr[ix]->f = k, NULL", "b->arr[6] = NULL;", "b->store_const()");
+      ("this->arr[l->i]->f = local", "", "b->store_local()");
+      ("this->arr[l->i]->f = local, NULL", "b->arr2[0] = NULL;",
+       "b->store_local()");
+      ("this->arr[l->i]->f = element field op k", "", "b->store_expr()");
+      ("this->arr[l->i]->f = element field op k, NULL destination",
+       "b->arr[0] = NULL;", "b->store_expr()");
+      ("this->arr[l->i]->f = element field op k, NULL source",
+       "b->arr2[3] = NULL;", "b->store_expr()");
+    ]
+
 (* -- escaped locals and unwinding (examples/corpus) ------------------------------ *)
 
 (* The VM runs activations on per-depth pooled frames unless a body can
@@ -284,4 +460,6 @@ let suite =
       "bytecode: nested control flow matches tree engine" ~count:150;
     Test_generated.engines_agree ~gen:Gen_mcc.(focused Logic)
       "bytecode: short-circuit evaluation matches tree engine" ~count:150;
+    Util.test "statements over arrays of object pointers"
+      t_object_array_statements;
   ]
