@@ -130,11 +130,25 @@ let format_opt ?(what = "") () =
   Arg.(value & opt fmt `Text & info [ "format" ] ~docv:"FORMAT" ~doc)
 
 (* --step-limit, --call-depth-limit and --object-limit for run and
-   profile; the daemon's are defaults for each run request. *)
+   profile; the daemon's are defaults for each run request. A limit is a
+   count, so a negative one is a usage error naming its flag (the
+   engines would quietly run with a limit of 1, as they do for 0). *)
 let limits_opt ~daemon =
+  let count =
+    let parse s =
+      match Arg.conv_parser Arg.int s with
+      | Ok n when n < 0 ->
+          Error
+            (`Msg
+              (Printf.sprintf
+                 "invalid value '%s', expected a non-negative integer" s))
+      | r -> r
+    in
+    Arg.conv (parse, Arg.conv_printer Arg.int)
+  in
   let opt name default ~plain ~per_request =
     let doc = if daemon then per_request else plain in
-    Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc)
+    Arg.(value & opt count default & info [ name ] ~docv:"N" ~doc)
   in
   Term.(
     const (fun s d o -> (s, d, o))

@@ -104,9 +104,6 @@ type irpn =
       * slots_by_class * Member.t
   | RpFieldField of
       int * slots_by_class * Member.t * slots_by_class * Member.t
-  | RpThisIdxField of  (* [this->a[l->i]->f] *)
-      slots_by_class * Member.t * int * slots_by_class * Member.t
-      * slots_by_class * Member.t
   | RpBinop of Ast.binop
   | RpBinopConst of Ast.binop * int
 
@@ -120,11 +117,6 @@ type rdst =
       int * slots_by_class * Member.t * int * slots_by_class * Member.t
   | DTickFieldLocField of
       int * slots_by_class * Member.t * slots_by_class * Member.t
-  | DTickThisIdx of  (* [this->a[il]->f] *)
-      slots_by_class * Member.t * int * slots_by_class * Member.t
-  | DTickThisIdxField of  (* [this->a[l->i]->f] *)
-      slots_by_class * Member.t * int * slots_by_class * Member.t
-      * slots_by_class * Member.t
   | DThis of int * slots_by_class * Member.t
 
 (* -- instruction set ----------------------------------------------------------
@@ -414,29 +406,15 @@ type instr =
   (* a run of consecutive int-member initializers in a constructor
      prologue, executed left to right exactly as the unfused ops *)
   | IInitFieldsI of finit array
-  (* [local = localA->arr[i]; if (localN->f BINOP const)] — the
-     statement-plus-guard prefix of the hot list-walk loops, one
-     dispatch. First tuple is the [ITLFIndexIStoreT] payload (both its
-     ticks included), second the [IJumpLocFieldBCFalseI] test *)
-  | ITLFIndexIStoreJumpFBCI of
-      (int * slots_by_class * Member.t * int * int * Ast.type_expr)
-      * (int * slots_by_class * Member.t * Ast.binop * int)
-      * int
   (* a whole pure-int assignment statement (destination resolution, an
      RPN chain of int reads/combines, the store) in one dispatch — the
-     stencil updates of numeric kernels, the dependency-edge stores
-     [this->arr[ix]->f = rhs] and the PRNG step [this->x = this->y op k
-     op k op k] *)
+     stencil updates of numeric kernels and the PRNG step [this->x =
+     this->y op k op k op k] *)
   | IRpnStoreI of rdst * irpn array * icoerce
-  (* [intlocal = (int)(BOXED binop const)] — the post-call coercion of
-     a method result into an unboxed local, one dispatch *)
-  | IBinopConstCastStoreI of Ast.binop * value * Ast.type_expr * int
   (* a run of adjacent [ILoadIB]s — arg pushes for calls/ctors *)
   | ILoadIBn of int array
   (* [tick?; this->m()] with no arguments, one dispatch *)
   | ITickThisCallM of bool * int
-  (* [tick?; intlocal = (int)(this->m() binop const)] *)
-  | IThisCallMStoreI of bool * int * Ast.binop * value * Ast.type_expr * int
   (* loop back edges with the guard replicated into the increment
      (branch-target inlining, built in [finish]): the payload tuple is
      the guard's own payload, the trailing int the guard's fall-through
@@ -450,18 +428,6 @@ type instr =
       * (int * int * slots_by_class * Member.t * Ast.binop * int * Ast.binop
          * bool * int)
       * int
-  (* [tick; objlocal2 = arr-field[intlocal]; tick;
-        objlocalA->fI = objlocalB->fI] — the two statements heading the
-        field-solver's innermost loop, one dispatch *)
-  | ITLFIStoreFieldCopyII of
-      (int * slots_by_class * Member.t * int * int * Ast.type_expr)
-      * (icoerce * int * slots_by_class * Member.t * int * slots_by_class
-         * Member.t)
-  (* [intlocal = this->arr[objlocal->idx]->field] — the dependency-chase
-     statement; leading/trailing tick flags *)
-  | IThisFieldIdxFStoreI of
-      bool * slots_by_class * Member.t * int * slots_by_class * Member.t
-      * slots_by_class * Member.t * icoerce * int * bool
 
 (* A compiled code body. [b_omax] bounds the operand stack the body can
    ever need (computed conservatively during emission); [b_scoped] says
@@ -588,7 +554,7 @@ let delta = function
       1
   | IFieldI _ | IIndexFieldI _ | IAssignFieldI _ | ICompoundFieldI _
   | IIncDecFieldI _ | IInitFieldScalarB _ | IAssignFieldLIPop _
-  | IAssignFieldLFIPop _ | IAssignFieldCIPop _ | IBinopConstCastStoreI _ ->
+  | IAssignFieldLFIPop _ | IAssignFieldCIPop _ ->
       -1
   | IConstI _ | ILoadI _ | IIndexI | IPopI
   | IUnaryI _ | IToBoolI | IBinopII _
@@ -611,9 +577,7 @@ let delta = function
   | IJumpLocTFCmpFalseI _
   | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _
   | IReturnThisFieldI _ | IInitFieldsI _
-  | ITLFIndexIStoreJumpFBCI _ | IRpnStoreI _ | IThisFieldIdxFStoreI _
-  | ITLFIStoreFieldCopyII _ | IThisCallMStoreI _ | IIncDecJumpLocFCmpI _
-  | IIncDecJumpLL2FBCI _ ->
+  | IRpnStoreI _ | IIncDecJumpLocFCmpI _ | IIncDecJumpLL2FBCI _ ->
       0
 
 (* Net effect on the untagged int operand stack. Only typed instructions
@@ -769,11 +733,6 @@ let fuse (prev : instr) (i : instr) : instr option =
      lone tick keeps its own dispatch *)
   | ITickN n, IRpnStoreI (DThis (0, s, m), ops, ic) when n > 1 ->
       Some (IRpnStoreI (DThis (n, s, m), ops, ic))
-  | ITickThisCallM (tk, f), IBinopConstCastStoreI (op, v, ty, i) ->
-      Some (IThisCallMStoreI (tk, f, op, v, ty, i))
-  | IThisFieldIdxFStoreI (lt, s, m, j, s2, m2, s3, m3, ic, i, false), ITickN 1
-    ->
-      Some (IThisFieldIdxFStoreI (lt, s, m, j, s2, m2, s3, m3, ic, i, true))
   (* assignment/initialization whose rhs is a local or a constant *)
   | ILoadI (false, i), IAssignFieldI (false, ic) ->
       Some (IAssignFieldLIPop (ic, i))
@@ -846,15 +805,6 @@ let fuse2 (prev : instr) (f : instr) : instr option =
   | ( (IInitFieldLI _ | IInitFieldConstI _ | IInitFieldsI _),
       (IInitFieldLI _ | IInitFieldConstI _) ) ->
       Some (IInitFieldsI (Array.append (finits prev) (finits f)))
-  | ( ITLFIndexIStoreT (a, s, m, i, x, ty),
-      IFieldCopyII (ic, a2, s1, m1, j, s2, m2) ) ->
-      Some (ITLFIStoreFieldCopyII ((a, s, m, i, x, ty), (ic, a2, s1, m1, j, s2, m2)))
-  | ( ITLFIndexIStoreT (a, s0, m0, i0, x0, ty0),
-      IJumpLocFieldBCFalseI (false, n, s, m, op, k, t) ) ->
-      (* the indexed-load statement supplies the guard's leading tick
-         itself (its trailing tick), so only the tickless form fuses *)
-      Some
-        (ITLFIndexIStoreJumpFBCI ((a, s0, m0, i0, x0, ty0), (n, s, m, op, k), t))
   | _ -> None
 
 let emit (b : buf) (i : instr) =
@@ -917,7 +867,7 @@ let rpn_of_instr = function
 
 let rpn_delta = function
   | RpConst _ | RpLocal _ | RpLoadField _ | RpThisField _
-  | RpFieldIdxField _ | RpFieldField _ | RpThisIdxField _ ->
+  | RpFieldIdxField _ | RpFieldField _ ->
       1
   | RpBinop _ -> -1
   | RpBinopConst _ -> 0
@@ -966,49 +916,16 @@ let fuse_rpn_store b ic =
     | _ -> ()
 
 (* Collapse a settled pure-int member store into one [IRpnStoreI] right
-   after its final store lands (and its pairwise fusions settle). Three
-   fixed tails are [this->arr[ix]->f = rhs], the dependency-edge stores
-   of hot graph-building loops; one is the PRNG step [this->x = this->y
-   op k op k op k]. Otherwise [fuse_rpn_store] walks back from the
-   store over rpn-able opcodes until a destination shape, firing only
-   when that saves at least four dispatches, so the short statements
-   keep their specialized superinstructions. *)
+   after its final store lands (and its pairwise fusions settle). One
+   fixed tail is the PRNG step [this->x = this->y op k op k op k].
+   Otherwise [fuse_rpn_store] walks back from the store over rpn-able
+   opcodes until a destination shape, firing only when that saves at
+   least four dispatches, so the short statements keep their
+   specialized superinstructions. *)
 let fuse_member_store b =
   let n = b.len in
   let at k = if k <= n then b.code.(n - k) else IReturnUnit in
   match (at 1, at 2, at 3, at 4) with
-  | ( IAssignFieldCIPop (ic, k),
-      ILocFieldI (s2, m2),
-      ILoadIndexI i,
-      IThisField (true, s1, m1) ) ->
-      collapse_to_rpn b 4 (DTickThisIdx (s1, m1, i, s2, m2)) [| RpConst k |] ic
-  | ( IAssignFieldLIPop (ic, i),
-      ILocFieldI (s3, m3),
-      IIndexI,
-      ILoadFieldI (false, j, s2, m2) ) -> (
-      match at 5 with
-      | IThisField (true, s1, m1) ->
-          collapse_to_rpn b 5
-            (DTickThisIdxField (s1, m1, j, s2, m2, s3, m3))
-            [| RpLocal i |] ic
-      | _ -> ())
-  | ( IAssignFieldI (false, ic),
-      IBinopConstI (op, k),
-      IIndexFieldI (s6, m6),
-      ILoadFieldI (false, j2, s5, m5) ) -> (
-      match (at 5, at 6, at 7, at 8, at 9) with
-      | ( IThisField (false, s4, m4),
-          ILocFieldI (s3, m3),
-          IIndexI,
-          ILoadFieldI (false, j, s2, m2),
-          IThisField (true, s1, m1) ) ->
-          collapse_to_rpn b 9
-            (DTickThisIdxField (s1, m1, j, s2, m2, s3, m3))
-            [|
-              RpThisIdxField (s4, m4, j2, s5, m5, s6, m6); RpBinopConst (op, k);
-            |]
-            ic
-      | _ -> fuse_rpn_store b ic)
   | ( IAssignFieldI (false, ic),
       IBinopConst3I (o1, k1, o2, k2, o3, k3),
       IThisFieldI (false, ss, ms),
@@ -1023,35 +940,6 @@ let fuse_member_store b =
         ic
   | IAssignFieldI (false, ic), _, _, _ -> fuse_rpn_store b ic
   | _ -> ()
-
-(* Store a boxed value into an int local, collapsing the
-   [IBinopConst; ICastInt] coercion tail (the post-call shape) into the
-   store when present. *)
-let emit_store_ib_pop b ty i =
-  if b.len >= 2 && b.lastlab < b.len - 1 then
-    match (b.code.(b.len - 2), b.code.(b.len - 1)) with
-    | IBinopConst (op, v), ICastInt ->
-        b.len <- b.len - 2;
-        emit b (IBinopConstCastStoreI (op, v, ty, i))
-    | _ -> emit b (IStoreLocalIB (false, ty, i))
-  else emit b (IStoreLocalIB (false, ty, i))
-
-(* After an int-local store lands, collapse the dependency-chase shape
-   [tick?; push this->arr; push objlocal->idx; index-and-read ->field;
-   store intlocal] into one [IThisFieldIdxFStoreI] dispatch. All four
-   instructions are stack-neutral as a group, so no depth rollback is
-   needed. *)
-let fuse_tfield_idx_store b =
-  let n = b.len - 1 in
-  if n >= 3 && b.lastlab <= n - 3 then
-    match (b.code.(n - 3), b.code.(n - 2), b.code.(n - 1), b.code.(n)) with
-    | ( IThisField (lt, s, m),
-        ILoadFieldI (false, j, s2, m2),
-        IIndexFieldI (s3, m3),
-        IStoreLocalI (false, ic, i, false) ) ->
-        b.len <- b.len - 4;
-        emit b (IThisFieldIdxFStoreI (lt, s, m, j, s2, m2, s3, m3, ic, i, false))
-    | _ -> ()
 
 (* Mark the frontier as a jump target (blocks fusion across it). *)
 let here b =
@@ -1100,7 +988,6 @@ let retarget f (i : instr) : instr =
       IJumpLocFieldBCFalseI (tp, n, s, m, op, k, f t)
   | IJumpThisFieldBCFalseI (tp, s, m, op, k, ta, t) ->
       IJumpThisFieldBCFalseI (tp, s, m, op, k, ta, f t)
-  | ITLFIndexIStoreJumpFBCI (st, br, t) -> ITLFIndexIStoreJumpFBCI (st, br, f t)
   | ITickLoadFieldCmpLocFalseI (n, s, m, op, y, tk, t) ->
       ITickLoadFieldCmpLocFalseI (n, s, m, op, y, tk, f t)
   | IIncDecLocalJumpI (w, n, t) -> IIncDecLocalJumpI (w, n, f t)
@@ -1510,11 +1397,9 @@ and compile_assign b (lhs : rlval) rhs ty ~keep : shape =
       match compile_expr b rhs with
       | SInt ->
           emit b (IStoreLocalI (keep, ic_of_ty ty, i, false));
-          if not keep then fuse_tfield_idx_store b;
           SInt
       | SBox ->
-          if keep then emit b (IStoreLocalIB (true, ty, i))
-          else emit_store_ib_pop b ty i;
+          emit b (IStoreLocalIB (keep, ty, i));
           SBox)
   | LvField (oe, _, m) when int_member b m -> (
       compile_expr_box b oe;
@@ -1668,10 +1553,8 @@ and compile_decl b (d : rdecl) =
   | DExpr { d_slot; d_coerce; d_init } -> (
       let d_slot = local_index b d_slot in
       match compile_expr b d_init with
-      | SInt ->
-          emit b (IStoreLocalI (false, ic_of_ty d_coerce, d_slot, false));
-          fuse_tfield_idx_store b
-      | SBox -> emit_store_ib_pop b d_coerce d_slot)
+      | SInt -> emit b (IStoreLocalI (false, ic_of_ty d_coerce, d_slot, false))
+      | SBox -> emit b (IStoreLocalIB (false, d_coerce, d_slot)))
   | DRefExpr { d_slot; d_init; d_lv } ->
       (* the initializer is evaluated for its value first, then again as
          a location, exactly as the tree engine did *)
@@ -2440,24 +2323,24 @@ and invoke vm fi ~this (src : value array) base argc : value =
       exec_code vm frame body 0
   | KCtor { kc_body; kc_entry } -> (
       match this with
-      | Some o ->
+      | VObj o | VPtr (PObj o) ->
           run_ctor vm o cf kc_body kc_entry ~most_derived:false src base argc;
           VUnit
-      | None -> runtime_error "constructor called without an object")
+      | _ -> runtime_error "constructor called without an object")
   | KDtor -> (
       match this with
-      | Some o ->
+      | VObj o | VPtr (PObj o) ->
           destroy_complete vm o;
           VUnit
-      | None -> runtime_error "destructor called without an object")
+      | _ -> runtime_error "destructor called without an object")
   | KMissingCtor -> (
       match this with
-      | Some _ ->
+      | VObj _ | VPtr (PObj _) ->
           (* constructor dispatch ticked before discovering the body was
              missing, as in the tree engine *)
           tick vm;
           runtime_error "missing constructor %s" (Func_id.to_string cf.c_id)
-      | None -> runtime_error "constructor called without an object")
+      | _ -> runtime_error "constructor called without an object")
   | KUnknown ->
       runtime_error "call to unknown function %s" (Func_id.to_string cf.c_id)
   | KUndefined ->
@@ -2467,7 +2350,7 @@ and invoke vm fi ~this (src : value array) base argc : value =
 and run_ctor vm (o : obj) (cf : cfunc) kc_body kc_entry ~most_derived
     (src : value array) base argc =
   tick vm;
-  let frame = new_frame vm cf.c_frame kc_body (Some o) in
+  let frame = new_frame vm cf.c_frame kc_body (VObj o) in
   bind_params frame cf src base argc;
   ignore (exec_code vm frame kc_body (if most_derived then 0 else kc_entry))
 
@@ -2508,7 +2391,7 @@ and destroy_from vm (o : obj) cid ~most_derived =
     let cd = vm.destroy.(cid) in
     (match cd.cd_dtor with
     | Some (fsize, body) ->
-        ignore (exec_code vm (new_frame vm fsize body (Some o)) body 0)
+        ignore (exec_code vm (new_frame vm fsize body (VObj o)) body 0)
     | None -> ());
     (* member subobjects, reverse declaration order *)
     for k = 0 to Array.length cd.cd_fields - 1 do
@@ -2920,7 +2803,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         loop (pc + 1) (base + 1) isp
     | ICallFunc (fi, argc) ->
         let base = sp - argc in
-        let v = call_function vm fi ~this:None ost base argc in
+        let v = call_function vm fi ~this:VUnit ost base argc in
         ost.(base) <- v;
         loop (pc + 1) (base + 1) isp
     | ICallMethod { m_func; m_argc; m_arrow } ->
@@ -2928,11 +2811,11 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let v =
           match ost.(base - 1) with
           | VNull when m_arrow -> runtime_error "method call on null pointer"
-          | VObj o | VPtr (PObj o) ->
-              call_function vm m_func ~this:(Some o) ost base m_argc
+          | (VObj _ | VPtr (PObj _)) as recv ->
+              call_function vm m_func ~this:recv ost base m_argc
           | _ ->
               (* static member function *)
-              call_function vm m_func ~this:None ost base m_argc
+              call_function vm m_func ~this:VUnit ost base m_argc
         in
         ost.(base - 1) <- v;
         loop (pc + 1) base isp
@@ -2940,9 +2823,9 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let base = sp - v_argc in
         let v =
           match ost.(base - 1) with
-          | VObj o | VPtr (PObj o) ->
+          | (VObj o | VPtr (PObj o)) as recv ->
               let fi = if o.obj_cid >= 0 then v_table.(o.obj_cid) else -1 in
-              if fi >= 0 then call_function vm fi ~this:(Some o) ost base v_argc
+              if fi >= 0 then call_function vm fi ~this:recv ost base v_argc
               else
                 runtime_error "no virtual target for %s::%s" o.obj_class v_name
           | VNull -> runtime_error "virtual call on null pointer"
@@ -2956,7 +2839,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
           match ost.(base - 1) with
           | VFunPtr id -> (
               let this =
-                match id with Func_id.FMethod _ -> frame.this | _ -> None
+                match id with Func_id.FMethod _ -> frame.this | _ -> VUnit
               in
               match Hashtbl.find_opt vm.cp.cp_rp.rp_func_idx id with
               | Some fi -> call_function vm fi ~this ost base argc
@@ -3208,9 +3091,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         else loop (pc + 1) (sp - 1) isp
     (* -- typed member lvalues ---------------------------------------- *)
     | ILocFieldI (slots, m) ->
-        let o = as_obj ost.(sp - 1) in
-        ist.(isp) <- field_slot o slots m;
-        ost.(sp - 1) <- VObj o;
+        ist.(isp) <- field_slot (as_obj ost.(sp - 1)) slots m;
         loop (pc + 1) sp (isp + 1)
     | IAssignFieldI (keep, ic) ->
         let v = apply_ic ic ist.(isp - 1) in
@@ -3436,9 +3317,9 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         loop (pc + 1) sp isp
     | ILoadLocFieldI (tk, a, slots, m) ->
         if tk then tick vm;
-        let o = as_obj (Array.get locals a) in
-        ist.(isp) <- field_slot o slots m;
-        ost.(sp) <- VObj o;
+        let v = Array.get locals a in
+        ist.(isp) <- field_slot (as_obj v) slots m;
+        ost.(sp) <- v;
         loop (pc + 1) (sp + 1) (isp + 1)
     | IAssignFieldLIPop (ic, i) ->
         let o = as_obj ost.(sp - 1) in
@@ -3463,9 +3344,8 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         o1.ifields.(d) <- apply_ic ic o2.ifields.(field_slot o2 s2 m2);
         loop (pc + 1) sp isp
     | IThisLocFieldI (slots, m) ->
-        let o = this_of frame in
-        ist.(isp) <- field_slot o slots m;
-        ost.(sp) <- VObj o;
+        ist.(isp) <- field_slot (this_of frame) slots m;
+        ost.(sp) <- frame.this;
         loop (pc + 1) (sp + 1) (isp + 1)
     | IAssignFieldCIPop (ic, k) ->
         let o = as_obj ost.(sp - 1) in
@@ -3492,17 +3372,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
                 o.ifields.(field_slot o slots m) <- apply_ic ic k)
           inits;
         loop (pc + 1) sp isp
-    | ITLFIndexIStoreJumpFBCI ((a, s0, m0, i0, x0, ty0), (n, s, m, op, k), t) ->
-        tick vm;
-        let o = as_obj (Array.get locals a) in
-        let av = o.fields.cells.(field_slot o s0 m0) in
-        Array.set locals x0
-          (coerce ty0 (index_read av (Array.unsafe_get ilocals i0)));
-        tick vm;
-        let o2 = as_obj (Array.get locals n) in
-        if ibinop_i op o2.ifields.(field_slot o2 s m) k <> 0 then
-          loop (pc + 1) sp isp
-        else loop t sp isp
     | IRpnStoreI (dst, ops, ic) ->
         (* destination resolves first, then the rpn leaves left to
            right — the unfused statement's evaluation and error order.
@@ -3524,17 +3393,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
               tick vm;
               let oi = as_obj (Array.get locals i) in
               as_obj oi.fields.cells.(field_slot oi s m)
-          | DTickThisIdx (s, m, i, _, _) ->
-              tick vm;
-              let t = this_of frame in
-              let av = t.fields.cells.(field_slot t s m) in
-              as_obj (index_read av (Array.unsafe_get ilocals i))
-          | DTickThisIdxField (s, m, j, sj, mj, _, _) ->
-              tick vm;
-              let t = this_of frame in
-              let av = t.fields.cells.(field_slot t s m) in
-              let oj = as_obj (Array.get locals j) in
-              as_obj (index_read av oj.ifields.(field_slot oj sj mj))
           | DThis (n, _, _) ->
               for _ = 1 to n do
                 tick vm
@@ -3546,8 +3404,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
           | DTickLocField (_, s, m)
           | DFieldIdx (_, _, _, _, s, m)
           | DTickFieldLocField (_, _, _, s, m)
-          | DTickThisIdx (_, _, _, s, m)
-          | DTickThisIdxField (_, _, _, _, _, s, m)
           | DThis (_, s, m) ->
               field_slot o s m
         in
@@ -3580,14 +3436,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
               let eo = as_obj oj.fields.cells.(field_slot oj s m) in
               ist.(!p) <- eo.ifields.(field_slot eo s2 m2);
               incr p
-          | RpThisIdxField (s, m, j, sj, mj, s2, m2) ->
-              let t = this_of frame in
-              let av = t.fields.cells.(field_slot t s m) in
-              let oj = as_obj (Array.get locals j) in
-              let iv = oj.ifields.(field_slot oj sj mj) in
-              let eo = as_obj (index_read av iv) in
-              ist.(!p) <- eo.ifields.(field_slot eo s2 m2);
-              incr p
           | RpBinop op ->
               let q = !p in
               ist.(q - 2) <- ibinop_i op ist.(q - 2) ist.(q - 1);
@@ -3597,11 +3445,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         done;
         o.ifields.(d) <- apply_ic ic ist.(!p - 1);
         loop (pc + 1) sp isp
-    | IBinopConstCastStoreI (op, v, ty, i) ->
-        let r = binop op ost.(sp - 1) v in
-        let r = match r with VInt _ -> r | x -> vint (as_int x) in
-        Array.unsafe_set ilocals i (as_int (coerce ty r));
-        loop (pc + 1) (sp - 1) isp
     | ILoadIBn idxs ->
         let k = Array.length idxs in
         for j = 0 to k - 1 do
@@ -3611,16 +3454,9 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         loop (pc + 1) (sp + k) isp
     | ITickThisCallM (tk, f) ->
         if tk then tick vm;
-        let o = this_of frame in
-        ost.(sp) <- call_function vm f ~this:(Some o) ost (sp + 1) 0;
+        ignore (this_of frame);
+        ost.(sp) <- call_function vm f ~this:frame.this ost (sp + 1) 0;
         loop (pc + 1) (sp + 1) isp
-    | IThisCallMStoreI (tk, f, op, v, ty, i) ->
-        if tk then tick vm;
-        let o = this_of frame in
-        let r = binop op (call_function vm f ~this:(Some o) ost (sp + 1) 0) v in
-        let r = match r with VInt _ -> r | x -> vint (as_int x) in
-        Array.unsafe_set ilocals i (as_int (coerce ty r));
-        loop (pc + 1) sp isp
     | IIncDecJumpLocFCmpI (w, n, (x, y, slots, m, op, tk, texit), tb) ->
         Array.unsafe_set ilocals n
           (Array.unsafe_get ilocals n + incdec_delta w);
@@ -3642,29 +3478,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
           loop tb sp isp
         end
         else loop texit sp isp
-    | ITLFIStoreFieldCopyII ((a, s, m, i, x, ty), (ic, a2, s1, m1, j, s2, m2))
-      ->
-        tick vm;
-        let o = as_obj (Array.get locals a) in
-        let av = o.fields.cells.(field_slot o s m) in
-        Array.set locals x
-          (coerce ty (index_read av (Array.unsafe_get ilocals i)));
-        tick vm;
-        let o1 = as_obj (Array.get locals a2) in
-        let d = field_slot o1 s1 m1 in
-        let o2 = as_obj (Array.get locals j) in
-        o1.ifields.(d) <- apply_ic ic o2.ifields.(field_slot o2 s2 m2);
-        loop (pc + 1) sp isp
-    | IThisFieldIdxFStoreI (lt, s, m, j, s2, m2, s3, m3, ic, i, tt) ->
-        if lt then tick vm;
-        let o = this_of frame in
-        let av = o.fields.cells.(field_slot o s m) in
-        let oj = as_obj (Array.get locals j) in
-        let idx = oj.ifields.(field_slot oj s2 m2) in
-        let eo = as_obj (index_read av idx) in
-        Array.unsafe_set ilocals i (apply_ic ic eo.ifields.(field_slot eo s3 m3));
-        if tt then tick vm;
-        loop (pc + 1) sp isp
     | IReturnThisFieldI (slots, m) ->
         tick vm;
         let o = this_of frame in
@@ -3769,10 +3582,10 @@ let execute (vm : vm) : value =
           (match cp.cp_ginit.(i) with
           | Some body ->
               coerce g.rg_coerce
-                (exec_code vm (new_frame vm no_shape body None) body 0)
+                (exec_code vm (new_frame vm no_shape body VUnit) body 0)
           | None -> default_value g.rg_default))
       rp.rp_globals;
-    call_function vm rp.rp_main ~this:None empty_vals 0 0
+    call_function vm rp.rp_main ~this:VUnit empty_vals 0 0
   with
   | e when is_abort e -> VInt 134
   | Stack_overflow ->
@@ -3977,19 +3790,12 @@ let mnemonic (i : instr) : string =
       | true, true -> "ITickJumpThisFieldBCFalseTI")
   | IReturnThisFieldI _ -> "IReturnThisFieldI"
   | IInitFieldsI _ -> "IInitFieldsI"
-  | ITLFIndexIStoreJumpFBCI _ -> "ITLFIndexIStoreJumpFBCI"
   | IRpnStoreI ((DFieldIdx _ | DThis (0, _, _)), _, _) -> "IRpnStoreI"
   | IRpnStoreI _ -> "ITickRpnStoreI"
-  | IBinopConstCastStoreI _ -> "IBinopConstCastStoreI"
   | ILoadIBn _ -> "ILoadIBn"
-  | ITLFIStoreFieldCopyII _ -> "ITLFIStoreFieldCopyII"
-  | IThisCallMStoreI (tk, _, _, _, _, _) ->
-      if tk then "ITickThisCallMStoreI" else "IThisCallMStoreI"
   | IIncDecJumpLocFCmpI _ -> "IIncDecJumpLocFCmpI"
   | IIncDecJumpLL2FBCI _ -> "IIncDecJumpLL2FBCI"
   | ITickThisCallM (tk, _) -> if tk then "ITickThisCallM" else "IThisCallM"
-  | IThisFieldIdxFStoreI (lt, _, _, _, _, _, _, _, _, _, _) ->
-      if lt then "ITickThisFieldIdxFStoreI" else "IThisFieldIdxFStoreI"
 
 (* Typed (untagged) opcodes, for the profiler's typed-vs-generic
    dispatch split. Bridge boxing instructions count as typed: they only
@@ -3998,8 +3804,7 @@ let is_typed (i : instr) : bool =
   match i with
   | IConstI _ | ILoadI _ | IFieldI _
   | IIndexI | IBoxI | IBoxIU | IPopI | ILoadIB _
-  | ILoadIBn _ | IThisFieldIdxFStoreI _ | ITLFIStoreFieldCopyII _
-  | IIncDecJumpLocFCmpI _ | IIncDecJumpLL2FBCI _
+  | ILoadIBn _ | IIncDecJumpLocFCmpI _ | IIncDecJumpLL2FBCI _
   | ILoadFieldIB _
   | IUnaryI _ | IToBoolI | IBinopII _
   | IStoreLocalI _ | IStoreLocalIB _ | IIncDecLocalI _
@@ -4029,7 +3834,7 @@ let is_typed (i : instr) : bool =
   | IJumpLocTFCmpFalseI _
   | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _
   | IReturnThisFieldI _ | IInitFieldsI _
-  | ITLFIndexIStoreJumpFBCI _ | IRpnStoreI _ | IBinopConstCastStoreI _ ->
+  | IRpnStoreI _ ->
       true
   | _ -> false
 

@@ -294,14 +294,14 @@ and eval_call env frame (c : rcall) : value =
   | RBuiltin (b, args) -> eval_builtin env frame b args
   | RCallFunc { cf_func; cf_args } ->
       let argv = eval_args env frame cf_args in
-      call_function env cf_func ~this:None argv
+      call_function env cf_func ~this:VUnit argv
   | RCallFunPtr { fp_fn; fp_args } -> (
       let fv = eval env frame fp_fn in
       let argv = eval_args env frame fp_args in
       match fv with
       | VFunPtr id -> (
           let this =
-            match id with Func_id.FMethod _ -> frame.this | _ -> None
+            match id with Func_id.FMethod _ -> frame.this | _ -> VUnit
           in
           match Hashtbl.find_opt env.rp.rp_func_idx id with
           | Some fi -> call_function env fi ~this argv
@@ -314,17 +314,17 @@ and eval_call env frame (c : rcall) : value =
       let argv = eval_args env frame cm_args in
       match recv with
       | VNull when cm_arrow -> runtime_error "method call on null pointer"
-      | VObj o | VPtr (PObj o) -> call_function env cm_func ~this:(Some o) argv
+      | VObj _ | VPtr (PObj _) -> call_function env cm_func ~this:recv argv
       | _ ->
           (* static member function *)
-          call_function env cm_func ~this:None argv)
+          call_function env cm_func ~this:VUnit argv)
   | RCallVirtual { cv_recv; cv_name; cv_table; cv_args } -> (
       let recv = eval env frame cv_recv in
       let argv = eval_args env frame cv_args in
       match recv with
       | VObj o | VPtr (PObj o) ->
           let fi = if o.obj_cid >= 0 then cv_table.(o.obj_cid) else -1 in
-          if fi >= 0 then call_function env fi ~this:(Some o) argv
+          if fi >= 0 then call_function env fi ~this:recv argv
           else
             runtime_error "no virtual target for %s::%s" o.obj_class cv_name
       | VNull -> runtime_error "virtual call on null pointer"
@@ -382,24 +382,24 @@ and call_function env fi ~this argv : value =
           with Return_exc v -> v)
       | CCtor plan -> (
           match this with
-          | Some o ->
+          | VObj o | VPtr (PObj o) ->
               run_ctor env o rf plan argv ~most_derived:false;
               VUnit
-          | None -> runtime_error "constructor called without an object")
+          | _ -> runtime_error "constructor called without an object")
       | CDtor -> (
           match this with
-          | Some o ->
+          | VObj o | VPtr (PObj o) ->
               destroy_complete env o;
               VUnit
-          | None -> runtime_error "destructor called without an object")
+          | _ -> runtime_error "destructor called without an object")
       | CMissingCtor -> (
           match this with
-          | Some _ ->
+          | VObj _ | VPtr (PObj _) ->
               (* mirror the tree-walker: constructor dispatch ticked
                  before discovering the body was missing *)
               tick env;
               runtime_error "missing constructor %s" (Func_id.to_string rf.rf_id)
-          | None -> runtime_error "constructor called without an object")
+          | _ -> runtime_error "constructor called without an object")
       | CUnknown ->
           runtime_error "call to unknown function %s"
             (Func_id.to_string rf.rf_id)
@@ -445,7 +445,7 @@ and run_ctor_idx env (o : obj) fi argv ~most_derived =
 
 and run_ctor env (o : obj) (rf : rfunc) (plan : ctor_plan) argv ~most_derived =
   tick env;
-  let frame = new_frame rf.rf_nslots (Some o) in
+  let frame = new_frame rf.rf_nslots (VObj o) in
   bind_params frame rf argv;
   (* 1. virtual bases are constructed by the most-derived object only,
      using this constructor's initializer when it names them *)
@@ -500,7 +500,7 @@ and destroy_from env (o : obj) cid ~most_derived =
     let dp = env.destroy.(cid) in
     (match dp.dp_dtor with
     | Some (nslots, body) -> (
-        let frame = new_frame nslots (Some o) in
+        let frame = new_frame nslots (VObj o) in
         try exec_stmt env frame body with Return_exc _ -> ())
     | None -> ());
     (* member subobjects, reverse declaration order *)
@@ -733,7 +733,7 @@ let run_tree ~dead ~step_limit ~call_depth_limit ~heap_object_limit ?lowered
   (* totals and guard proximity are recorded even when a limit aborts
      the run — that is exactly when guard proximity matters *)
   Fun.protect ~finally:record_telemetry @@ fun () ->
-  let init_frame = new_frame 0 None in
+  let init_frame = new_frame 0 VUnit in
   let ret =
     (* [abort()], wherever the guest calls it, ends the run with
        status 134; native resource exhaustion (a Stack_overflow the
@@ -749,7 +749,7 @@ let run_tree ~dead ~step_limit ~call_depth_limit ~heap_object_limit ?lowered
             | Some e -> coerce g.rg_coerce (eval env init_frame e)
             | None -> default_value g.rg_default))
         rp.rp_globals;
-      call_function env rp.rp_main ~this:None [||]
+      call_function env rp.rp_main ~this:VUnit [||]
     with
     | e when is_abort e -> VInt 134
     | Stack_overflow ->

@@ -430,18 +430,22 @@ let ptr_of_loc (LSlot (h, i)) =
 let no_ints : int array = [||]
 
 (* A call frame: flat slot-addressed locals (one bank per representation;
-   the tree walker's frames have no int bank) plus the receiver. *)
+   the tree walker's frames have no int bank) plus the receiver: the
+   object value a method was called on, as its caller held it ([VObj] or
+   [VPtr (PObj _)]), or [VUnit] outside a method. Keeping the caller's
+   value lets a call and a member store through [this] reuse it instead
+   of boxing the object again. *)
 type frame = {
   locals : harray;
   ilocals : int array;
-  this : obj option;
+  this : value;
 }
 
 let[@inline never] no_this () = runtime_error "'this' outside a method"
 
 (* The receiver of a method's frame. *)
 let[@inline] this_of (fr : frame) =
-  match fr.this with Some o -> o | None -> no_this ()
+  match fr.this with VObj o | VPtr (PObj o) -> o | _ -> no_this ()
 
 let mk_frame ~ints nslots this =
   {

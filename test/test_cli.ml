@@ -511,6 +511,54 @@ let t_profile_bench_and_file () =
   check_string "stdout" "" out;
   check_string "stderr" "error: provide a FILE or --bench NAME, not both\n" err
 
+(* [analyze] reports the first error in the source, whatever the
+   functions are called and whichever kind they are. *)
+let t_analyze_first_error () =
+  List.iter
+    (fun (name, src, line) ->
+      let f = temp_src src in
+      let code, out, err = run_capture ("analyze " ^ Filename.quote f) in
+      check_int (name ^ ": exit") 1 code;
+      check_string (name ^ ": stdout") "" out;
+      check_string (name ^ ": stderr")
+        (Printf.sprintf "%s:%s: error: unknown identifier 'nope1'\n" f line)
+        err)
+    [
+      ( "zeta before alpha",
+        "int zeta() { return nope1; }\nint alpha() { return nope2; }\n\
+         int main() { return 0; }\n",
+        "1:21-26" );
+      ( "a method before a free function",
+        "class A { public: int m() { return nope1; } };\n\
+         int alpha() { return nope2; }\nint main() { return 0; }\n",
+        "1:36-41" );
+    ]
+
+(* The three limits are counts: a negative one is a usage error that
+   names its flag, on [run], [profile] and [serve] alike. Zero is a
+   limit the engines round up to 1. *)
+let t_negative_limits () =
+  let f = Filename.quote (temp_src ret7_src) in
+  List.iter
+    (fun (cmd, flag, file) ->
+      let args = Printf.sprintf "%s --%s=-1 %s" cmd flag file in
+      let code, out, err = run_capture ("</dev/null " ^ args) in
+      check_int (args ^ ": exit") 2 code;
+      check_string (args ^ ": stdout") "" out;
+      Util.check_bool (args ^ ": names the flag") true
+        (Util.contains_sub err
+           ~sub:(Printf.sprintf "option '--%s': invalid value '-1'" flag)))
+    [
+      ("run", "step-limit", f);
+      ("run", "call-depth-limit", f);
+      ("run", "object-limit", f);
+      ("profile", "step-limit", f);
+      ("serve", "object-limit", "");
+    ];
+  check_int "run --step-limit=-5" 2 (exit_of ("run --step-limit=-5 " ^ f));
+  check_int "run --step-limit=0 is still a limit" 3
+    (exit_of ("run --step-limit=0 " ^ f))
+
 let suite =
   [
     Util.test "exit codes: exhaustive subcommand table" t_exit_codes;
@@ -529,4 +577,7 @@ let suite =
     Util.test "profile: --bench with a FILE is a usage error"
       t_profile_bench_and_file;
     Util.test "check: ++ on a bool is a located error" t_check_bool_step;
+    Util.test "analyze: the first error in the source" t_analyze_first_error;
+    Util.test "run/profile/serve: a negative limit is a usage error"
+      t_negative_limits;
   ]
