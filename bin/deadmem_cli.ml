@@ -131,8 +131,8 @@ let format_opt ?(what = "") () =
 
 (* --step-limit, --call-depth-limit and --object-limit for run and
    profile; the daemon's are defaults for each run request. A limit is a
-   count, so a negative one is a usage error naming its flag (the
-   engines would quietly run with a limit of 1, as they do for 0). *)
+   count, so a negative one is a usage error naming its flag; 0 stops the
+   run at its first step, call or object. *)
 let limits_opt ~daemon =
   let count =
     let parse s =

@@ -4,11 +4,20 @@
    escapes, integer (decimal/hex) and floating-point literals, and a line
    directive-free model (benchmarks are single translation units). *)
 
+(* Hashed with [Hashtbl.hash] and compared with [String.equal]: no
+   polymorphic compare per identifier. *)
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash (s : string) = Hashtbl.hash s
+end)
+
 type state = {
   src : string;
   file : string;
   diags : Source.Diagnostics.t option;  (* [Some] when lexing keeps going *)
-  names : (string, Token.t) Hashtbl.t;
+  names : Token.t Names.t;
       (* the keywords, then every identifier seen so far: all occurrences
          of a name share one [Token.IDENT] block and one string *)
   mutable pos : int;   (* byte offset *)
@@ -21,8 +30,8 @@ type state = {
 
 (* [Token.keyword_table] hashed once; each [tokenize] call copies it. *)
 let keywords =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun (text, kw) -> Hashtbl.replace tbl text kw) Token.keyword_table;
+  let tbl = Names.create 64 in
+  List.iter (fun (text, kw) -> Names.replace tbl text kw) Token.keyword_table;
   tbl
 
 let make ?diags ~file src =
@@ -30,7 +39,7 @@ let make ?diags ~file src =
     src;
     file;
     diags;
-    names = Hashtbl.copy keywords;
+    names = Names.copy keywords;
     pos = 0;
     line = 1;
     bol = 0;
@@ -57,6 +66,8 @@ let span st : Source.span =
     end_col = st.pos - st.bol + 1;
     end_offset = st.pos;
   }
+
+let mk st tok = { Token.tok; span = span st }
 
 let lex_error st fmt =
   Fmt.kstr (fun msg -> Source.error ~at:(span st) "%s" msg) fmt
@@ -90,38 +101,45 @@ let char_at st i =
 let peek st = char_at st st.pos
 let peek2 st = char_at st (st.pos + 1)
 
+(* Is the byte at offset [i] [c]? False past the end. *)
+let byte_is st i c = i < String.length st.src && String.unsafe_get st.src i = c
+
 let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.bol <- st.pos + 1
-  | Some _ | None -> ());
+  if byte_is st st.pos '\n' then begin
+    st.line <- st.line + 1;
+    st.bol <- st.pos + 1
+  end;
   st.pos <- st.pos + 1
 
-let is_digit c = c >= '0' && c <= '9'
-let is_hex_digit c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+(* Moves [pos] past the bytes [p] holds for; [p] never holds for a
+   newline, so the line does not move. *)
+let skip_while st p =
+  while st.pos < String.length st.src && p (String.unsafe_get st.src st.pos) do
+    st.pos <- st.pos + 1
+  done
 
-let is_ident_start c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let is_digit = function '0' .. '9' -> true | _ -> false
+let is_hex_digit = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
+let is_ident_start = function 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false
 
-let is_ident_char c = is_ident_start c || is_digit c
+let is_ident_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> true
+  | _ -> false
+
+let not_newline c = c <> '\n'
 
 let rec skip_trivia st =
   match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  | Some (' ' | '\t' | '\r') ->
+      skip_while st (function ' ' | '\t' | '\r' -> true | _ -> false);
+      skip_trivia st
+  | Some '\n' ->
       advance st;
       skip_trivia st
   | Some '/' -> (
       match peek2 st with
       | Some '/' ->
-          let rec to_eol () =
-            match peek st with
-            | Some '\n' | None -> ()
-            | Some _ ->
-                advance st;
-                to_eol ()
-          in
-          to_eol ();
+          skip_while st not_newline;
           skip_trivia st
       | Some '*' ->
           mark st;
@@ -143,14 +161,7 @@ let rec skip_trivia st =
   | Some '#' ->
       (* Preprocessor lines (e.g. #include) are skipped; benchmarks are
          self-contained translation units. *)
-      let rec to_eol () =
-        match peek st with
-        | Some '\n' | None -> ()
-        | Some _ ->
-            advance st;
-            to_eol ()
-      in
-      to_eol ();
+      skip_while st not_newline;
       skip_trivia st
   | Some _ | None -> ()
 
@@ -182,11 +193,6 @@ let lex_escape st =
   | Some c -> lex_error st "unknown escape sequence '\\%c'" c
   | None -> lex_error st "unterminated escape sequence"
 
-let skip_while st p =
-  while (match peek st with Some c -> p c | None -> false) do
-    advance st
-  done
-
 (* [src.[start .. stop - 1]] is an integer literal's digits; its suffixes
    l/u/L/U follow and are accepted and ignored. *)
 let int_literal st start stop =
@@ -201,7 +207,8 @@ let int_literal st start stop =
 
 let lex_number st =
   let start = st.pos in
-  if peek st = Some '0' && (peek2 st = Some 'x' || peek2 st = Some 'X') then begin
+  if byte_is st start '0' && (byte_is st (start + 1) 'x' || byte_is st (start + 1) 'X')
+  then begin
     advance st;
     advance st;
     let hstart = st.pos in
@@ -219,7 +226,7 @@ let lex_number st =
       | _ -> false
     in
     if is_float then begin
-      if peek st = Some '.' then advance st;
+      if byte_is st st.pos '.' then advance st;
       skip_while st is_digit;
       (match peek st with
       | Some ('e' | 'E') ->
@@ -241,25 +248,31 @@ let lex_number st =
     else int_literal st start st.pos
   end
 
+(* [one], or [two] when the next byte is [second] *)
+let two_char st second two one =
+  advance st;
+  if byte_is st st.pos second then begin
+    advance st;
+    mk st two
+  end
+  else mk st one
+
 let next_token st : Token.spanned =
   skip_trivia st;
   mark st;
-  let mk tok = { Token.tok; span = span st } in
   match peek st with
-  | None -> mk Token.EOF
+  | None -> mk st Token.EOF
   | Some c when is_ident_start c ->
       let start = st.pos in
-      while (match peek st with Some c -> is_ident_char c | None -> false) do
-        advance st
-      done;
+      skip_while st is_ident_char;
       let text = String.sub st.src start (st.pos - start) in
-      (match Hashtbl.find st.names text with
-      | tok -> mk tok
+      (match Names.find st.names text with
+      | tok -> mk st tok
       | exception Not_found ->
           let tok = Token.IDENT text in
-          Hashtbl.add st.names text tok;
-          mk tok)
-  | Some c when is_digit c -> mk (lex_number st)
+          Names.add st.names text tok;
+          mk st tok)
+  | Some c when is_digit c -> mk st (lex_number st)
   | Some '\'' ->
       advance st;
       let c =
@@ -273,7 +286,7 @@ let next_token st : Token.spanned =
       (match peek st with
       | Some '\'' ->
           advance st;
-          mk (Token.CHAR_LIT c)
+          mk st (Token.CHAR_LIT c)
       | Some _ | None -> lex_error st "unterminated character literal")
   | Some '"' ->
       advance st;
@@ -291,136 +304,128 @@ let next_token st : Token.spanned =
         | None -> lex_error st "unterminated string literal"
       in
       go ();
-      mk (Token.STRING_LIT (Buffer.contents buf))
-  | Some c ->
-      let two_char (second : char) (two : Token.t) (one : Token.t) =
-        advance st;
-        if peek st = Some second then begin
-          advance st;
-          mk two
-        end
-        else mk one
-      in
-      (match c with
+      mk st (Token.STRING_LIT (Buffer.contents buf))
+  | Some c -> (
+      match c with
       | '(' ->
           advance st;
-          mk Token.LPAREN
+          mk st Token.LPAREN
       | ')' ->
           advance st;
-          mk Token.RPAREN
+          mk st Token.RPAREN
       | '{' ->
           advance st;
-          mk Token.LBRACE
+          mk st Token.LBRACE
       | '}' ->
           advance st;
-          mk Token.RBRACE
+          mk st Token.RBRACE
       | '[' ->
           advance st;
-          mk Token.LBRACKET
+          mk st Token.LBRACKET
       | ']' ->
           advance st;
-          mk Token.RBRACKET
+          mk st Token.RBRACKET
       | ';' ->
           advance st;
-          mk Token.SEMI
+          mk st Token.SEMI
       | ',' ->
           advance st;
-          mk Token.COMMA
+          mk st Token.COMMA
       | '?' ->
           advance st;
-          mk Token.QUESTION
+          mk st Token.QUESTION
       | '~' ->
           advance st;
-          mk Token.TILDE
-      | ':' -> two_char ':' Token.COLONCOLON Token.COLON
+          mk st Token.TILDE
+      | ':' -> two_char st ':' Token.COLONCOLON Token.COLON
       | '.' ->
           advance st;
-          if peek st = Some '*' then begin
+          if byte_is st st.pos '*' then begin
             advance st;
-            mk Token.DOTSTAR
+            mk st Token.DOTSTAR
           end
-          else mk Token.DOT
+          else mk st Token.DOT
       | '+' ->
           advance st;
           (match peek st with
           | Some '+' ->
               advance st;
-              mk Token.PLUSPLUS
+              mk st Token.PLUSPLUS
           | Some '=' ->
               advance st;
-              mk Token.PLUSEQ
-          | Some _ | None -> mk Token.PLUS)
+              mk st Token.PLUSEQ
+          | Some _ | None -> mk st Token.PLUS)
       | '-' ->
           advance st;
           (match peek st with
           | Some '-' ->
               advance st;
-              mk Token.MINUSMINUS
+              mk st Token.MINUSMINUS
           | Some '=' ->
               advance st;
-              mk Token.MINUSEQ
+              mk st Token.MINUSEQ
           | Some '>' ->
               advance st;
-              if peek st = Some '*' then begin
+              if byte_is st st.pos '*' then begin
                 advance st;
-                mk Token.ARROWSTAR
+                mk st Token.ARROWSTAR
               end
-              else mk Token.ARROW
-          | Some _ | None -> mk Token.MINUS)
-      | '*' -> two_char '=' Token.STAREQ Token.STAR
-      | '/' -> two_char '=' Token.SLASHEQ Token.SLASH
-      | '%' -> two_char '=' Token.PERCENTEQ Token.PERCENT
-      | '=' -> two_char '=' Token.EQEQ Token.EQ
-      | '!' -> two_char '=' Token.BANGEQ Token.BANG
-      | '^' -> two_char '=' Token.CARETEQ Token.CARET
+              else mk st Token.ARROW
+          | Some _ | None -> mk st Token.MINUS)
+      | '*' -> two_char st '=' Token.STAREQ Token.STAR
+      | '/' -> two_char st '=' Token.SLASHEQ Token.SLASH
+      | '%' -> two_char st '=' Token.PERCENTEQ Token.PERCENT
+      | '=' -> two_char st '=' Token.EQEQ Token.EQ
+      | '!' -> two_char st '=' Token.BANGEQ Token.BANG
+      | '^' -> two_char st '=' Token.CARETEQ Token.CARET
       | '&' ->
           advance st;
           (match peek st with
           | Some '&' ->
               advance st;
-              mk Token.AMPAMP
+              mk st Token.AMPAMP
           | Some '=' ->
               advance st;
-              mk Token.AMPEQ
-          | Some _ | None -> mk Token.AMP)
+              mk st Token.AMPEQ
+          | Some _ | None -> mk st Token.AMP)
       | '|' ->
           advance st;
           (match peek st with
           | Some '|' ->
               advance st;
-              mk Token.PIPEPIPE
+              mk st Token.PIPEPIPE
           | Some '=' ->
               advance st;
-              mk Token.PIPEEQ
-          | Some _ | None -> mk Token.PIPE)
+              mk st Token.PIPEEQ
+          | Some _ | None -> mk st Token.PIPE)
       | '<' ->
           advance st;
           (match peek st with
           | Some '=' ->
               advance st;
-              mk Token.LE
+              mk st Token.LE
           | Some '<' ->
               advance st;
-              if peek st = Some '=' then begin
+              if byte_is st st.pos '=' then begin
                 advance st;
-                mk Token.SHLEQ
+                mk st Token.SHLEQ
               end
-              else mk Token.SHL
-          | Some _ | None -> mk Token.LT)
+              else mk st Token.SHL
+          | Some _ | None -> mk st Token.LT)
       | '>' ->
           advance st;
           (match peek st with
           | Some '=' ->
               advance st;
-              mk Token.GE
+              mk st Token.GE
           | Some '>' ->
               advance st;
-              if peek st = Some '=' then begin
+              if byte_is st st.pos '=' then begin
                 advance st;
-                mk Token.SHREQ
+                mk st Token.SHREQ
               end
-              else mk Token.SHR
-          | Some _ | None -> mk Token.GT)
+              else mk st Token.SHR
+          | Some _ | None -> mk st Token.GT)
       | c -> lex_error st "unexpected character '%c'" c)
 
 let count_tokens toks =
@@ -454,7 +459,7 @@ let tokenize_resilient ~diags ~file src : Token.spanned list =
         Source.Diagnostics.emit diags d;
         Telemetry.Counter.incr recovered_counter;
         (* guarantee progress past the offending input *)
-        if peek st <> None then advance st;
+        if st.pos < String.length st.src then advance st;
         go ()
   in
   let toks = go () in

@@ -245,6 +245,16 @@ let to_string = function
   | CARET -> "^"
   | EOF -> "<eof>"
 
-let equal (a : t) (b : t) = a = b
+(* Called for every parser [accept], [expect] and lookahead, so no
+   polymorphic compare: a payload compares its payload ([FLOAT_LIT] with
+   float [=], so a NaN literal is unequal to itself) and a constant
+   constructor is its immediate. *)
+let equal (a : t) (b : t) =
+  match (a, b) with
+  | INT_LIT x, INT_LIT y -> x = y
+  | FLOAT_LIT x, FLOAT_LIT y -> x = y
+  | CHAR_LIT x, CHAR_LIT y -> x = y
+  | STRING_LIT x, STRING_LIT y | IDENT x, IDENT y -> String.equal x y
+  | _ -> a == b
 
 type spanned = { tok : t; span : Source.span }

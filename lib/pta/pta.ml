@@ -190,20 +190,28 @@ type node = {
   mutable queued : bool;
 }
 
+(* A node's span, hashed by its two offsets rather than by a C
+   [Hashtbl.hash] walk of the whole span record on every lookup. The
+   multiply spreads both offsets over the high bits and the shift folds
+   them back, since [Hashtbl.Make] indexes by the low bits only. *)
+let hash_span (l : Ast.loc) =
+  let h = ((l.start_offset lsl 24) lxor l.end_offset) * 0x1E3779B97F4A7C15 in
+  h lxor (h lsr 29)
+
 module ExprTbl = Hashtbl.Make (struct
   type t = texpr
 
   (* expression occurrences are identified physically: the client passes
      the very nodes of the program value it analyzed *)
   let equal = ( == )
-  let hash (e : texpr) = Hashtbl.hash e.tloc
+  let hash (e : texpr) = hash_span e.tloc
 end)
 
 module DeclTbl = Hashtbl.Make (struct
   type t = tvar_decl
 
   let equal = ( == )
-  let hash (d : tvar_decl) = Hashtbl.hash d.tv_loc
+  let hash (d : tvar_decl) = hash_span d.tv_loc
 end)
 
 type solution = {

@@ -3552,12 +3552,12 @@ let make_vm ?(dead = Member.Set.empty) ?profiler ~step_limit ~call_depth_limit
     output = Buffer.create 256;
     obj_counter = 0;
     steps = 0;
-    step_limit = max 1 step_limit;
-    next_stop = min (max 1 step_limit) deadline_check_interval;
+    step_limit;
+    next_stop = min step_limit deadline_check_interval;
     call_depth = 0;
     max_call_depth = 0;
-    call_depth_limit = max 1 call_depth_limit;
-    heap_object_limit = max 1 heap_object_limit;
+    call_depth_limit;
+    heap_object_limit;
     prof_counts;
     prof_calls;
     act = 0;

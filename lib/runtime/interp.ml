@@ -712,12 +712,12 @@ let run_tree ~dead ~step_limit ~call_depth_limit ~heap_object_limit ?lowered
       output = Buffer.create 256;
       obj_counter = 0;
       steps = 0;
-      step_limit = max 1 step_limit;
-      next_stop = min (max 1 step_limit) deadline_check_interval;
+      step_limit;
+      next_stop = min step_limit deadline_check_interval;
       call_depth = 0;
       max_call_depth = 0;
-      call_depth_limit = max 1 call_depth_limit;
-      heap_object_limit = max 1 heap_object_limit;
+      call_depth_limit;
+      heap_object_limit;
     }
   in
   let record_telemetry () =
@@ -780,9 +780,6 @@ let run_bytecode ~dead ~step_limit ~call_depth_limit ~heap_object_limit
     ?lowered ?profiler (p : program) : outcome =
   Telemetry.Span.with_ "interp" @@ fun () ->
   let cp = (match lowered with Some lo -> lo | None -> lower p).lo_bc in
-  let step_limit = max 1 step_limit in
-  let call_depth_limit = max 1 call_depth_limit in
-  let heap_object_limit = max 1 heap_object_limit in
   let vm =
     Bytecode.make_vm ~dead ?profiler ~step_limit ~call_depth_limit
       ~heap_object_limit cp

@@ -535,8 +535,7 @@ let t_analyze_first_error () =
     ]
 
 (* The three limits are counts: a negative one is a usage error that
-   names its flag, on [run], [profile] and [serve] alike. Zero is a
-   limit the engines round up to 1. *)
+   names its flag, on [run], [profile] and [serve] alike. *)
 let t_negative_limits () =
   let f = Filename.quote (temp_src ret7_src) in
   List.iter
@@ -559,6 +558,64 @@ let t_negative_limits () =
   check_int "run --step-limit=0 is still a limit" 3
     (exit_of ("run --step-limit=0 " ^ f))
 
+(* A limit of 0 is 0: the first step, call or object exceeds it, and
+   the message names 0. A program that allocates nothing finishes under [--object-limit=0],
+   and its snapshot names the limit. Both engines agree on all of it. *)
+let t_zero_limits () =
+  let one_obj =
+    Filename.quote
+      (temp_src "class A { public: int x; };\nint main() { A* a = new A(); return 7; }\n")
+  in
+  let ret7 = Filename.quote (temp_src ret7_src) in
+  let both args =
+    let tree = run_capture ("run --engine=tree " ^ args) in
+    let vm = run_capture ("run --engine=bytecode " ^ args) in
+    Alcotest.(check (triple int string string)) (args ^ ": engines agree") tree vm;
+    tree
+  in
+  List.iter
+    (fun (flag, what) ->
+      let args = Printf.sprintf "--%s=0 %s" flag one_obj in
+      let code, out, err = both args in
+      check_int (args ^ ": exit") 3 code;
+      check_string (args ^ ": stdout") "" out;
+      Util.check_bool (args ^ ": names 0") true
+        (String.starts_with
+           ~prefix:(Printf.sprintf "resource limit: %s limit exceeded (0)" what)
+           err))
+    [ ("step-limit", "step"); ("call-depth-limit", "call depth");
+      ("object-limit", "object") ];
+  let code, out, _ = both ("--object-limit=0 " ^ ret7) in
+  check_int "no objects under --object-limit=0: exit" 7 code;
+  Util.check_bool "the snapshot names the 0 object limit" true
+    (Util.contains_sub out ~sub:", 0 objects]")
+
+(* On Linux the CLI links statically (bin/dune), so its ELF program
+   headers must not request a program interpreter (a [PT_INTERP] entry,
+   [p_type] 3): every cold start would map the dynamic loader first.
+   Other systems link as before. *)
+let t_static_link () =
+  if Ocaml_system.system <> "linux" then Alcotest.skip ();
+  let b = read_file exe in
+  check_string "ELF magic" "\x7fELF" (String.sub b 0 4);
+  let elf64 = b.[4] = '\002' and le = b.[5] = '\001' in
+  let u16 off = if le then String.get_uint16_le b off else String.get_uint16_be b off in
+  let u32 off =
+    Int32.to_int (if le then String.get_int32_le b off else String.get_int32_be b off)
+  in
+  let u64 off =
+    Int64.to_int (if le then String.get_int64_le b off else String.get_int64_be b off)
+  in
+  (* e_phoff, e_phentsize, e_phnum *)
+  let phoff, phentsize, phnum =
+    if elf64 then (u64 32, u16 54, u16 56) else (u32 28, u16 42, u16 44)
+  in
+  Util.check_bool "has program headers" true (phnum > 0);
+  for i = 0 to phnum - 1 do
+    if u32 (phoff + (i * phentsize)) = 3 then
+      Alcotest.failf "%s requests a program interpreter (program header %d)" exe i
+  done
+
 let suite =
   [
     Util.test "exit codes: exhaustive subcommand table" t_exit_codes;
@@ -580,4 +637,7 @@ let suite =
     Util.test "analyze: the first error in the source" t_analyze_first_error;
     Util.test "run/profile/serve: a negative limit is a usage error"
       t_negative_limits;
+    Util.test "run: a limit of 0 stops the first step, call or object"
+      t_zero_limits;
+    Util.test "the CLI is linked without a program interpreter" t_static_link;
   ]
