@@ -129,26 +129,34 @@ let format_opt ?(what = "") () =
   let fmt = Arg.enum [ ("text", `Text); ("json", `Json) ] in
   Arg.(value & opt fmt `Text & info [ "format" ] ~docv:"FORMAT" ~doc)
 
+(* An integer flag that must lie in [lo, hi]: any other value is a usage
+   error naming its flag (exit 2), never rounded into range. *)
+let count ?(hi = max_int) lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo || n > hi ->
+        let expected =
+          if hi < max_int then Printf.sprintf "an integer from %d to %d" lo hi
+          else if lo = 0 then "a non-negative integer"
+          else Printf.sprintf "an integer of at least %d" lo
+        in
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
+(* OCaml 5.1 runs at most 128 domains at once, the main one included
+   ([Max_domains] in caml/domain.h); [Domain.spawn] fails past it. *)
+let max_domains = 128
+
 (* --step-limit, --call-depth-limit and --object-limit for run and
    profile; the daemon's are defaults for each run request. A limit is a
    count, so a negative one is a usage error naming its flag; 0 stops the
    run at its first step, call or object. *)
 let limits_opt ~daemon =
-  let count =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok n when n < 0 ->
-          Error
-            (`Msg
-              (Printf.sprintf
-                 "invalid value '%s', expected a non-negative integer" s))
-      | r -> r
-    in
-    Arg.conv (parse, Arg.conv_printer Arg.int)
-  in
   let opt name default ~plain ~per_request =
     let doc = if daemon then per_request else plain in
-    Arg.(value & opt count default & info [ name ] ~docv:"N" ~doc)
+    Arg.(value & opt (count 0) default & info [ name ] ~docv:"N" ~doc)
   in
   Term.(
     const (fun s d o -> (s, d, o))
@@ -433,7 +441,7 @@ let check_cmd =
     let files_a = Array.of_list files in
     let n = Array.length files_a in
     let slots = Array.make n (`Ok, "", "") in
-    let workers = max 1 (min jobs n) in
+    let workers = min jobs n in
     if workers = 1 then
       Array.iteri (fun i f -> slots.(i) <- check_one ~format ~alg f) files_a
     else begin
@@ -472,11 +480,12 @@ let check_cmd =
   in
   let jobs_arg =
     let doc =
-      "Analyze the files with $(docv) parallel domains. Results are \
-       printed in input order regardless of completion order, so the \
+      "Analyze the files with $(docv) parallel domains, 1 to 128. Results \
+       are printed in input order regardless of completion order, so the \
        output is identical to a sequential run."
     in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+    Arg.(value & opt (count ~hi:max_domains 1) 1
+         & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let files_arg =
     let doc = "MiniC++ source files to diagnose." in
@@ -767,16 +776,20 @@ let serve_cmd =
     Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
   in
   let jobs =
-    let doc = "Number of supervised worker domains." in
-    Arg.(value & opt int Server.Serve.default_config.Server.Serve.jobs
+    (* the main domain runs beside the workers *)
+    let doc = "Number of supervised worker domains, 1 to 127." in
+    Arg.(value
+         & opt (count ~hi:(max_domains - 1) 1)
+             Server.Serve.default_config.Server.Serve.jobs
          & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let queue_cap =
     let doc =
       "Bounded work-queue capacity: requests beyond it are shed with a \
-       structured 'overloaded' error instead of stretching latency."
+       structured 'overloaded' error instead of stretching latency. At \
+       least 1."
     in
-    Arg.(value & opt int Server.Serve.default_config.Server.Serve.queue_cap
+    Arg.(value & opt (count 1) Server.Serve.default_config.Server.Serve.queue_cap
          & info [ "queue-cap" ] ~docv:"N" ~doc)
   in
   let deadline_ms =

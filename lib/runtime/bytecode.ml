@@ -82,13 +82,6 @@ let[@inline] apply_ic ic n =
   | CChar -> n land 255
   | CBool -> if n <> 0 then 1 else 0
 
-(* One slot of a fused constructor field-init run ([IInitFieldsI]):
-   initialize an int-bank member from a local ([FInitL]) or from a
-   constant ([FInitC]). *)
-type finit =
-  | FInitL of slots_by_class * Member.t * icoerce * int
-  | FInitC of slots_by_class * Member.t * icoerce * int
-
 (* Micro-ops of a fused int-RPN store ([IRpnStoreI]): the settled tail
    of a pure-int assignment statement, re-expressed as pushes and
    combines over the untagged int stack. Each variant replays exactly
@@ -109,15 +102,14 @@ type irpn =
 
 (* Destination of a fused int-RPN store: the member slot resolves fully
    before any rhs leaf is read, exactly as the unfused sequence did.
-   The [DTick...] forms carry the statement tick, [DThis] a count of
-   them; [DFieldIdx] is the [ILoadFieldIndexI; ILocFieldI] pair. *)
+   The [DTick...] forms carry the statement tick; [DFieldIdx] is the
+   [ILoadFieldIndexI; ILocFieldI] pair. *)
 type rdst =
   | DTickLocField of int * slots_by_class * Member.t
   | DFieldIdx of
       int * slots_by_class * Member.t * int * slots_by_class * Member.t
   | DTickFieldLocField of
       int * slots_by_class * Member.t * slots_by_class * Member.t
-  | DThis of int * slots_by_class * Member.t
 
 (* -- instruction set ----------------------------------------------------------
 
@@ -244,14 +236,13 @@ type instr =
      same errors — in one dispatch. The dynamic pair profile over the
      benchmark suite drove the selection: local.field reads, statement
      ticks glued to their first load, compare-and-branch against a
-     constant or local, and the store/increment-then-back-edge of for
-     loops together cover over half of all executed pairs. *)
+     constant or local, and the increment-then-back-edge of for loops
+     together cover over half of all executed pairs. *)
   | ILoadField of bool * int * slots_by_class * Member.t  (* ILoad; IField *)
   | IThisField of bool * slots_by_class * Member.t        (* IThis; IField *)
   | IBinopConst of Ast.binop * value                  (* IConst; IBinop *)
   | ITickN of int             (* n statement ticks; [ITick] when n = 1 *)
   | IAssignPop of Ast.type_expr                       (* IAssign; IPop *)
-  | IStoreLocalPopJump of int * Ast.type_expr * int   (* store; back edge *)
   | IJumpCmpConstFalse of Ast.binop * value * bool * int
   | IJumpLocCmpConstFalse of int * Ast.binop * value * bool * int
   | IJumpLocCmpFalse of Ast.binop * int * int     (* top CMP local *)
@@ -282,7 +273,6 @@ type instr =
       int * Ast.binop * value * int
       * int * slots_by_class * Member.t * Ast.binop * int
       * int * slots_by_class * Member.t * int * Ast.type_expr
-  | IBinop2 of Ast.binop * Ast.binop                  (* IBinop; IBinop *)
   (* -- typed (untagged) instructions -----------------------------------
      These run on the per-invocation int operand stack instead of the
      boxed one: zero allocation and no tag dispatch on int hot paths.
@@ -344,7 +334,6 @@ type instr =
   | ILoadFieldI of bool * int * slots_by_class * Member.t
   | IThisFieldI of bool * slots_by_class * Member.t
   | IIndexFieldI of slots_by_class * Member.t
-  | ILoadLoadFieldI of int * int * slots_by_class * Member.t
   | IBinopConstI of Ast.binop * int
   | ILoadBinopConstI of bool * int * Ast.binop * int
   | ILoadFieldBCI of int * slots_by_class * Member.t * Ast.binop * int
@@ -401,33 +390,10 @@ type instr =
      test (statement tick) and on fall-through (next statement's tick) *)
   | IJumpThisFieldBCFalseI of
       bool * slots_by_class * Member.t * Ast.binop * int * bool * int
-  (* [return this->f] on an int member, statement tick included *)
-  | IReturnThisFieldI of slots_by_class * Member.t
-  (* a run of consecutive int-member initializers in a constructor
-     prologue, executed left to right exactly as the unfused ops *)
-  | IInitFieldsI of finit array
   (* a whole pure-int assignment statement (destination resolution, an
      RPN chain of int reads/combines, the store) in one dispatch — the
-     stencil updates of numeric kernels and the PRNG step [this->x =
-     this->y op k op k op k] *)
+     stencil updates of numeric kernels *)
   | IRpnStoreI of rdst * irpn array * icoerce
-  (* a run of adjacent [ILoadIB]s — arg pushes for calls/ctors *)
-  | ILoadIBn of int array
-  (* [tick?; this->m()] with no arguments, one dispatch *)
-  | ITickThisCallM of bool * int
-  (* loop back edges with the guard replicated into the increment
-     (branch-target inlining, built in [finish]): the payload tuple is
-     the guard's own payload, the trailing int the guard's fall-through
-     pc. The guard instruction stays in place for fall-in entries. *)
-  | IIncDecJumpLocFCmpI of
-      Ast.incdec * int
-      * (int * int * slots_by_class * Member.t * Ast.binop * bool * int)
-      * int
-  | IIncDecJumpLL2FBCI of
-      Ast.incdec * int
-      * (int * int * slots_by_class * Member.t * Ast.binop * int * Ast.binop
-         * bool * int)
-      * int
 
 (* A compiled code body. [b_omax] bounds the operand stack the body can
    ever need (computed conservatively during emission); [b_scoped] says
@@ -535,12 +501,10 @@ let delta = function
   | ITickLoadFieldCmpLocFalse _
   | IScanStep _ | ILoopScan _ ->
       0
-  | IStoreLocalPopJump _ | IJumpCmpConstFalse _ | IJumpLocCmpFalse _ -> -1
-  | IAssignPop _ | IBinop2 _ -> -2
+  | IJumpCmpConstFalse _ | IJumpLocCmpFalse _ -> -1
+  | IAssignPop _ -> -2
   | IBuiltin (_, n) | ICallFunc (_, n) | INewObj { n_argc = n; _ } -> 1 - n
   | ICallMethod { m_argc = n; _ } -> -n  (* receiver consumed, result pushed *)
-  | ILoadIBn a -> Array.length a
-  | ITickThisCallM _ -> 1
   | ICallVirtual { v_argc = n; _ } -> -n
   | ICallFunPtr n -> -n
   | ICallCtor (_, n) -> -n
@@ -567,7 +531,7 @@ let delta = function
   | IJumpLocCmpFalseI _
   | IJumpLoc2CmpFalseI _ | IJumpLocFCmpFalseI _
   | ILoadFieldI _ | IThisFieldI _
-  | ILoadLoadFieldI _ | IBinopConstI _ | ILoadBinopConstI _ | ILoadFieldBCI _
+  | IBinopConstI _ | ILoadBinopConstI _ | ILoadFieldBCI _
   | ILoadFieldBinopI _ | IThisFieldBinopI _
   | IIncDecLocalJumpI _ | IFieldIdxFieldI _ | ITickLoadFieldCmpLocFalseI _
   | IJumpLL2FBCCmpFalseI _ | IScanStepI _
@@ -576,8 +540,7 @@ let delta = function
   | IInitFieldLI _ | IInitFieldConstI _ | IBinopConst2I _ | IBinopConst3I _
   | IJumpLocTFCmpFalseI _
   | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _
-  | IReturnThisFieldI _ | IInitFieldsI _
-  | IRpnStoreI _ | IIncDecJumpLocFCmpI _ | IIncDecJumpLL2FBCI _ ->
+  | IRpnStoreI _ ->
       0
 
 (* Net effect on the untagged int operand stack. Only typed instructions
@@ -594,7 +557,6 @@ let idelta = function
       if keep then 0 else -1
   | IAssignFieldI (keep, _) | ICompoundFieldI (keep, _, _) ->
       if keep then -1 else -2
-  | ILoadLoadFieldI _ -> 2
   | IBoxI | IBoxIU | IPopI | IBinopII _
   | IJumpIfI _ | IShortCircuitI _ | IJumpCmpConstFalseI _
   | IJumpLocCmpFalseI _ | IAssignFieldIB _ | ICompoundFieldB _
@@ -659,8 +621,8 @@ let is_cmp = function
    construction — the VM arm of each fused form is the concatenation of
    its parts' arms. The selection comes from the dynamic pair profile
    over the benchmark suite: local.field reads, statement ticks glued to
-   their first load, binops against a constant, and the store/increment
-   plus back-edge of for loops cover over half of all executed pairs. *)
+   their first load, binops against a constant, and the increment plus
+   back-edge of for loops cover over half of all executed pairs. *)
 let fuse (prev : instr) (i : instr) : instr option =
   match (prev, i) with
   | ILoad (tk, n), IField (s, m) -> Some (ILoadField (tk, n, s, m))
@@ -679,13 +641,10 @@ let fuse (prev : instr) (i : instr) : instr option =
       Some (ITickLoadFieldStoreJump (i, s, m, j, ty, t))
   | IConst v, IBinop op -> Some (IBinopConst (op, v))
   | IAssign ty, IPop -> Some (IAssignPop ty)
-  | IStoreLocal (false, n, ty, false), IJump t ->
-      Some (IStoreLocalPopJump (n, ty, t))
   | ILoadField (true, n, s, m), IJumpLocCmpFalse (op, y, t) ->
       Some (ITickLoadFieldCmpLocFalse (n, s, m, op, y, false, t))
   | ITickLoadFieldCmpLocFalse (n, s, m, op, y, false, t), ITickN 1 ->
       Some (ITickLoadFieldCmpLocFalse (n, s, m, op, y, true, t))
-  | IBinop op1, IBinop op2 -> Some (IBinop2 (op1, op2))
   (* -- typed mirrors ---------------------------------------------------- *)
   | IConstI n, IBoxI -> Some (IConst (vint n))
   | ILoadI (false, n), IBoxI -> Some (ILoadIB n)
@@ -727,12 +686,6 @@ let fuse (prev : instr) (i : instr) : instr option =
   | ILoadI (false, i), IBinopII op -> Some (ILoadBinopI (op, i))
   | ILoad (tk, n), ILocFieldI (s, m) -> Some (ILoadLocFieldI (tk, n, s, m))
   | IThis, ILocFieldI (s, m) -> Some (IThisLocFieldI (s, m))
-  | IThis, ICallMethod { m_func; m_argc = 0; m_arrow = _ } ->
-      Some (ITickThisCallM (false, m_func))
-  (* the PRNG-step store takes a run of two or more statement ticks; a
-     lone tick keeps its own dispatch *)
-  | ITickN n, IRpnStoreI (DThis (0, s, m), ops, ic) when n > 1 ->
-      Some (IRpnStoreI (DThis (n, s, m), ops, ic))
   (* assignment/initialization whose rhs is a local or a constant *)
   | ILoadI (false, i), IAssignFieldI (false, ic) ->
       Some (IAssignFieldLIPop (ic, i))
@@ -755,13 +708,6 @@ let fuse (prev : instr) (i : instr) : instr option =
            | Ast.UPlus -> k))
   | _ -> None
 
-(* The member initializers of a fused constructor-prologue run. *)
-let finits = function
-  | IInitFieldLI (s, m, c, i) -> [| FInitL (s, m, c, i) |]
-  | IInitFieldConstI (s, m, c, k) -> [| FInitC (s, m, c, k) |]
-  | IInitFieldsI a -> a
-  | _ -> [||]
-
 (* The cascade table: after [fuse] lands a combined instruction, try
    fusing it with *its* predecessor. Only forms whose consumed halves
    carry no pending patch site may appear here (no branch instruction is
@@ -770,9 +716,6 @@ let finits = function
 let fuse2 (prev : instr) (f : instr) : instr option =
   match (prev, f) with
   | ITickN 1, IThisField (false, s, m) -> Some (IThisField (true, s, m))
-  | ITickN 1, ITickThisCallM (false, f) -> Some (ITickThisCallM (true, f))
-  | ILoadIB a, ILoadIB c -> Some (ILoadIBn [| a; c |])
-  | ILoadIBn a, ILoadIB c -> Some (ILoadIBn (Array.append a [| c |]))
   | ILocField (s1, m1), ILoadField (false, j, s2, m2) ->
       Some (ILocFieldLoadField (s1, m1, j, s2, m2))
   (* -- typed mirrors ---------------------------------------------------- *)
@@ -784,8 +727,6 @@ let fuse2 (prev : instr) (f : instr) : instr option =
       Some (ILoadFieldLoadBCI (n, s, m, j, op, k))
   | ILoadFieldLoadBCI (n, s, m, j, op, k), IIndexFieldI (s2, m2) ->
       Some (IFieldIdxFieldI (n, s, m, j, op, k, s2, m2))
-  | ILoadI (false, i), ILoadFieldI (false, j, s, m) ->
-      Some (ILoadLoadFieldI (i, j, s, m))
   | ITickN 1, IThisFieldI (false, s, m) -> Some (IThisFieldI (true, s, m))
   | ILoadField (tk, a, s, m), ILoadIndexI i ->
       Some (ILoadFieldIndexI (tk, a, s, m, i))
@@ -799,12 +740,6 @@ let fuse2 (prev : instr) (f : instr) : instr option =
       Some (IBinopConst2I (o1, k1, o2, k2))
   | IBinopConst2I (o1, k1, o2, k2), IBinopConstI (o3, k3) ->
       Some (IBinopConst3I (o1, k1, o2, k2, o3, k3))
-  (* constructor-prologue init runs: [IInitFieldLI]/[IInitFieldConstI]
-     only ever appear via fusion, so the chain rule lives here (the
-     [settle] cascade) rather than in the pairwise table *)
-  | ( (IInitFieldLI _ | IInitFieldConstI _ | IInitFieldsI _),
-      (IInitFieldLI _ | IInitFieldConstI _) ) ->
-      Some (IInitFieldsI (Array.append (finits prev) (finits f)))
   | _ -> None
 
 let emit (b : buf) (i : instr) =
@@ -861,8 +796,6 @@ let rpn_of_instr = function
       Some [ RpLoadField (j, s, m); RpBinop op ]
   | ILoadFieldBCI (n, s, m, op, k) ->
       Some [ RpLoadField (n, s, m); RpBinopConst (op, k) ]
-  | ILoadLoadFieldI (i, j, s, m) ->
-      Some [ RpLocal i; RpLoadField (j, s, m) ]
   | _ -> None
 
 let rpn_delta = function
@@ -872,20 +805,15 @@ let rpn_delta = function
   | RpBinop _ -> -1
   | RpBinopConst _ -> 0
 
-(* Replace the last [len] instructions, a settled stack-neutral
-   statement, by one [IRpnStoreI] (no depth rollback needed). A label is
-   allowed only on the first replaced slot. *)
-let collapse_to_rpn b len dst ops ic =
-  if b.lastlab <= b.len - len then begin
-    b.len <- b.len - len;
-    emit b (IRpnStoreI (dst, ops, ic))
-  end
-
-(* The general collapse behind [fuse_member_store], for a store with
-   coercion [ic]: walk back over rpn-able opcodes; [p] must end in the
+(* Collapse a settled pure-int member store into one [IRpnStoreI] right
+   after its final store lands (and its pairwise fusions settle): walk
+   back from the store over rpn-able opcodes; [p] must end in a
    destination shape, fully before [acc], and the rhs run must produce
-   exactly one int. *)
-let fuse_rpn_store b ic =
+   exactly one int. It fires only when that saves at least four
+   dispatches, so the short statements keep their specialized
+   superinstructions. The replaced run is a stack-neutral statement (no
+   depth rollback needed), and a label may sit only on its first slot. *)
+let fuse_rpn_store b =
   let n = b.len in
   let rec walk p acc =
     if p < 1 || n - 1 - p > 16 then None
@@ -909,36 +837,13 @@ let fuse_rpn_store b ic =
                 Some (p - 1, DTickFieldLocField (i, s, m, s2, m2), acc)
             | _ -> None)
   in
-  if n >= 6 && b.lastlab < n - 1 then
-    match walk (n - 2) [] with
-    | Some (p, dst, ops) when n - p >= 5 ->
-        collapse_to_rpn b (n - p) dst (Array.of_list ops) ic
-    | _ -> ()
-
-(* Collapse a settled pure-int member store into one [IRpnStoreI] right
-   after its final store lands (and its pairwise fusions settle). One
-   fixed tail is the PRNG step [this->x = this->y op k op k op k].
-   Otherwise [fuse_rpn_store] walks back from the store over rpn-able
-   opcodes until a destination shape, firing only when that saves at
-   least four dispatches, so the short statements keep their
-   specialized superinstructions. *)
-let fuse_member_store b =
-  let n = b.len in
-  let at k = if k <= n then b.code.(n - k) else IReturnUnit in
-  match (at 1, at 2, at 3, at 4) with
-  | ( IAssignFieldI (false, ic),
-      IBinopConst3I (o1, k1, o2, k2, o3, k3),
-      IThisFieldI (false, ss, ms),
-      IThisLocFieldI (sd, md) ) ->
-      collapse_to_rpn b 4 (DThis (0, sd, md))
-        [|
-          RpThisField (ss, ms);
-          RpBinopConst (o1, k1);
-          RpBinopConst (o2, k2);
-          RpBinopConst (o3, k3);
-        |]
-        ic
-  | IAssignFieldI (false, ic), _, _, _ -> fuse_rpn_store b ic
+  match b.code.(n - 1) with
+  | IAssignFieldI (false, ic) when n >= 6 && b.lastlab < n - 1 -> (
+      match walk (n - 2) [] with
+      | Some (p, dst, ops) when n - p >= 5 ->
+          b.len <- p;
+          emit b (IRpnStoreI (dst, Array.of_list ops, ic))
+      | _ -> ())
   | _ -> ()
 
 (* Mark the frontier as a jump target (blocks fusion across it). *)
@@ -961,7 +866,6 @@ let retarget f (i : instr) : instr =
   | IJumpLocCmpConstFalse (n, op, v, tk, t) ->
       IJumpLocCmpConstFalse (n, op, v, tk, f t)
   | IJumpLocCmpFalse (op, n, t) -> IJumpLocCmpFalse (op, n, f t)
-  | IStoreLocalPopJump (n, ty, t) -> IStoreLocalPopJump (n, ty, f t)
   | ITickLoadFieldStoreJump (i, s, m, j, ty, t) ->
       ITickLoadFieldStoreJump (i, s, m, j, ty, f t)
   | ITickLoadFieldCmpLocFalse (n, s, m, op, y, tk, t) ->
@@ -993,8 +897,6 @@ let retarget f (i : instr) : instr =
   | IIncDecLocalJumpI (w, n, t) -> IIncDecLocalJumpI (w, n, f t)
   | IScanStepI (j, s, m, op, n, a, s2, m2, d, ty, t) ->
       IScanStepI (j, s, m, op, n, a, s2, m2, d, ty, f t)
-  | IIncDecJumpLocFCmpI (w, n, g, t) -> IIncDecJumpLocFCmpI (w, n, g, f t)
-  | IIncDecJumpLL2FBCI (w, n, g, t) -> IIncDecJumpLL2FBCI (w, n, g, f t)
   | _ -> i
 
 (* The branch target carried by an instruction, if any. *)
@@ -1070,27 +972,17 @@ let emit_branch_false_i b =
         (* [ILoadI; IBinopII] has already fused into [ILoadBinopI]
            (below) wherever a branch could fold it *)
         match
-          if b.lastlab < b.len - 1 then b.code.(b.len - 2) else IReturnUnit
+          if b.len >= 3 && b.lastlab < b.len - 2 then
+            (b.code.(b.len - 3), b.code.(b.len - 2))
+          else (IReturnUnit, IReturnUnit)
         with
-        | ILoadLoadFieldI (x, y, s, m) ->
-            b.len <- b.len - 1;
+        | ILoadI (false, x), ILoadFieldBCI (y, s, m, op1, k) ->
+            (* [local CMP local->f op k] *)
+            b.len <- b.len - 2;
             b.iod <- b.iod - 1;
-            b.code.(b.len - 1) <- IJumpLocFCmpFalseI (x, y, s, m, op, false, -1);
+            b.code.(b.len - 1) <-
+              IJumpLL2FBCCmpFalseI (x, y, s, m, op1, k, op, false, -1);
             b.len - 1
-        | IBinopConstI (op1, k)
-          when b.len >= 3
-               && b.lastlab < b.len - 2
-               && match b.code.(b.len - 3) with
-                  | ILoadLoadFieldI _ -> true
-                  | _ -> false -> (
-            match b.code.(b.len - 3) with
-            | ILoadLoadFieldI (x, y, s, m) ->
-                b.len <- b.len - 2;
-                b.iod <- b.iod - 1;
-                b.code.(b.len - 1) <-
-                  IJumpLL2FBCCmpFalseI (x, y, s, m, op1, k, op, false, -1);
-                b.len - 1
-            | _ -> assert false)
         | _ ->
             b.code.(b.len - 1) <- IJumpCmpFalseI (op, -1);
             b.iod <- b.iod - 1;
@@ -1134,6 +1026,18 @@ let emit_branch_false_i b =
                [ITickLoadFieldCmpLocFalseI] *)
             b.len <- b.len - 1;
             emit_patch b (IJumpLocCmpFalseI (op, y, false, -1)))
+    | ILoadFieldBinopI (y, s, m, op) when is_cmp op -> (
+        (* [local CMP local->f], the [i < p->n] loop guard *)
+        match
+          if b.len >= 2 && b.lastlab < b.len - 1 then b.code.(b.len - 2)
+          else IReturnUnit
+        with
+        | ILoadI (false, x) ->
+            b.len <- b.len - 1;
+            b.iod <- b.iod - 1;
+            b.code.(b.len - 1) <- IJumpLocFCmpFalseI (x, y, s, m, op, false, -1);
+            b.len - 1
+        | _ -> emit_patch b (IJumpIfI (false, false, -1)))
     | IThisFieldBinopI (s, m, op)
       when is_cmp op && b.len >= 2
            && b.lastlab < b.len - 1
@@ -1407,7 +1311,7 @@ and compile_assign b (lhs : rlval) rhs ty ~keep : shape =
       match compile_expr b rhs with
       | SInt ->
           emit b (IAssignFieldI (keep, ic_of_ty ty));
-          if not keep then fuse_member_store b;
+          if not keep then fuse_rpn_store b;
           SInt
       | SBox ->
           emit b (IAssignFieldIB (keep, ty));
@@ -1689,20 +1593,9 @@ and compile_stmt b (lc : loopctx option) (s : rstmt) =
         emit b IPopScope
       end
   | RSReturn None -> emit b IReturnUnit
-  | RSReturn (Some e) -> (
+  | RSReturn (Some e) ->
       compile_expr_box b e;
-      (* [return this->f] on an int member compiles to a ticked
-         [IThisFieldI; IBoxI]; fold the box and the return in *)
-      match
-        if b.len >= 2 && b.lastlab < b.len - 1 then
-          (b.code.(b.len - 2), b.code.(b.len - 1))
-        else (IReturnUnit, IReturnUnit)
-      with
-      | IThisFieldI (true, s, m), IBoxI ->
-          b.len <- b.len - 2;
-          b.od <- b.od - 1;
-          emit b (IReturnThisFieldI (s, m))
-      | _ -> emit b IReturn)
+      emit b IReturn
   | RSBreak -> (
       match lc with
       | Some l ->
@@ -1777,25 +1670,6 @@ let finish (b : buf) : cbody =
           | ITickLoadFieldStoreJump (a, s2, m2, bdst, ty, tback) ->
               code.(i) <-
                 IScanStepI (j, s, m, op, n, a, s2, m2, bdst, ty, tback)
-          | _ -> ())
-      | _ -> ())
-    code;
-  (* Back-edge guard inlining: a counted loop runs
-     [guard -> body -> inc-and-jump-to-guard]; replicate the guard into
-     the back edge so each iteration costs one dispatch less. The guard
-     slot stays for the fall-in (loop entry) path. *)
-  Array.iteri
-    (fun i ins ->
-      match ins with
-      | IIncDecLocalJumpI (w, n, t) when t >= 0 && t < Array.length code -> (
-          match code.(t) with
-          | IJumpLocFCmpFalseI (x, y, s, m, op, tk, texit) ->
-              code.(i) <-
-                IIncDecJumpLocFCmpI (w, n, (x, y, s, m, op, tk, texit), t + 1)
-          | IJumpLL2FBCCmpFalseI (x, y, s, m, op1, k, op2, tk, texit) ->
-              code.(i) <-
-                IIncDecJumpLL2FBCI
-                  (w, n, (x, y, s, m, op1, k, op2, tk, texit), t + 1)
           | _ -> ())
       | _ -> ())
     code;
@@ -2530,7 +2404,11 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         ost.(sp) <- vm.statics.cells.(i);
         loop (pc + 1) (sp + 1) isp
     | IThis ->
-        ost.(sp) <- VPtr (PObj (this_of frame));
+        (* a receiver the caller held as a pointer is [this] as it is *)
+        ost.(sp) <-
+          (match frame.this with
+          | VPtr (PObj _) as p -> p
+          | _ -> VPtr (PObj (this_of frame)));
         loop (pc + 1) (sp + 1) isp
     | IPop -> loop (pc + 1) (sp - 1) isp
     | IUnary op ->
@@ -2899,9 +2777,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let v = coerce ty ost.(sp - 1) in
         loc_write ost.(sp - 2) v;
         loop (pc + 1) (sp - 2) isp
-    | IStoreLocalPopJump (i, ty, t) ->
-        Array.set locals i (coerce ty ost.(sp - 1));
-        loop t (sp - 1) isp
     | IJumpCmpConstFalse (op, v, tk, t) ->
         if cmp_test op ost.(sp - 1) v then begin
           if tk then tick vm;
@@ -2943,10 +2818,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
           loop (pc + 1) sp isp
         end
         else loop t sp isp
-    | IBinop2 (op1, op2) ->
-        ost.(sp - 3) <-
-          binop op2 ost.(sp - 3) (binop op1 ost.(sp - 2) ost.(sp - 1));
-        loop (pc + 1) (sp - 2) isp
     | IScanStep (j, slots, m, op, n, a, s2, m2, bdst, ty, tback) ->
         tick vm;
         let o = as_obj (Array.get locals j) in
@@ -3235,11 +3106,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let o = as_obj elem in
         ist.(isp - 1) <- o.ifields.(field_slot o slots m);
         loop (pc + 1) (sp - 1) isp
-    | ILoadLoadFieldI (i, j, slots, m) ->
-        ist.(isp) <- Array.unsafe_get ilocals i;
-        let o = as_obj (Array.get locals j) in
-        ist.(isp + 1) <- o.ifields.(field_slot o slots m);
-        loop (pc + 1) sp (isp + 2)
     | IBinopConstI (op, k) ->
         ist.(isp - 1) <- ibinop_i op ist.(isp - 1) k;
         loop (pc + 1) sp isp
@@ -3360,18 +3226,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let o = this_of frame in
         o.ifields.(field_slot o slots m) <- apply_ic ic k;
         loop (pc + 1) sp isp
-    | IInitFieldsI inits ->
-        let o = this_of frame in
-        Array.iter
-          (fun f ->
-            match f with
-            | FInitL (slots, m, ic, i) ->
-                o.ifields.(field_slot o slots m) <-
-                  apply_ic ic (Array.unsafe_get ilocals i)
-            | FInitC (slots, m, ic, k) ->
-                o.ifields.(field_slot o slots m) <- apply_ic ic k)
-          inits;
-        loop (pc + 1) sp isp
     | IRpnStoreI (dst, ops, ic) ->
         (* destination resolves first, then the rpn leaves left to
            right — the unfused statement's evaluation and error order.
@@ -3393,18 +3247,12 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
               tick vm;
               let oi = as_obj (Array.get locals i) in
               as_obj oi.fields.cells.(field_slot oi s m)
-          | DThis (n, _, _) ->
-              for _ = 1 to n do
-                tick vm
-              done;
-              this_of frame
         in
         let d =
           match dst with
           | DTickLocField (_, s, m)
           | DFieldIdx (_, _, _, _, s, m)
-          | DTickFieldLocField (_, _, _, s, m)
-          | DThis (_, s, m) ->
+          | DTickFieldLocField (_, _, _, s, m) ->
               field_slot o s m
         in
         let p = ref isp in
@@ -3445,45 +3293,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         done;
         o.ifields.(d) <- apply_ic ic ist.(!p - 1);
         loop (pc + 1) sp isp
-    | ILoadIBn idxs ->
-        let k = Array.length idxs in
-        for j = 0 to k - 1 do
-          ost.(sp + j) <-
-            vint (Array.unsafe_get ilocals (Array.unsafe_get idxs j))
-        done;
-        loop (pc + 1) (sp + k) isp
-    | ITickThisCallM (tk, f) ->
-        if tk then tick vm;
-        ignore (this_of frame);
-        ost.(sp) <- call_function vm f ~this:frame.this ost (sp + 1) 0;
-        loop (pc + 1) (sp + 1) isp
-    | IIncDecJumpLocFCmpI (w, n, (x, y, slots, m, op, tk, texit), tb) ->
-        Array.unsafe_set ilocals n
-          (Array.unsafe_get ilocals n + incdec_delta w);
-        let o = as_obj (Array.get locals y) in
-        if icmp op (Array.unsafe_get ilocals x) o.ifields.(field_slot o slots m)
-        then begin
-          if tk then tick vm;
-          loop tb sp isp
-        end
-        else loop texit sp isp
-    | IIncDecJumpLL2FBCI (w, n, (x, y, slots, m, op1, k, op2, tk, texit), tb)
-      ->
-        Array.unsafe_set ilocals n
-          (Array.unsafe_get ilocals n + incdec_delta w);
-        let o = as_obj (Array.get locals y) in
-        let rhs = ibinop_i op1 o.ifields.(field_slot o slots m) k in
-        if icmp op2 (Array.unsafe_get ilocals x) rhs then begin
-          if tk then tick vm;
-          loop tb sp isp
-        end
-        else loop texit sp isp
-    | IReturnThisFieldI (slots, m) ->
-        tick vm;
-        let o = this_of frame in
-        let v = vint o.ifields.(field_slot o slots m) in
-        if b.b_scoped then ret_unwind vm locals scopes;
-        v
     | IBinopConst2I (o1, k1, o2, k2) ->
         ist.(isp - 1) <- ibinop_i o2 (ibinop_i o1 ist.(isp - 1) k1) k2;
         loop (pc + 1) sp isp
@@ -3675,7 +3484,6 @@ let mnemonic (i : instr) : string =
   | IBinopConst _ -> "IBinopConst"
   | ITickN n -> if n = 1 then "ITick" else "ITickN"
   | IAssignPop _ -> "IAssignPop"
-  | IStoreLocalPopJump _ -> "IStoreLocalPopJump"
   | IJumpCmpConstFalse (_, _, tk, _) ->
       if tk then "IJumpCmpConstFalseT" else "IJumpCmpConstFalse"
   | IJumpLocCmpConstFalse (_, _, _, tk, _) ->
@@ -3688,7 +3496,6 @@ let mnemonic (i : instr) : string =
       if tk then "ITickLoadFieldCmpLocFalseT" else "ITickLoadFieldCmpLocFalse"
   | IScanStep _ -> "IScanStep"
   | ILoopScan _ -> "ILoopScan"
-  | IBinop2 _ -> "IBinop2"
   (* typed (untagged) instructions *)
   | IConstI _ -> "IConstI"
   | ILoadI (tk, _) -> if tk then "ITickLoadI" else "ILoadI"
@@ -3747,7 +3554,6 @@ let mnemonic (i : instr) : string =
   | ILoadFieldI (tk, _, _, _) -> if tk then "ITickLoadFieldI" else "ILoadFieldI"
   | IThisFieldI (tk, _, _) -> if tk then "ITickThisFieldI" else "IThisFieldI"
   | IIndexFieldI _ -> "IIndexFieldI"
-  | ILoadLoadFieldI _ -> "ILoadLoadFieldI"
   | IBinopConstI _ -> "IBinopConstI"
   | ILoadBinopConstI (tk, _, _, _) ->
       if tk then "ITickLoadBCI" else "ILoadBinopConstI"
@@ -3788,14 +3594,8 @@ let mnemonic (i : instr) : string =
       | false, true -> "IJumpThisFieldBCFalseTI"
       | true, false -> "ITickJumpThisFieldBCFalseI"
       | true, true -> "ITickJumpThisFieldBCFalseTI")
-  | IReturnThisFieldI _ -> "IReturnThisFieldI"
-  | IInitFieldsI _ -> "IInitFieldsI"
-  | IRpnStoreI ((DFieldIdx _ | DThis (0, _, _)), _, _) -> "IRpnStoreI"
+  | IRpnStoreI (DFieldIdx _, _, _) -> "IRpnStoreI"
   | IRpnStoreI _ -> "ITickRpnStoreI"
-  | ILoadIBn _ -> "ILoadIBn"
-  | IIncDecJumpLocFCmpI _ -> "IIncDecJumpLocFCmpI"
-  | IIncDecJumpLL2FBCI _ -> "IIncDecJumpLL2FBCI"
-  | ITickThisCallM (tk, _) -> if tk then "ITickThisCallM" else "IThisCallM"
 
 (* Typed (untagged) opcodes, for the profiler's typed-vs-generic
    dispatch split. Bridge boxing instructions count as typed: they only
@@ -3804,7 +3604,6 @@ let is_typed (i : instr) : bool =
   match i with
   | IConstI _ | ILoadI _ | IFieldI _
   | IIndexI | IBoxI | IBoxIU | IPopI | ILoadIB _
-  | ILoadIBn _ | IIncDecJumpLocFCmpI _ | IIncDecJumpLL2FBCI _
   | ILoadFieldIB _
   | IUnaryI _ | IToBoolI | IBinopII _
   | IStoreLocalI _ | IStoreLocalIB _ | IIncDecLocalI _
@@ -3819,7 +3618,7 @@ let is_typed (i : instr) : bool =
   | IJumpLocCmpFalseI _
   | IJumpLoc2CmpFalseI _ | IJumpLocFCmpFalseI _
   | ILoadFieldI _ | IThisFieldI _
-  | IIndexFieldI _ | ILoadLoadFieldI _ | IBinopConstI _ | ILoadBinopConstI _
+  | IIndexFieldI _ | IBinopConstI _ | ILoadBinopConstI _
   | ILoadFieldBCI _ | ILoadFieldLoadBCI _ | ILoadFieldBinopI _
   | IThisFieldBinopI _ | IIncDecLocalJumpI _
   | IFieldIdxFieldI _ | ITickLoadFieldCmpLocFalseI _
@@ -3833,7 +3632,6 @@ let is_typed (i : instr) : bool =
   | IInitFieldConstI _ | IBinopConst2I _ | IBinopConst3I _
   | IJumpLocTFCmpFalseI _
   | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _
-  | IReturnThisFieldI _ | IInitFieldsI _
   | IRpnStoreI _ ->
       true
   | _ -> false

@@ -33,6 +33,10 @@ type env = {
   mutable depth : int;
   mutable this_class : string option;
   mutable ret_type : Ast.type_expr;
+  defs_seen : bool;
+      (* keep-going recovery dropped no out-of-line definition, so a
+         bodiless method really has none: only then is "declared but
+         never defined" reported *)
 }
 
 let err = Source.error
@@ -49,6 +53,7 @@ let err = Source.error
 type recovery = {
   rc_diags : Source.Diagnostics.t;
   mutable rc_regions : Source.unknown_region list;  (* newest first *)
+  mutable rc_defs_dropped : bool;  (* an out-of-line definition was dropped *)
 }
 
 let record_region rc ~what ~loc ~refs =
@@ -1090,6 +1095,9 @@ let check_program_gen recover (prog : Ast.program) : program =
             in
             List.iter
               (fun decl ->
+                (match decl with
+                | Ast.TMethodDef _ -> rc.rc_defs_dropped <- true
+                | _ -> ());
                 record_region rc ~what:"declaration with class-table error"
                   ~loc:(Ast.top_decl_loc decl)
                   ~refs:(fun () -> Ast.decl_refs decl))
@@ -1146,6 +1154,8 @@ let check_program_gen recover (prog : Ast.program) : program =
       depth = 0;
       this_class = None;
       ret_type = Ast.TVoid;
+      defs_seen =
+        (match recover with Some rc -> not rc.rc_defs_dropped | None -> true);
     }
   in
   let funcs = ref FuncMap.empty in
@@ -1259,7 +1269,7 @@ let check_program_gen recover (prog : Ast.program) : program =
             ~ret:m.m_ret ~params:m.m_params ~body:m.m_body ~base_inits:[]
             ~field_inits:[]
         in
-        if m.m_body = None && not m.m_pure then
+        if m.m_body = None && env.defs_seen && not m.m_pure then
           err ~at:m.m_loc "method '%s::%s' is declared but never defined"
             c.c_name m.m_name;
         add_func
@@ -1277,7 +1287,7 @@ let check_program_gen recover (prog : Ast.program) : program =
             tf_loc = m.m_loc;
           }
     | Ast.MethCtor ->
-        if m.m_body = None then
+        if m.m_body = None && env.defs_seen then
           err ~at:m.m_loc "constructor of '%s' is declared but never defined"
             c.c_name;
         let base_inits, field_inits =
@@ -1304,7 +1314,7 @@ let check_program_gen recover (prog : Ast.program) : program =
             tf_loc = m.m_loc;
           }
     | Ast.MethDtor ->
-        if m.m_body = None then
+        if m.m_body = None && env.defs_seen then
           err ~at:m.m_loc "destructor of '%s' is declared but never defined"
             c.c_name;
         let tbody, _, _ =
@@ -1472,7 +1482,7 @@ let check_program (prog : Ast.program) : program = check_program_gen None prog
    (every member of every class they mention stays live). *)
 let check_program_resilient ~diags (prog : Ast.program) :
     program * Source.unknown_region list =
-  let rc = { rc_diags = diags; rc_regions = [] } in
+  let rc = { rc_diags = diags; rc_regions = []; rc_defs_dropped = false } in
   let p = check_program_gen (Some rc) prog in
   (p, List.rev rc.rc_regions)
 

@@ -15,8 +15,8 @@ exception Fault_injected
 (** Raised by the [crash] op when fault injection is enabled. *)
 
 type config = {
-  jobs : int;  (** worker domains *)
-  queue_cap : int;  (** bounded queue: beyond this, shed load *)
+  jobs : int;  (** worker domains, at least 1 *)
+  queue_cap : int;  (** bounded queue, at least 1: beyond this, shed load *)
   default_deadline_ms : int;  (** per-request budget; 0 disables *)
   max_request_bytes : int;  (** frame size cap *)
   max_json_depth : int;  (** JSON nesting cap (depth bombs) *)

@@ -121,7 +121,6 @@ let monitor_loop t =
   go ()
 
 let create ~jobs ~queue_cap ~describe ~on_poison ~process =
-  let jobs = max 1 jobs in
   let t =
     {
       mutex = Mutex.create ();
@@ -129,7 +128,7 @@ let create ~jobs ~queue_cap ~describe ~on_poison ~process =
       death = Condition.create ();
       idle = Condition.create ();
       queue = Queue.create ();
-      queue_cap = max 1 queue_cap;
+      queue_cap;
       describe;
       process;
       on_poison;

@@ -11,7 +11,8 @@
 type 'a t
 
 (** [create ~jobs ~queue_cap ~describe ~on_poison ~process] spawns the
-    worker domains and the monitor thread. [describe] renders a job for
+    worker domains and the monitor thread. [jobs] and [queue_cap] must
+    be at least 1; they are taken as given. [describe] renders a job for
     the quarantine log (truncated to 200 bytes); [on_poison] is called
     (exceptions ignored) before the dying worker is replaced, so the
     serve loop can still answer the poisonous request with a structured

@@ -319,6 +319,132 @@ let t_object_array_statements () =
        "b->arr2[3] = NULL;", "b->store_expr()");
     ]
 
+(* -- statements the VM no longer folds --------------------------------------- *)
+
+(* Statement shapes whose one-dispatch folds the VM dropped: counted
+   loops guarded by [i < p->n] and [i < p->n op k], [this->m()] with no
+   arguments (as a statement and inside an expression), [return
+   this->f], a constructor whose int members start from locals and
+   constants, calls and [new] with several int-local arguments, and the
+   PRNG step [this->x = this->y op k op k op k] (after one statement
+   tick, and after two). They now run as their parts; each must
+   still match the tree walker, step for step. Where a case reads
+   through a pointer it runs again with that pointer NULL, which must be
+   the same error in both engines (for the [this]-rooted shapes, the
+   call on the NULL receiver fails first), and every run is repeated one
+   step short of its length. *)
+let unfolded_prelude =
+  {|
+    class Node {
+    public:
+      Node(int a, int b) : n(a), x(b), y(5), z(0), w(a) { }
+      int get() {
+        if (this->z > 100) return 0;
+        return this->y;
+      }
+      void bump() { this->z = this->z + 1; }
+      int calls() {
+        int acc = 0;
+        for (int i = 0; i < 4; i++) {
+          this->bump();
+          acc = acc + this->get();
+        }
+        return acc + this->z;
+      }
+      int prng() {
+        int acc = 0;
+        for (int i = 0; i < 5; i++) {
+          this->x = this->y * 1103 + 12345 & 65535;
+          print_int(this->x);
+          {
+            this->y = (this->x * 75 + 74) % 65537;
+          }
+          acc = acc + this->y;
+        }
+        return acc;
+      }
+      int n;
+      int x;
+      int y;
+      int z;
+      int w;
+    };
+
+    int count(Node *p) {
+      int acc = 0;
+      for (int i = 0; i < p->n; i++) acc = acc + i;
+      return acc;
+    }
+
+    int count_k(Node *p) {
+      int acc = 0;
+      for (int i = 0; i < p->n - 2; i++) {
+        acc = acc + i * 2;
+      }
+      return acc;
+    }
+
+    int add3(int a, int b, int c) { return a * 100 + b * 10 + c; }
+
+    int args(int n) {
+      int acc = 0;
+      for (int i = 0; i < n; i++) {
+        int j = i + 1;
+        int k = j * 2;
+        acc = acc + add3(i, j, k);
+        Node *t = new Node(j, k);
+        acc = acc + t->w + t->x;
+        delete t;
+      }
+      return acc;
+    }
+
+    int build(int a) {
+      int b = a * 2;
+      Node *t = new Node(a, b);
+      return t->n + t->x + t->y + t->z + t->w;
+    }
+  |}
+
+let t_unfolded_statements () =
+  List.iter
+    (fun (name, decl, call, want_error) ->
+      let src =
+        Printf.sprintf
+          "%s\nint main() {\n  %s\n  print_int(%s);\n  return 0;\n}\n"
+          unfolded_prelude decl call
+      in
+      let prog = Util.check_source src in
+      let tree = Util.engines_agree name prog in
+      (match (want_error, tree.result) with
+      | None, Ok _ -> ()
+      | None, Error e -> Alcotest.failf "%s: unexpected error %s" name e
+      | Some want, Error e ->
+          Util.check_string (name ^ ": the NULL receiver's error") want e
+      | Some _, Ok _ ->
+          Alcotest.failf "%s: the NULL receiver was never read" name);
+      ignore
+        (Util.engines_agree ~step_limit:(tree.steps - 1)
+           (name ^ ", one step short")
+           prog))
+    (let node = "Node *p = new Node(6, 2);" and null = "Node *p = NULL;" in
+     let no_obj = Some "runtime error: expected a class object"
+     and null_call = Some "runtime error: method call on null pointer" in
+     [
+       ("i < p->n", node, "count(p)", None);
+       ("i < p->n, NULL", null, "count(p)", no_obj);
+       ("i < p->n op k", node, "count_k(p)", None);
+       ("i < p->n op k, NULL", null, "count_k(p)", no_obj);
+       ("this->m()", node, "p->calls()", None);
+       ("this->m(), NULL", null, "p->calls()", null_call);
+       ("return this->f", node, "p->get()", None);
+       ("return this->f, NULL", null, "p->get()", null_call);
+       ("constructor initializers", "", "build(3)", None);
+       ("int-local arguments", "", "args(5)", None);
+       ("PRNG step", node, "p->prng()", None);
+       ("PRNG step, NULL", null, "p->prng()", null_call);
+     ])
+
 (* -- escaped locals and unwinding (examples/corpus) ------------------------------ *)
 
 (* The VM runs activations on per-depth pooled frames unless a body can
@@ -460,6 +586,7 @@ let suite =
       "bytecode: nested control flow matches tree engine" ~count:150;
     Test_generated.engines_agree ~gen:Gen_mcc.(focused Logic)
       "bytecode: short-circuit evaluation matches tree engine" ~count:150;
+    Util.test "statements the VM no longer folds" t_unfolded_statements;
     Util.test "statements over arrays of object pointers"
       t_object_array_statements;
   ]

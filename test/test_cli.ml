@@ -558,6 +558,32 @@ let t_negative_limits () =
   check_int "run --step-limit=0 is still a limit" 3
     (exit_of ("run --step-limit=0 " ^ f))
 
+(* [check --jobs], [serve --jobs] and [serve --queue-cap] are counts of
+   at least 1: a smaller value is a usage error that names its flag,
+   where it used to be rounded up to 1 without a word. The daemon gets
+   an empty stdin, so a value that were accepted would start it and see
+   it exit 0 at once. Only values the parser rejects run here, besides
+   [check]'s largest, 128 (one file needs no extra domain). *)
+let t_out_of_range_counts () =
+  let f = Filename.quote (temp_src ret7_src) in
+  List.iter
+    (fun (cmd, flag, value) ->
+      let args = Printf.sprintf "%s --%s=%s" cmd flag value in
+      let code, out, err = run_capture ("</dev/null " ^ args) in
+      check_int (args ^ ": exit") 2 code;
+      check_string (args ^ ": stdout") "" out;
+      Util.check_bool (args ^ ": names the flag") true
+        (Util.contains_sub err
+           ~sub:(Printf.sprintf "option '--%s': invalid value '%s'" flag value)))
+    [
+      ("check " ^ f, "jobs", "0");
+      ("check " ^ f, "jobs", "-1");
+      ("serve", "jobs", "0");
+      ("serve", "jobs", "-2");
+      ("serve", "queue-cap", "0");
+    ];
+  check_int "check --jobs=128" 0 (exit_of ("check --jobs=128 " ^ f))
+
 (* A limit of 0 is 0: the first step, call or object exceeds it, and
    the message names 0. A program that allocates nothing finishes under [--object-limit=0],
    and its snapshot names the limit. Both engines agree on all of it. *)
@@ -639,5 +665,7 @@ let suite =
       t_negative_limits;
     Util.test "run: a limit of 0 stops the first step, call or object"
       t_zero_limits;
+    Util.test "check/serve: --jobs and --queue-cap below 1 are usage errors"
+      t_out_of_range_counts;
     Util.test "the CLI is linked without a program interpreter" t_static_link;
   ]

@@ -305,6 +305,42 @@ let t_keep_going_cap_keeps_first_errors () =
     "the third is suppressed" 1
     (Frontend.Source.Diagnostics.suppressed_count diags)
 
+(* When keep-going drops an out-of-line definition it cannot place (an
+   unknown class, or a method the class never declared), the method it
+   meant to define looks undefined. That is a consequence, not an
+   error: keep-going's first error must be strict mode's, the cause. *)
+let t_keep_going_dropped_definition_first () =
+  List.iter
+    (fun (name, def, cause) ->
+      let src =
+        Printf.sprintf
+          "class A {\npublic:\n  int f();\n  int g();\n};\n\
+           int A::f() { return 1; }\n%s { return 2; }\n\
+           int main() { A a; return a.f(); }"
+          def
+      in
+      (match Type_check.check_source ~file:"input" src with
+      | _ -> Alcotest.failf "%s: strict mode accepted the program" name
+      | exception Frontend.Source.Compile_error d ->
+          Alcotest.(check string)
+            (name ^ ": strict") cause
+            (Frontend.Source.diagnostic_to_string d));
+      let diags = Frontend.Source.Diagnostics.create () in
+      ignore (Type_check.check_source_resilient ~file:"input" ~diags src);
+      Alcotest.(check (list string))
+        (name ^ ": keep-going") [ cause ]
+        (List.map Frontend.Source.diagnostic_to_string
+           (Frontend.Source.Diagnostics.to_list diags)))
+    [
+      ( "unknown class",
+        "int zzA::g()",
+        "input:7:1-4: error: out-of-line definition for unknown class 'zzA'" );
+      ( "unknown method",
+        "int A::zzg()",
+        "input:7:1-4: error: out-of-line definition of A::zzg has no \
+         in-class declaration" );
+    ]
+
 (* -- scopes ---------------------------------------------------------------------- *)
 
 (* Keep-going abandons a function at its first error, in the middle of
@@ -561,4 +597,6 @@ let suite =
       t_strict_first_error_in_source;
     Util.test "keep-going's error cap keeps the first errors in the source"
       t_keep_going_cap_keeps_first_errors;
+    Util.test "keep-going reports a dropped definition, not its consequence"
+      t_keep_going_dropped_definition_first;
   ]

@@ -201,20 +201,22 @@ let t_text_rendering () =
    superinstruction. Update a row only together with the change to the
    compiler that explains it. npic was 1331281 (typed 1106154) and
    sched 1676727 (936144) before five superinstructions that each fused
-   one statement of one of them went (DESIGN.md §4i). *)
+   one statement of one of them went, and the 11 ports summed 5298781
+   (npic 1617681, sched 2121943) before nine statement and pair folds
+   went (DESIGN.md §4i). *)
 let pinned_dispatches =
   [
-    ("deltablue", 22047, 47664, 17704);
-    ("hotwire", 2423, 9218, 3978);
-    ("idl", 26115, 62110, 25340);
-    ("ixx", 49278, 102016, 44797);
-    ("jikes", 459845, 568918, 287557);
-    ("lcom", 61204, 147682, 69410);
-    ("npic", 967396, 1617681, 1351594);
-    ("richards", 61628, 155411, 45726);
-    ("sched", 2161560, 2121943, 1235844);
-    ("simulate", 174307, 430738, 188976);
-    ("taldict", 18454, 35400, 20456);
+    ("deltablue", 22047, 48042, 17984);
+    ("hotwire", 2423, 9608, 4368);
+    ("idl", 26115, 77655, 34696);
+    ("ixx", 49278, 117999, 53865);
+    ("jikes", 459845, 608167, 309726);
+    ("lcom", 61204, 162553, 77421);
+    ("npic", 967396, 1929205, 1639118);
+    ("richards", 61628, 156843, 46113);
+    ("sched", 2161560, 2693541, 1646770);
+    ("simulate", 174307, 471102, 213251);
+    ("taldict", 18454, 35709, 20578);
   ]
 
 let t_port_dispatches_pinned () =
