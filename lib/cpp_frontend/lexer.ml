@@ -467,12 +467,56 @@ let tokenize_resilient ~diags ~file src : Token.spanned list =
   toks
 
 (* Number of non-blank, non-comment-only source lines: used for the LOC
-   column of Table 1. *)
+   column of Table 1. A line counts when it holds a character outside
+   whitespace and comments; [//] runs to the end of its line and
+   [/* ... */] may span lines, as [skip_trivia] reads them, and a
+   comment opener inside a string or character literal opens nothing. *)
 let count_code_lines src =
-  let lines = String.split_on_char '\n' src in
-  let is_code line =
-    let line = String.trim line in
-    line <> ""
-    && not (String.length line >= 2 && line.[0] = '/' && line.[1] = '/')
+  let n = String.length src in
+  let count = ref 0 and code = ref false in
+  let end_line () =
+    if !code then incr count;
+    code := false
   in
-  List.length (List.filter is_code lines)
+  let rec text i =
+    if i >= n then end_line ()
+    else
+      match src.[i] with
+      | '\n' ->
+          end_line ();
+          text (i + 1)
+      | ' ' | '\t' | '\r' -> text (i + 1)
+      | '/' when i + 1 < n && src.[i + 1] = '/' -> line_comment (i + 2)
+      | '/' when i + 1 < n && src.[i + 1] = '*' -> block_comment (i + 2)
+      | ('"' | '\'') as q ->
+          code := true;
+          literal q (i + 1)
+      | _ ->
+          code := true;
+          text (i + 1)
+  and line_comment i =
+    if i >= n then end_line ()
+    else if src.[i] = '\n' then text i
+    else line_comment (i + 1)
+  and block_comment i =
+    if i >= n then end_line ()
+    else if src.[i] = '*' && i + 1 < n && src.[i + 1] = '/' then text (i + 2)
+    else begin
+      if src.[i] = '\n' then end_line ();
+      block_comment (i + 1)
+    end
+  and literal q i =
+    if i >= n then end_line ()
+    else if src.[i] = q then text (i + 1)
+    else if src.[i] = '\\' && i + 1 < n && src.[i + 1] <> '\n' then
+      literal q (i + 2)
+    else begin
+      if src.[i] = '\n' then begin
+        end_line ();
+        code := true
+      end;
+      literal q (i + 1)
+    end
+  in
+  text 0;
+  !count

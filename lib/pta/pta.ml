@@ -11,7 +11,7 @@
    the first time it becomes reachable, and dispatch discovered during
    solving feeds new functions back in. A pointer local that is never
    written after its initializer shares the initializer's node instead
-   of copying it ([substitutable]). Receivers whose set degrades to
+   of copying it ([mark_substitutable]). Receivers whose set degrades to
    ⊤ (unknown) fall back to RTA-style resolution over the instantiated
    cone, so the solution is never less conservative than RTA; stores the
    language cannot model raise a global [havoc] flag that degrades every
@@ -41,6 +41,11 @@
      receiver class is resolved and bound once per record, not once
      per call. A call whose result type is untracked gets no result
      node, and its targets' returns no edge.
+
+   - Per-expression state (an expression's node, an allocation's
+     object, a call site's serial) lives in arrays indexed by the
+     expression's [tid], the dense id the type checker gives it, so
+     neither generation nor the queries hash an expression.
 
    - [OneCfa] mode refines the abstraction by cloning callees one level
      deep: method calls are analyzed per receiver allocation site
@@ -86,13 +91,6 @@ type ctx =
 
 type fctx = Func_id.t * ctx
 
-module FctxTbl = Hashtbl.Make (struct
-  type t = fctx
-
-  let equal (a : t) b = a = b
-  let hash = Hashtbl.hash
-end)
-
 (* [Stdlib.compare]'s order on [fctx], monomorphically: [CRoot] is an
    immediate, so it sorts before every [CSite] and [CObj]. *)
 let compare_ctx a b =
@@ -103,6 +101,52 @@ let compare_ctx a b =
   | CSite x, CSite y | CObj x, CObj y -> Int.compare x y
   | CSite _, CObj _ -> -1
   | CObj _, CSite _ -> 1
+
+(* The solver's tables hash and compare their keys monomorphically,
+   without [Hashtbl.hash]'s and [compare]'s walk of the value.
+   [Hashtbl.Make] indexes by the low bits, so every part of a key lands
+   in them. *)
+let hash_func_id : Func_id.t -> int = function
+  | Func_id.FFree f -> String.hash f
+  | Func_id.FMethod (c, m) -> (String.hash c * 31) + String.hash m
+  | Func_id.FCtor (c, n) -> (String.hash c * 31) + n + 1
+  | Func_id.FDtor c -> String.hash c lxor 0x2545F491
+
+module FuncTbl = Hashtbl.Make (struct
+  type t = Func_id.t
+
+  let equal = Func_id.equal
+  let hash = hash_func_id
+end)
+
+module IntTbl = Hashtbl.Make (Int)
+
+module MemberTbl = Hashtbl.Make (struct
+  type t = Member.t
+
+  let equal ((c, m) : t) (c', m') = String.equal c c' && String.equal m m'
+  let hash ((c, m) : t) = (String.hash c * 31) + String.hash m
+end)
+
+(* a query's key: an expression's node list *)
+module NodesTbl = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash = List.fold_left (fun h n -> (h * 65599) + n) 0
+end)
+
+module FctxTbl = Hashtbl.Make (struct
+  type t = fctx
+
+  let equal ((f, c) : t) (f', c') = compare_ctx c c' = 0 && Func_id.equal f f'
+
+  let hash ((f, c) : t) =
+    let h =
+      match c with CRoot -> 0 | CSite s -> (2 * s) + 1 | CObj o -> (2 * o) + 2
+    in
+    (hash_func_id f * 65599) + h
+end)
 
 module FctxSet = Set.Make (struct
   type t = fctx
@@ -190,29 +234,20 @@ type node = {
   mutable queued : bool;
 }
 
-(* A node's span, hashed by its two offsets rather than by a C
-   [Hashtbl.hash] walk of the whole span record on every lookup. The
-   multiply spreads both offsets over the high bits and the shift folds
-   them back, since [Hashtbl.Make] indexes by the low bits only. *)
-let hash_span (l : Ast.loc) =
-  let h = ((l.start_offset lsl 24) lxor l.end_offset) * 0x1E3779B97F4A7C15 in
-  h lxor (h lsr 29)
-
-module ExprTbl = Hashtbl.Make (struct
-  type t = texpr
-
-  (* expression occurrences are identified physically: the client passes
-     the very nodes of the program value it analyzed *)
-  let equal = ( == )
-  let hash (e : texpr) = hash_span e.tloc
-end)
-
+(* Declarations are identified physically and hashed by where they
+   start. *)
 module DeclTbl = Hashtbl.Make (struct
   type t = tvar_decl
 
   let equal = ( == )
-  let hash (d : tvar_decl) = hash_span d.tv_loc
+  let hash (d : tvar_decl) = d.tv_loc.start_offset
 end)
+
+(* The node of each expression occurrence, indexed by its [tid].
+   [Insensitive] analysis has one instance per function, so an
+   expression has at most one node ([nonode] until it has one); [OneCfa]
+   keeps one per context clone, newest first. *)
+type expr_nodes = Single of int array | Cloned of (ctx * int) list array
 
 type solution = {
   prog : program;
@@ -222,19 +257,23 @@ type solution = {
   mutable n_nodes : int;
   mutable objs : obj array;
   mutable n_objs : int;
-  expr_node : (ctx * int) list ExprTbl.t;
-  site_obj : int ExprTbl.t;  (* allocation expr -> its one object *)
+  expr_node : expr_nodes;
+  (* by [tid], -1 for none: an allocation's one object, and the serials
+     of static call sites *)
+  mutable site_obj : int array;
+  mutable serial_tbl : int array;
   decl_obj : int DeclTbl.t;  (* stack decl -> its one object *)
-  serial_tbl : int ExprTbl.t;  (* static call-site serials *)
   mutable n_serials : int;
+  mutable subst : Bytes.t;  (* by [tid]: see [mark_substitutable] *)
+  scanned : unit FuncTbl.t;  (* functions [mark_substitutable] has seen *)
   var_node : int StringTbl.t FctxTbl.t;  (* instance -> its locals' nodes *)
   this_node : int FctxTbl.t;
   ret_node : int FctxTbl.t;
-  global_node : (string, int) Hashtbl.t;
-  field_node : (Member.t, int) Hashtbl.t;
-  fun_obj : (Func_id.t, int) Hashtbl.t;
-  class_obj : (string, int) Hashtbl.t;
-  cell_obj : (int, int) Hashtbl.t;  (* payload node -> object *)
+  global_node : int StringTbl.t;
+  field_node : int MemberTbl.t;
+  fun_obj : int FuncTbl.t;
+  class_obj : int StringTbl.t;
+  cell_obj : int IntTbl.t;  (* payload node -> object *)
   worklist : int Queue.t;
   gen_queue : fctx Queue.t;
   instances : unit FctxTbl.t;  (* generated (function, context) pairs *)
@@ -255,10 +294,9 @@ type solution = {
   mutable rounds : int;  (* solver rounds *)
   (* query answers, keyed by an expression's node list: a program's
      sites share few receiver nodes, so most queries are lookups *)
-  class_answers : (int list, string list option) Hashtbl.t;
-  fn_answers : (int list, Func_id.t list option) Hashtbl.t;
-  site_answers :
-    (int list, (string * Frontend.Source.span) list option) Hashtbl.t;
+  class_answers : string list option NodesTbl.t;
+  fn_answers : Func_id.t list option NodesTbl.t;
+  site_answers : (string * Frontend.Source.span) list option NodesTbl.t;
 }
 
 (* -- node / object stores ----------------------------------------------------- *)
@@ -383,43 +421,30 @@ let add_load st p dst =
 
 (* -- named nodes -------------------------------------------------------------- *)
 
-let memo tbl key mk =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
+(* [find tbl key], or [mk ()] added under [key] the first time. *)
+let memo find add tbl key mk =
+  match find tbl key with
+  | v -> v
+  | exception Not_found ->
       let v = mk () in
-      Hashtbl.add tbl key v;
+      add tbl key v;
       v
 
-let memo_expr tbl key mk =
-  match ExprTbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
-      let v = mk () in
-      ExprTbl.add tbl key v;
-      v
+(* The entry of [arr] for expression [e], made by [mk] the first time. *)
+let memo_tid arr (e : texpr) mk =
+  let v = arr.(e.tid) in
+  if v >= 0 then v
+  else begin
+    let v = mk () in
+    arr.(e.tid) <- v;
+    v
+  end
 
-let memo_decl tbl key mk =
-  match DeclTbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
-      let v = mk () in
-      DeclTbl.add tbl key v;
-      v
-
-let memo_fctx tbl key mk =
-  match FctxTbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
-      let v = mk () in
-      FctxTbl.add tbl key v;
-      v
-
+let memo_fctx tbl key mk = memo FctxTbl.find FctxTbl.add tbl key mk
 (* The local-variable table of one function instance. *)
 let vars_of st fx = memo_fctx st.var_node fx (fun () -> StringTbl.create 16)
 
-let node_of_var st fx name =
-  let vars = vars_of st fx in
+let var_node st vars name =
   match StringTbl.find vars name with
   | n -> n
   | exception Not_found ->
@@ -427,29 +452,32 @@ let node_of_var st fx name =
       StringTbl.add vars name n;
       n
 
+let node_of_var st fx name = var_node st (vars_of st fx) name
+
 let node_of_this st fx = memo_fctx st.this_node fx (fun () -> fresh_node st)
 let node_of_ret st fx = memo_fctx st.ret_node fx (fun () -> fresh_node st)
-let node_of_global st g = memo st.global_node g (fun () -> fresh_node st)
+let node_of_global st g =
+  memo StringTbl.find StringTbl.add st.global_node g (fun () -> fresh_node st)
 
 let fun_object st id =
-  memo st.fun_obj id (fun () ->
+  memo FuncTbl.find FuncTbl.add st.fun_obj id (fun () ->
       new_obj st ~cls:None ~fn:(Some id) ~payload:(-1) ~site:None)
 
 let class_object st cls =
-  memo st.class_obj cls (fun () ->
+  memo StringTbl.find StringTbl.add st.class_obj cls (fun () ->
       new_obj st ~cls:(Some cls) ~fn:None ~payload:(-1) ~site:None)
 
 (* The cell object for an address-taken location whose contents live in
    node [n]: pts(&x) = { cell(x) }, payload(cell(x)) = node(x). *)
 let cell_object st n =
-  memo st.cell_obj n (fun () ->
+  memo IntTbl.find IntTbl.add st.cell_obj n (fun () ->
       new_obj st ~cls:None ~fn:None ~payload:n ~site:None)
 
 (* One node per (defining class, member). Class-typed members denote the
    subobject itself: the node is pre-seeded with an object of the
    member's class (its exact dynamic class). *)
 let node_of_field st (m : Member.t) =
-  memo st.field_node m (fun () ->
+  memo MemberTbl.find MemberTbl.add st.field_node m (fun () ->
       let n = fresh_node st in
       (match Class_table.find st.table (Member.cls m) with
       | Some ci -> (
@@ -469,7 +497,7 @@ let node_of_field st (m : Member.t) =
 (* A stable serial per static call / allocation / delete occurrence,
    shared by every context clone of the enclosing function. *)
 let serial_of st (e : texpr) =
-  memo_expr st.serial_tbl e (fun () ->
+  memo_tid st.serial_tbl e (fun () ->
       let s = st.n_serials in
       st.n_serials <- s + 1;
       s)
@@ -480,10 +508,13 @@ let serial_of st (e : texpr) =
 let ctx_for st fn c =
   match st.mode with
   | Insensitive -> CRoot
-  | OneCfa ->
-      if c = CRoot || FctxTbl.mem st.instances (fn, c) then c
-      else if FctxTbl.length st.instances >= ctx_cap then CRoot
-      else c
+  | OneCfa -> (
+      match c with
+      | CRoot -> c
+      | CSite _ | CObj _ ->
+          if FctxTbl.mem st.instances (fn, c) then c
+          else if FctxTbl.length st.instances >= ctx_cap then CRoot
+          else c)
 
 (* -- type classification ------------------------------------------------------- *)
 
@@ -806,8 +837,10 @@ let attach_vsite st ~fixed ~static_cls ~name ~serial (m : member) rnode =
   let n = st.nodes.(rnode) in
   let to_bind = m.m_args <> [] || m.m_ret >= 0 in
   let joinable vs =
-    (not vs.vs_top) && vs.vs_name = name && vs.vs_static = static_cls
-    && vs.vs_fixed = fixed
+    (not vs.vs_top)
+    && String.equal vs.vs_name name
+    && String.equal vs.vs_static static_cls
+    && Option.equal Func_id.equal vs.vs_fixed fixed
   in
   match if n.top || st.havoc then None else List.find_opt joinable n.vsites with
   | Some vs ->
@@ -880,7 +913,7 @@ let propagate st i =
 (* -- constraint generation ----------------------------------------------------
 
    Each reachable function instance's body is walked exactly once; every
-   tracked-typed expression occurrence is mapped (physically, per
+   tracked-typed expression occurrence is mapped (by its [tid], per
    context) to the node holding its value, so clients can query
    receivers after the solve. *)
 
@@ -900,8 +933,11 @@ type lv =
    local's initializer. Such a local ends with exactly its initializer's
    set. Its inflows all come from its own body, so unlike parameters,
    returns, fields and globals it can be settled at generation time.
-   The result's keys are those locals. *)
-let substitutable (f : tfunc) =
+   [st.subst] marks each such local's declaration, by its initializer's
+   [tid]. One walk visits each statement and, once, each expression. *)
+let mark_substitutable st (f : tfunc) =
+  (* each declared name: the initializer's [tid] while the name has one
+     declaration, of a pointer with an expression initializer; else -1 *)
   let decls = StringTbl.create 16 and written = StringTbl.create 16 in
   let rec write (e : texpr) =
     match e.te with
@@ -921,54 +957,107 @@ let substitutable (f : tfunc) =
     | TCall (CMethod mc) -> List.iter write mc.mc_args
     | _ -> ()
   in
+  let exprs = List.iter (fold_expr expr ()) in
   let decl (d : tvar_decl) =
-    let single =
-      match (d.tv_type, d.tv_init) with
-      | (Ast.TPtr _ | Ast.TFun _), TInitExpr _ -> true
-      | Ast.TRef _, TInitExpr e ->
-          write e;
-          false
-      | _, TInitCtor (_, args) ->
+    let init =
+      match d.tv_init with
+      | TInitExpr e -> (
+          fold_expr expr () e;
+          match d.tv_type with
+          | Ast.TPtr _ | Ast.TFun _ -> e.tid
+          | Ast.TRef _ ->
+              write e;
+              -1
+          | _ -> -1)
+      | TInitCtor (_, args) ->
           List.iter write args;
-          false
-      | _ -> false
+          exprs args;
+          -1
+      | TInitNone -> -1
     in
-    let once = not (StringTbl.mem decls d.tv_name) in
-    StringTbl.replace decls d.tv_name (single && once)
+    match StringTbl.find decls d.tv_name with
+    | _ -> StringTbl.replace decls d.tv_name (-1)
+    | exception Not_found -> StringTbl.add decls d.tv_name init
   in
-  fold_func_exprs expr () f;
+  (* a statement's own expressions; [fold_stmts] reaches the nested
+     statements *)
   let stmt () (s : tstmt) =
-    match s.ts with TSDecl ds -> List.iter decl ds | _ -> ()
+    match s.ts with
+    | TSDecl ds -> List.iter decl ds
+    | TSExpr e
+    | TSIf (e, _, _)
+    | TSWhile (e, _)
+    | TSDoWhile (_, e)
+    | TSReturn (Some e)
+    | TSDelete (_, e) ->
+        fold_expr expr () e
+    | TSFor (_, cond, step, _) ->
+        Option.iter (fold_expr expr ()) cond;
+        Option.iter (fold_expr expr ()) step
+    | TSReturn None | TSBlock _ | TSBreak | TSContinue | TSEmpty -> ()
   in
+  List.iter (fun bi -> exprs bi.bi_args) f.tf_base_inits;
+  List.iter (fun fi -> exprs fi.fi_args) f.tf_field_inits;
   Option.iter (fold_stmts stmt ()) f.tf_body;
-  StringTbl.filter_map_inplace
-    (fun x single ->
-      if single && not (StringTbl.mem written x) then Some true else None)
-    decls;
-  decls
+  StringTbl.iter
+    (fun x init ->
+      if init >= 0 && not (StringTbl.mem written x) then
+        Bytes.set st.subst init '\001')
+    decls
 
-let rec gen_expr st (fx : fctx) (e : texpr) : int =
-  let prior =
-    match ExprTbl.find_opt st.expr_node e with Some l -> l | None -> []
-  in
-  match List.assoc_opt (snd fx) prior with
-  | Some n -> n
-  | None ->
-      let n = gen_expr_raw st fx e in
-      (* safety net: a tracked expression must always have a node — an
-         unmodelled corner becomes ⊤, never a silent drop *)
-      let n =
-        if n < 0 && tracked st e.ty then begin
-          let t = fresh_node st in
-          set_top st t;
-          t
-        end
-        else n
-      in
-      if n >= 0 then ExprTbl.replace st.expr_node e ((snd fx, n) :: prior);
-      n
+(* A function instance under generation. Its locals' table is found
+   once, and its [this] node the first time the body names it, rather
+   than once per reference. *)
+type inst = {
+  i_fx : fctx;
+  i_vars : int StringTbl.t;
+  mutable i_this : int;  (* [nonode] until asked *)
+}
 
-and gen_expr_raw st fx (e : texpr) : int =
+let inst st fx = { i_fx = fx; i_vars = vars_of st fx; i_this = nonode }
+
+let inst_this st ix =
+  if ix.i_this = nonode then ix.i_this <- node_of_this st ix.i_fx;
+  ix.i_this
+
+(* An expression's node in context [cx] among its clones' entries, or
+   [nonode]. *)
+let rec node_in cx = function
+  | [] -> nonode
+  | (c, n) :: rest -> if compare_ctx c cx = 0 then n else node_in cx rest
+
+let rec gen_expr st ix (e : texpr) : int =
+  match st.expr_node with
+  | Single nodes ->
+      let n = nodes.(e.tid) in
+      if n >= 0 then n
+      else begin
+        let n = gen_new st ix e in
+        if n >= 0 then nodes.(e.tid) <- n;
+        n
+      end
+  | Cloned nodes ->
+      let prior = nodes.(e.tid) and cx = snd ix.i_fx in
+      let n = node_in cx prior in
+      if n >= 0 then n
+      else begin
+        let n = gen_new st ix e in
+        if n >= 0 then nodes.(e.tid) <- (cx, n) :: prior;
+        n
+      end
+
+(* safety net: a tracked expression must always have a node — an
+   unmodelled corner becomes ⊤, never a silent drop *)
+and gen_new st ix (e : texpr) : int =
+  let n = gen_expr_raw st ix e in
+  if n < 0 && tracked st e.ty then begin
+    let t = fresh_node st in
+    set_top st t;
+    t
+  end
+  else n
+
+and gen_expr_raw st ix (e : texpr) : int =
   match e.te with
   | TInt _ | TBool _ | TChar _ | TFloat _ | TEnumConst _ | TSizeofType _ ->
       nonode
@@ -976,35 +1065,35 @@ and gen_expr_raw st fx (e : texpr) : int =
       (* a value that points to nothing the analysis tracks *)
       if tracked st e.ty then fresh_node st else nonode
   | TSizeofExpr _ -> nonode  (* operand is unevaluated *)
-  | TLocal x -> if tracked st e.ty then node_of_var st fx x else nonode
+  | TLocal x -> if tracked st e.ty then var_node st ix.i_vars x else nonode
   | TGlobalVar g -> if tracked st e.ty then node_of_global st g else nonode
-  | TThis _ -> node_of_this st fx
+  | TThis _ -> inst_this st ix
   | TStaticField (c, f) ->
       if tracked st e.ty then node_of_field st (Member.make ~cls:c ~name:f)
       else nonode
   | TField fa ->
-      ignore (gen_expr st fx fa.fa_obj);
+      ignore (gen_expr st ix fa.fa_obj);
       if tracked st e.ty then
         node_of_field st (Member.make ~cls:fa.fa_def_class ~name:fa.fa_field)
       else nonode
   | TUnary (_, a) ->
-      ignore (gen_expr st fx a);
+      ignore (gen_expr st ix a);
       nonode
   | TBinary (_, a, b) ->
       (* pointer arithmetic preserves the pointed-to objects *)
-      let ga = gen_rval st fx a and gb = gen_rval st fx b in
+      let ga = gen_rval st ix a and gb = gen_rval st ix b in
       if tracked st e.ty then if ga >= 0 then ga else gb else nonode
   | TAssign (op, lhs, rhs) ->
-      let gr = gen_rval st fx rhs in
-      let lvs = gen_lval st fx lhs in
+      let gr = gen_rval st ix rhs in
+      let lvs = gen_lval st ix lhs in
       if op = Ast.Assign && tracked st rhs.ty then do_assign st lvs gr;
       if tracked st e.ty then gr else nonode
   | TIncDec (_, _, a) ->
-      let ga = gen_expr st fx a in
+      let ga = gen_expr st ix a in
       if tracked st e.ty then ga else nonode
   | TCond (c, t, f) ->
-      ignore (gen_expr st fx c);
-      let gt = gen_rval st fx t and gf = gen_rval st fx f in
+      ignore (gen_expr st ix c);
+      let gt = gen_rval st ix t and gf = gen_rval st ix f in
       if tracked st e.ty then begin
         let n = fresh_node st in
         add_edge st gt n;
@@ -1013,7 +1102,7 @@ and gen_expr_raw st fx (e : texpr) : int =
       end
       else nonode
   | TCast (_, _, a, _) ->
-      let ga = gen_rval st fx a in
+      let ga = gen_rval st ix a in
       if tracked st e.ty then
         if ga >= 0 then ga
         else begin
@@ -1025,9 +1114,9 @@ and gen_expr_raw st fx (e : texpr) : int =
       else nonode
   | TAddrOf a -> (
       match Ctype.class_name a.ty with
-      | Some _ -> gen_expr st fx a  (* &object = the object's identity *)
+      | Some _ -> gen_expr st ix a  (* &object = the object's identity *)
       | None ->
-          let lvs = gen_lval st fx a in
+          let lvs = gen_lval st ix a in
           let n = fresh_node st in
           List.iter
             (function
@@ -1045,10 +1134,10 @@ and gen_expr_raw st fx (e : texpr) : int =
   | TMemPtr _ -> nonode
   | TDeref a | TIndex (a, _) ->
       (match e.te with
-      | TIndex (_, i) -> ignore (gen_expr st fx i)
+      | TIndex (_, i) -> ignore (gen_expr st ix i)
       | _ -> ());
-      let ga = gen_expr st fx a in
-      if Ctype.class_name e.ty <> None then ga
+      let ga = gen_expr st ix a in
+      if Option.is_some (Ctype.class_name e.ty) then ga
         (* objects are second-class: denoting one denotes the pointer's
            targets *)
       else if is_array_ty a.ty then
@@ -1061,8 +1150,8 @@ and gen_expr_raw st fx (e : texpr) : int =
       end
       else nonode
   | TMemPtrDeref (recv, mp, _) ->
-      ignore (gen_expr st fx recv);
-      ignore (gen_expr st fx mp);
+      ignore (gen_expr st ix recv);
+      ignore (gen_expr st ix mp);
       if tracked st e.ty then begin
         let n = fresh_node st in
         set_top st n;
@@ -1072,11 +1161,11 @@ and gen_expr_raw st fx (e : texpr) : int =
   | TNewObj { cls; ctor; args } ->
       (* one object per static occurrence, shared by all clones *)
       let o =
-        memo_expr st.site_obj e (fun () ->
+        memo_tid st.site_obj e (fun () ->
             new_obj st ~cls:(Some cls) ~fn:None ~payload:(-1)
               ~site:(Some e.tloc))
       in
-      let gargs = gen_args st fx args in
+      let gargs = gen_args st ix args in
       let cfx = (ctor, ctx_for st ctor (CObj o)) in
       reach st cfx;
       add_obj st (node_of_this st cfx) o;
@@ -1086,7 +1175,7 @@ and gen_expr_raw st fx (e : texpr) : int =
       n
   | TNewScalar _ ->
       let o =
-        memo_expr st.site_obj e (fun () ->
+        memo_tid st.site_obj e (fun () ->
             let p = fresh_node st in
             new_obj st ~cls:None ~fn:None ~payload:p ~site:(Some e.tloc))
       in
@@ -1094,12 +1183,12 @@ and gen_expr_raw st fx (e : texpr) : int =
       add_obj st n o;
       n
   | TNewArr (ty, len) ->
-      ignore (gen_expr st fx len);
+      ignore (gen_expr st ix len);
       let n = fresh_node st in
       (match ty with
       | Ast.TNamed cls when Class_table.mem st.table cls ->
           let o =
-            memo_expr st.site_obj e (fun () ->
+            memo_tid st.site_obj e (fun () ->
                 new_obj st ~cls:(Some cls) ~fn:None ~payload:(-1)
                   ~site:(Some e.tloc))
           in
@@ -1110,13 +1199,13 @@ and gen_expr_raw st fx (e : texpr) : int =
           add_obj st n o
       | _ ->
           let o =
-            memo_expr st.site_obj e (fun () ->
+            memo_tid st.site_obj e (fun () ->
                 let p = fresh_node st in
                 new_obj st ~cls:None ~fn:None ~payload:p ~site:(Some e.tloc))
           in
           add_obj st n o);
       n
-  | TCall c -> gen_call st fx e c
+  | TCall c -> gen_call st ix e c
 
 and do_assign st lvs rhs_node =
   List.iter
@@ -1127,9 +1216,10 @@ and do_assign st lvs rhs_node =
       | LNone -> ())
     lvs
 
-and gen_lval st fx (e : texpr) : lv list =
+and gen_lval st ix (e : texpr) : lv list =
   match e.te with
-  | TLocal x -> [ (if tracked st e.ty then LNode (node_of_var st fx x) else LNone) ]
+  | TLocal x ->
+      [ (if tracked st e.ty then LNode (var_node st ix.i_vars x) else LNone) ]
   | TGlobalVar g ->
       [ (if tracked st e.ty then LNode (node_of_global st g) else LNone) ]
   | TStaticField (c, f) ->
@@ -1139,7 +1229,7 @@ and gen_lval st fx (e : texpr) : lv list =
          else LNone);
       ]
   | TField fa ->
-      ignore (gen_expr st fx fa.fa_obj);
+      ignore (gen_expr st ix fa.fa_obj);
       [
         (if tracked st e.ty then
            LNode (node_of_field st (Member.make ~cls:fa.fa_def_class ~name:fa.fa_field))
@@ -1147,34 +1237,34 @@ and gen_lval st fx (e : texpr) : lv list =
       ]
   | TDeref a | TIndex (a, _) ->
       (match e.te with
-      | TIndex (_, i) -> ignore (gen_expr st fx i)
+      | TIndex (_, i) -> ignore (gen_expr st ix i)
       | _ -> ());
-      let ga = gen_expr st fx a in
+      let ga = gen_expr st ix a in
       if is_array_ty a.ty then
         (* arrays are collapsed: an element write is a direct write *)
         [ (if ga >= 0 then LNode ga else LNone) ]
       else [ (if ga >= 0 then LIndirect ga else LNone) ]
   | TCond (c, t, f) ->
-      ignore (gen_expr st fx c);
-      gen_lval st fx t @ gen_lval st fx f
-  | TCast (_, _, a, _) -> gen_lval st fx a
+      ignore (gen_expr st ix c);
+      gen_lval st ix t @ gen_lval st ix f
+  | TCast (_, _, a, _) -> gen_lval st ix a
   | TMemPtrDeref (recv, mp, _) ->
-      ignore (gen_expr st fx recv);
-      ignore (gen_expr st fx mp);
+      ignore (gen_expr st ix recv);
+      ignore (gen_expr st ix mp);
       [ LTop ]
   | _ ->
-      ignore (gen_expr st fx e);
+      ignore (gen_expr st ix e);
       [ LTop ]
 
 (* The write-back sink for an argument that may bind to a
    reference-to-pointer formal: writes to the formal flow back here. *)
-and arg_backflow st fx (a : texpr) : int option =
+and arg_backflow st ix (a : texpr) : int option =
   match a.ty with
   | Ast.TPtr _ | Ast.TFun _ -> (
       match a.te with
       | TLocal _ | TGlobalVar _ | TField _ | TStaticField _ | TDeref _
       | TIndex _ -> (
-          match gen_lval st fx a with
+          match gen_lval st ix a with
           | [ LNode n ] -> Some n
           | [ LIndirect p ] ->
               let bk = fresh_node st in
@@ -1186,8 +1276,8 @@ and arg_backflow st fx (a : texpr) : int option =
 
 (* An array used as a value decays to a pointer to its collapsed
    element node. *)
-and gen_rval st fx (e : texpr) : int =
-  let n = gen_expr st fx e in
+and gen_rval st ix (e : texpr) : int =
+  let n = gen_expr st ix e in
   if n >= 0 && is_decaying_array e.ty then begin
     let p = fresh_node st in
     add_obj st p (cell_object st n);
@@ -1195,11 +1285,11 @@ and gen_rval st fx (e : texpr) : int =
   end
   else n
 
-and gen_args st fx args =
-  List.map (fun a -> (gen_rval st fx a, arg_backflow st fx a)) args
+and gen_args st ix args =
+  List.map (fun a -> (gen_rval st ix a, arg_backflow st ix a)) args
 
-and gen_static_call st fx ~recv ~callee ~args ret_ty =
-  let gargs = gen_args st fx args in
+and gen_static_call st ix ~recv ~callee ~args ret_ty =
+  let gargs = gen_args st ix args in
   reach st callee;
   (match recv with
   | Some r -> add_edge st r (node_of_this st callee)
@@ -1211,9 +1301,9 @@ and gen_static_call st fx ~recv ~callee ~args ret_ty =
 (* A method call routed through its receiver's objects: virtual calls
    always; statically-resolved calls too in [OneCfa] mode, so the callee
    is cloned per receiver allocation site. *)
-and gen_method_site st fx (e : texpr) (mc : method_call) ~fixed ~static_cls
+and gen_method_site st ix (e : texpr) (mc : method_call) ~fixed ~static_cls
     grecv =
-  let gargs = gen_args st fx mc.mc_args in
+  let gargs = gen_args st ix mc.mc_args in
   let rn = if tracked st e.ty then fresh_node st else nonode in
   let rnode =
     if grecv >= 0 then grecv
@@ -1228,17 +1318,17 @@ and gen_method_site st fx (e : texpr) (mc : method_call) ~fixed ~static_cls
     rnode;
   rn
 
-and gen_call st fx (e : texpr) (c : call) : int =
+and gen_call st ix (e : texpr) (c : call) : int =
   match c with
   | CBuiltin (_, args) ->
-      List.iter (fun a -> ignore (gen_expr st fx a)) args;
+      List.iter (fun a -> ignore (gen_expr st ix a)) args;
       nonode
   | CFree (name, args) ->
       let target = Func_id.FFree name in
       let cfx = (target, ctx_for st target (CSite (serial_of st e))) in
-      gen_static_call st fx ~recv:None ~callee:cfx ~args e.ty
+      gen_static_call st ix ~recv:None ~callee:cfx ~args e.ty
   | CMethod mc -> (
-      let grecv = gen_expr st fx mc.mc_recv in
+      let grecv = gen_expr st ix mc.mc_recv in
       let static_target = Func_id.FMethod (mc.mc_class, mc.mc_name) in
       let static_call () =
         let cx =
@@ -1246,7 +1336,7 @@ and gen_call st fx (e : texpr) (c : call) : int =
           | Insensitive -> CRoot
           | OneCfa -> ctx_for st static_target (CSite (serial_of st e))
         in
-        gen_static_call st fx
+        gen_static_call st ix
           ~recv:(if grecv >= 0 then Some grecv else None)
           ~callee:(static_target, cx) ~args:mc.mc_args e.ty
       in
@@ -1259,23 +1349,23 @@ and gen_call st fx (e : texpr) (c : call) : int =
                 | Some s -> s
                 | None -> mc.mc_class
               in
-              gen_method_site st fx e mc ~fixed:(Some static_target)
+              gen_method_site st ix e mc ~fixed:(Some static_target)
                 ~static_cls:scls grecv
           | _ -> static_call ())
       | DVirtual -> (
           match receiver_static_class mc with
           | None -> static_call ()
           | Some scls ->
-              gen_method_site st fx e mc ~fixed:None ~static_cls:scls grecv))
+              gen_method_site st ix e mc ~fixed:None ~static_cls:scls grecv))
   | CFunPtr (fnx, args) -> (
       match fnx.te with
       | TFunAddr id ->
           (* direct call through a literal address: no indirection *)
           let cfx = (id, ctx_for st id (CSite (serial_of st e))) in
-          gen_static_call st fx ~recv:None ~callee:cfx ~args e.ty
+          gen_static_call st ix ~recv:None ~callee:cfx ~args e.ty
       | _ ->
-          let gf = gen_expr st fx fnx in
-          List.iter (fun a -> ignore (gen_expr st fx a)) args;
+          let gf = gen_expr st ix fnx in
+          List.iter (fun a -> ignore (gen_expr st ix a)) args;
           let rn = if tracked st e.ty then fresh_node st else nonode in
           let fs =
             {
@@ -1300,19 +1390,19 @@ and gen_call st fx (e : texpr) (c : call) : int =
 
 (* -- statements and functions -------------------------------------------------- *)
 
-and gen_decl st fx subst (d : tvar_decl) =
+and gen_decl st ix (d : tvar_decl) =
   match d.tv_type with
   | Ast.TNamed cls when Class_table.mem st.table cls ->
       (* a stack object: exact dynamic class, destroyed at scope exit *)
       let o =
-        memo_decl st.decl_obj d (fun () ->
+        memo DeclTbl.find DeclTbl.add st.decl_obj d (fun () ->
             new_obj st ~cls:(Some cls) ~fn:None ~payload:(-1)
               ~site:(Some d.tv_loc))
       in
-      add_obj st (node_of_var st fx d.tv_name) o;
+      add_obj st (var_node st ix.i_vars d.tv_name) o;
       (match d.tv_init with
       | TInitCtor (ctor, args) ->
-          let gargs = gen_args st fx args in
+          let gargs = gen_args st ix args in
           let cfx = (ctor, ctx_for st ctor (CObj o)) in
           reach st cfx;
           add_obj st (node_of_this st cfx) o;
@@ -1322,35 +1412,35 @@ and gen_decl st fx subst (d : tvar_decl) =
           let cfx = (ctor, ctx_for st ctor (CObj o)) in
           reach st cfx;
           add_obj st (node_of_this st cfx) o
-      | TInitExpr e -> ignore (gen_expr st fx e));
+      | TInitExpr e -> ignore (gen_expr st ix e));
       reach st (Func_id.FDtor cls, CRoot)
   | Ast.TArr (Ast.TNamed cls, _) when Class_table.mem st.table cls ->
       let o =
-        memo_decl st.decl_obj d (fun () ->
+        memo DeclTbl.find DeclTbl.add st.decl_obj d (fun () ->
             new_obj st ~cls:(Some cls) ~fn:None ~payload:(-1)
               ~site:(Some d.tv_loc))
       in
-      add_obj st (node_of_var st fx d.tv_name) o;
+      add_obj st (var_node st ix.i_vars d.tv_name) o;
       let ctor = Func_id.FCtor (cls, 0) in
       let cfx = (ctor, ctx_for st ctor (CObj o)) in
       reach st cfx;
       add_obj st (node_of_this st cfx) o;
       reach st (Func_id.FDtor cls, CRoot);
       (match d.tv_init with
-      | TInitExpr e -> ignore (gen_expr st fx e)
+      | TInitExpr e -> ignore (gen_expr st ix e)
       | _ -> ())
   | _ -> (
       match d.tv_init with
       | TInitExpr e ->
-          let ge = gen_rval st fx e in
-          let vars = vars_of st fx in
+          let ge = gen_rval st ix e in
+          let vars = ix.i_vars in
           if
             ge >= 0
-            && StringTbl.mem subst d.tv_name
+            && Bytes.get st.subst e.tid = '\001'
             && not (StringTbl.mem vars d.tv_name)
           then StringTbl.add vars d.tv_name ge
           else if tracked st d.tv_type then begin
-            let v = node_of_var st fx d.tv_name in
+            let v = var_node st ix.i_vars d.tv_name in
             add_edge st ge v;
             if ref_needs_writeback d.tv_type then
               (* the local is an alias: writes through it must reach the
@@ -1361,30 +1451,30 @@ and gen_decl st fx subst (d : tvar_decl) =
                   | LIndirect p -> add_store st p v
                   | LTop -> do_havoc st
                   | LNone -> ())
-                (gen_lval st fx e)
+                (gen_lval st ix e)
           end
       | TInitCtor (_, args) -> (
           match args with
           | [ a ] when tracked st d.tv_type ->
-              let ga = gen_rval st fx a in
-              add_edge st ga (node_of_var st fx d.tv_name)
-          | _ -> List.iter (fun a -> ignore (gen_expr st fx a)) args)
+              let ga = gen_rval st ix a in
+              add_edge st ga (var_node st ix.i_vars d.tv_name)
+          | _ -> List.iter (fun a -> ignore (gen_expr st ix a)) args)
       | TInitNone -> ())
 
-and gen_stmt st fx subst (s : tstmt) =
+and gen_stmt st ix (s : tstmt) =
   match s.ts with
-  | TSExpr e -> ignore (gen_expr st fx e)
-  | TSDecl ds -> List.iter (gen_decl st fx subst) ds
+  | TSExpr e -> ignore (gen_expr st ix e)
+  | TSDecl ds -> List.iter (gen_decl st ix) ds
   | TSIf (c, _, _) | TSWhile (c, _) | TSDoWhile (_, c) ->
-      ignore (gen_expr st fx c)
+      ignore (gen_expr st ix c)
   | TSFor (_, cond, step, _) ->
-      Option.iter (fun e -> ignore (gen_expr st fx e)) cond;
-      Option.iter (fun e -> ignore (gen_expr st fx e)) step
+      Option.iter (fun e -> ignore (gen_expr st ix e)) cond;
+      Option.iter (fun e -> ignore (gen_expr st ix e)) step
   | TSReturn (Some e) ->
-      let ge = gen_rval st fx e in
-      if tracked st e.ty then add_edge st ge (node_of_ret st fx)
+      let ge = gen_rval st ix e in
+      if tracked st e.ty then add_edge st ge (node_of_ret st ix.i_fx)
   | TSDelete (_, e) -> (
-      let ge = gen_expr st fx e in
+      let ge = gen_expr st ix e in
       match Ctype.pointee e.ty with
       | Some (Ast.TNamed cls) when Class_table.mem st.table cls ->
           if dtor_is_virtual st.table cls then begin
@@ -1420,15 +1510,20 @@ and gen_func st (fx : fctx) =
   match find_func st.prog id with
   | None -> ()
   | Some f ->
+      if not (FuncTbl.mem st.scanned id) then begin
+        FuncTbl.add st.scanned id ();
+        mark_substitutable st f
+      end;
+      let ix = inst st fx in
       (match id with
       | Func_id.FCtor (cls, _) ->
           (* while a constructor runs, the dynamic type is the class
              itself (C++ dispatch-during-construction) *)
-          add_obj st (node_of_this st fx) (class_object st cls);
+          add_obj st (inst_this st ix) (class_object st cls);
           List.iter
             (fun (bi : base_init) ->
               let bctor = Func_id.FCtor (bi.bi_class, List.length bi.bi_args) in
-              let gargs = gen_args st fx bi.bi_args in
+              let gargs = gen_args st ix bi.bi_args in
               (* the base subobject is the same object under
                  construction: its clone keeps the caller's context *)
               let bcx =
@@ -1439,7 +1534,7 @@ and gen_func st (fx : fctx) =
               (* the object under construction is the base ctor's receiver
                  too: if [this] escapes from the base ctor, it carries the
                  derived object's identity *)
-              add_edge st (node_of_this st fx) (node_of_this st bfx);
+              add_edge st (inst_this st ix) (node_of_this st bfx);
               bind_args st bfx gargs nonode)
             f.tf_base_inits;
           let c = Class_table.find_exn st.table cls in
@@ -1460,7 +1555,7 @@ and gen_func st (fx : fctx) =
                     in
                     let gargs =
                       match explicit with
-                      | Some fi -> gen_args st fx fi.fi_args
+                      | Some fi -> gen_args st ix fi.fi_args
                       | None -> []
                     in
                     let fctor = Func_id.FCtor (fcls, nargs) in
@@ -1475,22 +1570,22 @@ and gen_func st (fx : fctx) =
                     | Some fi when tracked st fl.f_type -> (
                         match fi.fi_args with
                         | [ a ] ->
-                            let ga = gen_expr st fx a in
+                            let ga = gen_expr st ix a in
                             add_edge st ga
                               (node_of_field st
                                  (Member.make ~cls ~name:fl.f_name))
                         | args ->
                             List.iter
-                              (fun a -> ignore (gen_expr st fx a))
+                              (fun a -> ignore (gen_expr st ix a))
                               args)
                     | Some fi ->
                         List.iter
-                          (fun a -> ignore (gen_expr st fx a))
+                          (fun a -> ignore (gen_expr st ix a))
                           fi.fi_args
                     | None -> ()))
             c.c_fields
       | Func_id.FDtor cls ->
-          add_obj st (node_of_this st fx) (class_object st cls);
+          add_obj st (inst_this st ix) (class_object st cls);
           let c = Class_table.find_exn st.table cls in
           List.iter
             (fun (b : Ast.base_spec) -> reach st (Func_id.FDtor b.b_name, CRoot))
@@ -1514,11 +1609,7 @@ and gen_func st (fx : fctx) =
                 | _ -> ())
             c.c_fields
       | Func_id.FFree _ | Func_id.FMethod _ -> ());
-      (match f.tf_body with
-      | Some body ->
-          let subst = substitutable f in
-          fold_stmts (fun () s -> gen_stmt st fx subst s) () body
-      | None -> ())
+      Option.iter (fold_stmts (fun () s -> gen_stmt st ix s) ()) f.tf_body
 
 (* -- driver -------------------------------------------------------------------- *)
 
@@ -1563,14 +1654,17 @@ let shrink st =
     st.nodes;
   (* generation-time memos: nothing after the solve reads them *)
   FctxTbl.reset st.var_node;
-  Hashtbl.reset st.global_node;
-  Hashtbl.reset st.field_node;
-  Hashtbl.reset st.fun_obj;
-  Hashtbl.reset st.class_obj;
-  Hashtbl.reset st.cell_obj;
+  StringTbl.reset st.global_node;
+  MemberTbl.reset st.field_node;
+  FuncTbl.reset st.fun_obj;
+  StringTbl.reset st.class_obj;
+  IntTbl.reset st.cell_obj;
   FctxTbl.reset st.this_node;
   FctxTbl.reset st.ret_node;
-  ExprTbl.reset st.serial_tbl;
+  st.subst <- Bytes.empty;
+  FuncTbl.reset st.scanned;
+  st.site_obj <- [||];
+  st.serial_tbl <- [||];
   DeclTbl.reset st.decl_obj
 
 (* A dispatch site (one static occurrence, all clones) counts as a
@@ -1611,19 +1705,24 @@ let analyze ?(mode = Insensitive) ?(roots = [ main_id ]) (p : program) :
       n_nodes = 0;
       objs = [||];
       n_objs = 0;
-      expr_node = ExprTbl.create 1024;
-      site_obj = ExprTbl.create 64;
+      expr_node =
+        (match mode with
+        | Insensitive -> Single (Array.make p.n_exprs nonode)
+        | OneCfa -> Cloned (Array.make p.n_exprs []));
+      site_obj = Array.make p.n_exprs (-1);
+      serial_tbl = Array.make p.n_exprs (-1);
       decl_obj = DeclTbl.create 64;
-      serial_tbl = ExprTbl.create 64;
       n_serials = 0;
+      subst = Bytes.make p.n_exprs '\000';
+      scanned = FuncTbl.create 64;
       var_node = FctxTbl.create 64;
       this_node = FctxTbl.create 64;
       ret_node = FctxTbl.create 64;
-      global_node = Hashtbl.create 16;
-      field_node = Hashtbl.create 64;
-      fun_obj = Hashtbl.create 16;
-      class_obj = Hashtbl.create 16;
-      cell_obj = Hashtbl.create 16;
+      global_node = StringTbl.create 16;
+      field_node = MemberTbl.create 64;
+      fun_obj = FuncTbl.create 16;
+      class_obj = StringTbl.create 16;
+      cell_obj = IntTbl.create 16;
       worklist = Queue.create ();
       gen_queue = Queue.create ();
       instances = FctxTbl.create 256;
@@ -1641,17 +1740,19 @@ let analyze ?(mode = Insensitive) ?(roots = [ main_id ]) (p : program) :
       n_complex = 0;
       n_delta = 0;
       rounds = 0;
-      class_answers = Hashtbl.create 16;
-      fn_answers = Hashtbl.create 16;
-      site_answers = Hashtbl.create 16;
+      class_answers = NodesTbl.create 16;
+      fn_answers = NodesTbl.create 16;
+      site_answers = NodesTbl.create 16;
     }
   in
   Telemetry.Span.with_ "pta.seed" (fun () ->
+      (* global initializers run in [main]'s instance *)
+      let ix = inst st (main_id, CRoot) in
       List.iter
         (fun (g : global) ->
           match g.g_init with
           | Some e ->
-              let n = gen_rval st (main_id, CRoot) e in
+              let n = gen_rval st ix e in
               if tracked st g.g_type then
                 add_edge st n (node_of_global st g.g_name)
           | None -> ())
@@ -1689,15 +1790,19 @@ let node_objects st nodes =
    occurrence, computed once per node list and then looked up: [None]
    when any clone's node degraded to ⊤ (or the store havocked), or the
    occurrence was never analyzed. *)
-let memo_answer tbl answer st e =
-  if st.havoc then None
-  else
-    match ExprTbl.find_opt st.expr_node e with
-    | None | Some [] -> None
-    | Some entries ->
-        let nodes = List.map snd entries in
-        memo tbl nodes (fun () ->
-            Option.bind (node_objects st nodes) (answer st))
+let memo_answer tbl answer st (e : texpr) =
+  let nodes =
+    match st.expr_node with
+    | Single a when e.tid < Array.length a && a.(e.tid) >= 0 -> [ a.(e.tid) ]
+    | Cloned a when e.tid < Array.length a -> List.map snd a.(e.tid)
+    | Single _ | Cloned _ -> []
+  in
+  match nodes with
+  | [] -> None
+  | _ when st.havoc -> None
+  | _ ->
+      memo NodesTbl.find NodesTbl.add tbl nodes (fun () ->
+          Option.bind (node_objects st nodes) (answer st))
 
 let classes_of st pts =
   let ok = ref true in

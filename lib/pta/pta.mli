@@ -68,9 +68,9 @@ val havoc : solution -> bool
 
 (** [receiver_classes sol e] is the set of dynamic classes of objects
     the receiver expression [e] may point to, or [None] when the set is
-    unknown ([⊤], havoc, or [e] not part of the analyzed program). [e]
-    is identified {e physically}: pass the very expression node from the
-    program given to {!analyze}. In [OneCfa] mode the answer is the
+    unknown ([⊤], havoc, or [e] never analyzed). [e] is identified by
+    its [tid]: pass an expression of the program given to {!analyze}.
+    In [OneCfa] mode the answer is the
     union over every context clone of the occurrence. The answer is
     computed once per list of nodes and kept in the solution, so the
     calls on one receiver share it; so are the two queries below. *)

@@ -47,7 +47,7 @@ module ExprTbl = Hashtbl.Make (struct
   type t = texpr
 
   let equal = ( == )  (* expression occurrences are identified physically *)
-  let hash (e : texpr) = Hashtbl.hash e.tloc
+  let hash (e : texpr) = e.tid
 end)
 
 type solution = {

@@ -37,6 +37,7 @@ type env = {
       (* keep-going recovery dropped no out-of-line definition, so a
          bodiless method really has none: only then is "declared but
          never defined" reported *)
+  mutable next_tid : int;  (* the next expression's [tid] *)
 }
 
 let err = Source.error
@@ -48,7 +49,10 @@ let err = Source.error
    each declaration-sized unit of work runs under [guard], which converts
    an escaping [Compile_error] (or a [Stack_overflow] from adversarial
    nesting) into a recorded diagnostic plus an [unknown_region] naming
-   everything the broken declaration mentions, then moves on. *)
+   everything the broken declaration mentions, then moves on. A unit
+   that fails leaves none of its expressions in the program, so the
+   [tid]s it handed out are handed out again ([env]): the ids stay
+   dense. *)
 
 type recovery = {
   rc_diags : Source.Diagnostics.t;
@@ -60,16 +64,20 @@ let record_region rc ~what ~loc ~refs =
   rc.rc_regions <-
     { Source.ur_at = loc; ur_what = what; ur_refs = refs () } :: rc.rc_regions
 
-let guard ?(fallback = fun () -> ()) recover ~what ~loc ~refs f =
+let guard ?env ?(fallback = fun () -> ()) recover ~what ~loc ~refs f =
   match recover with
   | None -> f ()
   | Some rc -> (
+      let mark = match env with Some env -> env.next_tid | None -> 0 in
+      let rewind () = Option.iter (fun env -> env.next_tid <- mark) env in
       try f () with
       | Source.Compile_error d ->
+          rewind ();
           Source.Diagnostics.emit rc.rc_diags d;
           record_region rc ~what ~loc ~refs;
           (try fallback () with Source.Compile_error _ -> ())
       | Stack_overflow ->
+          rewind ();
           Source.Diagnostics.error rc.rc_diags ~at:loc
             "%s is nested too deeply to check" what;
           record_region rc ~what ~loc ~refs;
@@ -274,19 +282,24 @@ let arith_result a b =
     | Ast.TLong, _ | _, Ast.TLong -> Ast.TLong
     | _ -> Ast.TInt
 
+(* A new expression node, with the next id. *)
+let texpr env ~loc te ty =
+  let tid = env.next_tid in
+  env.next_tid <- tid + 1;
+  { te; ty; tloc = loc; tid }
+
 let rec check_expr env (e : Ast.expr) : texpr =
   let loc = e.eloc in
-  let mk te ty = { te; ty; tloc = loc } in
   match e.e with
-  | Ast.IntLit n -> mk (TInt n) Ast.TInt
-  | Ast.BoolLit b -> mk (TBool b) Ast.TBool
-  | Ast.CharLit c -> mk (TChar c) Ast.TChar
-  | Ast.FloatLit f -> mk (TFloat f) Ast.TDouble
-  | Ast.StrLit s -> mk (TStr s) (Ast.TPtr Ast.TChar)
-  | Ast.NullLit -> mk TNull (Ast.TPtr Ast.TVoid)
+  | Ast.IntLit n -> texpr env ~loc (TInt n) Ast.TInt
+  | Ast.BoolLit b -> texpr env ~loc (TBool b) Ast.TBool
+  | Ast.CharLit c -> texpr env ~loc (TChar c) Ast.TChar
+  | Ast.FloatLit f -> texpr env ~loc (TFloat f) Ast.TDouble
+  | Ast.StrLit s -> texpr env ~loc (TStr s) (Ast.TPtr Ast.TChar)
+  | Ast.NullLit -> texpr env ~loc TNull (Ast.TPtr Ast.TVoid)
   | Ast.This -> (
       match env.this_class with
-      | Some cls -> mk (TThis cls) (Ast.TPtr (Ast.TNamed cls))
+      | Some cls -> texpr env ~loc (TThis cls) (Ast.TPtr (Ast.TNamed cls))
       | None -> err ~at:loc "'this' used outside a member function")
   | Ast.Ident name -> check_ident env ~loc name
   | Ast.ScopedIdent (cls, name) -> check_scoped env ~loc cls name
@@ -300,7 +313,7 @@ let rec check_expr env (e : Ast.expr) : texpr =
             else err ~at:loc "operand of unary %s must be numeric"
                    (match op with Ast.Neg -> "-" | Ast.BitNot -> "~" | _ -> "+")
       in
-      mk (TUnary (op, ta)) ty
+      texpr env ~loc (TUnary (op, ta)) ty
   | Ast.Binary (op, a, b) ->
       let ta = check_expr env a and tb = check_expr env b in
       let ty =
@@ -332,7 +345,7 @@ let rec check_expr env (e : Ast.expr) : texpr =
               err ~at:loc "invalid operands to binary %s"
                 (Frontend.Ast_printer.binop_str op)
       in
-      mk (TBinary (op, ta, tb)) ty
+      texpr env ~loc (TBinary (op, ta, tb)) ty
   | Ast.AssignE (op, lhs, rhs) ->
       let tl = check_expr env lhs in
       let tr = check_expr env rhs in
@@ -345,7 +358,7 @@ let rec check_expr env (e : Ast.expr) : texpr =
          match (Ctype.decay tl.ty, Ctype.decay tr.ty, op) with
          | Ast.TPtr _, t, (Ast.AddAssign | Ast.SubAssign) when Ctype.is_integral t -> ()
          | _ -> err ~at:loc "invalid compound assignment");
-      mk (TAssign (op, tl, tr)) (Ctype.decay tl.ty)
+      texpr env ~loc (TAssign (op, tl, tr)) (Ctype.decay tl.ty)
   | Ast.IncDec (which, fix, a) ->
       let ta = check_expr env a in
       if not (is_lvalue ta) then err ~at:loc "operand of ++/-- is not an lvalue";
@@ -355,7 +368,7 @@ let rec check_expr env (e : Ast.expr) : texpr =
       if Ctype.decay ta.ty = Ast.TBool then
         err ~at:loc "operand of %s must not be 'bool'"
           (match which with Ast.Incr -> "++" | Ast.Decr -> "--");
-      mk (TIncDec (which, fix, ta)) (Ctype.decay ta.ty)
+      texpr env ~loc (TIncDec (which, fix, ta)) (Ctype.decay ta.ty)
   | Ast.Cond (c, t, f) ->
       let tc = check_expr env c in
       let tt = check_expr env t and tf = check_expr env f in
@@ -372,7 +385,7 @@ let rec check_expr env (e : Ast.expr) : texpr =
         else if assignable env ~dst:tf.ty ~src:tt.ty then Ctype.decay tf.ty
         else err ~at:loc "incompatible branches of conditional expression"
       in
-      mk (TCond (tc, tt, tf)) ty
+      texpr env ~loc (TCond (tc, tt, tf)) ty
   | Ast.Cast (kind, t, a) ->
       check_type_exists env ~loc t;
       let ta = check_expr env a in
@@ -382,7 +395,7 @@ let rec check_expr env (e : Ast.expr) : texpr =
         | Ast.CStyle | Ast.StaticCast | Ast.ReinterpretCast ->
             classify_cast env ~dst:t ~src:ta.ty
       in
-      mk (TCast (kind, t, ta, safety)) t
+      texpr env ~loc (TCast (kind, t, ta, safety)) t
   | Ast.Member (obj, name) -> check_member env ~loc obj name ~arrow:false
   | Ast.Arrow (obj, name) -> check_member env ~loc obj name ~arrow:true
   | Ast.QualMember (obj, cls, name) ->
@@ -393,14 +406,14 @@ let rec check_expr env (e : Ast.expr) : texpr =
   | Ast.Deref a -> (
       let ta = check_expr env a in
       match Ctype.decay ta.ty with
-      | Ast.TPtr t -> mk (TDeref ta) t
+      | Ast.TPtr t -> texpr env ~loc (TDeref ta) t
       | _ -> err ~at:loc "cannot dereference non-pointer type '%s'" (Ctype.to_string ta.ty))
   | Ast.Index (a, i) -> (
       let ta = check_expr env a and ti = check_expr env i in
       if not (Ctype.is_integral ti.ty) then
         err ~at:loc "array index must be integral";
       match Ctype.decay ta.ty with
-      | Ast.TPtr t -> mk (TIndex (ta, ti)) t
+      | Ast.TPtr t -> texpr env ~loc (TIndex (ta, ti)) t
       | _ -> err ~at:loc "cannot index non-array type '%s'" (Ctype.to_string ta.ty))
   | Ast.MemPtrDeref (recv, pm, arrow) -> (
       let tr = check_expr env recv in
@@ -413,7 +426,7 @@ let rec check_expr env (e : Ast.expr) : texpr =
       | Some rc, Ast.TMemPtrTy (pc, t) ->
           if not (Class_table.is_base_of env.table ~base:pc ~derived:rc) then
             err ~at:loc "pointer-to-member of '%s' applied to object of class '%s'" pc rc;
-          mk (TMemPtrDeref (tr, tp, arrow)) t
+          texpr env ~loc (TMemPtrDeref (tr, tp, arrow)) t
       | None, _ -> err ~at:loc "left operand of .*/->* must be a class object"
       | _, _ -> err ~at:loc "right operand of .*/->* must be a pointer to member")
   | Ast.Call (callee, args) -> check_call env ~loc callee args
@@ -424,10 +437,10 @@ let rec check_expr env (e : Ast.expr) : texpr =
           let targs = List.map (check_expr env) args in
           let ctor = resolve_ctor env ~loc cls (List.length targs) in
           check_ctor_args env ~loc cls targs;
-          mk (TNewObj { cls; ctor; args = targs }) (Ast.TPtr t)
+          texpr env ~loc (TNewObj { cls; ctor; args = targs }) (Ast.TPtr t)
       | _ ->
           if args <> [] then err ~at:loc "scalar 'new' cannot take constructor arguments";
-          mk (TNewScalar t) (Ast.TPtr t))
+          texpr env ~loc (TNewScalar t) (Ast.TPtr t))
   | Ast.NewArr (t, n) ->
       check_type_exists env ~loc t;
       let tn = check_expr env n in
@@ -436,18 +449,17 @@ let rec check_expr env (e : Ast.expr) : texpr =
       (match t with
       | Ast.TNamed cls -> ignore (resolve_ctor env ~loc cls 0)
       | _ -> ());
-      mk (TNewArr (t, tn)) (Ast.TPtr t)
+      texpr env ~loc (TNewArr (t, tn)) (Ast.TPtr t)
   | Ast.SizeofType t ->
       check_type_exists env ~loc t;
-      mk (TSizeofType t) Ast.TInt
+      texpr env ~loc (TSizeofType t) Ast.TInt
   | Ast.SizeofExpr a ->
       let ta = check_expr env a in
-      mk (TSizeofExpr ta) Ast.TInt
+      texpr env ~loc (TSizeofExpr ta) Ast.TInt
 
 and check_ident env ~loc name : texpr =
-  let mk te ty = { te; ty; tloc = loc } in
   match find_local env name with
-  | Some t -> mk (TLocal name) t
+  | Some t -> texpr env ~loc (TLocal name) t
   | None -> (
       (* implicit [this->name] member access *)
       match env.this_class with
@@ -457,10 +469,14 @@ and check_ident env ~loc name : texpr =
           | _ -> false) -> (
           match Member_lookup.lookup_field env.table ~start:cls ~name with
           | Member_lookup.Found (def_class, f) ->
-              if f.f_static then mk (TStaticField (def_class, name)) f.f_type
+              if f.f_static then
+                texpr env ~loc (TStaticField (def_class, name)) f.f_type
               else
-                let this = mk (TThis cls) (Ast.TPtr (Ast.TNamed cls)) in
-                mk
+                let this =
+                  texpr env ~loc (TThis cls)
+                    (Ast.TPtr (Ast.TNamed cls))
+                in
+                texpr env ~loc
                   (TField
                      {
                        fa_obj = this;
@@ -474,34 +490,37 @@ and check_ident env ~loc name : texpr =
           | _ -> assert false)
       | _ -> (
           match StringMap.find_opt name env.globals with
-          | Some t -> mk (TGlobalVar name) t
+          | Some t -> texpr env ~loc (TGlobalVar name) t
           | None -> (
               match StringMap.find_opt name env.enums with
-              | Some v -> mk (TEnumConst (name, v)) Ast.TInt
+              | Some v -> texpr env ~loc (TEnumConst (name, v)) Ast.TInt
               | None -> (
                   match StringMap.find_opt name env.free_sigs with
                   | Some (ret, params) ->
                       (* a function name used as a value decays to a
                          function pointer — and makes the function a call
                          graph root (address taken) *)
-                      mk
+                      texpr env ~loc
                         (TFunAddr (Func_id.FFree name))
                         (Ast.TFun (ret, List.map (fun p -> p.Ast.p_type) params))
                   | None -> err ~at:loc "unknown identifier '%s'" name))))
 
 and check_scoped env ~loc cls name : texpr =
-  let mk te ty = { te; ty; tloc = loc } in
   if not (Class_table.mem env.table cls) then err ~at:loc "unknown class '%s'" cls;
   match Member_lookup.lookup_field env.table ~start:cls ~name with
   | Member_lookup.Found (def_class, f) ->
-      if f.f_static then mk (TStaticField (def_class, name)) f.f_type
+      if f.f_static then
+        texpr env ~loc (TStaticField (def_class, name)) f.f_type
       else (
         (* [X::m] inside a member function of a class derived from X is a
            qualified access to this->X::m *)
         match env.this_class with
         | Some this_cls when Class_table.is_base_of env.table ~base:cls ~derived:this_cls ->
-            let this = mk (TThis this_cls) (Ast.TPtr (Ast.TNamed this_cls)) in
-            mk
+            let this =
+              texpr env ~loc (TThis this_cls)
+                (Ast.TPtr (Ast.TNamed this_cls))
+            in
+            texpr env ~loc
               (TField
                  {
                    fa_obj = this;
@@ -522,7 +541,13 @@ and check_scoped env ~loc cls name : texpr =
         (String.concat ", " ds)
 
 and check_member env ~loc obj name ~arrow : texpr =
-  let tobj = check_expr env obj in
+  let mark = env.next_tid in
+  member_access env ~loc ~mark (check_expr env obj) name ~arrow
+
+(* [tobj.name] or [tobj->name], where [tobj]'s ids start at [mark]. A
+   static member drops the object expression, and its ids are handed
+   out again. *)
+and member_access env ~loc ~mark tobj name ~arrow : texpr =
   let recv =
     if arrow then Ctype.receiver_class_arrow tobj.ty
     else Ctype.receiver_class_dot tobj.ty
@@ -534,25 +559,28 @@ and check_member env ~loc obj name ~arrow : texpr =
         name (Ctype.to_string tobj.ty)
   | Some cls ->
       let def_class, f = Member_lookup.field_exn env.table ~start:cls ~name ~loc in
-      if f.f_static then { te = TStaticField (def_class, name); ty = f.f_type; tloc = loc }
+      if f.f_static then begin
+        env.next_tid <- mark;
+        texpr env ~loc (TStaticField (def_class, name)) f.f_type
+      end
       else
-        {
-          te =
-            TField
-              {
-                fa_obj = tobj;
-                fa_arrow = arrow;
-                fa_qualified = false;
-                fa_def_class = def_class;
-                fa_field = name;
-                fa_volatile = f.f_volatile;
-              };
-          ty = f.f_type;
-          tloc = loc;
-        }
+        texpr env ~loc
+          (TField
+             {
+               fa_obj = tobj;
+               fa_arrow = arrow;
+               fa_qualified = false;
+               fa_def_class = def_class;
+               fa_field = name;
+               fa_volatile = f.f_volatile;
+             })
+          f.f_type
 
 and check_qual_member env ~loc obj cls name ~arrow : texpr =
-  let tobj = check_expr env obj in
+  qual_member_access env ~loc (check_expr env obj) cls name ~arrow
+
+(* [tobj.cls::name] or [tobj->cls::name]. *)
+and qual_member_access env ~loc tobj cls name ~arrow : texpr =
   let recv =
     if arrow then Ctype.receiver_class_arrow tobj.ty
     else Ctype.receiver_class_dot tobj.ty
@@ -563,23 +591,19 @@ and check_qual_member env ~loc obj cls name ~arrow : texpr =
       if not (Class_table.is_base_of env.table ~base:cls ~derived:obj_cls) then
         err ~at:loc "'%s' is not a base of '%s'" cls obj_cls;
       let def_class, f = Member_lookup.field_exn env.table ~start:cls ~name ~loc in
-      {
-        te =
-          TField
-            {
-              fa_obj = tobj;
-              fa_arrow = arrow;
-              fa_qualified = true;
-              fa_def_class = def_class;
-              fa_field = name;
-              fa_volatile = f.f_volatile;
-            };
-        ty = f.f_type;
-        tloc = loc;
-      }
+      texpr env ~loc
+        (TField
+           {
+             fa_obj = tobj;
+             fa_arrow = arrow;
+             fa_qualified = true;
+             fa_def_class = def_class;
+             fa_field = name;
+             fa_volatile = f.f_volatile;
+           })
+        f.f_type
 
 and check_addrof env ~loc (a : Ast.expr) : texpr =
-  let mk te ty = { te; ty; tloc = loc } in
   match a.e with
   | Ast.ScopedIdent (cls, name) -> (
       if not (Class_table.mem env.table cls) then
@@ -589,16 +613,20 @@ and check_addrof env ~loc (a : Ast.expr) : texpr =
       match Member_lookup.lookup_field env.table ~start:cls ~name with
       | Member_lookup.Found (def_class, f) ->
           if f.f_static then
-            mk (TAddrOf (mk (TStaticField (def_class, name)) f.f_type))
+            texpr env ~loc
+              (TAddrOf
+                 (texpr env ~loc (TStaticField (def_class, name)) f.f_type))
               (Ast.TPtr f.f_type)
-          else mk (TMemPtr (def_class, name)) (Ast.TMemPtrTy (def_class, f.f_type))
+          else
+            texpr env ~loc (TMemPtr (def_class, name))
+              (Ast.TMemPtrTy (def_class, f.f_type))
       | Member_lookup.Ambiguous ds ->
           err ~at:loc "member '%s' is ambiguous in '%s' (defined in %s)" name cls
             (String.concat ", " ds)
       | Member_lookup.NotFound -> (
           match Member_lookup.lookup_method env.table ~start:cls ~name with
           | Member_lookup.Found (def_class, m) ->
-              mk
+              texpr env ~loc
                 (TFunAddr (Func_id.FMethod (def_class, name)))
                 (Ast.TFun (m.m_ret, List.map (fun p -> p.Ast.p_type) m.m_params))
           | _ -> err ~at:loc "class '%s' has no member '%s'" cls name))
@@ -606,7 +634,7 @@ and check_addrof env ~loc (a : Ast.expr) : texpr =
                         && env.this_class = None
                         && StringMap.mem name env.free_sigs ->
       let ret, params = StringMap.find name env.free_sigs in
-      mk
+      texpr env ~loc
         (TFunAddr (Func_id.FFree name))
         (Ast.TFun (ret, List.map (fun p -> p.Ast.p_type) params))
   | Ast.Ident name when
@@ -620,13 +648,13 @@ and check_addrof env ~loc (a : Ast.expr) : texpr =
       && not (StringMap.mem name env.globals)
       && StringMap.mem name env.free_sigs ->
       let ret, params = StringMap.find name env.free_sigs in
-      mk
+      texpr env ~loc
         (TFunAddr (Func_id.FFree name))
         (Ast.TFun (ret, List.map (fun p -> p.Ast.p_type) params))
   | _ ->
       let ta = check_expr env a in
       if not (is_lvalue ta) then err ~at:loc "cannot take the address of an rvalue";
-      mk (TAddrOf ta) (Ast.TPtr (Ctype.decay ta.ty))
+      texpr env ~loc (TAddrOf ta) (Ast.TPtr (Ctype.decay ta.ty))
 
 and check_ctor_args env ~loc cls (targs : texpr list) =
   let params = ctor_params env ~loc cls (List.length targs) in
@@ -644,13 +672,13 @@ and check_args env ~loc what (params : Ast.param list) (targs : texpr list) =
     params targs
 
 and check_call env ~loc (callee : Ast.expr) (args : Ast.expr list) : texpr =
-  let mk te ty = { te; ty; tloc = loc } in
   let targs () = List.map (check_expr env) args in
   match callee.e with
   | Ast.Ident name -> (
       (* local function pointer? *)
       match find_local env name with
-      | Some t -> call_through env ~loc ~name (mk (TLocal name) t) args
+      | Some t ->
+          call_through env ~loc ~name (texpr env ~loc (TLocal name) t) args
       | None -> (
           (* method of the enclosing class? *)
           let as_method =
@@ -672,8 +700,11 @@ and check_call env ~loc (callee : Ast.expr) (args : Ast.expr list) : texpr =
           | Some (this_cls, def_class, m) ->
               let targs = targs () in
               check_args env ~loc (Printf.sprintf "method '%s'" name) m.m_params targs;
-              let this = mk (TThis this_cls) (Ast.TPtr (Ast.TNamed this_cls)) in
-              mk
+              let this =
+                texpr env ~loc (TThis this_cls)
+                  (Ast.TPtr (Ast.TNamed this_cls))
+              in
+              texpr env ~loc
                 (TCall
                    (CMethod
                       {
@@ -690,7 +721,7 @@ and check_call env ~loc (callee : Ast.expr) (args : Ast.expr list) : texpr =
               | Some b ->
                   let targs = targs () in
                   check_builtin_args env ~loc b targs;
-                  mk (TCall (CBuiltin (b, targs)))
+                  texpr env ~loc (TCall (CBuiltin (b, targs)))
                     (match b with
                     | BPrintInt | BPrintChar | BPrintFloat | BPrintStr | BPrintNl
                     | BFree | BAbort ->
@@ -701,11 +732,13 @@ and check_call env ~loc (callee : Ast.expr) (args : Ast.expr list) : texpr =
                       let targs = targs () in
                       check_args env ~loc (Printf.sprintf "function '%s'" name)
                         params targs;
-                      mk (TCall (CFree (name, targs))) ret
+                      texpr env ~loc (TCall (CFree (name, targs))) ret
                   | None -> (
                       match StringMap.find_opt name env.globals with
                       | Some t ->
-                          call_through env ~loc ~name (mk (TGlobalVar name) t) args
+                          call_through env ~loc ~name
+                            (texpr env ~loc (TGlobalVar name) t)
+                            args
                       | None -> err ~at:loc "call to unknown function '%s'" name)))))
   | Ast.Member (obj, name) ->
       check_method_call env ~loc callee obj name args ~arrow:false ~qualified:None
@@ -726,11 +759,11 @@ and check_call env ~loc (callee : Ast.expr) (args : Ast.expr list) : texpr =
             m.m_params targs;
           if m.m_static then
             (* static member function: no receiver *)
-            mk
+            texpr env ~loc
               (TCall
                  (CMethod
                     {
-                      mc_recv = mk TNull (Ast.TPtr Ast.TVoid);
+                      mc_recv = texpr env ~loc TNull (Ast.TPtr Ast.TVoid);
                       mc_arrow = false;
                       mc_dispatch = DStatic;
                       mc_class = def_class;
@@ -742,8 +775,11 @@ and check_call env ~loc (callee : Ast.expr) (args : Ast.expr list) : texpr =
             match env.this_class with
             | Some this_cls
               when Class_table.is_base_of env.table ~base:cls ~derived:this_cls ->
-                let this = mk (TThis this_cls) (Ast.TPtr (Ast.TNamed this_cls)) in
-                mk
+                let this =
+                  texpr env ~loc (TThis this_cls)
+                    (Ast.TPtr (Ast.TNamed this_cls))
+                in
+                texpr env ~loc
                   (TCall
                      (CMethod
                         {
@@ -773,7 +809,7 @@ and call_through env ~loc ?name (tf : texpr) (args : Ast.expr list) : texpr =
         match name with
         | Some name -> err ~at:loc "function pointer '%s' arity mismatch" name
         | None -> err ~at:loc "function pointer arity mismatch");
-      { te = TCall (CFunPtr (tf, targs)); ty = ret; tloc = loc }
+      texpr env ~loc (TCall (CFunPtr (tf, targs))) ret
   | _ -> (
       match name with
       | Some name -> err ~at:loc "'%s' is not a function" name
@@ -790,6 +826,7 @@ and funptr_field env start name =
   | _ -> false
 
 and check_method_call env ~loc callee obj name args ~arrow ~qualified : texpr =
+  let mark = env.next_tid in
   let tobj = check_expr env obj in
   let recv_cls =
     if arrow then Ctype.receiver_class_arrow tobj.ty
@@ -811,7 +848,13 @@ and check_method_call env ~loc callee obj name args ~arrow ~qualified : texpr =
       match Member_lookup.lookup_method env.table ~start ~name with
       | Member_lookup.NotFound when funptr_field env start name ->
           (* a call through a function-pointer data member *)
-          call_through env ~loc (check_expr env callee) args
+          let loc' = callee.Ast.eloc in
+          let tf =
+            match qualified with
+            | None -> member_access env ~loc:loc' ~mark tobj name ~arrow
+            | Some q -> qual_member_access env ~loc:loc' tobj q name ~arrow
+          in
+          call_through env ~loc tf args
       | found ->
           let def_class, m =
             match found with
@@ -824,21 +867,18 @@ and check_method_call env ~loc callee obj name args ~arrow ~qualified : texpr =
           let dispatch =
             if qualified = None && m.m_virtual then DVirtual else DStatic
           in
-          {
-            te =
-              TCall
-                (CMethod
-                   {
-                     mc_recv = tobj;
-                     mc_arrow = arrow;
-                     mc_dispatch = dispatch;
-                     mc_class = def_class;
-                     mc_name = name;
-                     mc_args = targs;
-                   });
-            ty = m.m_ret;
-            tloc = loc;
-          })
+          texpr env ~loc
+            (TCall
+               (CMethod
+                  {
+                    mc_recv = tobj;
+                    mc_arrow = arrow;
+                    mc_dispatch = dispatch;
+                    mc_class = def_class;
+                    mc_name = name;
+                    mc_args = targs;
+                  }))
+            m.m_ret)
 
 and check_builtin_args _env ~loc b (targs : texpr list) =
   let expect_n n = if List.length targs <> n then
@@ -1156,6 +1196,7 @@ let check_program_gen recover (prog : Ast.program) : program =
       ret_type = Ast.TVoid;
       defs_seen =
         (match recover with Some rc -> not rc.rc_defs_dropped | None -> true);
+      next_tid = 0;
     }
   in
   let funcs = ref FuncMap.empty in
@@ -1184,7 +1225,7 @@ let check_program_gen recover (prog : Ast.program) : program =
         tf_loc = loc;
       }
     in
-    guard recover
+    guard ~env recover
       ~what:(Fmt.str "function '%s'" name)
       ~loc
       ~refs:(fun () ->
@@ -1254,7 +1295,7 @@ let check_program_gen recover (prog : Ast.program) : program =
             m.m_inits;
           Option.iter (Ast.add_stmt_refs add) m.m_body)
     in
-    guard recover
+    guard ~env recover
       ~what:(Fmt.str "member function '%s::%s'" c.c_name m.m_name)
       ~loc:m.m_loc ~refs ~fallback
       (fun () ->
@@ -1425,7 +1466,7 @@ let check_program_gen recover (prog : Ast.program) : program =
   let tglobals = ref [] in
   List.iter
     (fun (d : Ast.var_decl) ->
-      guard recover
+      guard ~env recover
         ~what:(Fmt.str "global '%s'" d.v_name)
         ~loc:d.v_loc
         ~refs:(fun () ->
@@ -1461,6 +1502,7 @@ let check_program_gen recover (prog : Ast.program) : program =
       funcs = !funcs;
       globals = !tglobals;
       enum_consts = StringMap.bindings !enums;
+      n_exprs = env.next_tid;
     }
   in
   (* Under keep-going, an earlier error may have swallowed [main]: a

@@ -87,7 +87,10 @@ type cast_safety =
 
 type dispatch = DStatic | DVirtual
 
-type texpr = { te : texpr_desc; ty : Ast.type_expr; tloc : Ast.loc }
+(* [tid] numbers a program's expressions densely, 0 .. [n_exprs] - 1 in
+   the order the checker built them: analyses key per-expression tables
+   by it instead of hashing the expression. *)
+type texpr = { te : texpr_desc; ty : Ast.type_expr; tloc : Ast.loc; tid : int }
 
 and texpr_desc =
   | TInt of int
@@ -196,6 +199,7 @@ type program = {
   funcs : tfunc FuncMap.t;
   globals : global list;  (* declaration order *)
   enum_consts : (string * int) list;
+  n_exprs : int;  (* every [tid] is below it *)
 }
 
 let find_func p id = FuncMap.find_opt id p.funcs

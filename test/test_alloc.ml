@@ -309,7 +309,11 @@ let t_call_no_frame_alloc () =
    token ([mk], [two_char]), lex was 6131600 (stress) and 574321
    (twin). Typecheck grew by one word, the environment's flag that
    keep-going recovery dropped no out-of-line definition: it was
-   3972721 (stress) and 444351 (twin). *)
+   3972721 (stress) and 444351 (twin). Before every expression carried
+   its [tid] (one word more each: 83430 expressions in stress, 7699 in
+   twin) and was built by a direct call instead of a per-check [mk]
+   closure (about four words less each), typecheck was 3972722 (stress)
+   and 444352 (twin). *)
 let synth_twin =
   {
     Benchmarks.Synth.seed = 7;
@@ -321,8 +325,8 @@ let synth_twin =
 
 let pinned_frontend =
   [
-    ("stress", Benchmarks.Synth.stress, (393363, 5903576, 2650788, 3972722));
-    ("synth_pta twin", synth_twin, (36650, 553901, 248236, 444352));
+    ("stress", Benchmarks.Synth.stress, (393363, 5903576, 2650788, 3693505));
+    ("synth_pta twin", synth_twin, (36650, 553901, 248236, 419775));
   ]
 
 (* Live words of [tokenize]'s result ([Obj.reachable_words]): per token
@@ -415,11 +419,14 @@ let t_typecheck_words_per_local () =
    sites with one dispatch, static class and receiver answer shared
    one walk of the cone, stress was 1490268 and 947270, twin 162285
    and 123913. Before the build stopped compiling modules with -opaque,
-   stress was 787302 and 460660, twin 101113 and 73659. *)
+   stress was 787302 and 460660, twin 101113 and 73659. Before the
+   solution kept each expression's node in an array indexed by its
+   [tid], instead of a hashed table of per-context lists, the PTA column
+   was 786025 (stress) and 100396 (twin). *)
 let pinned_callgraph =
   [
-    ("stress", Benchmarks.Synth.stress, (786025, 459375));
-    ("synth_pta twin", synth_twin, (100396, 72934));
+    ("stress", Benchmarks.Synth.stress, (758553, 459375));
+    ("synth_pta twin", synth_twin, (98100, 72934));
   ]
 
 let t_callgraph_words_pinned () =

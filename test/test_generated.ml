@@ -6,9 +6,12 @@
        paper's dead set), and the same outcome and steps when the step
        limit cuts the run short;
    (b) the dead sets nest, dead(CHA) ⊆ dead(RTA) ⊆ dead(PTA) ⊆ dead(PTA1);
+   (c) the reference points-to solver ([Pta_ref]) and [Pta] agree on
+       every expression, and 1-CFA stays within the reference — as
+       [test_pta_scale.ml] checks on the ports, its inline programs and
+       [Synth];
    (d) printing is a fixpoint, and the printed source runs like the
        original.
-   ((c), the reference points-to solver, runs in [test_pta_scale.ml].)
 
    [properties] checks the paper's claims on the same programs: under
    every tier the members [main] reads are live, while the members no
@@ -81,6 +84,15 @@ let chain =
       in
       chain (List.map (fun tier -> (tier, dead_set tier prog)) tiers))
 
+let points_to =
+  oracle "(c) Pta = reference solver per expression, 1-CFA within it"
+    ~count:250 (fun _ src ->
+      let prog = check src in
+      Option.iter (Test.fail_reportf "(c) Pta vs reference: %s")
+        (Test_pta_scale.ref_mismatch prog);
+      Option.iter (Test.fail_reportf "(c) %s")
+        (Test_pta_scale.onecfa_mismatch prog))
+
 (* The members [select] picks from a program's facts are dead (or live)
    under every tier. *)
 let fact what ~dead select =
@@ -142,6 +154,7 @@ let suite =
   [
     engines_agree "(a) tree walker and VM agree" ~count:250;
     chain;
+    points_to;
     printing;
     Util.test "scan loops and pointer tests reach the VM" t_scans_fuse;
   ]

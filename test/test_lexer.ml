@@ -235,7 +235,21 @@ let t_span_oracle () =
 
 let t_count_code_lines () =
   let src = "int x;\n\n// only a comment\nint y;\n   \n" in
-  Util.check_int "code lines" 2 (Lexer.count_code_lines src)
+  Util.check_int "code lines" 2 (Lexer.count_code_lines src);
+  List.iter
+    (fun (src, want) ->
+      Util.check_int (Printf.sprintf "code lines of %S" src) want
+        (Lexer.count_code_lines src))
+    [
+      ("/*\n * doc\n */\nint x;\n", 1);
+      ("  /* one line */  \nint x;\n", 1);
+      ("int x; /* a comment\n   that ends */ int y;\n", 2);
+      ("/* a */ int x; // and a line comment\n", 1);
+      ("int x; /* runs\n\n   on */\n", 1);
+      ("char* s = \"/*\";\nint x;\n", 2);
+      ("char c = '\"'; // \"\nint x;\n", 2);
+      ("/* unterminated\nint x;\n", 0);
+    ]
 
 let t_null_keywords () =
   match toks "NULL nullptr" with

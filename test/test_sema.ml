@@ -548,6 +548,94 @@ let t_reference_param () =
     (Util.check_source
        "void bump(int &x) { x = x + 1; }\nint main() { int v = 1; bump(v); return v; }")
 
+(* -- expression ids ---------------------------------------------------------- *)
+
+(* Every expression's [tid], in fold order: global initializers, then
+   each function's initializers and body, in function-map order. *)
+let expr_ids (p : Typed_ast.program) =
+  let collect acc (e : Typed_ast.texpr) = e.tid :: acc in
+  let acc =
+    Typed_ast.FuncMap.fold
+      (fun _ fn acc -> Typed_ast.fold_func_exprs collect acc fn)
+      p.funcs []
+  in
+  List.rev
+    (List.fold_left
+       (fun acc (g : Typed_ast.global) ->
+         match g.g_init with
+         | Some e -> Typed_ast.fold_expr collect acc e
+         | None -> acc)
+       acc p.globals)
+
+(* Static members named through an object, calls through (qualified)
+   function-pointer members, and a function keep-going drops between
+   two it keeps: the paths where the checker builds an expression it
+   then leaves out. *)
+let ids_src =
+  {|class A { public: static int s; int (*fp)(int); int v; };
+    int inc(int x) { return x + 1; }
+    A* make() { A* a = new A(); a->fp = inc; return a; }
+    int broken() { return nosuch + 1; }
+    int main() {
+      A* p = make();
+      A a;
+      a.fp = inc;
+      int t = a.s + p->s + make()->s;
+      return t + p->fp(1) + p->A::fp(2) + a.fp(3) + broken();
+    }|}
+
+(* The ids of one checked program are distinct and cover
+   0 .. [n_exprs] - 1, in strict and in keep-going mode, and checking
+   the same source again gives the same ids. *)
+let t_expr_ids_dense () =
+  let corpus =
+    Sys.readdir
+      (Filename.concat (Filename.dirname Sys.executable_name) "../examples/corpus")
+    |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".mcc")
+    |> List.map (fun f -> (f, Test_bytecode.corpus_source f))
+  in
+  let sources =
+    List.map
+      (fun (b : Benchmarks.Suite.t) -> (b.name, b.source))
+      Benchmarks.Suite.all
+    @ corpus @ [ ("ids", ids_src) ]
+  in
+  let dense what (p : Typed_ast.program) =
+    let ids = expr_ids p in
+    Alcotest.(check (list int))
+      (what ^ ": ids are 0 .. n_exprs - 1")
+      (List.init p.n_exprs Fun.id)
+      (List.sort compare ids);
+    ids
+  in
+  let strict = ref 0 in
+  List.iter
+    (fun (file, src) ->
+      let keep_going () =
+        let diags = Frontend.Source.Diagnostics.create () in
+        fst (Type_check.check_source_resilient ~file ~diags src)
+      in
+      let ids = dense (file ^ " keep-going") (keep_going ()) in
+      Alcotest.(check (list int))
+        (file ^ " keep-going: the same ids again")
+        ids
+        (expr_ids (keep_going ()));
+      match Type_check.check_source ~file src with
+      | p ->
+          incr strict;
+          let ids = dense (file ^ " strict") p in
+          Alcotest.(check (list int))
+            (file ^ " strict: the same ids again")
+            ids
+            (expr_ids (Type_check.check_source ~file src))
+      | exception Frontend.Source.Compile_error _ -> ())
+    sources;
+  (* the 11 ports and the well-formed corpus programs *)
+  Util.check_bool
+    (Printf.sprintf "%d programs check in strict mode" !strict)
+    true (!strict >= 11 + 6)
+
 let suite =
   [
     Util.test "transitive bases" t_bases;
@@ -599,4 +687,6 @@ let suite =
       t_keep_going_cap_keeps_first_errors;
     Util.test "keep-going reports a dropped definition, not its consequence"
       t_keep_going_dropped_definition_first;
+    Util.test "expression ids are dense and repeatable, both modes"
+      t_expr_ids_dense;
   ]
