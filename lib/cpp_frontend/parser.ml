@@ -1082,9 +1082,13 @@ let parse_top st : Ast.top_decl list =
                   ~static:false Ast.MethNormal mname t );
           ]
         else begin
-          (* static data member definition; an optional initializer is
-             parsed and dropped (static members are zero-initialized) *)
-          if accept st Token.EQ then ignore (parse_assignment st);
+          (* static data member definition: static members are
+             zero-initialized, so an initializer is an error rather than a
+             value the program would never see *)
+          if Token.equal (cur_tok st) Token.EQ then
+            parse_error st
+              "static member '%s::%s' cannot have an initializer in MiniC++"
+              name mname;
           expect st Token.SEMI;
           []
         end

@@ -82,35 +82,6 @@ let[@inline] apply_ic ic n =
   | CChar -> n land 255
   | CBool -> if n <> 0 then 1 else 0
 
-(* Micro-ops of a fused int-RPN store ([IRpnStoreI]): the settled tail
-   of a pure-int assignment statement, re-expressed as pushes and
-   combines over the untagged int stack. Each variant replays exactly
-   one step of the unfused opcodes' evaluation (same reads, same error
-   order), so a fused statement is observably identical. *)
-type irpn =
-  | RpConst of int
-  | RpLocal of int
-  | RpLoadField of int * slots_by_class * Member.t
-  | RpThisField of slots_by_class * Member.t
-  | RpFieldIdxField of
-      int * slots_by_class * Member.t * int * Ast.binop * int
-      * slots_by_class * Member.t
-  | RpFieldField of
-      int * slots_by_class * Member.t * slots_by_class * Member.t
-  | RpBinop of Ast.binop
-  | RpBinopConst of Ast.binop * int
-
-(* Destination of a fused int-RPN store: the member slot resolves fully
-   before any rhs leaf is read, exactly as the unfused sequence did.
-   The [DTick...] forms carry the statement tick; [DFieldIdx] is the
-   [ILoadFieldIndexI; ILocFieldI] pair. *)
-type rdst =
-  | DTickLocField of int * slots_by_class * Member.t
-  | DFieldIdx of
-      int * slots_by_class * Member.t * int * slots_by_class * Member.t
-  | DTickFieldLocField of
-      int * slots_by_class * Member.t * slots_by_class * Member.t
-
 (* -- instruction set ----------------------------------------------------------
 
    Lvalue locations are encoded as pointer values on the one operand
@@ -242,7 +213,6 @@ type instr =
   | IThisField of bool * slots_by_class * Member.t        (* IThis; IField *)
   | IBinopConst of Ast.binop * value                  (* IConst; IBinop *)
   | ITickN of int             (* n statement ticks; [ITick] when n = 1 *)
-  | IAssignPop of Ast.type_expr                       (* IAssign; IPop *)
   | IJumpCmpConstFalse of Ast.binop * value * bool * int
   | IJumpLocCmpConstFalse of int * Ast.binop * value * bool * int
   | IJumpLocCmpFalse of Ast.binop * int * int     (* top CMP local *)
@@ -254,8 +224,6 @@ type instr =
   (* round 3: cascade fusion re-fuses a fusion product with its own
      predecessor, so whole expression chains ([o.f[i*k+j].g], the
      pointer-scan loop condition) collapse to one dispatch. *)
-  | ILocFieldLoadField of
-      slots_by_class * Member.t * int * slots_by_class * Member.t
   | ITickLoadFieldCmpLocFalse of
       int * slots_by_class * Member.t * Ast.binop * int * bool * int
   (* a scan loop's hot cycle [guard-branch -> p = p->f -> back edge]
@@ -293,7 +261,6 @@ type instr =
   | IBoxIU                (* pop int stack; insert *under* the boxed top *)
   | IPopI
   | ILoadIB of int        (* ILoadI; IBoxI *)
-  | ILoadFieldIB of int * slots_by_class * Member.t
   (* pure typed operators *)
   | IUnaryI of Ast.unop
   | IToBoolI
@@ -325,9 +292,7 @@ type instr =
   | IShortCircuitI of bool * int
   | IJumpCmpFalseI of Ast.binop * int
   | IJumpCmpConstFalseI of Ast.binop * int * bool * int
-  | IJumpLocCmpConstFalseI of int * Ast.binop * int * bool * int
   | IJumpLocCmpFalseI of Ast.binop * int * bool * int
-  | IJumpLoc2CmpFalseI of Ast.binop * int * int * bool * int
   | IJumpLocFCmpFalseI of
       int * int * slots_by_class * Member.t * Ast.binop * bool * int
   (* typed superinstructions *)
@@ -365,9 +330,7 @@ type instr =
       int * slots_by_class * Member.t * int * int * Ast.type_expr
   | ILoadBinopI of Ast.binop * int
   | ILoadLocFieldI of bool * int * slots_by_class * Member.t
-  | IAssignFieldLIPop of icoerce * int
   | IAssignFieldLFIPop of icoerce * int * slots_by_class * Member.t
-  | ITickFieldStoreLI of icoerce * int * slots_by_class * Member.t * int
   | IFieldCopyII of
       icoerce * int * slots_by_class * Member.t * int * slots_by_class
       * Member.t
@@ -375,12 +338,9 @@ type instr =
      or constant, folded constant-operator chains, and the
      [local CMP this.f] loop guard *)
   | IThisLocFieldI of slots_by_class * Member.t
-  | IAssignFieldCIPop of icoerce * int
   | IInitFieldLI of slots_by_class * Member.t * icoerce * int
   | IInitFieldConstI of slots_by_class * Member.t * icoerce * int
   | IBinopConst2I of Ast.binop * int * Ast.binop * int
-  | IBinopConst3I of
-      Ast.binop * int * Ast.binop * int * Ast.binop * int
   | IJumpLocTFCmpFalseI of Ast.binop * int * slots_by_class * Member.t * int
   (* [if (local->f BINOP const)] in branch position: the whole guard in
      one dispatch. The bool folds the statement tick before the test *)
@@ -390,10 +350,6 @@ type instr =
      test (statement tick) and on fall-through (next statement's tick) *)
   | IJumpThisFieldBCFalseI of
       bool * slots_by_class * Member.t * Ast.binop * int * bool * int
-  (* a whole pure-int assignment statement (destination resolution, an
-     RPN chain of int reads/combines, the store) in one dispatch — the
-     stencil updates of numeric kernels *)
-  | IRpnStoreI of rdst * irpn array * icoerce
 
 (* A compiled code body. [b_omax] bounds the operand stack the body can
    ever need (computed conservatively during emission); [b_scoped] says
@@ -494,7 +450,7 @@ let delta = function
   | IInitFieldScalar _ ->
       -1
   | IJumpCmpFalse _ -> -2
-  | ILoadField _ | IThisField _ | ILocFieldLoadField _ -> 1
+  | ILoadField _ | IThisField _ -> 1
   | IBinopConst _ | ITickN _
   | IJumpLocCmpConstFalse _
   | ITickLoadFieldStore _ | ITickLoadFieldStoreJump _
@@ -502,7 +458,6 @@ let delta = function
   | IScanStep _ | ILoopScan _ ->
       0
   | IJumpCmpConstFalse _ | IJumpLocCmpFalse _ -> -1
-  | IAssignPop _ -> -2
   | IBuiltin (_, n) | ICallFunc (_, n) | INewObj { n_argc = n; _ } -> 1 - n
   | ICallMethod { m_argc = n; _ } -> -n  (* receiver consumed, result pushed *)
   | ICallVirtual { v_argc = n; _ } -> -n
@@ -512,13 +467,12 @@ let delta = function
   | IDeclCtor { dc_argc = n; _ } -> -n
   (* typed instructions: boxed-stack effect only (their int stack
      effects live in [idelta]) *)
-  | IBoxI | IBoxIU | ILoadIB _ | ILoadFieldIB _
+  | IBoxI | IBoxIU | ILoadIB _
   | ILoadFieldLoadBCI _ | ILoadFieldIndexI _ | ILoadLocFieldI _
   | IThisLocFieldI _ ->
       1
   | IFieldI _ | IIndexFieldI _ | IAssignFieldI _ | ICompoundFieldI _
-  | IIncDecFieldI _ | IInitFieldScalarB _ | IAssignFieldLIPop _
-  | IAssignFieldLFIPop _ | IAssignFieldCIPop _ ->
+  | IIncDecFieldI _ | IInitFieldScalarB _ | IAssignFieldLFIPop _ ->
       -1
   | IConstI _ | ILoadI _ | IIndexI | IPopI
   | IUnaryI _ | IToBoolI | IBinopII _
@@ -527,20 +481,17 @@ let delta = function
   | IInitFieldScalarI _
   | IJumpIfI _ | IShortCircuitI _
   | IJumpCmpFalseI _ | IJumpCmpConstFalseI _
-  | IJumpLocCmpConstFalseI _
-  | IJumpLocCmpFalseI _
-  | IJumpLoc2CmpFalseI _ | IJumpLocFCmpFalseI _
+  | IJumpLocCmpFalseI _ | IJumpLocFCmpFalseI _
   | ILoadFieldI _ | IThisFieldI _
   | IBinopConstI _ | ILoadBinopConstI _ | ILoadFieldBCI _
   | ILoadFieldBinopI _ | IThisFieldBinopI _
   | IIncDecLocalJumpI _ | IFieldIdxFieldI _ | ITickLoadFieldCmpLocFalseI _
   | IJumpLL2FBCCmpFalseI _ | IScanStepI _
   | ILoadIndexI _ | ITLFIndexIStoreT _ | ILoadBinopI _
-  | ITickFieldStoreLI _ | IFieldCopyII _
-  | IInitFieldLI _ | IInitFieldConstI _ | IBinopConst2I _ | IBinopConst3I _
+  | IFieldCopyII _
+  | IInitFieldLI _ | IInitFieldConstI _ | IBinopConst2I _
   | IJumpLocTFCmpFalseI _
-  | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _
-  | IRpnStoreI _ ->
+  | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _ ->
       0
 
 (* Net effect on the untagged int operand stack. Only typed instructions
@@ -560,8 +511,7 @@ let idelta = function
   | IBoxI | IBoxIU | IPopI | IBinopII _
   | IJumpIfI _ | IShortCircuitI _ | IJumpCmpConstFalseI _
   | IJumpLocCmpFalseI _ | IAssignFieldIB _ | ICompoundFieldB _
-  | IInitFieldScalarI _ | IIndexI
-  | IAssignFieldLIPop _ | IAssignFieldLFIPop _ | IAssignFieldCIPop _ ->
+  | IInitFieldScalarI _ | IIndexI | IAssignFieldLFIPop _ ->
       -1
   | IJumpCmpFalseI _ -> -2
   | _ -> 0
@@ -640,7 +590,6 @@ let fuse (prev : instr) (i : instr) : instr option =
   | ITickLoadFieldStore (i, s, m, j, ty), IJump t ->
       Some (ITickLoadFieldStoreJump (i, s, m, j, ty, t))
   | IConst v, IBinop op -> Some (IBinopConst (op, v))
-  | IAssign ty, IPop -> Some (IAssignPop ty)
   | ILoadField (true, n, s, m), IJumpLocCmpFalse (op, y, t) ->
       Some (ITickLoadFieldCmpLocFalse (n, s, m, op, y, false, t))
   | ITickLoadFieldCmpLocFalse (n, s, m, op, y, false, t), ITickN 1 ->
@@ -648,7 +597,6 @@ let fuse (prev : instr) (i : instr) : instr option =
   (* -- typed mirrors ---------------------------------------------------- *)
   | IConstI n, IBoxI -> Some (IConst (vint n))
   | ILoadI (false, n), IBoxI -> Some (ILoadIB n)
-  | ILoadFieldI (false, n, s, m), IBoxI -> Some (ILoadFieldIB (n, s, m))
   | ITickN 1, ILoadI (false, n) -> Some (ILoadI (true, n))
   | ILoad (tk, n), IFieldI (s, m) -> Some (ILoadFieldI (tk, n, s, m))
   | IThis, IFieldI (s, m) -> Some (IThisFieldI (false, s, m))
@@ -664,12 +612,8 @@ let fuse (prev : instr) (i : instr) : instr option =
   | IJumpIfI (false, false, t), ITickN 1 -> Some (IJumpIfI (false, true, t))
   | IJumpCmpConstFalseI (op, k, false, t), ITickN 1 ->
       Some (IJumpCmpConstFalseI (op, k, true, t))
-  | IJumpLocCmpConstFalseI (n, op, k, false, t), ITickN 1 ->
-      Some (IJumpLocCmpConstFalseI (n, op, k, true, t))
   | IJumpLocCmpFalseI (op, n, false, t), ITickN 1 ->
       Some (IJumpLocCmpFalseI (op, n, true, t))
-  | IJumpLoc2CmpFalseI (op, x, y, false, t), ITickN 1 ->
-      Some (IJumpLoc2CmpFalseI (op, x, y, true, t))
   | IJumpLocFCmpFalseI (i, j, s, m, op, false, t), ITickN 1 ->
       Some (IJumpLocFCmpFalseI (i, j, s, m, op, true, t))
   | IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, false, t), ITickN 1 ->
@@ -686,26 +630,14 @@ let fuse (prev : instr) (i : instr) : instr option =
   | ILoadI (false, i), IBinopII op -> Some (ILoadBinopI (op, i))
   | ILoad (tk, n), ILocFieldI (s, m) -> Some (ILoadLocFieldI (tk, n, s, m))
   | IThis, ILocFieldI (s, m) -> Some (IThisLocFieldI (s, m))
-  (* assignment/initialization whose rhs is a local or a constant *)
-  | ILoadI (false, i), IAssignFieldI (false, ic) ->
-      Some (IAssignFieldLIPop (ic, i))
+  (* assignment from a member; initialization from a local or a
+     constant *)
   | ILoadFieldI (false, j, s, m), IAssignFieldI (false, ic) ->
       Some (IAssignFieldLFIPop (ic, j, s, m))
-  | IConstI k, IAssignFieldI (false, ic) -> Some (IAssignFieldCIPop (ic, k))
   | ILoadI (false, i), IInitFieldScalarI (s, m, ic) ->
       Some (IInitFieldLI (s, m, ic, i))
   | IConstI k, IInitFieldScalarI (s, m, ic) ->
       Some (IInitFieldConstI (s, m, ic, k))
-  (* unary operators on an int literal fold at compile time; the images
-     below are exactly the [IUnaryI] arm's *)
-  | IConstI k, IUnaryI op ->
-      Some
-        (IConstI
-           (match op with
-           | Ast.Neg -> -k
-           | Ast.Not -> if k = 0 then 1 else 0
-           | Ast.BitNot -> lnot k
-           | Ast.UPlus -> k))
   | _ -> None
 
 (* The cascade table: after [fuse] lands a combined instruction, try
@@ -716,8 +648,6 @@ let fuse (prev : instr) (i : instr) : instr option =
 let fuse2 (prev : instr) (f : instr) : instr option =
   match (prev, f) with
   | ITickN 1, IThisField (false, s, m) -> Some (IThisField (true, s, m))
-  | ILocField (s1, m1), ILoadField (false, j, s2, m2) ->
-      Some (ILocFieldLoadField (s1, m1, j, s2, m2))
   (* -- typed mirrors ---------------------------------------------------- *)
   | ILoadI (tk, n), IBinopConstI (op, k) ->
       Some (ILoadBinopConstI (tk, n, op, k))
@@ -732,14 +662,10 @@ let fuse2 (prev : instr) (f : instr) : instr option =
       Some (ILoadFieldIndexI (tk, a, s, m, i))
   | ILoadFieldIndexI (true, a, s, m, i), IStoreLocal (false, x, ty, true) ->
       Some (ITLFIndexIStoreT (a, s, m, i, x, ty))
-  | ILoadLocFieldI (true, n, s, m), IAssignFieldLIPop (ic, i) ->
-      Some (ITickFieldStoreLI (ic, n, s, m, i))
   | ILoadLocFieldI (false, a, s1, m1), IAssignFieldLFIPop (ic, j, s2, m2) ->
       Some (IFieldCopyII (ic, a, s1, m1, j, s2, m2))
   | IBinopConstI (o1, k1), IBinopConstI (o2, k2) ->
       Some (IBinopConst2I (o1, k1, o2, k2))
-  | IBinopConst2I (o1, k1, o2, k2), IBinopConstI (o3, k3) ->
-      Some (IBinopConst3I (o1, k1, o2, k2, o3, k3))
   | _ -> None
 
 let emit (b : buf) (i : instr) =
@@ -779,73 +705,6 @@ let emit_patch b i =
   emit b i;
   b.len - 1
 
-(* RPN decomposition of the opcodes allowed inside a fused int store.
-   Ticked variants are deliberately absent: the destination carries the
-   statement tick, and no other tick may move. *)
-let rpn_of_instr = function
-  | IConstI k -> Some [ RpConst k ]
-  | ILoadI (false, i) -> Some [ RpLocal i ]
-  | ILoadFieldI (false, j, s, m) -> Some [ RpLoadField (j, s, m) ]
-  | IThisFieldI (false, s, m) -> Some [ RpThisField (s, m) ]
-  | IFieldIdxFieldI (i, s, m, j, op, k, s2, m2) ->
-      Some [ RpFieldIdxField (i, s, m, j, op, k, s2, m2) ]
-  | IBinopII op -> Some [ RpBinop op ]
-  | IBinopConstI (op, k) -> Some [ RpBinopConst (op, k) ]
-  | IThisFieldBinopI (s, m, op) -> Some [ RpThisField (s, m); RpBinop op ]
-  | ILoadFieldBinopI (j, s, m, op) ->
-      Some [ RpLoadField (j, s, m); RpBinop op ]
-  | ILoadFieldBCI (n, s, m, op, k) ->
-      Some [ RpLoadField (n, s, m); RpBinopConst (op, k) ]
-  | _ -> None
-
-let rpn_delta = function
-  | RpConst _ | RpLocal _ | RpLoadField _ | RpThisField _
-  | RpFieldIdxField _ | RpFieldField _ ->
-      1
-  | RpBinop _ -> -1
-  | RpBinopConst _ -> 0
-
-(* Collapse a settled pure-int member store into one [IRpnStoreI] right
-   after its final store lands (and its pairwise fusions settle): walk
-   back from the store over rpn-able opcodes; [p] must end in a
-   destination shape, fully before [acc], and the rhs run must produce
-   exactly one int. It fires only when that saves at least four
-   dispatches, so the short statements keep their specialized
-   superinstructions. The replaced run is a stack-neutral statement (no
-   depth rollback needed), and a label may sit only on its first slot. *)
-let fuse_rpn_store b =
-  let n = b.len in
-  let rec walk p acc =
-    if p < 1 || n - 1 - p > 16 then None
-    else
-      match (rpn_of_instr b.code.(p), b.code.(p - 1), b.code.(p)) with
-      | Some ops, _, _ -> walk (p - 1) (ops @ acc)
-      | None, ILoadField (false, j, s, m), IFieldI (s2, m2) when p >= 2 ->
-          (* the boxed-intermediate pair [l->a->b]: one int leaf *)
-          walk (p - 2) (RpFieldField (j, s, m, s2, m2) :: acc)
-      | None, _, _ -> (
-          if List.fold_left (fun d r -> d + rpn_delta r) 0 acc <> 1 then None
-          else
-            match (b.code.(p - 1), b.code.(p)) with
-            | _, ILoadLocFieldI (true, a, s, m) when b.lastlab <= p ->
-                Some (p, DTickLocField (a, s, m), acc)
-            | ILoadFieldIndexI (false, a, s, m, i), ILocFieldI (s2, m2)
-              when b.lastlab <= p - 1 ->
-                Some (p - 1, DFieldIdx (a, s, m, i, s2, m2), acc)
-            | ILoadField (true, i, s, m), ILocFieldI (s2, m2)
-              when b.lastlab <= p - 1 ->
-                Some (p - 1, DTickFieldLocField (i, s, m, s2, m2), acc)
-            | _ -> None)
-  in
-  match b.code.(n - 1) with
-  | IAssignFieldI (false, ic) when n >= 6 && b.lastlab < n - 1 -> (
-      match walk (n - 2) [] with
-      | Some (p, dst, ops) when n - p >= 5 ->
-          b.len <- p;
-          emit b (IRpnStoreI (dst, Array.of_list ops, ic))
-      | _ -> ())
-  | _ -> ()
-
 (* Mark the frontier as a jump target (blocks fusion across it). *)
 let here b =
   b.lastlab <- b.len;
@@ -877,11 +736,7 @@ let retarget f (i : instr) : instr =
   | IShortCircuitI (sense, t) -> IShortCircuitI (sense, f t)
   | IJumpCmpFalseI (op, t) -> IJumpCmpFalseI (op, f t)
   | IJumpCmpConstFalseI (op, k, tk, t) -> IJumpCmpConstFalseI (op, k, tk, f t)
-  | IJumpLocCmpConstFalseI (n, op, k, tk, t) ->
-      IJumpLocCmpConstFalseI (n, op, k, tk, f t)
   | IJumpLocCmpFalseI (op, n, tk, t) -> IJumpLocCmpFalseI (op, n, tk, f t)
-  | IJumpLoc2CmpFalseI (op, x, y, tk, t) ->
-      IJumpLoc2CmpFalseI (op, x, y, tk, f t)
   | IJumpLocFCmpFalseI (i, j, s, m, op, tk, t) ->
       IJumpLocFCmpFalseI (i, j, s, m, op, tk, f t)
   | IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, tk, t) ->
@@ -963,8 +818,11 @@ let emit_branch_false b =
   else emit_patch b (IJumpIf (false, -1))
 
 (* The typed image of [emit_branch_false] for an int-shaped condition:
-   same folds, same label guards, with the depth bookkeeping on the
-   untagged int stack. *)
+   the same label guards, with the depth bookkeeping on the untagged int
+   stack. Beyond the compare-and-branch forms it folds in only the
+   guards that read a member: [local CMP const] stays
+   [ILoadBinopConstI; IJumpIfI] and [local CMP local] stays
+   [ILoadI; IJumpLocCmpFalseI]. *)
 let emit_branch_false_i b =
   if b.len > 0 && b.lastlab <> b.len then
     match b.code.(b.len - 1) with
@@ -987,10 +845,6 @@ let emit_branch_false_i b =
             b.code.(b.len - 1) <- IJumpCmpFalseI (op, -1);
             b.iod <- b.iod - 1;
             b.len - 1)
-    | ILoadBinopConstI (false, n, op, k) when is_cmp op ->
-        b.code.(b.len - 1) <- IJumpLocCmpConstFalseI (n, op, k, false, -1);
-        b.iod <- b.iod - 1;
-        b.len - 1
     | IBinopConstI (op, k) when is_cmp op -> (
         (* [ILoadI]/[ILoadFieldI] operands have already fused into
            [ILoadBinopConstI]/[ILoadFieldBCI] *)
@@ -1010,22 +864,13 @@ let emit_branch_false_i b =
             b.code.(b.len - 1) <- IJumpCmpConstFalseI (op, k, false, -1);
             b.iod <- b.iod - 1;
             b.len - 1)
-    | ILoadBinopI (op, y) when is_cmp op -> (
+    | ILoadBinopI (op, y) when is_cmp op ->
         (* eager fusion already folded [ILoadI y; CMP]; recover the
-           local-compare branches it used to feed *)
-        match
-          if b.lastlab < b.len - 1 then b.code.(b.len - 2) else IReturnUnit
-        with
-        | ILoadI (false, x) ->
-            b.len <- b.len - 2;
-            b.iod <- b.iod - 1;
-            emit_patch b (IJumpLoc2CmpFalseI (op, x, y, false, -1))
-        | _ ->
-            (* re-emit (rather than replace in place) so the branch can
-               still fuse with its new predecessor, e.g. into
-               [ITickLoadFieldCmpLocFalseI] *)
-            b.len <- b.len - 1;
-            emit_patch b (IJumpLocCmpFalseI (op, y, false, -1)))
+           local-compare branch it used to feed, re-emitted (rather than
+           replaced in place) so the branch can still fuse with its new
+           predecessor, e.g. into [ITickLoadFieldCmpLocFalseI] *)
+        b.len <- b.len - 1;
+        emit_patch b (IJumpLocCmpFalseI (op, y, false, -1))
     | ILoadFieldBinopI (y, s, m, op) when is_cmp op -> (
         (* [local CMP local->f], the [i < p->n] loop guard *)
         match
@@ -1311,7 +1156,6 @@ and compile_assign b (lhs : rlval) rhs ty ~keep : shape =
       match compile_expr b rhs with
       | SInt ->
           emit b (IAssignFieldI (keep, ic_of_ty ty));
-          if not keep then fuse_rpn_store b;
           SInt
       | SBox ->
           emit b (IAssignFieldIB (keep, ty));
@@ -2773,10 +2617,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         if s > vm.next_stop then slow_tick_n vm s;
         vm.steps <- s;
         loop (pc + 1) sp isp
-    | IAssignPop ty ->
-        let v = coerce ty ost.(sp - 1) in
-        loc_write ost.(sp - 2) v;
-        loop (pc + 1) (sp - 2) isp
     | IJumpCmpConstFalse (op, v, tk, t) ->
         if cmp_test op ost.(sp - 1) v then begin
           if tk then tick vm;
@@ -2803,12 +2643,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let o = as_obj (Array.get locals i) in
         Array.set locals j (coerce ty o.fields.cells.(field_slot o slots m));
         loop t sp isp
-    | ILocFieldLoadField (s1, m1, j, s2, m2) ->
-        let o = as_obj ost.(sp - 1) in
-        ost.(sp - 1) <- VPtr (PArr (o.fields, field_slot o s1 m1));
-        let o2 = as_obj (Array.get locals j) in
-        ost.(sp) <- o2.fields.cells.(field_slot o2 s2 m2);
-        loop (pc + 1) (sp + 1) isp
     | ITickLoadFieldCmpLocFalse (j, slots, m, op, n, tk, t) ->
         tick vm;
         let o = as_obj (Array.get locals j) in
@@ -2894,10 +2728,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | IPopI -> loop (pc + 1) sp (isp - 1)
     | ILoadIB i ->
         ost.(sp) <- vint (Array.unsafe_get ilocals i);
-        loop (pc + 1) (sp + 1) isp
-    | ILoadFieldIB (i, slots, m) ->
-        let o = as_obj (Array.get locals i) in
-        ost.(sp) <- vint o.ifields.(field_slot o slots m);
         loop (pc + 1) (sp + 1) isp
     (* -- typed operators --------------------------------------------- *)
     | IUnaryI op ->
@@ -3049,25 +2879,12 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
           loop (pc + 1) sp (isp - 1)
         end
         else loop t sp (isp - 1)
-    | IJumpLocCmpConstFalseI (i, op, k, tk, t) ->
-        if icmp op (Array.unsafe_get ilocals i) k then begin
-          if tk then tick vm;
-          loop (pc + 1) sp isp
-        end
-        else loop t sp isp
     | IJumpLocCmpFalseI (op, i, tk, t) ->
         if icmp op ist.(isp - 1) (Array.unsafe_get ilocals i) then begin
           if tk then tick vm;
           loop (pc + 1) sp (isp - 1)
         end
         else loop t sp (isp - 1)
-    | IJumpLoc2CmpFalseI (op, x, y, tk, t) ->
-        if icmp op (Array.unsafe_get ilocals x) (Array.unsafe_get ilocals y)
-        then begin
-          if tk then tick vm;
-          loop (pc + 1) sp isp
-        end
-        else loop t sp isp
     | IJumpLocFCmpFalseI (x, y, slots, m, op, tk, t) ->
         let o = as_obj (Array.get locals y) in
         if icmp op (Array.unsafe_get ilocals x) o.ifields.(field_slot o slots m)
@@ -3187,22 +3004,12 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         ist.(isp) <- field_slot (as_obj v) slots m;
         ost.(sp) <- v;
         loop (pc + 1) (sp + 1) (isp + 1)
-    | IAssignFieldLIPop (ic, i) ->
-        let o = as_obj ost.(sp - 1) in
-        o.ifields.(ist.(isp - 1)) <- apply_ic ic (Array.unsafe_get ilocals i);
-        loop (pc + 1) (sp - 1) (isp - 1)
     | IAssignFieldLFIPop (ic, j, slots, m) ->
         let o2 = as_obj (Array.get locals j) in
         let v = apply_ic ic o2.ifields.(field_slot o2 slots m) in
         let o = as_obj ost.(sp - 1) in
         o.ifields.(ist.(isp - 1)) <- v;
         loop (pc + 1) (sp - 1) (isp - 1)
-    | ITickFieldStoreLI (ic, n, slots, m, i) ->
-        tick vm;
-        let o = as_obj (Array.get locals n) in
-        o.ifields.(field_slot o slots m) <-
-          apply_ic ic (Array.unsafe_get ilocals i);
-        loop (pc + 1) sp isp
     | IFieldCopyII (ic, a, s1, m1, j, s2, m2) ->
         let o1 = as_obj (Array.get locals a) in
         let d = field_slot o1 s1 m1 in
@@ -3213,10 +3020,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         ist.(isp) <- field_slot (this_of frame) slots m;
         ost.(sp) <- frame.this;
         loop (pc + 1) (sp + 1) (isp + 1)
-    | IAssignFieldCIPop (ic, k) ->
-        let o = as_obj ost.(sp - 1) in
-        o.ifields.(ist.(isp - 1)) <- apply_ic ic k;
-        loop (pc + 1) (sp - 1) (isp - 1)
     | IInitFieldLI (slots, m, ic, i) ->
         let o = this_of frame in
         o.ifields.(field_slot o slots m) <-
@@ -3226,79 +3029,8 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let o = this_of frame in
         o.ifields.(field_slot o slots m) <- apply_ic ic k;
         loop (pc + 1) sp isp
-    | IRpnStoreI (dst, ops, ic) ->
-        (* destination resolves first, then the rpn leaves left to
-           right — the unfused statement's evaluation and error order.
-           The int stack above [isp] is free scratch: the collapsed run
-           was stack-neutral, so the recorded bound still covers it.
-           The object and its slot come from two matches on [dst] and
-           the leaves from a counted loop, so the dispatch allocates
-           neither a tuple nor a closure. *)
-        let o =
-          match dst with
-          | DTickLocField (a, _, _) ->
-              tick vm;
-              as_obj (Array.get locals a)
-          | DFieldIdx (a, s, m, i, _, _) ->
-              let oa = as_obj (Array.get locals a) in
-              let av = oa.fields.cells.(field_slot oa s m) in
-              as_obj (index_read av (Array.unsafe_get ilocals i))
-          | DTickFieldLocField (i, s, m, _, _) ->
-              tick vm;
-              let oi = as_obj (Array.get locals i) in
-              as_obj oi.fields.cells.(field_slot oi s m)
-        in
-        let d =
-          match dst with
-          | DTickLocField (_, s, m)
-          | DFieldIdx (_, _, _, _, s, m)
-          | DTickFieldLocField (_, _, _, s, m) ->
-              field_slot o s m
-        in
-        let p = ref isp in
-        for r = 0 to Array.length ops - 1 do
-          match Array.unsafe_get ops r with
-          | RpConst k ->
-              ist.(!p) <- k;
-              incr p
-          | RpLocal i ->
-              ist.(!p) <- Array.unsafe_get ilocals i;
-              incr p
-          | RpLoadField (j, s, m) ->
-              let oj = as_obj (Array.get locals j) in
-              ist.(!p) <- oj.ifields.(field_slot oj s m);
-              incr p
-          | RpThisField (s, m) ->
-              let t = this_of frame in
-              ist.(!p) <- t.ifields.(field_slot t s m);
-              incr p
-          | RpFieldIdxField (i, s, m, j, op, k, s2, m2) ->
-              let oi = as_obj (Array.get locals i) in
-              let av = oi.fields.cells.(field_slot oi s m) in
-              let iv = ibinop_i op (Array.unsafe_get ilocals j) k in
-              let eo = as_obj (index_read av iv) in
-              ist.(!p) <- eo.ifields.(field_slot eo s2 m2);
-              incr p
-          | RpFieldField (j, s, m, s2, m2) ->
-              let oj = as_obj (Array.get locals j) in
-              let eo = as_obj oj.fields.cells.(field_slot oj s m) in
-              ist.(!p) <- eo.ifields.(field_slot eo s2 m2);
-              incr p
-          | RpBinop op ->
-              let q = !p in
-              ist.(q - 2) <- ibinop_i op ist.(q - 2) ist.(q - 1);
-              p := q - 1
-          | RpBinopConst (op, k) ->
-              ist.(!p - 1) <- ibinop_i op ist.(!p - 1) k
-        done;
-        o.ifields.(d) <- apply_ic ic ist.(!p - 1);
-        loop (pc + 1) sp isp
     | IBinopConst2I (o1, k1, o2, k2) ->
         ist.(isp - 1) <- ibinop_i o2 (ibinop_i o1 ist.(isp - 1) k1) k2;
-        loop (pc + 1) sp isp
-    | IBinopConst3I (o1, k1, o2, k2, o3, k3) ->
-        ist.(isp - 1) <-
-          ibinop_i o3 (ibinop_i o2 (ibinop_i o1 ist.(isp - 1) k1) k2) k3;
         loop (pc + 1) sp isp
     | IJumpLocTFCmpFalseI (op, x, slots, m, t) ->
         let o = this_of frame in
@@ -3483,7 +3215,6 @@ let mnemonic (i : instr) : string =
   | IThisField (tk, _, _) -> if tk then "ITickThisField" else "IThisField"
   | IBinopConst _ -> "IBinopConst"
   | ITickN n -> if n = 1 then "ITick" else "ITickN"
-  | IAssignPop _ -> "IAssignPop"
   | IJumpCmpConstFalse (_, _, tk, _) ->
       if tk then "IJumpCmpConstFalseT" else "IJumpCmpConstFalse"
   | IJumpLocCmpConstFalse (_, _, _, tk, _) ->
@@ -3491,7 +3222,6 @@ let mnemonic (i : instr) : string =
   | IJumpLocCmpFalse _ -> "IJumpLocCmpFalse"
   | ITickLoadFieldStore _ -> "ITickLoadFieldStore"
   | ITickLoadFieldStoreJump _ -> "ITickLoadFieldStoreJump"
-  | ILocFieldLoadField _ -> "ILocFieldLoadField"
   | ITickLoadFieldCmpLocFalse (_, _, _, _, _, tk, _) ->
       if tk then "ITickLoadFieldCmpLocFalseT" else "ITickLoadFieldCmpLocFalse"
   | IScanStep _ -> "IScanStep"
@@ -3505,7 +3235,6 @@ let mnemonic (i : instr) : string =
   | IBoxIU -> "IBoxIU"
   | IPopI -> "IPopI"
   | ILoadIB _ -> "ILoadIB"
-  | ILoadFieldIB _ -> "ILoadFieldIB"
   | IUnaryI _ -> "IUnaryI"
   | IToBoolI -> "IToBoolI"
   | IBinopII _ -> "IBinopII"
@@ -3543,12 +3272,8 @@ let mnemonic (i : instr) : string =
   | IJumpCmpFalseI _ -> "IJumpCmpFalseI"
   | IJumpCmpConstFalseI (_, _, tk, _) ->
       if tk then "IJumpCmpConstFalseTI" else "IJumpCmpConstFalseI"
-  | IJumpLocCmpConstFalseI (_, _, _, tk, _) ->
-      if tk then "IJumpLocCmpConstFalseTI" else "IJumpLocCmpConstFalseI"
   | IJumpLocCmpFalseI (_, _, tk, _) ->
       if tk then "IJumpLocCmpFalseTI" else "IJumpLocCmpFalseI"
-  | IJumpLoc2CmpFalseI (_, _, _, tk, _) ->
-      if tk then "IJumpLoc2CmpFalseTI" else "IJumpLoc2CmpFalseI"
   | IJumpLocFCmpFalseI (_, _, _, _, _, tk, _) ->
       if tk then "IJumpLocFCmpFalseTI" else "IJumpLocFCmpFalseI"
   | ILoadFieldI (tk, _, _, _) -> if tk then "ITickLoadFieldI" else "ILoadFieldI"
@@ -3575,16 +3300,12 @@ let mnemonic (i : instr) : string =
   | ILoadBinopI _ -> "ILoadBinopI"
   | ILoadLocFieldI (tk, _, _, _) ->
       if tk then "ITickLocFieldI" else "ILoadLocFieldI"
-  | IAssignFieldLIPop _ -> "IAssignFieldLIPop"
   | IAssignFieldLFIPop _ -> "IAssignFieldLFIPop"
-  | ITickFieldStoreLI _ -> "ITickFieldStoreLI"
   | IFieldCopyII _ -> "IFieldCopyII"
   | IThisLocFieldI _ -> "IThisLocFieldI"
-  | IAssignFieldCIPop _ -> "IAssignFieldCIPop"
   | IInitFieldLI _ -> "IInitFieldLI"
   | IInitFieldConstI _ -> "IInitFieldConstI"
   | IBinopConst2I _ -> "IBinopConst2I"
-  | IBinopConst3I _ -> "IBinopConst3I"
   | IJumpLocTFCmpFalseI _ -> "IJumpLocTFCmpFalseI"
   | IJumpLocFieldBCFalseI (tp, _, _, _, _, _, _) ->
       if tp then "ITickJumpLocFieldBCFalseI" else "IJumpLocFieldBCFalseI"
@@ -3594,8 +3315,6 @@ let mnemonic (i : instr) : string =
       | false, true -> "IJumpThisFieldBCFalseTI"
       | true, false -> "ITickJumpThisFieldBCFalseI"
       | true, true -> "ITickJumpThisFieldBCFalseTI")
-  | IRpnStoreI (DFieldIdx _, _, _) -> "IRpnStoreI"
-  | IRpnStoreI _ -> "ITickRpnStoreI"
 
 (* Typed (untagged) opcodes, for the profiler's typed-vs-generic
    dispatch split. Bridge boxing instructions count as typed: they only
@@ -3604,7 +3323,6 @@ let is_typed (i : instr) : bool =
   match i with
   | IConstI _ | ILoadI _ | IFieldI _
   | IIndexI | IBoxI | IBoxIU | IPopI | ILoadIB _
-  | ILoadFieldIB _
   | IUnaryI _ | IToBoolI | IBinopII _
   | IStoreLocalI _ | IStoreLocalIB _ | IIncDecLocalI _
   | ICompoundLocalI _ | ICompoundLocalB _ | ILocFieldI _
@@ -3614,9 +3332,7 @@ let is_typed (i : instr) : bool =
   | IInitFieldScalarI _ | IInitFieldScalarB _
   | IJumpIfI _ | IShortCircuitI _
   | IJumpCmpFalseI _ | IJumpCmpConstFalseI _
-  | IJumpLocCmpConstFalseI _
-  | IJumpLocCmpFalseI _
-  | IJumpLoc2CmpFalseI _ | IJumpLocFCmpFalseI _
+  | IJumpLocCmpFalseI _ | IJumpLocFCmpFalseI _
   | ILoadFieldI _ | IThisFieldI _
   | IIndexFieldI _ | IBinopConstI _ | ILoadBinopConstI _
   | ILoadFieldBCI _ | ILoadFieldLoadBCI _ | ILoadFieldBinopI _
@@ -3626,13 +3342,11 @@ let is_typed (i : instr) : bool =
   | ILoadIndexI _ | ILoadFieldIndexI _
   | ITLFIndexIStoreT _ | ILoadBinopI _
   | ILoadLocFieldI _
-  | IAssignFieldLIPop _ | IAssignFieldLFIPop _ | ITickFieldStoreLI _
-  | IFieldCopyII _
-  | IThisLocFieldI _ | IAssignFieldCIPop _ | IInitFieldLI _
-  | IInitFieldConstI _ | IBinopConst2I _ | IBinopConst3I _
+  | IAssignFieldLFIPop _ | IFieldCopyII _
+  | IThisLocFieldI _ | IInitFieldLI _
+  | IInitFieldConstI _ | IBinopConst2I _
   | IJumpLocTFCmpFalseI _
-  | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _
-  | IRpnStoreI _ ->
+  | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _ ->
       true
   | _ -> false
 

@@ -327,7 +327,14 @@ let t_object_array_statements () =
    this->f], a constructor whose int members start from locals and
    constants, calls and [new] with several int-local arguments, and the
    PRNG step [this->x = this->y op k op k op k] (after one statement
-   tick, and after two). They now run as their parts; each must
+   tick, and after two). Since the int-RPN store walk and nine rare
+   pair fusions went, so do the stencil stores [c->f = (c->p + c->f) *
+   3 - c->p] and [g->cells[i]->f = g->cells[i+1]->p - g->cells[i-1]->p],
+   [x = -5] on an int local, the constant chain [this->x = this->y * 3
+   + 7 ^ 11], [o->n = 5], [o->f = x] and [this->f = x] on int members,
+   the pointer-member copy [p->next = q->next], [print_int(o->n)], and
+   the loop guards [while (i < j)] and [while (i < 10)] on int locals.
+   They now run as their parts; each must
    still match the tree walker, step for step. Where a case reads
    through a pointer it runs again with that pointer NULL, which must be
    the same error in both engines (for the [this]-rooted shapes, the
@@ -363,12 +370,28 @@ let unfolded_prelude =
         }
         return acc;
       }
+      int mix() {
+        int acc = 0;
+        for (int i = 0; i < 3; i++) {
+          this->x = this->y * 3 + 7 ^ 11;
+          acc = acc + this->x;
+          this->y = this->y + i;
+        }
+        return acc;
+      }
+      int set(int v) {
+        this->z = v;
+        return this->z;
+      }
       int n;
       int x;
       int y;
       int z;
       int w;
     };
+
+    struct Cell { int p; int f; int n; Cell *next; };
+    struct Grid { Cell *cells[3]; };
 
     int count(Node *p) {
       int acc = 0;
@@ -403,6 +426,77 @@ let unfolded_prelude =
       int b = a * 2;
       Node *t = new Node(a, b);
       return t->n + t->x + t->y + t->z + t->w;
+    }
+
+    int stencil(Cell *c) {
+      int acc = 0;
+      for (int r = 0; r < 3; r++) {
+        c->f = (c->p + c->f) * 3 - c->p;
+        acc = acc + c->f;
+      }
+      return acc;
+    }
+
+    Grid *grid(int hole) {
+      Grid *g = new Grid();
+      for (int i = 0; i < 3; i++) {
+        g->cells[i] = new Cell();
+        g->cells[i]->p = i * 7 + 1;
+      }
+      if (hole >= 0) g->cells[hole] = NULL;
+      return g;
+    }
+
+    int stencil_at(Grid *g) {
+      for (int i = 1; i < 2; i++)
+        g->cells[i]->f = g->cells[i + 1]->p - g->cells[i - 1]->p;
+      return g->cells[1]->f;
+    }
+
+    int negate(int n) {
+      int x = 0;
+      for (int i = 0; i < n; i++) {
+        x = -5;
+        x = x + i;
+      }
+      return x;
+    }
+
+    int put(Cell *o, int x) {
+      o->n = 5;
+      o->f = x;
+      return o->f + o->n;
+    }
+
+    int relink(Cell *p, Cell *q) {
+      p->next = q->next;
+      if (p->next == NULL) return 0;
+      return p->next->n;
+    }
+
+    int show(Cell *o) {
+      int k = 2;
+      print_int(o->n);
+      return k;
+    }
+
+    int below(int j) {
+      int i = 0;
+      int acc = 0;
+      while (i < j) {
+        acc = acc + i;
+        i++;
+      }
+      return acc;
+    }
+
+    int below10(int i) {
+      int acc = 0;
+      while (i < 10) {
+        acc = acc + i;
+        i++;
+      }
+      return acc;
     }
   |}
 
@@ -443,6 +537,35 @@ let t_unfolded_statements () =
        ("int-local arguments", "", "args(5)", None);
        ("PRNG step", node, "p->prng()", None);
        ("PRNG step, NULL", null, "p->prng()", null_call);
+       ("c->f = (c->p + c->f) * 3 - c->p", "Cell *c = new Cell(); c->p = 2;",
+        "stencil(c)", None);
+       ("c->f = (c->p + c->f) * 3 - c->p, NULL", "Cell *c = NULL;",
+        "stencil(c)", no_obj);
+       ("g->cells[i]->f = g->cells[i+1]->p - g->cells[i-1]->p",
+        "Grid *g = grid(-1);", "stencil_at(g)", None);
+       ("g->cells[i]->f = g->cells[i+1]->p - g->cells[i-1]->p, NULL \
+         destination", "Grid *g = grid(1);", "stencil_at(g)", no_obj);
+       ("g->cells[i]->f = g->cells[i+1]->p - g->cells[i-1]->p, NULL source",
+        "Grid *g = grid(2);", "stencil_at(g)", no_obj);
+       ("x = -5", "", "negate(4)", None);
+       ("this->x = this->y * 3 + 7 ^ 11", node, "p->mix()", None);
+       ("this->x = this->y * 3 + 7 ^ 11, NULL", null, "p->mix()", null_call);
+       ("o->n = 5; o->f = x", "Cell *o = new Cell();", "put(o, 9)", None);
+       ("o->n = 5; o->f = x, NULL", "Cell *o = NULL;", "put(o, 9)", no_obj);
+       ("this->f = x", node, "p->set(9)", None);
+       ("this->f = x, NULL", null, "p->set(9)", null_call);
+       ("p->next = q->next",
+        "Cell *p = new Cell(); Cell *q = new Cell(); q->next = new Cell(); \
+         q->next->n = 4;",
+        "relink(p, q)", None);
+       ("p->next = q->next, NULL p", "Cell *p = NULL; Cell *q = new Cell();",
+        "relink(p, q)", no_obj);
+       ("p->next = q->next, NULL q", "Cell *p = new Cell(); Cell *q = NULL;",
+        "relink(p, q)", no_obj);
+       ("print_int(o->n)", "Cell *o = new Cell(); o->n = 3;", "show(o)", None);
+       ("print_int(o->n), NULL", "Cell *o = NULL;", "show(o)", no_obj);
+       ("while (i < j)", "", "below(5)", None);
+       ("while (i < 10)", "", "below10(3)", None);
      ])
 
 (* -- escaped locals and unwinding (examples/corpus) ------------------------------ *)

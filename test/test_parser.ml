@@ -196,8 +196,9 @@ let t_out_of_line_pure () =
   | _ -> Alcotest.fail "unexpected shape"
 
 (* A constructor is never [virtual] and neither a constructor nor a
-   destructor is [static]: each is an error at the member, not a flag
-   the parser drops. *)
+   destructor is [static], and an out-of-class static member definition
+   has no initializer (static members are zero-initialized): each is an
+   error at the member, not a flag or a value the parser drops. *)
 let t_ctor_dtor_modifiers () =
   List.iter
     (fun (src, want) ->
@@ -212,6 +213,9 @@ let t_ctor_dtor_modifiers () =
         "m.mcc:1:19-25: error: constructor cannot be static" );
       ( "class A { public: A() { } static ~A() { } int x; };",
         "m.mcc:1:27-33: error: destructor cannot be static" );
+      ( "class A { public: static int s; };\nint A::s = 5;",
+        "m.mcc:2:10-11: error: static member 'A::s' cannot have an \
+         initializer in MiniC++" );
     ]
 
 (* Keep-going recovery from an error inside a class or function body
