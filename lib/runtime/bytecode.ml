@@ -266,8 +266,7 @@ type instr =
   | IToBoolI
   | IBinopII of Ast.binop (* int OP int -> int, incl. compares *)
   (* typed local stores *)
-  | IStoreLocalI of bool * icoerce * int * bool
-      (* keep; coerce, store; tick? *)
+  | IStoreLocalI of bool * icoerce * int  (* keep; coerce, store *)
   | IStoreLocalIB of bool * Ast.type_expr * int  (* boxed rhs -> int slot *)
   | IIncDecLocalI of bool * Ast.incdec * Ast.fixity * int
   | ICompoundLocalI of bool * Ast.binop * icoerce * int
@@ -421,11 +420,12 @@ let bodies_counter = Telemetry.Counter.make "bytecode.bodies_compiled"
 
 (* -- compiler ------------------------------------------------------------------ *)
 
-(* Net operand-stack effect of one instruction; peaks within an
+(* Net operand-stack effect of one emitted instruction; peaks within an
    instruction are covered by the +1 slack [emit] keeps and the fixed
    slack [finish] adds. Over-estimation is harmless (a few spare slots),
    under-estimation impossible: branch joins only ever *lower* the real
-   depth below the linear scan's estimate. *)
+   depth below the linear scan's estimate. Fused forms are never bumped
+   (see [bump]). *)
 let delta = function
   | IConst _ | ILoad _ | ILoadRef _ | IGlobal _ | IStatic _ | IThis
   | ILocLocal _ | ILocLocalRef _ | ILocGlobal _ | ILocStatic _
@@ -440,7 +440,7 @@ let delta = function
       if keep then -1 else -2
   | IUnary _ | IToBool | ICastInt | ICastFloat | IField _ | IDeref | IAsObj
   | IAddrOf | ILocField _ | ILocDeref | ILocToPtr | IObjToPtr | IIncDec _
-  | INewArrObj _ | INewArrScalar _ | IJump _
+  | INewArrObj _ | INewArrScalar _ | IJump _ | ITickN _
   | IPushScope _ | IPopScope | IExitScopes _ | IReturnUnit | IDeclScalar _
   | IDeclStackArr _ | IInitFieldArr _ ->
       0
@@ -449,15 +449,6 @@ let delta = function
   | IJumpIf _ | IShortCircuit _ | IReturn
   | IInitFieldScalar _ ->
       -1
-  | IJumpCmpFalse _ -> -2
-  | ILoadField _ | IThisField _ -> 1
-  | IBinopConst _ | ITickN _
-  | IJumpLocCmpConstFalse _
-  | ITickLoadFieldStore _ | ITickLoadFieldStoreJump _
-  | ITickLoadFieldCmpLocFalse _
-  | IScanStep _ | ILoopScan _ ->
-      0
-  | IJumpCmpConstFalse _ | IJumpLocCmpFalse _ -> -1
   | IBuiltin (_, n) | ICallFunc (_, n) | INewObj { n_argc = n; _ } -> 1 - n
   | ICallMethod { m_argc = n; _ } -> -n  (* receiver consumed, result pushed *)
   | ICallVirtual { v_argc = n; _ } -> -n
@@ -467,53 +458,34 @@ let delta = function
   | IDeclCtor { dc_argc = n; _ } -> -n
   (* typed instructions: boxed-stack effect only (their int stack
      effects live in [idelta]) *)
-  | IBoxI | IBoxIU | ILoadIB _
-  | ILoadFieldLoadBCI _ | ILoadFieldIndexI _ | ILoadLocFieldI _
-  | IThisLocFieldI _ ->
-      1
-  | IFieldI _ | IIndexFieldI _ | IAssignFieldI _ | ICompoundFieldI _
-  | IIncDecFieldI _ | IInitFieldScalarB _ | IAssignFieldLFIPop _ ->
+  | IBoxI | IBoxIU -> 1
+  | IFieldI _ | IAssignFieldI _ | ICompoundFieldI _ | IIncDecFieldI _
+  | IInitFieldScalarB _ ->
       -1
   | IConstI _ | ILoadI _ | IIndexI | IPopI
   | IUnaryI _ | IToBoolI | IBinopII _
   | IStoreLocalI _ | IIncDecLocalI _ | ICompoundLocalI _
-  | ILocFieldI _ | IDeclScalarI _
-  | IInitFieldScalarI _
-  | IJumpIfI _ | IShortCircuitI _
-  | IJumpCmpFalseI _ | IJumpCmpConstFalseI _
-  | IJumpLocCmpFalseI _ | IJumpLocFCmpFalseI _
-  | ILoadFieldI _ | IThisFieldI _
-  | IBinopConstI _ | ILoadBinopConstI _ | ILoadFieldBCI _
-  | ILoadFieldBinopI _ | IThisFieldBinopI _
-  | IIncDecLocalJumpI _ | IFieldIdxFieldI _ | ITickLoadFieldCmpLocFalseI _
-  | IJumpLL2FBCCmpFalseI _ | IScanStepI _
-  | ILoadIndexI _ | ITLFIndexIStoreT _ | ILoadBinopI _
-  | IFieldCopyII _
-  | IInitFieldLI _ | IInitFieldConstI _ | IBinopConst2I _
-  | IJumpLocTFCmpFalseI _
-  | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _ ->
+  | ILocFieldI _ | IDeclScalarI _ | IInitFieldScalarI _
+  | IJumpIfI _ | IShortCircuitI _ ->
       0
+  | _ -> invalid_arg "Bytecode.delta: a fused form"
 
-(* Net effect on the untagged int operand stack. Only typed instructions
-   touch it, so the wildcard covers the whole generic set. *)
+(* Net effect of one emitted instruction on the untagged int operand
+   stack. Only typed instructions touch it, so the wildcard covers the
+   whole generic set. *)
 let idelta = function
-  | IConstI _ | ILoadI _ | IFieldI _ | ILoadFieldI _ | IThisFieldI _
-  | ILoadBinopConstI _ | ILoadFieldBCI _ | ILoadFieldLoadBCI _
-  | ILocFieldI _ | IFieldIdxFieldI _ | ILoadLocFieldI _ | IThisLocFieldI _ ->
-      1
+  | IConstI _ | ILoadI _ | IFieldI _ | ILocFieldI _ -> 1
   | IIncDecLocalI (keep, _, _, _) -> if keep then 1 else 0
-  | IStoreLocalI (keep, _, _, _)
+  | IStoreLocalI (keep, _, _)
   | ICompoundLocalI (keep, _, _, _)
   | IIncDecFieldI (keep, _, _) ->
       if keep then 0 else -1
   | IAssignFieldI (keep, _) | ICompoundFieldI (keep, _, _) ->
       if keep then -1 else -2
   | IBoxI | IBoxIU | IPopI | IBinopII _
-  | IJumpIfI _ | IShortCircuitI _ | IJumpCmpConstFalseI _
-  | IJumpLocCmpFalseI _ | IAssignFieldIB _ | ICompoundFieldB _
-  | IInitFieldScalarI _ | IIndexI | IAssignFieldLFIPop _ ->
+  | IJumpIfI _ | IShortCircuitI _ | IAssignFieldIB _ | ICompoundFieldB _
+  | IInitFieldScalarI _ | IIndexI ->
       -1
-  | IJumpCmpFalseI _ -> -2
   | _ -> 0
 
 type buf = {
@@ -551,10 +523,12 @@ let mk_buf bk u =
     lastlab = -1;
   }
 
-(* Track both stack depths for one appended/fused instruction. The int
-   maximum tracks reached depth only (no +1 floor): a body that never
-   touches the int stack keeps a 0 bound and the VM skips that stack's
-   allocation entirely. *)
+(* Track both stack depths for one emitted instruction. Only the
+   instructions the compiler emits are bumped: a fused form's effect is
+   the sum of its parts', already counted when they were emitted. The
+   int maximum tracks reached depth only (no +1 floor): a body that
+   never touches the int stack keeps a 0 bound and the VM skips that
+   stack's allocation entirely. *)
 let bump (b : buf) (i : instr) =
   b.od <- b.od + delta i;
   if b.od + 1 > b.omax then b.omax <- b.od + 1;
@@ -565,18 +539,33 @@ let is_cmp = function
   | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Gt | Ast.Le | Ast.Ge -> true
   | _ -> false
 
-(* The pair-fusion table: [fuse prev i] is the single instruction
-   equivalent to [prev; i], or [None]. Every fusion preserves the exact
-   sequence semantics (evaluation order, ticks, errors) by
-   construction — the VM arm of each fused form is the concatenation of
-   its parts' arms. The selection comes from the dynamic pair profile
-   over the benchmark suite: local.field reads, statement ticks glued to
-   their first load, binops against a constant, and the increment plus
-   back-edge of for loops cover over half of all executed pairs. *)
+(* The fusion table: [fuse prev i] is the single instruction equivalent
+   to [prev; i], or [None]. Every fusion preserves the exact sequence
+   semantics (evaluation order, ticks, errors) by construction — the VM
+   arm of each fused form is the concatenation of its parts' arms. The
+   selection comes from the dynamic pair profile over the benchmark
+   suite: local.field reads, statement ticks glued to their first load,
+   binops against a constant, compare-and-branch, and the increment
+   plus back-edge of for loops cover over half of all executed pairs.
+
+   [emit] offers every product back to its own predecessor, so a rule
+   may have a fused form on the right and whole chains ([o.f[i*k+j].g],
+   a loop guard with its branch) collapse one pair at a time. A branch
+   fold is such a pair, its right half the branch being emitted:
+   [IBinop cmp; IJumpIf false] is [IJumpCmpFalse], and an [ILoad]
+   before that makes it [IJumpLocCmpFalse].
+
+   Branch safety: a branch already in the buffer is offered again only
+   in its ticked form, after the next statement's [ITickN 1] folded into
+   it. Its unticked form was offered to the same predecessor under the
+   same label guard when it was placed, so it could move only if some
+   rule matched its ticked form on the right but not its unticked form.
+   No rule does, so a recorded patch site never moves. *)
 let fuse (prev : instr) (i : instr) : instr option =
   match (prev, i) with
   | ILoad (tk, n), IField (s, m) -> Some (ILoadField (tk, n, s, m))
   | IThis, IField (s, m) -> Some (IThisField (false, s, m))
+  | ITickN 1, IThisField (false, s, m) -> Some (IThisField (true, s, m))
   | ITickN 1, ILoad (false, n) -> Some (ILoad (true, n))
   | ITickN a, ITickN c -> Some (ITickN (a + c))
   | IStoreLocal (false, n, ty, false), ITickN 1 ->
@@ -594,19 +583,36 @@ let fuse (prev : instr) (i : instr) : instr option =
       Some (ITickLoadFieldCmpLocFalse (n, s, m, op, y, false, t))
   | ITickLoadFieldCmpLocFalse (n, s, m, op, y, false, t), ITickN 1 ->
       Some (ITickLoadFieldCmpLocFalse (n, s, m, op, y, true, t))
+  (* branch folds: [a CMP b], [a CMP const], and [local CMP ...] with
+     the load folded in too *)
+  | IBinop op, IJumpIf (false, t) when is_cmp op -> Some (IJumpCmpFalse (op, t))
+  | ILoad (false, y), IJumpCmpFalse (op, t) -> Some (IJumpLocCmpFalse (op, y, t))
+  | IBinopConst (op, v), IJumpIf (false, t) when is_cmp op ->
+      Some (IJumpCmpConstFalse (op, v, false, t))
+  | ILoad (false, n), IJumpCmpConstFalse (op, v, false, t) ->
+      Some (IJumpLocCmpConstFalse (n, op, v, false, t))
   (* -- typed mirrors ---------------------------------------------------- *)
   | IConstI n, IBoxI -> Some (IConst (vint n))
   | ILoadI (false, n), IBoxI -> Some (ILoadIB n)
   | ITickN 1, ILoadI (false, n) -> Some (ILoadI (true, n))
   | ILoad (tk, n), IFieldI (s, m) -> Some (ILoadFieldI (tk, n, s, m))
   | IThis, IFieldI (s, m) -> Some (IThisFieldI (false, s, m))
+  | ITickN 1, IThisFieldI (false, s, m) -> Some (IThisFieldI (true, s, m))
   | IIndexI, IFieldI (s, m) -> Some (IIndexFieldI (s, m))
   | IConstI k, IBinopII op -> Some (IBinopConstI (op, k))
+  | IBinopConstI (o1, k1), IBinopConstI (o2, k2) ->
+      Some (IBinopConst2I (o1, k1, o2, k2))
+  | ILoadI (tk, n), IBinopConstI (op, k) ->
+      Some (ILoadBinopConstI (tk, n, op, k))
+  | ILoadFieldI (false, n, s, m), IBinopConstI (op, k) ->
+      Some (ILoadFieldBCI (n, s, m, op, k))
+  | ILoadField (false, n, s, m), ILoadBinopConstI (false, j, op, k) ->
+      Some (ILoadFieldLoadBCI (n, s, m, j, op, k))
+  | ILoadFieldLoadBCI (n, s, m, j, op, k), IIndexFieldI (s2, m2) ->
+      Some (IFieldIdxFieldI (n, s, m, j, op, k, s2, m2))
   | ILoadFieldI (false, n, s, m), IBinopII op ->
       Some (ILoadFieldBinopI (n, s, m, op))
   | IThisFieldI (false, s, m), IBinopII op -> Some (IThisFieldBinopI (s, m, op))
-  | IStoreLocalI (false, ic, n, false), ITickN 1 ->
-      Some (IStoreLocalI (false, ic, n, true))
   | IIncDecLocalI (false, w, _, n), IJump t ->
       Some (IIncDecLocalJumpI (w, n, t))
   | IJumpIfI (false, false, t), ITickN 1 -> Some (IJumpIfI (false, true, t))
@@ -627,6 +633,10 @@ let fuse (prev : instr) (i : instr) : instr option =
   | ITickLoadFieldCmpLocFalseI (n, s, m, op, y, false, t), ITickN 1 ->
       Some (ITickLoadFieldCmpLocFalseI (n, s, m, op, y, true, t))
   | ILoadI (false, i), IIndexI -> Some (ILoadIndexI i)
+  | ILoadField (tk, a, s, m), ILoadIndexI i ->
+      Some (ILoadFieldIndexI (tk, a, s, m, i))
+  | ILoadFieldIndexI (true, a, s, m, i), IStoreLocal (false, x, ty, true) ->
+      Some (ITLFIndexIStoreT (a, s, m, i, x, ty))
   | ILoadI (false, i), IBinopII op -> Some (ILoadBinopI (op, i))
   | ILoad (tk, n), ILocFieldI (s, m) -> Some (ILoadLocFieldI (tk, n, s, m))
   | IThis, ILocFieldI (s, m) -> Some (IThisLocFieldI (s, m))
@@ -634,70 +644,79 @@ let fuse (prev : instr) (i : instr) : instr option =
      constant *)
   | ILoadFieldI (false, j, s, m), IAssignFieldI (false, ic) ->
       Some (IAssignFieldLFIPop (ic, j, s, m))
+  | ILoadLocFieldI (false, a, s1, m1), IAssignFieldLFIPop (ic, j, s2, m2) ->
+      Some (IFieldCopyII (ic, a, s1, m1, j, s2, m2))
   | ILoadI (false, i), IInitFieldScalarI (s, m, ic) ->
       Some (IInitFieldLI (s, m, ic, i))
   | IConstI k, IInitFieldScalarI (s, m, ic) ->
       Some (IInitFieldConstI (s, m, ic, k))
+  (* typed branch folds. Beyond compare-and-branch they fold in only the
+     guards that read a member: [local CMP const] stays
+     [ILoadBinopConstI; IJumpIfI] and [local CMP local] stays
+     [ILoadI; IJumpLocCmpFalseI] *)
+  | IBinopII op, IJumpIfI (false, false, t) when is_cmp op ->
+      Some (IJumpCmpFalseI (op, t))
+  | IBinopConstI (op, k), IJumpIfI (false, false, t) when is_cmp op ->
+      Some (IJumpCmpConstFalseI (op, k, false, t))
+  | ILoadFieldI (true, n, s, m), IJumpCmpConstFalseI (op, k, false, t) ->
+      Some (IJumpLocFieldBCFalseI (true, n, s, m, op, k, t))
+  | IThisFieldI (tk, s, m), IJumpCmpConstFalseI (op, k, false, t) ->
+      Some (IJumpThisFieldBCFalseI (tk, s, m, op, k, false, t))
+  | ILoadBinopI (op, y), IJumpIfI (false, false, t) when is_cmp op ->
+      Some (IJumpLocCmpFalseI (op, y, false, t))
   | _ -> None
 
-(* The cascade table: after [fuse] lands a combined instruction, try
-   fusing it with *its* predecessor. Only forms whose consumed halves
-   carry no pending patch site may appear here (no branch instruction is
-   ever on the right, and no vacated slot may hold a branch), so the
-   recorded patch positions stay valid when the frontier shrinks. *)
-let fuse2 (prev : instr) (f : instr) : instr option =
-  match (prev, f) with
-  | ITickN 1, IThisField (false, s, m) -> Some (IThisField (true, s, m))
-  (* -- typed mirrors ---------------------------------------------------- *)
-  | ILoadI (tk, n), IBinopConstI (op, k) ->
-      Some (ILoadBinopConstI (tk, n, op, k))
-  | ILoadFieldI (false, n, s, m), IBinopConstI (op, k) ->
-      Some (ILoadFieldBCI (n, s, m, op, k))
-  | ILoadField (false, n, s, m), ILoadBinopConstI (false, j, op, k) ->
-      Some (ILoadFieldLoadBCI (n, s, m, j, op, k))
-  | ILoadFieldLoadBCI (n, s, m, j, op, k), IIndexFieldI (s2, m2) ->
-      Some (IFieldIdxFieldI (n, s, m, j, op, k, s2, m2))
-  | ITickN 1, IThisFieldI (false, s, m) -> Some (IThisFieldI (true, s, m))
-  | ILoadField (tk, a, s, m), ILoadIndexI i ->
-      Some (ILoadFieldIndexI (tk, a, s, m, i))
-  | ILoadFieldIndexI (true, a, s, m, i), IStoreLocal (false, x, ty, true) ->
-      Some (ITLFIndexIStoreT (a, s, m, i, x, ty))
-  | ILoadLocFieldI (false, a, s1, m1), IAssignFieldLFIPop (ic, j, s2, m2) ->
-      Some (IFieldCopyII (ic, a, s1, m1, j, s2, m2))
-  | IBinopConstI (o1, k1), IBinopConstI (o2, k2) ->
-      Some (IBinopConst2I (o1, k1, o2, k2))
+(* The loop guards that must see two instructions back, [local CMP e]
+   where [e] already fused into one instruction: [fuse3 p2 p1 i] is the
+   single instruction equivalent to [p2; p1; i], or [None]. *)
+let fuse3 (p2 : instr) (p1 : instr) (i : instr) : instr option =
+  match (p2, p1, i) with
+  | ILoadI (false, x), ILoadFieldBCI (y, s, m, op1, k), IJumpCmpFalseI (op, t)
+    ->
+      (* [local CMP local->f op k] *)
+      Some (IJumpLL2FBCCmpFalseI (x, y, s, m, op1, k, op, false, t))
+  | ILoadI (false, x), ILoadFieldBinopI (y, s, m, op), IJumpIfI (false, false, t)
+    when is_cmp op ->
+      (* [local CMP local->f], the [i < p->n] loop guard *)
+      Some (IJumpLocFCmpFalseI (x, y, s, m, op, false, t))
+  | ILoadI (false, x), IThisFieldBinopI (s, m, op), IJumpIfI (false, false, t)
+    when is_cmp op ->
+      (* [local CMP this.f], the [i < this->n] loop guard *)
+      Some (IJumpLocTFCmpFalseI (op, x, s, m, t))
   | _ -> None
+
+(* Put [i] at the frontier, fusing it into what precedes it while a rule
+   applies; each product is offered again to its new predecessor. A
+   fused run must not swallow a jump target: a label on the slot [i]
+   would take ([lastlab = len]) blocks every rule, one on its
+   predecessor's slot blocks [fuse3] too. A label on the surviving slot
+   is fine — jumpers wanted the whole run anyway. *)
+let rec place (b : buf) (i : instr) =
+  let p = b.len in
+  match if p > 0 && b.lastlab < p then fuse b.code.(p - 1) i else None with
+  | Some f ->
+      b.len <- p - 1;
+      place b f
+  | None -> (
+      match
+        if p > 1 && b.lastlab < p - 1 then fuse3 b.code.(p - 2) b.code.(p - 1) i
+        else None
+      with
+      | Some f ->
+          b.len <- p - 2;
+          place b f
+      | None ->
+          if p = Array.length b.code then begin
+            let nc = Array.make (2 * p) IReturnUnit in
+            Array.blit b.code 0 nc 0 p;
+            b.code <- nc
+          end;
+          b.code.(p) <- i;
+          b.len <- p + 1)
 
 let emit (b : buf) (i : instr) =
-  match
-    if b.len > 0 && b.lastlab <> b.len then fuse b.code.(b.len - 1) i else None
-  with
-  | Some f ->
-      b.code.(b.len - 1) <- f;
-      (* [prev]'s delta is already in [od]; the fused form adds [i]'s *)
-      bump b i;
-      (* cascade: the combined instruction may fuse again with its own
-         predecessor. A label on the surviving slot is fine (the fused
-         run starts there); one on the vacated slot blocks it. *)
-      let rec settle () =
-        if b.len >= 2 && b.lastlab < b.len - 1 then
-          match fuse2 b.code.(b.len - 2) b.code.(b.len - 1) with
-          | Some g ->
-              b.len <- b.len - 1;
-              b.code.(b.len - 1) <- g;
-              settle ()
-          | None -> ()
-      in
-      settle ()
-  | None ->
-      if b.len = Array.length b.code then begin
-        let nc = Array.make (2 * b.len) IReturnUnit in
-        Array.blit b.code 0 nc 0 b.len;
-        b.code <- nc
-      end;
-      b.code.(b.len) <- i;
-      b.len <- b.len + 1;
-      bump b i
+  bump b i;
+  place b i
 
 (* Emit a forward jump with a placeholder target; returns the patch site
    (the fused slot, when the jump merged into its predecessor). *)
@@ -778,134 +797,12 @@ let land_patches b sites =
     b.lastlab <- b.len
   end
 
-(* Branch on a falsy condition, fusing the comparison just emitted into
-   the branch: [a CMP b] becomes one compare-and-branch, [a CMP const]
-   folds the constant in, and [local CMP const] — the canonical for-loop
-   condition — folds the load too, deleting its slot. The fused
-   instructions run the same [value_eq] / [compare_test] the tree engine
-   ran, so errors are unchanged. Deleting a slot additionally requires
-   that no label lands on it. *)
-let emit_branch_false b =
-  if b.len > 0 && b.lastlab <> b.len then
-    match b.code.(b.len - 1) with
-    | IBinop op when is_cmp op -> (
-        match
-          if b.lastlab < b.len - 1 then b.code.(b.len - 2) else IReturnUnit
-        with
-        | ILoad (false, y) ->
-            b.len <- b.len - 2;  (* roll back +1 -1 *)
-            emit_patch b (IJumpLocCmpFalse (op, y, -1))
-        | _ ->
-            b.code.(b.len - 1) <- IJumpCmpFalse (op, -1);
-            b.od <- b.od - 1;  (* IBinop's -1 was applied; fused is -2 *)
-            b.len - 1)
-    | IBinopConst (op, v) when is_cmp op -> (
-        match
-          if b.len >= 2 && b.lastlab < b.len - 1 then b.code.(b.len - 2)
-          else IReturnUnit
-        with
-        | ILoad (false, n) ->
-            (* roll back [ILoad; IBinopConst] (net +1); the fused branch
-               is net 0 *)
-            b.len <- b.len - 2;
-            b.od <- b.od - 1;
-            emit_patch b (IJumpLocCmpConstFalse (n, op, v, false, -1))
-        | _ ->
-            b.code.(b.len - 1) <- IJumpCmpConstFalse (op, v, false, -1);
-            b.od <- b.od - 1;  (* IBinopConst's 0 was applied; fused is -1 *)
-            b.len - 1)
-    | _ -> emit_patch b (IJumpIf (false, -1))
-  else emit_patch b (IJumpIf (false, -1))
-
-(* The typed image of [emit_branch_false] for an int-shaped condition:
-   the same label guards, with the depth bookkeeping on the untagged int
-   stack. Beyond the compare-and-branch forms it folds in only the
-   guards that read a member: [local CMP const] stays
-   [ILoadBinopConstI; IJumpIfI] and [local CMP local] stays
-   [ILoadI; IJumpLocCmpFalseI]. *)
-let emit_branch_false_i b =
-  if b.len > 0 && b.lastlab <> b.len then
-    match b.code.(b.len - 1) with
-    | IBinopII op when is_cmp op -> (
-        (* [ILoadI; IBinopII] has already fused into [ILoadBinopI]
-           (below) wherever a branch could fold it *)
-        match
-          if b.len >= 3 && b.lastlab < b.len - 2 then
-            (b.code.(b.len - 3), b.code.(b.len - 2))
-          else (IReturnUnit, IReturnUnit)
-        with
-        | ILoadI (false, x), ILoadFieldBCI (y, s, m, op1, k) ->
-            (* [local CMP local->f op k] *)
-            b.len <- b.len - 2;
-            b.iod <- b.iod - 1;
-            b.code.(b.len - 1) <-
-              IJumpLL2FBCCmpFalseI (x, y, s, m, op1, k, op, false, -1);
-            b.len - 1
-        | _ ->
-            b.code.(b.len - 1) <- IJumpCmpFalseI (op, -1);
-            b.iod <- b.iod - 1;
-            b.len - 1)
-    | IBinopConstI (op, k) when is_cmp op -> (
-        (* [ILoadI]/[ILoadFieldI] operands have already fused into
-           [ILoadBinopConstI]/[ILoadFieldBCI] *)
-        match
-          if b.len >= 2 && b.lastlab < b.len - 1 then b.code.(b.len - 2)
-          else IReturnUnit
-        with
-        | ILoadFieldI (true, n, s, m) ->
-            b.len <- b.len - 2;
-            b.iod <- b.iod - 1;
-            emit_patch b (IJumpLocFieldBCFalseI (true, n, s, m, op, k, -1))
-        | IThisFieldI (tk, s, m) ->
-            b.len <- b.len - 2;
-            b.iod <- b.iod - 1;
-            emit_patch b (IJumpThisFieldBCFalseI (tk, s, m, op, k, false, -1))
-        | _ ->
-            b.code.(b.len - 1) <- IJumpCmpConstFalseI (op, k, false, -1);
-            b.iod <- b.iod - 1;
-            b.len - 1)
-    | ILoadBinopI (op, y) when is_cmp op ->
-        (* eager fusion already folded [ILoadI y; CMP]; recover the
-           local-compare branch it used to feed, re-emitted (rather than
-           replaced in place) so the branch can still fuse with its new
-           predecessor, e.g. into [ITickLoadFieldCmpLocFalseI] *)
-        b.len <- b.len - 1;
-        emit_patch b (IJumpLocCmpFalseI (op, y, false, -1))
-    | ILoadFieldBinopI (y, s, m, op) when is_cmp op -> (
-        (* [local CMP local->f], the [i < p->n] loop guard *)
-        match
-          if b.len >= 2 && b.lastlab < b.len - 1 then b.code.(b.len - 2)
-          else IReturnUnit
-        with
-        | ILoadI (false, x) ->
-            b.len <- b.len - 1;
-            b.iod <- b.iod - 1;
-            b.code.(b.len - 1) <- IJumpLocFCmpFalseI (x, y, s, m, op, false, -1);
-            b.len - 1
-        | _ -> emit_patch b (IJumpIfI (false, false, -1)))
-    | IThisFieldBinopI (s, m, op)
-      when is_cmp op && b.len >= 2
-           && b.lastlab < b.len - 1
-           && (match b.code.(b.len - 2) with
-              | ILoadI (false, _) -> true
-              | _ -> false) ->
-        (* [local CMP this.f] — the canonical [i < this->n] loop guard *)
-        let x =
-          match b.code.(b.len - 2) with
-          | ILoadI (_, x) -> x
-          | _ -> assert false
-        in
-        b.len <- b.len - 2;
-        b.iod <- b.iod - 1;
-        emit_patch b (IJumpLocTFCmpFalseI (op, x, s, m, -1))
-    | _ -> emit_patch b (IJumpIfI (false, false, -1))
-  else emit_patch b (IJumpIfI (false, false, -1))
-
-(* Branch on a falsy condition whose compiled shape is [sh]. *)
+(* Branch on a falsy condition whose compiled shape is [sh]; [fuse]
+   folds the comparison just emitted into the branch. *)
 let emit_cond_false b (sh : shape) =
   match sh with
-  | SBox -> emit_branch_false b
-  | SInt -> emit_branch_false_i b
+  | SBox -> emit_patch b (IJumpIf (false, -1))
+  | SInt -> emit_patch b (IJumpIfI (false, false, -1))
 
 (* Move the top of the int stack over to the boxed stack. *)
 let box_top b (sh : shape) = match sh with SBox -> () | SInt -> emit b IBoxI
@@ -1145,7 +1042,7 @@ and compile_assign b (lhs : rlval) rhs ty ~keep : shape =
       let i = local_index b i in
       match compile_expr b rhs with
       | SInt ->
-          emit b (IStoreLocalI (keep, ic_of_ty ty, i, false));
+          emit b (IStoreLocalI (keep, ic_of_ty ty, i));
           SInt
       | SBox ->
           emit b (IStoreLocalIB (keep, ty, i));
@@ -1301,7 +1198,7 @@ and compile_decl b (d : rdecl) =
   | DExpr { d_slot; d_coerce; d_init } -> (
       let d_slot = local_index b d_slot in
       match compile_expr b d_init with
-      | SInt -> emit b (IStoreLocalI (false, ic_of_ty d_coerce, d_slot, false))
+      | SInt -> emit b (IStoreLocalI (false, ic_of_ty d_coerce, d_slot))
       | SBox -> emit b (IStoreLocalIB (false, d_coerce, d_slot)))
   | DRefExpr { d_slot; d_init; d_lv } ->
       (* the initializer is evaluated for its value first, then again as
@@ -1331,8 +1228,8 @@ and compile_decl b (d : rdecl) =
    true, jump via the returned patch sites when it is false. A typed
    [&&] chain becomes cascaded branch-falses instead of a materialized
    boolean: each arm short-circuits straight to the join, and every
-   comparison lands adjacent to its own branch, where
-   [emit_branch_false_i] can fuse it. Restricted to int-shaped arms so
+   comparison lands adjacent to its own branch, where [fuse] folds it
+   into the branch. Restricted to int-shaped arms so
    falsiness is exactly [= 0] on both paths. *)
 and compile_cond_false b (c : rexpr) : int list =
   match c with
@@ -1476,16 +1373,21 @@ let finish (b : buf) : cbody =
      the pair. Replicate the step into the guard's false arm instead;
      the step's slot stays for the fall-in (then-branch) path. The tick
      and error sequence of the combined arm is the exact concatenation
-     of the two instructions. *)
+     of the two instructions. The typed guard reads an int member; the
+     step stays boxed (a pointer). *)
   Array.iteri
     (fun i ins ->
       match ins with
       | ITickLoadFieldCmpLocFalse (j, s, m, op, n, true, texit)
+      | ITickLoadFieldCmpLocFalseI (j, s, m, op, n, true, texit)
         when texit >= 0 && texit < Array.length code -> (
           match code.(texit) with
           | ITickLoadFieldStoreJump (a, s2, m2, bdst, ty, tback) ->
               code.(i) <-
-                IScanStep (j, s, m, op, n, a, s2, m2, bdst, ty, tback)
+                (match ins with
+                | ITickLoadFieldCmpLocFalse _ ->
+                    IScanStep (j, s, m, op, n, a, s2, m2, bdst, ty, tback)
+                | _ -> IScanStepI (j, s, m, op, n, a, s2, m2, bdst, ty, tback))
           | _ -> ())
       | _ -> ())
     code;
@@ -1500,20 +1402,6 @@ let finish (b : buf) : cbody =
               code.(i) <-
                 ILoopScan
                   (x, op0, v0, texit0, j, s, m, op, n, a, s2, m2, bdst, ty)
-          | _ -> ())
-      | _ -> ())
-    code;
-  (* The typed image of the first scan peephole: an int guard member
-     with a boxed (pointer) step member. *)
-  Array.iteri
-    (fun i ins ->
-      match ins with
-      | ITickLoadFieldCmpLocFalseI (j, s, m, op, n, true, texit)
-        when texit >= 0 && texit < Array.length code -> (
-          match code.(texit) with
-          | ITickLoadFieldStoreJump (a, s2, m2, bdst, ty, tback) ->
-              code.(i) <-
-                IScanStepI (j, s, m, op, n, a, s2, m2, bdst, ty, tback)
           | _ -> ())
       | _ -> ())
     code;
@@ -2744,17 +2632,14 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         ist.(isp - 2) <- ibinop_i op ist.(isp - 2) ist.(isp - 1);
         loop (pc + 1) sp (isp - 1)
     (* -- typed local stores ------------------------------------------ *)
-    | IStoreLocalI (keep, ic, i, tk) ->
+    | IStoreLocalI (keep, ic, i) ->
         let v = apply_ic ic ist.(isp - 1) in
         Array.unsafe_set ilocals i v;
         if keep then begin
           ist.(isp - 1) <- v;
           loop (pc + 1) sp isp
         end
-        else begin
-          if tk then tick vm;
-          loop (pc + 1) sp (isp - 1)
-        end
+        else loop (pc + 1) sp (isp - 1)
     | IStoreLocalIB (keep, ty, i) ->
         let v = coerce ty ost.(sp - 1) in
         Array.unsafe_set ilocals i (as_int v);
@@ -3238,10 +3123,8 @@ let mnemonic (i : instr) : string =
   | IUnaryI _ -> "IUnaryI"
   | IToBoolI -> "IToBoolI"
   | IBinopII _ -> "IBinopII"
-  | IStoreLocalI (keep, _, _, tk) ->
-      if keep then "IStoreLocalI"
-      else if tk then "IStoreLocalPopTI"
-      else "IStoreLocalPopI"
+  | IStoreLocalI (keep, _, _) ->
+      if keep then "IStoreLocalI" else "IStoreLocalPopI"
   | IStoreLocalIB (keep, _, _) ->
       if keep then "IStoreLocalIB" else "IStoreLocalIBPop"
   | IIncDecLocalI (keep, _, _, _) ->

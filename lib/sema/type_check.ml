@@ -544,9 +544,31 @@ and check_member env ~loc obj name ~arrow : texpr =
   let mark = env.next_tid in
   member_access env ~loc ~mark (check_expr env obj) name ~arrow
 
-(* [tobj.name] or [tobj->name], where [tobj]'s ids start at [mark]. A
-   static member drops the object expression, and its ids are handed
-   out again. *)
+(* A static member named through [tobj], whose ids start at [mark]: the
+   object expression is dropped and its ids are handed out again. C++
+   would evaluate it first, so one that calls, assigns, steps or
+   allocates is an error. *)
+and static_through env ~loc ~mark tobj def_class name (f : Class_table.field)
+    : texpr =
+  if
+    fold_expr
+      (fun acc (e : texpr) ->
+        acc
+        ||
+        match e.te with
+        | TCall _ | TAssign _ | TIncDec _ | TNewObj _ | TNewScalar _
+        | TNewArr _ ->
+            true
+        | _ -> false)
+      false tobj
+  then
+    err ~at:loc
+      "static member '%s::%s' named through an expression with side effects; write '%s::%s'"
+      def_class name def_class name;
+  env.next_tid <- mark;
+  texpr env ~loc (TStaticField (def_class, name)) f.f_type
+
+(* [tobj.name] or [tobj->name], where [tobj]'s ids start at [mark]. *)
 and member_access env ~loc ~mark tobj name ~arrow : texpr =
   let recv =
     if arrow then Ctype.receiver_class_arrow tobj.ty
@@ -559,10 +581,7 @@ and member_access env ~loc ~mark tobj name ~arrow : texpr =
         name (Ctype.to_string tobj.ty)
   | Some cls ->
       let def_class, f = Member_lookup.field_exn env.table ~start:cls ~name ~loc in
-      if f.f_static then begin
-        env.next_tid <- mark;
-        texpr env ~loc (TStaticField (def_class, name)) f.f_type
-      end
+      if f.f_static then static_through env ~loc ~mark tobj def_class name f
       else
         texpr env ~loc
           (TField
@@ -577,10 +596,11 @@ and member_access env ~loc ~mark tobj name ~arrow : texpr =
           f.f_type
 
 and check_qual_member env ~loc obj cls name ~arrow : texpr =
-  qual_member_access env ~loc (check_expr env obj) cls name ~arrow
+  let mark = env.next_tid in
+  qual_member_access env ~loc ~mark (check_expr env obj) cls name ~arrow
 
 (* [tobj.cls::name] or [tobj->cls::name]. *)
-and qual_member_access env ~loc tobj cls name ~arrow : texpr =
+and qual_member_access env ~loc ~mark tobj cls name ~arrow : texpr =
   let recv =
     if arrow then Ctype.receiver_class_arrow tobj.ty
     else Ctype.receiver_class_dot tobj.ty
@@ -591,17 +611,19 @@ and qual_member_access env ~loc tobj cls name ~arrow : texpr =
       if not (Class_table.is_base_of env.table ~base:cls ~derived:obj_cls) then
         err ~at:loc "'%s' is not a base of '%s'" cls obj_cls;
       let def_class, f = Member_lookup.field_exn env.table ~start:cls ~name ~loc in
-      texpr env ~loc
-        (TField
-           {
-             fa_obj = tobj;
-             fa_arrow = arrow;
-             fa_qualified = true;
-             fa_def_class = def_class;
-             fa_field = name;
-             fa_volatile = f.f_volatile;
-           })
-        f.f_type
+      if f.f_static then static_through env ~loc ~mark tobj def_class name f
+      else
+        texpr env ~loc
+          (TField
+             {
+               fa_obj = tobj;
+               fa_arrow = arrow;
+               fa_qualified = true;
+               fa_def_class = def_class;
+               fa_field = name;
+               fa_volatile = f.f_volatile;
+             })
+          f.f_type
 
 and check_addrof env ~loc (a : Ast.expr) : texpr =
   match a.e with
@@ -852,7 +874,7 @@ and check_method_call env ~loc callee obj name args ~arrow ~qualified : texpr =
           let tf =
             match qualified with
             | None -> member_access env ~loc:loc' ~mark tobj name ~arrow
-            | Some q -> qual_member_access env ~loc:loc' tobj q name ~arrow
+            | Some q -> qual_member_access env ~loc:loc' ~mark tobj q name ~arrow
           in
           call_through env ~loc tf args
       | found ->

@@ -17,6 +17,10 @@
    C++ has no [++]/[--] on bool), stand as statements or keep their
    value for a print or a chained assignment ([iA = iB = k],
    [x = o.f += k]); the [char] and [bool] get values out of their range.
+   Conditionals [acc % k == 0 ? x : y] over int or double locals and
+   constants stand as an operand of a comparison in an [if] condition
+   and as a loop bound, so a join label falls next to the VM's
+   compare-and-branch folds, and inside int and double arithmetic.
    Object pointers are compared with [==]/[!=], against each other and
    against [NULL] on either side, and scan loops walk [next] from a
    pointer until a pointer equal to a target or [NULL]
@@ -44,21 +48,32 @@ type bexpr =
   | Or of bexpr * bexpr
   | Not of bexpr
 
-type cond = Mod of int (* acc % k == 0 *) | Probes of bexpr
+(* [acc % k == 0 ? x : y] over int or double locals and constants *)
+type sel = { skind : kind; sk : int; sx : leaf; sy : leaf }
+and leaf = Loc of int | Lit of int
+
+type cond =
+  | Mod of int (* acc % k == 0 *)
+  | Probes of bexpr
+  | SelCmp of sel * leaf * bool  (* sel < leaf, the leaf first if swapped *)
+
+(* a loop's bound: [n], or [acc % k == 0 ? a : b], each in 1..3 *)
+type bound = Fixed of int | SelBound of int * int * int
 
 type stmt =
   | Trace of int  (* acc = acc * 7 + k; print_int(acc); *)
   | If of cond * stmt list * stmt list
   | Chase of cond * stmt list * stmt list  (* then-block ends p = p->next *)
-  | While of int * stmt list
-  | For of int * stmt list
-  | Do of int * stmt list
+  | While of bound * stmt list
+  | For of bound * stmt list
+  | Do of bound * stmt list
   | BreakIf of int
   | ContinueIf of int
   | IntArith of int * int * int  (* iA = iA * 31 + iB + k *)
   | FltArith of int * int * int  (* dA = dA * 0.5 + dB + k *)
   | CastFI of int * int  (* iA = (int)(dB * 4.0) *)
   | CastIF of int * int * int  (* dA = (double)iB / k *)
+  | SelArith of int * sel  (* iA = iA * 3 + sel, or dA = dA * 0.5 + sel *)
   | AddrInt of int * int  (* int *q = &iA; *q = *q + k *)
   | Print of int * int  (* print_int(iA); print_float(dB); *)
   | Read of obj * int
@@ -187,17 +202,39 @@ let focused focus =
         ]
   in
   let probes = map (fun b -> Probes b) (bexpr 3) in
+  let leaf =
+    frequency [ (2, map (fun a -> Loc a) ii); (1, map (fun n -> Lit n) small) ]
+  in
+  let sel =
+    let+ skind = kind and+ sk = int_range 2 5 and+ sx = leaf and+ sy = leaf in
+    { skind; sk; sx; sy }
+  in
   let cond =
     if focus = Logic then probes
-    else frequency [ (2, map (fun k -> Mod k) (int_range 2 5)); (1, probes) ]
+    else
+      frequency
+        [
+          (2, map (fun k -> Mod k) (int_range 2 5));
+          (1, probes);
+          (1, map3 (fun s l swap -> SelCmp (s, l, swap)) sel leaf bool);
+        ]
   in
-  let guard = int_range 2 5 and bound = int_range 1 3 in
+  let guard = int_range 2 5 in
+  let bound =
+    let n = int_range 1 3 in
+    frequency
+      [
+        (3, map (fun n -> Fixed n) n);
+        (1, map3 (fun k a b -> SelBound (k, a, b)) guard n n);
+      ]
+  in
   let banks =
     [
       (2, map3 (fun a b k -> IntArith (a, b, k)) ii ii small);
       (1, map3 (fun a b k -> FltArith (a, b, k)) di di small);
       (1, map2 (fun a b -> CastFI (a, b)) ii di);
       (1, map3 (fun a b k -> CastIF (a, b, k + 1)) di ii (int_bound 4));
+      (1, map2 (fun a s -> SelArith (a, s)) ii sel);
       (1, map2 (fun a k -> AddrInt (a, k)) ii small);
       (1, map2 (fun a b -> Print (a, b)) ii di);
       (2, map2 (fun o i -> Read (o, i)) obj small);
@@ -296,9 +333,27 @@ let emit t =
     | Or (a, b) -> Printf.sprintf "(%s || %s)" (bexpr a) (bexpr b)
     | Not a -> Printf.sprintf "(!%s)" (bexpr a)
   in
-  let cond = function
+  (* a leaf and a conditional of kind [k]; [get] has [acc] and [d0]/[d1]
+     where [main] has [i0]..[i2] *)
+  let leaf ~cur k = function
+    | Loc a when k = Int -> if cur < 0 then Printf.sprintf "i%d" a else "acc"
+    | Loc a -> Printf.sprintf "d%d" (a mod 2)
+    | Lit n -> Printf.sprintf (if k = Int then "%d" else "%d.5") n
+  in
+  let sel ~cur s =
+    Printf.sprintf "(acc %% %d == 0 ? %s : %s)" s.sk (leaf ~cur s.skind s.sx)
+      (leaf ~cur s.skind s.sy)
+  in
+  let cond ~cur = function
     | Mod k -> Printf.sprintf "acc %% %d == 0" k
     | Probes b -> bexpr b
+    | SelCmp (s, l, swap) ->
+        let a = sel ~cur s and b = leaf ~cur s.skind l in
+        Printf.sprintf "%s < %s" (if swap then b else a) (if swap then a else b)
+  in
+  let bound = function
+    | Fixed n -> string_of_int n
+    | SelBound (k, a, b) -> Printf.sprintf "(acc %% %d == 0 ? %d : %d)" k a b
   in
   (* [cur] is the class whose [get] holds the statement, -1 in [main] *)
   let rec stmt ~cur ind s =
@@ -348,7 +403,7 @@ let emit t =
     match s with
     | Trace k -> line "acc = acc * 7 + %d; print_int(acc);" k
     | If (c, a, b) | Chase (c, a, b) ->
-        line "if (%s) {" (cond c);
+        line "if (%s) {" (cond ~cur c);
         block a;
         (match s with
         | Chase _ ->
@@ -358,31 +413,35 @@ let emit t =
         line "} else {";
         block b;
         line "}"
-    | While (bound, b) ->
+    | While (n, b) ->
         let v = fresh () in
         line "int w%d = 0;" v;
-        line "while (w%d < %d) {" v bound;
+        line "while (w%d < %s) {" v (bound n);
         line "  w%d = w%d + 1;" v v;
         block b;
         line "}"
-    | For (bound, b) ->
+    | For (n, b) ->
         let v = fresh () in
-        line "for (int t%d = 0; t%d < %d; t%d = t%d + 1) {" v v bound v v;
+        line "for (int t%d = 0; t%d < %s; t%d = t%d + 1) {" v v (bound n) v v;
         block b;
         line "}"
-    | Do (bound, b) ->
+    | Do (n, b) ->
         let v = fresh () in
         line "int w%d = 0;" v;
         line "do {";
         line "  w%d = w%d + 1;" v v;
         block b;
-        line "} while (w%d < %d);" v bound
+        line "} while (w%d < %s);" v (bound n)
     | BreakIf k -> line "if (acc %% %d == 0) { break; }" k
     | ContinueIf k -> line "acc = acc + 1; if (acc %% %d == 0) { continue; }" k
     | IntArith (a, b, k) -> line "i%d = i%d * 31 + i%d + %d;" a a b k
     | FltArith (a, b, k) -> line "d%d = d%d * 0.5 + d%d + %d.0;" a a b k
     | CastFI (a, b) -> line "i%d = (int)(d%d * 4.0);" a b
     | CastIF (a, b, k) -> line "d%d = (double)i%d / %d.0;" a b k
+    | SelArith (a, s) when s.skind = Int ->
+        line "i%d = i%d * 3 + %s;" a a (sel ~cur s)
+    | SelArith (a, s) ->
+        line "d%d = d%d * 0.5 + %s;" (a mod 2) (a mod 2) (sel ~cur s)
     | AddrInt (a, k) ->
         let v = fresh () in
         line "int *q%d = &i%d; *q%d = *q%d + %d;" v a v v k

@@ -676,6 +676,96 @@ let t_huge_arrays_are_limits () =
          int main() { A a; return 0; }" );
     ]
 
+(* -- compare-and-branch folds next to a join ------------------------------- *)
+
+(* One program per compare-and-branch fold shape, each with a [c ? x : y]
+   next to the comparison. A conditional ends in a join label, and a fold
+   must not swallow it: in the boxed programs the conditional is the
+   comparison's right (or left) operand, so its else arm ends in the
+   [ILoad] or [IConst] that a fold would take and the label falls inside
+   the run. A conditional is always boxed, so a typed run never holds a
+   label; there it sits in a loop's init or the guarded statement.
+   Each program runs under both engines, again one step short, and
+   must dispatch the fold it is named after. *)
+let fold_prelude =
+  {|
+    class N {
+    public:
+      int n; int k; double d;
+      N(int a) : n(a), k(2), d(1.5) { }
+      int upto(int c) {
+        int s = 0;
+        for (int i = c ? 0 : 1; i < this->n; i++) s = s + i;
+        return s;
+      }
+      int small(int c) {
+        int s = c ? 5 : 6;
+        if (this->k < 3) s = s + (c ? 1 : 2);
+        return s;
+      }
+    };
+  |}
+
+let fold_cases =
+  let boxed body =
+    "double d = 0.5; double e = 2.0; double x = 1.0; double y = 3.0;\n\
+    \  double s = 0.0;\n  " ^ body ^ "\n  return (int)(s * 4.0 + d);"
+  and typed body =
+    "int s = 0; int i = c ? 0 : 1; int j = c ? 3 : 4;\n  " ^ body
+    ^ "\n  return s;"
+  in
+  [
+    ( "IJumpCmpFalse",
+      boxed
+        "if (d * 2.0 < (c ? x : y)) s = 1.0;\n\
+        \  if (d < (c ? x : y)) s = s + 2.0;\n\
+        \  if (d < (c ? 2.0 : 3.0)) s = s + 4.0;" );
+    ("IJumpLocCmpFalse", boxed "if ((c ? x : y) < e) s = 1.0;");
+    ("IJumpCmpConstFalseT", boxed "if ((c ? x : y) < 2.5) s = 1.0;");
+    ( "IJumpLocCmpConstFalseT",
+      boxed "while (d < 4.0) { d = d + (c ? x : y); }" );
+    ( "ITickLoadFieldCmpLocFalseT",
+      boxed "print_int(c);\n  if (p->d < e) s = c ? x : y;" );
+    ("IJumpCmpFalseI", typed "if (i * 2 < j + 1) s = c ? 1 : 2;");
+    ( "IJumpLL2FBCCmpFalseTI",
+      typed "for (i = c ? 0 : 1; i < p->n - 1; i++) s = s + 2;" );
+    ("IJumpCmpConstFalseTI", typed "if (i + j < 5) s = c ? 3 : 4;");
+    ("ITickJumpLocFieldBCFalseI", typed "if (p->n < 5) s = c ? 1 : 2;");
+    ( "IJumpLocFieldBCFalseI",
+      typed "for (i = c ? 0 : 1; p->n < 7; p->n++) s = s + 1;" );
+    ("ITickJumpThisFieldBCFalseTI", typed "s = p->small(c);");
+    ( "IJumpLocCmpFalseTI",
+      typed "for (i = c ? 0 : 1; i < j; i++) s = s + 1;" );
+    ( "IJumpLocFCmpFalseTI",
+      typed "for (i = c ? 0 : 1; i < p->n; i++) s = s + 1;" );
+    ("IJumpLocTFCmpFalseI", typed "s = p->upto(c);");
+    ("ITickLoadFieldCmpLocFalseTI", typed "if (p->n < j) s = c ? 1 : 2;");
+  ]
+
+let t_folds_next_to_a_join () =
+  List.iter
+    (fun (fold, body) ->
+      let src =
+        Printf.sprintf
+          "%s\nint f(int c, N* p) {\n  %s\n}\n\
+           int main() {\n  N* p = new N(4);\n  print_int(f(0, p));\n\
+          \  print_int(f(1, p));\n  return 0;\n}\n"
+          fold_prelude body
+      in
+      let prog = Util.check_source src in
+      let tree = Util.engines_agree fold prog in
+      (match tree.result with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: unexpected error %s" fold e);
+      ignore
+        (Util.engines_agree ~step_limit:(tree.steps - 1)
+           (fold ^ ", one step short")
+           prog);
+      let _, r = Runtime.Interp.run_profiled prog in
+      Util.check_bool (fold ^ " dispatched") true
+        (List.mem_assoc fold r.Runtime.Vm_profile.r_opcodes))
+    fold_cases
+
 let suite =
   [
     Util.test "benchmarks identical under both engines"
@@ -712,4 +802,5 @@ let suite =
     Util.test "statements the VM no longer folds" t_unfolded_statements;
     Util.test "statements over arrays of object pointers"
       t_object_array_statements;
+    Util.test "compare-and-branch folds next to a join" t_folds_next_to_a_join;
   ]

@@ -505,6 +505,57 @@ let t_static_member_initializer () =
       Alcotest.(check bool) ("daemon check " ^ k) true (field cli k = field d k))
     [ "errors"; "suppressed"; "unknown_regions"; "dead_members"; "diagnostics" ]
 
+(* A static member named through a call's result is a located error
+   (the call would be dropped), in the CLI and the daemon alike; named
+   through an object with a qualified name it runs, under both
+   engines. *)
+let t_static_member_through_call () =
+  let src =
+    "class A { public: static int s; };\nint A::s;\n\
+     A* make() { print_int(7); return new A(); }\n\
+     int main() { int t = make()->s; print_int(t); return 0; }\n"
+  in
+  let f = temp_src src in
+  let code, json, _ = run_capture ("check --format=json " ^ Filename.quote f) in
+  check_int "check exit" 1 code;
+  let cli = json_out "check --format=json" json in
+  (match J.to_list (field cli "diagnostics") with
+  | Some [ d ] ->
+      check_int "line" 4 (int_field d "line");
+      check_int "col" 28 (int_field d "col");
+      check_string "message"
+        "static member 'A::s' named through an expression with side \
+         effects; write 'A::s'"
+        (str_field d "message")
+  | Some ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
+  | None -> Alcotest.fail "diagnostics is not a list");
+  let code, out, _ = run_capture ("run " ^ Filename.quote f) in
+  check_int "run exit" 1 code;
+  check_string "run prints nothing" "" out;
+  let cli = json_out "check" (replace_all ~sub:f ~by:"<request>" json) in
+  let _, d = daemon "check" [ ("source", Server.Protocol.jstr src) ] in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) ("daemon check " ^ k) true (field cli k = field d k))
+    [ "errors"; "suppressed"; "unknown_regions"; "dead_members"; "diagnostics" ];
+  let f =
+    temp_src
+      "class A { public: static int s; int x; };\n\
+       class B : public A { public: int y; };\nint A::s;\n\
+       int main() { B* p = new B(); A a; p->A::s = 4; a.A::s += 1;\n\
+       print_int(A::s); return 0; }\n"
+  in
+  List.iter
+    (fun engine ->
+      let code, out, _ =
+        run_capture ("run --engine=" ^ engine ^ " " ^ Filename.quote f)
+      in
+      check_int (engine ^ " exit") 0 code;
+      Alcotest.(check bool)
+        (engine ^ " prints 5") true
+        (String.starts_with ~prefix:"5\n" out))
+    [ "bytecode"; "tree" ]
+
 (* A cold process never collects: [--version] and a [check --format=json]
    of every port allocate less than the default minor heap holds, so the
    exit statistics that [OCAMLRUNPARAM=v=0x400] prints (set here,
@@ -702,4 +753,6 @@ let suite =
     Util.test "the CLI is linked without a program interpreter" t_static_link;
     Util.test "check/run/serve: a static member initializer is an error"
       t_static_member_initializer;
+    Util.test "check/run/serve: a static member through a call is an error"
+      t_static_member_through_call;
   ]

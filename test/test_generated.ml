@@ -126,12 +126,14 @@ let printing =
 
 (* The generator's scan loops reach the VM as [ILoopScan], and its
    pointer tests as [==]/[!=] on objects and [NULL], so (a) checks the
-   VM's pointer comparisons on generated programs and not only on sched.
-   A fixed draw, whatever QCHECK_SEED says. *)
+   VM's pointer comparisons on generated programs and not only on sched;
+   conditionals reach comparisons too. A fixed draw, whatever
+   QCHECK_SEED says: 120 programs (60 before conditionals took a share
+   of the draws, with a floor of 6 scans). *)
 let t_scans_fuse () =
   let rand = Random.State.make [| 1 |] in
   let progs =
-    List.map Gen_mcc.render (Gen.generate ~rand ~n:60 Gen_mcc.gen)
+    List.map Gen_mcc.render (Gen.generate ~rand ~n:120 Gen_mcc.gen)
   in
   let scans =
     List.filter
@@ -141,14 +143,14 @@ let t_scans_fuse () =
       progs
   in
   Util.check_bool
-    (Printf.sprintf "%d of 60 programs dispatch ILoopScan" (List.length scans))
+    (Printf.sprintf "%d of 120 programs dispatch ILoopScan" (List.length scans))
     true
-    (List.length scans >= 6);
+    (List.length scans >= 12);
   List.iter
     (fun sub ->
       Util.check_bool (sub ^ " is generated") true
         (List.exists (Util.contains_sub ~sub) progs))
-    [ " == NULL)"; "(NULL "; " != p)"; " == p->next)" ]
+    [ " == NULL)"; "(NULL "; " != p)"; " == p->next)"; " == 0 ? " ]
 
 let suite =
   [

@@ -580,7 +580,7 @@ let ids_src =
       A* p = make();
       A a;
       a.fp = inc;
-      int t = a.s + p->s + make()->s;
+      int t = a.s + p->s + p->A::s;
       return t + p->fp(1) + p->A::fp(2) + a.fp(3) + broken();
     }|}
 
@@ -636,6 +636,60 @@ let t_expr_ids_dense () =
     (Printf.sprintf "%d programs check in strict mode" !strict)
     true (!strict >= 11 + 6)
 
+(* A static member named through an object drops the object
+   expression, so one that calls, steps, assigns or allocates is a
+   located error in both modes; through a qualified name as well, which
+   is otherwise the same static access. *)
+let static_effects_src =
+  {|class A { public: static int s; int x; };
+class B : public A { public: int y; };
+int A::s;
+A* make() { return new A(); }
+int f1() { return make()->s; }
+int f2() { A arr[2]; int i = 0; return arr[i++].A::s; }
+int f3() { A arr[2]; int i = 0; return arr[i = 1].s; }
+int f4() { return (new B())->A::s; }
+int main() { return f1() + f2() + f3() + f4(); }|}
+
+let t_static_through_effects () =
+  let msg = "error: static member 'A::s' named through an expression \
+             with side effects; write 'A::s'" in
+  let expected =
+    [ "input:5:25-27: "; "input:6:48-49: "; "input:7:50-51: "; "input:8:28-30: " ]
+    |> List.map (fun at -> at ^ msg)
+  in
+  let diags = Frontend.Source.Diagnostics.create () in
+  ignore
+    (Type_check.check_source_resilient ~file:"input" ~diags static_effects_src);
+  Alcotest.(check (list string))
+    "keep-going reports each" expected
+    (List.map Frontend.Source.diagnostic_to_string
+       (Frontend.Source.Diagnostics.to_list diags));
+  (match Type_check.check_source ~file:"input" static_effects_src with
+  | _ -> Alcotest.fail "strict mode accepted make()->s"
+  | exception Frontend.Source.Compile_error d ->
+      Alcotest.(check string)
+        "strict mode stops at the first" (List.hd expected)
+        (Frontend.Source.diagnostic_to_string d));
+  let p =
+    Type_check.check_source
+      {|class A { public: static int s; int x; };
+        class B : public A { public: int y; };
+        int A::s;
+        int main() { B* p = new B(); A a; p->A::s = 2; return a.A::s + p->s; }|}
+  in
+  let fields =
+    Typed_ast.fold_func_exprs
+      (fun acc (e : Typed_ast.texpr) ->
+        match e.te with
+        | TStaticField (c, n) -> (c ^ "::" ^ n) :: acc
+        | TField fa -> fa.fa_field :: acc
+        | _ -> acc)
+      [] (Typed_ast.find_func_exn p Typed_ast.main_id)
+  in
+  Alcotest.(check (list string))
+    "every access of s is static" [ "A::s"; "A::s"; "A::s" ] fields
+
 let suite =
   [
     Util.test "transitive bases" t_bases;
@@ -689,4 +743,6 @@ let suite =
       t_keep_going_dropped_definition_first;
     Util.test "expression ids are dense and repeatable, both modes"
       t_expr_ids_dense;
+    Util.test "a static member through an effectful object is an error"
+      t_static_through_effects;
   ]
