@@ -210,7 +210,6 @@ type instr =
      constant or local, and the increment-then-back-edge of for loops
      together cover over half of all executed pairs. *)
   | ILoadField of bool * int * slots_by_class * Member.t  (* ILoad; IField *)
-  | IThisField of bool * slots_by_class * Member.t        (* IThis; IField *)
   | IBinopConst of Ast.binop * value                  (* IConst; IBinop *)
   | ITickN of int             (* n statement ticks; [ITick] when n = 1 *)
   | IJumpCmpConstFalse of Ast.binop * value * bool * int
@@ -296,7 +295,6 @@ type instr =
       int * int * slots_by_class * Member.t * Ast.binop * bool * int
   (* typed superinstructions *)
   | ILoadFieldI of bool * int * slots_by_class * Member.t
-  | IThisFieldI of bool * slots_by_class * Member.t
   | IIndexFieldI of slots_by_class * Member.t
   | IBinopConstI of Ast.binop * int
   | ILoadBinopConstI of bool * int * Ast.binop * int
@@ -305,7 +303,6 @@ type instr =
       int * slots_by_class * Member.t * int * Ast.binop * int
       (* boxed l.f; typed [l' op k] index *)
   | ILoadFieldBinopI of int * slots_by_class * Member.t * Ast.binop
-  | IThisFieldBinopI of slots_by_class * Member.t * Ast.binop
   | IIncDecLocalJumpI of Ast.incdec * int * int
   | IFieldIdxFieldI of
       int * slots_by_class * Member.t * int * Ast.binop * int
@@ -333,22 +330,15 @@ type instr =
   | IFieldCopyII of
       icoerce * int * slots_by_class * Member.t * int * slots_by_class
       * Member.t
-  (* this-rooted lvalues, constructor field initialization from a local
-     or constant, folded constant-operator chains, and the
-     [local CMP this.f] loop guard *)
-  | IThisLocFieldI of slots_by_class * Member.t
+  (* constructor field initialization from a local or constant, and
+     folded constant-operator chains *)
   | IInitFieldLI of slots_by_class * Member.t * icoerce * int
   | IInitFieldConstI of slots_by_class * Member.t * icoerce * int
   | IBinopConst2I of Ast.binop * int * Ast.binop * int
-  | IJumpLocTFCmpFalseI of Ast.binop * int * slots_by_class * Member.t * int
   (* [if (local->f BINOP const)] in branch position: the whole guard in
      one dispatch. The bool folds the statement tick before the test *)
   | IJumpLocFieldBCFalseI of
       bool * int * slots_by_class * Member.t * Ast.binop * int * int
-  (* [if (this->f BINOP const)]; the two bools fold a tick before the
-     test (statement tick) and on fall-through (next statement's tick) *)
-  | IJumpThisFieldBCFalseI of
-      bool * slots_by_class * Member.t * Ast.binop * int * bool * int
 
 (* A compiled code body. [b_omax] bounds the operand stack the body can
    ever need (computed conservatively during emission); [b_scoped] says
@@ -564,8 +554,6 @@ let is_cmp = function
 let fuse (prev : instr) (i : instr) : instr option =
   match (prev, i) with
   | ILoad (tk, n), IField (s, m) -> Some (ILoadField (tk, n, s, m))
-  | IThis, IField (s, m) -> Some (IThisField (false, s, m))
-  | ITickN 1, IThisField (false, s, m) -> Some (IThisField (true, s, m))
   | ITickN 1, ILoad (false, n) -> Some (ILoad (true, n))
   | ITickN a, ITickN c -> Some (ITickN (a + c))
   | IStoreLocal (false, n, ty, false), ITickN 1 ->
@@ -596,8 +584,6 @@ let fuse (prev : instr) (i : instr) : instr option =
   | ILoadI (false, n), IBoxI -> Some (ILoadIB n)
   | ITickN 1, ILoadI (false, n) -> Some (ILoadI (true, n))
   | ILoad (tk, n), IFieldI (s, m) -> Some (ILoadFieldI (tk, n, s, m))
-  | IThis, IFieldI (s, m) -> Some (IThisFieldI (false, s, m))
-  | ITickN 1, IThisFieldI (false, s, m) -> Some (IThisFieldI (true, s, m))
   | IIndexI, IFieldI (s, m) -> Some (IIndexFieldI (s, m))
   | IConstI k, IBinopII op -> Some (IBinopConstI (op, k))
   | IBinopConstI (o1, k1), IBinopConstI (o2, k2) ->
@@ -612,7 +598,6 @@ let fuse (prev : instr) (i : instr) : instr option =
       Some (IFieldIdxFieldI (n, s, m, j, op, k, s2, m2))
   | ILoadFieldI (false, n, s, m), IBinopII op ->
       Some (ILoadFieldBinopI (n, s, m, op))
-  | IThisFieldI (false, s, m), IBinopII op -> Some (IThisFieldBinopI (s, m, op))
   | IIncDecLocalI (false, w, _, n), IJump t ->
       Some (IIncDecLocalJumpI (w, n, t))
   | IJumpIfI (false, false, t), ITickN 1 -> Some (IJumpIfI (false, true, t))
@@ -624,8 +609,6 @@ let fuse (prev : instr) (i : instr) : instr option =
       Some (IJumpLocFCmpFalseI (i, j, s, m, op, true, t))
   | IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, false, t), ITickN 1 ->
       Some (IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, true, t))
-  | IJumpThisFieldBCFalseI (tp, s, m, op, k, false, t), ITickN 1 ->
-      Some (IJumpThisFieldBCFalseI (tp, s, m, op, k, true, t))
   | ILoadFieldBCI (n, s, m, op, k), IJumpIfI (false, false, t) ->
       Some (IJumpLocFieldBCFalseI (false, n, s, m, op, k, t))
   | ILoadFieldI (true, n, s, m), IJumpLocCmpFalseI (op, y, tk, t) ->
@@ -639,7 +622,6 @@ let fuse (prev : instr) (i : instr) : instr option =
       Some (ITLFIndexIStoreT (a, s, m, i, x, ty))
   | ILoadI (false, i), IBinopII op -> Some (ILoadBinopI (op, i))
   | ILoad (tk, n), ILocFieldI (s, m) -> Some (ILoadLocFieldI (tk, n, s, m))
-  | IThis, ILocFieldI (s, m) -> Some (IThisLocFieldI (s, m))
   (* assignment from a member; initialization from a local or a
      constant *)
   | ILoadFieldI (false, j, s, m), IAssignFieldI (false, ic) ->
@@ -660,8 +642,6 @@ let fuse (prev : instr) (i : instr) : instr option =
       Some (IJumpCmpConstFalseI (op, k, false, t))
   | ILoadFieldI (true, n, s, m), IJumpCmpConstFalseI (op, k, false, t) ->
       Some (IJumpLocFieldBCFalseI (true, n, s, m, op, k, t))
-  | IThisFieldI (tk, s, m), IJumpCmpConstFalseI (op, k, false, t) ->
-      Some (IJumpThisFieldBCFalseI (tk, s, m, op, k, false, t))
   | ILoadBinopI (op, y), IJumpIfI (false, false, t) when is_cmp op ->
       Some (IJumpLocCmpFalseI (op, y, false, t))
   | _ -> None
@@ -679,10 +659,6 @@ let fuse3 (p2 : instr) (p1 : instr) (i : instr) : instr option =
     when is_cmp op ->
       (* [local CMP local->f], the [i < p->n] loop guard *)
       Some (IJumpLocFCmpFalseI (x, y, s, m, op, false, t))
-  | ILoadI (false, x), IThisFieldBinopI (s, m, op), IJumpIfI (false, false, t)
-    when is_cmp op ->
-      (* [local CMP this.f], the [i < this->n] loop guard *)
-      Some (IJumpLocTFCmpFalseI (op, x, s, m, t))
   | _ -> None
 
 (* Put [i] at the frontier, fusing it into what precedes it while a rule
@@ -760,12 +736,8 @@ let retarget f (i : instr) : instr =
       IJumpLocFCmpFalseI (i, j, s, m, op, tk, f t)
   | IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, tk, t) ->
       IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, tk, f t)
-  | IJumpLocTFCmpFalseI (op, x, s, m, t) ->
-      IJumpLocTFCmpFalseI (op, x, s, m, f t)
   | IJumpLocFieldBCFalseI (tp, n, s, m, op, k, t) ->
       IJumpLocFieldBCFalseI (tp, n, s, m, op, k, f t)
-  | IJumpThisFieldBCFalseI (tp, s, m, op, k, ta, t) ->
-      IJumpThisFieldBCFalseI (tp, s, m, op, k, ta, f t)
   | ITickLoadFieldCmpLocFalseI (n, s, m, op, y, tk, t) ->
       ITickLoadFieldCmpLocFalseI (n, s, m, op, y, tk, f t)
   | IIncDecLocalJumpI (w, n, t) -> IIncDecLocalJumpI (w, n, f t)
@@ -853,6 +825,15 @@ let rec shape_of b (e : rexpr) : shape =
       shape_of b rhs
   | RIncDec (_, _, lv) when int_lval b lv -> SInt
   | _ -> SBox
+
+(* No argument from [i] on can tick, write or fail. A plain recursion:
+   [Array.for_all] would allocate its loop closure per call. *)
+let rec inert_args (args : arg_mode array) i =
+  i >= Array.length args
+  || (match args.(i) with
+     | AVal (RConst _ | RLocal _ | RGlobal _ | RStatic _) -> true
+     | _ -> false)
+     && inert_args args (i + 1)
 
 type loopctx = { mutable brk : int list; mutable cont : int list; base : int }
 
@@ -967,7 +948,7 @@ let rec compile_expr b (e : rexpr) : shape =
       emit b ICastFloat;
       SBox
   | RField (oe, _, m) ->
-      compile_expr_box b oe;
+      compile_recv b oe;
       if int_member b m then (emit b (IFieldI (slots b m, m)); SInt)
       else (emit b (IField (slots b m, m)); SBox)
   | RCall c ->
@@ -1023,6 +1004,15 @@ let rec compile_expr b (e : rexpr) : shape =
 
 and compile_expr_box b (e : rexpr) = box_top b (compile_expr b e)
 
+(* The object of a member access or call. [this] there is a load of
+   the frame's receiver slot, one past the body's boxed locals (see
+   [new_frame]), so the local-rooted fusions cover it; as a value it
+   stays [IThis], a pointer even to a stack receiver. *)
+and compile_recv b (e : rexpr) =
+  match e with
+  | RThis -> emit b (ILoad (false, b.u.ub_shape.nbox))
+  | _ -> compile_expr_box b e
+
 (* Assignment, in expression ([~keep:true]: the stored value stays for
    the surrounding expression) or statement position. The lhs location
    is established before the rhs runs, exactly as the tree engine's
@@ -1048,7 +1038,7 @@ and compile_assign b (lhs : rlval) rhs ty ~keep : shape =
           emit b (IStoreLocalIB (keep, ty, i));
           SBox)
   | LvField (oe, _, m) when int_member b m -> (
-      compile_expr_box b oe;
+      compile_recv b oe;
       emit b (ILocFieldI (slots b m, m));
       match compile_expr b rhs with
       | SInt ->
@@ -1076,7 +1066,7 @@ and compile_compound b op (lhs : rlval) rhs ty ~keep : shape =
           emit b (ICompoundLocalB (keep, op, ty, i));
           SBox)
   | LvField (oe, _, m) when int_member b m -> (
-      compile_expr_box b oe;
+      compile_recv b oe;
       emit b (ILocFieldI (slots b m, m));
       match compile_expr b rhs with
       | SInt ->
@@ -1101,7 +1091,7 @@ and compile_incdec b w fx (lv : rlval) ~keep : shape =
       emit b (IIncDecLocalI (keep, w, fx, local_index b i));
       SInt
   | LvField (oe, _, m) when int_member b m ->
-      compile_expr_box b oe;
+      compile_recv b oe;
       emit b (ILocFieldI (slots b m, m));
       emit b (IIncDecFieldI (keep, w, fx));
       SInt
@@ -1123,7 +1113,7 @@ and compile_lval b (lv : rlval) =
   | LvGlobal i -> emit b (ILocGlobal i)
   | LvStatic i -> emit b (ILocStatic i)
   | LvField (oe, _, m) ->
-      compile_expr_box b oe;
+      compile_recv b oe;
       emit b (ILocField (slots b m, m))
   | LvDeref a ->
       compile_expr_box b a;
@@ -1151,6 +1141,14 @@ and compile_arg b (a : arg_mode) =
 
 and compile_args b (args : arg_mode array) = Array.iter (compile_arg b) args
 
+(* A call finds a missing receiver in the slot only when it runs, after
+   its arguments; the tree engine fails on [this] before them. So a call
+   reads the slot only when no argument can tick, write or fail, and
+   otherwise takes [this] as a value, which fails at once. *)
+and compile_call_recv b recv (args : arg_mode array) =
+  if inert_args args 0 then compile_recv b recv
+  else compile_expr_box b recv
+
 and compile_call b (c : rcall) =
   match c with
   | RBuiltin (bi, args) ->
@@ -1160,13 +1158,13 @@ and compile_call b (c : rcall) =
       compile_args b cf_args;
       emit b (ICallFunc (cf_func, Array.length cf_args))
   | RCallMethod { cm_recv; cm_arrow; cm_func; cm_args } ->
-      compile_expr_box b cm_recv;
+      compile_call_recv b cm_recv cm_args;
       compile_args b cm_args;
       emit b
         (ICallMethod
            { m_func = cm_func; m_argc = Array.length cm_args; m_arrow = cm_arrow })
   | RCallVirtual { cv_recv; cv_name; cv_table; cv_args } ->
-      compile_expr_box b cv_recv;
+      compile_call_recv b cv_recv cv_args;
       compile_args b cv_args;
       emit b
         (ICallVirtual
@@ -1860,31 +1858,38 @@ let pooled pool d n fill =
 
 (* The frame for an activation of [b] at depth [vm.act]: fresh when [b]
    can take its locals' address, otherwise the pooled banks at that
-   depth, reset to [VUnit] / 0 as a fresh frame would be. A pooled bank
-   may be longer than the shape; nothing reads past the shape. *)
+   depth, reset to [VUnit] / 0 as a fresh frame would be. The boxed
+   slot past the shape's holds the receiver, [no_receiver] outside a
+   method ([compile_recv]). A pooled bank may be longer; nothing reads
+   past the receiver slot. *)
 let new_frame vm (sh : fshape) (b : cbody) this =
-  if b.b_escapes then mk_frame ~ints:sh.nint sh.nbox this
-  else begin
-    let d = vm.act in
-    if d >= Array.length vm.pool_locals then grow_pools vm d;
-    let h = Array.get vm.pool_locals d in
-    let h =
-      if Array.length h.cells >= sh.nbox then h
-      else begin
-        let h = { arr_id = -1; cells = Array.make sh.nbox VUnit } in
-        Array.set vm.pool_locals d h;
-        h
-      end
-    in
-    for i = 0 to sh.nbox - 1 do
-      Array.set h.cells i VUnit
-    done;
-    let il = pooled vm.pool_ilocals d sh.nint 0 in
-    for i = 0 to sh.nint - 1 do
-      Array.set il i 0
-    done;
-    { locals = h; ilocals = il; this }
-  end
+  let fr =
+    if b.b_escapes then mk_frame ~ints:sh.nint (sh.nbox + 1) this
+    else begin
+      let d = vm.act in
+      if d >= Array.length vm.pool_locals then grow_pools vm d;
+      let h = Array.get vm.pool_locals d in
+      let h =
+        if Array.length h.cells > sh.nbox then h
+        else begin
+          let h = { arr_id = -1; cells = Array.make (sh.nbox + 1) VUnit } in
+          Array.set vm.pool_locals d h;
+          h
+        end
+      in
+      for i = 0 to sh.nbox - 1 do
+        Array.set h.cells i VUnit
+      done;
+      let il = pooled vm.pool_ilocals d sh.nint 0 in
+      for i = 0 to sh.nint - 1 do
+        Array.set il i 0
+      done;
+      { locals = h; ilocals = il; this }
+    end
+  in
+  Array.set fr.locals.cells sh.nbox
+    (match this with VUnit -> no_receiver | v -> v);
+  fr
 
 let rec bind_params frame (cf : cfunc) (src : value array) base argc =
   let n = Array.length cf.c_params in
@@ -2178,24 +2183,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
           | _ -> runtime_error "dereference of a non-pointer");
         loop (pc + 1) sp isp
     | IIndex ->
-        let iv = as_int ost.(sp - 1) in
-        ost.(sp - 2) <-
-          (match ost.(sp - 2) with
-          | VArr h | VPtr (PArr (h, 0)) ->
-              if iv < 0 || iv >= Array.length h.cells then
-                runtime_error "array index %d out of bounds (size %d)" iv
-                  (Array.length h.cells);
-              h.cells.(iv)
-          | VPtr (PArr (h, off)) ->
-              let j = off + iv in
-              if j < 0 || j >= Array.length h.cells then
-                runtime_error "array index out of bounds";
-              h.cells.(j)
-          | VStr s ->
-              if iv < 0 || iv >= String.length s then VInt 0
-              else VInt (Char.code s.[iv])
-          | VNull -> runtime_error "indexing a null pointer"
-          | _ -> runtime_error "indexing a non-array value");
+        ost.(sp - 2) <- index_read ost.(sp - 2) (as_int ost.(sp - 1));
         loop (pc + 1) (sp - 1) isp
     | IAsObj ->
         ost.(sp - 1) <- VObj (as_obj ost.(sp - 1));
@@ -2423,6 +2411,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
           | VNull when m_arrow -> runtime_error "method call on null pointer"
           | (VObj _ | VPtr (PObj _)) as recv ->
               call_function vm m_func ~this:recv ost base m_argc
+          | v when v == no_receiver -> no_this ()  (* see [new_frame] *)
           | _ ->
               (* static member function *)
               call_function vm m_func ~this:VUnit ost base m_argc
@@ -2439,6 +2428,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
               else
                 runtime_error "no virtual target for %s::%s" o.obj_class v_name
           | VNull -> runtime_error "virtual call on null pointer"
+          | v when v == no_receiver -> no_this ()
           | _ -> runtime_error "virtual call on a non-object"
         in
         ost.(base - 1) <- v;
@@ -2490,11 +2480,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | ILoadField (tk, i, slots, m) ->
         if tk then tick vm;
         let o = as_obj (Array.get locals i) in
-        ost.(sp) <- o.fields.cells.(field_slot o slots m);
-        loop (pc + 1) (sp + 1) isp
-    | IThisField (tk, slots, m) ->
-        if tk then tick vm;
-        let o = this_of frame in
         ost.(sp) <- o.fields.cells.(field_slot o slots m);
         loop (pc + 1) (sp + 1) isp
     | IBinopConst (op, v) ->
@@ -2784,23 +2769,10 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         if ibinop_i op o.ifields.(field_slot o slots m) k <> 0 then
           loop (pc + 1) sp isp
         else loop t sp isp
-    | IJumpThisFieldBCFalseI (tp, slots, m, op, k, ta, t) ->
-        if tp then tick vm;
-        let o = this_of frame in
-        if ibinop_i op o.ifields.(field_slot o slots m) k <> 0 then begin
-          if ta then tick vm;
-          loop (pc + 1) sp isp
-        end
-        else loop t sp isp
     (* -- typed superinstructions -------------------------------------- *)
     | ILoadFieldI (tk, i, slots, m) ->
         if tk then tick vm;
         let o = as_obj (Array.get locals i) in
-        ist.(isp) <- o.ifields.(field_slot o slots m);
-        loop (pc + 1) sp (isp + 1)
-    | IThisFieldI (tk, slots, m) ->
-        if tk then tick vm;
-        let o = this_of frame in
         ist.(isp) <- o.ifields.(field_slot o slots m);
         loop (pc + 1) sp (isp + 1)
     | IIndexFieldI (slots, m) ->
@@ -2826,11 +2798,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         loop (pc + 1) (sp + 1) (isp + 1)
     | ILoadFieldBinopI (i, slots, m, op) ->
         let o = as_obj (Array.get locals i) in
-        ist.(isp - 1) <-
-          ibinop_i op ist.(isp - 1) o.ifields.(field_slot o slots m);
-        loop (pc + 1) sp isp
-    | IThisFieldBinopI (slots, m, op) ->
-        let o = this_of frame in
         ist.(isp - 1) <-
           ibinop_i op ist.(isp - 1) o.ifields.(field_slot o slots m);
         loop (pc + 1) sp isp
@@ -2901,10 +2868,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let o2 = as_obj (Array.get locals j) in
         o1.ifields.(d) <- apply_ic ic o2.ifields.(field_slot o2 s2 m2);
         loop (pc + 1) sp isp
-    | IThisLocFieldI (slots, m) ->
-        ist.(isp) <- field_slot (this_of frame) slots m;
-        ost.(sp) <- frame.this;
-        loop (pc + 1) (sp + 1) (isp + 1)
     | IInitFieldLI (slots, m, ic, i) ->
         let o = this_of frame in
         o.ifields.(field_slot o slots m) <-
@@ -2917,11 +2880,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | IBinopConst2I (o1, k1, o2, k2) ->
         ist.(isp - 1) <- ibinop_i o2 (ibinop_i o1 ist.(isp - 1) k1) k2;
         loop (pc + 1) sp isp
-    | IJumpLocTFCmpFalseI (op, x, slots, m, t) ->
-        let o = this_of frame in
-        if icmp op (Array.unsafe_get ilocals x) o.ifields.(field_slot o slots m)
-        then loop (pc + 1) sp isp
-        else loop t sp isp
     | IScanStepI (j, slots, m, op, n, a, s2, m2, bdst, ty, tback) ->
         tick vm;
         let o = as_obj (Array.get locals j) in
@@ -3097,7 +3055,6 @@ let mnemonic (i : instr) : string =
   | IInitFieldArr _ -> "IInitFieldArr"
   | IInitFieldScalar _ -> "IInitFieldScalar"
   | ILoadField (tk, _, _, _) -> if tk then "ITickLoadField" else "ILoadField"
-  | IThisField (tk, _, _) -> if tk then "ITickThisField" else "IThisField"
   | IBinopConst _ -> "IBinopConst"
   | ITickN n -> if n = 1 then "ITick" else "ITickN"
   | IJumpCmpConstFalse (_, _, tk, _) ->
@@ -3160,7 +3117,6 @@ let mnemonic (i : instr) : string =
   | IJumpLocFCmpFalseI (_, _, _, _, _, tk, _) ->
       if tk then "IJumpLocFCmpFalseTI" else "IJumpLocFCmpFalseI"
   | ILoadFieldI (tk, _, _, _) -> if tk then "ITickLoadFieldI" else "ILoadFieldI"
-  | IThisFieldI (tk, _, _) -> if tk then "ITickThisFieldI" else "IThisFieldI"
   | IIndexFieldI _ -> "IIndexFieldI"
   | IBinopConstI _ -> "IBinopConstI"
   | ILoadBinopConstI (tk, _, _, _) ->
@@ -3168,7 +3124,6 @@ let mnemonic (i : instr) : string =
   | ILoadFieldBCI _ -> "ILoadFieldBCI"
   | ILoadFieldLoadBCI _ -> "ILoadFieldLoadBCI"
   | ILoadFieldBinopI _ -> "ILoadFieldBinopI"
-  | IThisFieldBinopI _ -> "IThisFieldBinopI"
   | IIncDecLocalJumpI _ -> "IIncDecLocalJumpI"
   | IFieldIdxFieldI _ -> "IFieldIdxFieldI"
   | ITickLoadFieldCmpLocFalseI (_, _, _, _, _, tk, _) ->
@@ -3185,19 +3140,11 @@ let mnemonic (i : instr) : string =
       if tk then "ITickLocFieldI" else "ILoadLocFieldI"
   | IAssignFieldLFIPop _ -> "IAssignFieldLFIPop"
   | IFieldCopyII _ -> "IFieldCopyII"
-  | IThisLocFieldI _ -> "IThisLocFieldI"
   | IInitFieldLI _ -> "IInitFieldLI"
   | IInitFieldConstI _ -> "IInitFieldConstI"
   | IBinopConst2I _ -> "IBinopConst2I"
-  | IJumpLocTFCmpFalseI _ -> "IJumpLocTFCmpFalseI"
   | IJumpLocFieldBCFalseI (tp, _, _, _, _, _, _) ->
       if tp then "ITickJumpLocFieldBCFalseI" else "IJumpLocFieldBCFalseI"
-  | IJumpThisFieldBCFalseI (tp, _, _, _, _, ta, _) -> (
-      match (tp, ta) with
-      | false, false -> "IJumpThisFieldBCFalseI"
-      | false, true -> "IJumpThisFieldBCFalseTI"
-      | true, false -> "ITickJumpThisFieldBCFalseI"
-      | true, true -> "ITickJumpThisFieldBCFalseTI")
 
 (* Typed (untagged) opcodes, for the profiler's typed-vs-generic
    dispatch split. Bridge boxing instructions count as typed: they only
@@ -3216,20 +3163,17 @@ let is_typed (i : instr) : bool =
   | IJumpIfI _ | IShortCircuitI _
   | IJumpCmpFalseI _ | IJumpCmpConstFalseI _
   | IJumpLocCmpFalseI _ | IJumpLocFCmpFalseI _
-  | ILoadFieldI _ | IThisFieldI _
-  | IIndexFieldI _ | IBinopConstI _ | ILoadBinopConstI _
+  | ILoadFieldI _ | IIndexFieldI _ | IBinopConstI _ | ILoadBinopConstI _
   | ILoadFieldBCI _ | ILoadFieldLoadBCI _ | ILoadFieldBinopI _
-  | IThisFieldBinopI _ | IIncDecLocalJumpI _
+  | IIncDecLocalJumpI _
   | IFieldIdxFieldI _ | ITickLoadFieldCmpLocFalseI _
   | IJumpLL2FBCCmpFalseI _ | IScanStepI _
   | ILoadIndexI _ | ILoadFieldIndexI _
   | ITLFIndexIStoreT _ | ILoadBinopI _
   | ILoadLocFieldI _
   | IAssignFieldLFIPop _ | IFieldCopyII _
-  | IThisLocFieldI _ | IInitFieldLI _
-  | IInitFieldConstI _ | IBinopConst2I _
-  | IJumpLocTFCmpFalseI _
-  | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _ ->
+  | IInitFieldLI _ | IInitFieldConstI _ | IBinopConst2I _
+  | IJumpLocFieldBCFalseI _ ->
       true
   | _ -> false
 

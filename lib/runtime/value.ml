@@ -329,14 +329,23 @@ let as_float = function
   | VInt n -> float_of_int n
   | _ -> runtime_error "expected a floating-point value"
 
+let[@inline never] no_this () = runtime_error "'this' outside a method"
+
+(* What the bytecode VM's receiver slot holds outside a method. No guest
+   expression yields this physical value, so a member access through it
+   reports the missing receiver, as reading [this] does. *)
+let no_receiver = VStr "this"
+
 (* The per-dispatch helpers inline into both engines; their error
    formatting stays out of line. *)
-let[@inline never] not_an_object () = runtime_error "expected a class object"
+let[@inline never] not_an_object v =
+  if v == no_receiver then no_this ()
+  else runtime_error "expected a class object"
 
 let[@inline] as_obj = function
   | VObj o -> o
   | VPtr (PObj o) -> o
-  | _ -> not_an_object ()
+  | v -> not_an_object v
 
 (* Equality used by == and != : pointer identity for pointers. *)
 let value_eq a b =
@@ -440,8 +449,6 @@ type frame = {
   ilocals : int array;
   this : value;
 }
-
-let[@inline never] no_this () = runtime_error "'this' outside a method"
 
 (* The receiver of a method's frame. *)
 let[@inline] this_of (fr : frame) =

@@ -4,7 +4,12 @@
    One to four classes derive from a root [K0] that holds a [next]
    pointer and, in some programs, a function-pointer field [fn]; each
    adds int and double fields and may override the virtual [get] to
-   touch different ones. [main] links one stack object per class into a
+   touch different ones. A [get] body works on [this] alone, spelled
+   [this->f] or bare [f]: it reads, writes, updates and [sink]s its
+   members, calls through [fn] and a non-virtual helper [h] of [K0]
+   ([h(acc)] or [this->h(3)]), and branches and loops on a member
+   compared to a constant or a local ([if (this->f <= acc)],
+   [for (tN = 0; tN < f && tN < 2; ...)]). [main] links one stack object per class into a
    ring through [next], points receivers of one static class at objects
    of another, and nests if/else, while and for with guarded
    break/continue over &&/||/! of printing probes, int/float arithmetic
@@ -38,8 +43,9 @@ open QCheck2
 
 type kind = Int | Double
 
-(* what a member access goes through: [oC.], [rJ->], [p->] or [this] *)
-type obj = Stack of int | Recv of int | Chased | This
+(* what a member access goes through: [oC.], [rJ->], [p->] or [this],
+   spelled [this->] or left implicit *)
+type obj = Stack of int | Recv of int | Chased | This of bool
 
 type bexpr =
   | Probe of int * bool  (* probe(id, v) prints id, returns v *)
@@ -56,6 +62,8 @@ type cond =
   | Mod of int (* acc % k == 0 *)
   | Probes of bexpr
   | SelCmp of sel * leaf * bool  (* sel < leaf, the leaf first if swapped *)
+  | FldCmp of obj * int * int * leaf * bool
+      (* o.f OP leaf, the leaf first if swapped; OP one of < <= == != *)
 
 (* a loop's bound: [n], or [acc % k == 0 ? a : b], each in 1..3 *)
 type bound = Fixed of int | SelBound of int * int * int
@@ -85,6 +93,9 @@ type stmt =
   | PtrCmp of ptr * bool * ptr * bool
       (* if (A == B) / (A != B) { acc = acc + 1; }, B on the left if swapped *)
   | Scan of ptr * ptr * int  (* from A, until s->next == B: acc += k *)
+  | FldFor of obj * int * int * stmt list
+      (* for (tN = 0; tN < o.f && tN < n; ...), n in 1..3 *)
+  | HCall of obj * leaf  (* acc = acc + o.h(leaf), [h] non-virtual *)
 
 (* what an update changes: an int or double local, a member, or the
    [char] ([true]) or [bool] local, which get out-of-range values *)
@@ -147,21 +158,48 @@ let focused focus =
   and use =
     frequency [ (1, pure Drop); (2, pure Shown); (1, map (fun x -> Into x) ii) ]
   in
+  let leaf =
+    frequency [ (2, map (fun a -> Loc a) ii); (1, map (fun n -> Lit n) small) ]
+  in
+  (* [get]'s statements, all on [this]: member accesses and calls, and
+     an if and a bounded loop guarded by a member of [this] *)
+  let this_stmt =
+    let this = map (fun e -> This e) bool in
+    frequency
+      [
+        (2, map2 (fun o i -> Read (o, i)) this small);
+        (2, map3 (fun o i k -> Write (o, i, k)) this small small);
+        (1, map2 (fun o i -> Sink (o, i)) this small);
+        (1, map2 (fun o k -> FnCall (o, k)) this small);
+        ( 2,
+          let+ o = this and+ i = small and+ u = upd and+ w = use in
+          Update (Fld (o, i), u, w) );
+        (1, map2 (fun o l -> HCall (o, l)) this leaf);
+      ]
+  in
+  let get_stmt =
+    let this = map (fun e -> This e) bool in
+    let block = list_size (int_range 1 2) this_stmt in
+    let fcmp =
+      let+ o = this and+ i = small and+ op = int_bound 3 and+ l = leaf
+      and+ swap = bool in
+      FldCmp (o, i, op, l, swap)
+    in
+    frequency
+      [
+        (6, this_stmt);
+        (1, map3 (fun c a b -> If (c, a, b)) fcmp block block);
+        ( 1,
+          let+ o = this and+ i = small and+ n = int_range 1 3 and+ b = block in
+          FldFor (o, i, n, b) );
+      ]
+  in
   let cls =
     map3
       (fun parent fields get -> { parent; fields; get })
       small
       (list_size (int_range 0 3) kind)
-      (option
-         (list_size (int_range 0 3)
-            (frequency
-               [
-                 (2, map (fun i -> Read (This, i)) small);
-                 (2, map2 (fun i k -> Write (This, i, k)) small small);
-                 (1, map (fun i -> Sink (This, i)) small);
-                 (1, map (fun k -> FnCall (This, k)) small);
-                 (2, map3 (fun i u w -> Update (Fld (This, i), u, w)) small upd use);
-               ])))
+      (option (list_size (int_range 0 3) get_stmt))
   in
   let recv = map3 (fun stat dyn heap -> { stat; dyn; heap }) small small bool in
   let ptr =
@@ -202,9 +240,6 @@ let focused focus =
         ]
   in
   let probes = map (fun b -> Probes b) (bexpr 3) in
-  let leaf =
-    frequency [ (2, map (fun a -> Loc a) ii); (1, map (fun n -> Lit n) small) ]
-  in
   let sel =
     let+ skind = kind and+ sk = int_range 2 5 and+ sx = leaf and+ sy = leaf in
     { skind; sk; sx; sy }
@@ -344,12 +379,41 @@ let emit t =
     Printf.sprintf "(acc %% %d == 0 ? %s : %s)" s.sk (leaf ~cur s.skind s.sx)
       (leaf ~cur s.skind s.sy)
   in
+  (* [o]'s static class from the class whose [get] holds the statement
+     ([cur], -1 in [main]), and the text of a member access through it *)
+  let via ~cur = function
+    | Stack c -> (c mod n, Printf.sprintf "o%d." (c mod n))
+    | Recv j ->
+        let stat, _, _ = recv j in
+        (stat, Printf.sprintf "r%d->" (j mod List.length t.recvs))
+    | Chased -> (0, "p->")
+    | This e -> (cur, if e then "this->" else "")
+  in
+  (* the [i]th member [o]'s static class sees, if there is one: its
+     source text, whether it is an int, and the member *)
+  let member_of ~cur ?(ints = false) o i =
+    let stat, via = via ~cur o in
+    let vis = visible stat in
+    Option.map
+      (fun (m, k) -> (via ^ snd m, k = Int, m))
+      (pick (if ints then List.filter (fun (_, k) -> k = Int) vis else vis) i)
+  in
   let cond ~cur = function
     | Mod k -> Printf.sprintf "acc %% %d == 0" k
     | Probes b -> bexpr b
     | SelCmp (s, l, swap) ->
         let a = sel ~cur s and b = leaf ~cur s.skind l in
         Printf.sprintf "%s < %s" (if swap then b else a) (if swap then a else b)
+    | FldCmp (o, i, op, l, swap) -> (
+        match member_of ~cur o i with
+        | None -> "acc % 2 == 0"
+        | Some (a, is_int, m) ->
+            use ~main:(cur < 0) `Read m;
+            let b = leaf ~cur (if is_int then Int else Double) l in
+            Printf.sprintf "%s %s %s"
+              (if swap then b else a)
+              (List.nth [ "<"; "<="; "=="; "!=" ] op)
+              (if swap then a else b))
   in
   let bound = function
     | Fixed n -> string_of_int n
@@ -360,21 +424,9 @@ let emit t =
     let line fmt = pr ("%s" ^^ fmt ^^ "\n") ind in
     let block b = List.iter (stmt ~cur (ind ^ "  ")) b in
     let use = use ~main:(cur < 0) in
-    let via = function
-      | Stack c -> (c mod n, Printf.sprintf "o%d." (c mod n))
-      | Recv j ->
-          let stat, _, _ = recv j in
-          (stat, Printf.sprintf "r%d->" (j mod List.length t.recvs))
-      | Chased -> (0, "p->")
-      | This -> (cur, "")
-    in
-    (* the [i]th member [o]'s static class sees, if there is one *)
-    let member ?(ints = false) o i f =
-      let stat, via = via o in
-      let vis = visible stat in
-      Option.iter
-        (fun (m, k) -> f (via ^ snd m) (k = Int) m)
-        (pick (if ints then List.filter (fun (_, k) -> k = Int) vis else vis) i)
+    let via = via ~cur in
+    let member ?ints o i f =
+      Option.iter (fun (e, is_int, m) -> f e is_int m) (member_of ~cur ?ints o i)
     in
     (* an object pointer as source text. [k0] keeps to [K0*] or [NULL],
        so that it compares with any pointer; [ring] keeps to the ring of
@@ -413,6 +465,20 @@ let emit t =
         line "} else {";
         block b;
         line "}"
+    | FldFor (o, i, k, b) ->
+        let v = fresh () in
+        let guard =
+          match member_of ~cur o i with
+          | None -> ""
+          | Some (e, _, m) ->
+              use `Read m;
+              Printf.sprintf "t%d < %s && " v e
+        in
+        line "for (int t%d = 0; %st%d < %d; t%d = t%d + 1) {" v guard v k v v;
+        block b;
+        line "}"
+    | HCall (o, l) ->
+        line "acc = acc + %sh(%s);" (snd (via o)) (leaf ~cur Int l)
     | While (n, b) ->
         let v = fresh () in
         line "int w%d = 0;" v;
@@ -522,6 +588,18 @@ let emit t =
         | Narrow c -> update (if c then "c0" else "b0") true None
         | Fld (o, i) -> member o i (fun e is_int m -> update e is_int (Some m))
   in
+  let rec calls_h = function
+    | HCall _ -> true
+    | If (_, a, b) | Chase (_, a, b) -> List.exists calls_h (a @ b)
+    | While (_, b) | For (_, b) | Do (_, b) | FldFor (_, _, _, b) ->
+        List.exists calls_h b
+    | _ -> false
+  in
+  let has_h =
+    List.exists
+      (fun c -> List.exists calls_h (Option.value ~default:[] c.get))
+      t.classes
+  in
   for c = 0 to n - 1 do
     if c = 0 then pr "class K0 {\npublic:\n"
     else pr "class K%d : public K%d {\npublic:\n" c (parent c);
@@ -535,7 +613,10 @@ let emit t =
       pr "  K0 *next;\n";
       if t.has_fn then (
         use `Decl fn;
-        pr "  int (*fn)(int);\n"));
+        pr "  int (*fn)(int);\n");
+      if has_h then (
+        use ~main:false `Read next;
+        pr "  int h(int k) { if (next == NULL) { return k; } return k + 1; }\n"));
     Option.iter
       (fun body ->
         pr "  virtual int get(int k) {\n";

@@ -91,8 +91,8 @@ let layer_words (b : Benchmarks.Suite.t) =
    and execute 164579, 28217, 218081, 335954, 956721, 403261, 1235034,
    333424, 2603425, 923009, 72362 (7274067 in all, then 7273925).
    Execute lost 2 words per int-member store and per method call when
-   the member-store lvalues ([ILocFieldI], [ILoadLocFieldI],
-   [IThisLocFieldI]) stopped boxing a fresh [VObj] of the object they
+   the member-store lvalues ([ILocFieldI], [ILoadLocFieldI] and a
+   this-rooted twin since gone) stopped boxing a fresh [VObj] of the object they
    checked and a frame started keeping its caller's receiver value
    instead of a fresh [Some]: it was deltablue 164567, hotwire 28203,
    idl 218069, ixx 335942, jikes 956697, lcom 403245, npic 1235024,
@@ -117,21 +117,28 @@ let layer_words (b : Benchmarks.Suite.t) =
    [IStoreLocalI] lost its tick operand: compile was deltablue 25957,
    hotwire 17382, idl 16169, ixx 14513, jikes 29404, lcom 21358,
    npic 11577, richards 18716, sched 13225, simulate 15262,
-   taldict 16725 (200288 in all, 186043 with the table alone, now
-   185604). *)
+   taldict 16725 (200288 in all, 186043 with the table alone, then
+   185604). Compile grew on every port, and execute moved, when [this]
+   became a frame slot: a receiver load is an [ILoad] block where
+   [IThis] was an immediate, and a frame's locals are one slot longer.
+   Compile was deltablue 24225, hotwire 16288, idl 15146, ixx 13527,
+   jikes 27197, lcom 19599, npic 10581, richards 17393, sched 12059,
+   simulate 14104, taldict 15485 (185604 in all, now 189627), and
+   execute 140303, 25885, 198414, 307135, 847079, 371387, 1115649,
+   283738, 2426410, 790896, 62850 (6569746 in all, now 6569229). *)
 let pinned_words =
   [
-    ("deltablue", 27207, 24225, 140303);
-    ("hotwire", 16760, 16288, 25885);
-    ("idl", 16296, 15146, 198414);
-    ("ixx", 12840, 13527, 307135);
-    ("jikes", 26452, 27197, 847079);
-    ("lcom", 18662, 19599, 371387);
-    ("npic", 9758, 10581, 1115649);
-    ("richards", 16506, 17393, 283738);
-    ("sched", 11756, 12059, 2426410);
-    ("simulate", 12383, 14104, 790896);
-    ("taldict", 14810, 15485, 62850);
+    ("deltablue", 27207, 24761, 140533);
+    ("hotwire", 16760, 16594, 25903);
+    ("idl", 16296, 15532, 198440);
+    ("ixx", 12840, 13820, 307155);
+    ("jikes", 26452, 27995, 847133);
+    ("lcom", 18662, 19817, 371422);
+    ("npic", 9758, 10818, 1115658);
+    ("richards", 16506, 17812, 283757);
+    ("sched", 11756, 12125, 2425465);
+    ("simulate", 12383, 14370, 790905);
+    ("taldict", 14810, 15983, 62858);
   ]
 
 let t_port_words_pinned () =

@@ -733,12 +733,12 @@ let fold_cases =
     ("ITickJumpLocFieldBCFalseI", typed "if (p->n < 5) s = c ? 1 : 2;");
     ( "IJumpLocFieldBCFalseI",
       typed "for (i = c ? 0 : 1; p->n < 7; p->n++) s = s + 1;" );
-    ("ITickJumpThisFieldBCFalseTI", typed "s = p->small(c);");
+    ("ITickJumpLocFieldBCFalseI", typed "s = p->small(c);");
     ( "IJumpLocCmpFalseTI",
       typed "for (i = c ? 0 : 1; i < j; i++) s = s + 1;" );
     ( "IJumpLocFCmpFalseTI",
       typed "for (i = c ? 0 : 1; i < p->n; i++) s = s + 1;" );
-    ("IJumpLocTFCmpFalseI", typed "s = p->upto(c);");
+    ("IJumpLocFCmpFalseTI", typed "s = p->upto(c);");
     ("ITickLoadFieldCmpLocFalseTI", typed "if (p->n < j) s = c ? 1 : 2;");
   ]
 
@@ -765,6 +765,99 @@ let t_folds_next_to_a_join () =
       Util.check_bool (fold ^ " dispatched") true
         (List.mem_assoc fold r.Runtime.Vm_profile.r_opcodes))
     fold_cases
+
+(* A non-static method called through a plain function pointer runs on
+   its caller's [this]: none from [main], where the method stops at its
+   first use of [this] with the tree walker's error, and the caller's
+   own receiver from inside a method. The VM reads the receiver of a
+   member access or call from a frame slot and [this] as a value from
+   the frame, so each use is a method of its own. Each runs after a
+   statement that ticks, so a late or early error shows in the steps;
+   [noisy] prints without [this], so a call that evaluates its argument
+   before it reports the missing receiver differs in the steps too. *)
+let funptr_method_prelude =
+  {|
+    int noisy() { print_int(9); return 3; }
+    class A {
+    public:
+      int x; int y; double d;
+      A() : x(1), y(2), d(0.5) { }
+      int h() { return x; }
+      virtual int v() { return y; }
+      int k(int a) { return a + 1; }
+      int get() { return x + this->y; }
+      int store() { print_int(0); this->x = 5; return x; }
+      int compound() { print_int(0); y += 2; return y; }
+      int incr() { print_int(0); x++; return x; }
+      int boxed() { print_int(0); d = 1.5; return (int)(d * 2.0); }
+      int call() { print_int(0); return h(); }
+      int virt() { print_int(0); return this->v(); }
+      int local_arg() { int a = 4; return k(a); }
+      int printing_arg() { print_int(0); return k(noisy()); }
+      int value() { print_int(0); A *p = this; return p->y; }
+      int guard() { int s = 0; if (this->y < 3) s = 1; return s + x; }
+      int via(int w) {
+        int (*f)() = &A::get;
+        if (w == 1) f = &A::store;
+        if (w == 2) f = &A::call;
+        if (w == 3) f = &A::printing_arg;
+        if (w == 4) f = &A::value;
+        return f();
+      }
+    };
+  |}
+
+let t_funptr_method_receiver () =
+  let agree name src =
+    let prog = Util.check_source (funptr_method_prelude ^ src) in
+    let tree = Util.engines_agree name prog in
+    ignore
+      (Util.engines_agree ~step_limit:(tree.steps - 1)
+         (name ^ ", one step short")
+         prog);
+    tree
+  in
+  List.iter
+    (fun m ->
+      let name = "A::" ^ m ^ " from main" in
+      let tree =
+        agree name
+          (Printf.sprintf
+             "int main() {\n  int (*f)() = &A::%s;\n  print_int(f());\n  \
+              return 0;\n}\n"
+             m)
+      in
+      Util.check_string (name ^ ": the tree walker's error")
+        "runtime error: 'this' outside a method" (Util.shown tree))
+    [
+      "get"; "store"; "compound"; "incr"; "boxed"; "call"; "virt";
+      "local_arg"; "printing_arg"; "value"; "guard";
+    ];
+  let tree =
+    agree "through a pointer from inside a method"
+      "int main() {\n  A a;\n  A *p = new A();\n  p->y = 7;\n  \
+       for (int w = 0; w < 5; w++) {\n    print_int(a.via(w));\n    \
+       print_nl();\n    print_int(p->via(w));\n    print_nl();\n  }\n  \
+       return 0;\n}\n"
+  in
+  Util.check_string "runs on the caller's receiver"
+    "exit 0\n3\n8\n05\n05\n05\n05\n094\n094\n02\n07\n" (Util.shown tree);
+  (* a receiver that is no object at all is not a missing [this]: a
+     function that falls off its end yields void *)
+  List.iter
+    (fun (use, want) ->
+      let tree =
+        agree use
+          (Printf.sprintf
+             "A *lost() { }\nint main() {\n  print_int(%s);\n  return 0;\n}\n"
+             use)
+      in
+      Util.check_string (use ^ ": the tree walker's error") want
+        (Util.shown tree))
+    [
+      ("lost()->x", "runtime error: expected a class object");
+      ("lost()->get()", "runtime error: 'this' outside a method");
+    ]
 
 let suite =
   [
@@ -803,4 +896,6 @@ let suite =
     Util.test "statements over arrays of object pointers"
       t_object_array_statements;
     Util.test "compare-and-branch folds next to a join" t_folds_next_to_a_join;
+    Util.test "methods called through plain function pointers"
+      t_funptr_method_receiver;
   ]

@@ -203,25 +203,31 @@ let t_text_rendering () =
    sched 1676727 (936144) before five superinstructions that each fused
    one statement of one of them went, and the 11 ports summed 5298781
    (npic 1617681, sched 2121943) before nine statement and pair folds
-   went (DESIGN.md §4i). Each row's comment holds its dispatches /
-   typed dispatches from before the int-RPN store walk and nine rare
-   pair fusions went: the ports summed 6310424 dispatches then,
-   9099130 before the typed store-plus-tick fusion went (idl 81879,
-   jikes 623813, lcom 169247, npic 4383536, sched 2956692,
-   simulate 495788), 9099274 now; typed dispatches did not move. *)
+   went (DESIGN.md §4i). Before the int-RPN store walk and nine rare
+   pair fusions went, the ports summed 6310424 dispatches (deltablue
+   48042 / typed 17984, hotwire 9608 / 4368, idl 77655 / 34696, ixx
+   117999 / 53865, jikes 608167 / 309726, lcom 162553 / 77421, npic
+   1929205 / 1639118, richards 156843 / 46113, sched 2693541 / 1646770,
+   simulate 471102 / 213251, taldict 35709 / 20578); 9099130 before the
+   typed store-plus-tick fusion went (idl 81879, jikes 623813, lcom
+   169247, npic 4383536, sched 2956692, simulate 495788), with typed
+   dispatches unmoved. Each row's comment holds its dispatches / typed
+   dispatches from before [this] became a frame slot, when member
+   accesses and calls on [this] had their own instructions: 9099274 in
+   all, 8817481 now. *)
 let pinned_dispatches =
   [
-    ("deltablue", 22047, 49758, 19140);  (* was 48042 / 17984 *)
-    ("hotwire", 2423, 9825, 4385);  (* was 9608 / 4368 *)
-    ("idl", 26115, 81749, 37532);  (* was 77655 / 34696 *)
-    ("ixx", 49278, 122575, 56851);  (* was 117999 / 53865 *)
-    ("jikes", 459845, 623258, 319590);  (* was 608167 / 309726 *)
-    ("lcom", 61204, 169594, 80325);  (* was 162553 / 77421 *)
-    ("npic", 967396, 4383537, 4086424);  (* was 1929205 / 1639118 *)
-    ("richards", 61628, 167470, 49867);  (* was 156843 / 46113 *)
-    ("sched", 2161560, 2957172, 1862712);  (* was 2693541 / 1646770 *)
-    ("simulate", 174307, 495789, 225867);  (* was 471102 / 213251 *)
-    ("taldict", 18454, 38547, 23293);  (* was 35709 / 20578 *)
+    ("deltablue", 22047, 47511, 18729);  (* was 49758 / 19140 *)
+    ("hotwire", 2423, 9364, 4113);  (* was 9825 / 4385 *)
+    ("idl", 26115, 75107, 33110);  (* was 81749 / 37532 *)
+    ("ixx", 49278, 114546, 51087);  (* was 122575 / 56851 *)
+    ("jikes", 459845, 589315, 309030);  (* was 623258 / 319590 *)
+    ("lcom", 61204, 158182, 74370);  (* was 169594 / 80325 *)
+    ("npic", 967396, 4305553, 4068424);  (* was 4383537 / 4086424 *)
+    ("richards", 61628, 154438, 43775);  (* was 167470 / 49867 *)
+    ("sched", 2161560, 2860756, 1822184);  (* was 2957172 / 1862712 *)
+    ("simulate", 174307, 467631, 211788);  (* was 495789 / 225867 *)
+    ("taldict", 18454, 35078, 22439);  (* was 38547 / 23293 *)
   ]
 
 let t_port_dispatches_pinned () =
